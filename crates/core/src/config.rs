@@ -145,8 +145,8 @@ pub struct MultilevelConfig {
     pub coarse_starts: usize,
     /// Number of V-cycles (0 = plain V; the paper disables V-cycling).
     pub vcycles: usize,
-    /// Worker-thread budget for the parallel hot paths (heavy-edge match
-    /// scoring, cluster contraction, FM/k-way gain initialization). The
+    /// Worker-thread budget for the parallel hot paths (cluster
+    /// contraction, FM/k-way gain initialization). The
     /// result is byte-identical for every value — the parallel phases
     /// compute exactly what the sequential code would and every
     /// state-dependent decision replays in the original order — so this is

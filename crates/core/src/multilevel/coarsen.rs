@@ -9,8 +9,6 @@ use vlsi_hypergraph::{
     FixedVertices, Fixity, Hypergraph, HypergraphBuilder, NetId, PartId, VertexId,
 };
 
-/// Minimum vertices per worker before match scoring forks threads.
-const MATCH_GRAIN: usize = 512;
 /// Minimum nets per worker before contraction forks threads.
 const NET_GRAIN: usize = 1024;
 
@@ -63,11 +61,10 @@ pub struct CoarsenParams {
     /// fixed-terminals regime. Fixed–fixed merges within one partition are
     /// always allowed (the terminal-clustering equivalence).
     pub allow_free_fixed_merge: bool,
-    /// Worker-thread budget for match scoring and net contraction. Purely
-    /// a speed knob: the parallel phases compute exactly what the
-    /// sequential code would (see [`crate::parallel`]), so the coarse
-    /// level is byte-identical for every value. `0` and `1` both mean
-    /// single-threaded.
+    /// Worker-thread budget for net contraction. Purely a speed knob: the
+    /// parallel phase computes exactly what the sequential code would
+    /// (see [`crate::parallel`]), so the coarse level is byte-identical
+    /// for every value. `0` and `1` both mean single-threaded.
     pub threads: usize,
 }
 
@@ -191,202 +188,98 @@ pub fn coarsen_once<R: Rng + ?Sized>(
         }
     }
 
-    let match_workers = crate::parallel::effective_threads(params.threads, n, MATCH_GRAIN);
-    if match_workers > 1 {
-        // Phase 1 (parallel): candidate scoring. A candidate's heavy-edge
-        // score is a pure function of the nets it shares with `v` (the
-        // match state only decides *whether* a vertex is still a
-        // candidate, never its score), so every state-independent filter
-        // and the full score sum — accumulated in `v`'s net order, hence
-        // bit-identical to the sequential f64 sum — can run sharded over
-        // vertex ranges. Vertices matched by the terminal pre-pass are
-        // matched permanently, so the snapshot of `partner` taken here is
-        // exact for them; later greedy matches are filtered in phase 2.
-        let partner_snapshot = &partner;
-        let chunks = crate::parallel::par_map_chunks(n, match_workers, |range| {
-            let mut out: Vec<Vec<(f64, u32)>> = Vec::with_capacity(range.len());
-            let mut scores: HashMap<u32, f64> = HashMap::new();
-            for vi in range {
-                let v = VertexId(vi as u32);
-                if partner_snapshot[vi] != UNMATCHED {
-                    out.push(Vec::new());
-                    continue;
-                }
-                scores.clear();
-                for &net in hg.vertex_nets(v) {
-                    let size = hg.net_size(net);
-                    if size < 2 || size > params.max_net_size_for_matching {
-                        continue;
-                    }
-                    let s = hg.net_weight(net) as f64 / (size as f64 - 1.0);
-                    for &u in hg.net_pins(net) {
-                        if u != v && partner_snapshot[u.index()] == UNMATCHED {
-                            *scores.entry(u.0).or_insert(0.0) += s;
-                        }
-                    }
-                }
-                let vw = hg.vertex_weight(v);
-                let vfix = fixed.fixity(v);
-                let mut list: Vec<(f64, u32)> = Vec::with_capacity(scores.len());
-                for (&u_raw, &score) in &scores {
-                    let u = VertexId(u_raw);
-                    if vw + hg.vertex_weight(u) > params.max_cluster_weight {
-                        continue;
-                    }
-                    if !within_resource_caps(
-                        hg.vertex_weights(v),
-                        hg.vertex_weights(u),
-                        &params.max_cluster_weights,
-                    ) {
-                        continue;
-                    }
-                    let ufix = fixed.fixity(u);
-                    if !params.allow_free_fixed_merge && vfix.is_fixed() != ufix.is_fixed() {
-                        continue;
-                    }
-                    if merge_fixity(vfix, ufix).is_none() {
-                        continue;
-                    }
-                    if let Some(parts) = same_part {
-                        if parts[v.index()] != parts[u.index()] {
-                            continue;
-                        }
-                    }
-                    list.push((score, u_raw));
-                }
-                // Descending (score, id): the order the sequential argmax
-                // induces; `(f64, u32)` pairs are unique per candidate.
-                list.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
-                out.push(list);
-            }
-            out
-        });
-        let candidates: Vec<Vec<(f64, u32)>> = chunks.into_iter().flatten().collect();
-
-        // Phase 2 (sequential): replay the greedy resolution in the
-        // shuffled visit order, applying the two state-dependent checks —
-        // "still unmatched" and the fixed-weight budget — against the
-        // exact state the sequential loop would see. Taking the first
-        // surviving entry of the sorted list equals the sequential argmax.
-        for &v in &order {
-            if partner[v.index()] != UNMATCHED {
+    // Greedy heavy-edge matching in the shuffled visit order. Scores live
+    // in a dense array indexed by vertex, with the vertices touched for
+    // the current `v` listed in `candidates`; each candidate's score is
+    // summed in `v`'s net order, so the f64 sums never depend on how they
+    // are stored. Membership is tracked in `is_candidate` rather than by a
+    // sentinel score, because a zero-weight net scores a candidate exactly
+    // 0.0. The argmax is over `(score, id)`, a total order on candidates,
+    // so the choice does not depend on the order they are visited in.
+    let mut score = vec![0.0f64; n];
+    let mut is_candidate = vec![false; n];
+    let mut candidates: Vec<VertexId> = Vec::new();
+    for &v in &order {
+        if partner[v.index()] != UNMATCHED {
+            continue;
+        }
+        for &net in hg.vertex_nets(v) {
+            let size = hg.net_size(net);
+            if size < 2 || size > params.max_net_size_for_matching {
                 continue;
             }
-            let vw = hg.vertex_weight(v);
-            let vfix = fixed.fixity(v);
-            let mut best: Option<VertexId> = None;
-            for &(_, u_raw) in &candidates[v.index()] {
-                let u = VertexId(u_raw);
-                if partner[u.index()] != UNMATCHED {
-                    continue;
-                }
-                if let Some(Fixity::Fixed(p)) = merge_fixity(vfix, fixed.fixity(u)) {
-                    if p.index() < fixed_weight.len() {
-                        let added = fixed_delta(vfix, p, vw)
-                            + fixed_delta(fixed.fixity(u), p, hg.vertex_weight(u));
-                        if fixed_weight[p.index()] + added > budget[p.index()] {
-                            continue;
-                        }
+            let s = hg.net_weight(net) as f64 / (size as f64 - 1.0);
+            for &u in hg.net_pins(net) {
+                let ui = u.index();
+                if u != v && partner[ui] == UNMATCHED {
+                    if !is_candidate[ui] {
+                        is_candidate[ui] = true;
+                        score[ui] = 0.0;
+                        candidates.push(u);
                     }
+                    score[ui] += s;
                 }
-                best = Some(u);
-                break;
-            }
-            if let Some(u) = best {
-                if let Some(Fixity::Fixed(p)) = merge_fixity(vfix, fixed.fixity(u)) {
-                    if p.index() < fixed_weight.len() {
-                        fixed_weight[p.index()] += fixed_delta(vfix, p, vw)
-                            + fixed_delta(fixed.fixity(u), p, hg.vertex_weight(u));
-                    }
-                }
-                partner[v.index()] = u.0;
-                partner[u.index()] = v.0;
-                cluster_of[v.index()] = num_clusters as u32;
-                cluster_of[u.index()] = num_clusters as u32;
-                num_clusters += 1;
-            } else {
-                partner[v.index()] = v.0; // matched with itself
-                cluster_of[v.index()] = num_clusters as u32;
-                num_clusters += 1;
             }
         }
-    } else {
-        let mut scores: HashMap<u32, f64> = HashMap::new();
-        for &v in &order {
-            if partner[v.index()] != UNMATCHED {
+        let vw = hg.vertex_weight(v);
+        let vfix = fixed.fixity(v);
+        let mut best: Option<(f64, VertexId)> = None;
+        for &u in &candidates {
+            is_candidate[u.index()] = false;
+            let score = score[u.index()];
+            if vw + hg.vertex_weight(u) > params.max_cluster_weight {
                 continue;
             }
-            scores.clear();
-            for &net in hg.vertex_nets(v) {
-                let size = hg.net_size(net);
-                if size < 2 || size > params.max_net_size_for_matching {
-                    continue;
-                }
-                let s = hg.net_weight(net) as f64 / (size as f64 - 1.0);
-                for &u in hg.net_pins(net) {
-                    if u != v && partner[u.index()] == UNMATCHED {
-                        *scores.entry(u.0).or_insert(0.0) += s;
-                    }
-                }
+            if !within_resource_caps(
+                hg.vertex_weights(v),
+                hg.vertex_weights(u),
+                &params.max_cluster_weights,
+            ) {
+                continue;
             }
-            let vw = hg.vertex_weight(v);
-            let vfix = fixed.fixity(v);
-            let mut best: Option<(f64, VertexId)> = None;
-            for (&u_raw, &score) in &scores {
-                let u = VertexId(u_raw);
-                if vw + hg.vertex_weight(u) > params.max_cluster_weight {
-                    continue;
-                }
-                if !within_resource_caps(
-                    hg.vertex_weights(v),
-                    hg.vertex_weights(u),
-                    &params.max_cluster_weights,
-                ) {
-                    continue;
-                }
-                let ufix = fixed.fixity(u);
-                if !params.allow_free_fixed_merge && vfix.is_fixed() != ufix.is_fixed() {
-                    continue;
-                }
-                let Some(merged) = merge_fixity(vfix, ufix) else {
-                    continue;
-                };
-                if let Fixity::Fixed(p) = merged {
-                    if p.index() < fixed_weight.len() {
-                        let added = fixed_delta(vfix, p, vw)
-                            + fixed_delta(fixed.fixity(u), p, hg.vertex_weight(u));
-                        if fixed_weight[p.index()] + added > budget[p.index()] {
-                            continue;
-                        }
-                    }
-                }
-                if let Some(parts) = same_part {
-                    if parts[v.index()] != parts[u.index()] {
+            let ufix = fixed.fixity(u);
+            if !params.allow_free_fixed_merge && vfix.is_fixed() != ufix.is_fixed() {
+                continue;
+            }
+            let Some(merged) = merge_fixity(vfix, ufix) else {
+                continue;
+            };
+            if let Fixity::Fixed(p) = merged {
+                if p.index() < fixed_weight.len() {
+                    let added =
+                        fixed_delta(vfix, p, vw) + fixed_delta(ufix, p, hg.vertex_weight(u));
+                    if fixed_weight[p.index()] + added > budget[p.index()] {
                         continue;
                     }
                 }
-                match best {
-                    Some((bs, bu)) if (bs, bu.0) >= (score, u.0) => {}
-                    _ => best = Some((score, u)),
+            }
+            if let Some(parts) = same_part {
+                if parts[v.index()] != parts[u.index()] {
+                    continue;
                 }
             }
-            if let Some((_, u)) = best {
-                if let Some(Fixity::Fixed(p)) = merge_fixity(vfix, fixed.fixity(u)) {
-                    if p.index() < fixed_weight.len() {
-                        fixed_weight[p.index()] += fixed_delta(vfix, p, vw)
-                            + fixed_delta(fixed.fixity(u), p, hg.vertex_weight(u));
-                    }
-                }
-                partner[v.index()] = u.0;
-                partner[u.index()] = v.0;
-                cluster_of[v.index()] = num_clusters as u32;
-                cluster_of[u.index()] = num_clusters as u32;
-                num_clusters += 1;
-            } else {
-                partner[v.index()] = v.0; // matched with itself
-                cluster_of[v.index()] = num_clusters as u32;
-                num_clusters += 1;
+            match best {
+                Some((bs, bu)) if (bs, bu.0) >= (score, u.0) => {}
+                _ => best = Some((score, u)),
             }
+        }
+        candidates.clear();
+        if let Some((_, u)) = best {
+            if let Some(Fixity::Fixed(p)) = merge_fixity(vfix, fixed.fixity(u)) {
+                if p.index() < fixed_weight.len() {
+                    fixed_weight[p.index()] += fixed_delta(vfix, p, vw)
+                        + fixed_delta(fixed.fixity(u), p, hg.vertex_weight(u));
+                }
+            }
+            partner[v.index()] = u.0;
+            partner[u.index()] = v.0;
+            cluster_of[v.index()] = num_clusters as u32;
+            cluster_of[u.index()] = num_clusters as u32;
+            num_clusters += 1;
+        } else {
+            partner[v.index()] = v.0; // matched with itself
+            cluster_of[v.index()] = num_clusters as u32;
+            num_clusters += 1;
         }
     }
 
@@ -434,28 +327,17 @@ pub fn contract_clusters(
             .expect("matching produced incompatible fixities");
     }
 
-    let mut builder = HypergraphBuilder::with_resources(nr);
-    for c in 0..num_clusters {
-        builder
-            .add_vertex_multi(&weights[c * nr..(c + 1) * nr])
-            .expect("arity matches");
-    }
-
     // Map, dedup and merge nets: identical coarse pin sets sum weights.
     //
-    // Sort-based dedup over two flat arenas instead of a
-    // `HashMap<Vec<u32>, u64>`: every net's mapped pins are normalized
-    // (sorted, internally deduped) in place at the tail of one shared pin
-    // arena, with a `(offset, len, weight)` span per surviving net in the
-    // second arena — no per-net key allocation, no hashing. Sorting the
-    // spans lexicographically by pin slice brings identical coarse nets
-    // adjacent; one merge pass sums their weights. u64 weight addition is
-    // order-independent and the emitted nets come out in the same
-    // lexicographic order the old `merged.sort_unstable()` produced, so
-    // the coarse net list is byte-identical to the HashMap version — and
-    // thread-count invariant: with a thread budget the normalize pass is
-    // sharded and the shard arenas concatenate before the same global
-    // sort-merge.
+    // Every net's mapped pins are normalized (sorted, internally deduped)
+    // in place at the tail of one shared pin arena, with an
+    // `(offset, len, weight)` span per surviving net — no per-net key
+    // allocation, no hashing. With a thread budget the normalize pass is
+    // sharded and the shard arenas concatenate in net order, so the spans
+    // are the same at every thread count. Sorting the spans by pin slice
+    // brings identical coarse nets together; u64 weight addition is
+    // order-independent, so the coarse net list (lexicographic by pin
+    // slice) does not depend on how equal slices were ordered.
     let net_workers = crate::parallel::effective_threads(threads, hg.num_nets(), NET_GRAIN);
     let normalize = |range: std::ops::Range<usize>,
                      pin_arena: &mut Vec<u32>,
@@ -507,21 +389,20 @@ pub fn contract_clusters(
         normalize(0..hg.num_nets(), &mut pin_arena, &mut spans);
     }
 
-    let pin_slice = |s: &(u32, u32, u64)| &pin_arena[s.0 as usize..(s.0 + s.1) as usize];
-    spans.sort_unstable_by(|a, b| pin_slice(a).cmp(pin_slice(b)));
-    let mut i = 0;
-    while i < spans.len() {
-        let key = pin_slice(&spans[i]);
-        let mut weight = spans[i].2;
-        let mut j = i + 1;
-        while j < spans.len() && pin_slice(&spans[j]) == key {
-            weight += spans[j].2;
-            j += 1;
-        }
+    let spans = dedup_spans(&pin_arena, spans, num_clusters);
+    let pins = spans.iter().map(|s| s.1 as usize).sum();
+    let pin_slice = |s: &Span| &pin_arena[s.0 as usize..(s.0 + s.1) as usize];
+    let mut builder =
+        HypergraphBuilder::with_capacity_and_resources(num_clusters, spans.len(), pins, nr);
+    for c in 0..num_clusters {
         builder
-            .add_net(weight, key.iter().copied().map(VertexId))
+            .add_vertex_multi(&weights[c * nr..(c + 1) * nr])
+            .expect("arity matches");
+    }
+    for span in &spans {
+        builder
+            .add_net(span.2, pin_slice(span).iter().copied().map(VertexId))
             .expect("valid coarse net");
-        i = j;
     }
 
     Level {
@@ -529,6 +410,62 @@ pub fn contract_clusters(
         fixed: FixedVertices::from_fixities(fixities),
         map: cluster_of.into_iter().map(VertexId).collect(),
     }
+}
+
+/// A normalized coarse net: `(offset, len, weight)` into a pin arena whose
+/// slice is sorted, duplicate-free and at least two pins long.
+type Span = (u32, u32, u64);
+
+/// Sorts `spans` lexicographically by their pin slices in `pin_arena`
+/// (pins are `< num_clusters`) and merges each run of equal slices into
+/// one span carrying the summed weight.
+///
+/// A counting sort buckets the spans by first pin, and each bucket is
+/// then ordered by second pin with the rest of the slice as tie-break.
+/// Buckets hold about one span per coarse vertex and the second pin is
+/// copied next to each span, so most comparisons never touch the arena;
+/// this is much cheaper than one comparison sort over whole slices.
+fn dedup_spans(pin_arena: &[u32], spans: Vec<Span>, num_clusters: usize) -> Vec<Span> {
+    let first_pin = |s: &Span| pin_arena[s.0 as usize] as usize;
+    // `end[c]` first counts bucket `c`'s spans, then becomes the write
+    // cursor, which leaves it at the bucket's end once every span is placed.
+    let mut end = vec![0usize; num_clusters];
+    for s in &spans {
+        end[first_pin(s)] += 1;
+    }
+    let mut acc = 0;
+    for slot in &mut end {
+        acc += *slot;
+        *slot = acc - *slot;
+    }
+    // `(second pin, span)`, bucketed by first pin.
+    let mut sorted: Vec<(u32, Span)> = vec![(0, (0, 0, 0)); spans.len()];
+    for s in spans {
+        let cursor = &mut end[first_pin(&s)];
+        sorted[*cursor] = (pin_arena[s.0 as usize + 1], s);
+        *cursor += 1;
+    }
+    let rest = |s: &Span| &pin_arena[s.0 as usize + 2..(s.0 + s.1) as usize];
+    let mut merged: Vec<Span> = Vec::with_capacity(sorted.len());
+    let mut start = 0;
+    for &stop in &end {
+        let bucket = &mut sorted[start..stop];
+        start = stop;
+        if bucket.len() > 1 {
+            bucket.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(&a.1).cmp(rest(&b.1))));
+        }
+        for (i, &(pin1, span)) in bucket.iter().enumerate() {
+            let repeats = i > 0 && {
+                let (prev_pin1, prev) = bucket[i - 1];
+                prev_pin1 == pin1 && rest(&prev) == rest(&span)
+            };
+            match merged.last_mut() {
+                Some(run) if repeats => run.2 += span.2,
+                _ => merged.push(span),
+            }
+        }
+    }
+    merged
 }
 
 /// Component-wise heavy-vertex guard: `true` when `acc + add` stays within
@@ -706,8 +643,8 @@ mod tests {
 
     #[test]
     fn parallel_coarsening_matches_sequential_exactly() {
-        // Big enough to clear MATCH_GRAIN/NET_GRAIN so threads actually
-        // fork: a 3000-vertex chain with weights and a sprinkling of fixed
+        // Big enough to clear NET_GRAIN so the contraction actually forks:
+        // a 3000-vertex chain with weights and a sprinkling of fixed
         // vertices, plus some wider nets for the contraction dedup.
         let n = 3000;
         let mut b = HypergraphBuilder::new();

@@ -15,8 +15,8 @@
 //! or of anything another chunk computes. All in-crate callers obey a
 //! stronger rule — their parallel phases compute values that are
 //! *identical* to what the sequential code would compute for the same item
-//! (heavy-edge match scores, FM/k-way initial gains, per-net coarse pin
-//! sets, round-engine move proposals), and every state-dependent decision
+//! (FM/k-way initial gains, per-net coarse pin sets, round-engine move
+//! proposals), and every state-dependent decision
 //! is replayed afterwards on one thread in the original order.
 //!
 //! Two consequences, pinned by `tests/determinism.rs`:
