@@ -248,6 +248,10 @@ fn accept_all(
 /// Reads everything the socket has, then processes every complete line
 /// in the buffer. An `Err` means the connection is unusable and must be
 /// dropped.
+///
+/// Between calls `rbuf` holds only the start of a line (no `\n`), so the
+/// newline search starts at the bytes this call read: a line that
+/// arrives over many reads has each byte examined once.
 fn handle_readable(
     conn: &mut Conn,
     token: u64,
@@ -257,6 +261,7 @@ fn handle_readable(
     draining: &mut bool,
 ) -> io::Result<()> {
     let mut buf = [0u8; 16 * 1024];
+    let mut scanned = conn.rbuf.len();
     loop {
         match conn.stream.read(&mut buf) {
             Ok(0) => {
@@ -276,15 +281,22 @@ fn handle_readable(
         }
     }
 
-    while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-        let raw: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-        let line = String::from_utf8_lossy(&raw[..raw.len() - 1]);
+    // Lines are read out of a taken buffer so that `process_line` can
+    // borrow the connection; the unfinished tail goes back afterwards.
+    let rbuf = std::mem::take(&mut conn.rbuf);
+    let mut start = 0;
+    while let Some(pos) = rbuf[scanned..].iter().position(|&b| b == b'\n') {
+        let end = scanned + pos;
+        let line = String::from_utf8_lossy(&rbuf[start..end]);
+        start = end + 1;
+        scanned = start;
         let line = line.trim();
-        if line.is_empty() {
-            continue;
+        if !line.is_empty() {
+            process_line(line, conn, token, service, done_tx, wake_tx, draining);
         }
-        process_line(line, conn, token, service, done_tx, wake_tx, draining);
     }
+    conn.rbuf = rbuf;
+    conn.rbuf.drain(..start);
     Ok(())
 }
 

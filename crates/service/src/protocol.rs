@@ -37,9 +37,10 @@
 //!   request's own instance at ingress**: `"removed_nets":[idx,...]`
 //!   drops nets by index, `"added_nets":[...]` appends nets (same shape
 //!   as `hypergraph.nets`), and `"moved_fixed":[[vertex,part|-1],...]`
-//!   re-pins vertices. The vertex set is unchanged by a delta. When the
-//!   named solution has been evicted, the job silently falls back to a
-//!   cold run and the response carries `"warm":"miss"`.
+//!   re-pins vertices. The vertex set and every vertex's weight vector
+//!   are unchanged by a delta. When the named solution has been evicted,
+//!   the job silently falls back to a cold run and the response carries
+//!   `"warm":"miss"`.
 //!
 //! **Control** requests: `{"op":"metrics"}` returns a metrics snapshot,
 //! `{"op":"shutdown"}` drains the queue and stops the server.
@@ -59,16 +60,17 @@
 //! Every error code the service can emit is listed in [`ERROR_CODES`] and
 //! documented in `docs/PROTOCOL.md` (the complete wire reference).
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::BufReader;
 
 use vlsi_hypergraph::{
-    io::{apply_multi_areas, read_fix, read_hgr},
-    FixedVertices, Fixity, Hypergraph, HypergraphBuilder, Objective, PartCapacities, PartId,
-    PartSet,
+    io::{read_fix, read_hgr},
+    BuildError, FixedVertices, Fixity, Hypergraph, HypergraphBuilder, NetId, Objective,
+    PartCapacities, PartId, PartSet, VertexId,
 };
 
-use crate::json::{self, Json};
+use crate::json::{self, Doc, Elems, Value};
 use crate::queue::Lane;
 
 /// Upper bound on `k` — [`PartSet`] packs allowed parts into a 64-bit mask.
@@ -96,7 +98,7 @@ pub const ERROR_CODES: &[&str] = &[
 pub const MAX_RESOURCE_DIMS: usize = 16;
 
 /// A fully validated partitioning job, ready for a worker.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// Client-chosen identifier echoed in the response.
     pub id: String,
@@ -141,7 +143,7 @@ pub struct JobRequest {
 }
 
 /// One parsed request line.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum Request {
     /// A partitioning job.
     Job(Box<JobRequest>),
@@ -255,7 +257,7 @@ fn bad(id: &Option<String>, message: impl Into<String>) -> ProtocolError {
 }
 
 fn get_usize(
-    obj: &Json,
+    obj: Value<'_>,
     key: &str,
     default: usize,
     id: &Option<String>,
@@ -271,15 +273,24 @@ fn get_usize(
 
 /// Parses and validates one request line.
 ///
+/// The line is scanned once: the scan validates the JSON and indexes its
+/// values, and the fields are read straight off that index — the
+/// instance arrays go directly into one [`HypergraphBuilder`], with any
+/// warm-start delta applied during that same build.
+///
 /// # Errors
-/// Returns a [`ProtocolError`] (code `bad_json`, `bad_request` or
-/// `unknown_engine`) describing the first problem found. The hypergraph
-/// and fixity vector are validated here, at ingress, so workers only ever
-/// see well-formed instances.
+/// Returns a [`ProtocolError`] (code `bad_json`, `bad_request`,
+/// `unknown_engine` or `infeasible_capacities`) describing the first
+/// problem found. A JSON syntax error anywhere in the line comes before
+/// any field error; field errors come in a fixed order (scalar options,
+/// hypergraph, resources, part capacities, fixities, warm start) whatever
+/// the order of the fields in the line. The hypergraph and fixity vector
+/// are validated here, at ingress, so workers only ever see well-formed
+/// instances.
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
-    let root =
-        json::parse(line).map_err(|e| ProtocolError::new(None, "bad_json", e.to_string()))?;
-    if root.as_obj().is_none() {
+    let doc = Doc::parse(line).map_err(|e| ProtocolError::new(None, "bad_json", e.to_string()))?;
+    let root = doc.root();
+    if !root.is_obj() {
         return Err(ProtocolError::new(
             None,
             "bad_request",
@@ -288,7 +299,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     }
 
     if let Some(op) = root.get("op") {
-        return match op.as_str() {
+        return match op.as_str().as_deref() {
             Some("metrics") => Ok(Request::Metrics),
             Some("shutdown") => Ok(Request::Shutdown),
             _ => Err(ProtocolError::new(
@@ -299,10 +310,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         };
     }
 
-    let id = root
-        .get("id")
-        .and_then(|v| v.as_str())
-        .map(|s| s.to_string());
+    let id = root.get("id").and_then(|v| v.as_str()).map(Cow::into_owned);
     let Some(ref id_str) = id else {
         return Err(ProtocolError::new(
             None,
@@ -315,17 +323,16 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         .get("engine")
         .map(|v| {
             v.as_str()
-                .map(str::to_string)
                 .ok_or_else(|| bad(&id, "'engine' must be a string"))
         })
         .transpose()?
-        .unwrap_or_else(|| "ml".to_string());
+        .unwrap_or(Cow::Borrowed("ml"));
     // `UnknownEngine`'s Display already lists every valid name and alias;
     // surface it verbatim under the structured `unknown_engine` code.
     let engine = vlsi_partition::EngineConfig::by_name(&engine_name)
         .map_err(|e| ProtocolError::new(id.clone(), "unknown_engine", e.to_string()))?;
 
-    let k = get_usize(&root, "k", 2, &id)?;
+    let k = get_usize(root, "k", 2, &id)?;
     if !(2..=MAX_PARTS).contains(&k) {
         return Err(bad(&id, format!("'k' must be in 2..={MAX_PARTS}")));
     }
@@ -336,11 +343,11 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             .filter(|t| t.is_finite() && *t >= 0.0)
             .ok_or_else(|| bad(&id, "'tolerance' must be a finite number >= 0"))?,
     };
-    let starts = get_usize(&root, "starts", 1, &id)?;
+    let starts = get_usize(root, "starts", 1, &id)?;
     if starts == 0 {
         return Err(bad(&id, "'starts' must be >= 1"));
     }
-    let threads = get_usize(&root, "threads", 1, &id)?;
+    let threads = get_usize(root, "threads", 1, &id)?;
     if threads == 0 {
         return Err(bad(&id, "'threads' must be >= 1"));
     }
@@ -350,7 +357,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             .as_u64()
             .ok_or_else(|| bad(&id, "'seed' must be a non-negative integer"))?,
     };
-    let vcycles = get_usize(&root, "vcycles", 0, &id)?;
+    let vcycles = get_usize(root, "vcycles", 0, &id)?;
     let ensemble = match root.get("ensemble") {
         None => false,
         Some(v) => v
@@ -358,7 +365,8 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
             .ok_or_else(|| bad(&id, "'ensemble' must be a boolean"))?,
     };
     let deadline_ms = match root.get("deadline_ms") {
-        None | Some(Json::Null) => None,
+        None => None,
+        Some(v) if v.is_null() => None,
         Some(v) => Some(
             v.as_u64()
                 .ok_or_else(|| bad(&id, "'deadline_ms' must be a non-negative integer"))?,
@@ -366,7 +374,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     };
     let priority = match root.get("priority") {
         None => Lane::Batch,
-        Some(v) => match v.as_str() {
+        Some(v) => match v.as_str().as_deref() {
             Some("interactive") => Lane::Interactive,
             Some("batch") => Lane::Batch,
             _ => return Err(bad(&id, "'priority' must be \"interactive\" or \"batch\"")),
@@ -375,37 +383,14 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
 
     let objective = match root.get("objective") {
         None => Objective::Cut,
-        Some(v) => match v.as_str() {
+        Some(v) => match v.as_str().as_deref() {
             Some("cut") => Objective::Cut,
             Some("km1") => Objective::KMinus1,
             _ => return Err(bad(&id, "'objective' must be \"cut\" or \"km1\"")),
         },
     };
 
-    let mut hg = parse_hypergraph(&root, &id)?;
-    if let Some(res) = root.get("resources") {
-        hg = apply_resources(res, hg, &id)?;
-    }
-    let part_capacities = parse_part_capacities(&root, &id, k, &hg)?;
-    let mut fixed = parse_fixed(&root, &id, hg.num_vertices(), k)?;
-
-    let warm_from = match root.get("warm_start") {
-        None => None,
-        Some(ws) => {
-            if ws.as_obj().is_none() {
-                return Err(bad(&id, "'warm_start' must be an object"));
-            }
-            let sid = ws
-                .get("solution_id")
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| bad(&id, "'warm_start.solution_id' must be a string"))?
-                .to_string();
-            if let Some(delta) = ws.get("delta") {
-                (hg, fixed) = apply_warm_delta(delta, &hg, &fixed, k, &id)?;
-            }
-            Some(sid)
-        }
-    };
+    let instance = decode_instance(root, &id, k)?;
 
     Ok(Request::Job(Box::new(JobRequest {
         id: id_str.clone(),
@@ -419,57 +404,277 @@ pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
         ensemble,
         deadline_ms,
         priority,
-        warm_from,
+        warm_from: instance.warm_from,
         objective,
-        part_capacities,
-        hg,
-        fixed,
+        part_capacities: instance.part_capacities,
+        hg: instance.hg,
+        fixed: instance.fixed,
     })))
 }
 
-/// Applies the `resources` field — per-vertex multi-dimensional weight
-/// vectors — by rebuilding the instance's vertex side-table. Every vertex
-/// must carry the same arity (1..=[`MAX_RESOURCE_DIMS`]).
-fn apply_resources(
-    res: &Json,
+/// The instance half of a job request.
+struct Instance {
     hg: Hypergraph,
+    fixed: FixedVertices,
+    part_capacities: Option<PartCapacities>,
+    warm_from: Option<String>,
+}
+
+/// Where the instance's vertices and nets come from.
+enum Source<'d> {
+    /// `hypergraph.vertices` and `hypergraph.nets`, read off the index.
+    Inline {
+        vertices: Elems<'d>,
+        nets: Elems<'d>,
+    },
+    /// A parsed `hypergraph_path` file.
+    File(Hypergraph),
+}
+
+/// Decodes the instance fields — `hypergraph`/`hypergraph_path`,
+/// `resources`, `part_capacities`, `fixed`/`fixed_path` and
+/// `warm_start` — into one build.
+///
+/// Errors surface in that field order, but the build needs two later
+/// fields before it can take the nets: the `resources` rows (the vertex
+/// weights) and the delta's `removed_nets` (which inline nets to skip).
+/// Both are read ahead; a resources error is held until its turn, and a
+/// malformed removal list only marks what it can, since the delta check
+/// then rejects the request before the build is used.
+fn decode_instance(
+    root: Value<'_>,
     id: &Option<String>,
-) -> Result<Hypergraph, ProtocolError> {
+    k: usize,
+) -> Result<Instance, ProtocolError> {
+    let source = match (root.get("hypergraph"), root.get("hypergraph_path")) {
+        (Some(_), Some(_)) => {
+            return Err(bad(
+                id,
+                "give either 'hypergraph' or 'hypergraph_path', not both",
+            ))
+        }
+        (Some(inline), None) => {
+            let vertices = inline
+                .get("vertices")
+                .and_then(Value::as_arr)
+                .ok_or_else(|| bad(id, "'hypergraph.vertices' must be an array of weights"))?;
+            if vertices.is_empty() {
+                return Err(bad(id, "'hypergraph.vertices' must not be empty"));
+            }
+            let nets = inline
+                .get("nets")
+                .and_then(Value::as_arr)
+                .ok_or_else(|| bad(id, "'hypergraph.nets' must be an array"))?;
+            Source::Inline { vertices, nets }
+        }
+        (None, Some(path)) => {
+            let path = path
+                .as_str()
+                .ok_or_else(|| bad(id, "'hypergraph_path' must be a string"))?;
+            let file =
+                File::open(&*path).map_err(|e| bad(id, format!("cannot open '{path}': {e}")))?;
+            Source::File(
+                read_hgr(BufReader::new(file))
+                    .map_err(|e| bad(id, format!("cannot parse '{path}': {e}")))?,
+            )
+        }
+        (None, None) => return Err(bad(id, "missing 'hypergraph' or 'hypergraph_path'")),
+    };
+    let (num_vertices, num_nets) = match &source {
+        Source::Inline { vertices, nets } => (vertices.len(), nets.len()),
+        Source::File(hg) => (hg.num_vertices(), hg.num_nets()),
+    };
+
+    let resources = root
+        .get("resources")
+        .map(|res| resource_rows(res, num_vertices, id));
+    let rows = match &resources {
+        Some(Ok(rows)) => Some(rows),
+        _ => None,
+    };
+    let dims = rows.map_or(1, |(dims, _)| *dims);
+    let delta = root.get("warm_start").and_then(|ws| ws.get("delta"));
+    let added = delta
+        .and_then(|d| d.get("added_nets"))
+        .and_then(Value::as_arr);
+    let mut removed = Vec::new();
+    if let Some(list) = delta
+        .and_then(|d| d.get("removed_nets"))
+        .and_then(Value::as_arr)
+    {
+        removed = vec![false; num_nets];
+        for n in list.filter_map(Value::as_u64) {
+            if let Some(r) = removed.get_mut(n as usize) {
+                *r = true;
+            }
+        }
+    }
+
+    // A file instance is rebuilt only when resources or a delta edit it.
+    let rebuild = matches!(source, Source::Inline { .. }) || resources.is_some() || delta.is_some();
+    let mut b = if rebuild {
+        // Each inline net spans one node plus one per pin (more for the
+        // `{"w":..}` form), so the node counts bound the pins from above.
+        let (nets, pins) = match &source {
+            Source::Inline { nets, .. } => (num_nets, nets.nodes() - num_nets),
+            Source::File(hg) => (hg.num_nets(), hg.num_pins()),
+        };
+        let added_nodes = added.as_ref().map_or(0, Elems::nodes);
+        HypergraphBuilder::with_capacity_and_resources(
+            num_vertices,
+            nets + added_nodes,
+            pins + added_nodes,
+            dims,
+        )
+    } else {
+        HypergraphBuilder::new()
+    };
+
+    let mut scalar_total = 0u64;
+    match &source {
+        Source::Inline { vertices, .. } => {
+            for (i, w) in vertices.clone().enumerate() {
+                let w = w.as_u64().ok_or_else(|| {
+                    bad(
+                        id,
+                        format!("vertex {i}: weight must be a non-negative integer"),
+                    )
+                })?;
+                scalar_total = scalar_total.wrapping_add(w);
+                if rows.is_none() {
+                    b.add_vertex(w);
+                }
+            }
+        }
+        Source::File(hg) if rebuild && rows.is_none() => {
+            for v in hg.vertices() {
+                b.add_vertex(hg.vertex_weight(v));
+            }
+        }
+        Source::File(_) => {}
+    }
+    if let Some((dims, flat)) = rows {
+        for row in flat.chunks_exact(*dims) {
+            b.add_vertex_multi(row)
+                .map_err(|e| bad(id, format!("'resources': {e}")))?;
+        }
+    }
+
+    let mut pins = Vec::new();
+    match &source {
+        Source::Inline { nets, .. } => {
+            for (n, net) in nets.clone().enumerate() {
+                let weight = net_spec(net, n, num_vertices, id, &mut pins)?;
+                check_pins(&pins, NetId::from_index(n))
+                    .map_err(|e| bad(id, format!("net {n}: {e}")))?;
+                if removed.get(n) != Some(&true) {
+                    b.add_net(weight, pins.iter().copied())
+                        .map_err(|e| bad(id, format!("net {n}: {e}")))?;
+                }
+            }
+        }
+        Source::File(hg) if rebuild => {
+            for net in hg.nets().filter(|n| removed.get(n.index()) != Some(&true)) {
+                b.add_net(hg.net_weight(net), hg.net_pins(net).iter().copied())
+                    .map_err(|e| bad(id, format!("delta: {e}")))?;
+            }
+        }
+        Source::File(_) => {}
+    }
+
+    let rows = resources.transpose()?;
+    // The per-resource totals the capacities are checked against, summed
+    // like the built graph's `total_weights` (which wrap in a release
+    // build; a debug build panics there instead).
+    let totals = match (&rows, &source) {
+        (Some((dims, flat)), _) => {
+            let mut totals = vec![0u64; *dims];
+            for (i, w) in flat.iter().enumerate() {
+                totals[i % dims] = totals[i % dims].wrapping_add(*w);
+            }
+            totals
+        }
+        (None, Source::Inline { .. }) => vec![scalar_total],
+        (None, Source::File(hg)) => hg.total_weights().to_vec(),
+    };
+    let part_capacities = match root.get("part_capacities") {
+        None => None,
+        Some(pc) => Some(parse_part_capacities(pc, id, k, &totals)?),
+    };
+    let mut fixed = parse_fixed(root, id, num_vertices, k)?;
+
+    let warm_from = match root.get("warm_start") {
+        None => None,
+        Some(ws) => {
+            if !ws.is_obj() {
+                return Err(bad(id, "'warm_start' must be an object"));
+            }
+            let sid = ws
+                .get("solution_id")
+                .and_then(|v| v.as_str())
+                .ok_or_else(|| bad(id, "'warm_start.solution_id' must be a string"))?
+                .into_owned();
+            if let Some(delta) = ws.get("delta") {
+                let counts = (num_vertices, num_nets);
+                apply_warm_delta(delta, counts, k, &mut b, &mut fixed, &mut pins, id)?;
+            }
+            Some(sid)
+        }
+    };
+
+    let hg = match source {
+        Source::File(hg) if !rebuild => hg,
+        _ => b.build().map_err(|e| bad(id, format!("hypergraph: {e}")))?,
+    };
+    Ok(Instance {
+        hg,
+        fixed,
+        part_capacities,
+        warm_from,
+    })
+}
+
+/// Reads the `resources` field — per-vertex multi-dimensional weight
+/// vectors, every vertex with the same arity (1..=[`MAX_RESOURCE_DIMS`])
+/// — into the arity and the flat row-major weights.
+fn resource_rows(
+    res: Value<'_>,
+    num_vertices: usize,
+    id: &Option<String>,
+) -> Result<(usize, Vec<u64>), ProtocolError> {
     let rows = res.as_arr().ok_or_else(|| {
         bad(
             id,
             "'resources' must be an array of per-vertex weight vectors",
         )
     })?;
-    if rows.len() != hg.num_vertices() {
+    let num_rows = rows.len();
+    if num_rows != num_vertices {
         return Err(bad(
             id,
-            format!(
-                "'resources' has {} rows, expected one per vertex ({})",
-                rows.len(),
-                hg.num_vertices()
-            ),
+            format!("'resources' has {num_rows} rows, expected one per vertex ({num_vertices})"),
         ));
     }
     let mut dims = 0usize;
     let mut flat: Vec<u64> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
+    for (i, row) in rows.enumerate() {
         let row = row
             .as_arr()
             .ok_or_else(|| bad(id, format!("resources[{i}]: must be an array of integers")))?;
+        let len = row.len();
         if i == 0 {
-            dims = row.len();
+            dims = len;
             if dims == 0 || dims > MAX_RESOURCE_DIMS {
                 return Err(bad(
                     id,
                     format!("'resources' arity must be 1..={MAX_RESOURCE_DIMS}, got {dims}"),
                 ));
             }
-            flat.reserve(rows.len() * dims);
-        } else if row.len() != dims {
+            flat.reserve(num_rows * dims);
+        } else if len != dims {
             return Err(bad(
                 id,
-                format!("resources[{i}]: has {} entries, expected {dims}", row.len()),
+                format!("resources[{i}]: has {len} entries, expected {dims}"),
             ));
         }
         for w in row {
@@ -481,53 +686,48 @@ fn apply_resources(
             })?);
         }
     }
-    apply_multi_areas(&hg, dims, &flat).map_err(|e| bad(id, format!("'resources': {e}")))
+    Ok((dims, flat))
 }
 
 /// Parses and validates `part_capacities` — `k` rows of per-resource
 /// maxima matching the instance's resource arity — and rejects capacity
-/// matrices that cannot hold the instance's totals with the structured
-/// `infeasible_capacities` code.
+/// matrices that cannot hold the instance's per-resource `totals` with
+/// the structured `infeasible_capacities` code.
 fn parse_part_capacities(
-    root: &Json,
+    pc: Value<'_>,
     id: &Option<String>,
     k: usize,
-    hg: &Hypergraph,
-) -> Result<Option<PartCapacities>, ProtocolError> {
-    let Some(pc) = root.get("part_capacities") else {
-        return Ok(None);
-    };
+    totals: &[u64],
+) -> Result<PartCapacities, ProtocolError> {
     let rows = pc.as_arr().ok_or_else(|| {
         bad(
             id,
             "'part_capacities' must be an array of per-part capacity vectors",
         )
     })?;
-    if rows.len() != k {
+    let num_rows = rows.len();
+    if num_rows != k {
         return Err(bad(
             id,
-            format!(
-                "'part_capacities' has {} rows, expected k = {k}",
-                rows.len()
-            ),
+            format!("'part_capacities' has {num_rows} rows, expected k = {k}"),
         ));
     }
-    let dims = hg.num_resources();
+    let dims = totals.len();
     let mut flat: Vec<u64> = Vec::with_capacity(k * dims);
-    for (p, row) in rows.iter().enumerate() {
+    for (p, row) in rows.enumerate() {
         let row = row.as_arr().ok_or_else(|| {
             bad(
                 id,
                 format!("part_capacities[{p}]: must be an array of integers"),
             )
         })?;
-        if row.len() != dims {
+        let len = row.len();
+        if len != dims {
             return Err(bad(
                 id,
                 format!(
-                    "part_capacities[{p}]: has {} entries, expected the instance's \
-                     resource arity ({dims})",
-                    row.len()
+                    "part_capacities[{p}]: has {len} entries, expected the instance's \
+                     resource arity ({dims})"
                 ),
             ));
         }
@@ -542,91 +742,95 @@ fn parse_part_capacities(
     }
     let caps = PartCapacities::explicit(k, dims, flat)
         .map_err(|e| bad(id, format!("'part_capacities': {e}")))?;
-    if let Err(e) = caps.check_feasible(hg.total_weights()) {
+    if let Err(e) = caps.check_feasible(totals) {
         return Err(ProtocolError::new(
             id.clone(),
             "infeasible_capacities",
             format!("capacity vectors cannot hold the instance: {e}"),
         ));
     }
-    Ok(Some(caps))
+    Ok(caps)
 }
 
-/// Applies a `warm_start.delta` to the request's instance: drops
-/// `removed_nets` (by index), appends `added_nets`, re-pins
-/// `moved_fixed`. The vertex set is unchanged, so cached part vectors
-/// keep their meaning as warm seeds.
+/// Applies a `warm_start.delta` to the instance under construction: the
+/// build already skipped the `removed_nets` (by index) when it took the
+/// inline nets, so this validates that list, appends `added_nets` to
+/// `b`, and re-pins `moved_fixed` in `fixed`. The vertex set is
+/// unchanged, so cached part vectors keep their meaning as warm seeds.
 fn apply_warm_delta(
-    delta: &Json,
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
+    delta: Value<'_>,
+    (num_vertices, num_nets): (usize, usize),
     k: usize,
+    b: &mut HypergraphBuilder,
+    fixed: &mut FixedVertices,
+    pins: &mut Vec<VertexId>,
     id: &Option<String>,
-) -> Result<(Hypergraph, FixedVertices), ProtocolError> {
-    if delta.as_obj().is_none() {
+) -> Result<(), ProtocolError> {
+    if !delta.is_obj() {
         return Err(bad(id, "'warm_start.delta' must be an object"));
     }
 
-    let mut removed = vec![false; hg.num_nets()];
     if let Some(v) = delta.get("removed_nets") {
         let arr = v
             .as_arr()
             .ok_or_else(|| bad(id, "'delta.removed_nets' must be an array of net indices"))?;
         for e in arr {
-            let n = e
-                .as_u64()
-                .map(|u| u as usize)
-                .filter(|&u| u < hg.num_nets())
-                .ok_or_else(|| {
-                    bad(
-                        id,
-                        format!(
-                            "delta.removed_nets: index out of range 0..{}",
-                            hg.num_nets()
-                        ),
-                    )
-                })?;
-            removed[n] = true;
+            if e.as_u64().is_none_or(|u| u as usize >= num_nets) {
+                return Err(bad(
+                    id,
+                    format!("delta.removed_nets: index out of range 0..{num_nets}"),
+                ));
+            }
         }
     }
 
-    let mut added = Vec::new();
+    // An added net that repeats a pin or has none fails the build, which
+    // reports after every other delta field has been checked.
+    let mut build_error = None;
     if let Some(v) = delta.get("added_nets") {
         let arr = v
             .as_arr()
             .ok_or_else(|| bad(id, "'delta.added_nets' must be an array of nets"))?;
-        for (n, net) in arr.iter().enumerate() {
-            added.push(parse_net_spec(net, n, hg.num_vertices(), id)?);
+        for (n, net) in arr.enumerate() {
+            let weight = net_spec(net, n, num_vertices, id, pins)?;
+            if build_error.is_none() {
+                if let Err(e) = b.add_net(weight, pins.iter().copied()) {
+                    build_error = Some(bad(id, format!("delta.added_nets[{n}]: {e}")));
+                }
+            }
         }
     }
 
-    let mut fixities: Vec<Fixity> = fixed.as_slice().to_vec();
     if let Some(v) = delta.get("moved_fixed") {
         let arr = v
             .as_arr()
             .ok_or_else(|| bad(id, "'delta.moved_fixed' must be an array of [vertex, part]"))?;
         for e in arr {
-            let pair = e
+            let Some((vertex, part)) = e
                 .as_arr()
                 .filter(|p| p.len() == 2)
-                .ok_or_else(|| bad(id, "delta.moved_fixed: each entry must be [vertex, part]"))?;
-            let v = pair[0]
+                .and_then(|mut p| Some((p.next()?, p.next()?)))
+            else {
+                return Err(bad(
+                    id,
+                    "delta.moved_fixed: each entry must be [vertex, part]",
+                ));
+            };
+            let v = vertex
                 .as_u64()
                 .map(|u| u as usize)
-                .filter(|&u| u < hg.num_vertices())
+                .filter(|&u| u < num_vertices)
                 .ok_or_else(|| {
                     bad(
                         id,
-                        format!(
-                            "delta.moved_fixed: vertex out of range 0..{}",
-                            hg.num_vertices()
-                        ),
+                        format!("delta.moved_fixed: vertex out of range 0..{num_vertices}"),
                     )
                 })?;
-            fixities[v] = match pair[1].as_i64() {
-                Some(-1) => Fixity::Free,
+            let v = VertexId::from_index(v);
+            match part.as_i64() {
+                Some(-1) => fixed.free(v),
                 Some(p) if (0..k as i64).contains(&p) => {
-                    Fixity::Fixed(PartId::from_index(p as usize))
+                    fixed.fix(v, PartId::from_index(p as usize))
                 }
                 _ => {
                     return Err(bad(
@@ -634,134 +838,72 @@ fn apply_warm_delta(
                         format!("delta.moved_fixed: part must be -1 (free) or in 0..{k}"),
                     ))
                 }
-            };
+            }
         }
     }
-
-    let kept = removed.iter().filter(|&&r| !r).count();
-    let mut b = HypergraphBuilder::with_capacity(hg.num_vertices(), kept + added.len(), 0);
-    let ids: Vec<_> = hg
-        .vertices()
-        .map(|v| b.add_vertex(hg.vertex_weight(v)))
-        .collect();
-    for net in hg.nets() {
-        if removed[net.index()] {
-            continue;
-        }
-        let pins: Vec<_> = hg.net_pins(net).iter().map(|&v| ids[v.index()]).collect();
-        b.add_net(hg.net_weight(net), pins)
-            .map_err(|e| bad(id, format!("delta: {e}")))?;
-    }
-    for (n, (w, pins)) in added.into_iter().enumerate() {
-        let pins: Vec<_> = pins.into_iter().map(|p| ids[p]).collect();
-        b.add_net(w, pins)
-            .map_err(|e| bad(id, format!("delta.added_nets[{n}]: {e}")))?;
-    }
-    let hg = b.build().map_err(|e| bad(id, format!("delta: {e}")))?;
-    Ok((hg, FixedVertices::from_fixities(fixities)))
+    build_error.map_or(Ok(()), Err)
 }
 
-fn parse_hypergraph(root: &Json, id: &Option<String>) -> Result<Hypergraph, ProtocolError> {
-    match (root.get("hypergraph"), root.get("hypergraph_path")) {
-        (Some(_), Some(_)) => Err(bad(
-            id,
-            "give either 'hypergraph' or 'hypergraph_path', not both",
-        )),
-        (Some(inline), None) => parse_inline_hypergraph(inline, id),
-        (None, Some(path)) => {
-            let path = path
-                .as_str()
-                .ok_or_else(|| bad(id, "'hypergraph_path' must be a string"))?;
-            let file =
-                File::open(path).map_err(|e| bad(id, format!("cannot open '{path}': {e}")))?;
-            read_hgr(BufReader::new(file))
-                .map_err(|e| bad(id, format!("cannot parse '{path}': {e}")))
-        }
-        (None, None) => Err(bad(id, "missing 'hypergraph' or 'hypergraph_path'")),
-    }
-}
-
-fn parse_inline_hypergraph(
-    inline: &Json,
-    id: &Option<String>,
-) -> Result<Hypergraph, ProtocolError> {
-    let vertices = inline
-        .get("vertices")
-        .and_then(|v| v.as_arr())
-        .ok_or_else(|| bad(id, "'hypergraph.vertices' must be an array of weights"))?;
-    if vertices.is_empty() {
-        return Err(bad(id, "'hypergraph.vertices' must not be empty"));
-    }
-    let nets = inline
-        .get("nets")
-        .and_then(|v| v.as_arr())
-        .ok_or_else(|| bad(id, "'hypergraph.nets' must be an array"))?;
-
-    let mut b = HypergraphBuilder::with_capacity(vertices.len(), nets.len(), 0);
-    let mut ids = Vec::with_capacity(vertices.len());
-    for (i, w) in vertices.iter().enumerate() {
-        let w = w.as_u64().ok_or_else(|| {
-            bad(
-                id,
-                format!("vertex {i}: weight must be a non-negative integer"),
-            )
-        })?;
-        ids.push(b.add_vertex(w));
-    }
-    for (n, net) in nets.iter().enumerate() {
-        let (weight, pins) = parse_net_spec(net, n, ids.len(), id)?;
-        let resolved: Vec<_> = pins.into_iter().map(|p| ids[p]).collect();
-        b.add_net(weight, resolved)
-            .map_err(|e| bad(id, format!("net {n}: {e}")))?;
-    }
-    b.build().map_err(|e| bad(id, format!("hypergraph: {e}")))
-}
-
-/// Parses one net spec — a plain pin array (weight 1) or
-/// `{"w":W,"pins":[...]}` — into a weight and pin indices validated
-/// against `num_vertices`.
-fn parse_net_spec(
-    net: &Json,
+/// Reads one net spec — a plain pin array (weight 1) or
+/// `{"w":W,"pins":[...]}` — into its weight and `pins`, validated against
+/// `num_vertices`.
+fn net_spec(
+    net: Value<'_>,
     n: usize,
     num_vertices: usize,
     id: &Option<String>,
-) -> Result<(u64, Vec<usize>), ProtocolError> {
-    let (weight, pins) = match net {
-        Json::Arr(pins) => (1, pins.as_slice()),
-        obj @ Json::Obj(_) => {
-            let w = match obj.get("w") {
-                None => 1,
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| bad(id, format!("net {n}: 'w' must be an integer")))?,
-            };
-            let pins = obj
-                .get("pins")
-                .and_then(|v| v.as_arr())
-                .ok_or_else(|| bad(id, format!("net {n}: missing 'pins' array")))?;
-            (w, pins)
-        }
-        _ => {
-            return Err(bad(
-                id,
-                format!("net {n}: must be a pin array or {{\"w\":..,\"pins\":[..]}}"),
-            ))
-        }
+    pins: &mut Vec<VertexId>,
+) -> Result<u64, ProtocolError> {
+    let (weight, list) = if let Some(list) = net.as_arr() {
+        (1, list)
+    } else if net.is_obj() {
+        let w = match net.get("w") {
+            None => 1,
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| bad(id, format!("net {n}: 'w' must be an integer")))?,
+        };
+        let list = net
+            .get("pins")
+            .and_then(Value::as_arr)
+            .ok_or_else(|| bad(id, format!("net {n}: missing 'pins' array")))?;
+        (w, list)
+    } else {
+        return Err(bad(
+            id,
+            format!("net {n}: must be a pin array or {{\"w\":..,\"pins\":[..]}}"),
+        ));
     };
-    let mut resolved = Vec::with_capacity(pins.len());
-    for p in pins {
+    pins.clear();
+    for p in list {
         let p = p
             .as_u64()
             .map(|u| u as usize)
             .filter(|&u| u < num_vertices)
             .ok_or_else(|| bad(id, format!("net {n}: pin out of range 0..{num_vertices}")))?;
-        resolved.push(p);
+        pins.push(VertexId::from_index(p));
     }
-    Ok((weight, resolved))
+    Ok(weight)
+}
+
+/// Checks range-checked `pins` the way [`HypergraphBuilder::add_net`]
+/// does, naming the net `net`, its index in the request. The builder
+/// would name a net by its position in the build, which falls behind once
+/// a delta drops nets, and a dropped net never reaches the builder.
+fn check_pins(pins: &[VertexId], net: NetId) -> Result<(), BuildError> {
+    for (i, &vertex) in pins.iter().enumerate() {
+        if pins[..i].contains(&vertex) {
+            return Err(BuildError::DuplicatePin { net, vertex });
+        }
+    }
+    if pins.is_empty() {
+        return Err(BuildError::EmptyNet { net });
+    }
+    Ok(())
 }
 
 fn parse_fixed(
-    root: &Json,
+    root: Value<'_>,
     id: &Option<String>,
     num_vertices: usize,
     k: usize,
@@ -774,7 +916,7 @@ fn parse_fixed(
                 .as_str()
                 .ok_or_else(|| bad(id, "'fixed_path' must be a string"))?;
             let file =
-                File::open(path).map_err(|e| bad(id, format!("cannot open '{path}': {e}")))?;
+                File::open(&*path).map_err(|e| bad(id, format!("cannot open '{path}': {e}")))?;
             read_fix(BufReader::new(file), num_vertices)
                 .map_err(|e| bad(id, format!("cannot parse '{path}': {e}")))
         }
@@ -782,18 +924,15 @@ fn parse_fixed(
             let entries = arr
                 .as_arr()
                 .ok_or_else(|| bad(id, "'fixed' must be an array of part ids (-1 = free)"))?;
-            if entries.len() != num_vertices {
+            let len = entries.len();
+            if len != num_vertices {
                 return Err(bad(
                     id,
-                    format!(
-                        "'fixed' has {} entries for {} vertices",
-                        entries.len(),
-                        num_vertices
-                    ),
+                    format!("'fixed' has {len} entries for {num_vertices} vertices"),
                 ));
             }
-            let mut fixities = Vec::with_capacity(entries.len());
-            for (i, e) in entries.iter().enumerate() {
+            let mut fixities = Vec::with_capacity(len);
+            for (i, e) in entries.enumerate() {
                 match e.as_i64() {
                     Some(-1) => fixities.push(Fixity::Free),
                     Some(p) if (0..k as i64).contains(&p) => {
@@ -1065,6 +1204,45 @@ mod tests {
             Fixity::Fixed(PartId::from_index(1))
         );
         assert_eq!(job.fixed.num_fixed(), 1);
+    }
+
+    #[test]
+    fn warm_start_delta_keeps_every_resource_dimension() {
+        let line = r#"{"id":"w","hypergraph":{"vertices":[1,1,1],"nets":[[0,1],[1,2]]},
+            "resources":[[1,5],[2,6],[3,7]],"part_capacities":[[6,18],[6,18]],
+            "warm_start":{"solution_id":"s1","delta":{"removed_nets":[0],"added_nets":[[0,2]]}}}"#
+            .replace('\n', " ");
+        let Request::Job(job) = parse_request(&line).unwrap() else {
+            panic!("expected a job");
+        };
+        assert_eq!(job.hg.num_resources(), 2);
+        let rows = [[1, 5], [2, 6], [3, 7]];
+        for (v, row) in rows.iter().enumerate() {
+            assert_eq!(job.hg.vertex_weights(VertexId::from_index(v)), row);
+        }
+        assert_eq!(job.hg.total_weights(), &[6, 18]);
+        let nets: Vec<Vec<usize>> = job
+            .hg
+            .nets()
+            .map(|n| job.hg.net_pins(n).iter().map(|v| v.index()).collect())
+            .collect();
+        assert_eq!(nets, vec![vec![1, 2], vec![0, 2]]);
+    }
+
+    #[test]
+    fn errors_keep_their_order_whatever_the_field_order() {
+        // A bad inline net is reported before a bad removal, even when
+        // the delta comes first in the line and the net is the removed one.
+        let line = r#"{"id":"e","warm_start":{"solution_id":"s","delta":{"removed_nets":[1,9]}},
+            "hypergraph":{"vertices":[1,1],"nets":[[0,1],[1,1]]}}"#
+            .replace('\n', " ");
+        let err = parse_request(&line).unwrap_err();
+        assert_eq!(err.message, "net 1: net n1 lists vertex v1 more than once");
+        // A syntax error anywhere beats every field error.
+        let err =
+            parse_request(r#"{"id":7,"hypergraph":{"vertices":[1],"nets":[]},"x":[}"#).unwrap_err();
+        assert_eq!(err.code, "bad_json");
+        assert_eq!(err.id, None);
     }
 
     #[test]

@@ -328,3 +328,71 @@ fn tcp_transport_round_trips() {
     let snapshot = server.join().expect("server thread");
     assert_eq!(snapshot.jobs_ok, 1);
 }
+
+#[test]
+fn tcp_multi_mib_line_sent_in_small_chunks_is_answered() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Duration;
+
+    let probe = TcpListener::bind("127.0.0.1:0").expect("bind probe");
+    let addr = probe.local_addr().expect("addr");
+    drop(probe);
+
+    let server = std::thread::spawn(move || {
+        vlsi_service::serve_tcp(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            addr,
+        )
+        .expect("serve_tcp runs")
+    });
+
+    let mut stream = None;
+    for _ in 0..100 {
+        match TcpStream::connect(addr) {
+            Ok(s) => {
+                stream = Some(s);
+                break;
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+    let mut stream = stream.expect("connect to service");
+    stream.set_nodelay(true).expect("nodelay");
+
+    // Whitespace between tokens pads the job line to 3 MiB; 4 KiB writes
+    // with pauses make it arrive over many readiness events, each of
+    // which must scan only the bytes it read.
+    let inst = instance_json();
+    let pad = " ".repeat(3 << 20);
+    let line = format!(
+        "{{\"id\":\"big\",{pad}\"engine\":\"fm\",\"starts\":1,\"seed\":9,\"tolerance\":{TOLERANCE},{inst}}}\n"
+    );
+    for (i, chunk) in line.as_bytes().chunks(4096).enumerate() {
+        stream.write_all(chunk).expect("send chunk");
+        if i % 16 == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    stream
+        .write_all(b"{\"op\":\"shutdown\"}\n")
+        .expect("send shutdown");
+
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    let responses: Vec<Json> = reader
+        .lines()
+        .map(|l| json::parse(l.expect("read response").trim()).expect("valid response"))
+        .collect();
+    let resp = responses
+        .iter()
+        .find(|r| r.get("id").and_then(|v| v.as_str()) == Some("big"))
+        .expect("job response present");
+    assert_eq!(resp.get("status").unwrap().as_str(), Some("ok"));
+    assert_legal_response(resp);
+
+    let snapshot = server.join().expect("server thread");
+    assert_eq!(snapshot.jobs_ok, 1);
+}

@@ -248,3 +248,93 @@ fn tcp_multi_resource_km1_job_round_trips() {
     let snapshot = server.join().expect("server thread");
     assert_eq!(snapshot.jobs_ok, 1);
 }
+
+/// Serves `line` as a session of its own on `service` and returns the one
+/// response.
+fn serve_one(service: &Service, line: &str) -> Json {
+    let mut out = Vec::new();
+    service
+        .serve(Cursor::new(format!("{line}\n")), &mut out)
+        .expect("session runs");
+    let text = String::from_utf8(out).expect("utf8");
+    json::parse(text.lines().next().expect("one response")).expect("valid JSON")
+}
+
+#[test]
+fn warm_delta_with_capacities_keeps_every_resource_dimension() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+
+    let cold = serve_one(&service, &hetero_request("c1", &FEASIBLE_CAPS));
+    assert_eq!(cold.get("status").unwrap().as_str(), Some("ok"), "{cold:?}");
+    let sid = cold
+        .get("solution_id")
+        .and_then(|s| s.as_str())
+        .expect("cold answer is cached");
+
+    // Drop the chain's first net, add a chord, and pin the last vertex
+    // to part 2: the delta must keep both resource dimensions, or the
+    // capacity rows no longer match the instance.
+    let warm_clause = format!(
+        r#"{{"warm_start":{{"solution_id":"{sid}","delta":{{"removed_nets":[0],"added_nets":[[0,4]],"moved_fixed":[[8,2]]}}}},"#
+    );
+    let warm_line = hetero_request("w1", &FEASIBLE_CAPS).replacen('{', &warm_clause, 1);
+    let warm = serve_one(&service, &warm_line);
+    let snapshot = service.shutdown();
+    assert_eq!(warm.get("status").unwrap().as_str(), Some("ok"), "{warm:?}");
+    assert_eq!(warm.get("warm").unwrap().as_str(), Some("hit"));
+
+    let parts: Vec<PartId> = warm
+        .get("parts")
+        .and_then(|p| p.as_arr())
+        .expect("ok response has parts")
+        .iter()
+        .map(|p| PartId::from_index(p.as_u64().expect("part id") as usize))
+        .collect();
+    assert_eq!(parts.len(), N);
+    assert_eq!(parts[0], PartId::from_index(0), "fixed vertex respected");
+    assert_eq!(
+        parts[8],
+        PartId::from_index(2),
+        "re-pinned vertex respected"
+    );
+    let rows = resource_rows();
+    let mut loads = [[0u64; 2]; K];
+    for (i, p) in parts.iter().enumerate() {
+        for (r, &w) in rows[i].iter().enumerate() {
+            loads[p.index()][r] += w;
+        }
+    }
+    for (p, load) in loads.iter().enumerate() {
+        for r in 0..2 {
+            assert!(
+                load[r] <= FEASIBLE_CAPS[p][r],
+                "part {p} resource {r}: load {} exceeds capacity {}",
+                load[r],
+                FEASIBLE_CAPS[p][r]
+            );
+        }
+    }
+
+    // Both metrics match a recomputation on the post-delta instance.
+    let mut b = HypergraphBuilder::new();
+    let v: Vec<_> = (0..N).map(|_| b.add_vertex(1)).collect();
+    for w in v.windows(2).skip(1) {
+        b.add_net(1, [w[0], w[1]]).unwrap();
+    }
+    b.add_net(1, [v[0], v[4]]).unwrap();
+    let cs = CutState::new(&b.build().unwrap(), K, &parts);
+    assert_eq!(
+        warm.get("cut").and_then(|c| c.as_u64()),
+        Some(cs.value(Objective::Cut))
+    );
+    assert_eq!(
+        warm.get("km1").and_then(|c| c.as_u64()),
+        Some(cs.value(Objective::KMinus1))
+    );
+    assert_eq!(snapshot.jobs_ok, 2);
+    assert_eq!(snapshot.panics, 0);
+}

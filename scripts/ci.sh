@@ -45,6 +45,15 @@ echo "==> doc link + protocol doc gate"
 cargo test -q --offline -p fixed-vertices-repro --test doc_links
 cargo test -q --offline -p vlsi-service --test protocol_doc
 
+# Decode fuzz smoke: the differential suite that pins `parse_request` to
+# the earlier tree-based decoder, re-based on a fixed seed outside its
+# checked-in corpus and bounded in cases (about 2 s in a debug build). It
+# also ran under `cargo test` on its own corpus; this step explores a
+# second, equally reproducible corpus and names the decoder when it fails.
+echo "==> decode differential fuzz smoke (TESTKIT_SEED=1999, 10000 cases)"
+TESTKIT_SEED=1999 TESTKIT_CASES=10000 \
+    cargo test -q --offline -p vlsi-service --test decode_differential
+
 # Service soak smoke: bring up an in-process server, drive a bounded
 # mixed cold/warm workload over concurrent TCP connections, and fail on
 # any error or failed connection. Deeper gates (warm-start pass counts,
