@@ -13,18 +13,30 @@
 /// captures the worst moment of the run — exactly what a memory gate
 /// wants.
 pub fn peak_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmHWM:")
+    field_bytes(&read_status()?, "VmHWM:")
 }
 
-/// Current resident set size of this process in bytes (`VmRSS`), or
-/// `None` when procfs is unavailable.
-pub fn current_rss_bytes() -> Option<u64> {
-    proc_status_bytes("VmRSS:")
+/// Peak and current resident set size of this process in bytes (`VmHWM`,
+/// `VmRSS`), or `None` when procfs is unavailable.
+///
+/// Both come from one read of `/proc/self/status`, so they describe the
+/// same moment. Two separate reads do not: the second read's own buffer
+/// can fault in a page and put the later `VmRSS` above the earlier
+/// `VmHWM`.
+pub fn peak_and_current_rss_bytes() -> Option<(u64, u64)> {
+    let status = read_status()?;
+    Some((
+        field_bytes(&status, "VmHWM:")?,
+        field_bytes(&status, "VmRSS:")?,
+    ))
 }
 
-/// Reads a `kB` field out of `/proc/self/status`.
-fn proc_status_bytes(field: &str) -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+fn read_status() -> Option<String> {
+    std::fs::read_to_string("/proc/self/status").ok()
+}
+
+/// Parses a `kB` field out of a `/proc/self/status` snapshot.
+fn field_bytes(status: &str, field: &str) -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with(field))?;
     let kb: u64 = line[field.len()..]
         .trim()
@@ -41,7 +53,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_current_on_linux() {
-        let (Some(peak), Some(current)) = (peak_rss_bytes(), current_rss_bytes()) else {
+        let Some((peak, current)) = peak_and_current_rss_bytes() else {
             return; // no procfs: the samplers opt out instead of lying
         };
         assert!(current > 0);

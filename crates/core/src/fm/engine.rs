@@ -3,14 +3,14 @@
 use vlsi_rng::Rng;
 
 use vlsi_hypergraph::{
-    BalanceConstraint, FixedVertices, Fixity, Hypergraph, Objective, PartId, Partitioning, VertexId,
+    BalanceConstraint, FixedVertices, Fixity, Hypergraph, NetId, Objective, PartId, Partitioning,
+    VertexId,
 };
 use vlsi_trace::{CancelStage, Event, MoverFixity, NullSink, Sink, VecSink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::{FmConfig, SelectionPolicy};
 use crate::fm::{PassStats, RunStats};
-use crate::gain::{KwayGains, MoveLog};
 use crate::initial::random_initial;
 use crate::parallel::GAIN_INIT_GRAIN;
 use crate::PartitionError;
@@ -18,18 +18,18 @@ use crate::PartitionError;
 /// Gain of moving `v` to the other side under the cut objective: the net
 /// weight freed by emptying `from`-critical nets minus the weight newly
 /// cut by touching nets with no pin on the other side. Pure read of the
-/// partitioning, so it is safe to evaluate from worker threads.
-fn initial_gain_of(hg: &Hypergraph, partitioning: &Partitioning, v: VertexId) -> i64 {
-    let from = partitioning.part_of(v);
-    let to = from.other_side();
-    let cs = partitioning.cut_state();
+/// assignment and pin counts, so it is safe to evaluate from worker
+/// threads.
+fn initial_gain_of(hg: &Hypergraph, parts: &[PartId], pins: &[[u32; 2]], v: VertexId) -> i64 {
+    let from = parts[v.index()].index();
     let mut g = 0i64;
     for &n in hg.vertex_nets(v) {
         let w = hg.net_weight(n) as i64;
-        if cs.pins_in(n, from) == 1 {
+        let counts = pins[n.index()];
+        if counts[from] == 1 {
             g += w;
         }
-        if cs.pins_in(n, to) == 0 {
+        if counts[1 - from] == 0 {
             g -= w;
         }
     }
@@ -281,82 +281,21 @@ impl BipartFm {
                 supported: 2,
             });
         }
-        let mut partitioning = Partitioning::from_parts_fixed(hg, 2, initial, fixed)?;
-
-        let movable: Vec<bool> = hg
-            .vertices()
-            .map(|v| {
-                let fixity = if v.index() < fixed.len() {
-                    fixed.fixity(v)
-                } else {
-                    Fixity::Free
-                };
-                // A vertex can participate if it may sit on both sides.
-                fixity.allows(PartId(0)) && fixity.allows(PartId(1))
-            })
-            .collect();
-        let num_movable = movable.iter().filter(|&&m| m).count();
-
-        // Maximum possible |gain| = largest total incident net weight over
-        // the *movable* vertices (immovable ones never enter the buckets;
-        // a clustered mega-terminal would otherwise blow the array up).
-        let gain_bound: i64 = hg
-            .vertices()
-            .filter(|v| movable[v.index()])
-            .map(|v| {
-                hg.vertex_nets(v)
-                    .iter()
-                    .map(|&n| hg.net_weight(n) as i64)
-                    .sum()
-            })
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        // CLIP keys are (gain - initial gain), so they span twice the range.
-        let key_bound = match self.config.policy {
-            SelectionPolicy::Lifo => gain_bound,
-            SelectionPolicy::Clip => 2 * gain_bound,
-        };
-
-        // Moves may transiently overshoot the balance window by the weight
-        // of the largest movable vertex (the classic FM relaxation); only
-        // strictly balanced prefixes are accepted.
-        let mut relax = vec![0u64; hg.num_resources()];
-        for v in hg.vertices() {
-            if movable[v.index()] {
-                for (r, &w) in hg.vertex_weights(v).iter().enumerate() {
-                    relax[r] = relax[r].max(w);
-                }
-            }
-        }
-
-        let mut state = PassState {
-            hg,
-            balance,
-            movable: &movable,
-            partitioning: &mut partitioning,
-            gains: KwayGains::new(2, hg.num_vertices(), key_bound),
-            gain: vec![0i64; hg.num_vertices()],
-            locked: vec![false; hg.num_vertices()],
-            policy: self.config.policy,
-            relax,
-            fixed,
-            sink,
-            cancel,
-            threads: self.threads,
-            bucket_ops: 0,
-        };
+        // The partitioning validates the assignment against the graph and
+        // the fixities; the pass state copies what it needs and drops it.
+        let partitioning = Partitioning::from_parts_fixed(hg, 2, initial, fixed)?;
+        let mut state = PassState::new(self, hg, balance, fixed, partitioning, sink, cancel);
 
         let mut stats = RunStats::default();
         if !cancel.is_cancelled() {
             for pass_idx in 0..self.config.max_passes {
                 let cutoff_active = pass_idx > 0 || self.config.cutoff_first_pass;
                 let limit = if cutoff_active {
-                    self.config.cutoff.limit(num_movable)
+                    self.config.cutoff.limit(state.num_movable)
                 } else {
-                    num_movable
+                    state.num_movable
                 };
-                let pass_stats = state.run_pass(pass_idx, num_movable, limit);
+                let pass_stats = state.run_pass(pass_idx, limit);
                 let improved = pass_stats.improved();
                 stats.passes.push(pass_stats);
                 if !improved || cancel.is_cancelled() {
@@ -365,7 +304,7 @@ impl BipartFm {
             }
         }
 
-        let cut = partitioning.cut_value(Objective::Cut);
+        let cut = state.cut;
         if S::ENABLED && cancel.is_cancelled() {
             sink.record(&Event::Cancelled {
                 stage: CancelStage::FmPass,
@@ -373,7 +312,7 @@ impl BipartFm {
             });
         }
         Ok(FmResult {
-            parts: partitioning.into_parts(),
+            parts: state.parts,
             cut,
             stats,
         })
@@ -413,55 +352,214 @@ impl PassTrace {
     }
 }
 
+/// Sentinel for an absent bucket link.
+const NONE: u32 = u32::MAX;
+
+/// One vertex of the 2-way pass state. Gain, bucket key and bucket links
+/// sit side by side, so a gain bump reads and writes one cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
+struct Node {
+    /// Gain of moving the vertex to side `to`; kept current only while the
+    /// vertex is in a bucket.
+    gain: i64,
+    /// Bucket key: the gain under LIFO, the gain minus its pass-start value
+    /// under CLIP.
+    key: i64,
+    /// Next vertex in the bucket list (`NONE` at the tail).
+    next: u32,
+    /// Previous vertex in the bucket list (`NONE` at the head).
+    prev: u32,
+    /// Side the vertex would move to: the other side of its part.
+    to: u8,
+    /// Whether the vertex's fixity allows both sides.
+    movable: bool,
+    /// Whether the vertex is in a bucket, i.e. movable and not yet moved
+    /// in this pass. Locked and immovable vertices never are.
+    in_bucket: bool,
+}
+
 /// Mutable working state shared by the passes of one run.
+///
+/// The state is 2-way only and owns everything a pass touches: the
+/// assignment, the part loads, the cut, every net's pin count on each
+/// side, one [`Node`] per vertex and one bucket-head array per target
+/// side. Each pass starts by copying the cut and the side-0 pin counts. At
+/// its end the pin counts and the cut are restored from that copy and the
+/// kept prefix of moves is replayed into them, while the assignment and
+/// loads undo the moves beyond the prefix (one write per vertex each).
 struct PassState<'a, S: Sink> {
     hg: &'a Hypergraph,
     balance: &'a BalanceConstraint,
-    movable: &'a [bool],
-    partitioning: &'a mut Partitioning,
-    /// Shared k-way gain container with two target parts: a vertex on side
-    /// `s` lives in the bucket for its destination `s.other_side()`.
-    gains: KwayGains,
-    gain: Vec<i64>,
-    locked: Vec<bool>,
-    policy: SelectionPolicy,
-    /// Per-resource transient balance slack (largest movable vertex weight).
-    relax: Vec<u64>,
     fixed: &'a FixedVertices,
     sink: &'a S,
     cancel: &'a CancelToken,
+    policy: SelectionPolicy,
     /// Worker-thread budget for gain initialization (`<= 1` = inline).
     threads: usize,
+    /// Vertices whose fixity allows both sides.
+    num_movable: usize,
+    /// Per-resource transient balance slack (largest movable vertex weight).
+    relax: Vec<u64>,
+    /// Current side of every vertex.
+    parts: Vec<PartId>,
+    /// Flat `2 × num_resources` load matrix.
+    loads: Vec<u64>,
+    /// Current weighted cut.
+    cut: u64,
+    /// Every net's pin count on side 0 and on side 1.
+    pins: Vec<[u32; 2]>,
+    nodes: Vec<Node>,
+    /// Keys range over `[-key_bound, key_bound]`.
+    key_bound: i64,
+    /// Bucket-list heads per target side, indexed by `key + key_bound`.
+    heads: [Vec<u32>; 2],
+    /// Upper bound on the highest non-empty key, per target side.
+    max_key: [i64; 2],
+    /// Number of vertices in the buckets, per target side.
+    in_buckets: [usize; 2],
+    /// The current pass's moves, oldest first.
+    moves: Vec<VertexId>,
+    /// Pass-start copies of the cut and the side-0 pin counts.
+    start_cut: u64,
+    start_pins0: Vec<u32>,
     /// Gain-bucket operations of the current pass (only maintained when
     /// `S::ENABLED`; reported on the pass's `PassEnd` event).
     bucket_ops: u64,
 }
 
-impl<S: Sink> PassState<'_, S> {
+impl<'a, S: Sink> PassState<'a, S> {
+    /// Takes over a validated `partitioning` and sizes the buckets.
+    fn new(
+        engine: &BipartFm,
+        hg: &'a Hypergraph,
+        balance: &'a BalanceConstraint,
+        fixed: &'a FixedVertices,
+        partitioning: Partitioning,
+        sink: &'a S,
+        cancel: &'a CancelToken,
+    ) -> Self {
+        let cs = partitioning.cut_state();
+        let pins: Vec<[u32; 2]> = hg
+            .nets()
+            .map(|n| [cs.pins_in(n, PartId(0)), cs.pins_in(n, PartId(1))])
+            .collect();
+        let loads = partitioning.loads().to_vec();
+        let cut = partitioning.cut_value(Objective::Cut);
+        let parts = partitioning.into_parts();
+
+        let nodes: Vec<Node> = hg
+            .vertices()
+            .map(|v| {
+                let fixity = if v.index() < fixed.len() {
+                    fixed.fixity(v)
+                } else {
+                    Fixity::Free
+                };
+                Node {
+                    gain: 0,
+                    key: 0,
+                    next: NONE,
+                    prev: NONE,
+                    to: 0,
+                    // A vertex can participate if it may sit on both sides.
+                    movable: fixity.allows(PartId(0)) && fixity.allows(PartId(1)),
+                    in_bucket: false,
+                }
+            })
+            .collect();
+        let num_movable = nodes.iter().filter(|node| node.movable).count();
+
+        // Maximum possible |gain| = largest total incident net weight over
+        // the *movable* vertices (immovable ones never enter the buckets;
+        // a clustered mega-terminal would otherwise blow the array up).
+        let gain_bound: i64 = hg
+            .vertices()
+            .filter(|v| nodes[v.index()].movable)
+            .map(|v| {
+                hg.vertex_nets(v)
+                    .iter()
+                    .map(|&n| hg.net_weight(n) as i64)
+                    .sum()
+            })
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        // CLIP keys are (gain - initial gain), so they span twice the range.
+        let key_bound = match engine.config.policy {
+            SelectionPolicy::Lifo => gain_bound,
+            SelectionPolicy::Clip => 2 * gain_bound,
+        };
+
+        // Moves may transiently overshoot the balance window by the weight
+        // of the largest movable vertex (the classic FM relaxation); only
+        // strictly balanced prefixes are accepted.
+        let mut relax = vec![0u64; hg.num_resources()];
+        for v in hg.vertices() {
+            if nodes[v.index()].movable {
+                for (r, &w) in hg.vertex_weights(v).iter().enumerate() {
+                    relax[r] = relax[r].max(w);
+                }
+            }
+        }
+
+        let span = (2 * key_bound + 1) as usize;
+        PassState {
+            hg,
+            balance,
+            fixed,
+            sink,
+            cancel,
+            policy: engine.config.policy,
+            threads: engine.threads,
+            num_movable,
+            relax,
+            start_cut: cut,
+            start_pins0: vec![0; pins.len()],
+            parts,
+            loads,
+            cut,
+            pins,
+            nodes,
+            key_bound,
+            heads: [vec![NONE; span], vec![NONE; span]],
+            max_key: [-key_bound; 2],
+            in_buckets: [0; 2],
+            // A pass moves each movable vertex at most once.
+            moves: Vec::with_capacity(num_movable),
+            bucket_ops: 0,
+        }
+    }
+
     /// Executes one FM pass and restores the best prefix. Returns its stats
     /// and emits the pass's trace events into the sink.
-    fn run_pass(&mut self, pass: usize, num_movable: usize, move_limit: usize) -> PassStats {
-        let cut_before = self.partitioning.cut_value(Objective::Cut);
+    fn run_pass(&mut self, pass: usize, move_limit: usize) -> PassStats {
+        let cut_before = self.cut;
         if S::ENABLED {
             self.bucket_ops = 0;
             self.sink.record(&Event::PassStart {
                 pass: pass as u32,
                 cut: cut_before,
-                movable: num_movable as u64,
+                movable: self.num_movable as u64,
                 move_limit: move_limit as u64,
             });
         }
+        self.start_cut = self.cut;
+        for (c0, counts) in self.start_pins0.iter_mut().zip(&self.pins) {
+            *c0 = counts[0];
+        }
         self.prepare_buckets();
 
-        let mut move_log = MoveLog::with_capacity(move_limit);
+        self.moves.clear();
+        let mut best_len = 0;
         let mut best_cut = cut_before;
         let mut best_imbalance = self.imbalance();
 
-        while move_log.len() < move_limit {
+        while self.moves.len() < move_limit {
             // Armed tokens are re-polled every CHECK_INTERVAL moves; the
             // best-prefix rollback below makes stopping mid-pass safe.
             if !self.cancel.is_never()
-                && move_log.len().is_multiple_of(CHECK_INTERVAL)
+                && self.moves.len().is_multiple_of(CHECK_INTERVAL)
                 && self.cancel.is_cancelled()
             {
                 break;
@@ -469,18 +567,18 @@ impl<S: Sink> PassState<'_, S> {
             let Some((vertex, from)) = self.select_move() else {
                 break;
             };
-            let to = from.other_side();
-            self.gains.remove(vertex, to);
-            self.gains.decay_max_for(to);
-            self.locked[vertex.index()] = true;
-            // The vertex's own gain entry can be bumped while its move is
-            // applied; capture the realised gain first.
-            let gain = self.gain[vertex.index()];
-            self.apply_move_with_gain_updates(vertex, from, to);
-            move_log.record(vertex, from);
-            let cut = self.partitioning.cut_value(Objective::Cut);
+            let to = 1 - from;
+            self.unlink(vertex);
+            self.nodes[vertex.index()].in_bucket = false;
+            self.in_buckets[to] -= 1;
+            self.decay_max(to);
+            // The realised gain, read before the move's own updates.
+            let gain = self.nodes[vertex.index()].gain;
+            self.apply_move(vertex, from, to);
+            self.moves.push(vertex);
+            let cut = self.cut;
             if S::ENABLED {
-                self.bucket_ops += 1; // the remove above
+                self.bucket_ops += 1; // the unlink above
                 let fixity = if vertex.index() < self.fixed.len()
                     && matches!(self.fixed.fixity(vertex), Fixity::FixedAny(_))
                 {
@@ -498,29 +596,22 @@ impl<S: Sink> PassState<'_, S> {
             }
 
             // Only strictly balanced states may become the accepted prefix.
-            if !self.balance.is_satisfied(self.partitioning.loads()) {
+            if !self.balance.is_satisfied(&self.loads) {
                 continue;
             }
             let imbalance = self.imbalance();
             if cut < best_cut || (cut == best_cut && imbalance < best_imbalance) {
                 best_cut = cut;
-                move_log.mark_best();
+                best_len = self.moves.len();
                 best_imbalance = imbalance;
             }
         }
 
-        // Roll back everything after the best prefix.
-        let moves_made = move_log.len();
-        let best_len = move_log.best_len();
-        let (hg, partitioning) = (self.hg, &mut *self.partitioning);
-        move_log.rollback_to_best(|vertex, from| {
-            partitioning.move_vertex(hg, vertex, from);
-        });
-        debug_assert_eq!(self.partitioning.cut_value(Objective::Cut), best_cut);
-
-        // Unlock for the next pass.
-        self.locked.fill(false);
-        self.gains.clear();
+        let moves_made = self.moves.len();
+        if best_len < moves_made {
+            self.rollback(best_len);
+        }
+        debug_assert_eq!(self.cut, best_cut);
 
         if S::ENABLED {
             self.sink.record(&Event::PassEnd {
@@ -535,7 +626,7 @@ impl<S: Sink> PassState<'_, S> {
 
         PassStats {
             pass,
-            movable: num_movable,
+            movable: self.num_movable,
             moves_made,
             moves_kept: best_len,
             cut_before,
@@ -544,32 +635,57 @@ impl<S: Sink> PassState<'_, S> {
         }
     }
 
+    /// Keeps the first `keep` moves of the pass and takes back the rest.
+    /// Every moved vertex moved once and sits on the side it moved to. The
+    /// pin counts and the cut return to their pass-start copy and replay
+    /// the kept moves; the assignment and loads undo the others.
+    fn rollback(&mut self, keep: usize) {
+        self.cut = self.start_cut;
+        for (counts, &c0) in self.pins.iter_mut().zip(&self.start_pins0) {
+            // A net's pin total never changes.
+            *counts = [c0, counts[0] + counts[1] - c0];
+        }
+        for i in 0..self.moves.len() {
+            let v = self.moves[i];
+            let to = self.parts[v.index()].index();
+            if i < keep {
+                for &n in self.hg.vertex_nets(v) {
+                    self.shift_pin(n, 1 - to, to);
+                }
+            } else {
+                self.set_side(v, to, 1 - to);
+            }
+        }
+    }
+
     /// Primary-resource imbalance |load(0) − load(1)| used for tie-breaking.
     fn imbalance(&self) -> u64 {
-        let a = self.partitioning.load(PartId(0), 0);
-        let b = self.partitioning.load(PartId(1), 0);
-        a.abs_diff(b)
+        self.loads[0].abs_diff(self.loads[self.hg.num_resources()])
     }
 
     /// Computes all initial gains and fills the buckets.
     ///
-    /// Gains only read the (frozen) partitioning, so with a thread budget
-    /// they are precomputed in parallel; bucket insertion always replays in
-    /// the exact sequential order, keeping the run thread-count invariant.
+    /// Gains only read the (frozen) assignment and pin counts, so with a
+    /// thread budget they are precomputed in parallel; bucket insertion
+    /// always replays in the exact sequential order, keeping the run
+    /// thread-count invariant.
     fn prepare_buckets(&mut self) {
-        self.gains.clear();
-        let n = self.hg.num_vertices();
+        for heads in &mut self.heads {
+            heads.fill(NONE);
+        }
+        self.max_key = [-self.key_bound; 2];
+        self.in_buckets = [0; 2];
+        let hg = self.hg;
+        let n = hg.num_vertices();
         let workers = crate::parallel::effective_threads(self.threads, n, GAIN_INIT_GRAIN);
         let pre: Option<Vec<i64>> = (workers > 1).then(|| {
-            let hg = self.hg;
-            let partitioning: &Partitioning = self.partitioning;
-            let movable = self.movable;
+            let (parts, pins, nodes) = (&self.parts, &self.pins, &self.nodes);
             let mut out = vec![0i64; n];
             crate::parallel::par_fill(&mut out, workers, |off, chunk| {
                 for (i, slot) in chunk.iter_mut().enumerate() {
                     let v = VertexId((off + i) as u32);
-                    if movable[v.index()] {
-                        *slot = initial_gain_of(hg, partitioning, v);
+                    if nodes[v.index()].movable {
+                        *slot = initial_gain_of(hg, parts, pins, v);
                     }
                 }
             });
@@ -577,20 +693,15 @@ impl<S: Sink> PassState<'_, S> {
         });
         match self.policy {
             SelectionPolicy::Lifo => {
-                for v in self.hg.vertices() {
-                    if !self.movable[v.index()] {
+                for v in hg.vertices() {
+                    if !self.nodes[v.index()].movable {
                         continue;
                     }
                     let g = match &pre {
                         Some(gains) => gains[v.index()],
-                        None => self.initial_gain(v),
+                        None => initial_gain_of(hg, &self.parts, &self.pins, v),
                     };
-                    self.gain[v.index()] = g;
-                    let to = self.partitioning.part_of(v).other_side();
-                    self.gains.insert(v, to, g);
-                    if S::ENABLED {
-                        self.bucket_ops += 1;
-                    }
+                    self.enter(v, g, g);
                 }
             }
             SelectionPolicy::Clip => {
@@ -599,153 +710,272 @@ impl<S: Sink> PassState<'_, S> {
                 // before any delta accumulates the selection degenerates to
                 // plain gain order; once moves start, the deltas cluster
                 // selection around recently moved vertices. Insertion is at
-                // the list head, so we insert in increasing-gain order.
-                let mut by_gain: Vec<(i64, VertexId)> = self
-                    .hg
-                    .vertices()
-                    .filter(|v| self.movable[v.index()])
-                    .map(|v| {
-                        let g = match &pre {
-                            Some(gains) => gains[v.index()],
-                            None => self.initial_gain(v),
-                        };
-                        (g, v)
-                    })
-                    .collect();
-                by_gain.sort_unstable();
-                for &(g, v) in &by_gain {
-                    self.gain[v.index()] = g;
-                    let to = self.partitioning.part_of(v).other_side();
-                    self.gains.insert(v, to, 0);
-                    if S::ENABLED {
-                        self.bucket_ops += 1;
+                // the list head, so we insert in increasing (gain, vertex)
+                // order, counting-sorted: gains lie in ±key_bound / 2.
+                let gain_bound = self.key_bound / 2;
+                let mut starts = vec![0u32; (2 * gain_bound + 2) as usize];
+                for v in hg.vertices() {
+                    if !self.nodes[v.index()].movable {
+                        continue;
                     }
+                    let g = match &pre {
+                        Some(gains) => gains[v.index()],
+                        None => initial_gain_of(hg, &self.parts, &self.pins, v),
+                    };
+                    self.nodes[v.index()].gain = g;
+                    starts[(g + gain_bound + 1) as usize] += 1;
+                }
+                for i in 1..starts.len() {
+                    starts[i] += starts[i - 1];
+                }
+                let mut order = vec![VertexId(0); self.num_movable];
+                for v in hg.vertices() {
+                    let node = self.nodes[v.index()];
+                    if node.movable {
+                        let slot = &mut starts[(node.gain + gain_bound) as usize];
+                        order[*slot as usize] = v;
+                        *slot += 1;
+                    }
+                }
+                for v in order {
+                    self.enter(v, self.nodes[v.index()].gain, 0);
                 }
             }
         }
     }
 
-    /// Gain of moving `v` to the other side under the cut objective.
-    fn initial_gain(&self, v: VertexId) -> i64 {
-        initial_gain_of(self.hg, self.partitioning, v)
+    /// Puts movable `v` with the given gain into its target side's bucket
+    /// for `key`.
+    fn enter(&mut self, v: VertexId, gain: i64, key: i64) {
+        let to = 1 - self.parts[v.index()].index();
+        let node = &mut self.nodes[v.index()];
+        node.gain = gain;
+        node.to = to as u8;
+        node.in_bucket = true;
+        self.push_head(v, to, key);
+        self.in_buckets[to] += 1;
+        if S::ENABLED {
+            self.bucket_ops += 1;
+        }
+    }
+
+    /// Links `v` in at the head of side `to`'s bucket for `key`.
+    #[inline]
+    fn push_head(&mut self, v: VertexId, to: usize, key: i64) {
+        debug_assert!(
+            key.abs() <= self.key_bound,
+            "key {key} outside ±{}",
+            self.key_bound
+        );
+        let head = std::mem::replace(&mut self.heads[to][(key + self.key_bound) as usize], v.0);
+        if head != NONE {
+            self.nodes[head as usize].prev = v.0;
+        }
+        let node = &mut self.nodes[v.index()];
+        node.key = key;
+        node.next = head;
+        node.prev = NONE;
+        self.max_key[to] = self.max_key[to].max(key);
+    }
+
+    /// Takes `v` out of its bucket list (its flags stay as they are).
+    #[inline]
+    fn unlink(&mut self, v: VertexId) {
+        let Node {
+            next,
+            prev,
+            key,
+            to,
+            ..
+        } = self.nodes[v.index()];
+        if prev != NONE {
+            self.nodes[prev as usize].next = next;
+        } else {
+            self.heads[usize::from(to)][(key + self.key_bound) as usize] = next;
+        }
+        if next != NONE {
+            self.nodes[next as usize].prev = prev;
+        }
+    }
+
+    /// Tightens the maximum-key hint of one target side after a removal.
+    fn decay_max(&mut self, to: usize) {
+        let heads = &self.heads[to];
+        let max_key = &mut self.max_key[to];
+        while *max_key > -self.key_bound && heads[(*max_key + self.key_bound) as usize] == NONE {
+            *max_key -= 1;
+        }
     }
 
     /// Picks the highest-key feasible move over both sides. Ties between
     /// sides are broken toward the heavier side (improves balance).
-    fn select_move(&mut self) -> Option<(VertexId, PartId)> {
-        let mut candidates: [Option<(VertexId, i64)>; 2] = [None, None];
-        for (side, slot) in candidates.iter_mut().enumerate() {
-            let from = PartId(side as u32);
-            let to = from.other_side();
-            let hg = self.hg;
-            let balance = self.balance;
-            let relax = &self.relax;
-            let loads = self.partitioning.loads();
-            let nr = hg.num_resources();
-            *slot = self.gains.select_from(to, |v| {
-                // Relaxed feasibility: the destination may overshoot its
-                // maximum by the largest movable vertex weight.
-                hg.vertex_weights(v)
-                    .iter()
-                    .enumerate()
-                    .all(|(r, &w)| loads[to.index() * nr + r] + w <= balance.max(to, r) + relax[r])
-            });
-        }
-        match (candidates[0], candidates[1]) {
+    /// Returns the vertex and the side it leaves.
+    fn select_move(&self) -> Option<(VertexId, usize)> {
+        match (self.select_to(1), self.select_to(0)) {
             (None, None) => None,
-            (Some((v, _)), None) => Some((v, PartId(0))),
-            (None, Some((v, _))) => Some((v, PartId(1))),
+            (Some((v, _)), None) => Some((v, 0)),
+            (None, Some((v, _))) => Some((v, 1)),
             (Some((v0, k0)), Some((v1, k1))) => {
                 if k0 > k1 {
-                    Some((v0, PartId(0)))
+                    Some((v0, 0))
                 } else if k1 > k0 {
-                    Some((v1, PartId(1)))
+                    Some((v1, 1))
                 } else {
                     // Equal keys: move from the heavier side.
-                    let l0 = self.partitioning.load(PartId(0), 0);
-                    let l1 = self.partitioning.load(PartId(1), 0);
+                    let (l0, l1) = (self.loads[0], self.loads[self.hg.num_resources()]);
                     if l0 >= l1 {
-                        Some((v0, PartId(0)))
+                        Some((v0, 0))
                     } else {
-                        Some((v1, PartId(1)))
+                        Some((v1, 1))
                     }
                 }
             }
         }
     }
 
-    /// Applies the standard FM delta-gain updates around the move of
-    /// `vertex` from `from` to `to`, then performs the move itself.
-    fn apply_move_with_gain_updates(&mut self, vertex: VertexId, from: PartId, to: PartId) {
+    /// The highest-key vertex bound for side `to` whose move fits there,
+    /// scanning keys downward from the maximum and each bucket in LIFO
+    /// order.
+    fn select_to(&self, to: usize) -> Option<(VertexId, i64)> {
+        if self.in_buckets[to] == 0 {
+            return None;
+        }
+        let hg = self.hg;
+        let nr = hg.num_resources();
+        let loads = &self.loads[to * nr..(to + 1) * nr];
+        let part = PartId(to as u32);
+        let mut key = self.max_key[to];
+        while key >= -self.key_bound {
+            let mut cur = self.heads[to][(key + self.key_bound) as usize];
+            while cur != NONE {
+                let v = VertexId(cur);
+                // Relaxed feasibility: the destination may overshoot its
+                // maximum by the largest movable vertex weight.
+                let fits = hg
+                    .vertex_weights(v)
+                    .iter()
+                    .enumerate()
+                    .all(|(r, &w)| loads[r] + w <= self.balance.max(part, r) + self.relax[r]);
+                if fits {
+                    return Some((v, key));
+                }
+                cur = self.nodes[cur as usize].next;
+            }
+            key -= 1;
+        }
+        None
+    }
+
+    /// Moves `vertex` from `from` to `to` with the standard FM delta-gain
+    /// updates. The first loop over its nets shifts each pin count, updates
+    /// the cut and bumps the gains that depend on the `to` side's count
+    /// before the move; the second bumps those that depend on the `from`
+    /// side's count after it.
+    fn apply_move(&mut self, vertex: VertexId, from: usize, to: usize) {
+        let hg = self.hg;
         let expected_cut = self
-            .partitioning
-            .cut_value(Objective::Cut)
-            .wrapping_sub(self.gain[vertex.index()] as u64);
-        for &n in self.hg.vertex_nets(vertex) {
-            let w = self.hg.net_weight(n) as i64;
-            let to_count = self.partitioning.cut_state().pins_in(n, to);
+            .cut
+            .wrapping_sub(self.nodes[vertex.index()].gain as u64);
+        for &n in hg.vertex_nets(vertex) {
+            let to_count = self.shift_pin(n, from, to);
+            // Zero-weight nets change no gain.
+            let w = hg.net_weight(n) as i64;
+            if w == 0 {
+                continue;
+            }
             if to_count == 0 {
                 // Net becomes critical from the `to` side: every other pin
                 // gains from following the move.
-                for &u in self.hg.net_pins(n) {
+                for &u in hg.net_pins(n) {
                     if u != vertex {
-                        self.bump_gain(u, w);
+                        self.bump(u, w);
                     }
                 }
             } else if to_count == 1 {
                 // The lone `to`-side pin loses its incentive to leave.
                 if let Some(u) = self.lone_pin(n, to) {
-                    self.bump_gain(u, -w);
+                    self.bump(u, -w);
                 }
             }
         }
-        self.partitioning.move_vertex(self.hg, vertex, to);
-        for &n in self.hg.vertex_nets(vertex) {
-            let w = self.hg.net_weight(n) as i64;
-            let from_count = self.partitioning.cut_state().pins_in(n, from);
+        self.set_side(vertex, from, to);
+        for &n in hg.vertex_nets(vertex) {
+            let w = hg.net_weight(n) as i64;
+            if w == 0 {
+                continue;
+            }
+            let from_count = self.pins[n.index()][from];
             if from_count == 0 {
                 // Net no longer touches `from`: following moves stop paying.
-                for &u in self.hg.net_pins(n) {
+                for &u in hg.net_pins(n) {
                     if u != vertex {
-                        self.bump_gain(u, -w);
+                        self.bump(u, -w);
                     }
                 }
             } else if from_count == 1 {
                 // The lone `from`-side pin can now uncut the net by moving.
                 if let Some(u) = self.lone_pin(n, from) {
-                    self.bump_gain(u, w);
+                    self.bump(u, w);
                 }
             }
         }
         debug_assert_eq!(
-            self.partitioning.cut_value(Objective::Cut),
-            expected_cut,
+            self.cut, expected_cut,
             "gain of {vertex} disagreed with actual cut delta"
         );
     }
 
+    /// Moves one pin of net `n` from side `from` to side `to` and updates
+    /// the cut. Returns the `to` side's pin count before the shift.
+    #[inline]
+    fn shift_pin(&mut self, n: NetId, from: usize, to: usize) -> u32 {
+        let counts = &mut self.pins[n.index()];
+        let (from_count, to_count) = (counts[from], counts[to]);
+        debug_assert!(from_count > 0, "moving vertex not counted in 'from'");
+        counts[from] = from_count - 1;
+        counts[to] = to_count + 1;
+        // A net is cut while both sides hold a pin.
+        if to_count == 0 && from_count > 1 {
+            self.cut += self.hg.net_weight(n);
+        } else if to_count > 0 && from_count == 1 {
+            self.cut -= self.hg.net_weight(n);
+        }
+        to_count
+    }
+
+    /// Puts `v` on side `to` and moves its weights between the part loads.
+    fn set_side(&mut self, v: VertexId, from: usize, to: usize) {
+        self.parts[v.index()] = PartId(to as u32);
+        let nr = self.hg.num_resources();
+        for (r, &w) in self.hg.vertex_weights(v).iter().enumerate() {
+            self.loads[from * nr + r] -= w;
+            self.loads[to * nr + r] += w;
+        }
+    }
+
     /// Finds the single pin of `n` on `side` (caller guarantees exactly one).
-    fn lone_pin(&self, n: vlsi_hypergraph::NetId, side: PartId) -> Option<VertexId> {
+    fn lone_pin(&self, n: NetId, side: usize) -> Option<VertexId> {
+        let side = PartId(side as u32);
         self.hg
             .net_pins(n)
             .iter()
             .copied()
-            .find(|&u| self.partitioning.part_of(u) == side)
+            .find(|&u| self.parts[u.index()] == side)
     }
 
-    /// Adds `delta` to `u`'s gain, updating its bucket key if unlocked.
+    /// Adds `delta` to `u`'s gain and moves it to the head of its new
+    /// bucket, if `u` is in a bucket.
     #[inline]
-    fn bump_gain(&mut self, u: VertexId, delta: i64) {
-        if delta == 0 {
+    fn bump(&mut self, u: VertexId, delta: i64) {
+        let node = self.nodes[u.index()];
+        if !node.in_bucket {
             return;
         }
-        self.gain[u.index()] += delta;
-        if !self.locked[u.index()] && self.movable[u.index()] {
-            let to = self.partitioning.part_of(u).other_side();
-            self.gains.adjust(u, to, delta);
-            if S::ENABLED {
-                self.bucket_ops += 1;
-            }
+        self.unlink(u);
+        self.nodes[u.index()].gain = node.gain + delta;
+        self.push_head(u, usize::from(node.to), node.key + delta);
+        if S::ENABLED {
+            self.bucket_ops += 1;
         }
     }
 }

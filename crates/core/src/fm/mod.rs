@@ -8,6 +8,18 @@
 //! ([`vlsi_hypergraph::Fixity::FixedAny`]) move only within their allowed
 //! set. Pass lengths can be hard-capped ([`crate::PassCutoff`], Table III
 //! of the paper) and every pass's statistics are recorded (Table II).
+//!
+//! The engine does not run on the shared [`crate::KwayGains`] container
+//! or on a [`vlsi_hypergraph::Partitioning`]. It keeps a 2-way pass state
+//! of its own: one packed node per vertex (gain, bucket key, bucket links,
+//! target side, in-bucket flag), one bucket-head array per target side,
+//! and the assignment, part loads, cut and per-net pin counts on each
+//! side. A move shifts its nets' pin counts, updates the cut and bumps
+//! the gains that depend on the pre-move counts in one loop over its nets,
+//! and bumps the rest in a second. A pass starts from a copy of the cut
+//! and the side-0 pin counts; its end restores that copy and replays the
+//! kept prefix of moves into it, instead of walking every later move's
+//! nets to undo it.
 
 mod engine;
 mod stats;

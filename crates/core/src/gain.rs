@@ -5,10 +5,13 @@
 //! exactly the LIFO discipline of LIFO-FM. The CLIP policy reuses the same
 //! structure with shifted keys.
 //!
-//! [`KwayGains`] stacks one [`GainBuckets`] per *target* part, giving
-//! every engine — 2-way FM and direct k-way refinement alike — the same
-//! move-selection core. [`MoveLog`] is the shared best-prefix rollback
-//! companion.
+//! [`KwayGains`] stacks one [`GainBuckets`] per *target* part: the
+//! move-selection core of direct k-way refinement and of its parallel
+//! rounds. [`MoveLog`] is its best-prefix rollback companion. The 2-way
+//! FM engine ([`crate::BipartFm`]) keeps the same bucket discipline in a
+//! pass state of its own (one packed node per vertex, one head array per
+//! target side), so a gain bump touches one cache line instead of a
+//! vertex's slots in several per-vertex arrays.
 
 use vlsi_hypergraph::{PartId, VertexId};
 
@@ -207,8 +210,7 @@ impl GainBuckets {
 /// Each (vertex, target-part) pair is an independent entry keyed by the
 /// gain of moving the vertex *to* that part. In the 2-way case this
 /// degenerates to classic FM — a vertex on side `s` has exactly one
-/// useful entry, in the bucket for `s.other_side()` — so the bipartition
-/// engine and the direct k-way refiner share one selection/locking core.
+/// useful entry, in the bucket for `s.other_side()`.
 ///
 /// # Example
 /// ```
@@ -302,9 +304,8 @@ impl KwayGains {
         self.targets[to.index()].adjust(vertex, delta);
     }
 
-    /// Selects the best feasible entry for one specific target part (the
-    /// 2-way engine picks per-target and applies its own cross-target
-    /// tie-break).
+    /// Selects the best feasible entry for one specific target part, for
+    /// callers that apply their own cross-target tie-break.
     #[inline]
     pub fn select_from<F: FnMut(VertexId) -> bool>(
         &self,

@@ -264,10 +264,23 @@ impl HypergraphBuilder {
     /// Finalizes the builder into an immutable [`Hypergraph`].
     ///
     /// # Errors
-    /// Returns [`BuildError::ArenaOverflow`] if the packed name arena would
-    /// exceed the `u32` offset range; otherwise infallible for inputs
-    /// accepted by the `add_*` methods.
+    /// * [`BuildError::WeightOverflow`] if one resource's vertex weights
+    ///   sum past `u64::MAX`. Part loads and balance totals are `u64`
+    ///   sums over subsets of the vertices, so a graph whose totals fit
+    ///   keeps every load in range.
+    /// * [`BuildError::ArenaOverflow`] if the packed name arena would
+    ///   exceed the `u32` offset range.
+    ///
+    /// Otherwise infallible for inputs accepted by the `add_*` methods.
     pub fn build(self) -> Result<Hypergraph, BuildError> {
+        let mut total_weights = vec![0u64; self.num_resources];
+        for row in self.weights.chunks_exact(self.num_resources) {
+            for (resource, (total, &w)) in total_weights.iter_mut().zip(row).enumerate() {
+                *total = total
+                    .checked_add(w)
+                    .ok_or(BuildError::WeightOverflow { resource })?;
+            }
+        }
         let names = if self.names.is_empty() {
             None
         } else {
@@ -306,8 +319,8 @@ impl HypergraphBuilder {
             Some(table)
         };
         Ok(Hypergraph::from_parts(
-            self.num_resources,
             self.weights,
+            total_weights,
             names,
             self.net_weights,
             self.net_offsets,
@@ -418,6 +431,25 @@ mod tests {
         let v0 = b.add_vertex(1);
         let hg = b.build().unwrap();
         assert_eq!(hg.vertex_name(v0), None);
+    }
+
+    #[test]
+    fn weight_sums_past_u64_max_are_refused() {
+        let mut b = HypergraphBuilder::with_resources(2);
+        b.add_vertex_multi(&[1, u64::MAX]).unwrap();
+        b.add_vertex_multi(&[1, 1]).unwrap();
+        let err = b.build().unwrap_err();
+        assert_eq!(err, BuildError::WeightOverflow { resource: 1 });
+        assert_eq!(
+            err.to_string(),
+            "vertex weights of resource 1 sum past u64::MAX"
+        );
+
+        // A total of exactly u64::MAX still fits.
+        let mut b = HypergraphBuilder::new();
+        b.add_vertex(u64::MAX - 1);
+        b.add_vertex(1);
+        assert_eq!(b.build().unwrap().total_weight(), u64::MAX);
     }
 
     #[test]

@@ -46,6 +46,12 @@ pub enum BuildError {
         /// The arena length that was requested.
         requested: u64,
     },
+    /// One resource's vertex weights sum past `u64::MAX`, so its total
+    /// and the part loads built from it would not fit.
+    WeightOverflow {
+        /// The resource whose sum overflowed.
+        resource: usize,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -74,6 +80,9 @@ impl fmt::Display for BuildError {
                 f,
                 "{arena} arena needs {requested} bytes-or-entries, exceeding the u32 offset range"
             ),
+            BuildError::WeightOverflow { resource } => {
+                write!(f, "vertex weights of resource {resource} sum past u64::MAX")
+            }
         }
     }
 }

@@ -91,23 +91,21 @@ pub struct Hypergraph {
 }
 
 impl Hypergraph {
+    /// Packs checked parts into a graph; `total_weights` holds the
+    /// per-resource sums of `weights`.
     pub(crate) fn from_parts(
-        num_resources: usize,
         weights: Vec<u64>,
+        total_weights: Vec<u64>,
         names: Option<NameTable>,
         net_weights: Vec<u64>,
         net_offsets: Vec<u32>,
         net_pins: Vec<VertexId>,
     ) -> Self {
+        let num_resources = total_weights.len();
         debug_assert_eq!(weights.len() % num_resources, 0);
         let num_vertices = weights.len() / num_resources;
         debug_assert_eq!(net_offsets.len(), net_weights.len() + 1);
         debug_assert!(net_pins.len() <= u32::MAX as usize);
-
-        let mut total_weights = vec![0u64; num_resources];
-        for (i, w) in weights.iter().enumerate() {
-            total_weights[i % num_resources] += w;
-        }
 
         // Build the vertex -> nets CSR by counting then bucketing. The
         // degree array doubles as the per-vertex write cursor afterwards,

@@ -254,6 +254,24 @@ mod tests {
     }
 
     #[test]
+    fn vertex_weights_summing_past_u64_max_are_refused() {
+        // fmt 10: two vertex weights of u64::MAX each.
+        let text = "1 2 10\n1 2\n18446744073709551615\n18446744073709551615\n";
+        let err = read_hgr(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ParseError::Build(crate::BuildError::WeightOverflow { resource: 0 })
+            ),
+            "{err}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "invalid hypergraph: vertex weights of resource 0 sum past u64::MAX"
+        );
+    }
+
+    #[test]
     fn trailing_tokens_after_fmt_ignored() {
         let text = "1 2 1 extra stuff\n4 1 2\n";
         let hg = read_hgr(text.as_bytes()).unwrap();

@@ -583,9 +583,10 @@ fn decode_instance(
     }
 
     let rows = resources.transpose()?;
-    // The per-resource totals the capacities are checked against, summed
-    // like the built graph's `total_weights` (which wrap in a release
-    // build; a debug build panics there instead).
+    // The per-resource totals the capacities are checked against. A sum
+    // that wraps here belongs to a request the build below refuses
+    // (`BuildError::WeightOverflow`), if the capacity check does not
+    // refuse it first.
     let totals = match (&rows, &source) {
         (Some((dims, flat)), _) => {
             let mut totals = vec![0u64; *dims];
@@ -1011,6 +1012,32 @@ mod tests {
             panic!("expected a job");
         };
         assert_eq!(job.engine, "ml");
+    }
+
+    #[test]
+    fn weights_summing_past_u64_max_are_bad_requests() {
+        // A request integer tops out at i64::MAX, so u64::MAX itself is
+        // refused as a weight, and three of the largest weights a request
+        // can carry sum past u64::MAX.
+        let line = r#"{"id":"w","hypergraph":{"vertices":[18446744073709551615,18446744073709551615],"nets":[[0,1]]}}"#;
+        let err = parse_request(line).unwrap_err();
+        assert_eq!(err.code, "bad_request");
+        assert_eq!(
+            err.message,
+            "vertex 0: weight must be a non-negative integer"
+        );
+
+        let max = i64::MAX;
+        let line = format!(
+            r#"{{"id":"w","hypergraph":{{"vertices":[{max},{max},{max}],"nets":[[0,1,2]]}}}}"#
+        );
+        let err = parse_request(&line).unwrap_err();
+        assert_eq!(err.code, "bad_request");
+        assert_eq!(err.id.as_deref(), Some("w"));
+        assert_eq!(
+            err.message,
+            "hypergraph: vertex weights of resource 0 sum past u64::MAX"
+        );
     }
 
     #[test]

@@ -54,6 +54,15 @@ echo "==> decode differential fuzz smoke (TESTKIT_SEED=1999, 10000 cases)"
 TESTKIT_SEED=1999 TESTKIT_CASES=10000 \
     cargo test -q --offline -p vlsi-service --test decode_differential
 
+# FM differential fuzz smoke: the suite that pins the 2-way FM pass loop
+# (results and trace events, bucket_ops included) to the earlier
+# KwayGains/Partitioning loop, re-based on the same fixed seed and scaled
+# to 4x its checked-in case counts (1600 small instances plus 16 with
+# forked gain initialization; about 2 s in a debug build).
+echo "==> FM differential fuzz smoke (TESTKIT_SEED=1999, 4x cases)"
+TESTKIT_SEED=1999 TESTKIT_CASES=4x \
+    cargo test -q --offline -p fixed-vertices-repro --test fm_differential
+
 # Service soak smoke: bring up an in-process server, drive a bounded
 # mixed cold/warm workload over concurrent TCP connections, and fail on
 # any error or failed connection. Deeper gates (warm-start pass counts,
@@ -123,11 +132,12 @@ fi
 # The suite writes results/bench/BENCH_partition.json (the CI artifact) and
 # prints the speedup of the parallelized phases at the widest measured
 # thread count within the CI machine's available_parallelism. That machine
-# has 2 cores: the t2 slices are real two-thread runs (the coarsen_once and
-# multilevel baseline entries were re-recorded on it), while the t4/t8
-# slices oversubscribe it and only guard per-call fork and per-round
-# freeze/merge overhead. Skip with PERF_SMOKE=0 (e.g. on
-# heavily-loaded builders where wall-clock medians are meaningless). The
+# has 2 cores: the t2 slices are real two-thread runs (the coarsen_once,
+# flat_fm, multilevel, vcycle and scale/partition baseline entries were
+# re-recorded on it), while the t4/t8 slices oversubscribe it and only
+# guard per-call fork and per-round freeze/merge overhead. Skip with
+# PERF_SMOKE=0 (e.g. on heavily-loaded builders where wall-clock medians
+# are meaningless). The
 # suite's million-cell scale/ group (single-shot ~30 s partition plus a
 # peak-RSS record) can be skipped on its own with PERF_SCALE=0; the gate
 # then ignores scale/ baseline entries.
