@@ -16,7 +16,8 @@ use vlsi_experiments::regimes::{FixSchedule, Regime};
 use vlsi_netgen::instances::ibm01_like_scaled;
 use vlsi_partition::terminal_cluster::cluster_terminals;
 use vlsi_partition::{
-    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, SelectionPolicy,
+    BipartFm, EngineConfig, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart,
+    Partitioner, RunCtx, SelectionPolicy,
 };
 
 fn bench_ablations(c: &mut Criterion) {
@@ -42,24 +43,36 @@ fn bench_ablations(c: &mut Criterion) {
             &fm,
             |b, fm| {
                 let mut rng = ChaCha8Rng::seed_from_u64(5);
-                b.iter(|| black_box(fm.run_random(hg, &fixed, &balance, &mut rng).expect("runs")))
+                b.iter(|| {
+                    let ctx = RunCtx::new(&mut rng);
+                    black_box(fm.partition_ctx(hg, &fixed, &balance, ctx).expect("runs"))
+                })
             },
         );
     }
     group.finish();
 
-    // V-cycling 0 vs 1 vs 2.
+    // V-cycling 0 vs 1 vs 2, as the quality phase of one multilevel start.
     let mut group = c.benchmark_group("ablation/vcycles");
     group.sample_size(10);
+    let engine = EngineConfig::Multilevel(MultilevelConfig::default());
     for vcycles in [0usize, 1, 2] {
-        let ml = MultilevelPartitioner::new(MultilevelConfig {
-            vcycles,
-            ..MultilevelConfig::default()
-        });
-        group.bench_with_input(BenchmarkId::from_parameter(vcycles), &ml, |b, ml| {
-            let mut rng = ChaCha8Rng::seed_from_u64(5);
-            b.iter(|| black_box(ml.run(hg, &fixed, &balance, &mut rng).expect("runs")))
-        });
+        let driver = Multistart::new(1).vcycles(vcycles);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(vcycles),
+            &driver,
+            |b, driver| {
+                let mut rng = ChaCha8Rng::seed_from_u64(5);
+                b.iter(|| {
+                    let ctx = RunCtx::new(&mut rng);
+                    black_box(
+                        driver
+                            .run(hg, &fixed, &balance, &engine, ctx)
+                            .expect("runs"),
+                    )
+                })
+            },
+        );
     }
     group.finish();
 
@@ -73,7 +86,10 @@ fn bench_ablations(c: &mut Criterion) {
     let ml = MultilevelPartitioner::new(MultilevelConfig::default());
     group.bench_function("raw", |b| {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        b.iter(|| black_box(ml.run(hg, &fixed, &balance, &mut rng).expect("runs")))
+        b.iter(|| {
+            let ctx = RunCtx::new(&mut rng);
+            black_box(ml.run(hg, &fixed, &balance, ctx).expect("runs"))
+        })
     });
     group.bench_function("clustered", |b| {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -83,7 +99,7 @@ fn bench_ablations(c: &mut Criterion) {
                     &clustered.hypergraph,
                     &clustered.fixed,
                     &clustered_balance,
-                    &mut rng,
+                    RunCtx::new(&mut rng),
                 )
                 .expect("runs"),
             )

@@ -9,9 +9,9 @@ use vlsi_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterio
 use vlsi_experiments::harness::{find_good_solution, paper_balance};
 use vlsi_experiments::regimes::{FixSchedule, Regime};
 use vlsi_netgen::instances::ibm01_like_scaled;
-use vlsi_partition::annealing::{simulated_annealing, AnnealingConfig};
-use vlsi_partition::kl::{kernighan_lin, KlConfig};
-use vlsi_partition::{random_initial, BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner};
+use vlsi_partition::{
+    AnnealingConfig, EngineConfig, FmConfig, KlConfig, MultilevelConfig, Partitioner, RunCtx,
+};
 
 fn bench_baselines(c: &mut Criterion) {
     let circuit = ibm01_like_scaled(0.08, 1999); // ~1000 cells: KL is O(n^2)-ish
@@ -26,61 +26,34 @@ fn bench_baselines(c: &mut Criterion) {
     group.sample_size(10);
     for pct in [0.0f64, 30.0] {
         let fixed = schedule.at_percent(pct);
-        group.bench_with_input(
-            BenchmarkId::new("multilevel", format!("{pct}pct")),
-            &fixed,
-            |b, fixed| {
-                let ml = MultilevelPartitioner::new(MultilevelConfig::default());
-                let mut rng = ChaCha8Rng::seed_from_u64(5);
-                b.iter(|| black_box(ml.run(hg, fixed, &balance, &mut rng).expect("runs")))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("flat_fm", format!("{pct}pct")),
-            &fixed,
-            |b, fixed| {
-                let fm = BipartFm::new(FmConfig::default());
-                let mut rng = ChaCha8Rng::seed_from_u64(5);
-                b.iter(|| black_box(fm.run_random(hg, fixed, &balance, &mut rng).expect("runs")))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("kernighan_lin", format!("{pct}pct")),
-            &fixed,
-            |b, fixed| {
-                let mut rng = ChaCha8Rng::seed_from_u64(5);
-                b.iter(|| {
-                    let initial =
-                        random_initial(hg, fixed, &balance, 2, &mut rng).expect("feasible");
-                    black_box(
-                        kernighan_lin(hg, fixed, &balance, initial, KlConfig::default())
-                            .expect("runs"),
-                    )
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("annealing", format!("{pct}pct")),
-            &fixed,
-            |b, fixed| {
-                let mut rng = ChaCha8Rng::seed_from_u64(5);
-                b.iter(|| {
-                    let initial =
-                        random_initial(hg, fixed, &balance, 2, &mut rng).expect("feasible");
-                    black_box(
-                        simulated_annealing(
-                            hg,
-                            fixed,
-                            &balance,
-                            initial,
-                            AnnealingConfig::default(),
-                            &mut rng,
+        for (name, engine) in [
+            (
+                "multilevel",
+                EngineConfig::Multilevel(MultilevelConfig::default()),
+            ),
+            ("flat_fm", EngineConfig::Fm(FmConfig::default())),
+            ("kernighan_lin", EngineConfig::Kl(KlConfig::default())),
+            (
+                "annealing",
+                EngineConfig::Annealing(AnnealingConfig::default()),
+            ),
+        ] {
+            group.bench_with_input(
+                BenchmarkId::new(name, format!("{pct}pct")),
+                &fixed,
+                |b, fixed| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(5);
+                    b.iter(|| {
+                        let ctx = RunCtx::new(&mut rng);
+                        black_box(
+                            engine
+                                .partition_ctx(hg, fixed, &balance, ctx)
+                                .expect("runs"),
                         )
-                        .expect("runs"),
-                    )
-                })
-            },
-        );
+                    })
+                },
+            );
+        }
     }
     group.finish();
 }

@@ -4,10 +4,9 @@
 //! 10% fixed in the good regime, LIFO FM, sample size 10) for the
 //! [`CancelToken`] threaded through every engine loop. Variants:
 //!
-//! * `plain` — the provided `run_random` entry point, which instantiates
-//!   the cancellable engine with [`CancelToken::never`]: one predictable
-//!   branch per checkpoint, no atomics, no clock. This is what every
-//!   pre-existing caller pays.
+//! * `plain` — the `RunCtx::new` default, [`CancelToken::never`]: one
+//!   predictable branch per checkpoint, no atomics, no clock. This is what
+//!   every caller that does not cancel pays.
 //! * `armed` — a live manual token that never fires: a relaxed atomic
 //!   load every [`CHECK_INTERVAL`] moves and at pass boundaries.
 //! * `deadline_far` — a token with a far-future deadline: the atomic load
@@ -32,10 +31,9 @@ use vlsi_testkit::bench::{criterion_group, criterion_main, Criterion};
 use vlsi_experiments::harness::{find_good_solution, paper_balance};
 use vlsi_experiments::regimes::{FixSchedule, Regime};
 use vlsi_netgen::instances::ibm01_like_scaled;
-use vlsi_partition::trace::NullSink;
 use vlsi_partition::{
-    BipartFm, CancelToken, EngineConfig, FmConfig, MultilevelConfig, Multistart, RunCtx,
-    SelectionPolicy,
+    BipartFm, CancelToken, EngineConfig, FmConfig, MultilevelConfig, Multistart, Partitioner,
+    RunCtx, SelectionPolicy,
 };
 
 fn bench_cancel_overhead_fm(c: &mut Criterion) {
@@ -54,40 +52,31 @@ fn bench_cancel_overhead_fm(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("cancel/fm");
     group.sample_size(10);
-
-    group.bench_function("plain", |b| {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        b.iter(|| {
-            black_box(
-                fm.run_random(hg, &fixed, &balance, &mut rng)
-                    .expect("fm succeeds"),
-            )
-        })
-    });
-
-    group.bench_function("armed", |b| {
-        let cancel = CancelToken::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        b.iter(|| {
-            black_box(
-                fm.run_random_cancellable(hg, &fixed, &balance, &mut rng, &NullSink, &cancel)
-                    .expect("fm succeeds"),
-            )
-        })
-    });
-
-    group.bench_function("deadline_far", |b| {
-        let cancel = CancelToken::with_deadline(Duration::from_secs(3600));
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        b.iter(|| {
-            black_box(
-                fm.run_random_cancellable(hg, &fixed, &balance, &mut rng, &NullSink, &cancel)
-                    .expect("fm succeeds"),
-            )
-        })
-    });
-
+    for (name, cancel) in tokens() {
+        group.bench_function(name, |b| {
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            b.iter(|| {
+                let ctx = RunCtx::new(&mut rng).with_cancel(&cancel);
+                black_box(
+                    fm.partition_ctx(hg, &fixed, &balance, ctx)
+                        .expect("fm succeeds"),
+                )
+            })
+        });
+    }
     group.finish();
+}
+
+/// The three uncancelled token kinds, by variant name.
+fn tokens() -> [(&'static str, CancelToken); 3] {
+    [
+        ("plain", CancelToken::never()),
+        ("armed", CancelToken::new()),
+        (
+            "deadline_far",
+            CancelToken::with_deadline(Duration::from_secs(3600)),
+        ),
+    ]
 }
 
 fn bench_cancel_overhead_multistart(c: &mut Criterion) {
@@ -109,58 +98,19 @@ fn bench_cancel_overhead_multistart(c: &mut Criterion) {
     group.sample_size(10);
 
     let driver = Multistart::new(starts);
-
-    group.bench_function("plain", |b| {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        b.iter(|| {
-            black_box(
-                driver
-                    .run(hg, &fixed, &balance, &engine, RunCtx::new(&mut rng))
-                    .expect("multistart succeeds"),
-            )
-        })
-    });
-
-    group.bench_function("armed", |b| {
-        let cancel = CancelToken::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        b.iter(|| {
-            black_box(
-                driver
-                    .run(
-                        hg,
-                        &fixed,
-                        &balance,
-                        &engine,
-                        RunCtx::new(&mut rng)
-                            .with_sink(&NullSink)
-                            .with_cancel(&cancel),
-                    )
-                    .expect("multistart succeeds"),
-            )
-        })
-    });
-
-    group.bench_function("deadline_far", |b| {
-        let cancel = CancelToken::with_deadline(Duration::from_secs(3600));
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        b.iter(|| {
-            black_box(
-                driver
-                    .run(
-                        hg,
-                        &fixed,
-                        &balance,
-                        &engine,
-                        RunCtx::new(&mut rng)
-                            .with_sink(&NullSink)
-                            .with_cancel(&cancel),
-                    )
-                    .expect("multistart succeeds"),
-            )
-        })
-    });
-
+    for (name, cancel) in tokens() {
+        group.bench_function(name, |b| {
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            b.iter(|| {
+                let ctx = RunCtx::new(&mut rng).with_cancel(&cancel);
+                black_box(
+                    driver
+                        .run(hg, &fixed, &balance, &engine, ctx)
+                        .expect("multistart succeeds"),
+                )
+            })
+        });
+    }
     group.finish();
 }
 

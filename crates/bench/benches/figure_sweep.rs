@@ -12,7 +12,7 @@ use vlsi_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterio
 use vlsi_experiments::harness::{find_good_solution, paper_balance};
 use vlsi_experiments::regimes::{FixSchedule, Regime};
 use vlsi_netgen::instances::ibm01_like_scaled;
-use vlsi_partition::{MultilevelConfig, MultilevelPartitioner};
+use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
 
 fn bench_figure_sweep(c: &mut Criterion) {
     let circuit = ibm01_like_scaled(0.10, 1999);
@@ -36,7 +36,7 @@ fn bench_figure_sweep(c: &mut Criterion) {
                     let mut rng = ChaCha8Rng::seed_from_u64(11);
                     b.iter(|| {
                         black_box(
-                            ml.run(hg, fixed, &balance, &mut rng)
+                            ml.run(hg, fixed, &balance, RunCtx::new(&mut rng))
                                 .expect("partitioning succeeds"),
                         )
                     })

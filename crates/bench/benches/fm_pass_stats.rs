@@ -12,7 +12,7 @@ use vlsi_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterio
 use vlsi_experiments::harness::{find_good_solution, paper_balance};
 use vlsi_experiments::regimes::{FixSchedule, Regime};
 use vlsi_netgen::instances::ibm01_like_scaled;
-use vlsi_partition::{BipartFm, FmConfig, MultilevelConfig, SelectionPolicy};
+use vlsi_partition::{BipartFm, FmConfig, MultilevelConfig, Partitioner, RunCtx, SelectionPolicy};
 
 fn bench_fm_pass_stats(c: &mut Criterion) {
     let circuit = ibm01_like_scaled(0.10, 1999);
@@ -38,7 +38,7 @@ fn bench_fm_pass_stats(c: &mut Criterion) {
                 let mut rng = ChaCha8Rng::seed_from_u64(5);
                 b.iter(|| {
                     black_box(
-                        fm.run_random(hg, fixed, &balance, &mut rng)
+                        fm.partition_ctx(hg, fixed, &balance, RunCtx::new(&mut rng))
                             .expect("fm succeeds"),
                     )
                 })

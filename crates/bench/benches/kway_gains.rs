@@ -4,8 +4,9 @@
 //! Both entry points run the identical k-way FM pass semantics on the same
 //! synthetic netgen instance (10% of vertices fixed, quadrisection):
 //!
-//! * `kway_gains` — `kway::refine_pass`, built on the bucket-array
-//!   [`vlsi_partition::KwayGains`] container (O(1) updates, decaying max).
+//! * `kway_gains` — one sequential pass of [`vlsi_partition::KwayRefiner`],
+//!   built on the bucket-array [`vlsi_partition::KwayGains`] container
+//!   (O(1) updates, decaying max).
 //! * `binary_heap` — `kway::refine_pass_reference`, the pre-refactor lazy
 //!   BinaryHeap selection kept as a behavioural reference.
 //!
@@ -19,7 +20,7 @@ use vlsi_testkit::bench::{criterion_group, criterion_main, Criterion};
 
 use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Objective, PartId, Tolerance, VertexId};
 use vlsi_netgen::instances::ibm01_like_scaled;
-use vlsi_partition::{kway, random_initial};
+use vlsi_partition::{kway, random_initial, KwayRefiner, Refiner, RunCtx};
 
 fn bench_kway_gains(c: &mut Criterion) {
     let circuit = ibm01_like_scaled(0.10, 2024);
@@ -40,10 +41,16 @@ fn bench_kway_gains(c: &mut Criterion) {
     let mut group = c.benchmark_group("kway/gain_container");
     group.sample_size(10);
 
+    let one_pass = KwayRefiner {
+        objective: Objective::Cut,
+        max_passes: 1,
+    };
     group.bench_function("kway_gains", |b| {
         b.iter(|| {
+            let ctx = RunCtx::new(&mut rng);
             black_box(
-                kway::refine_pass(hg, &fixed, &balance, initial.clone(), Objective::Cut)
+                one_pass
+                    .refine_ctx(hg, &fixed, &balance, initial.clone(), ctx)
                     .expect("pass succeeds"),
             )
         })

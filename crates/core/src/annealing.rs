@@ -14,12 +14,37 @@ use vlsi_rng::Rng;
 use vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Fixity, Hypergraph, Objective, PartId, Partitioning, VertexId,
 };
-use vlsi_trace::{CancelStage, Event, NullSink, Sink};
+use vlsi_trace::{CancelStage, Event, Sink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::{PartitionError, PartitionResult};
 
-/// Configuration of the annealer.
+/// Configuration of the annealer; run it through
+/// [`Partitioner::partition_ctx`](crate::Partitioner::partition_ctx) from a
+/// random legal initial assignment.
+///
+/// # Example
+/// ```
+/// use vlsi_rng::SeedableRng;
+/// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
+/// use vlsi_partition::{AnnealingConfig, Partitioner, RunCtx};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = HypergraphBuilder::new();
+/// let v: Vec<_> = (0..8).map(|_| b.add_vertex(1)).collect();
+/// for w in v.windows(2) {
+///     b.add_net(1, [w[0], w[1]])?;
+/// }
+/// let hg = b.build()?;
+/// let fixed = FixedVertices::all_free(8);
+/// let balance = BalanceConstraint::bisection(8, Tolerance::Relative(0.0));
+/// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(1);
+/// let sa = AnnealingConfig::default();
+/// let r = sa.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
+/// assert!(r.cut <= 3);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealingConfig {
     /// Number of sweeps (each sweep proposes `movable` flips).
@@ -41,82 +66,22 @@ impl Default for AnnealingConfig {
     }
 }
 
-/// Runs simulated annealing from the given initial assignment.
+/// Runs simulated annealing from the given initial assignment, emitting
+/// one [`Event::SweepFinished`] per sweep (accepted-flip count, current and
+/// best cut) and polling `cancel` at sweep boundaries and every
+/// [`CHECK_INTERVAL`] proposals. A cancelled run records one
+/// [`Event::Cancelled`] (stage `sweep`) and returns the best balanced state
+/// visited so far.
+///
+/// The public entry point is [`AnnealingConfig`]'s
+/// [`partition_ctx`](crate::Partitioner::partition_ctx), which draws the
+/// initial assignment at random from the same RNG.
 ///
 /// # Errors
 /// * [`PartitionError::UnsupportedPartCount`] unless `balance` is 2-way.
 /// * [`PartitionError::Input`] for inconsistent initial assignments.
-///
-/// # Example
-/// ```
-/// use vlsi_rng::SeedableRng;
-/// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, PartId, Tolerance};
-/// use vlsi_partition::annealing::{simulated_annealing, AnnealingConfig};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = HypergraphBuilder::new();
-/// let v: Vec<_> = (0..8).map(|_| b.add_vertex(1)).collect();
-/// for w in v.windows(2) {
-///     b.add_net(1, [w[0], w[1]])?;
-/// }
-/// let hg = b.build()?;
-/// let fixed = FixedVertices::all_free(8);
-/// let balance = BalanceConstraint::bisection(8, Tolerance::Relative(0.0));
-/// let initial: Vec<PartId> = (0..8).map(|i| PartId(i % 2)).collect();
-/// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(1);
-/// let r = simulated_annealing(
-///     &hg, &fixed, &balance, initial, AnnealingConfig::default(), &mut rng,
-/// )?;
-/// assert!(r.cut <= 3); // far better than the interleaved start (7)
-/// # Ok(())
-/// # }
-/// ```
-pub fn simulated_annealing<R: Rng + ?Sized>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    initial: Vec<PartId>,
-    config: AnnealingConfig,
-    rng: &mut R,
-) -> Result<PartitionResult, PartitionError> {
-    simulated_annealing_with_sink(hg, fixed, balance, initial, config, rng, &NullSink)
-}
-
-/// Like [`simulated_annealing`], emitting one [`Event::SweepFinished`] per
-/// sweep (accepted-flip count, current and best cut).
-///
-/// # Errors
-/// Same as [`simulated_annealing`].
-pub fn simulated_annealing_with_sink<R: Rng + ?Sized, S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    initial: Vec<PartId>,
-    config: AnnealingConfig,
-    rng: &mut R,
-    sink: &S,
-) -> Result<PartitionResult, PartitionError> {
-    simulated_annealing_cancellable(
-        hg,
-        fixed,
-        balance,
-        initial,
-        config,
-        rng,
-        sink,
-        &CancelToken::never(),
-    )
-}
-
-/// Like [`simulated_annealing_with_sink`], additionally polling `cancel` at
-/// sweep boundaries and every [`CHECK_INTERVAL`] proposals. A cancelled run
-/// records one [`Event::Cancelled`] (stage `sweep`) and returns the best
-/// balanced state visited so far.
-///
-/// # Errors
-/// Same as [`simulated_annealing`].
 #[allow(clippy::too_many_arguments)]
-pub fn simulated_annealing_cancellable<R: Rng + ?Sized, S: Sink>(
+pub(crate) fn simulated_annealing<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
@@ -281,6 +246,19 @@ mod tests {
     use vlsi_hypergraph::{validate_partitioning, HypergraphBuilder, Tolerance};
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
+    use vlsi_trace::NullSink;
+
+    fn sa(
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        balance: &BalanceConstraint,
+        initial: Vec<PartId>,
+        config: AnnealingConfig,
+        rng: &mut ChaCha8Rng,
+    ) -> Result<PartitionResult, PartitionError> {
+        let never = CancelToken::never();
+        simulated_annealing(hg, fixed, balance, initial, config, rng, &NullSink, &never)
+    }
 
     fn two_cliques(s: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -303,7 +281,7 @@ mod tests {
         let balance = BalanceConstraint::bisection(10, Tolerance::Relative(0.0));
         let initial: Vec<PartId> = (0..10).map(|i| PartId(i % 2)).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let r = simulated_annealing(
+        let r = sa(
             &hg,
             &fixed,
             &balance,
@@ -327,7 +305,7 @@ mod tests {
         initial[0] = PartId(1);
         initial[4] = PartId(0);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let r = simulated_annealing(
+        let r = sa(
             &hg,
             &fixed,
             &balance,
@@ -349,7 +327,7 @@ mod tests {
         let initial: Vec<PartId> = (0..6).map(|i| PartId(i % 2)).collect();
         let balance = BalanceConstraint::bisection(6, Tolerance::Relative(0.5));
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let r = simulated_annealing(
+        let r = sa(
             &hg,
             &fixed,
             &balance,
@@ -368,7 +346,7 @@ mod tests {
         let balance = BalanceConstraint::even(3, &[6], Tolerance::Relative(0.5));
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         assert!(matches!(
-            simulated_annealing(
+            sa(
                 &hg,
                 &fixed,
                 &balance,
@@ -392,7 +370,7 @@ mod tests {
             sweeps: 30,
             ..AnnealingConfig::default()
         };
-        let r = simulated_annealing(&hg, &fixed, &balance, initial, cfg, &mut rng).unwrap();
+        let r = sa(&hg, &fixed, &balance, initial, cfg, &mut rng).unwrap();
         assert!(r.cut <= 4);
     }
 }

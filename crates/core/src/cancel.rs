@@ -9,10 +9,11 @@
 //! to completion, so a caller with an already-expired deadline still gets
 //! a valid (if unrefined) answer.
 //!
-//! [`CancelToken::never`] is the default for all plain entry points: it
-//! holds no allocation and every check is a single predictable branch, so
-//! un-cancellable runs cost what they did before cancellation existed
-//! (`cargo bench --bench cancel_overhead` keeps this honest).
+//! [`CancelToken::never`] is the default of
+//! [`RunCtx::new`](crate::RunCtx::new): it holds no allocation and every
+//! check is a single predictable branch, so un-cancellable runs cost what
+//! they did before cancellation existed (`cargo bench --bench
+//! cancel_overhead` keeps this honest).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

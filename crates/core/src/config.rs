@@ -120,8 +120,10 @@ impl Default for FmConfig {
 /// Configuration of the multilevel partitioner.
 ///
 /// Defaults follow the paper's engine: CLIP FM refinement, heavy-edge
-/// matching with a clustering ratio around 0.75 stop threshold, no
-/// V-cycling ("a net loss in terms of overall cost-runtime profile").
+/// matching with a clustering ratio around 0.75 stop threshold. V-cycling,
+/// "a net loss in terms of overall cost-runtime profile", is not an engine
+/// setting: [`Multistart::vcycles`](crate::Multistart::vcycles) runs it as
+/// a quality phase over any engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultilevelConfig {
     /// Stop coarsening when this many vertices remain.
@@ -143,8 +145,6 @@ pub struct MultilevelConfig {
     pub refine_fm2: Option<FmConfig>,
     /// Number of random initial solutions tried at the coarsest level.
     pub coarse_starts: usize,
-    /// Number of V-cycles (0 = plain V; the paper disables V-cycling).
-    pub vcycles: usize,
     /// Worker-thread budget for the parallel hot paths (cluster
     /// contraction, FM/k-way gain initialization). The
     /// result is byte-identical for every value — the parallel phases
@@ -180,7 +180,6 @@ impl Default for MultilevelConfig {
                 ..FmConfig::default()
             }),
             coarse_starts: 4,
-            vcycles: 0,
             threads: 1,
         }
     }
@@ -210,7 +209,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let ml = MultilevelConfig::default();
-        assert_eq!(ml.vcycles, 0); // paper: V-cycling disabled
         assert_eq!(ml.threads, 1); // parallelism is opt-in
         assert_eq!(ml.refine_fm.policy, SelectionPolicy::Clip);
         assert_eq!(FmConfig::default().cutoff, PassCutoff::Unlimited);

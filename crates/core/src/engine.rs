@@ -16,13 +16,13 @@
 //!   multilevel engine's two-stage CLIP-then-LIFO refinement), and
 //!   [`KwayRefiner`] (the k-way FM inner loop).
 //!
-//! Both traits have exactly one required method taking a [`RunCtx`]
-//! parameter object bundling the run-scoped resources: the RNG, the trace
-//! [`Sink`], the [`CancelToken`], and the worker-thread budget. The old
-//! `partition` / `partition_with_sink` / `partition_cancellable` (and
-//! `refine_*`) method triplets survive as thin deprecated wrappers that
-//! build the equivalent `RunCtx` — byte-identical behaviour, pinned by the
-//! `runctx_equivalence` test suite.
+//! Each trait has exactly one method, taking a [`RunCtx`] parameter object
+//! that bundles the run-scoped resources: the RNG, the trace [`Sink`], the
+//! [`CancelToken`], and the worker-thread budget. These two methods are the
+//! way to call an engine. The only inherent entry points left are the two
+//! that return a richer result: [`BipartFm::run`] (per-pass statistics)
+//! and [`MultilevelPartitioner::run`] (the level hierarchy); both take the
+//! same `RunCtx`.
 //!
 //! The traits are generic over the RNG and the [`Sink`], so they are not
 //! dyn-compatible; by-name construction goes through the [`EngineConfig`]
@@ -54,17 +54,19 @@
 
 use std::fmt;
 
-use vlsi_rng::{ChaCha8Rng, Rng, SeedableRng};
+use vlsi_rng::Rng;
 use vlsi_trace::{NullSink, Sink};
 
-use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Hypergraph, Objective, PartId, Tolerance};
+use vlsi_hypergraph::{
+    BalanceConstraint, CutState, FixedVertices, Hypergraph, Objective, PartId, Tolerance,
+};
 
-use crate::annealing::{simulated_annealing_cancellable, AnnealingConfig};
+use crate::annealing::{simulated_annealing, AnnealingConfig};
 use crate::cancel::CancelToken;
 use crate::config::{FmConfig, MultilevelConfig};
 use crate::fm::BipartFm;
 use crate::initial::random_initial;
-use crate::kl::{kernighan_lin_cancellable, KlConfig};
+use crate::kl::{kernighan_lin, KlConfig};
 use crate::kway;
 use crate::multilevel::MultilevelPartitioner;
 use crate::{PartitionError, PartitionResult};
@@ -179,62 +181,6 @@ pub trait Partitioner {
         balance: &BalanceConstraint,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError>;
-
-    /// Legacy spelling of [`partition_ctx`](Self::partition_ctx) with the
-    /// context passed as separate arguments.
-    ///
-    /// # Errors
-    /// Same as [`partition_ctx`](Self::partition_ctx).
-    #[deprecated(note = "use partition_ctx with a RunCtx")]
-    fn partition_cancellable<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> Result<PartitionResult, PartitionError> {
-        self.partition_ctx(
-            hg,
-            fixed,
-            balance,
-            RunCtx::new(rng).with_sink(sink).with_cancel(cancel),
-        )
-    }
-
-    /// Legacy spelling of [`partition_ctx`](Self::partition_ctx) with
-    /// cancellation disabled.
-    ///
-    /// # Errors
-    /// Same as [`partition_ctx`](Self::partition_ctx).
-    #[deprecated(note = "use partition_ctx with a RunCtx")]
-    fn partition_with_sink<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-        sink: &S,
-    ) -> Result<PartitionResult, PartitionError> {
-        self.partition_ctx(hg, fixed, balance, RunCtx::new(rng).with_sink(sink))
-    }
-
-    /// Legacy spelling of [`partition_ctx`](Self::partition_ctx) with all
-    /// context defaults (no tracing, no cancellation, one thread).
-    ///
-    /// # Errors
-    /// Same as [`partition_ctx`](Self::partition_ctx).
-    #[deprecated(note = "use partition_ctx with a RunCtx")]
-    fn partition<R: Rng + ?Sized>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-    ) -> Result<PartitionResult, PartitionError> {
-        self.partition_ctx(hg, fixed, balance, RunCtx::new(rng))
-    }
 }
 
 /// A pass-based refinement engine: improves an *existing* assignment
@@ -242,9 +188,8 @@ pub trait Partitioner {
 /// is restored by the best-prefix rollback of each pass).
 ///
 /// Refiners never worsen their input: the returned cut is at most the cut
-/// of `parts`. Refinement is deterministic — no refiner draws from
-/// `ctx.rng` — so the legacy rng-free `refine_*` wrappers pass a dummy
-/// seeded RNG that is never consumed.
+/// of `parts`. Refinement is deterministic: no refiner draws from
+/// `ctx.rng`, so any RNG will do and its state is left untouched.
 pub trait Refiner {
     /// Refines `parts`, streaming pass brackets into `ctx.sink`, polling
     /// `ctx.cancel` at pass boundaries, and using at most `ctx.threads`
@@ -268,73 +213,6 @@ pub trait Refiner {
         parts: Vec<PartId>,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError>;
-
-    /// Legacy spelling of [`refine_ctx`](Self::refine_ctx) with the
-    /// context passed as separate arguments.
-    ///
-    /// # Errors
-    /// Same as [`refine_ctx`](Self::refine_ctx).
-    #[deprecated(note = "use refine_ctx with a RunCtx")]
-    fn refine_cancellable<S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        parts: Vec<PartId>,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> Result<PartitionResult, PartitionError> {
-        // Refiners never consume randomness; the seed is immaterial.
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        self.refine_ctx(
-            hg,
-            fixed,
-            balance,
-            parts,
-            RunCtx::new(&mut rng).with_sink(sink).with_cancel(cancel),
-        )
-    }
-
-    /// Legacy spelling of [`refine_ctx`](Self::refine_ctx) with
-    /// cancellation disabled.
-    ///
-    /// # Errors
-    /// Same as [`refine_ctx`](Self::refine_ctx).
-    #[deprecated(note = "use refine_ctx with a RunCtx")]
-    fn refine_with_sink<S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        parts: Vec<PartId>,
-        sink: &S,
-    ) -> Result<PartitionResult, PartitionError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        self.refine_ctx(
-            hg,
-            fixed,
-            balance,
-            parts,
-            RunCtx::new(&mut rng).with_sink(sink),
-        )
-    }
-
-    /// Legacy spelling of [`refine_ctx`](Self::refine_ctx) with all
-    /// context defaults.
-    ///
-    /// # Errors
-    /// Same as [`refine_ctx`](Self::refine_ctx).
-    #[deprecated(note = "use refine_ctx with a RunCtx")]
-    fn refine(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        parts: Vec<PartId>,
-    ) -> Result<PartitionResult, PartitionError> {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        self.refine_ctx(hg, fixed, balance, parts, RunCtx::new(&mut rng))
-    }
 }
 
 // --- Partitioner implementations -----------------------------------------
@@ -354,8 +232,8 @@ impl Partitioner for BipartFm {
                 supported: 2,
             });
         }
-        let fm = self.clone().with_threads(self.threads().max(ctx.threads));
-        let r = fm.run_random_cancellable(hg, fixed, balance, ctx.rng, ctx.sink, ctx.cancel)?;
+        let initial = random_initial(hg, fixed, balance, 2, ctx.rng)?;
+        let r = self.run(hg, fixed, balance, initial, ctx)?;
         Ok(PartitionResult::new(r.parts, r.cut))
     }
 }
@@ -368,13 +246,7 @@ impl Partitioner for MultilevelPartitioner {
         balance: &BalanceConstraint,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
-        let cfg = MultilevelConfig {
-            threads: self.config().threads.max(ctx.threads),
-            ..*self.config()
-        };
-        MultilevelPartitioner::new(cfg)
-            .run_cancellable(hg, fixed, balance, ctx.rng, ctx.sink, ctx.cancel)
-            .map(Into::into)
+        self.run(hg, fixed, balance, ctx).map(Into::into)
     }
 }
 
@@ -394,7 +266,7 @@ impl Partitioner for KlConfig {
             });
         }
         let initial = random_initial(hg, fixed, balance, 2, ctx.rng)?;
-        kernighan_lin_cancellable(hg, fixed, balance, initial, *self, ctx.sink, ctx.cancel)
+        kernighan_lin(hg, fixed, balance, initial, *self, ctx.sink, ctx.cancel)
     }
 }
 
@@ -414,7 +286,7 @@ impl Partitioner for AnnealingConfig {
             });
         }
         let initial = random_initial(hg, fixed, balance, 2, ctx.rng)?;
-        simulated_annealing_cancellable(
+        simulated_annealing(
             hg, fixed, balance, initial, *self, ctx.rng, ctx.sink, ctx.cancel,
         )
     }
@@ -467,7 +339,7 @@ impl Partitioner for RecursiveBisection {
         let cfg = &self.0;
         let threads = cfg.ml.threads.max(ctx.threads);
         let ml = MultilevelConfig { threads, ..cfg.ml };
-        let r = kway::recursive_bisection_cancellable(
+        let r = kway::recursive_bisection(
             hg,
             fixed,
             balance.num_parts(),
@@ -486,23 +358,22 @@ impl Partitioner for RecursiveBisection {
             hg.total_weights(),
             Tolerance::Relative(cfg.tolerance),
         );
-        let r = if *balance == uniform {
-            r
+        let parts = if *balance == uniform {
+            r.parts
         } else {
-            let (parts, _relocated) =
-                crate::warmstart::legalize_assignment(hg, fixed, balance, &r.parts)?;
-            let value = vlsi_hypergraph::CutState::new(hg, balance.num_parts(), &parts)
-                .value(cfg.objective);
-            PartitionResult::new(parts, value)
+            crate::warmstart::legalize_assignment(hg, fixed, balance, &r.parts)?.0
         };
         if cfg.refine_passes == 0 || ctx.cancel.is_cancelled() {
-            return Ok(r);
+            // The bisection stack reports a plain cut; the result carries
+            // the configured objective's value, as refinement's would.
+            let value = CutState::new(hg, balance.num_parts(), &parts).value(cfg.objective);
+            return Ok(PartitionResult::new(parts, value));
         }
         kway::refine_threaded(
             hg,
             fixed,
             balance,
-            r.parts,
+            parts,
             cfg.objective,
             cfg.refine_passes,
             ctx.sink,
@@ -530,33 +401,11 @@ impl Partitioner for DirectKway {
             threads: cfg.ml.threads.max(ctx.threads),
             ..cfg.ml
         };
-        // Uniform even split + cut objective is the historical special
-        // case, routed through the legacy driver bit-for-bit. Anything
-        // else (per-part capacity vectors, multi-resource bounds, km1)
-        // takes the constrained driver, which threads the caller's
-        // balance and the configured objective through every level.
-        let k = balance.num_parts();
-        if k > 0 && k <= vlsi_hypergraph::PartSet::MAX_PARTS {
-            let uniform =
-                BalanceConstraint::even(k, hg.total_weights(), Tolerance::Relative(cfg.tolerance));
-            if *balance != uniform || cfg.objective != Objective::Cut {
-                return kway::multilevel_kway_constrained(
-                    hg,
-                    fixed,
-                    balance,
-                    cfg.objective,
-                    cfg.tolerance,
-                    &ml,
-                    ctx.rng,
-                    ctx.sink,
-                    ctx.cancel,
-                );
-            }
-        }
-        kway::multilevel_kway_cancellable(
+        kway::multilevel_kway(
             hg,
             fixed,
-            k,
+            balance,
+            cfg.objective,
             cfg.tolerance,
             &ml,
             ctx.rng,
@@ -578,8 +427,7 @@ impl Refiner for BipartFm {
         parts: Vec<PartId>,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
-        let fm = self.clone().with_threads(self.threads().max(ctx.threads));
-        let r = fm.run_cancellable(hg, fixed, balance, parts, ctx.sink, ctx.cancel)?;
+        let r = self.run(hg, fixed, balance, parts, ctx)?;
         Ok(PartitionResult::new(r.parts, r.cut))
     }
 }
@@ -627,18 +475,11 @@ impl Refiner for FmStack {
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
         parts: Vec<PartId>,
-        ctx: RunCtx<'_, R, S>,
+        mut ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
-        let first = self
-            .first
-            .clone()
-            .with_threads(self.first.threads().max(ctx.threads));
-        let r = first.run_cancellable(hg, fixed, balance, parts, ctx.sink, ctx.cancel)?;
+        let r = self.first.run(hg, fixed, balance, parts, ctx.reborrow())?;
         let r = match &self.second {
-            Some(fm2) if !ctx.cancel.is_cancelled() => {
-                let fm2 = fm2.clone().with_threads(fm2.threads().max(ctx.threads));
-                fm2.run_cancellable(hg, fixed, balance, r.parts, ctx.sink, ctx.cancel)?
-            }
+            Some(fm2) if !ctx.cancel.is_cancelled() => fm2.run(hg, fixed, balance, r.parts, ctx)?,
             _ => r,
         };
         Ok(PartitionResult::new(r.parts, r.cut))
@@ -647,9 +488,9 @@ impl Refiner for FmStack {
 
 /// The direct k-way FM inner loop as a [`Refiner`]: up to `max_passes`
 /// passes, stopping early when a pass fails to improve the objective.
-/// `ctx.threads` picks the pass implementation — the sequential
-/// [`kway::refine_pass`] at a budget ≤ 1 (bit-for-bit the legacy
-/// behaviour), the synchronous-round parallel engine at ≥ 2.
+/// `ctx.threads` picks the pass implementation: the sequential
+/// delta-maintained pass at a budget ≤ 1, the synchronous-round parallel
+/// engine ([`kway::refine_pass_parallel`]) at ≥ 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KwayRefiner {
     /// Objective optimised by each pass.
@@ -1092,6 +933,50 @@ mod tests {
             .unwrap();
         let p = Partitioning::from_parts(&hg, 4, r.parts).unwrap();
         assert_eq!(p.cut_value(Objective::Cut), r.cut);
+    }
+
+    #[test]
+    fn rb_engine_reports_the_configured_objective_without_refinement() {
+        // A chain plus one net over four vertices pinned to four different
+        // parts: that net spans every part, so k-1 exceeds the cut.
+        let n = 32;
+        let mut b = HypergraphBuilder::new();
+        let v: Vec<_> = (0..n).map(|_| b.add_vertex(1)).collect();
+        for w in v.windows(2) {
+            b.add_net(1, [w[0], w[1]]).unwrap();
+        }
+        b.add_net(1, [v[0], v[8], v[16], v[24]]).unwrap();
+        let hg = b.build().unwrap();
+        let mut fixed = FixedVertices::all_free(n);
+        for p in 0..4 {
+            fixed.fix(VertexId(8 * p), PartId(p));
+        }
+        let balance = BalanceConstraint::even(4, &[n as u64], Tolerance::Relative(0.1));
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let no_passes = KwayConfig {
+            refine_passes: 0,
+            objective: Objective::KMinus1,
+            ..KwayConfig::default()
+        };
+        let with_passes = KwayConfig {
+            objective: Objective::KMinus1,
+            ..KwayConfig::default()
+        };
+        for (cfg, cancel) in [(no_passes, CancelToken::never()), (with_passes, cancelled)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(2);
+            let r = RecursiveBisection(cfg)
+                .partition_ctx(
+                    &hg,
+                    &fixed,
+                    &balance,
+                    RunCtx::new(&mut rng).with_cancel(&cancel),
+                )
+                .unwrap();
+            let p = Partitioning::from_parts(&hg, 4, r.parts).unwrap();
+            assert_ne!(p.cut_value(Objective::KMinus1), p.cut_value(Objective::Cut));
+            assert_eq!(r.cut, p.cut_value(Objective::KMinus1));
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@ use vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Fixity, Hypergraph, NetId, Objective, PartId, Partitioning,
     VertexId,
 };
-use vlsi_trace::{CancelStage, Event, MoverFixity, NullSink, Sink, VecSink};
+use vlsi_trace::{CancelStage, Event, MoverFixity, Sink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::{FmConfig, SelectionPolicy};
+use crate::engine::RunCtx;
 use crate::fm::{PassStats, RunStats};
-use crate::initial::random_initial;
 use crate::parallel::GAIN_INIT_GRAIN;
 use crate::PartitionError;
 
@@ -54,7 +54,7 @@ pub struct FmResult {
 /// ```
 /// use vlsi_rng::SeedableRng;
 /// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
-/// use vlsi_partition::{BipartFm, FmConfig};
+/// use vlsi_partition::{BipartFm, FmConfig, Partitioner, RunCtx};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Two 4-cliques joined by a single net bisect with cut 1.
@@ -74,7 +74,7 @@ pub struct FmResult {
 /// let balance = BalanceConstraint::bisection(8, Tolerance::Relative(0.0));
 /// let fixed = FixedVertices::all_free(8);
 /// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(3);
-/// let result = fm.run_random(&hg, &fixed, &balance, &mut rng)?;
+/// let result = fm.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
 /// assert_eq!(result.cut, 1);
 /// # Ok(())
 /// # }
@@ -106,120 +106,34 @@ impl BipartFm {
         self
     }
 
-    /// The engine's worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs FM from a random legal initial solution drawn with `rng`.
+    /// Runs FM passes from `initial` until a pass fails to improve the cut
+    /// (or `max_passes` is reached), returning the final assignment with
+    /// its per-pass statistics. [`partition_ctx`](crate::Partitioner::partition_ctx) runs the same
+    /// engine from a random legal initial solution.
     ///
-    /// # Errors
-    /// Propagates [`crate::random_initial`] failures and the errors of
-    /// [`BipartFm::run`].
-    pub fn run_random<R: Rng + ?Sized>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-    ) -> Result<FmResult, PartitionError> {
-        self.run_random_with_sink(hg, fixed, balance, rng, &NullSink)
-    }
-
-    /// Like [`BipartFm::run_random`], emitting trace events into `sink`.
-    ///
-    /// # Errors
-    /// Same as [`BipartFm::run_random`].
-    pub fn run_random_with_sink<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-        sink: &S,
-    ) -> Result<FmResult, PartitionError> {
-        self.run_random_cancellable(hg, fixed, balance, rng, sink, &CancelToken::never())
-    }
-
-    /// Like [`BipartFm::run_random_with_sink`], additionally polling
-    /// `cancel`. The initial solution is always constructed, so even an
-    /// already-cancelled token yields a legal (if unrefined) result.
-    ///
-    /// # Errors
-    /// Same as [`BipartFm::run_random`].
-    pub fn run_random_cancellable<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> Result<FmResult, PartitionError> {
-        let initial = random_initial(hg, fixed, balance, 2, rng)?;
-        self.run_cancellable(hg, fixed, balance, initial, sink, cancel)
-    }
-
-    /// Runs FM passes from the given initial assignment until a pass fails
-    /// to improve the cut (or `max_passes` is reached).
+    /// The run emits [`Event::PassStart`], [`Event::MoveCommitted`] and
+    /// [`Event::PassEnd`] per pass into `ctx.sink` (with
+    /// [`NullSink`](vlsi_trace::NullSink) the
+    /// instrumentation compiles away) and uses the larger of its own and
+    /// `ctx.threads` workers for gain initialization; FM draws no
+    /// randomness, so `ctx.rng` is left untouched. `ctx.cancel` is polled
+    /// at pass boundaries and every [`CHECK_INTERVAL`] moves inside a
+    /// pass. Cancellation is not an error: the run stops after restoring
+    /// the current pass's best prefix, records one [`Event::Cancelled`]
+    /// (stage `fm_pass`, value = cut at termination), and returns the best
+    /// solution found so far.
     ///
     /// # Errors
     /// * [`PartitionError::UnsupportedPartCount`] if `balance` describes
     ///   more than two partitions.
     /// * [`PartitionError::Input`] if `initial` is inconsistent with the
     ///   hypergraph or violates a fixity.
-    pub fn run(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        initial: Vec<PartId>,
-    ) -> Result<FmResult, PartitionError> {
-        self.run_with_sink(hg, fixed, balance, initial, &NullSink)
-    }
-
-    /// Like [`BipartFm::run`] but additionally records, for every pass, the
-    /// cut value after each move — the raw data behind the paper's Section
-    /// III analysis that "the improvements within a pass occur near the
-    /// beginning of the pass".
-    ///
-    /// Implemented on top of the trace stream: the run is recorded into a
-    /// [`VecSink`] and the traces are replayed from the events, so this is
-    /// guaranteed to agree with what any external [`Sink`] observes.
-    ///
-    /// # Errors
-    /// Same as [`BipartFm::run`].
-    pub fn run_traced(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        initial: Vec<PartId>,
-    ) -> Result<(FmResult, Vec<PassTrace>), PartitionError> {
-        let sink = VecSink::new();
-        let result = self.run_with_sink(hg, fixed, balance, initial, &sink)?;
-        let traces = vlsi_trace::replay::pass_summaries(&sink.take())
-            .into_iter()
-            .map(|s| PassTrace {
-                pass: s.pass as usize,
-                cut_before: s.cut_before,
-                cuts: s.cuts,
-            })
-            .collect();
-        Ok((result, traces))
-    }
-
-    /// Like [`BipartFm::run`], emitting the per-pass/per-move trace events
-    /// ([`Event::PassStart`], [`Event::MoveCommitted`], [`Event::PassEnd`])
-    /// into `sink`. With [`NullSink`] the instrumentation compiles away.
-    ///
-    /// # Errors
-    /// Same as [`BipartFm::run`].
     ///
     /// # Example: count the engine's work with a `CounterSink`
     /// ```
     /// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
-    /// use vlsi_partition::{BipartFm, FmConfig};
+    /// use vlsi_partition::{BipartFm, FmConfig, RunCtx};
+    /// use vlsi_rng::SeedableRng;
     /// use vlsi_trace::CounterSink;
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -237,7 +151,9 @@ impl BipartFm {
     /// let initial = (0..6)
     ///     .map(|i| vlsi_hypergraph::PartId((i % 2) as u32))
     ///     .collect();
-    /// let result = fm.run_with_sink(&hg, &fixed, &balance, initial, &counters)?;
+    /// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(0);
+    /// let ctx = RunCtx::new(&mut rng).with_sink(&counters);
+    /// let result = fm.run(&hg, &fixed, &balance, initial, ctx)?;
     ///
     /// let c = counters.snapshot();
     /// assert_eq!(c.passes as usize, result.stats.num_passes());
@@ -246,35 +162,20 @@ impl BipartFm {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn run_with_sink<S: Sink>(
+    pub fn run<R: Rng + ?Sized, S: Sink>(
         &self,
         hg: &Hypergraph,
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
         initial: Vec<PartId>,
-        sink: &S,
+        ctx: RunCtx<'_, R, S>,
     ) -> Result<FmResult, PartitionError> {
-        self.run_cancellable(hg, fixed, balance, initial, sink, &CancelToken::never())
-    }
-
-    /// Like [`BipartFm::run_with_sink`], additionally polling `cancel` at
-    /// pass boundaries and every [`CHECK_INTERVAL`] moves inside a pass.
-    /// Cancellation is not an error: the run stops after restoring the
-    /// current pass's best prefix, records one
-    /// [`Event::Cancelled`] (stage `fm_pass`, value = cut at termination),
-    /// and returns the best solution found so far.
-    ///
-    /// # Errors
-    /// Same as [`BipartFm::run`].
-    pub fn run_cancellable<S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        initial: Vec<PartId>,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> Result<FmResult, PartitionError> {
+        let RunCtx {
+            sink,
+            cancel,
+            threads,
+            ..
+        } = ctx;
         if balance.num_parts() != 2 {
             return Err(PartitionError::UnsupportedPartCount {
                 requested: balance.num_parts(),
@@ -285,6 +186,7 @@ impl BipartFm {
         // the fixities; the pass state copies what it needs and drops it.
         let partitioning = Partitioning::from_parts_fixed(hg, 2, initial, fixed)?;
         let mut state = PassState::new(self, hg, balance, fixed, partitioning, sink, cancel);
+        state.threads = self.threads.max(threads);
 
         let mut stats = RunStats::default();
         if !cancel.is_cancelled() {
@@ -316,39 +218,6 @@ impl BipartFm {
             cut,
             stats,
         })
-    }
-}
-
-/// The cut trajectory of one FM pass: `cuts[i]` is the cut value after the
-/// `(i+1)`-th move (before any rollback).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassTrace {
-    /// 0-based pass index.
-    pub pass: usize,
-    /// Cut at the start of the pass.
-    pub cut_before: u64,
-    /// Cut after each move, in move order.
-    pub cuts: Vec<u64>,
-}
-
-impl PassTrace {
-    /// The move index (1-based) at which the minimum cut of the pass was
-    /// first reached, as a fraction of the moves made; `None` for an empty
-    /// pass. Small values = improvements concentrate near the beginning.
-    pub fn best_position_fraction(&self) -> Option<f64> {
-        if self.cuts.is_empty() {
-            return None;
-        }
-        let best = *self.cuts.iter().min().expect("non-empty");
-        if best >= self.cut_before {
-            return Some(0.0);
-        }
-        let pos = self
-            .cuts
-            .iter()
-            .position(|&c| c == best)
-            .expect("min exists");
-        Some((pos + 1) as f64 / self.cuts.len() as f64)
     }
 }
 
@@ -395,7 +264,8 @@ struct PassState<'a, S: Sink> {
     sink: &'a S,
     cancel: &'a CancelToken,
     policy: SelectionPolicy,
-    /// Worker-thread budget for gain initialization (`<= 1` = inline).
+    /// Worker-thread budget for gain initialization (`<= 1` = inline); the
+    /// larger of the engine's own and the run context's.
     threads: usize,
     /// Vertices whose fixity allows both sides.
     num_movable: usize,
@@ -511,7 +381,7 @@ impl<'a, S: Sink> PassState<'a, S> {
             sink,
             cancel,
             policy: engine.config.policy,
-            threads: engine.threads,
+            threads: 1,
             num_movable,
             relax,
             start_cut: cut,
@@ -1004,11 +874,23 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// FM from a random legal initial solution drawn with `rng`.
+    fn run_random(
+        fm: &BipartFm,
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        balance: &BalanceConstraint,
+        rng: &mut ChaCha8Rng,
+    ) -> Result<FmResult, PartitionError> {
+        let initial = crate::random_initial(hg, fixed, balance, 2, rng)?;
+        fm.run(hg, fixed, balance, initial, RunCtx::new(rng))
+    }
+
     fn run_default(hg: &Hypergraph, fixed: &FixedVertices, tol: f64, seed: u64) -> FmResult {
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(tol));
         let fm = BipartFm::new(FmConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        fm.run_random(hg, fixed, &balance, &mut rng).unwrap()
+        run_random(&fm, hg, fixed, &balance, &mut rng).unwrap()
     }
 
     #[test]
@@ -1029,7 +911,7 @@ mod tests {
         let fm = BipartFm::new(FmConfig::default());
         for seed in 0..10 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let result = fm.run_random(&hg, &fixed, &balance, &mut rng).unwrap();
+            let result = run_random(&fm, &hg, &fixed, &balance, &mut rng).unwrap();
             let p = Partitioning::from_parts(&hg, 2, result.parts.clone()).unwrap();
             let report = validate_partitioning(&hg, &p, &balance, &fixed);
             assert!(report.is_valid(), "seed {seed}: {report}");
@@ -1082,7 +964,7 @@ mod tests {
                 }
                 let balance =
                     BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.10));
-                let Ok(result) = fm.run_random(&hg, &fixed, &balance, &mut rng) else {
+                let Ok(result) = run_random(&fm, &hg, &fixed, &balance, &mut rng) else {
                     continue; // random fixing made the instance infeasible
                 };
                 let p = Partitioning::from_parts(&hg, 2, result.parts.clone()).unwrap();
@@ -1145,7 +1027,7 @@ mod tests {
             ..FmConfig::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let result = fm.run_random(&hg, &fixed, &balance, &mut rng).unwrap();
+        let result = run_random(&fm, &hg, &fixed, &balance, &mut rng).unwrap();
         assert_eq!(result.cut, 1);
     }
 
@@ -1159,7 +1041,7 @@ mod tests {
             ..FmConfig::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let result = fm.run_random(&hg, &fixed, &balance, &mut rng).unwrap();
+        let result = run_random(&fm, &hg, &fixed, &balance, &mut rng).unwrap();
         for p in &result.stats.passes {
             if p.pass == 0 {
                 assert_eq!(p.move_limit, p.movable);
@@ -1194,7 +1076,7 @@ mod tests {
         let balance = BalanceConstraint::bisection(12, Tolerance::Relative(0.0));
         let fm = BipartFm::new(FmConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let result = fm.run_random(&hg, &fixed, &balance, &mut rng).unwrap();
+        let result = run_random(&fm, &hg, &fixed, &balance, &mut rng).unwrap();
         let p = Partitioning::from_parts(&hg, 2, result.parts).unwrap();
         assert_eq!(p.load(PartId(0), 0), 6);
         assert_eq!(p.load(PartId(1), 0), 6);
@@ -1206,21 +1088,27 @@ mod tests {
         let fixed = FixedVertices::all_free(hg.num_vertices());
         let balance = BalanceConstraint::even(3, &[hg.total_weight()], Tolerance::Relative(0.5));
         let fm = BipartFm::new(FmConfig::default());
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let initial = vec![PartId(0); hg.num_vertices()];
         let err = fm
-            .run(&hg, &fixed, &balance, vec![PartId(0); hg.num_vertices()])
+            .run(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
             .unwrap_err();
         assert!(matches!(err, PartitionError::UnsupportedPartCount { .. }));
     }
 
     #[test]
-    fn traces_cover_every_move_of_every_pass() {
+    fn trace_covers_every_move_of_every_pass() {
+        use vlsi_trace::{replay, VecSink};
         let hg = two_cliques(6, 2);
         let fixed = FixedVertices::all_free(hg.num_vertices());
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.0));
         let fm = BipartFm::new(FmConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let initial = crate::random_initial(&hg, &fixed, &balance, 2, &mut rng).unwrap();
-        let (result, traces) = fm.run_traced(&hg, &fixed, &balance, initial).unwrap();
+        let sink = VecSink::new();
+        let ctx = RunCtx::new(&mut rng).with_sink(&sink);
+        let result = fm.run(&hg, &fixed, &balance, initial, ctx).unwrap();
+        let traces = replay::pass_summaries(&sink.take());
         assert_eq!(traces.len(), result.stats.passes.len());
         for (trace, stats) in traces.iter().zip(&result.stats.passes) {
             assert_eq!(trace.cuts.len(), stats.moves_made);
@@ -1231,29 +1119,6 @@ mod tests {
                 assert_eq!(stats.cut_after, min.min(stats.cut_before));
             }
         }
-    }
-
-    #[test]
-    fn trace_best_position_fraction() {
-        let t = crate::PassTrace {
-            pass: 1,
-            cut_before: 10,
-            cuts: vec![12, 8, 9, 8],
-        };
-        // First minimum at index 1 of 4 moves.
-        assert_eq!(t.best_position_fraction(), Some(0.5));
-        let none_better = crate::PassTrace {
-            pass: 1,
-            cut_before: 5,
-            cuts: vec![7, 6],
-        };
-        assert_eq!(none_better.best_position_fraction(), Some(0.0));
-        let empty = crate::PassTrace {
-            pass: 0,
-            cut_before: 5,
-            cuts: vec![],
-        };
-        assert_eq!(empty.best_position_fraction(), None);
     }
 
     #[test]
@@ -1272,13 +1137,10 @@ mod tests {
         let fixed = FixedVertices::all_free(4);
         let balance = BalanceConstraint::bisection(4, Tolerance::Relative(0.0));
         let fm = BipartFm::new(FmConfig::default());
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let initial = vec![PartId(0), PartId(1), PartId(0), PartId(1)];
         let result = fm
-            .run(
-                &hg,
-                &fixed,
-                &balance,
-                vec![PartId(0), PartId(1), PartId(0), PartId(1)],
-            )
+            .run(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
             .unwrap();
         assert_eq!(result.cut, 1);
         assert_eq!(result.parts[0], result.parts[1]);

@@ -24,5 +24,5 @@
 mod engine;
 mod stats;
 
-pub use engine::{BipartFm, FmResult, PassTrace};
+pub use engine::{BipartFm, FmResult};
 pub use stats::{PassStats, RunStats};

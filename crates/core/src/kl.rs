@@ -19,7 +19,7 @@
 use vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Fixity, Hypergraph, Objective, PartId, Partitioning, VertexId,
 };
-use vlsi_trace::{CancelStage, Event, NullSink, Sink};
+use vlsi_trace::{CancelStage, Event, Sink};
 
 use crate::cancel::CancelToken;
 use crate::{PartitionError, PartitionResult};
@@ -27,7 +27,35 @@ use crate::{PartitionError, PartitionResult};
 /// Number of top-gain candidates considered per side for each swap.
 const CANDIDATES_PER_SIDE: usize = 8;
 
-/// Configuration of the KL baseline.
+/// Configuration of the KL baseline; run it through
+/// [`Partitioner::partition_ctx`](crate::Partitioner::partition_ctx) from a
+/// random legal initial bipartition.
+///
+/// # Example
+/// ```
+/// use vlsi_rng::SeedableRng;
+/// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
+/// use vlsi_partition::{KlConfig, Partitioner, RunCtx};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // Two triangles joined by one net.
+/// let mut b = HypergraphBuilder::new();
+/// let v: Vec<_> = (0..6).map(|_| b.add_vertex(1)).collect();
+/// for g in [[0, 1, 2], [3, 4, 5]] {
+///     b.add_net(1, [v[g[0]], v[g[1]]])?;
+///     b.add_net(1, [v[g[1]], v[g[2]]])?;
+///     b.add_net(1, [v[g[2]], v[g[0]]])?;
+/// }
+/// b.add_net(1, [v[0], v[3]])?;
+/// let hg = b.build()?;
+/// let fixed = FixedVertices::all_free(6);
+/// let balance = BalanceConstraint::bisection(6, Tolerance::Relative(0.0));
+/// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(1);
+/// let r = KlConfig::default().partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
+/// assert_eq!(r.cut, 1);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KlConfig {
     /// Maximum number of passes.
@@ -45,80 +73,22 @@ impl Default for KlConfig {
     }
 }
 
-/// Runs KL from the given initial bipartition.
+/// Runs KL from the given initial bipartition, bracketing each pass with
+/// [`Event::PassStart`]/[`Event::PassEnd`] (`moves` counts swaps; KL has
+/// no gain buckets, so `bucket_ops` is 0) and polling `cancel` at pass
+/// boundaries and before every swap. A cancelled run keeps the best prefix
+/// of the interrupted pass, records one [`Event::Cancelled`] (stage
+/// `kl_pass`), and returns the best solution found so far.
+///
+/// The public entry point is [`KlConfig`]'s
+/// [`partition_ctx`](crate::Partitioner::partition_ctx), which draws the
+/// initial bipartition at random.
 ///
 /// # Errors
 /// * [`PartitionError::UnsupportedPartCount`] unless `balance` is 2-way.
 /// * [`PartitionError::Input`] if `initial` is inconsistent with `hg` or a
 ///   fixity.
-///
-/// # Example
-/// ```
-/// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, PartId, Tolerance};
-/// use vlsi_partition::kl::{kernighan_lin, KlConfig};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Two triangles joined by one net; start from the worst interleaving.
-/// let mut b = HypergraphBuilder::new();
-/// let v: Vec<_> = (0..6).map(|_| b.add_vertex(1)).collect();
-/// for g in [[0, 1, 2], [3, 4, 5]] {
-///     b.add_net(1, [v[g[0]], v[g[1]]])?;
-///     b.add_net(1, [v[g[1]], v[g[2]]])?;
-///     b.add_net(1, [v[g[2]], v[g[0]]])?;
-/// }
-/// b.add_net(1, [v[0], v[3]])?;
-/// let hg = b.build()?;
-/// let fixed = FixedVertices::all_free(6);
-/// let balance = BalanceConstraint::bisection(6, Tolerance::Relative(0.0));
-/// let initial: Vec<PartId> = (0..6).map(|i| PartId(i % 2)).collect();
-/// let r = kernighan_lin(&hg, &fixed, &balance, initial, KlConfig::default())?;
-/// assert_eq!(r.cut, 1);
-/// # Ok(())
-/// # }
-/// ```
-pub fn kernighan_lin(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    initial: Vec<PartId>,
-    config: KlConfig,
-) -> Result<PartitionResult, PartitionError> {
-    kernighan_lin_with_sink(hg, fixed, balance, initial, config, &NullSink)
-}
-
-/// Like [`kernighan_lin`], bracketing each pass with
-/// [`Event::PassStart`]/[`Event::PassEnd`] (`moves` counts swaps; KL has
-/// no gain buckets, so `bucket_ops` is 0).
-///
-/// # Errors
-/// Same as [`kernighan_lin`].
-pub fn kernighan_lin_with_sink<S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    initial: Vec<PartId>,
-    config: KlConfig,
-    sink: &S,
-) -> Result<PartitionResult, PartitionError> {
-    kernighan_lin_cancellable(
-        hg,
-        fixed,
-        balance,
-        initial,
-        config,
-        sink,
-        &CancelToken::never(),
-    )
-}
-
-/// Like [`kernighan_lin_with_sink`], additionally polling `cancel` at pass
-/// boundaries and before every swap. A cancelled run keeps the best prefix
-/// of the interrupted pass, records one [`Event::Cancelled`] (stage
-/// `kl_pass`), and returns the best solution found so far.
-///
-/// # Errors
-/// Same as [`kernighan_lin`].
-pub fn kernighan_lin_cancellable<S: Sink>(
+pub(crate) fn kernighan_lin<S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
@@ -326,6 +296,18 @@ mod tests {
     use vlsi_hypergraph::{validate_partitioning, HypergraphBuilder, Tolerance};
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
+    use vlsi_trace::NullSink;
+
+    fn kl(
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        balance: &BalanceConstraint,
+        initial: Vec<PartId>,
+        config: KlConfig,
+    ) -> Result<PartitionResult, PartitionError> {
+        let never = CancelToken::never();
+        kernighan_lin(hg, fixed, balance, initial, config, &NullSink, &never)
+    }
 
     fn two_cliques(s: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -347,7 +329,7 @@ mod tests {
         let fixed = FixedVertices::all_free(12);
         let balance = BalanceConstraint::bisection(12, Tolerance::Relative(0.0));
         let initial: Vec<PartId> = (0..12).map(|i| PartId(i % 2)).collect();
-        let r = kernighan_lin(&hg, &fixed, &balance, initial, KlConfig::default()).unwrap();
+        let r = kl(&hg, &fixed, &balance, initial, KlConfig::default()).unwrap();
         assert_eq!(r.cut, 1);
     }
 
@@ -366,7 +348,7 @@ mod tests {
         let fixed = FixedVertices::all_free(30);
         let balance = BalanceConstraint::bisection(30, Tolerance::Relative(0.0));
         let initial: Vec<PartId> = (0..30).map(|i| PartId(i % 2)).collect();
-        let r = kernighan_lin(&hg, &fixed, &balance, initial, KlConfig::default()).unwrap();
+        let r = kl(&hg, &fixed, &balance, initial, KlConfig::default()).unwrap();
         let p = Partitioning::from_parts(&hg, 2, r.parts).unwrap();
         let report = validate_partitioning(&hg, &p, &balance, &fixed);
         assert!(report.is_valid(), "{report}");
@@ -385,7 +367,7 @@ mod tests {
         initial[4] = PartId(0);
         initial[1] = PartId(0);
         initial[5] = PartId(1);
-        let r = kernighan_lin(&hg, &fixed, &balance, initial, KlConfig::default()).unwrap();
+        let r = kl(&hg, &fixed, &balance, initial, KlConfig::default()).unwrap();
         assert_eq!(r.parts[0], PartId(1));
         assert_eq!(r.parts[4], PartId(0));
     }
@@ -399,7 +381,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let initial = crate::random_initial(&hg, &fixed, &balance, 2, &mut rng).unwrap();
             let before = vlsi_hypergraph::CutState::new(&hg, 2, &initial).cut();
-            let r = kernighan_lin(&hg, &fixed, &balance, initial, KlConfig::default()).unwrap();
+            let r = kl(&hg, &fixed, &balance, initial, KlConfig::default()).unwrap();
             assert!(r.cut <= before);
         }
     }
@@ -409,7 +391,7 @@ mod tests {
         let hg = two_cliques(3);
         let fixed = FixedVertices::all_free(6);
         let balance = BalanceConstraint::even(3, &[6], Tolerance::Relative(0.5));
-        let err = kernighan_lin(
+        let err = kl(
             &hg,
             &fixed,
             &balance,
@@ -430,7 +412,7 @@ mod tests {
             max_swaps_per_pass: Some(1),
             max_passes: 1,
         };
-        let r = kernighan_lin(&hg, &fixed, &balance, initial.clone(), cfg).unwrap();
+        let r = kl(&hg, &fixed, &balance, initial.clone(), cfg).unwrap();
         // At most one swap happened: at most 2 assignment entries differ.
         let diff = r.parts.iter().zip(&initial).filter(|(a, b)| a != b).count();
         assert!(diff <= 2);

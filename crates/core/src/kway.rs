@@ -15,6 +15,7 @@ use vlsi_trace::{CancelStage, Event, NullSink, Sink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::MultilevelConfig;
+use crate::engine::RunCtx;
 use crate::gain::{KwayGains, MoveLog};
 use crate::multilevel::MultilevelPartitioner;
 use crate::{PartitionError, PartitionResult};
@@ -23,87 +24,28 @@ use crate::parallel::GAIN_INIT_GRAIN;
 
 /// Partitions `hg` into `k` blocks by recursive bisection with the
 /// multilevel engine, honouring fixed vertices whose target partitions are
-/// interpreted as final k-way block indices.
+/// interpreted as final k-way block indices. This is the bisection stack
+/// of [`RecursiveBisection`](crate::RecursiveBisection) and the coarsest
+/// solve of [`DirectKway`](crate::DirectKway); the returned value is the
+/// plain cut.
 ///
 /// Block index ranges are split evenly (`⌈k/2⌉` to the left); at each level
 /// the relevant vertices are extracted as an induced subgraph, fixities are
 /// projected onto the two sides, and the bisection balance targets are
 /// scaled by the number of blocks on each side.
 ///
+/// `cancel` reaches every inner multilevel run. The recursion itself
+/// always completes (every vertex must receive a block), but once the
+/// token fires each sub-bisection degenerates to a cheap legal split, so
+/// cancellation latency stays bounded while the result remains a legal
+/// k-way partition.
+///
 /// # Errors
 /// * [`PartitionError::UnsupportedPartCount`] if `k` is 0 or exceeds 64.
 /// * [`PartitionError::InfeasibleInstance`] if a fixity names a partition
 ///   `≥ k` or a sub-bisection cannot be balanced.
-///
-/// # Example
-/// ```
-/// use vlsi_rng::SeedableRng;
-/// use vlsi_hypergraph::{FixedVertices, HypergraphBuilder};
-/// use vlsi_partition::kway::recursive_bisection;
-/// use vlsi_partition::MultilevelConfig;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = HypergraphBuilder::new();
-/// let v: Vec<_> = (0..16).map(|_| b.add_vertex(1)).collect();
-/// for w in v.windows(2) {
-///     b.add_net(1, [w[0], w[1]])?;
-/// }
-/// let hg = b.build()?;
-/// let fixed = FixedVertices::all_free(16);
-/// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(1);
-/// let r = recursive_bisection(&hg, &fixed, 4, 0.1, &MultilevelConfig::default(), &mut rng)?;
-/// assert_eq!(r.parts.len(), 16);
-/// assert!(r.parts.iter().all(|p| p.0 < 4));
-/// # Ok(())
-/// # }
-/// ```
-pub fn recursive_bisection<R: Rng + ?Sized>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    k: usize,
-    tolerance: f64,
-    ml_config: &MultilevelConfig,
-    rng: &mut R,
-) -> Result<PartitionResult, PartitionError> {
-    recursive_bisection_with_sink(hg, fixed, k, tolerance, ml_config, rng, &NullSink)
-}
-
-/// Like [`recursive_bisection`], streaming the inner multilevel engines'
-/// trace events into `sink`.
-///
-/// # Errors
-/// Same as [`recursive_bisection`].
-pub fn recursive_bisection_with_sink<R: Rng + ?Sized, S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    k: usize,
-    tolerance: f64,
-    ml_config: &MultilevelConfig,
-    rng: &mut R,
-    sink: &S,
-) -> Result<PartitionResult, PartitionError> {
-    recursive_bisection_cancellable(
-        hg,
-        fixed,
-        k,
-        tolerance,
-        ml_config,
-        rng,
-        sink,
-        &CancelToken::never(),
-    )
-}
-
-/// Like [`recursive_bisection_with_sink`], additionally threading `cancel`
-/// into every inner multilevel run. The recursion itself always completes
-/// (every vertex must receive a block), but once the token fires each
-/// sub-bisection degenerates to a cheap legal split, so cancellation
-/// latency stays bounded while the result remains a legal k-way partition.
-///
-/// # Errors
-/// Same as [`recursive_bisection`].
 #[allow(clippy::too_many_arguments)]
-pub fn recursive_bisection_cancellable<R: Rng + ?Sized, S: Sink>(
+pub(crate) fn recursive_bisection<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     k: usize,
@@ -260,7 +202,8 @@ fn rb_recurse<R: Rng + ?Sized, S: Sink>(
     let balance = BalanceConstraint::explicit(2, nr, min, max)?;
 
     let ml = MultilevelPartitioner::new(*ml_config);
-    let result = ml.run_cancellable(&sub.hg, &sub_fixed, &balance, rng, sink, cancel)?;
+    let ctx = RunCtx::new(&mut *rng).with_sink(sink).with_cancel(cancel);
+    let result = ml.run(&sub.hg, &sub_fixed, &balance, ctx)?;
 
     let mut left = Vec::new();
     let mut right = Vec::new();
@@ -331,81 +274,6 @@ pub fn move_gain(
         }
     }
     gain
-}
-
-/// One greedy k-way refinement pass over all movable vertices: repeatedly
-/// applies the best feasible single-vertex move, each vertex at most once,
-/// then restores the best balanced prefix. Returns the refined assignment
-/// and its objective value.
-///
-/// Selection runs on the shared [`KwayGains`] container (one gain-bucket
-/// array per target part): every allowed `(vertex, target)` move is a
-/// keyed entry, the pass repeatedly takes the globally best feasible one,
-/// and after each move only the moved vertex's unlocked neighbours are
-/// re-keyed — the same delta-maintenance discipline as the 2-way FM
-/// engine.
-///
-/// # Errors
-/// Returns [`PartitionError::Input`] if `initial` is inconsistent with `hg`
-/// or violates a fixity.
-pub fn refine_pass(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    initial: Vec<PartId>,
-    objective: Objective,
-) -> Result<PartitionResult, PartitionError> {
-    refine_pass_with_sink(hg, fixed, balance, initial, objective, 0, &NullSink)
-}
-
-/// Like [`refine_pass`], emitting [`Event::KwayPassStart`],
-/// [`Event::KwayMove`], and [`Event::KwayPassEnd`] into `sink`. `pass` is
-/// the 0-based pass index stamped on the events (callers looping passes
-/// supply it; single passes use 0).
-///
-/// # Errors
-/// Same as [`refine_pass`].
-pub fn refine_pass_with_sink<S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    initial: Vec<PartId>,
-    objective: Objective,
-    pass: u32,
-    sink: &S,
-) -> Result<PartitionResult, PartitionError> {
-    refine_pass_cancellable(
-        hg,
-        fixed,
-        balance,
-        initial,
-        objective,
-        pass,
-        sink,
-        &CancelToken::never(),
-    )
-}
-
-/// Like [`refine_pass_with_sink`], additionally polling `cancel` every
-/// [`CHECK_INTERVAL`] moves; the best-prefix rollback makes stopping
-/// mid-pass safe.
-///
-/// # Errors
-/// Same as [`refine_pass`].
-#[allow(clippy::too_many_arguments)]
-pub fn refine_pass_cancellable<S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    initial: Vec<PartId>,
-    objective: Objective,
-    pass: u32,
-    sink: &S,
-    cancel: &CancelToken,
-) -> Result<PartitionResult, PartitionError> {
-    refine_pass_threaded(
-        hg, fixed, balance, initial, objective, pass, sink, cancel, 1,
-    )
 }
 
 /// The shared gain-container setup of the sequential k-way pass and the
@@ -520,11 +388,24 @@ pub(crate) fn build_kway_gains(
     }
 }
 
-/// [`refine_pass_cancellable`] with a worker-thread budget. The budget
-/// selects between two deterministic regimes:
+/// One greedy k-way refinement pass over all movable vertices: repeatedly
+/// applies the best feasible single-vertex move, each vertex at most once,
+/// then restores the best balanced prefix. Returns the refined assignment
+/// and its objective value, emitting [`Event::KwayPassStart`],
+/// [`Event::KwayMove`] and [`Event::KwayPassEnd`] (stamped with `pass`)
+/// into `sink` and polling `cancel` every [`CHECK_INTERVAL`] moves; the
+/// best-prefix rollback makes stopping mid-pass safe.
 ///
-/// * `threads <= 1` — the sequential LIFO pass below, bit-for-bit what
-///   single-threaded callers have always computed. The budget is also
+/// Selection runs on the shared [`KwayGains`] container (one gain-bucket
+/// array per target part): every allowed `(vertex, target)` move is a
+/// keyed entry, the pass repeatedly takes the globally best feasible one,
+/// and after each move only the moved vertex's unlocked neighbours are
+/// re-keyed — the same delta-maintenance discipline as the 2-way FM
+/// engine.
+///
+/// The worker-thread budget selects between two deterministic regimes:
+///
+/// * `threads <= 1` — the sequential LIFO pass below. The budget is also
 ///   forwarded to the (thread-count invariant) gain setup.
 /// * `threads >= 2` — the synchronous-round engine
 ///   ([`parallel::refine::refine_pass_rounds`](crate::parallel::refine::refine_pass_rounds)),
@@ -671,9 +552,9 @@ pub(crate) fn refine_pass_threaded<S: Sink>(
 /// pin its core contract: **the returned assignment is byte-identical for
 /// every `threads` value, including 1** — the worker count only chunks a
 /// pure proposal scan, never the merge or the apply order. This is
-/// stronger than the two-regime dispatch of [`refine_pass`]'s internal
-/// threaded variant (which switches to the sequential pass at budget ≤ 1)
-/// and is what `tests/determinism.rs` exercises at 1/2/4/8 threads.
+/// stronger than the two-regime dispatch of the k-way engines (which
+/// switch to the sequential pass at budget ≤ 1) and is what
+/// `tests/determinism.rs` exercises at 1/2/4/8 threads.
 ///
 /// Every applied move strictly improves the objective and is re-validated
 /// against fixity and balance at apply time, so the result never worsens
@@ -709,14 +590,16 @@ pub fn refine_pass_parallel(
 /// gains. Retained as the suite's **test oracle** — an independent
 /// implementation that recomputes every candidate's gain from scratch
 /// (`best_move_of`) instead of delta-maintaining a [`KwayGains`]
-/// container, so agreement with [`refine_pass`] and legality of its output
-/// cross-check the container's bookkeeping. `tests/refinement_equivalence.rs`
-/// runs it across the property-test corpus, and the `gain_container`
-/// benchmark keeps it honest as the performance baseline.
+/// container, so agreement with the sequential pass (one pass of
+/// [`KwayRefiner`](crate::KwayRefiner) at a budget of one thread) and
+/// legality of its output cross-check the container's bookkeeping.
+/// `tests/refinement_equivalence.rs` runs it across the property-test
+/// corpus, and the `kway_gains` benchmark keeps it honest as the
+/// performance baseline.
 ///
 /// It is deliberately **not** in any production dispatch path: engines
-/// reach refinement only through [`refine_pass`]'s threaded internals, and
-/// new code should call [`refine_pass`] / [`refine_pass_parallel`].
+/// reach refinement only through [`KwayRefiner`](crate::KwayRefiner) and
+/// [`refine_pass_parallel`].
 ///
 /// # Errors
 /// Returns [`PartitionError::Input`] if `initial` is inconsistent with `hg`
@@ -823,217 +706,44 @@ pub fn refine_pass_reference(
     Ok(PartitionResult::new(p.into_parts(), cut))
 }
 
-/// Direct k-way multilevel partitioning: coarsen with the fixity-aware
-/// heavy-edge matcher, solve the coarsest instance by recursive bisection,
-/// then project and refine with [`refine`] at every level.
-///
-/// Compared to plain [`recursive_bisection`], the k-way refinement at the
+/// Direct k-way multilevel partitioning, the body of
+/// [`DirectKway`](crate::DirectKway): coarsen with the fixity-aware
+/// heavy-edge matcher (vector weights accumulate exactly, so `balance` is
+/// valid verbatim at every level), solve the coarsest instance by
+/// recursive bisection, then refine k-way with `objective` at every level.
+/// Compared to plain recursive bisection, the k-way refinement at the
 /// finer levels can move vertices between *any* pair of blocks, repairing
 /// decisions the bisection hierarchy locked in.
 ///
-/// # Errors
-/// Propagates the component engines' failures.
-///
-/// # Example
-/// ```
-/// use vlsi_rng::SeedableRng;
-/// use vlsi_hypergraph::{FixedVertices, HypergraphBuilder};
-/// use vlsi_partition::kway::multilevel_kway;
-/// use vlsi_partition::MultilevelConfig;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = HypergraphBuilder::new();
-/// let v: Vec<_> = (0..32).map(|_| b.add_vertex(1)).collect();
-/// for w in v.windows(2) {
-///     b.add_net(1, [w[0], w[1]])?;
-/// }
-/// let hg = b.build()?;
-/// let fixed = FixedVertices::all_free(32);
-/// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(2);
-/// let cfg = MultilevelConfig { coarsest_size: 8, ..MultilevelConfig::default() };
-/// let r = multilevel_kway(&hg, &fixed, 4, 0.1, &cfg, &mut rng)?;
-/// assert_eq!(r.cut, 3); // a chain 4-sects with three cut nets
-/// # Ok(())
-/// # }
-/// ```
-pub fn multilevel_kway<R: Rng + ?Sized>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    k: usize,
-    tolerance: f64,
-    ml_config: &MultilevelConfig,
-    rng: &mut R,
-) -> Result<PartitionResult, PartitionError> {
-    multilevel_kway_with_sink(hg, fixed, k, tolerance, ml_config, rng, &NullSink)
-}
-
-/// Like [`multilevel_kway`], bracketing each coarsening level with
-/// [`Event::LevelStart`]/[`Event::LevelEnd`] and streaming the refinement
-/// passes' k-way events into `sink`.
-///
-/// # Errors
-/// Same as [`multilevel_kway`].
-pub fn multilevel_kway_with_sink<R: Rng + ?Sized, S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    k: usize,
-    tolerance: f64,
-    ml_config: &MultilevelConfig,
-    rng: &mut R,
-    sink: &S,
-) -> Result<PartitionResult, PartitionError> {
-    multilevel_kway_cancellable(
-        hg,
-        fixed,
-        k,
-        tolerance,
-        ml_config,
-        rng,
-        sink,
-        &CancelToken::never(),
-    )
-}
-
-/// Like [`multilevel_kway_with_sink`], additionally polling `cancel`. As in
-/// the 2-way multilevel engine, coarsening stops early, the coarsest solve
-/// degenerates to a cheap legal split, and the projection back to the
-/// original hypergraph always completes; one [`Event::Cancelled`] (stage
-/// `level`) records the early termination.
-///
-/// # Errors
-/// Same as [`multilevel_kway`].
-#[allow(clippy::too_many_arguments)]
-pub fn multilevel_kway_cancellable<R: Rng + ?Sized, S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    k: usize,
-    tolerance: f64,
-    ml_config: &MultilevelConfig,
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
-) -> Result<PartitionResult, PartitionError> {
-    if k == 0 || k > PartSet::MAX_PARTS {
-        return Err(PartitionError::UnsupportedPartCount {
-            requested: k,
-            supported: PartSet::MAX_PARTS,
-        });
-    }
-    let balance = BalanceConstraint::even(
-        k,
-        hg.total_weights(),
-        vlsi_hypergraph::Tolerance::Relative(tolerance),
-    );
-    multilevel_kway_inner(
-        hg,
-        fixed,
-        &balance,
-        Objective::Cut,
-        tolerance,
-        false,
-        ml_config,
-        rng,
-        sink,
-        cancel,
-    )
-}
-
-/// Direct multilevel k-way partitioning against an arbitrary
-/// [`BalanceConstraint`] (per-part, per-resource capacity vectors) and
-/// objective — the heterogeneous entry point behind
-/// [`DirectKway`](crate::DirectKway) when the caller's balance is not the
-/// uniform even split or the objective is not plain cut.
-///
-/// The multilevel schedule is the same as [`multilevel_kway`]: heavy-edge
-/// coarsening (vector weights accumulate exactly, so the caller's
-/// constraint is valid verbatim at every level), recursive bisection on
-/// the coarsest graph, then threaded FM refinement per level — every
-/// refinement pass scores `objective` and enforces the full vector
-/// constraint. Because the coarsest solve targets an even split, its
-/// result is deterministically re-legalized against `balance` (the
-/// warm-start repair) before refinement; the multi-dimensional
-/// heavy-vertex guard caps every cluster's weight *vector* during
-/// coarsening so that repair stays possible ("Vertex Weights Revisited"
-/// pathology).
-///
+/// The uniform even split under `tolerance` with the cut objective is
+/// refined as solved. Any other constraint (per-part capacity vectors,
+/// multi-resource bounds) or objective re-legalizes the coarsest solve
+/// against `balance` (the warm-start repair) before refinement; a repair
+/// stuck at cluster granularity is retried after each uncoarsening and is
+/// strict only at the finest level. The multi-dimensional heavy-vertex
+/// guard caps every cluster's weight *vector* during coarsening so that
+/// repair stays possible ("Vertex Weights Revisited" pathology).
 /// `tolerance` only shapes the coarsest even-split solve; legality is
-/// judged exclusively by `balance`.
+/// judged by `balance`.
+///
+/// As in the 2-way multilevel engine, a fired `cancel` stops coarsening
+/// early, the coarsest solve degenerates to a cheap legal split, the
+/// projection back to the original hypergraph always completes, and one
+/// [`Event::Cancelled`] (stage `level`) records the early termination.
 ///
 /// # Errors
 /// * [`PartitionError::UnsupportedPartCount`] if `balance.num_parts()` is
 ///   0 or exceeds 64.
-/// * [`PartitionError::InfeasibleInstance`] when no legal assignment is
-///   reachable (capacities too tight for the instance or its fixed
-///   vertices).
-///
-/// # Example
-/// ```
-/// use vlsi_rng::SeedableRng;
-/// use vlsi_hypergraph::{FixedVertices, HypergraphBuilder, Objective, PartCapacities};
-/// use vlsi_partition::kway::multilevel_kway_constrained;
-/// use vlsi_partition::{CancelToken, MultilevelConfig};
-/// use vlsi_trace::NullSink;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = HypergraphBuilder::with_resources(2);
-/// let v: Vec<_> = (0..16).map(|i| b.add_vertex_multi(&[1, (i % 2) as u64]).unwrap()).collect();
-/// for w in v.windows(2) {
-///     b.add_net(1, [w[0], w[1]])?;
-/// }
-/// let hg = b.build()?;
-/// let fixed = FixedVertices::all_free(16);
-/// let caps = PartCapacities::uniform(4, &[6, 3]);
-/// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(7);
-/// let cfg = MultilevelConfig { coarsest_size: 8, ..MultilevelConfig::default() };
-/// let r = multilevel_kway_constrained(
-///     &hg, &fixed, &caps.to_balance(), Objective::KMinus1, 0.1, &cfg,
-///     &mut rng, &NullSink, &CancelToken::never(),
-/// )?;
-/// assert_eq!(r.parts.len(), 16);
-/// # Ok(())
-/// # }
-/// ```
+/// * [`PartitionError::InfeasibleInstance`] / [`PartitionError::Balance`]
+///   when no legal assignment is reachable (capacities too tight for the
+///   instance or its fixed vertices).
 #[allow(clippy::too_many_arguments)]
-pub fn multilevel_kway_constrained<R: Rng + ?Sized, S: Sink>(
+pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
     objective: Objective,
     tolerance: f64,
-    ml_config: &MultilevelConfig,
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
-) -> Result<PartitionResult, PartitionError> {
-    let k = balance.num_parts();
-    if k == 0 || k > PartSet::MAX_PARTS {
-        return Err(PartitionError::UnsupportedPartCount {
-            requested: k,
-            supported: PartSet::MAX_PARTS,
-        });
-    }
-    balance
-        .check_feasible(hg.total_weights())
-        .map_err(PartitionError::Balance)?;
-    multilevel_kway_inner(
-        hg, fixed, balance, objective, tolerance, true, ml_config, rng, sink, cancel,
-    )
-}
-
-/// Shared multilevel k-way driver. The uniform path
-/// ([`multilevel_kway_cancellable`]) passes the even-split constraint with
-/// `legalize = false` — coarsening preserves per-resource totals exactly,
-/// so the even split recomputed at any level equals the top-level one and
-/// this routing is bit-for-bit the historical behavior. The constrained
-/// path passes the caller's vector balance with `legalize = true`.
-#[allow(clippy::too_many_arguments)]
-fn multilevel_kway_inner<R: Rng + ?Sized, S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    objective: Objective,
-    tolerance: f64,
-    legalize: bool,
     ml_config: &MultilevelConfig,
     rng: &mut R,
     sink: &S,
@@ -1042,6 +752,23 @@ fn multilevel_kway_inner<R: Rng + ?Sized, S: Sink>(
     use crate::multilevel::{coarsen_once, CoarsenParams, Level};
 
     let k = balance.num_parts();
+    if k == 0 || k > PartSet::MAX_PARTS {
+        return Err(PartitionError::UnsupportedPartCount {
+            requested: k,
+            supported: PartSet::MAX_PARTS,
+        });
+    }
+    let uniform = BalanceConstraint::even(
+        k,
+        hg.total_weights(),
+        vlsi_hypergraph::Tolerance::Relative(tolerance),
+    );
+    let legalize = *balance != uniform || objective != Objective::Cut;
+    if legalize {
+        balance
+            .check_feasible(hg.total_weights())
+            .map_err(PartitionError::Balance)?;
+    }
     let cluster_cap = |total: u64| -> u64 {
         ((total as f64) * ml_config.max_cluster_fraction / (k as f64 / 2.0))
             .ceil()
@@ -1095,7 +822,7 @@ fn multilevel_kway_inner<R: Rng + ?Sized, S: Sink>(
         Some(l) => (&l.hg, &l.fixed),
         None => (hg, fixed),
     };
-    let initial = recursive_bisection_cancellable(
+    let initial = recursive_bisection(
         coarsest_hg,
         coarsest_fixed,
         k,
@@ -1213,75 +940,15 @@ fn multilevel_kway_inner<R: Rng + ?Sized, S: Sink>(
     Ok(PartitionResult::new(parts, cut))
 }
 
-/// Runs [`refine_pass`] repeatedly until a pass stops improving (at most
-/// `max_passes`).
-///
-/// # Errors
-/// Propagates [`refine_pass`] errors.
-pub fn refine(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    parts: Vec<PartId>,
-    objective: Objective,
-    max_passes: usize,
-) -> Result<PartitionResult, PartitionError> {
-    refine_with_sink(hg, fixed, balance, parts, objective, max_passes, &NullSink)
-}
-
-/// Like [`refine`], streaming each pass's k-way events into `sink`.
-///
-/// # Errors
-/// Propagates [`refine_pass_with_sink`] errors.
-pub fn refine_with_sink<S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    parts: Vec<PartId>,
-    objective: Objective,
-    max_passes: usize,
-    sink: &S,
-) -> Result<PartitionResult, PartitionError> {
-    refine_cancellable(
-        hg,
-        fixed,
-        balance,
-        parts,
-        objective,
-        max_passes,
-        sink,
-        &CancelToken::never(),
-    )
-}
-
-/// Like [`refine_with_sink`], additionally polling `cancel` at pass
-/// boundaries (and inside each pass every [`CHECK_INTERVAL`] moves). A
-/// cancelled run records one [`Event::Cancelled`] (stage `kway_pass`) and
-/// returns the best assignment reached so far.
-///
-/// # Errors
-/// Propagates [`refine_pass_with_sink`] errors.
-#[allow(clippy::too_many_arguments)]
-pub fn refine_cancellable<S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    parts: Vec<PartId>,
-    objective: Objective,
-    max_passes: usize,
-    sink: &S,
-    cancel: &CancelToken,
-) -> Result<PartitionResult, PartitionError> {
-    refine_threaded(
-        hg, fixed, balance, parts, objective, max_passes, sink, cancel, 1,
-    )
-}
-
-/// [`refine_cancellable`] with a worker-thread budget, looping
-/// [`refine_pass_threaded`] until a pass stops improving. The budget
-/// selects the refinement regime per that function's contract: budget ≤ 1
-/// replays the sequential pass bit-for-bit, budget ≥ 2 runs the
+/// Loops [`refine_pass_threaded`] until a pass stops improving (at most
+/// `max_passes`), the body of [`KwayRefiner`](crate::KwayRefiner). The
+/// budget selects the refinement regime per that function's contract:
+/// budget ≤ 1 runs the sequential pass, budget ≥ 2 runs the
 /// synchronous-round engine and is byte-identical across all budgets ≥ 2.
+/// `cancel` is polled at pass boundaries (and inside each pass every
+/// [`CHECK_INTERVAL`] moves); a cancelled run records one
+/// [`Event::Cancelled`] (stage `kway_pass`) and returns the best
+/// assignment reached so far.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_threaded<S: Sink>(
     hg: &Hypergraph,
@@ -1335,6 +1002,57 @@ mod tests {
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
 
+    fn rb(
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        k: usize,
+        tolerance: f64,
+        cfg: &MultilevelConfig,
+        rng: &mut ChaCha8Rng,
+    ) -> Result<PartitionResult, PartitionError> {
+        let never = CancelToken::never();
+        recursive_bisection(hg, fixed, k, tolerance, cfg, rng, &NullSink, &never)
+    }
+
+    /// Direct k-way under the uniform even split and the cut objective.
+    fn direct(
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        k: usize,
+        tolerance: f64,
+        cfg: &MultilevelConfig,
+        rng: &mut ChaCha8Rng,
+    ) -> Result<PartitionResult, PartitionError> {
+        let balance =
+            BalanceConstraint::even(k, hg.total_weights(), Tolerance::Relative(tolerance));
+        let never = CancelToken::never();
+        multilevel_kway(
+            hg,
+            fixed,
+            &balance,
+            Objective::Cut,
+            tolerance,
+            cfg,
+            rng,
+            &NullSink,
+            &never,
+        )
+    }
+
+    fn refine(
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        balance: &BalanceConstraint,
+        parts: Vec<PartId>,
+        objective: Objective,
+        max_passes: usize,
+    ) -> Result<PartitionResult, PartitionError> {
+        let never = CancelToken::never();
+        refine_threaded(
+            hg, fixed, balance, parts, objective, max_passes, &NullSink, &never, 1,
+        )
+    }
+
     /// `c` cliques of size `s`, chained by single bridge nets.
     fn cliques(c: usize, s: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -1361,7 +1079,7 @@ mod tests {
             coarsest_size: 10,
             ..MultilevelConfig::default()
         };
-        let r = recursive_bisection(&hg, &fixed, 4, 0.1, &cfg, &mut rng).unwrap();
+        let r = rb(&hg, &fixed, 4, 0.1, &cfg, &mut rng).unwrap();
         assert_eq!(r.cut, 3, "only the three bridges should be cut");
         // Each clique lands in exactly one block.
         for g in 0..4 {
@@ -1382,7 +1100,7 @@ mod tests {
             coarsest_size: 8,
             ..MultilevelConfig::default()
         };
-        let r = recursive_bisection(&hg, &fixed, 4, 0.2, &cfg, &mut rng).unwrap();
+        let r = rb(&hg, &fixed, 4, 0.2, &cfg, &mut rng).unwrap();
         assert_eq!(r.parts[0], PartId(3));
     }
 
@@ -1391,8 +1109,7 @@ mod tests {
         let hg = cliques(2, 3);
         let fixed = FixedVertices::all_free(6);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let r = recursive_bisection(&hg, &fixed, 1, 0.1, &MultilevelConfig::default(), &mut rng)
-            .unwrap();
+        let r = rb(&hg, &fixed, 1, 0.1, &MultilevelConfig::default(), &mut rng).unwrap();
         assert!(r.parts.iter().all(|&p| p == PartId(0)));
         assert_eq!(r.cut, 0);
     }
@@ -1403,13 +1120,13 @@ mod tests {
         let fixed = FixedVertices::all_free(3);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(matches!(
-            recursive_bisection(&hg, &fixed, 0, 0.1, &MultilevelConfig::default(), &mut rng),
+            rb(&hg, &fixed, 0, 0.1, &MultilevelConfig::default(), &mut rng),
             Err(PartitionError::UnsupportedPartCount { .. })
         ));
         let mut fixed = FixedVertices::all_free(3);
         fixed.fix(VertexId(0), PartId(7));
         assert!(matches!(
-            recursive_bisection(&hg, &fixed, 2, 0.1, &MultilevelConfig::default(), &mut rng),
+            rb(&hg, &fixed, 2, 0.1, &MultilevelConfig::default(), &mut rng),
             Err(PartitionError::InfeasibleInstance { .. })
         ));
     }
@@ -1457,7 +1174,7 @@ mod tests {
             ..MultilevelConfig::default()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let r = multilevel_kway(&hg, &fixed, 4, 0.05, &cfg, &mut rng).unwrap();
+        let r = direct(&hg, &fixed, 4, 0.05, &cfg, &mut rng).unwrap();
         assert_eq!(r.cut, 3, "only the three bridges should be cut");
         for t in 0..4 {
             assert_eq!(r.parts.iter().filter(|p| p.0 == t).count(), 6);
@@ -1474,7 +1191,7 @@ mod tests {
             ..MultilevelConfig::default()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let r = multilevel_kway(&hg, &fixed, 4, 0.2, &cfg, &mut rng).unwrap();
+        let r = direct(&hg, &fixed, 4, 0.2, &cfg, &mut rng).unwrap();
         assert_eq!(r.parts[0], PartId(2));
     }
 

@@ -10,11 +10,11 @@
 //!   statistics (Table II of the paper) and hard pass cutoffs (Table III).
 //! * A multilevel partitioner ([`multilevel::MultilevelPartitioner`]):
 //!   heavy-edge-matching / first-choice coarsening that respects fixities,
-//!   FM at the coarsest level, refinement during uncoarsening, and optional
-//!   V-cycling (which the paper found to be a net loss — kept for ablation).
+//!   FM at the coarsest level, and refinement during uncoarsening.
 //! * A multistart driver ([`multistart::Multistart`]) reproducing the
 //!   paper's 1/2/4/8-start protocol, with an iterated-multilevel quality
-//!   phase ([`quality`]): V-cycles over the best solution and ensemble
+//!   phase ([`quality`]): V-cycles over the best solution (which the paper
+//!   found to be a net loss — kept for ablation) and ensemble
 //!   recombination over the retained top-N starts.
 //! * A k-way FM extension ([`kway`]) for the paper's future-work question
 //!   of whether multiway partitioning is as affected by fixed terminals.
@@ -32,14 +32,18 @@
 //! committed moves, coarsening levels, multistart records), a
 //! [`CancelToken`], and a thread budget; the defaults built by
 //! [`RunCtx::new`] use [`trace::NullSink`], which compiles the
-//! instrumentation out entirely.
+//! instrumentation out entirely. There is one way to call each engine:
+//! [`Partitioner::partition_ctx`] from scratch, [`Refiner::refine_ctx`]
+//! from an existing assignment, and [`BipartFm::run`] /
+//! [`MultilevelPartitioner::run`] where a caller needs the per-pass
+//! statistics or the level hierarchy.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use vlsi_rng::SeedableRng;
 //! use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
-//! use vlsi_partition::{MultilevelConfig, MultilevelPartitioner};
+//! use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = HypergraphBuilder::new();
@@ -56,9 +60,8 @@
 //!
 //! let ml = MultilevelPartitioner::new(MultilevelConfig::default());
 //! let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(1);
-//! let result = ml.run(&hg, &fixed, &balance, &mut rng)?;
+//! let result = ml.run(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
 //! assert_eq!(result.cut, 1); // a chain bisects with a single cut net
-//! # let _ = balance;
 //! # Ok(())
 //! # }
 //! ```
@@ -93,20 +96,12 @@ pub use engine::{
     RecursiveBisection, Refiner, RunCtx, UnknownEngine, ENGINES,
 };
 pub use error::PartitionError;
-pub use fm::{BipartFm, FmResult, PassStats, PassTrace, RunStats};
+pub use fm::{BipartFm, FmResult, PassStats, RunStats};
 pub use gain::{GainBuckets, KwayGains, KwayGainsSnapshot, MoveLog};
 pub use initial::random_initial;
 pub use kl::KlConfig;
 pub use multilevel::{MultilevelPartitioner, MultilevelResult};
 pub use multistart::{Multistart, MultistartOutcome, StartRecord};
-// The deprecated free-function spellings stay re-exported for source
-// compatibility; re-exporting them would otherwise trip `-D deprecated`.
-#[allow(deprecated)]
-pub use multistart::{
-    multistart, multistart_engine, multistart_engine_cancellable, multistart_engine_with_sink,
-    multistart_parallel, multistart_parallel_engine, multistart_parallel_engine_cancellable,
-    multistart_parallel_engine_instrumented, multistart_with_sink,
-};
 pub use result::PartitionResult;
 pub use warmstart::{refine_from_partition_ctx, WarmStartOutcome};
 

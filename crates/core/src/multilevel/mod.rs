@@ -2,10 +2,10 @@
 //!
 //! Coarsen with heavy-edge matching (respecting fixities), solve the
 //! coarsest instance with multi-start FM, then uncoarsen and refine with
-//! CLIP FM at every level. Optional V-cycling re-coarsens under the current
-//! partition; the paper found it "a net loss in terms of overall
-//! cost-runtime profile", so the default is zero V-cycles, but it is kept
-//! for the ablation benchmarks.
+//! CLIP FM at every level. V-cycling, which the paper found "a net loss in
+//! terms of overall cost-runtime profile", is not part of the engine: it
+//! runs as the quality phase of a [`Multistart`](crate::Multistart) driver
+//! (see [`crate::quality`]).
 
 mod coarsen;
 
@@ -13,13 +13,12 @@ pub(crate) use coarsen::within_resource_caps;
 pub use coarsen::{coarsen_once, contract_clusters, merge_fixity, CoarsenParams, Level};
 
 use vlsi_rng::Rng;
-use vlsi_trace::{CancelStage, Event, NullSink, Sink};
+use vlsi_trace::{CancelStage, Event, Sink};
 
 use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Hypergraph, PartId};
 
-use crate::cancel::CancelToken;
 use crate::config::MultilevelConfig;
-use crate::engine::{FmStack, Refiner, RunCtx};
+use crate::engine::{FmStack, Partitioner, Refiner, RunCtx};
 use crate::fm::BipartFm;
 use crate::{PartitionError, PartitionResult};
 
@@ -48,7 +47,7 @@ impl From<MultilevelResult> for PartitionResult {
 /// ```
 /// use vlsi_rng::SeedableRng;
 /// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
-/// use vlsi_partition::{MultilevelConfig, MultilevelPartitioner};
+/// use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = HypergraphBuilder::new();
@@ -61,8 +60,9 @@ impl From<MultilevelResult> for PartitionResult {
 /// let fixed = FixedVertices::all_free(64);
 /// let ml = MultilevelPartitioner::new(MultilevelConfig::default());
 /// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(0);
-/// let r = ml.run(&hg, &fixed, &balance, &mut rng)?;
+/// let r = ml.run(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
 /// assert_eq!(r.cut, 1);
+/// assert_eq!(r.level_sizes[0], 64); // level 0 is the input
 /// # Ok(())
 /// # }
 /// ```
@@ -82,65 +82,52 @@ impl MultilevelPartitioner {
         &self.config
     }
 
-    /// Partitions `hg` into two blocks under `balance`, honouring `fixed`.
+    /// Partitions `hg` into two blocks under `balance`, honouring `fixed`,
+    /// and reports the level hierarchy alongside the solution
+    /// ([`partition_ctx`](Partitioner::partition_ctx) returns the solution
+    /// only).
+    ///
+    /// Records [`Event::LevelStart`] / [`Event::LevelEnd`] brackets plus
+    /// every underlying FM pass into `ctx.sink`. Level 0 is the original
+    /// hypergraph; higher indices are coarser. A `LevelStart` is emitted as
+    /// each coarse level is built (top-down), and a `LevelEnd` with the
+    /// post-refinement cut as each level is solved (bottom-up, coarsest
+    /// first). The run uses the larger of [`MultilevelConfig::threads`]
+    /// and `ctx.threads` workers; the result is the same for any budget.
+    ///
+    /// A cancelled run truncates coarsening, keeps only the first coarse
+    /// start, lets the inner FM stop at its own checkpoints, and records
+    /// one [`Event::Cancelled`] (stage `level`). The projection from coarse
+    /// to fine always completes, so the result is a legal partition of the
+    /// *original* hypergraph.
     ///
     /// # Errors
     /// * [`PartitionError::UnsupportedPartCount`] unless `balance` is 2-way.
     /// * [`PartitionError::InfeasibleInstance`] / [`PartitionError::Balance`]
     ///   when no legal solution can be constructed.
-    pub fn run<R: Rng + ?Sized>(
+    pub fn run<R: Rng + ?Sized, S: Sink>(
         &self,
         hg: &Hypergraph,
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
-        rng: &mut R,
+        ctx: RunCtx<'_, R, S>,
     ) -> Result<MultilevelResult, PartitionError> {
-        self.run_with_sink(hg, fixed, balance, rng, &NullSink)
-    }
-
-    /// [`run`](Self::run), recording [`Event::LevelStart`] /
-    /// [`Event::LevelEnd`] brackets plus every underlying FM pass into
-    /// `sink`. Level 0 is the original hypergraph; higher indices are
-    /// coarser. A `LevelStart` is emitted as each coarse level is built
-    /// (top-down), and a `LevelEnd` with the post-refinement cut as each
-    /// level is solved (bottom-up, coarsest first). With [`NullSink`] this
-    /// compiles to exactly [`run`](Self::run).
-    pub fn run_with_sink<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-        sink: &S,
-    ) -> Result<MultilevelResult, PartitionError> {
-        self.run_cancellable(hg, fixed, balance, rng, sink, &CancelToken::never())
-    }
-
-    /// [`run_with_sink`](Self::run_with_sink), additionally polling
-    /// `cancel`. A cancelled run truncates coarsening, keeps only the first
-    /// coarse start, lets the inner FM stop at its own checkpoints, skips
-    /// V-cycles, and records one [`Event::Cancelled`] (stage `level`). The
-    /// projection from coarse to fine always completes, so the result is a
-    /// legal partition of the *original* hypergraph.
-    ///
-    /// # Errors
-    /// Same as [`run`](Self::run).
-    pub fn run_cancellable<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> Result<MultilevelResult, PartitionError> {
+        let RunCtx {
+            rng,
+            sink,
+            cancel,
+            threads,
+        } = ctx;
         if balance.num_parts() != 2 {
             return Err(PartitionError::UnsupportedPartCount {
                 requested: balance.num_parts(),
                 supported: 2,
             });
         }
-        let cfg = &self.config;
+        let cfg = &MultilevelConfig {
+            threads: self.config.threads.max(threads),
+            ..self.config
+        };
         let params = CoarsenParams {
             max_cluster_weight: ((hg.total_weight() as f64) * cfg.max_cluster_fraction)
                 .ceil()
@@ -192,13 +179,11 @@ impl MultilevelPartitioner {
             if start > 0 && cancel.is_cancelled() {
                 break;
             }
-            let r = coarse_fm.run_random_cancellable(
+            let r = coarse_fm.partition_ctx(
                 coarsest_hg,
                 coarsest_fixed,
                 balance,
-                rng,
-                sink,
-                cancel,
+                RunCtx::new(&mut *rng).with_sink(sink).with_cancel(cancel),
             )?;
             if best.as_ref().is_none_or(|(c, _)| r.cut < *c) {
                 best = Some((r.cut, r.parts));
@@ -243,28 +228,6 @@ impl MultilevelPartitioner {
             }
         }
 
-        // Optional V-cycles: re-coarsen under the current partition and
-        // refine again.
-        for _ in 0..cfg.vcycles {
-            if cancel.is_cancelled() {
-                break;
-            }
-            let (vparts, vcut) = self.vcycle(
-                hg,
-                fixed,
-                balance,
-                &params,
-                parts.clone(),
-                rng,
-                sink,
-                cancel,
-            )?;
-            if vcut <= cut {
-                parts = vparts;
-                cut = vcut;
-            }
-        }
-
         if S::ENABLED && cancel.is_cancelled() {
             sink.record(&Event::Cancelled {
                 stage: CancelStage::Level,
@@ -281,87 +244,6 @@ impl MultilevelPartitioner {
             level_sizes,
             coarse_cut,
         })
-    }
-
-    /// One V-cycle: coarsen restricted to same-part merges, then refine the
-    /// projected solution back down.
-    #[allow(clippy::too_many_arguments)]
-    fn vcycle<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        params: &CoarsenParams,
-        parts: Vec<PartId>,
-        rng: &mut R,
-        sink: &S,
-        cancel: &CancelToken,
-    ) -> Result<(Vec<PartId>, u64), PartitionError> {
-        let cfg = &self.config;
-        let mut levels: Vec<Level> = Vec::new();
-        let mut cur_parts = parts.clone();
-        loop {
-            let (cur_hg, cur_fixed) = match levels.last() {
-                Some(l) => (&l.hg, &l.fixed),
-                None => (hg, fixed),
-            };
-            if cur_hg.num_vertices() <= cfg.coarsest_size || cancel.is_cancelled() {
-                break;
-            }
-            match coarsen_once(
-                cur_hg,
-                cur_fixed,
-                params,
-                cfg.min_shrink,
-                Some(&cur_parts),
-                rng,
-            ) {
-                Some(level) => {
-                    // Partition of a cluster = partition of any member (all
-                    // members share it by construction).
-                    let mut coarse_parts = vec![PartId(0); level.hg.num_vertices()];
-                    for v in 0..level.map.len() {
-                        coarse_parts[level.map[v].index()] = cur_parts[v];
-                    }
-                    cur_parts = coarse_parts;
-                    levels.push(level);
-                }
-                None => break,
-            }
-        }
-        let refiner = FmStack::from_multilevel(cfg);
-        // Refine at the coarsest level from the projected partition.
-        let (coarsest_hg, coarsest_fixed) = match levels.last() {
-            Some(l) => (&l.hg, &l.fixed),
-            None => (hg, fixed),
-        };
-        let r = refiner.refine_ctx(
-            coarsest_hg,
-            coarsest_fixed,
-            balance,
-            cur_parts,
-            RunCtx::new(&mut *rng).with_sink(sink).with_cancel(cancel),
-        )?;
-        let mut parts = r.parts;
-        let mut cut = r.cut;
-        for i in (0..levels.len()).rev() {
-            let fine_parts = levels[i].project(&parts);
-            let (fine_hg, fine_fixed) = if i == 0 {
-                (hg, fixed)
-            } else {
-                (&levels[i - 1].hg, &levels[i - 1].fixed)
-            };
-            let r = refiner.refine_ctx(
-                fine_hg,
-                fine_fixed,
-                balance,
-                fine_parts,
-                RunCtx::new(&mut *rng).with_sink(sink).with_cancel(cancel),
-            )?;
-            parts = r.parts;
-            cut = r.cut;
-        }
-        Ok((parts, cut))
     }
 }
 
@@ -407,7 +289,9 @@ mod tests {
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.02));
         let ml = MultilevelPartitioner::new(small_config());
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let r = ml.run(&hg, &fixed, &balance, &mut rng).unwrap();
+        let r = ml
+            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .unwrap();
         assert!(r.cut <= 16, "cut {} too far from optimal 12", r.cut);
         assert!(r.level_sizes.len() >= 2, "expected actual coarsening");
         let p = Partitioning::from_parts(&hg, 2, r.parts).unwrap();
@@ -426,7 +310,9 @@ mod tests {
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.05));
         let ml = MultilevelPartitioner::new(small_config());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let r = ml.run(&hg, &fixed, &balance, &mut rng).unwrap();
+        let r = ml
+            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .unwrap();
         for row in 0..10 {
             assert_eq!(r.parts[row * 10], PartId(0));
             assert_eq!(r.parts[row * 10 + 9], PartId(1));
@@ -443,7 +329,9 @@ mod tests {
         let ml = MultilevelPartitioner::new(small_config());
         for seed in 0..5 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let r = ml.run(&hg, &fixed, &balance, &mut rng).unwrap();
+            let r = ml
+                .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+                .unwrap();
             assert!(r.cut <= r.coarse_cut, "seed {seed}");
         }
     }
@@ -458,26 +346,11 @@ mod tests {
             ..MultilevelConfig::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let r = ml.run(&hg, &fixed, &balance, &mut rng).unwrap();
+        let r = ml
+            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .unwrap();
         assert_eq!(r.level_sizes, vec![9]);
         assert!(r.cut <= 5);
-    }
-
-    #[test]
-    fn vcycling_does_not_hurt() {
-        let hg = grid(10);
-        let fixed = FixedVertices::all_free(hg.num_vertices());
-        let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.02));
-        let base = MultilevelPartitioner::new(small_config());
-        let vc = MultilevelPartitioner::new(MultilevelConfig {
-            vcycles: 2,
-            ..small_config()
-        });
-        let mut rng_a = ChaCha8Rng::seed_from_u64(9);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(9);
-        let a = base.run(&hg, &fixed, &balance, &mut rng_a).unwrap();
-        let b = vc.run(&hg, &fixed, &balance, &mut rng_b).unwrap();
-        assert!(b.cut <= a.cut);
     }
 
     #[test]
@@ -490,7 +363,12 @@ mod tests {
         let sink = VecSink::new();
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         let r = ml
-            .run_with_sink(&hg, &fixed, &balance, &mut rng, &sink)
+            .run(
+                &hg,
+                &fixed,
+                &balance,
+                RunCtx::new(&mut rng).with_sink(&sink),
+            )
             .unwrap();
         let events = sink.take();
         let starts: Vec<u32> = events
@@ -524,16 +402,20 @@ mod tests {
         let hg = grid(10);
         let fixed = FixedVertices::all_free(hg.num_vertices());
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.02));
-        let ml = MultilevelPartitioner::new(MultilevelConfig {
-            vcycles: 1,
-            ..small_config()
-        });
+        let ml = MultilevelPartitioner::new(small_config());
         let mut rng_a = ChaCha8Rng::seed_from_u64(7);
         let mut rng_b = ChaCha8Rng::seed_from_u64(7);
-        let plain = ml.run(&hg, &fixed, &balance, &mut rng_a).unwrap();
+        let plain = ml
+            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng_a))
+            .unwrap();
         let sink = VecSink::new();
         let traced = ml
-            .run_with_sink(&hg, &fixed, &balance, &mut rng_b, &sink)
+            .run(
+                &hg,
+                &fixed,
+                &balance,
+                RunCtx::new(&mut rng_b).with_sink(&sink),
+            )
             .unwrap();
         assert_eq!(plain, traced);
     }
@@ -545,7 +427,9 @@ mod tests {
         let balance = BalanceConstraint::even(4, &[16], Tolerance::Relative(0.1));
         let ml = MultilevelPartitioner::new(small_config());
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let err = ml.run(&hg, &fixed, &balance, &mut rng).unwrap_err();
+        let err = ml
+            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .unwrap_err();
         assert!(matches!(err, PartitionError::UnsupportedPartCount { .. }));
     }
 }

@@ -11,27 +11,23 @@
 //!
 //! # Entry points
 //!
-//! Two families, differing in where randomness comes from:
+//! Two runs over any [`Partitioner`], differing in where randomness comes
+//! from:
 //!
-//! * **Sequential** ([`Multistart::run`] for an engine,
-//!   [`Multistart::run_with`] for a closure): starts share the caller's
-//!   RNG through a [`RunCtx`], advancing it across starts — one stream,
-//!   exactly as a hand-written loop would. The context's sink receives an
-//!   [`Event::StartFinished`] per start (plus the engine's own events when
-//!   the engine is handed the same sink), its cancel token skips starts
-//!   after the first once fired, and its thread budget is forwarded to
-//!   the engine and the quality phase.
-//! * **Parallel** ([`Multistart::run_parallel`] for an engine,
-//!   [`Multistart::run_parallel_with`] for a closure): start `i` always
-//!   runs on `ChaCha8Rng::seed_from_u64(base_seed + i)`, so the outcome is
+//! * **Sequential** ([`Multistart::run`]): starts share the caller's RNG
+//!   through a [`RunCtx`], advancing it across starts — one stream,
+//!   exactly as a hand-written loop would. The context's sink receives the
+//!   engine's events and an [`Event::StartFinished`] per start, its cancel
+//!   token skips starts after the first once fired, and its thread budget
+//!   is forwarded to the engine and the quality phase.
+//! * **Parallel** ([`Multistart::run_parallel`]): start `i` always runs on
+//!   `ChaCha8Rng::seed_from_u64(base_seed + i)`, so the outcome is
 //!   identical for every worker-thread count — including one — and to a
 //!   sequential loop with the same per-start seeding. Starts are sharded
 //!   over at most `threads` OS threads in contiguous chunks.
 //!
-//! With quality knobs off (the default), both families reduce exactly to
-//! the classic keep-the-best loop; the nine deprecated `multistart*` free
-//! functions below are thin wrappers over the builder and are pinned
-//! byte-equivalent by `tests/multistart_equivalence.rs`.
+//! With quality knobs off (the default), both reduce exactly to the
+//! classic keep-the-best loop.
 //!
 //! # Determinism
 //!
@@ -76,10 +72,10 @@ use std::time::{Duration, Instant};
 use vlsi_rng::{ChaCha8Rng, Rng, SeedableRng};
 
 use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Hypergraph, Objective};
-use vlsi_trace::{CancelStage, Event, NullSink, Sink};
+use vlsi_trace::{CancelStage, Event, Sink};
 
 use crate::cancel::CancelToken;
-use crate::engine::RunCtx;
+use crate::engine::{Partitioner, RunCtx};
 use crate::quality;
 use crate::{PartitionError, PartitionResult};
 
@@ -250,87 +246,37 @@ impl Multistart {
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
         engine: &E,
-        ctx: RunCtx<'_, R, S>,
+        mut ctx: RunCtx<'_, R, S>,
     ) -> Result<MultistartOutcome, PartitionError>
     where
         R: Rng + ?Sized,
         S: Sink,
-        E: crate::Partitioner,
+        E: Partitioner,
     {
-        let RunCtx {
-            rng,
-            sink,
-            cancel,
-            threads,
-        } = ctx;
-        let mut partitioner =
-            |hg: &Hypergraph, fixed: &FixedVertices, balance: &BalanceConstraint, rng: &mut R| {
-                engine.partition_ctx(
-                    hg,
-                    fixed,
-                    balance,
-                    RunCtx::new(rng)
-                        .with_sink(sink)
-                        .with_cancel(cancel)
-                        .with_threads(threads),
-                )
-            };
-        self.run_sequential(
-            hg,
-            fixed,
-            balance,
-            rng,
-            sink,
-            cancel,
-            threads,
-            &mut partitioner,
-        )
-    }
-
-    /// Sequential run of an arbitrary closure — anything producing a
-    /// [`PartitionResult`] from the instance and an RNG fits. The driver
-    /// emits the per-start brackets into `ctx.sink`; pass a sink-aware
-    /// closure to also stream each start's internal events.
-    ///
-    /// # Errors
-    /// Propagates the first error returned by `partitioner`.
-    ///
-    /// # Panics
-    /// Panics if `starts == 0`.
-    pub fn run_with<R, S, F>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        ctx: RunCtx<'_, R, S>,
-        mut partitioner: F,
-    ) -> Result<MultistartOutcome, PartitionError>
-    where
-        R: Rng + ?Sized,
-        S: Sink,
-        F: FnMut(
-            &Hypergraph,
-            &FixedVertices,
-            &BalanceConstraint,
-            &mut R,
-        ) -> Result<PartitionResult, PartitionError>,
-    {
-        let RunCtx {
-            rng,
-            sink,
-            cancel,
-            threads,
-        } = ctx;
-        self.run_sequential(
-            hg,
-            fixed,
-            balance,
-            rng,
-            sink,
-            cancel,
-            threads,
-            &mut partitioner,
-        )
+        assert!(self.starts > 0, "at least one start required");
+        let mut records = Vec::with_capacity(self.starts);
+        let mut top = TopSet::new(self.retention());
+        for start in 0..self.starts {
+            if start > 0 && ctx.cancel.is_cancelled() {
+                break;
+            }
+            let t0 = Instant::now();
+            let result = engine.partition_ctx(hg, fixed, balance, ctx.reborrow())?;
+            let elapsed = t0.elapsed();
+            if S::ENABLED {
+                ctx.sink.record(&Event::StartFinished {
+                    start: start as u32,
+                    cut: result.cut,
+                    micros: elapsed.as_micros() as u64,
+                });
+            }
+            records.push(StartRecord {
+                cut: result.cut,
+                elapsed,
+            });
+            top.offer(start, result);
+        }
+        self.finish(hg, fixed, balance, records, top, ctx)
     }
 
     /// Parallel run of an engine across up to `threads` OS threads with
@@ -345,7 +291,7 @@ impl Multistart {
     /// events is deterministic, not their order. It exists for
     /// order-insensitive consumers (above all the
     /// [`CounterSink`](vlsi_trace::CounterSink) a serving layer
-    /// aggregates); pass [`NullSink`] to opt out.
+    /// aggregates); pass [`NullSink`](vlsi_trace::NullSink) to opt out.
     ///
     /// Start 0 always runs; starts not yet begun when `cancel` fires are
     /// skipped entirely, so `outcome.starts` may be shorter than `starts`
@@ -372,173 +318,7 @@ impl Multistart {
     where
         S: Sink,
         ES: Sink + Sync,
-        E: crate::Partitioner + Sync,
-    {
-        let partitioner = |hg: &Hypergraph,
-                           fixed: &FixedVertices,
-                           balance: &BalanceConstraint,
-                           rng: &mut ChaCha8Rng| {
-            engine.partition_ctx(
-                hg,
-                fixed,
-                balance,
-                RunCtx::new(rng).with_sink(engine_sink).with_cancel(cancel),
-            )
-        };
-        self.run_parallel_core(
-            hg,
-            fixed,
-            balance,
-            threads,
-            base_seed,
-            sink,
-            cancel,
-            &partitioner,
-        )
-    }
-
-    /// Parallel run of an arbitrary `Sync` closure with deterministic
-    /// per-start seeding — the untraced, uncancellable spelling of
-    /// [`run_parallel`](Self::run_parallel).
-    ///
-    /// # Errors
-    /// Propagates the error of the lowest-indexed failing start.
-    ///
-    /// # Panics
-    /// Panics if `starts == 0` or `threads == 0`.
-    pub fn run_parallel_with<F>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        threads: usize,
-        base_seed: u64,
-        partitioner: &F,
-    ) -> Result<MultistartOutcome, PartitionError>
-    where
-        F: Fn(
-                &Hypergraph,
-                &FixedVertices,
-                &BalanceConstraint,
-                &mut ChaCha8Rng,
-            ) -> Result<PartitionResult, PartitionError>
-            + Sync,
-    {
-        let never = CancelToken::never();
-        self.run_parallel_core(
-            hg,
-            fixed,
-            balance,
-            threads,
-            base_seed,
-            &NullSink,
-            &never,
-            partitioner,
-        )
-    }
-
-    /// The shared sequential loop.
-    #[allow(clippy::too_many_arguments)]
-    fn run_sequential<R, S, F>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        rng: &mut R,
-        sink: &S,
-        cancel: &CancelToken,
-        threads: usize,
-        partitioner: &mut F,
-    ) -> Result<MultistartOutcome, PartitionError>
-    where
-        R: Rng + ?Sized,
-        S: Sink,
-        F: FnMut(
-            &Hypergraph,
-            &FixedVertices,
-            &BalanceConstraint,
-            &mut R,
-        ) -> Result<PartitionResult, PartitionError>,
-    {
-        assert!(self.starts > 0, "at least one start required");
-        let mut records = Vec::with_capacity(self.starts);
-        let mut top = TopSet::new(self.retention());
-        for start in 0..self.starts {
-            if start > 0 && cancel.is_cancelled() {
-                break;
-            }
-            let t0 = Instant::now();
-            let result = partitioner(hg, fixed, balance, rng)?;
-            let elapsed = t0.elapsed();
-            if S::ENABLED {
-                sink.record(&Event::StartFinished {
-                    start: start as u32,
-                    cut: result.cut,
-                    micros: elapsed.as_micros() as u64,
-                });
-            }
-            records.push(StartRecord {
-                cut: result.cut,
-                elapsed,
-            });
-            top.offer(start, result);
-        }
-        let mut best = top.best().clone();
-        if cancel.is_cancelled() {
-            if S::ENABLED {
-                sink.record(&Event::Cancelled {
-                    stage: CancelStage::Multistart,
-                    value: best.cut,
-                });
-            }
-            return Ok(MultistartOutcome {
-                best,
-                starts: records,
-                top: top.into_vec(),
-            });
-        }
-        best = self.quality_phase(
-            hg,
-            fixed,
-            balance,
-            best,
-            top.solutions(),
-            rng,
-            sink,
-            cancel,
-            threads,
-        )?;
-        Ok(MultistartOutcome {
-            best,
-            starts: records,
-            top: top.into_vec(),
-        })
-    }
-
-    /// The shared parallel loop: shard starts over OS threads, collect in
-    /// ascending start order, then run the quality phase on the driver
-    /// thread with an RNG derived from `base_seed`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel_core<S, F>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        threads: usize,
-        base_seed: u64,
-        sink: &S,
-        cancel: &CancelToken,
-        partitioner: &F,
-    ) -> Result<MultistartOutcome, PartitionError>
-    where
-        S: Sink,
-        F: Fn(
-                &Hypergraph,
-                &FixedVertices,
-                &BalanceConstraint,
-                &mut ChaCha8Rng,
-            ) -> Result<PartitionResult, PartitionError>
-            + Sync,
+        E: Partitioner + Sync,
     {
         let starts = self.starts;
         assert!(starts > 0, "at least one start required");
@@ -548,16 +328,8 @@ impl Multistart {
         let mut slots: Vec<Option<Result<(PartitionResult, Duration), PartitionError>>> =
             (0..starts).map(|_| None).collect();
         std::thread::scope(|scope| {
-            let mut chunks: Vec<&mut [Option<_>]> = Vec::new();
-            let mut rest = slots.as_mut_slice();
             let per = starts.div_ceil(workers);
-            while !rest.is_empty() {
-                let take = per.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                chunks.push(head);
-                rest = tail;
-            }
-            for (c, chunk) in chunks.into_iter().enumerate() {
+            for (c, chunk) in slots.chunks_mut(per).enumerate() {
                 let first_index = c * per;
                 scope.spawn(move || {
                     for (off, slot) in chunk.iter_mut().enumerate() {
@@ -568,8 +340,11 @@ impl Multistart {
                             continue;
                         }
                         let mut rng = ChaCha8Rng::seed_from_u64(base_seed.wrapping_add(i as u64));
+                        let ctx = RunCtx::new(&mut rng)
+                            .with_sink(engine_sink)
+                            .with_cancel(cancel);
                         let t0 = Instant::now();
-                        let result = partitioner(hg, fixed, balance, &mut rng);
+                        let result = engine.partition_ctx(hg, fixed, balance, ctx);
                         *slot = Some(result.map(|r| (r, t0.elapsed())));
                     }
                 });
@@ -596,90 +371,70 @@ impl Multistart {
             });
             top.offer(i, result);
         }
-        let mut best = top.best().clone();
-        if cancel.is_cancelled() {
-            if S::ENABLED {
-                sink.record(&Event::Cancelled {
-                    stage: CancelStage::Multistart,
-                    value: best.cut,
-                });
-            }
-            return Ok(MultistartOutcome {
-                best,
-                starts: records,
-                top: top.into_vec(),
-            });
-        }
         // The quality phase never consumes a worker's stream: its RNG is
         // derived from `base_seed` (salted away from every start seed), so
         // the whole run stays worker-thread-count invariant.
         let mut qrng = ChaCha8Rng::seed_from_u64(base_seed ^ QUALITY_SEED_SALT);
-        best = self.quality_phase(
-            hg,
-            fixed,
-            balance,
-            best,
-            top.solutions(),
-            &mut qrng,
-            sink,
-            cancel,
-            threads,
-        )?;
-        Ok(MultistartOutcome {
-            best,
-            starts: records,
-            top: top.into_vec(),
-        })
+        let ctx = RunCtx::new(&mut qrng)
+            .with_sink(sink)
+            .with_cancel(cancel)
+            .with_threads(threads);
+        self.finish(hg, fixed, balance, records, top, ctx)
     }
 
-    /// Recombination (over the raw retained starts), then V-cycles.
-    /// Both accept a candidate only when it is no worse, so the returned
-    /// solution never regresses past `best`.
-    #[allow(clippy::too_many_arguments)]
-    fn quality_phase<R: Rng + ?Sized, S: Sink>(
+    /// Ends a run: a cancelled run records one [`Event::Cancelled`] and
+    /// keeps the best start; otherwise the quality phase runs on it —
+    /// recombination over the raw retained starts, then V-cycles. Both
+    /// accept a candidate only when it is no worse, so the returned
+    /// solution never regresses past the best start.
+    fn finish<R: Rng + ?Sized, S: Sink>(
         &self,
         hg: &Hypergraph,
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
-        mut best: PartitionResult,
-        top: &[PartitionResult],
-        rng: &mut R,
-        sink: &S,
-        cancel: &CancelToken,
-        threads: usize,
-    ) -> Result<PartitionResult, PartitionError> {
-        if self.ensemble {
-            if let Some(r) = quality::recombine(
-                hg,
-                fixed,
-                balance,
-                self.objective,
-                top,
-                rng,
-                sink,
-                cancel,
-                threads,
-            )? {
-                if r.cut <= best.cut {
+        starts: Vec<StartRecord>,
+        top: TopSet,
+        mut ctx: RunCtx<'_, R, S>,
+    ) -> Result<MultistartOutcome, PartitionError> {
+        let mut best = top.best().clone();
+        if ctx.cancel.is_cancelled() {
+            if S::ENABLED {
+                ctx.sink.record(&Event::Cancelled {
+                    stage: CancelStage::Multistart,
+                    value: best.cut,
+                });
+            }
+        } else {
+            if self.ensemble {
+                let r = quality::recombine(
+                    hg,
+                    fixed,
+                    balance,
+                    self.objective,
+                    top.solutions(),
+                    ctx.reborrow(),
+                )?;
+                if let Some(r) = r.filter(|r| r.cut <= best.cut) {
                     best = r;
                 }
             }
+            if self.vcycles > 0 {
+                best = quality::run_vcycles(
+                    hg,
+                    fixed,
+                    balance,
+                    self.objective,
+                    best,
+                    self.vcycles,
+                    ctx,
+                )?;
+            }
         }
-        if self.vcycles > 0 {
-            best = quality::run_vcycles(
-                hg,
-                fixed,
-                balance,
-                self.objective,
-                best,
-                self.vcycles,
-                rng,
-                sink,
-                cancel,
-                threads,
-            )?;
-        }
-        Ok(best)
+        Ok(MultistartOutcome {
+            best,
+            starts,
+            top: top.into_vec(),
+        })
     }
 }
 
@@ -732,283 +487,14 @@ impl TopSet {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated free-function wrappers.
-//
-// The nine pre-builder entry points, kept as thin shims over `Multistart`
-// and pinned byte-equivalent by `tests/multistart_equivalence.rs`. New code
-// should use the builder.
-// ---------------------------------------------------------------------------
-
-/// Runs `partitioner` for `starts` independent starts and keeps the best.
-///
-/// # Errors
-/// Propagates the first error returned by `partitioner`.
-#[deprecated(note = "use Multistart::new(starts).run_with(..)")]
-pub fn multistart<R, F>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    rng: &mut R,
-    partitioner: F,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    R: Rng + ?Sized,
-    F: FnMut(
-        &Hypergraph,
-        &FixedVertices,
-        &BalanceConstraint,
-        &mut R,
-    ) -> Result<PartitionResult, PartitionError>,
-{
-    Multistart::new(starts).run_with(hg, fixed, balance, RunCtx::new(rng), partitioner)
-}
-
-/// `multistart` with an [`Event::StartFinished`] per start into `sink`.
-///
-/// # Errors
-/// Propagates the first error returned by `partitioner`.
-#[deprecated(note = "use Multistart::new(starts).run_with(..) with a sink-carrying RunCtx")]
-pub fn multistart_with_sink<R, S, F>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    rng: &mut R,
-    sink: &S,
-    partitioner: F,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    R: Rng + ?Sized,
-    S: Sink,
-    F: FnMut(
-        &Hypergraph,
-        &FixedVertices,
-        &BalanceConstraint,
-        &mut R,
-    ) -> Result<PartitionResult, PartitionError>,
-{
-    Multistart::new(starts).run_with(
-        hg,
-        fixed,
-        balance,
-        RunCtx::new(rng).with_sink(sink),
-        partitioner,
-    )
-}
-
-/// Runs `starts` independent starts across `threads` OS threads, keeping
-/// the best; start `i` uses `ChaCha8Rng::seed_from_u64(base_seed + i)`.
-///
-/// # Errors
-/// Propagates the error of the lowest-indexed failing start.
-///
-/// # Panics
-/// Panics if `starts == 0` or `threads == 0`.
-#[deprecated(note = "use Multistart::new(starts).run_parallel_with(..)")]
-pub fn multistart_parallel<F>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    threads: usize,
-    base_seed: u64,
-    partitioner: &F,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    F: Fn(
-            &Hypergraph,
-            &FixedVertices,
-            &BalanceConstraint,
-            &mut ChaCha8Rng,
-        ) -> Result<PartitionResult, PartitionError>
-        + Sync,
-{
-    Multistart::new(starts).run_parallel_with(hg, fixed, balance, threads, base_seed, partitioner)
-}
-
-/// `multistart` over any [`Partitioner`](crate::Partitioner).
-///
-/// # Errors
-/// Propagates the first error returned by the engine.
-#[deprecated(note = "use Multistart::new(starts).run(..)")]
-pub fn multistart_engine<R, E>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    rng: &mut R,
-    engine: &E,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    R: Rng + ?Sized,
-    E: crate::Partitioner,
-{
-    Multistart::new(starts).run(hg, fixed, balance, engine, RunCtx::new(rng))
-}
-
-/// `multistart_engine` streaming the engine's events plus the per-start
-/// brackets into `sink`.
-///
-/// # Errors
-/// Propagates the first error returned by the engine.
-#[deprecated(note = "use Multistart::new(starts).run(..) with a sink-carrying RunCtx")]
-pub fn multistart_engine_with_sink<R, S, E>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    rng: &mut R,
-    sink: &S,
-    engine: &E,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    R: Rng + ?Sized,
-    S: Sink,
-    E: crate::Partitioner,
-{
-    Multistart::new(starts).run(hg, fixed, balance, engine, RunCtx::new(rng).with_sink(sink))
-}
-
-/// `multistart_engine_with_sink` with cooperative cancellation: starts
-/// after the first are skipped once the token fires; a cancelled run
-/// records one [`Event::Cancelled`] (stage `multistart`).
-///
-/// # Errors
-/// Propagates the first error returned by the engine.
-///
-/// # Panics
-/// Panics if `starts == 0`.
-#[deprecated(note = "use Multistart::new(starts).run(..) with a cancel-carrying RunCtx")]
-#[allow(clippy::too_many_arguments)]
-pub fn multistart_engine_cancellable<R, S, E>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    rng: &mut R,
-    sink: &S,
-    engine: &E,
-    cancel: &CancelToken,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    R: Rng + ?Sized,
-    S: Sink,
-    E: crate::Partitioner,
-{
-    Multistart::new(starts).run(
-        hg,
-        fixed,
-        balance,
-        engine,
-        RunCtx::new(rng).with_sink(sink).with_cancel(cancel),
-    )
-}
-
-/// `multistart_parallel` over any `Sync` [`Partitioner`](crate::Partitioner).
-///
-/// # Errors
-/// Propagates the error of the lowest-indexed failing start.
-///
-/// # Panics
-/// Panics if `starts == 0` or `threads == 0`.
-#[deprecated(note = "use Multistart::new(starts).run_parallel(..)")]
-pub fn multistart_parallel_engine<E>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    threads: usize,
-    base_seed: u64,
-    engine: &E,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    E: crate::Partitioner + Sync,
-{
-    let never = CancelToken::never();
-    Multistart::new(starts).run_parallel(
-        hg, fixed, balance, threads, base_seed, engine, &NullSink, &NullSink, &never,
-    )
-}
-
-/// `multistart_parallel_engine` with cooperative cancellation and a
-/// deterministic summary sink.
-///
-/// # Errors
-/// Propagates the error of the lowest-indexed failing start.
-///
-/// # Panics
-/// Panics if `starts == 0` or `threads == 0`.
-#[deprecated(note = "use Multistart::new(starts).run_parallel(..)")]
-#[allow(clippy::too_many_arguments)]
-pub fn multistart_parallel_engine_cancellable<S, E>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    threads: usize,
-    base_seed: u64,
-    engine: &E,
-    sink: &S,
-    cancel: &CancelToken,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    S: Sink,
-    E: crate::Partitioner + Sync,
-{
-    Multistart::new(starts).run_parallel(
-        hg, fixed, balance, threads, base_seed, engine, sink, &NullSink, cancel,
-    )
-}
-
-/// `multistart_parallel_engine_cancellable` with an extra live engine
-/// sink (order-insensitive consumers only; see
-/// [`Multistart::run_parallel`]).
-///
-/// # Errors
-/// Propagates the error of the lowest-indexed failing start.
-///
-/// # Panics
-/// Panics if `starts == 0` or `threads == 0`.
-#[deprecated(note = "use Multistart::new(starts).run_parallel(..)")]
-#[allow(clippy::too_many_arguments)]
-pub fn multistart_parallel_engine_instrumented<S, ES, E>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    starts: usize,
-    threads: usize,
-    base_seed: u64,
-    engine: &E,
-    sink: &S,
-    engine_sink: &ES,
-    cancel: &CancelToken,
-) -> Result<MultistartOutcome, PartitionError>
-where
-    S: Sink,
-    ES: Sink + Sync,
-    E: crate::Partitioner + Sync,
-{
-    Multistart::new(starts).run_parallel(
-        hg,
-        fixed,
-        balance,
-        threads,
-        base_seed,
-        engine,
-        sink,
-        engine_sink,
-        cancel,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use vlsi_hypergraph::{HypergraphBuilder, PartId, Tolerance};
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
+    use vlsi_trace::NullSink;
 
     fn tiny() -> (Hypergraph, FixedVertices, BalanceConstraint) {
         let mut b = HypergraphBuilder::new();
@@ -1021,19 +507,77 @@ mod tests {
         (hg, fx, bc)
     }
 
-    #[test]
-    fn keeps_best_and_all_records() {
+    /// A test engine that answers call `i` with `script[i % len]`, so the
+    /// driver's bookkeeping can be checked against known per-start results.
+    struct Scripted {
+        script: Vec<Result<PartitionResult, PartitionError>>,
+        calls: AtomicUsize,
+    }
+
+    impl Scripted {
+        /// Start `i` reports cut `cuts[i]` on an assignment tagged with `i`
+        /// (every vertex in part `i`).
+        fn cuts(cuts: &[u64]) -> Self {
+            Scripted::results(
+                cuts.iter()
+                    .enumerate()
+                    .map(|(i, &cut)| Ok(PartitionResult::new(vec![PartId(i as u32); 4], cut)))
+                    .collect(),
+            )
+        }
+
+        fn results(script: Vec<Result<PartitionResult, PartitionError>>) -> Self {
+            Scripted {
+                script,
+                calls: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl Partitioner for Scripted {
+        fn partition_ctx<R: Rng + ?Sized, S: Sink>(
+            &self,
+            _: &Hypergraph,
+            _: &FixedVertices,
+            _: &BalanceConstraint,
+            _: RunCtx<'_, R, S>,
+        ) -> Result<PartitionResult, PartitionError> {
+            let i = self.calls.fetch_add(1, Ordering::Relaxed);
+            self.script[i % self.script.len()].clone()
+        }
+    }
+
+    fn boom() -> PartitionError {
+        PartitionError::InfeasibleInstance {
+            vertex: None,
+            detail: "boom".into(),
+        }
+    }
+
+    fn run_scripted(
+        ms: &Multistart,
+        engine: &Scripted,
+    ) -> Result<MultistartOutcome, PartitionError> {
         let (hg, fx, bc) = tiny();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut cuts = [5u64, 2, 7].into_iter();
-        let outcome = Multistart::new(3)
-            .run_with(&hg, &fx, &bc, RunCtx::new(&mut rng), |_, _, _, _| {
-                Ok(PartitionResult::new(
-                    vec![PartId(0); 4],
-                    cuts.next().unwrap(),
-                ))
-            })
-            .unwrap();
+        ms.run(&hg, &fx, &bc, engine, RunCtx::new(&mut rng))
+    }
+
+    fn run_parallel_scripted(
+        ms: &Multistart,
+        threads: usize,
+        engine: &Scripted,
+    ) -> Result<MultistartOutcome, PartitionError> {
+        let (hg, fx, bc) = tiny();
+        let never = CancelToken::never();
+        ms.run_parallel(
+            &hg, &fx, &bc, threads, 0, engine, &NullSink, &NullSink, &never,
+        )
+    }
+
+    #[test]
+    fn keeps_best_and_all_records() {
+        let outcome = run_scripted(&Multistart::new(3), &Scripted::cuts(&[5, 2, 7])).unwrap();
         assert_eq!(outcome.best.cut, 2);
         assert_eq!(outcome.starts.len(), 3);
         assert_eq!(outcome.best_of_first(1), Some(5));
@@ -1047,17 +591,7 @@ mod tests {
 
     #[test]
     fn best_of_first_clamps_to_executed_starts() {
-        let (hg, fx, bc) = tiny();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut cuts = [5u64, 2, 7].into_iter();
-        let outcome = Multistart::new(3)
-            .run_with(&hg, &fx, &bc, RunCtx::new(&mut rng), |_, _, _, _| {
-                Ok(PartitionResult::new(
-                    vec![PartId(0); 4],
-                    cuts.next().unwrap(),
-                ))
-            })
-            .unwrap();
+        let outcome = run_scripted(&Multistart::new(3), &Scripted::cuts(&[5, 2, 7])).unwrap();
         // Exactly at, one past, and far past the executed-start count all
         // report the best over every start that actually ran.
         assert_eq!(outcome.best_of_first(3), Some(2));
@@ -1069,16 +603,8 @@ mod tests {
 
     #[test]
     fn top_n_retention_orders_by_cut_then_start() {
-        let (hg, fx, bc) = tiny();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut feed = [(5u64, 0u32), (2, 1), (7, 2), (2, 3), (3, 4)].into_iter();
-        let outcome = Multistart::new(5)
-            .keep_top(3)
-            .run_with(&hg, &fx, &bc, RunCtx::new(&mut rng), |_, _, _, _| {
-                let (cut, tag) = feed.next().unwrap();
-                Ok(PartitionResult::new(vec![PartId(tag); 4], cut))
-            })
-            .unwrap();
+        let engine = Scripted::cuts(&[5, 2, 7, 2, 3]);
+        let outcome = run_scripted(&Multistart::new(5).keep_top(3), &engine).unwrap();
         // (2, start 1) < (2, start 3) < (3, start 4); 5 and 7 fall out.
         let cuts: Vec<u64> = outcome.top.iter().map(|r| r.cut).collect();
         assert_eq!(cuts, vec![2, 2, 3]);
@@ -1086,42 +612,20 @@ mod tests {
         assert_eq!(tags, vec![1, 3, 4]);
         assert_eq!(outcome.best, outcome.top[0]);
         // Retention never exceeds the executed starts.
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let shallow = Multistart::new(2)
-            .keep_top(8)
-            .run_with(&hg, &fx, &bc, RunCtx::new(&mut rng), |_, _, _, _| {
-                Ok(PartitionResult::new(vec![PartId(0); 4], 4))
-            })
-            .unwrap();
+        let shallow = run_scripted(&Multistart::new(2).keep_top(8), &Scripted::cuts(&[4])).unwrap();
         assert_eq!(shallow.top.len(), 2);
     }
 
     #[test]
     fn errors_propagate() {
-        let (hg, fx, bc) = tiny();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let err = Multistart::new(2)
-            .run_with(&hg, &fx, &bc, RunCtx::new(&mut rng), |_, _, _, _| {
-                Err(PartitionError::InfeasibleInstance {
-                    vertex: None,
-                    detail: "boom".into(),
-                })
-            })
-            .unwrap_err();
+        let err =
+            run_scripted(&Multistart::new(2), &Scripted::results(vec![Err(boom())])).unwrap_err();
         assert!(matches!(err, PartitionError::InfeasibleInstance { .. }));
     }
 
     #[test]
     fn ties_keep_earlier_start() {
-        let (hg, fx, bc) = tiny();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut i = 0u32;
-        let outcome = Multistart::new(2)
-            .run_with(&hg, &fx, &bc, RunCtx::new(&mut rng), |_, _, _, _| {
-                i += 1;
-                Ok(PartitionResult::new(vec![PartId(i - 1); 4], 3))
-            })
-            .unwrap();
+        let outcome = run_scripted(&Multistart::new(2), &Scripted::cuts(&[3, 3])).unwrap();
         assert_eq!(outcome.best.parts[0], PartId(0));
     }
 
@@ -1129,22 +633,16 @@ mod tests {
     fn parallel_matches_sequential_seeding() {
         let (hg, fx, bc) = tiny();
         let fm = crate::BipartFm::new(crate::FmConfig::default());
-        let run = |hg: &Hypergraph,
-                   fx: &FixedVertices,
-                   bc: &BalanceConstraint,
-                   rng: &mut ChaCha8Rng|
-         -> Result<PartitionResult, PartitionError> {
-            let r = fm.run_random(hg, fx, bc, rng)?;
-            Ok(PartitionResult::new(r.parts, r.cut))
-        };
+        let never = CancelToken::never();
         let par = Multistart::new(5)
-            .run_parallel_with(&hg, &fx, &bc, 3, 42, &run)
+            .run_parallel(&hg, &fx, &bc, 3, 42, &fm, &NullSink, &NullSink, &never)
             .unwrap();
         // Sequential reference with the same per-start seeding.
         let mut seq_cuts = Vec::new();
         for i in 0..5u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(42 + i);
-            seq_cuts.push(run(&hg, &fx, &bc, &mut rng).unwrap().cut);
+            let r = fm.partition_ctx(&hg, &fx, &bc, RunCtx::new(&mut rng));
+            seq_cuts.push(r.unwrap().cut);
         }
         let par_cuts: Vec<u64> = par.starts.iter().map(|s| s.cut).collect();
         assert_eq!(par_cuts, seq_cuts);
@@ -1153,27 +651,15 @@ mod tests {
 
     #[test]
     fn parallel_single_thread_works() {
-        let (hg, fx, bc) = tiny();
-        let outcome = Multistart::new(3)
-            .run_parallel_with(&hg, &fx, &bc, 1, 0, &|_, _, _, _| {
-                Ok(PartitionResult::new(vec![PartId(0); 4], 2))
-            })
-            .unwrap();
+        let outcome = run_parallel_scripted(&Multistart::new(3), 1, &Scripted::cuts(&[2])).unwrap();
         assert_eq!(outcome.starts.len(), 3);
         assert_eq!(outcome.best.cut, 2);
     }
 
     #[test]
     fn parallel_errors_propagate() {
-        let (hg, fx, bc) = tiny();
-        let err = Multistart::new(4)
-            .run_parallel_with(&hg, &fx, &bc, 2, 0, &|_, _, _, _| {
-                Err::<PartitionResult, _>(PartitionError::InfeasibleInstance {
-                    vertex: None,
-                    detail: "boom".into(),
-                })
-            })
-            .unwrap_err();
+        let engine = Scripted::results(vec![Err(boom())]);
+        let err = run_parallel_scripted(&Multistart::new(4), 2, &engine).unwrap_err();
         assert!(matches!(err, PartitionError::InfeasibleInstance { .. }));
     }
 
@@ -1185,16 +671,7 @@ mod tests {
         let sink = VecSink::new();
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let outcome = Multistart::new(3)
-            .run_with(
-                &hg,
-                &fx,
-                &bc,
-                RunCtx::new(&mut rng).with_sink(&sink),
-                |hg, fx, bc, rng| {
-                    let r = fm.run_random_with_sink(hg, fx, bc, rng, &sink)?;
-                    Ok(PartitionResult::new(r.parts, r.cut))
-                },
-            )
+            .run(&hg, &fx, &bc, &fm, RunCtx::new(&mut rng).with_sink(&sink))
             .unwrap();
         let events = sink.take();
         let start_events: Vec<_> = events
@@ -1297,13 +774,7 @@ mod tests {
 
     #[test]
     fn timing_accumulates() {
-        let (hg, fx, bc) = tiny();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let outcome = Multistart::new(2)
-            .run_with(&hg, &fx, &bc, RunCtx::new(&mut rng), |_, _, _, _| {
-                Ok(PartitionResult::new(vec![PartId(0); 4], 1))
-            })
-            .unwrap();
+        let outcome = run_scripted(&Multistart::new(2), &Scripted::cuts(&[1])).unwrap();
         assert!(outcome.time_of_first(2) >= outcome.starts[0].elapsed);
         assert!(outcome.avg_start_time() <= outcome.time_of_first(2));
     }
@@ -1330,17 +801,15 @@ mod tests {
 
     #[test]
     fn vcycles_and_ensemble_never_worsen_the_best_start() {
-        use crate::engine::{EngineConfig, Partitioner};
+        use crate::engine::EngineConfig;
         let hg = grid(10);
         let fx = FixedVertices::all_free(hg.num_vertices());
         let bc = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.05));
         let engine = EngineConfig::by_name("fm").unwrap();
-        let plain = Multistart::new(4)
-            .run_parallel_with(&hg, &fx, &bc, 1, 77, &|hg, fx, bc, rng| {
-                engine.partition_ctx(hg, fx, bc, RunCtx::new(rng))
-            })
-            .unwrap();
         let never = CancelToken::never();
+        let plain = Multistart::new(4)
+            .run_parallel(&hg, &fx, &bc, 1, 77, &engine, &NullSink, &NullSink, &never)
+            .unwrap();
         let quality = Multistart::new(4)
             .vcycles(2)
             .ensemble(true)

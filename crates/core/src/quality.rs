@@ -40,7 +40,6 @@ use vlsi_hypergraph::{
     BalanceConstraint, CutState, FixedVertices, Fixity, Hypergraph, Objective, PartId,
 };
 
-use crate::cancel::CancelToken;
 use crate::config::MultilevelConfig;
 use crate::engine::{FmStack, Refiner, RunCtx};
 use crate::kway;
@@ -66,39 +65,27 @@ pub(crate) fn objective_value(
 /// the cut objective, the synchronous-round k-way engine otherwise. Never
 /// returns a solution worse than the seed; the returned `cut` field holds
 /// the value of `objective`.
-#[allow(clippy::too_many_arguments)]
 fn quality_refine<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
     objective: Objective,
     parts: Vec<PartId>,
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
-    threads: usize,
+    ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
+    let threads = ctx.threads;
     if balance.num_parts() == 2 && objective == Objective::Cut {
         let cfg = MultilevelConfig {
             threads,
             ..MultilevelConfig::default()
         };
         let refiner = FmStack::from_multilevel(&cfg);
-        return refiner.refine_ctx(
-            hg,
-            fixed,
-            balance,
-            parts,
-            RunCtx::new(rng)
-                .with_sink(sink)
-                .with_cancel(cancel)
-                .with_threads(threads),
-        );
+        return refiner.refine_ctx(hg, fixed, balance, parts, ctx);
     }
     let seed_value = objective_value(hg, balance, &parts, objective);
     let mut best = PartitionResult::new(parts, seed_value);
     for _ in 0..QUALITY_REFINE_PASSES {
-        if cancel.is_cancelled() {
+        if ctx.cancel.is_cancelled() {
             break;
         }
         let r = kway::refine_pass_parallel(
@@ -139,7 +126,6 @@ fn vcycle_params(hg: &Hypergraph, balance: &BalanceConstraint, threads: usize) -
 
 /// One V-cycle: coarsen restricted to same-part merges (so the partition
 /// projects exactly), then refine the projection back down the hierarchy.
-#[allow(clippy::too_many_arguments)]
 fn one_vcycle<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
@@ -147,10 +133,7 @@ fn one_vcycle<R: Rng + ?Sized, S: Sink>(
     objective: Objective,
     params: &CoarsenParams,
     parts: &[PartId],
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
-    threads: usize,
+    mut ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
     let cfg = MultilevelConfig::default();
     let mut levels: Vec<Level> = Vec::new();
@@ -160,7 +143,7 @@ fn one_vcycle<R: Rng + ?Sized, S: Sink>(
             Some(l) => (&l.hg, &l.fixed),
             None => (hg, fixed),
         };
-        if cur_hg.num_vertices() <= cfg.coarsest_size || cancel.is_cancelled() {
+        if cur_hg.num_vertices() <= cfg.coarsest_size || ctx.cancel.is_cancelled() {
             break;
         }
         match coarsen_once(
@@ -169,7 +152,7 @@ fn one_vcycle<R: Rng + ?Sized, S: Sink>(
             params,
             cfg.min_shrink,
             Some(&cur_parts),
-            rng,
+            ctx.rng,
         ) {
             Some(level) => {
                 // A cluster's part = any member's part (all members share
@@ -195,10 +178,7 @@ fn one_vcycle<R: Rng + ?Sized, S: Sink>(
         balance,
         objective,
         cur_parts,
-        rng,
-        sink,
-        cancel,
-        threads,
+        ctx.reborrow(),
     )?;
     for i in (0..levels.len()).rev() {
         let fine_parts = levels[i].project(&r.parts);
@@ -208,7 +188,12 @@ fn one_vcycle<R: Rng + ?Sized, S: Sink>(
             (&levels[i - 1].hg, &levels[i - 1].fixed)
         };
         r = quality_refine(
-            fine_hg, fine_fixed, balance, objective, fine_parts, rng, sink, cancel, threads,
+            fine_hg,
+            fine_fixed,
+            balance,
+            objective,
+            fine_parts,
+            ctx.reborrow(),
         )?;
     }
     Ok(r)
@@ -218,7 +203,6 @@ fn one_vcycle<R: Rng + ?Sized, S: Sink>(
 /// without strict improvement (or on cancellation). Emits one
 /// [`Event::VCycleStart`] / [`Event::VCycleEnd`] bracket per cycle run.
 /// The returned value is never worse than the input.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_vcycles<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
@@ -226,18 +210,15 @@ pub(crate) fn run_vcycles<R: Rng + ?Sized, S: Sink>(
     objective: Objective,
     mut best: PartitionResult,
     cycles: usize,
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
-    threads: usize,
+    mut ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
-    let params = vcycle_params(hg, balance, threads);
+    let params = vcycle_params(hg, balance, ctx.threads);
     for cycle in 0..cycles {
-        if cancel.is_cancelled() {
+        if ctx.cancel.is_cancelled() {
             break;
         }
         if S::ENABLED {
-            sink.record(&Event::VCycleStart {
+            ctx.sink.record(&Event::VCycleStart {
                 cycle: cycle as u32,
                 value: best.cut,
             });
@@ -250,16 +231,13 @@ pub(crate) fn run_vcycles<R: Rng + ?Sized, S: Sink>(
             objective,
             &params,
             &best.parts,
-            rng,
-            sink,
-            cancel,
-            threads,
+            ctx.reborrow(),
         )?;
         if candidate.cut <= best.cut {
             best = candidate;
         }
         if S::ENABLED {
-            sink.record(&Event::VCycleEnd {
+            ctx.sink.record(&Event::VCycleEnd {
                 cycle: cycle as u32,
                 value: best.cut,
             });
@@ -285,17 +263,13 @@ pub(crate) fn run_vcycles<R: Rng + ?Sized, S: Sink>(
 /// Returns `None` when recombination has nothing to work with: fewer than
 /// two retained solutions, or no agreement compression at all (every
 /// vertex its own cluster). Emits one [`Event::RecombineStart`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn recombine<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
     objective: Objective,
     top: &[PartitionResult],
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
-    threads: usize,
+    mut ctx: RunCtx<'_, R, S>,
 ) -> Result<Option<PartitionResult>, PartitionError> {
     let n = hg.num_vertices();
     if top.len() < 2 || n == 0 {
@@ -351,14 +325,14 @@ pub(crate) fn recombine<R: Rng + ?Sized, S: Sink>(
     }
 
     if S::ENABLED {
-        sink.record(&Event::RecombineStart {
+        ctx.sink.record(&Event::RecombineStart {
             solutions: top.len() as u32,
             clusters: num_clusters as u64,
             value: top[0].cut,
         });
     }
 
-    let level = contract_clusters(hg, fixed, cluster_of, num_clusters, threads);
+    let level = contract_clusters(hg, fixed, cluster_of, num_clusters, ctx.threads);
     // Seed the coarse solve from the best start: every cluster member
     // shares its assignment (the signature includes solution 0), and the
     // contraction preserves part loads and the objective value exactly.
@@ -372,15 +346,10 @@ pub(crate) fn recombine<R: Rng + ?Sized, S: Sink>(
         balance,
         objective,
         coarse_parts,
-        rng,
-        sink,
-        cancel,
-        threads,
+        ctx.reborrow(),
     )?;
     let fine_parts = level.project(&coarse.parts);
-    let refined = quality_refine(
-        hg, fixed, balance, objective, fine_parts, rng, sink, cancel, threads,
-    )?;
+    let refined = quality_refine(hg, fixed, balance, objective, fine_parts, ctx)?;
     Ok(Some(refined))
 }
 
@@ -389,7 +358,6 @@ mod tests {
     use super::*;
     use vlsi_hypergraph::{validate_partitioning, HypergraphBuilder, Partitioning, Tolerance};
     use vlsi_rng::{ChaCha8Rng, SeedableRng};
-    use vlsi_trace::NullSink;
 
     fn grid(side: usize) -> Hypergraph {
         let mut b = HypergraphBuilder::new();
@@ -427,10 +395,7 @@ mod tests {
             Objective::Cut,
             PartitionResult::new(parts, seed_cut),
             3,
-            &mut rng,
-            &NullSink,
-            &CancelToken::never(),
-            1,
+            RunCtx::new(&mut rng),
         )
         .unwrap();
         assert!(r.cut <= seed_cut);
@@ -463,10 +428,7 @@ mod tests {
             &balance,
             Objective::Cut,
             &top,
-            &mut rng,
-            &NullSink,
-            &CancelToken::never(),
-            1,
+            RunCtx::new(&mut rng),
         )
         .unwrap()
         .expect("agreement exists");
@@ -489,10 +451,7 @@ mod tests {
             &balance,
             Objective::Cut,
             &one,
-            &mut rng,
-            &NullSink,
-            &CancelToken::never(),
-            1,
+            RunCtx::new(&mut rng),
         )
         .unwrap()
         .is_none());
@@ -517,10 +476,7 @@ mod tests {
             &balance,
             Objective::Cut,
             &top,
-            &mut rng,
-            &NullSink,
-            &CancelToken::never(),
-            1,
+            RunCtx::new(&mut rng),
         )
         .unwrap()
         .is_none());

@@ -12,7 +12,7 @@ use vlsi_rng::SeedableRng;
 
 use vlsi_hypergraph::Hypergraph;
 use vlsi_partition::{
-    EngineConfig, FmConfig, MultilevelConfig, PartitionError, Partitioner, RunCtx, SelectionPolicy,
+    EngineConfig, FmConfig, MultilevelConfig, Multistart, PartitionError, RunCtx, SelectionPolicy,
 };
 
 use crate::harness::{find_good_solution, paper_balance};
@@ -26,6 +26,9 @@ pub struct Variant {
     pub name: &'static str,
     /// The configuration it runs with.
     pub config: MultilevelConfig,
+    /// V-cycles run over the engine's solution (the multistart quality
+    /// phase of a single start).
+    pub vcycles: usize,
 }
 
 /// The standard ablation battery.
@@ -53,18 +56,22 @@ pub fn standard_variants() -> Vec<Variant> {
         Variant {
             name: "default (CLIP+LIFO)",
             config: base,
+            vcycles: 0,
         },
         Variant {
             name: "refine CLIP only",
             config: clip_only,
+            vcycles: 0,
         },
         Variant {
             name: "refine LIFO only",
             config: lifo_only,
+            vcycles: 0,
         },
         Variant {
             name: "with 1 V-cycle",
-            config: MultilevelConfig { vcycles: 1, ..base },
+            config: base,
+            vcycles: 1,
         },
     ]
 }
@@ -102,6 +109,7 @@ pub fn run_ablation(
     let mut cells = Vec::new();
     for variant in variants {
         let engine = EngineConfig::Multilevel(variant.config);
+        let driver = Multistart::new(1).vcycles(variant.vcycles);
         for &pct in percentages {
             let fixed = schedule.at_percent(pct);
             let mut cut_sum = 0.0;
@@ -110,7 +118,8 @@ pub fn run_ablation(
                 let mut run_rng =
                     ChaCha8Rng::seed_from_u64(seed ^ (run as u64 + 1).wrapping_mul(0xAB1A_7E57));
                 let t0 = Instant::now();
-                let r = engine.partition_ctx(hg, &fixed, &balance, RunCtx::new(&mut run_rng))?;
+                let ctx = RunCtx::new(&mut run_rng);
+                let r = driver.run(hg, &fixed, &balance, &engine, ctx)?.best;
                 time_sum += t0.elapsed();
                 cut_sum += r.cut as f64;
             }

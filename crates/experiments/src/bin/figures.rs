@@ -6,6 +6,7 @@ use vlsi_experiments::figures::{run_figure, FigureConfig};
 use vlsi_experiments::opts::Options;
 use vlsi_experiments::regimes::Regime;
 use vlsi_netgen::instances::by_name;
+use vlsi_partition::trace::NullSink;
 
 fn main() {
     let opts = Options::from_env();
@@ -24,7 +25,7 @@ fn main() {
             seed: opts.seed,
             ..FigureConfig::default()
         };
-        match run_figure(&circuit.name, &circuit.hypergraph, &config) {
+        match run_figure(&circuit.name, &circuit.hypergraph, &config, &NullSink) {
             Ok(fig) => {
                 println!("{}", fig.render().render(opts.csv));
                 if !opts.csv {

@@ -1,7 +1,7 @@
 //! Within-pass improvement profiles (Section III analysis).
 
 use vlsi_experiments::opts::{run_with_trace, Options, TraceRun};
-use vlsi_experiments::pass_profile::{render, run_pass_profile_with_sink};
+use vlsi_experiments::pass_profile::{render, run_pass_profile};
 use vlsi_experiments::table2::PAPER_TABLE2_PERCENTAGES;
 use vlsi_netgen::instances::by_name;
 use vlsi_partition::trace::Sink;
@@ -29,7 +29,7 @@ impl TraceRun for Job<'_> {
                 eprintln!("unknown circuit `{name}`");
                 std::process::exit(2);
             };
-            match run_pass_profile_with_sink(
+            match run_pass_profile(
                 &circuit.hypergraph,
                 &PAPER_TABLE2_PERCENTAGES,
                 opts.trials,

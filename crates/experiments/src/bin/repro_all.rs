@@ -5,7 +5,7 @@
 //! (level brackets, FM passes, multistart records) is written as JSONL to
 //! PATH — see docs/TRACING.md for the schema.
 
-use vlsi_experiments::figures::{run_figure_with_sink, FigureConfig};
+use vlsi_experiments::figures::{run_figure, FigureConfig};
 use vlsi_experiments::opts::{run_with_trace, Options, TraceRun};
 use vlsi_experiments::regimes::Regime;
 use vlsi_experiments::table2::{self, PAPER_TABLE2_PERCENTAGES};
@@ -58,7 +58,7 @@ fn run_battery<S: Sink>(opts: &Options, sink: &S) {
             seed: opts.seed,
             ..FigureConfig::default()
         };
-        match run_figure_with_sink(&circuit.name, &circuit.hypergraph, &config, sink) {
+        match run_figure(&circuit.name, &circuit.hypergraph, &config, sink) {
             Ok(fig) => {
                 println!("{}", fig.render().render(opts.csv));
                 println!("reference good cut: {}", fig.good_cut);
@@ -81,7 +81,7 @@ fn run_battery<S: Sink>(opts: &Options, sink: &S) {
 
     println!("## Table II\n");
     for circuit in &circuits {
-        match table2::run_table2_with_sink(
+        match table2::run_table2(
             &circuit.hypergraph,
             &PAPER_TABLE2_PERCENTAGES,
             opts.trials,
@@ -95,7 +95,7 @@ fn run_battery<S: Sink>(opts: &Options, sink: &S) {
 
     println!("## Table III\n");
     for circuit in &circuits {
-        match table3::run_table3_with_sink(
+        match table3::run_table3(
             &circuit.hypergraph,
             &PAPER_TABLE2_PERCENTAGES,
             &PAPER_CUTOFFS,

@@ -28,7 +28,7 @@ impl TraceRun for Job<'_> {
                 eprintln!("unknown circuit `{name}`");
                 std::process::exit(2);
             };
-            match table2::run_table2_with_sink(
+            match table2::run_table2(
                 &circuit.hypergraph,
                 &PAPER_TABLE2_PERCENTAGES,
                 opts.trials,

@@ -4,6 +4,7 @@ use vlsi_experiments::opts::Options;
 use vlsi_experiments::table2::PAPER_TABLE2_PERCENTAGES;
 use vlsi_experiments::table3::{self, PAPER_CUTOFFS};
 use vlsi_netgen::instances::by_name;
+use vlsi_partition::trace::NullSink;
 
 fn main() {
     let opts = Options::from_env();
@@ -23,6 +24,7 @@ fn main() {
             &PAPER_CUTOFFS,
             opts.trials,
             opts.seed,
+            &NullSink,
         ) {
             Ok(cells) => println!(
                 "{}",

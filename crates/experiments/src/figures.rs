@@ -8,10 +8,10 @@ use vlsi_rng::ChaCha8Rng;
 use vlsi_rng::SeedableRng;
 
 use vlsi_hypergraph::Hypergraph;
-use vlsi_partition::trace::{NullSink, Sink};
+use vlsi_partition::trace::Sink;
 use vlsi_partition::{EngineConfig, MultilevelConfig, PartitionError};
 
-use crate::harness::{find_good_solution, paper_balance, run_trials_with_sink, PAPER_STARTS};
+use crate::harness::{find_good_solution, paper_balance, run_trials, PAPER_STARTS};
 use crate::regimes::{FixSchedule, Regime, PAPER_PERCENTAGES};
 use crate::report::{fmt_f64, fmt_secs, Table};
 
@@ -71,25 +71,14 @@ impl Default for FigureConfig {
     }
 }
 
-/// Runs the full Figure 1/2 sweep for one circuit hypergraph.
+/// Runs the full Figure 1/2 sweep for one circuit hypergraph, streaming the
+/// trace of every measured multistart trial (level brackets, FM passes,
+/// start records) into `sink`. The reference good-solution search is not
+/// traced.
 ///
 /// # Errors
 /// Propagates partitioning failures.
-pub fn run_figure(
-    name: &str,
-    hg: &Hypergraph,
-    config: &FigureConfig,
-) -> Result<Figure, PartitionError> {
-    run_figure_with_sink(name, hg, config, &NullSink)
-}
-
-/// [`run_figure`], streaming the trace of every measured multistart trial
-/// (level brackets, FM passes, start records) into `sink`. The reference
-/// good-solution search is not traced.
-///
-/// # Errors
-/// Propagates partitioning failures.
-pub fn run_figure_with_sink<S: Sink>(
+pub fn run_figure<S: Sink>(
     name: &str,
     hg: &Hypergraph,
     config: &FigureConfig,
@@ -111,7 +100,7 @@ pub fn run_figure_with_sink<S: Sink>(
         let schedule = FixSchedule::new(hg, regime, &good.parts, &mut rng);
         for &pct in &config.percentages {
             let fixed = schedule.at_percent(pct);
-            let data = run_trials_with_sink(
+            let data = run_trials(
                 hg,
                 &fixed,
                 &balance,
@@ -224,6 +213,7 @@ impl Figure {
 mod tests {
     use super::*;
     use vlsi_netgen::synthetic::{Generator, GeneratorConfig};
+    use vlsi_partition::trace::NullSink;
 
     fn small_figure() -> Figure {
         let c = Generator::new(GeneratorConfig {
@@ -243,7 +233,7 @@ mod tests {
             good_attempts: 3,
             seed: 7,
         };
-        run_figure("test", &c.hypergraph, &config).unwrap()
+        run_figure("test", &c.hypergraph, &config, &NullSink).unwrap()
     }
 
     #[test]

@@ -7,7 +7,7 @@ use vlsi_rng::ChaCha8Rng;
 use vlsi_rng::SeedableRng;
 
 use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Hypergraph, Tolerance};
-use vlsi_partition::trace::{NullSink, Sink};
+use vlsi_partition::trace::Sink;
 use vlsi_partition::{
     MultilevelConfig, MultilevelPartitioner, Multistart, PartitionError, PartitionResult,
     Partitioner, RunCtx,
@@ -45,7 +45,10 @@ pub const PAPER_STARTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs the trial protocol: for each trial, `max(starts_levels)` starts are
 /// performed with a per-trial RNG derived from `seed`, and "best of the
-/// first s" is computed for each requested level.
+/// first s" is computed for each requested level. The trace of every start
+/// (level brackets, FM passes, and one
+/// [`vlsi_partition::trace::Event::StartFinished`] per start) streams into
+/// `sink`.
 ///
 /// `engine` is any [`Partitioner`] — an engine struct, a config type, or a
 /// registry [`vlsi_partition::EngineConfig`] selected by name.
@@ -55,38 +58,8 @@ pub const PAPER_STARTS: [usize; 4] = [1, 2, 4, 8];
 ///
 /// # Panics
 /// Panics if `trials == 0` or `starts_levels` is empty.
-pub fn run_trials<E: Partitioner>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    engine: &E,
-    trials: usize,
-    starts_levels: &[usize],
-    seed: u64,
-) -> Result<TrialData, PartitionError> {
-    run_trials_with_sink(
-        hg,
-        fixed,
-        balance,
-        engine,
-        trials,
-        starts_levels,
-        seed,
-        &NullSink,
-    )
-}
-
-/// [`run_trials`], streaming the trace of every start (level brackets, FM
-/// passes, and one [`vlsi_partition::trace::Event::StartFinished`] per
-/// start) into `sink`.
-///
-/// # Errors
-/// Propagates the first engine failure.
-///
-/// # Panics
-/// Panics if `trials == 0` or `starts_levels` is empty.
 #[allow(clippy::too_many_arguments)]
-pub fn run_trials_with_sink<E: Partitioner, S: Sink>(
+pub fn run_trials<E: Partitioner, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
@@ -145,7 +118,7 @@ pub fn find_good_solution(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut best: Option<PartitionResult> = None;
     for _ in 0..attempts.max(1) {
-        let r: PartitionResult = ml.run(hg, &free, balance, &mut rng)?.into();
+        let r = ml.partition_ctx(hg, &free, balance, RunCtx::new(&mut rng))?;
         match &best {
             Some(b) if b.cut <= r.cut => {}
             _ => best = Some(r),
@@ -197,7 +170,17 @@ mod tests {
         let fixed = FixedVertices::all_free(64);
         let balance = paper_balance(&hg);
         let engine = vlsi_partition::EngineConfig::Fm(vlsi_partition::FmConfig::default());
-        let data = run_trials(&hg, &fixed, &balance, &engine, 4, &PAPER_STARTS, 7).unwrap();
+        let data = run_trials(
+            &hg,
+            &fixed,
+            &balance,
+            &engine,
+            4,
+            &PAPER_STARTS,
+            7,
+            &vlsi_partition::trace::NullSink,
+        )
+        .unwrap();
         assert_eq!(data.avg_best.len(), 4);
         // Best-of-s is non-increasing in s.
         for w in data.avg_best.windows(2) {

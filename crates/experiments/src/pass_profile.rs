@@ -15,8 +15,10 @@ use vlsi_rng::SeedableRng;
 
 use vlsi_hypergraph::Hypergraph;
 use vlsi_partition::trace::replay::pass_summaries;
-use vlsi_partition::trace::{NullSink, Sink, Tee, VecSink};
-use vlsi_partition::{BipartFm, FmConfig, MultilevelConfig, PartitionError, SelectionPolicy};
+use vlsi_partition::trace::{Sink, Tee, VecSink};
+use vlsi_partition::{
+    BipartFm, FmConfig, MultilevelConfig, PartitionError, RunCtx, SelectionPolicy,
+};
 
 use crate::harness::{find_good_solution, paper_balance};
 use crate::regimes::{FixSchedule, Regime};
@@ -37,26 +39,13 @@ pub struct PassProfileRow {
 }
 
 /// Runs the pass-profile experiment: `runs` LIFO-FM runs per percentage,
-/// good-regime fixing.
-///
-/// # Errors
-/// Propagates partitioning failures.
-pub fn run_pass_profile(
-    hg: &Hypergraph,
-    percentages: &[f64],
-    runs: usize,
-    seed: u64,
-) -> Result<Vec<PassProfileRow>, PartitionError> {
-    run_pass_profile_with_sink(hg, percentages, runs, seed, &NullSink)
-}
-
-/// [`run_pass_profile`], forwarding every trace event of the measured FM
+/// good-regime fixing, forwarding every trace event of the measured FM
 /// runs to `forward` as well (the profile itself is always derived from an
 /// internal [`VecSink`]).
 ///
 /// # Errors
 /// Propagates partitioning failures.
-pub fn run_pass_profile_with_sink<S: Sink>(
+pub fn run_pass_profile<S: Sink>(
     hg: &Hypergraph,
     percentages: &[f64],
     runs: usize,
@@ -86,7 +75,8 @@ pub fn run_pass_profile_with_sink<S: Sink>(
             let initial = vlsi_partition::random_initial(hg, &fixed, &balance, 2, &mut run_rng)?;
             let record = VecSink::new();
             let tee = Tee::new(&record, forward);
-            fm.run_with_sink(hg, &fixed, &balance, initial, &tee)?;
+            let ctx = RunCtx::new(&mut run_rng).with_sink(&tee);
+            fm.run(hg, &fixed, &balance, initial, ctx)?;
             for trace in &pass_summaries(&record.take()) {
                 let Some(pos) = trace.best_position_fraction() else {
                     continue;
@@ -150,6 +140,7 @@ pub fn render(circuit: &str, rows: &[PassProfileRow]) -> Table {
 mod tests {
     use super::*;
     use vlsi_netgen::synthetic::{Generator, GeneratorConfig};
+    use vlsi_partition::trace::NullSink;
 
     #[test]
     fn improvements_move_toward_pass_start_with_fixing() {
@@ -159,7 +150,7 @@ mod tests {
             ..GeneratorConfig::default()
         })
         .generate(21);
-        let rows = run_pass_profile(&c.hypergraph, &[0.0, 50.0], 4, 3).unwrap();
+        let rows = run_pass_profile(&c.hypergraph, &[0.0, 50.0], 4, 3, &NullSink).unwrap();
         assert_eq!(rows.len(), 2);
         // With half the vertices fixed, later-pass improvements concentrate
         // earlier in the pass than in the free case.

@@ -15,7 +15,7 @@ use vlsi_rng::SeedableRng;
 use vlsi_hypergraph::{
     induced_subgraph, BalanceConstraint, FixedVertices, Hypergraph, PartId, Tolerance, VertexId,
 };
-use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError};
+use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError, RunCtx};
 
 /// One observation: a block of `cells` vertices with `external` nets
 /// crossing its boundary.
@@ -95,7 +95,7 @@ fn recurse(
         BalanceConstraint::bisection(sub.hg.total_weight(), Tolerance::Absolute(slack.max(wmax)));
     let free = FixedVertices::all_free(sub.hg.num_vertices());
     let ml = MultilevelPartitioner::new(*ml_config);
-    let result = ml.run(&sub.hg, &free, &balance, rng)?;
+    let result = ml.run(&sub.hg, &free, &balance, RunCtx::new(&mut *rng))?;
 
     let mut left = Vec::new();
     let mut right = Vec::new();

@@ -14,8 +14,10 @@ use vlsi_rng::SeedableRng;
 
 use vlsi_hypergraph::Hypergraph;
 use vlsi_partition::trace::replay::pass_summaries;
-use vlsi_partition::trace::{NullSink, Sink, Tee, VecSink};
-use vlsi_partition::{BipartFm, FmConfig, MultilevelConfig, PartitionError, SelectionPolicy};
+use vlsi_partition::trace::{Sink, Tee, VecSink};
+use vlsi_partition::{
+    BipartFm, FmConfig, MultilevelConfig, PartitionError, Partitioner, RunCtx, SelectionPolicy,
+};
 
 use crate::harness::{find_good_solution, paper_balance};
 use crate::regimes::{FixSchedule, Regime};
@@ -44,27 +46,16 @@ pub struct Table2Row {
 /// Runs the Table II experiment for one circuit.
 ///
 /// `runs` LIFO-FM runs are performed per percentage (the paper: 50); fixed
-/// vertices follow the *good* regime, nested across percentages.
+/// vertices follow the *good* regime, nested across percentages. Every
+/// trace event of the measured FM runs is forwarded to `forward` as well
+/// (the aggregation itself always happens on an internal [`VecSink`]; pass
+/// [`NullSink`](vlsi_partition::trace::NullSink) to forward nothing). The
+/// schedule-construction multilevel run is not traced — only the measured
+/// LIFO-FM runs are.
 ///
 /// # Errors
 /// Propagates partitioning failures.
-pub fn run_table2(
-    hg: &Hypergraph,
-    percentages: &[f64],
-    runs: usize,
-    seed: u64,
-) -> Result<Vec<Table2Row>, PartitionError> {
-    run_table2_with_sink(hg, percentages, runs, seed, &NullSink)
-}
-
-/// [`run_table2`], forwarding every trace event of the measured FM runs to
-/// `forward` as well (the aggregation itself always happens on an internal
-/// [`VecSink`]). The schedule-construction multilevel run is not traced —
-/// only the measured LIFO-FM runs are.
-///
-/// # Errors
-/// Propagates partitioning failures.
-pub fn run_table2_with_sink<S: Sink>(
+pub fn run_table2<S: Sink>(
     hg: &Hypergraph,
     percentages: &[f64],
     runs: usize,
@@ -95,7 +86,8 @@ pub fn run_table2_with_sink<S: Sink>(
                 ChaCha8Rng::seed_from_u64(seed ^ (run as u64 + 1).wrapping_mul(0xA24B_AED4));
             let record = VecSink::new();
             let tee = Tee::new(&record, forward);
-            let result = fm.run_random_with_sink(hg, &fixed, &balance, &mut run_rng, &tee)?;
+            let ctx = RunCtx::new(&mut run_rng).with_sink(&tee);
+            let result = fm.partition_ctx(hg, &fixed, &balance, ctx)?;
             let passes = pass_summaries(&record.take());
             passes_sum += passes.len() as f64;
             // Per the paper's Table II, the percentage is of *nodes* of the
@@ -171,6 +163,7 @@ pub fn render(circuit: &str, rows: &[Table2Row]) -> Table {
 mod tests {
     use super::*;
     use vlsi_netgen::synthetic::{Generator, GeneratorConfig};
+    use vlsi_partition::trace::NullSink;
 
     #[test]
     fn pct_moved_falls_with_fixed_fraction() {
@@ -180,7 +173,7 @@ mod tests {
             ..GeneratorConfig::default()
         })
         .generate(4);
-        let rows = run_table2(&c.hypergraph, &[0.0, 40.0], 4, 11).unwrap();
+        let rows = run_table2(&c.hypergraph, &[0.0, 40.0], 4, 11, &NullSink).unwrap();
         assert_eq!(rows.len(), 2);
         // The paper's Table II trend: more fixed terminals => smaller
         // fraction of nodes moved per (post-first) pass.
@@ -201,9 +194,9 @@ mod tests {
             ..GeneratorConfig::default()
         })
         .generate(9);
-        let plain = run_table2(&c.hypergraph, &[0.0, 30.0], 3, 5).unwrap();
+        let plain = run_table2(&c.hypergraph, &[0.0, 30.0], 3, 5, &NullSink).unwrap();
         let counters = CounterSink::new();
-        let forwarded = run_table2_with_sink(&c.hypergraph, &[0.0, 30.0], 3, 5, &counters).unwrap();
+        let forwarded = run_table2(&c.hypergraph, &[0.0, 30.0], 3, 5, &counters).unwrap();
         assert_eq!(plain, forwarded);
         let snap = counters.snapshot();
         assert!(snap.passes > 0);

@@ -7,9 +7,10 @@ use vlsi_rng::ChaCha8Rng;
 use vlsi_rng::SeedableRng;
 
 use vlsi_hypergraph::Hypergraph;
-use vlsi_partition::trace::{NullSink, Sink};
+use vlsi_partition::trace::Sink;
 use vlsi_partition::{
-    BipartFm, FmConfig, MultilevelConfig, PartitionError, PassCutoff, SelectionPolicy,
+    BipartFm, FmConfig, MultilevelConfig, PartitionError, Partitioner, PassCutoff, RunCtx,
+    SelectionPolicy,
 };
 
 use crate::harness::{find_good_solution, paper_balance};
@@ -39,28 +40,15 @@ pub struct Table3Cell {
 }
 
 /// Runs the Table III experiment for one circuit: `runs` single LIFO-FM
-/// starts per (percentage, cutoff) cell, good-regime fixing.
+/// starts per (percentage, cutoff) cell, good-regime fixing, streaming the
+/// trace of every measured FM run into `sink`. Note the timing column
+/// measures the *traced* runs, so a heavy sink (e.g. JSONL to disk)
+/// inflates the reported times; counters and the null sink do not
+/// measurably.
 ///
 /// # Errors
 /// Propagates partitioning failures.
-pub fn run_table3(
-    hg: &Hypergraph,
-    percentages: &[f64],
-    cutoffs: &[PassCutoff],
-    runs: usize,
-    seed: u64,
-) -> Result<Vec<Table3Cell>, PartitionError> {
-    run_table3_with_sink(hg, percentages, cutoffs, runs, seed, &NullSink)
-}
-
-/// [`run_table3`], streaming the trace of every measured FM run into
-/// `sink`. Note the timing column measures the *traced* runs, so a heavy
-/// sink (e.g. JSONL to disk) inflates the reported times; counters and the
-/// null sink do not measurably.
-///
-/// # Errors
-/// Propagates partitioning failures.
-pub fn run_table3_with_sink<S: Sink>(
+pub fn run_table3<S: Sink>(
     hg: &Hypergraph,
     percentages: &[f64],
     cutoffs: &[PassCutoff],
@@ -93,7 +81,8 @@ pub fn run_table3_with_sink<S: Sink>(
                 let mut run_rng =
                     ChaCha8Rng::seed_from_u64(seed ^ (run as u64 + 1).wrapping_mul(0xC0FF_EE11));
                 let t0 = Instant::now();
-                let result = fm.run_random_with_sink(hg, &fixed, &balance, &mut run_rng, sink)?;
+                let ctx = RunCtx::new(&mut run_rng).with_sink(sink);
+                let result = fm.partition_ctx(hg, &fixed, &balance, ctx)?;
                 time_sum += t0.elapsed();
                 cut_sum += result.cut as f64;
             }
@@ -139,6 +128,7 @@ pub fn render(circuit: &str, cells: &[Table3Cell], cutoffs: &[PassCutoff]) -> Ta
 mod tests {
     use super::*;
     use vlsi_netgen::synthetic::{Generator, GeneratorConfig};
+    use vlsi_partition::trace::NullSink;
 
     #[test]
     fn cutoffs_hurt_without_terminals_but_are_safer_with() {
@@ -160,6 +150,7 @@ mod tests {
             &[PassCutoff::Unlimited, PassCutoff::Fraction(0.05)],
             4,
             21,
+            &NullSink,
         )
         .unwrap();
         assert_eq!(cells.len(), 4);

@@ -6,7 +6,7 @@ use vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Hypergraph, HypergraphBuilder, PartId, VertexId,
 };
 use vlsi_netgen::{Circuit, Point, Rect};
-use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError};
+use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError, RunCtx};
 
 /// Configuration of the top-down placer.
 ///
@@ -264,7 +264,7 @@ impl TopDownPlacer {
                 sub_hg.total_weight(),
                 vlsi_hypergraph::Tolerance::Absolute(rel_slack.max(wmax)),
             );
-            let result = ml.run(&sub_hg, &sub_fixed, &balance, rng)?;
+            let result = ml.run(&sub_hg, &sub_fixed, &balance, RunCtx::new(&mut *rng))?;
 
             num_bisections += 1;
             total_terminals += terminal_sides.len();

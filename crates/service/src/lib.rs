@@ -17,7 +17,7 @@
 //! idle timeouts — see [`AdmissionConfig`] and `docs/OPERATIONS.md`.
 //!
 //! See `docs/PROTOCOL.md` for the complete wire reference and
-//! `docs/SERVICE.md` for the operational overview; the module docs of
+//! `docs/OPERATIONS.md` for the operational overview; the module docs of
 //! [`protocol`], [`queue`], [`admission`], [`cache`] and [`server`]
 //! cover the layers.
 //!

@@ -158,7 +158,13 @@ impl MetricsSnapshot {
             })
             .collect::<Vec<_>>()
             .join(",");
-        let e = &self.engine;
+        let engine: String = self
+            .engine
+            .fields()
+            .iter()
+            .map(|(name, value)| format!("\"{name}\":{value}"))
+            .collect::<Vec<_>>()
+            .join(",");
         format!(
             concat!(
                 "{{\"status\":\"ok\",\"metrics\":{{",
@@ -167,10 +173,7 @@ impl MetricsSnapshot {
                 "\"deadline_expirations\":{},\"protocol_errors\":{},",
                 "\"p50_us\":{},\"p99_us\":{},",
                 "\"engines\":{{{}}},",
-                "\"engine\":{{\"passes\":{},\"kway_passes\":{},\"moves_tried\":{},",
-                "\"moves_committed\":{},\"moves_rolled_back\":{},\"bucket_ops\":{},",
-                "\"cut_updates\":{},\"levels\":{},\"starts\":{},\"sweeps\":{},",
-                "\"cancellations\":{},\"warm_starts\":{},\"sheds\":{}}}}}}}"
+                "\"engine\":{{{}}}}}}}"
             ),
             self.jobs_ok,
             self.jobs_failed,
@@ -182,19 +185,7 @@ impl MetricsSnapshot {
             self.p50_us,
             self.p99_us,
             engines,
-            e.passes,
-            e.kway_passes,
-            e.moves_tried,
-            e.moves_committed,
-            e.moves_rolled_back,
-            e.bucket_ops,
-            e.cut_updates,
-            e.levels,
-            e.starts,
-            e.sweeps,
-            e.cancellations,
-            e.warm_starts,
-            e.sheds,
+            engine,
         )
     }
 }
@@ -281,6 +272,25 @@ mod tests {
             .is_some());
         assert!(metrics.get("engine").unwrap().get("warm_starts").is_some());
         assert!(metrics.get("engine").unwrap().get("sheds").is_some());
+    }
+
+    #[test]
+    fn metrics_line_lists_every_engine_counter() {
+        let line = ServiceMetrics::new().snapshot().to_line();
+        let parsed = crate::json::parse(&line).unwrap();
+        let engine = parsed.get("metrics").unwrap().get("engine").unwrap();
+        // The field names of `Counters`, read off its `Debug` form so this
+        // list cannot drift from the struct.
+        let debug = format!("{:?}", Counters::default());
+        let names: Vec<&str> = debug
+            .trim_start_matches("Counters {")
+            .trim_end_matches('}')
+            .split(',')
+            .map(|field| field.split(':').next().unwrap().trim())
+            .collect();
+        for name in names {
+            assert!(engine.get(name).is_some(), "`{name}` missing from {line}");
+        }
     }
 
     #[test]

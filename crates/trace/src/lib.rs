@@ -17,9 +17,9 @@
 //!
 //! * [`NullSink`] — the default. [`Sink::ENABLED`] is `false`, so
 //!   instrumented engine code compiles to *nothing*: event construction is
-//!   statically skipped and an un-traced run costs exactly what it did
-//!   before tracing existed (`cargo bench --bench trace_overhead` keeps
-//!   this honest).
+//!   statically skipped and an un-traced run carries no tracing code
+//!   (`cargo bench --bench trace_overhead` times it against the live
+//!   sinks).
 //! * [`CounterSink`] — lock-free atomic counters (passes, moves tried /
 //!   committed / rolled back, gain-bucket operations, cut-changing moves,
 //!   levels, starts). Cheap enough to leave on in production.

@@ -31,9 +31,9 @@ pub trait Sink {
 
 /// The no-op sink: tracing statically disabled, zero overhead.
 ///
-/// This is what the plain (sink-less) engine entry points use. The
-/// `trace_overhead` benchmark checks that an FM run through `NullSink`
-/// costs the same as the pre-instrumentation engine.
+/// This is the sink of a default run context (`RunCtx::new` in
+/// `vlsi-partition`); the `trace_overhead` benchmark times an FM run
+/// through `NullSink` against the live sinks.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
@@ -83,6 +83,51 @@ pub struct Counters {
     pub vcycles: u64,
     /// Ensemble recombinations attempted ([`Event::RecombineStart`] count).
     pub recombinations: u64,
+}
+
+impl Counters {
+    /// Every counter with its name: the one field list that renderings
+    /// such as the service's metrics line are built from. The destructuring
+    /// below names every field, so a counter added to the struct fails to
+    /// compile here until it is listed.
+    pub fn fields(&self) -> [(&'static str, u64); 16] {
+        let Counters {
+            passes,
+            moves_tried,
+            moves_committed,
+            moves_rolled_back,
+            bucket_ops,
+            cut_updates,
+            levels,
+            starts,
+            kway_passes,
+            rounds,
+            sweeps,
+            cancellations,
+            warm_starts,
+            sheds,
+            vcycles,
+            recombinations,
+        } = *self;
+        [
+            ("passes", passes),
+            ("kway_passes", kway_passes),
+            ("moves_tried", moves_tried),
+            ("moves_committed", moves_committed),
+            ("moves_rolled_back", moves_rolled_back),
+            ("bucket_ops", bucket_ops),
+            ("cut_updates", cut_updates),
+            ("levels", levels),
+            ("starts", starts),
+            ("sweeps", sweeps),
+            ("cancellations", cancellations),
+            ("warm_starts", warm_starts),
+            ("sheds", sheds),
+            ("rounds", rounds),
+            ("vcycles", vcycles),
+            ("recombinations", recombinations),
+        ]
+    }
 }
 
 impl std::fmt::Display for Counters {

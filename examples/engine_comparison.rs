@@ -12,9 +12,9 @@ use vlsi_rng::SeedableRng;
 use vlsi_experiments::harness::{find_good_solution, paper_balance};
 use vlsi_experiments::regimes::{FixSchedule, Regime};
 use vlsi_netgen::instances::ibm01_like_scaled;
-use vlsi_partition::annealing::{simulated_annealing, AnnealingConfig};
-use vlsi_partition::kl::{kernighan_lin, KlConfig};
-use vlsi_partition::{random_initial, BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner};
+use vlsi_partition::{
+    AnnealingConfig, EngineConfig, FmConfig, KlConfig, MultilevelConfig, Partitioner, RunCtx,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = ibm01_like_scaled(0.15, 7); // ~1900 cells
@@ -35,11 +35,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>24}  {:>12}  {:>12}  {:>9}",
         "engine", "cut @ 0%", "cut @ 30%", "time"
     );
-    for (name, which) in [
-        ("multilevel (CLIP+LIFO)", 0usize),
-        ("flat FM (LIFO)", 1),
-        ("Kernighan-Lin", 2),
-        ("simulated annealing", 3),
+    for (name, engine) in [
+        (
+            "multilevel (CLIP+LIFO)",
+            EngineConfig::Multilevel(MultilevelConfig::default()),
+        ),
+        ("flat FM (LIFO)", EngineConfig::Fm(FmConfig::default())),
+        ("Kernighan-Lin", EngineConfig::Kl(KlConfig::default())),
+        (
+            "simulated annealing",
+            EngineConfig::Annealing(AnnealingConfig::default()),
+        ),
     ] {
         let mut cuts = [0u64; 2];
         let mut elapsed = std::time::Duration::ZERO;
@@ -47,32 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let fixed = schedule.at_percent(pct);
             let mut rng = ChaCha8Rng::seed_from_u64(99);
             let t0 = Instant::now();
-            let cut = match which {
-                0 => {
-                    let ml = MultilevelPartitioner::new(MultilevelConfig::default());
-                    ml.run(hg, &fixed, &balance, &mut rng)?.cut
-                }
-                1 => {
-                    let fm = BipartFm::new(FmConfig::default());
-                    fm.run_random(hg, &fixed, &balance, &mut rng)?.cut
-                }
-                2 => {
-                    let initial = random_initial(hg, &fixed, &balance, 2, &mut rng)?;
-                    kernighan_lin(hg, &fixed, &balance, initial, KlConfig::default())?.cut
-                }
-                _ => {
-                    let initial = random_initial(hg, &fixed, &balance, 2, &mut rng)?;
-                    simulated_annealing(
-                        hg,
-                        &fixed,
-                        &balance,
-                        initial,
-                        AnnealingConfig::default(),
-                        &mut rng,
-                    )?
-                    .cut
-                }
-            };
+            let cut = engine
+                .partition_ctx(hg, &fixed, &balance, RunCtx::new(&mut rng))?
+                .cut;
             elapsed += t0.elapsed();
             cuts[slot] = cut;
         }

@@ -6,6 +6,7 @@
 use vlsi_experiments::figures::{run_figure, FigureConfig};
 use vlsi_experiments::regimes::Regime;
 use vlsi_netgen::instances::ibm01_like_scaled;
+use vlsi_partition::trace::NullSink;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = ibm01_like_scaled(0.06, 11); // ~750 cells for a fast demo
@@ -20,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         trials: 3,
         ..FigureConfig::default()
     };
-    let fig = run_figure(&circuit.name, &circuit.hypergraph, &config)?;
+    let fig = run_figure(&circuit.name, &circuit.hypergraph, &config, &NullSink)?;
     print!("{}", fig.render().to_text());
     println!("\nreference good cut: {}", fig.good_cut);
 

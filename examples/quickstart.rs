@@ -9,7 +9,7 @@ use vlsi_hypergraph::{
     validate_partitioning, BalanceConstraint, FixedVertices, HypergraphBuilder, Objective, PartId,
     Partitioning, Tolerance, VertexId,
 };
-use vlsi_partition::{MultilevelConfig, MultilevelPartitioner};
+use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small circuit: two 8-cell clusters joined by three nets, plus two
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let partitioner = MultilevelPartitioner::new(MultilevelConfig::default());
     let mut rng = ChaCha8Rng::seed_from_u64(1999);
-    let result = partitioner.run(&hg, &fixed, &balance, &mut rng)?;
+    let result = partitioner.run(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
 
     println!("cut = {}", result.cut);
     for side in 0..2 {

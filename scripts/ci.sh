@@ -15,17 +15,8 @@ cargo test -q --offline --workspace
 echo "==> cargo fmt --check"
 cargo fmt --check --all
 
-# -D deprecated keeps migrated call sites honest: after the RunCtx engine
-# API redesign the legacy partition/refine triplets are deprecated wrappers,
-# and after the Multistart builder redesign the nine multistart* free
-# functions are too; no in-repo code may call any of them except the places
-# that exist to pin the wrappers' behaviour. Exemptions (each carries a
-# file-level or item-level #[allow(deprecated)]):
-#   - tests/runctx_equivalence.rs: asserts legacy == *_ctx byte-for-byte.
-#   - tests/multistart_equivalence.rs: asserts every multistart* wrapper ==
-#     the Multistart builder byte-for-byte.
-#   - crates/core/src/engine.rs (trait defaults) and the lib.rs re-exports:
-#     a deprecated wrapper may reference its own deprecated siblings.
+# -D deprecated: nothing in the workspace is deprecated, and nothing may
+# call a deprecated item (an upstream one included) without failing here.
 echo "==> cargo clippy -- -D warnings -D deprecated"
 cargo clippy --offline --workspace --all-targets -- -D warnings -D deprecated
 
@@ -44,6 +35,14 @@ cargo test --doc -q --offline --workspace
 echo "==> doc link + protocol doc gate"
 cargo test -q --offline -p fixed-vertices-repro --test doc_links
 cargo test -q --offline -p vlsi-service --test protocol_doc
+
+# Golden output digests: every public way to run an engine, on one small
+# netlist with ~10% fixed vertices at 1 and 2 threads, folded into FNV-1a
+# digests of the partition, the value and the trace stream. A change that
+# claims to leave outputs alone must leave every digest alone; one that
+# changes partitions on purpose re-records the table and says why.
+echo "==> golden output digests"
+cargo test -q --offline -p fixed-vertices-repro --test golden_digests
 
 # Decode fuzz smoke: the differential suite that pins `parse_request` to
 # the earlier tree-based decoder, re-based on a fixed seed outside its

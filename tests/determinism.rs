@@ -11,8 +11,8 @@ use fixed_vertices_repro::vlsi_hypergraph::{
 };
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
 use fixed_vertices_repro::vlsi_partition::{
-    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart, PartitionResult,
-    RunCtx, SelectionPolicy,
+    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart, RunCtx,
+    SelectionPolicy,
 };
 
 #[test]
@@ -33,7 +33,8 @@ fn multilevel_fm_is_byte_identical_across_runs() {
 
     let run = |seed: u64| {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        ml.run(hg, &fixed, &balance, &mut rng).expect("ml runs")
+        ml.run(hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .expect("ml runs")
     };
     let a = run(1999);
     let b = run(1999);
@@ -61,16 +62,7 @@ fn multistart_fm_is_byte_identical_across_runs() {
     let run = |seed: u64| {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         Multistart::new(8)
-            .run_with(
-                hg,
-                &fixed,
-                &balance,
-                RunCtx::new(&mut rng),
-                |hg, fx, bc, rng| {
-                    let r = fm.run_random(hg, fx, bc, rng)?;
-                    Ok(PartitionResult::new(r.parts, r.cut))
-                },
-            )
+            .run(hg, &fixed, &balance, &fm, RunCtx::new(&mut rng))
             .expect("multistart runs")
     };
     let a = run(7);
@@ -96,16 +88,7 @@ fn determinism_survives_fixed_vertices_in_multistart() {
     let run = |seed: u64| {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         Multistart::new(4)
-            .run_with(
-                hg,
-                &fixed,
-                &balance,
-                RunCtx::new(&mut rng),
-                |hg, fx, bc, rng| {
-                    let r = fm.run_random(hg, fx, bc, rng)?;
-                    Ok(PartitionResult::new(r.parts, r.cut))
-                },
-            )
+            .run(hg, &fixed, &balance, &fm, RunCtx::new(&mut rng))
             .expect("multistart runs")
     };
     let a = run(11);

@@ -116,9 +116,9 @@ fn the_doc_set_cross_references_itself() {
     // and the operations guide must be reachable from the entry points.
     let must_link: &[(&str, &[&str])] = &[
         ("README.md", &["docs/PROTOCOL.md", "docs/OPERATIONS.md"]),
-        ("docs/SERVICE.md", &["PROTOCOL.md", "OPERATIONS.md"]),
-        ("docs/PROTOCOL.md", &["OPERATIONS.md", "SERVICE.md"]),
-        ("docs/OPERATIONS.md", &["PROTOCOL.md", "SERVICE.md"]),
+        ("docs/ARCHITECTURE.md", &["PROTOCOL.md", "OPERATIONS.md"]),
+        ("docs/PROTOCOL.md", &["OPERATIONS.md", "ARCHITECTURE.md"]),
+        ("docs/OPERATIONS.md", &["PROTOCOL.md", "ARCHITECTURE.md"]),
     ];
     for (file, expected) in must_link {
         let text = std::fs::read_to_string(repo_root().join(file))

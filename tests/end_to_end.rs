@@ -6,6 +6,7 @@ use fixed_vertices_repro::vlsi_experiments::regimes::Regime;
 use fixed_vertices_repro::vlsi_experiments::table1;
 use fixed_vertices_repro::vlsi_experiments::table2::run_table2;
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
+use fixed_vertices_repro::vlsi_partition::trace::NullSink;
 use fixed_vertices_repro::vlsi_partition::MultilevelConfig;
 
 #[test]
@@ -36,7 +37,8 @@ fn figure_trends_reproduce_on_a_small_circuit() {
         good_attempts: 4,
         seed: 99,
     };
-    let fig = run_figure(&circuit.name, &circuit.hypergraph, &config).expect("sweep runs");
+    let fig =
+        run_figure(&circuit.name, &circuit.hypergraph, &config, &NullSink).expect("sweep runs");
 
     // 1. Rand regime: the achievable cut rises sharply with random fixing.
     let rand = fig.regime_points(Regime::Random);
@@ -107,6 +109,7 @@ fn fixing_pads_behaves_like_fixing_random_vertices() {
         3,
         &[4],
         77,
+        &NullSink,
     )
     .expect("pad trials");
     let any_data = run_trials(
@@ -117,6 +120,7 @@ fn fixing_pads_behaves_like_fixing_random_vertices() {
         3,
         &[4],
         77,
+        &NullSink,
     )
     .expect("random trials");
     let (a, b) = (pad_data.avg_best[0], any_data.avg_best[0]);
@@ -130,7 +134,7 @@ fn fixing_pads_behaves_like_fixing_random_vertices() {
 #[test]
 fn pass_statistics_trend_reproduces() {
     let circuit = ibm01_like_scaled(0.035, 23);
-    let rows = run_table2(&circuit.hypergraph, &[0.0, 50.0], 4, 7).expect("table2 runs");
+    let rows = run_table2(&circuit.hypergraph, &[0.0, 50.0], 4, 7, &NullSink).expect("table2 runs");
     // Percentage of nodes moved per (post-first) pass falls with fixing.
     assert!(
         rows[1].avg_pct_moved < rows[0].avg_pct_moved,

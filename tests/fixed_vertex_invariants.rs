@@ -12,7 +12,8 @@ use fixed_vertices_repro::vlsi_hypergraph::{
     VertexId,
 };
 use fixed_vertices_repro::vlsi_partition::{
-    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, SelectionPolicy,
+    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Partitioner, RunCtx,
+    SelectionPolicy,
 };
 
 /// Paper-scale instances for the 2% constraint: unit weights and enough
@@ -111,7 +112,7 @@ prop_test! {
         let balance = paper_balance(&hg);
         let fm = BipartFm::new(FmConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let Ok(result) = fm.run_random(&hg, &fixed, &balance, &mut rng) else {
+        let Ok(result) = fm.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng)) else {
             return;
         };
         assert_invariants("flat-fm", &hg, &fixed, &balance, &result.parts);
@@ -127,7 +128,7 @@ prop_test! {
             ..FmConfig::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let Ok(result) = fm.run_random(&hg, &fixed, &balance, &mut rng) else {
+        let Ok(result) = fm.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng)) else {
             return;
         };
         assert_invariants("clip-fm", &hg, &fixed, &balance, &result.parts);
@@ -145,7 +146,7 @@ prop_test! {
             ..MultilevelConfig::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let Ok(result) = ml.run(&hg, &fixed, &balance, &mut rng) else {
+        let Ok(result) = ml.run(&hg, &fixed, &balance, RunCtx::new(&mut rng)) else {
             return;
         };
         assert_invariants("multilevel", &hg, &fixed, &balance, &result.parts);
@@ -184,7 +185,7 @@ fn paper_percentage_sweep_preserves_invariants() {
         }
         for _ in 0..4 {
             let result = fm
-                .run_random(&hg, &fixed, &balance, &mut rng)
+                .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
                 .expect("feasible by construction");
             assert_invariants("sweep", &hg, &fixed, &balance, &result.parts);
             ran += 1;

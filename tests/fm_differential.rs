@@ -28,9 +28,9 @@ use fixed_vertices_repro::vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Fixity, Hypergraph, HypergraphBuilder, PartId, PartSet,
     Tolerance, VertexId,
 };
-use fixed_vertices_repro::vlsi_partition::trace::{Event, NullSink, Sink, VecSink};
+use fixed_vertices_repro::vlsi_partition::trace::{Event, Sink, VecSink};
 use fixed_vertices_repro::vlsi_partition::{
-    random_initial, BipartFm, CancelToken, FmConfig, FmResult, PartitionError, PassCutoff,
+    random_initial, BipartFm, CancelToken, FmConfig, FmResult, PartitionError, PassCutoff, RunCtx,
     SelectionPolicy,
 };
 
@@ -623,8 +623,12 @@ fn run(s: &Setup, fm: Option<&BipartFm>) -> (Result<FmResult, PartitionError>, V
         }
     };
     let initial = s.initial.clone();
+    let mut rng = ChaCha8Rng::seed_from_u64(0);
     let result = match fm {
-        Some(fm) => fm.run_cancellable(&s.hg, &s.fixed, &s.balance, initial, &sink, &token),
+        Some(fm) => {
+            let ctx = RunCtx::new(&mut rng).with_sink(&sink).with_cancel(&token);
+            fm.run(&s.hg, &s.fixed, &s.balance, initial, ctx)
+        }
         None => reference::run(
             &s.config, &s.hg, &s.fixed, &s.balance, initial, &sink, &token,
         ),
@@ -642,13 +646,13 @@ fn check(s: &Setup) {
         assert_eq!(got, want, "{threads} threads: result");
         assert_eq!(got_events, want_events, "{threads} threads: events");
         if s.cancel_at.is_none() {
-            let quiet = fm.run_cancellable(
+            let mut rng = ChaCha8Rng::seed_from_u64(0);
+            let quiet = fm.run(
                 &s.hg,
                 &s.fixed,
                 &s.balance,
                 s.initial.clone(),
-                &NullSink,
-                &CancelToken::never(),
+                RunCtx::new(&mut rng),
             );
             assert_eq!(quiet, want, "{threads} threads: untraced result");
         }

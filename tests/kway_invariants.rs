@@ -1,8 +1,10 @@
 //! The fixed-vertex contract, property-tested for the k-way engines: no
 //! matter how many vertices are fixed (0–50%, drawn at random) and for any
-//! k ∈ {2, 3, 4}, `kway::refine_pass` and `kway::recursive_bisection` must
-//! return solutions in which (a) every fixed vertex sits exactly in its
-//! assigned part and (b) the per-part balance constraint holds.
+//! k ∈ {2, 3, 4}, one sequential k-way FM pass (`KwayRefiner` with one
+//! pass at one thread) and the recursive-bisection stack (`RecursiveBisection`
+//! without cleanup passes) must return solutions in which (a) every fixed
+//! vertex sits exactly in its assigned part and (b) the per-part balance
+//! constraint holds.
 
 use vlsi_rng::{ChaCha8Rng, Rng, RngCore, SeedableRng};
 use vlsi_testkit::gen::{distinct_sorted, RawInstance};
@@ -12,7 +14,26 @@ use fixed_vertices_repro::vlsi_hypergraph::{
     BalanceConstraint, CutState, FixedVertices, Fixity, Hypergraph, HypergraphBuilder, Objective,
     PartId, Tolerance, VertexId,
 };
-use fixed_vertices_repro::vlsi_partition::{kway, random_initial, MultilevelConfig};
+use fixed_vertices_repro::vlsi_partition::{
+    random_initial, KwayConfig, KwayRefiner, MultilevelConfig, PartitionError, PartitionResult,
+    Partitioner, RecursiveBisection, Refiner, RunCtx,
+};
+
+/// One sequential k-way FM pass over `initial`.
+fn refine_pass(
+    hg: &Hypergraph,
+    fixed: &FixedVertices,
+    balance: &BalanceConstraint,
+    initial: Vec<PartId>,
+    objective: Objective,
+) -> Result<PartitionResult, PartitionError> {
+    let one_pass = KwayRefiner {
+        objective,
+        max_passes: 1,
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(0);
+    one_pass.refine_ctx(hg, fixed, balance, initial, RunCtx::new(&mut rng))
+}
 
 /// Instances with a *uniformly drawn* fixed fraction in 0–50%, so the
 /// corpus covers the whole sweep range. The part count is derived from the
@@ -136,7 +157,7 @@ prop_test! {
             return;
         };
         let before = CutState::new(&hg, k, &initial).value(Objective::Cut);
-        let result = kway::refine_pass(&hg, &fixed, &balance, initial, Objective::Cut)
+        let result = refine_pass(&hg, &fixed, &balance, initial, Objective::Cut)
             .expect("legal input refines");
         assert_invariants("refine-pass", &hg, &fixed, &balance, k, &result.parts);
         assert!(
@@ -159,7 +180,7 @@ prop_test! {
             return;
         };
         let before = CutState::new(&hg, k, &initial).value(Objective::KMinus1);
-        let result = kway::refine_pass(&hg, &fixed, &balance, initial, Objective::KMinus1)
+        let result = refine_pass(&hg, &fixed, &balance, initial, Objective::KMinus1)
             .expect("legal input refines");
         assert_invariants("refine-pass-km1", &hg, &fixed, &balance, k, &result.parts);
         assert!(
@@ -185,9 +206,15 @@ prop_test! {
             coarse_starts: 2,
             ..MultilevelConfig::default()
         };
+        let rb = RecursiveBisection(KwayConfig {
+            tolerance,
+            ml,
+            refine_passes: 0,
+            ..KwayConfig::default()
+        });
+        let balance = BalanceConstraint::even(k, hg.total_weights(), Tolerance::Relative(tolerance));
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let Ok(result) = kway::recursive_bisection(&hg, &fixed, k, tolerance, &ml, &mut rng)
-        else {
+        let Ok(result) = rb.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng)) else {
             return;
         };
         let loads = assert_fixities("recursive-bisection", &hg, &fixed, k, &result.parts);
@@ -239,7 +266,7 @@ fn kway_percentage_sweep_preserves_invariants() {
         for _ in 0..4 {
             let initial = random_initial(&hg, &fixed, &balance, k, &mut rng)
                 .expect("feasible by construction");
-            let result = kway::refine_pass(&hg, &fixed, &balance, initial, Objective::Cut)
+            let result = refine_pass(&hg, &fixed, &balance, initial, Objective::Cut)
                 .expect("legal input refines");
             assert_invariants("sweep", &hg, &fixed, &balance, k, &result.parts);
             ran += 1;

@@ -12,8 +12,9 @@ use fixed_vertices_repro::vlsi_hypergraph::{
     validate_partitioning, BalanceConstraint, FixedVertices, Fixity, HypergraphBuilder, PartId,
     PartSet, Partitioning, Tolerance, VertexId,
 };
-use fixed_vertices_repro::vlsi_partition::kway::recursive_bisection;
-use fixed_vertices_repro::vlsi_partition::{BipartFm, FmConfig, MultilevelConfig};
+use fixed_vertices_repro::vlsi_partition::{
+    BipartFm, FmConfig, KwayConfig, MultilevelConfig, Partitioner, RecursiveBisection, RunCtx,
+};
 
 /// The paper's hypothetical example: "cell area, cell pin count, and cell
 /// power dissipation resource types — all of which must be evenly
@@ -39,7 +40,9 @@ fn multibalanced_bisection_balances_every_resource() {
     let balance = BalanceConstraint::even(2, hg.total_weights(), Tolerance::Relative(0.10));
     let fixed = FixedVertices::all_free(n);
     let fm = BipartFm::new(FmConfig::default());
-    let result = fm.run_random(&hg, &fixed, &balance, &mut rng).unwrap();
+    let result = fm
+        .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+        .unwrap();
 
     let p = Partitioning::from_parts(&hg, 2, result.parts).unwrap();
     let report = validate_partitioning(&hg, &p, &balance, &fixed);
@@ -84,7 +87,7 @@ fn multi_area_file_drives_multibalanced_instances() {
     let fm = BipartFm::new(FmConfig::default());
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let result = fm
-        .run_random(&upgraded, &fixed, &balance, &mut rng)
+        .partition_ctx(&upgraded, &fixed, &balance, RunCtx::new(&mut rng))
         .unwrap();
     let p = Partitioning::from_parts(&upgraded, 2, result.parts).unwrap();
     assert!(validate_partitioning(&upgraded, &p, &balance, &fixed).is_valid());
@@ -125,8 +128,18 @@ fn quadrisection_or_fixing_keeps_terminal_on_the_left() {
         coarsest_size: 12,
         ..MultilevelConfig::default()
     };
+    // The bisection stack alone, without k-way cleanup passes.
+    let rb = RecursiveBisection(KwayConfig {
+        tolerance: 0.2,
+        ml: cfg,
+        refine_passes: 0,
+        ..KwayConfig::default()
+    });
+    let balance = BalanceConstraint::even(4, hg.total_weights(), Tolerance::Relative(0.2));
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let r = recursive_bisection(&hg, &fixed, 4, 0.2, &cfg, &mut rng).unwrap();
+    let r = rb
+        .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+        .unwrap();
 
     // The terminal ended up in one of its two allowed quadrants...
     let tpart = r.parts[term.index()];

@@ -11,11 +11,10 @@ use fixed_vertices_repro::vlsi_hypergraph::{
     validate_partitioning, BalanceConstraint, CutState, FixedVertices, Fixity, Hypergraph,
     HypergraphBuilder, Objective, PartId, Partitioning, Tolerance, VertexId,
 };
-use fixed_vertices_repro::vlsi_partition::annealing::{simulated_annealing, AnnealingConfig};
-use fixed_vertices_repro::vlsi_partition::kl::{kernighan_lin, KlConfig};
 use fixed_vertices_repro::vlsi_partition::terminal_cluster::cluster_terminals;
 use fixed_vertices_repro::vlsi_partition::{
-    kway, BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, SelectionPolicy,
+    random_initial, AnnealingConfig, BipartFm, FmConfig, KlConfig, KwayRefiner, MultilevelConfig,
+    MultilevelPartitioner, Partitioner, Refiner, RunCtx, SelectionPolicy,
 };
 
 /// Instance generator matching the old proptest strategy: 4..max vertices,
@@ -61,7 +60,9 @@ prop_test! {
         let balance = loose_balance(&hg);
         let fm = BipartFm::new(FmConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let result = fm.run_random(&hg, &fixed, &balance, &mut rng).expect("fm runs");
+        let result = fm
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .expect("fm runs");
         let p = Partitioning::from_parts(&hg, 2, result.parts.clone()).expect("valid parts");
         let report = validate_partitioning(&hg, &p, &balance, &fixed);
         assert!(report.is_valid(), "{report}");
@@ -77,7 +78,9 @@ prop_test! {
             ..FmConfig::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let result = fm.run_random(&hg, &fixed, &balance, &mut rng).expect("fm runs");
+        let result = fm
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .expect("fm runs");
         let p = Partitioning::from_parts(&hg, 2, result.parts.clone()).expect("valid parts");
         let report = validate_partitioning(&hg, &p, &balance, &fixed);
         assert!(report.is_valid(), "{report}");
@@ -93,7 +96,9 @@ prop_test! {
             ..MultilevelConfig::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let result = ml.run(&hg, &fixed, &balance, &mut rng).expect("ml runs");
+        let result = ml
+            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .expect("ml runs");
         let p = Partitioning::from_parts(&hg, 2, result.parts.clone()).expect("valid parts");
         let report = validate_partitioning(&hg, &p, &balance, &fixed);
         assert!(report.is_valid(), "{report}");
@@ -107,12 +112,12 @@ prop_test! {
         let (hg, fixed) = build(&inst);
         let balance = loose_balance(&hg);
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let initial = fixed_vertices_repro::vlsi_partition::random_initial(
-            &hg, &fixed, &balance, 2, &mut rng,
-        ).expect("feasible");
+        let initial = random_initial(&hg, &fixed, &balance, 2, &mut rng).expect("feasible");
         let initial_cut = CutState::new(&hg, 2, &initial).cut();
         let fm = BipartFm::new(FmConfig::default());
-        let result = fm.run(&hg, &fixed, &balance, initial).expect("fm runs");
+        let result = fm
+            .run(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
+            .expect("fm runs");
         assert!(result.cut <= initial_cut);
     }
 
@@ -140,11 +145,13 @@ prop_test! {
         let (hg, fixed) = build(&inst);
         let balance = loose_balance(&hg);
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let initial = fixed_vertices_repro::vlsi_partition::random_initial(
-            &hg, &fixed, &balance, 2, &mut rng,
-        ).expect("feasible");
+        // KL starts from the random initial solution it draws first; draw
+        // the same one from a copy of the stream to know its cut.
+        let initial = random_initial(&hg, &fixed, &balance, 2, &mut rng.clone())
+            .expect("feasible");
         let before = CutState::new(&hg, 2, &initial).cut();
-        let r = kernighan_lin(&hg, &fixed, &balance, initial, KlConfig::default())
+        let r = KlConfig::default()
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
             .expect("kl runs");
         assert!(r.cut <= before);
         let p = Partitioning::from_parts(&hg, 2, r.parts).expect("valid parts");
@@ -158,12 +165,14 @@ prop_test! {
         let (hg, fixed) = build(&inst);
         let balance = loose_balance(&hg);
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let initial = fixed_vertices_repro::vlsi_partition::random_initial(
-            &hg, &fixed, &balance, 2, &mut rng,
-        ).expect("feasible");
+        // SA starts from the random initial solution it draws first; draw
+        // the same one from a copy of the stream to know its cut.
+        let initial = random_initial(&hg, &fixed, &balance, 2, &mut rng.clone())
+            .expect("feasible");
         let before = CutState::new(&hg, 2, &initial).cut();
         let cfg = AnnealingConfig { sweeps: 15, ..AnnealingConfig::default() };
-        let r = simulated_annealing(&hg, &fixed, &balance, initial, cfg, &mut rng)
+        let r = cfg
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
             .expect("sa runs");
         // SA keeps the best *balanced* state, which is never worse than a
         // balanced initial.
@@ -183,11 +192,11 @@ prop_test! {
             Tolerance::Absolute(hg.total_weight()),
         );
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let initial = fixed_vertices_repro::vlsi_partition::random_initial(
-            &hg, &fixed, &balance, 3, &mut rng,
-        ).expect("feasible");
+        let initial = random_initial(&hg, &fixed, &balance, 3, &mut rng).expect("feasible");
         let before = CutState::new(&hg, 3, &initial).value(Objective::KMinus1);
-        let r = kway::refine(&hg, &fixed, &balance, initial, Objective::KMinus1, 4)
+        let refiner = KwayRefiner { objective: Objective::KMinus1, max_passes: 4 };
+        let r = refiner
+            .refine_ctx(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
             .expect("refine runs");
         assert!(r.cut <= before);
         for v in hg.vertices() {

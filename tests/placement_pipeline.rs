@@ -10,7 +10,7 @@ use fixed_vertices_repro::vlsi_experiments::harness::paper_balance;
 use fixed_vertices_repro::vlsi_hypergraph::{validate_partitioning, FixedVertices, Partitioning};
 use fixed_vertices_repro::vlsi_netgen::blocks::standard_instances;
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
-use fixed_vertices_repro::vlsi_partition::{MultilevelConfig, MultilevelPartitioner};
+use fixed_vertices_repro::vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
 use fixed_vertices_repro::vlsi_placer::{hpwl, PlacerConfig, TopDownPlacer};
 
 #[test]
@@ -47,7 +47,12 @@ fn place_then_derive_then_partition() {
     {
         let balance = paper_balance(&inst.hypergraph);
         let result = ml
-            .run(&inst.hypergraph, &inst.fixed, &balance, &mut rng)
+            .run(
+                &inst.hypergraph,
+                &inst.fixed,
+                &balance,
+                RunCtx::new(&mut rng),
+            )
             .expect("derived instance partitions");
         let p =
             Partitioning::from_parts(&inst.hypergraph, 2, result.parts).expect("valid assignment");

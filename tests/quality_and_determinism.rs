@@ -11,8 +11,7 @@ use fixed_vertices_repro::vlsi_hypergraph::{
 };
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
 use fixed_vertices_repro::vlsi_partition::{
-    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart, PartitionResult,
-    RunCtx,
+    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart, Partitioner, RunCtx,
 };
 use fixed_vertices_repro::vlsi_placer::{PlacerConfig, TopDownPlacer};
 
@@ -89,16 +88,8 @@ prop_test! {
         };
         let fm = BipartFm::new(FmConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let outcome = Multistart::new(8).run_with(
-            &hg,
-            &fixed,
-            &balance,
-            RunCtx::new(&mut rng),
-            |hg, fx, bc, rng| {
-                let r = fm.run_random(hg, fx, bc, rng)?;
-                Ok(PartitionResult::new(r.parts, r.cut))
-            },
-        );
+        let outcome =
+            Multistart::new(8).run(&hg, &fixed, &balance, &fm, RunCtx::new(&mut rng));
         let Ok(outcome) = outcome else {
             return; // random_initial could not balance this fixity mix
         };
@@ -122,7 +113,8 @@ fn multilevel_is_bit_deterministic() {
     let ml = MultilevelPartitioner::new(MultilevelConfig::default());
     let run = || {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        ml.run(hg, &fixed, &balance, &mut rng).expect("runs")
+        ml.run(hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .expect("runs")
     };
     let a = run();
     let b = run();
@@ -162,7 +154,9 @@ fn different_seeds_explore_different_solutions() {
     let mut distinct = std::collections::HashSet::new();
     for seed in 0..6u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let r = fm.run_random(hg, &fixed, &balance, &mut rng).expect("runs");
+        let r = fm
+            .partition_ctx(hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .expect("runs");
         distinct.insert(r.parts);
     }
     assert!(distinct.len() > 1, "flat FM should vary across seeds");

@@ -2,8 +2,9 @@
 //! (`kway::refine_pass_parallel`, the `threads >= 2` regime of the k-way
 //! dispatch), run against two independent sequential implementations:
 //!
-//! * `kway::refine_pass` — the production sequential pass (delta-maintained
-//!   [`KwayGains`] container, LIFO tie-breaks, best-prefix rollback);
+//! * one pass of `KwayRefiner` at a budget of one thread — the production
+//!   sequential pass (delta-maintained [`KwayGains`] container, LIFO
+//!   tie-breaks, best-prefix rollback);
 //! * `kway::refine_pass_reference` — the suite's test oracle, which
 //!   recomputes every candidate gain from scratch and shares no gain
 //!   bookkeeping with either production path.
@@ -161,7 +162,18 @@ fn differential_case(inst: &RawInstance, objective: Objective) {
     };
     let before = CutState::new(&hg, k, &initial).value(objective);
 
-    let seq = kway::refine_pass(&hg, &fixed, &balance, initial.clone(), objective)
+    let one_pass = KwayRefiner {
+        objective,
+        max_passes: 1,
+    };
+    let seq = one_pass
+        .refine_ctx(
+            &hg,
+            &fixed,
+            &balance,
+            initial.clone(),
+            RunCtx::new(&mut rng),
+        )
         .expect("sequential pass refines");
     let oracle = kway::refine_pass_reference(&hg, &fixed, &balance, initial.clone(), objective)
         .expect("reference oracle refines");
