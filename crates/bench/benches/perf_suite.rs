@@ -1,10 +1,9 @@
 //! The CI perf-regression suite. Unlike the paper-table benches, this
-//! target exists to be *gated*: it measures the hot phases the parallel
-//! execution layer touches (coarsening's sharded contraction, FM gain
-//! initialization inside a full run, an end-to-end multilevel partition,
-//! the synchronous-round parallel k-way refinement under both the
-//! cut and the connectivity objectives, and the V-cycle quality phase on
-//! top of the multistart driver) at several thread counts, writes
+//! target exists to be *gated*: it measures the hot phases (coarsening's
+//! sharded contraction and an end-to-end multilevel partition at several
+//! thread counts, a full flat-FM run, one k-way refinement pass under both
+//! the cut and the connectivity objectives, and the V-cycle quality phase
+//! on top of the multistart driver at one and four threads), writes
 //! `results/bench/BENCH_partition.json`, and — when `PERF_GATE=1` — fails
 //! the process if any benchmark's median regressed more than 15% against
 //! the checked-in baseline (`PERF_BASELINE`, defaulting to
@@ -67,11 +66,9 @@ fn scale_time_max_regression() -> f64 {
 /// keeps that promise standing. The tripwire compares **min-vs-min** —
 /// background load only ever adds time, so the minimum sample is the
 /// statistic least polluted by the builder — over a ≥30-sample floor
-/// (see `min_samples` in `bench_refine_parallel`), where the min repeats
-/// to within ±2% on the CI box. Only the t1 slice carries it: the t2–t8
-/// medians are dominated by scoped-thread spawn jitter (observed ±30%
-/// run-to-run on the CI box) and stay on the general gate.
-/// `PERF_CUT_MAX_REGRESSION` overrides it for noisy builders.
+/// (see `min_samples` in `bench_refine_pass`), where the min repeats
+/// to within ±2% on the CI box. `PERF_CUT_MAX_REGRESSION` overrides it for
+/// noisy builders.
 const CUT_REFINE_MAX_REGRESSION: f64 = 1.05;
 
 fn cut_refine_max_regression() -> f64 {
@@ -123,26 +120,22 @@ fn bench_flat_fm(
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
 ) {
-    // A full flat-FM run; the parallel gain initialization dominates the
-    // start of every pass on an instance this size.
+    // A full flat-FM run from a random initial solution.
     let mut group = c.benchmark_group("partition/flat_fm");
     group.sample_size(10);
-    for threads in [1usize, 4] {
-        let fm = BipartFm::new(FmConfig {
-            policy: SelectionPolicy::Clip,
-            ..FmConfig::default()
+    let fm = BipartFm::new(FmConfig {
+        policy: SelectionPolicy::Clip,
+        ..FmConfig::default()
+    });
+    group.bench_function("t1", |b| {
+        b.iter(|| {
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            black_box(
+                fm.partition_ctx(hg, fixed, balance, RunCtx::new(&mut rng))
+                    .expect("fm runs"),
+            )
         })
-        .with_threads(threads);
-        group.bench_function(format!("t{threads}").as_str(), |b| {
-            b.iter(|| {
-                let mut rng = ChaCha8Rng::seed_from_u64(11);
-                black_box(
-                    fm.partition_ctx(hg, fixed, balance, RunCtx::new(&mut rng))
-                        .expect("fm runs"),
-                )
-            })
-        });
-    }
+    });
     group.finish();
 }
 
@@ -174,14 +167,13 @@ fn bench_multilevel(
     group.finish();
 }
 
-fn bench_refine_parallel(c: &mut Criterion, hg: &vlsi_hypergraph::Hypergraph) {
-    // The synchronous-round k-way refinement at every thread budget. On a
-    // single-core builder only the t1 median is a meaningful latency
-    // signal (t2–t8 pay scoped-thread spawns with no parallel speedup),
-    // but all four are gated: the t1 slice guards the engine itself and
-    // the others guard the per-round freeze/merge overhead.
+fn bench_refine_pass(c: &mut Criterion, hg: &vlsi_hypergraph::Hypergraph) {
+    // One k-way refinement pass (`KwayRefiner { max_passes: 1 }`, the
+    // synchronous-round pass at this 10% window) from a random initial
+    // solution. The group keeps its `refine_parallel` id from when the pass
+    // was also measured at forked budgets.
     use vlsi_hypergraph::Objective;
-    use vlsi_partition::{kway, random_initial};
+    use vlsi_partition::{random_initial, KwayRefiner, Refiner};
 
     let k = 4;
     let balance = BalanceConstraint::even(k, &[hg.total_weight()], Tolerance::Relative(0.1));
@@ -191,6 +183,16 @@ fn bench_refine_parallel(c: &mut Criterion, hg: &vlsi_hypergraph::Hypergraph) {
     }
     let mut rng = ChaCha8Rng::seed_from_u64(31);
     let initial = random_initial(hg, &fixed, &balance, k, &mut rng).expect("feasible fixture");
+    let one_pass = |objective| {
+        let refiner = KwayRefiner {
+            objective,
+            max_passes: 1,
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(0); // unused by the refiner
+        refiner
+            .refine_ctx(hg, &fixed, &balance, initial.clone(), RunCtx::new(&mut rng))
+            .expect("k-way pass runs")
+    };
 
     let mut group = c.benchmark_group("partition/refine_parallel");
     group.sample_size(30);
@@ -199,49 +201,17 @@ fn bench_refine_parallel(c: &mut Criterion, hg: &vlsi_hypergraph::Hypergraph) {
     // at 30 samples vs ±11% at 5), so the floor holds even under the CI
     // speed knob (`TESTKIT_BENCH_SAMPLES=5`).
     group.min_samples(30);
-    for threads in THREADS {
-        group.bench_function(format!("t{threads}").as_str(), |b| {
-            b.iter(|| {
-                black_box(
-                    kway::refine_pass_parallel(
-                        hg,
-                        &fixed,
-                        &balance,
-                        initial.clone(),
-                        Objective::Cut,
-                        threads,
-                    )
-                    .expect("round engine runs"),
-                )
-            })
-        });
-    }
+    group.bench_function("t1", |b| b.iter(|| black_box(one_pass(Objective::Cut))));
     group.finish();
 
     // The same pass under the connectivity objective: km1 deltas touch
     // every pin's part-count bookkeeping instead of the boundary test, so
     // this group prices the heterogeneous-objective tier on the exact
-    // workload the cut slices above use.
+    // workload the cut slice above uses.
     let mut group = c.benchmark_group("partition/km1_refine");
     group.sample_size(30);
     group.min_samples(30);
-    for threads in [1usize, 4] {
-        group.bench_function(format!("t{threads}").as_str(), |b| {
-            b.iter(|| {
-                black_box(
-                    kway::refine_pass_parallel(
-                        hg,
-                        &fixed,
-                        &balance,
-                        initial.clone(),
-                        Objective::KMinus1,
-                        threads,
-                    )
-                    .expect("km1 round engine runs"),
-                )
-            })
-        });
-    }
+    group.bench_function("t1", |b| b.iter(|| black_box(one_pass(Objective::KMinus1))));
     group.finish();
 }
 
@@ -386,7 +356,11 @@ fn gate(results_path: &std::path::Path) -> bool {
     // A slice with more threads than cores measures oversubscription, not
     // parallel speedup.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for phase in ["partition/coarsen_once", "partition/multilevel"] {
+    for phase in [
+        "partition/coarsen_once",
+        "partition/multilevel",
+        "partition/vcycle",
+    ] {
         let median = |threads: usize| {
             let id = format!("{phase}/t{threads}");
             current.iter().find(|r| r.id == id).map(|r| r.median_ns)
@@ -493,7 +467,7 @@ fn main() {
     bench_coarsen(&mut c, &hg, &fixed);
     bench_flat_fm(&mut c, &hg, &fixed, &balance);
     bench_multilevel(&mut c, &hg, &fixed, &balance);
-    bench_refine_parallel(&mut c, &hg);
+    bench_refine_pass(&mut c, &hg);
     bench_vcycle(&mut c, &hg, &fixed, &balance);
     if scale_enabled() {
         bench_scale(&mut c);

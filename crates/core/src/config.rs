@@ -145,12 +145,11 @@ pub struct MultilevelConfig {
     pub refine_fm2: Option<FmConfig>,
     /// Number of random initial solutions tried at the coarsest level.
     pub coarse_starts: usize,
-    /// Worker-thread budget for the parallel hot paths (cluster
-    /// contraction, FM/k-way gain initialization). The
-    /// result is byte-identical for every value — the parallel phases
-    /// compute exactly what the sequential code would and every
-    /// state-dependent decision replays in the original order — so this is
-    /// purely a speed knob. `0` and `1` both mean single-threaded.
+    /// Worker-thread budget for coarsening's net contraction, the only
+    /// fork inside a run. The result is byte-identical for every value —
+    /// the shards compute exactly what the sequential code would and
+    /// concatenate in net order — so this is purely a speed knob. `0` and
+    /// `1` both mean single-threaded.
     pub threads: usize,
 }
 

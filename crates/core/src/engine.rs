@@ -83,10 +83,10 @@ static NEVER_CANCEL: CancelToken = CancelToken::never();
 /// [`Refiner::refine_ctx`]; loops that run several engines off one RNG
 /// construct a fresh context per call (`RunCtx::new(&mut *rng)`).
 ///
-/// `threads` is a *budget*, not a demand: engines use at most that many
-/// worker threads in their parallel phases, and the result is
-/// byte-identical for every value (see [`crate::parallel`]). An engine
-/// whose own config also names a thread count (e.g.
+/// `threads` is a *budget*, not a demand, and no answer depends on it. It
+/// reaches one fork inside a run, coarsening's net contraction, whose
+/// shards concatenate in net order; refinement always runs on the calling
+/// thread. An engine whose own config also names a thread count (e.g.
 /// [`MultilevelConfig::threads`]) uses the larger of the two.
 pub struct RunCtx<'a, R: ?Sized, S> {
     /// Source of randomness for the run.
@@ -95,7 +95,8 @@ pub struct RunCtx<'a, R: ?Sized, S> {
     pub sink: &'a S,
     /// Polled at pass boundaries and every few dozen moves.
     pub cancel: &'a CancelToken,
-    /// Worker-thread budget for the parallel hot paths (`<= 1` = inline).
+    /// Worker-thread budget for coarsening's net contraction (`<= 1` =
+    /// inline).
     pub threads: usize,
 }
 
@@ -161,9 +162,10 @@ pub trait Partitioner {
     /// draws randomness from `ctx.rng`, streams its trace events into
     /// `ctx.sink`, polls `ctx.cancel` at pass boundaries (and, in the hot
     /// engines, every few dozen moves), and uses at most `ctx.threads`
-    /// worker threads. With [`NullSink`] the instrumentation compiles out
-    /// entirely; with [`CancelToken::never`] every cancellation check is
-    /// one predictable branch; the thread budget never changes the result.
+    /// worker threads for coarsening. With [`NullSink`] the
+    /// instrumentation compiles out entirely; with [`CancelToken::never`]
+    /// every cancellation check is one predictable branch; the thread
+    /// budget never changes the result.
     ///
     /// A cancelled run is **not** an error: the engine stops early and
     /// returns its best-so-far legal solution, recording an
@@ -191,15 +193,11 @@ pub trait Partitioner {
 /// of `parts`. Refinement is deterministic: no refiner draws from
 /// `ctx.rng`, so any RNG will do and its state is left untouched.
 pub trait Refiner {
-    /// Refines `parts`, streaming pass brackets into `ctx.sink`, polling
-    /// `ctx.cancel` at pass boundaries, and using at most `ctx.threads`
-    /// worker threads. For the 2-way FM stack the budget only parallelises
-    /// gain initialization (results are thread-count invariant); for the
-    /// k-way refiner it selects the refinement regime — budget ≤ 1 is the
-    /// sequential pass, budget ≥ 2 the synchronous-round parallel engine,
-    /// byte-identical across all budgets ≥ 2 (see
-    /// [`kway::refine_pass_parallel`]). A cancelled refinement returns the
-    /// best solution reached so far (never worse than the input).
+    /// Refines `parts`, streaming pass brackets into `ctx.sink` and polling
+    /// `ctx.cancel` at pass boundaries. Refinement runs on the calling
+    /// thread: `ctx.threads` is not used, so the answer is the same at
+    /// every budget. A cancelled refinement returns the best solution
+    /// reached so far (never worse than the input).
     ///
     /// # Errors
     /// [`PartitionError::UnsupportedPartCount`] for part counts the refiner
@@ -337,8 +335,10 @@ impl Partitioner for RecursiveBisection {
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
         let cfg = &self.0;
-        let threads = cfg.ml.threads.max(ctx.threads);
-        let ml = MultilevelConfig { threads, ..cfg.ml };
+        let ml = MultilevelConfig {
+            threads: cfg.ml.threads.max(ctx.threads),
+            ..cfg.ml
+        };
         let r = kway::recursive_bisection(
             hg,
             fixed,
@@ -369,7 +369,7 @@ impl Partitioner for RecursiveBisection {
             let value = CutState::new(hg, balance.num_parts(), &parts).value(cfg.objective);
             return Ok(PartitionResult::new(parts, value));
         }
-        kway::refine_threaded(
+        kway::refine(
             hg,
             fixed,
             balance,
@@ -378,7 +378,6 @@ impl Partitioner for RecursiveBisection {
             cfg.refine_passes,
             ctx.sink,
             ctx.cancel,
-            threads,
         )
     }
 }
@@ -451,20 +450,11 @@ impl FmStack {
         }
     }
 
-    /// Sets the worker-thread budget of both stages (gain initialization
-    /// parallelises; results are thread-count invariant).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.first = self.first.with_threads(threads);
-        self.second = self.second.map(|fm| fm.with_threads(threads));
-        self
-    }
-
     /// The refinement stack used at every uncoarsening level by a
     /// multilevel engine with configuration `cfg` (`refine_fm` then
-    /// `refine_fm2`, on `cfg.threads` workers).
+    /// `refine_fm2`).
     pub fn from_multilevel(cfg: &MultilevelConfig) -> Self {
-        FmStack::new(cfg.refine_fm, cfg.refine_fm2).with_threads(cfg.threads)
+        FmStack::new(cfg.refine_fm, cfg.refine_fm2)
     }
 }
 
@@ -486,11 +476,13 @@ impl Refiner for FmStack {
     }
 }
 
-/// The direct k-way FM inner loop as a [`Refiner`]: up to `max_passes`
+/// The direct k-way refinement loop as a [`Refiner`]: up to `max_passes`
 /// passes, stopping early when a pass fails to improve the objective.
-/// `ctx.threads` picks the pass implementation: the sequential
-/// delta-maintained pass at a budget ≤ 1, the synchronous-round parallel
-/// engine ([`kway::refine_pass_parallel`]) at ≥ 2.
+/// The instance picks the pass: the synchronous-round pass whenever some
+/// movable vertex of positive weight fits inside the balance windows
+/// (`max − min`) of two parts its fixity allows, else the FM-relaxation
+/// pass, which overshoots by the heaviest movable vertex and rolls back to
+/// the best balanced prefix. `ctx.threads` plays no part.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KwayRefiner {
     /// Objective optimised by each pass.
@@ -517,7 +509,7 @@ impl Refiner for KwayRefiner {
         parts: Vec<PartId>,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
-        kway::refine_threaded(
+        kway::refine(
             hg,
             fixed,
             balance,
@@ -526,7 +518,6 @@ impl Refiner for KwayRefiner {
             self.max_passes,
             ctx.sink,
             ctx.cancel,
-            ctx.threads,
         )
     }
 }
@@ -669,10 +660,9 @@ impl EngineConfig {
     }
 
     /// Sets the engine's *internal* worker-thread budget where the engine
-    /// has one (the multilevel and k-way configs); a no-op for the flat
-    /// engines, which instead honour the per-run
-    /// [`RunCtx::threads`] budget. Results are thread-count invariant
-    /// either way.
+    /// has one (the multilevel and k-way configs, whose coarsening forks
+    /// over it); a no-op for the flat engines, which never fork. No answer
+    /// depends on it.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         match &mut self {

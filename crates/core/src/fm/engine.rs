@@ -12,14 +12,11 @@ use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::{FmConfig, SelectionPolicy};
 use crate::engine::RunCtx;
 use crate::fm::{PassStats, RunStats};
-use crate::parallel::GAIN_INIT_GRAIN;
 use crate::PartitionError;
 
 /// Gain of moving `v` to the other side under the cut objective: the net
 /// weight freed by emptying `from`-critical nets minus the weight newly
-/// cut by touching nets with no pin on the other side. Pure read of the
-/// assignment and pin counts, so it is safe to evaluate from worker
-/// threads.
+/// cut by touching nets with no pin on the other side.
 fn initial_gain_of(hg: &Hypergraph, parts: &[PartId], pins: &[[u32; 2]], v: VertexId) -> i64 {
     let from = parts[v.index()].index();
     let mut g = 0i64;
@@ -82,28 +79,17 @@ pub struct FmResult {
 #[derive(Debug, Clone, Default)]
 pub struct BipartFm {
     config: FmConfig,
-    threads: usize,
 }
 
 impl BipartFm {
-    /// Creates an engine with the given configuration (single-threaded).
+    /// Creates an engine with the given configuration.
     pub fn new(config: FmConfig) -> Self {
-        BipartFm { config, threads: 1 }
+        BipartFm { config }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &FmConfig {
         &self.config
-    }
-
-    /// Sets the worker-thread budget for gain initialization at the start
-    /// of each pass. The result is byte-identical for every value (gains
-    /// are precomputed in parallel, bucket insertion replays in the
-    /// sequential order); `0` and `1` both mean single-threaded.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Runs FM passes from `initial` until a pass fails to improve the cut
@@ -114,9 +100,9 @@ impl BipartFm {
     /// The run emits [`Event::PassStart`], [`Event::MoveCommitted`] and
     /// [`Event::PassEnd`] per pass into `ctx.sink` (with
     /// [`NullSink`](vlsi_trace::NullSink) the
-    /// instrumentation compiles away) and uses the larger of its own and
-    /// `ctx.threads` workers for gain initialization; FM draws no
-    /// randomness, so `ctx.rng` is left untouched. `ctx.cancel` is polled
+    /// instrumentation compiles away) and runs on the calling thread
+    /// (`ctx.threads` is not used); FM draws no randomness, so `ctx.rng`
+    /// is left untouched. `ctx.cancel` is polled
     /// at pass boundaries and every [`CHECK_INTERVAL`] moves inside a
     /// pass. Cancellation is not an error: the run stops after restoring
     /// the current pass's best prefix, records one [`Event::Cancelled`]
@@ -170,12 +156,7 @@ impl BipartFm {
         initial: Vec<PartId>,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<FmResult, PartitionError> {
-        let RunCtx {
-            sink,
-            cancel,
-            threads,
-            ..
-        } = ctx;
+        let RunCtx { sink, cancel, .. } = ctx;
         if balance.num_parts() != 2 {
             return Err(PartitionError::UnsupportedPartCount {
                 requested: balance.num_parts(),
@@ -186,7 +167,6 @@ impl BipartFm {
         // the fixities; the pass state copies what it needs and drops it.
         let partitioning = Partitioning::from_parts_fixed(hg, 2, initial, fixed)?;
         let mut state = PassState::new(self, hg, balance, fixed, partitioning, sink, cancel);
-        state.threads = self.threads.max(threads);
 
         let mut stats = RunStats::default();
         if !cancel.is_cancelled() {
@@ -264,9 +244,6 @@ struct PassState<'a, S: Sink> {
     sink: &'a S,
     cancel: &'a CancelToken,
     policy: SelectionPolicy,
-    /// Worker-thread budget for gain initialization (`<= 1` = inline); the
-    /// larger of the engine's own and the run context's.
-    threads: usize,
     /// Vertices whose fixity allows both sides.
     num_movable: usize,
     /// Per-resource transient balance slack (largest movable vertex weight).
@@ -381,7 +358,6 @@ impl<'a, S: Sink> PassState<'a, S> {
             sink,
             cancel,
             policy: engine.config.policy,
-            threads: 1,
             num_movable,
             relax,
             start_cut: cut,
@@ -534,11 +510,6 @@ impl<'a, S: Sink> PassState<'a, S> {
     }
 
     /// Computes all initial gains and fills the buckets.
-    ///
-    /// Gains only read the (frozen) assignment and pin counts, so with a
-    /// thread budget they are precomputed in parallel; bucket insertion
-    /// always replays in the exact sequential order, keeping the run
-    /// thread-count invariant.
     fn prepare_buckets(&mut self) {
         for heads in &mut self.heads {
             heads.fill(NONE);
@@ -546,31 +517,13 @@ impl<'a, S: Sink> PassState<'a, S> {
         self.max_key = [-self.key_bound; 2];
         self.in_buckets = [0; 2];
         let hg = self.hg;
-        let n = hg.num_vertices();
-        let workers = crate::parallel::effective_threads(self.threads, n, GAIN_INIT_GRAIN);
-        let pre: Option<Vec<i64>> = (workers > 1).then(|| {
-            let (parts, pins, nodes) = (&self.parts, &self.pins, &self.nodes);
-            let mut out = vec![0i64; n];
-            crate::parallel::par_fill(&mut out, workers, |off, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let v = VertexId((off + i) as u32);
-                    if nodes[v.index()].movable {
-                        *slot = initial_gain_of(hg, parts, pins, v);
-                    }
-                }
-            });
-            out
-        });
         match self.policy {
             SelectionPolicy::Lifo => {
                 for v in hg.vertices() {
                     if !self.nodes[v.index()].movable {
                         continue;
                     }
-                    let g = match &pre {
-                        Some(gains) => gains[v.index()],
-                        None => initial_gain_of(hg, &self.parts, &self.pins, v),
-                    };
+                    let g = initial_gain_of(hg, &self.parts, &self.pins, v);
                     self.enter(v, g, g);
                 }
             }
@@ -588,10 +541,7 @@ impl<'a, S: Sink> PassState<'a, S> {
                     if !self.nodes[v.index()].movable {
                         continue;
                     }
-                    let g = match &pre {
-                        Some(gains) => gains[v.index()],
-                        None => initial_gain_of(hg, &self.parts, &self.pins, v),
-                    };
+                    let g = initial_gain_of(hg, &self.parts, &self.pins, v);
                     self.nodes[v.index()].gain = g;
                     starts[(g + gain_bound + 1) as usize] += 1;
                 }

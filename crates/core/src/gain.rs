@@ -374,106 +374,25 @@ impl KwayGains {
         self.targets.first().map_or(0, |b| b.present.len())
     }
 
-    /// Copies the current (key, presence) state of every entry into a
-    /// fresh [`KwayGainsSnapshot`].
-    pub fn snapshot(&self) -> KwayGainsSnapshot {
-        let mut snap = KwayGainsSnapshot::empty();
-        self.snapshot_into(&mut snap);
-        snap
-    }
-
-    /// Refills `snap` from the current container state, reusing its
-    /// allocations. This is the frozen-state handoff of the synchronous
-    /// parallel refinement rounds: workers read the snapshot concurrently
-    /// while the live container stays untouched until the apply stage.
-    pub fn snapshot_into(&self, snap: &mut KwayGainsSnapshot) {
-        let k = self.targets.len();
-        let n = self.num_vertices();
-        snap.num_parts = k;
-        snap.num_vertices = n;
-        snap.keys.clear();
-        snap.keys.resize(n * k, 0);
-        snap.present.clear();
-        snap.present.resize(n * k, false);
-        for (t, b) in self.targets.iter().enumerate() {
-            for v in 0..n {
-                if b.present[v] {
-                    snap.keys[v * k + t] = b.key_of[v];
-                    snap.present[v * k + t] = true;
-                }
-            }
-        }
-    }
-}
-
-/// A frozen copy of a [`KwayGains`] container's (key, presence) state,
-/// laid out flat by vertex so worker chunks can read disjoint slices
-/// without touching the live bucket lists.
-///
-/// The snapshot carries no LIFO ordering — the parallel rounds do not
-/// need it, because their conflict resolution orders merged proposals by
-/// `(gain, vertex id)`, which is a total order on its own.
-#[derive(Debug, Clone, Default)]
-pub struct KwayGainsSnapshot {
-    num_parts: usize,
-    num_vertices: usize,
-    /// `keys[v * num_parts + t]` = key of entry `(v, t)` while present.
-    keys: Vec<i64>,
-    /// `present[v * num_parts + t]` = whether entry `(v, t)` exists.
-    present: Vec<bool>,
-}
-
-impl KwayGainsSnapshot {
-    /// An empty snapshot, ready for [`KwayGains::snapshot_into`].
-    pub fn empty() -> Self {
-        KwayGainsSnapshot::default()
-    }
-
-    /// Number of target parts of the snapshotted container.
-    #[inline]
-    pub fn num_parts(&self) -> usize {
-        self.num_parts
-    }
-
-    /// Number of vertices of the snapshotted container.
-    #[inline]
-    pub fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    /// Returns `true` if `(vertex, to)` was present at snapshot time.
-    #[inline]
-    pub fn contains(&self, vertex: VertexId, to: PartId) -> bool {
-        self.present[vertex.index() * self.num_parts + to.index()]
-    }
-
-    /// Key of `(vertex, to)` at snapshot time (meaningful only while
-    /// [`contains`](KwayGainsSnapshot::contains)).
-    #[inline]
-    pub fn key(&self, vertex: VertexId, to: PartId) -> i64 {
-        self.keys[vertex.index() * self.num_parts + to.index()]
-    }
-
     /// The best present entry for `vertex` among the targets `feasible`
     /// admits: highest key first and, on equal keys, the lower target part
     /// index — the same cross-target tie-break as
-    /// [`KwayGains::select_best`].
+    /// [`select_best`](KwayGains::select_best).
     pub fn best_entry<F: FnMut(PartId) -> bool>(
         &self,
         vertex: VertexId,
         mut feasible: F,
     ) -> Option<(PartId, i64)> {
-        let base = vertex.index() * self.num_parts;
         let mut best: Option<(PartId, i64)> = None;
-        for t in 0..self.num_parts {
-            if !self.present[base + t] {
+        for (t, b) in self.targets.iter().enumerate() {
+            if !b.contains(vertex) {
                 continue;
             }
             let to = PartId::from_index(t);
             if !feasible(to) {
                 continue;
             }
-            let key = self.keys[base + t];
+            let key = b.key(vertex);
             // Strictly-greater keeps the lowest part index at equal keys
             // (targets are scanned in ascending index order).
             if best.is_none_or(|(_, k)| key > k) {
@@ -724,59 +643,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mirrors_keys_and_presence() {
-        let mut kg = KwayGains::new(3, 4, 6);
-        kg.insert(VertexId(0), PartId(1), 3);
-        kg.insert(VertexId(0), PartId(2), 5);
-        kg.insert(VertexId(2), PartId(0), -2);
-        let snap = kg.snapshot();
-        assert_eq!(snap.num_parts(), 3);
-        assert_eq!(snap.num_vertices(), 4);
-        assert!(snap.contains(VertexId(0), PartId(1)));
-        assert_eq!(snap.key(VertexId(0), PartId(1)), 3);
-        assert_eq!(snap.key(VertexId(0), PartId(2)), 5);
-        assert_eq!(snap.key(VertexId(2), PartId(0)), -2);
-        assert!(!snap.contains(VertexId(1), PartId(0)));
-        assert!(!snap.contains(VertexId(3), PartId(2)));
-
-        // The snapshot is frozen: later container mutations do not show.
-        kg.remove_all(VertexId(0));
-        assert!(snap.contains(VertexId(0), PartId(2)));
-    }
-
-    #[test]
-    fn snapshot_best_entry_breaks_ties_like_select_best() {
+    fn best_entry_breaks_ties_like_select_best() {
         let mut kg = KwayGains::new(4, 2, 6);
         kg.insert(VertexId(0), PartId(3), 4);
         kg.insert(VertexId(0), PartId(1), 4); // equal key, lower index wins
         kg.insert(VertexId(0), PartId(2), 6);
-        let snap = kg.snapshot();
-        assert_eq!(snap.best_entry(VertexId(0), |_| true), Some((PartId(2), 6)));
+        assert_eq!(kg.best_entry(VertexId(0), |_| true), Some((PartId(2), 6)));
         assert_eq!(
-            snap.best_entry(VertexId(0), |to| to != PartId(2)),
+            kg.best_entry(VertexId(0), |to| to != PartId(2)),
             Some((PartId(1), 4))
         );
-        assert_eq!(snap.best_entry(VertexId(0), |_| false), None);
-        assert_eq!(snap.best_entry(VertexId(1), |_| true), None);
-    }
-
-    #[test]
-    fn snapshot_into_reuses_and_resizes() {
-        let mut kg = KwayGains::new(2, 3, 4);
-        kg.insert(VertexId(1), PartId(0), 2);
-        let mut snap = KwayGainsSnapshot::empty();
-        kg.snapshot_into(&mut snap);
-        assert!(snap.contains(VertexId(1), PartId(0)));
-
-        // Refill from a differently-shaped container: stale entries must
-        // not leak through.
-        let mut kg2 = KwayGains::new(3, 2, 4);
-        kg2.insert(VertexId(0), PartId(2), -1);
-        kg2.snapshot_into(&mut snap);
-        assert_eq!((snap.num_parts(), snap.num_vertices()), (3, 2));
-        assert!(snap.contains(VertexId(0), PartId(2)));
-        assert_eq!(snap.key(VertexId(0), PartId(2)), -1);
-        assert!(!snap.contains(VertexId(1), PartId(0)));
+        assert_eq!(kg.best_entry(VertexId(0), |_| false), None);
+        assert_eq!(kg.best_entry(VertexId(1), |_| true), None);
     }
 
     #[test]

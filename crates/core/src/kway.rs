@@ -11,7 +11,7 @@ use vlsi_hypergraph::{
     induced_subgraph, BalanceConstraint, CutState, FixedVertices, Fixity, Hypergraph, Objective,
     PartId, PartSet, Partitioning, VertexId,
 };
-use vlsi_trace::{CancelStage, Event, NullSink, Sink};
+use vlsi_trace::{CancelStage, Event, Sink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::MultilevelConfig;
@@ -19,8 +19,6 @@ use crate::engine::RunCtx;
 use crate::gain::{KwayGains, MoveLog};
 use crate::multilevel::MultilevelPartitioner;
 use crate::{PartitionError, PartitionResult};
-
-use crate::parallel::GAIN_INIT_GRAIN;
 
 /// Partitions `hg` into `k` blocks by recursive bisection with the
 /// multilevel engine, honouring fixed vertices whose target partitions are
@@ -276,35 +274,28 @@ pub fn move_gain(
     gain
 }
 
-/// The shared gain-container setup of the sequential k-way pass and the
-/// parallel round engine (`parallel::refine`).
-pub(crate) struct KwayGainSetup {
+/// The gain-container setup shared by both k-way passes.
+struct KwayGainSetup {
     /// Every allowed `(vertex, target)` move of the frozen assignment,
     /// keyed by its exact gain.
-    pub gains: KwayGains,
+    gains: KwayGains,
     /// Per-resource relaxation: the largest movable vertex weight, the
-    /// slack the sequential pass grants destination overshoot.
-    pub relax: Vec<u64>,
+    /// slack the FM-relaxation pass grants destination overshoot.
+    relax: Vec<u64>,
     /// Vertices with at least one allowed move.
-    pub movable: u64,
+    movable: u64,
     /// Entries inserted (the setup's gain-container operation count).
-    pub inserts: u64,
+    inserts: u64,
 }
 
 /// Builds the [`KwayGainSetup`] for assignment `p`: relaxation vector,
 /// SOED-safe key bound, and a gain container holding every allowed move.
-///
-/// Initial gains are pure reads of the frozen assignment, so with a thread
-/// budget they are precomputed into a flat `vertex * k + target` table;
-/// the bucket insertions always replay in the sequential order, keeping
-/// the setup thread-count invariant.
-pub(crate) fn build_kway_gains(
+fn build_kway_gains(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     p: &Partitioning,
     k: usize,
     objective: Objective,
-    threads: usize,
 ) -> KwayGainSetup {
     let nr = hg.num_resources();
     let mut relax = vec![0u64; nr];
@@ -331,28 +322,6 @@ pub(crate) fn build_kway_gains(
         .unwrap_or(0)
         .max(1);
 
-    let workers =
-        crate::parallel::effective_threads(threads, hg.num_vertices() * k, GAIN_INIT_GRAIN);
-    let pre: Option<Vec<i64>> = (workers > 1).then(|| {
-        let mut out = vec![0i64; hg.num_vertices() * k];
-        crate::parallel::par_fill(&mut out, workers, |off, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let idx = off + i;
-                let v = VertexId((idx / k) as u32);
-                let fx = fixed.fixity(v);
-                if fx.is_immovable() {
-                    continue;
-                }
-                let to = PartId::from_index(idx % k);
-                if to == p.part_of(v) || !fx.allows(to) {
-                    continue;
-                }
-                *slot = move_gain(hg, p, v, to, objective);
-            }
-        });
-        out
-    });
-
     let mut gains = KwayGains::new(k, hg.num_vertices(), key_bound);
     let mut inserts = 0u64;
     let mut movable = 0u64;
@@ -368,11 +337,7 @@ pub(crate) fn build_kway_gains(
             if to == from || !fx.allows(to) {
                 continue;
             }
-            let g = match &pre {
-                Some(table) => table[v.index() * k + t],
-                None => move_gain(hg, p, v, to, objective),
-            };
-            gains.insert(v, to, g);
+            gains.insert(v, to, move_gain(hg, p, v, to, objective));
             any = true;
             inserts += 1;
         }
@@ -388,7 +353,40 @@ pub(crate) fn build_kway_gains(
     }
 }
 
-/// One greedy k-way refinement pass over all movable vertices: repeatedly
+/// Whether some movable vertex of positive weight fits inside the balance
+/// windows (`max − min`, in every resource) of two parts its fixity allows.
+///
+/// This picks the k-way pass. The synchronous-round pass only applies moves
+/// that keep every bound, so it needs such a vertex. Without one, no
+/// single move of a weighted vertex keeps a legal assignment legal (exact
+/// balance, or vertices heavier than the slack), and only the
+/// FM-relaxation pass, which overshoots and rolls back to the best
+/// balanced prefix, can improve it. Zero-weight vertices (pads) fit every
+/// window but cannot trade weight between parts, so they do not count.
+fn windows_admit_a_move(
+    hg: &Hypergraph,
+    fixed: &FixedVertices,
+    balance: &BalanceConstraint,
+) -> bool {
+    let k = balance.num_parts();
+    hg.vertices().any(|v| {
+        let fx = fixed.fixity(v);
+        let ws = hg.vertex_weights(v);
+        if ws.iter().all(|&w| w == 0) {
+            return false;
+        }
+        let fits = |p: &PartId| {
+            fx.allows(*p)
+                && ws
+                    .iter()
+                    .enumerate()
+                    .all(|(r, &w)| w <= balance.max(*p, r).saturating_sub(balance.min(*p, r)))
+        };
+        (0..k).map(PartId::from_index).filter(fits).nth(1).is_some()
+    })
+}
+
+/// The FM-relaxation k-way pass over all movable vertices: repeatedly
 /// applies the best feasible single-vertex move, each vertex at most once,
 /// then restores the best balanced prefix. Returns the refined assignment
 /// and its objective value, emitting [`Event::KwayPassStart`],
@@ -401,23 +399,12 @@ pub(crate) fn build_kway_gains(
 /// keyed entry, the pass repeatedly takes the globally best feasible one,
 /// and after each move only the moved vertex's unlocked neighbours are
 /// re-keyed — the same delta-maintenance discipline as the 2-way FM
-/// engine.
-///
-/// The worker-thread budget selects between two deterministic regimes:
-///
-/// * `threads <= 1` — the sequential LIFO pass below. The budget is also
-///   forwarded to the (thread-count invariant) gain setup.
-/// * `threads >= 2` — the synchronous-round engine
-///   ([`parallel::refine::refine_pass_rounds`](crate::parallel::refine::refine_pass_rounds)),
-///   whose output is identical for **every** budget ≥ 2 (and for any
-///   worker count; see [`refine_pass_parallel`]) but is a different
-///   algorithm than the sequential pass, so the two regimes may return
-///   different (equally legal) solutions.
-///
-/// The dispatch keys on the *requested* budget, never on instance size,
-/// so which regime runs is a pure function of the caller's configuration.
+/// engine. A destination may overshoot its maximum by the heaviest
+/// movable vertex, which is what lets this pass improve instances whose
+/// balance windows admit no legal single move ([`refine`] runs it only
+/// there).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_pass_threaded<S: Sink>(
+fn refine_pass_fm<S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
@@ -426,18 +413,12 @@ pub(crate) fn refine_pass_threaded<S: Sink>(
     pass: u32,
     sink: &S,
     cancel: &CancelToken,
-    threads: usize,
 ) -> Result<PartitionResult, PartitionError> {
-    if threads > 1 {
-        return crate::parallel::refine::refine_pass_rounds(
-            hg, fixed, balance, initial, objective, pass, sink, cancel, threads,
-        );
-    }
     let k = balance.num_parts();
     let mut p = Partitioning::from_parts_fixed(hg, k, initial, fixed)?;
     let nr = hg.num_resources();
 
-    let setup = build_kway_gains(hg, fixed, &p, k, objective, threads);
+    let setup = build_kway_gains(hg, fixed, &p, k, objective);
     let mut gains = setup.gains;
     let relax = setup.relax;
     let movable = setup.movable;
@@ -547,59 +528,278 @@ pub(crate) fn refine_pass_threaded<S: Sink>(
     Ok(PartitionResult::new(p.into_parts(), cut))
 }
 
-/// One synchronous-round parallel refinement pass (the `threads >= 2`
-/// regime of the k-way engines), exposed directly so tests and benches can
-/// pin its core contract: **the returned assignment is byte-identical for
-/// every `threads` value, including 1** — the worker count only chunks a
-/// pure proposal scan, never the merge or the apply order. This is
-/// stronger than the two-regime dispatch of the k-way engines (which
-/// switch to the sequential pass at budget ≤ 1) and is what
-/// `tests/determinism.rs` exercises at 1/2/4/8 threads.
+/// The synchronous-round k-way pass, in the style of mt-KaHyPar's
+/// deterministic preset. It runs as a sequence of rounds, each of which:
 ///
-/// Every applied move strictly improves the objective and is re-validated
-/// against fixity and balance at apply time, so the result never worsens
-/// `initial` and never introduces a new balance violation. See the
-/// `parallel::refine` module docs for the protocol and
-/// `docs/ARCHITECTURE.md` for its determinism proof obligations.
+/// 1. **Proposes.** Every vertex proposes its single best positive-gain
+///    move whose destination stays within its maximum, and whose source
+///    stays above its minimum, under the round-start loads. At equal keys
+///    the lower target part wins ([`KwayGains::best_entry`]).
+/// 2. **Merges.** Proposals are sorted by `(gain descending, vertex id
+///    ascending)`. Each vertex proposes at most once, so this is a strict
+///    total order.
+/// 3. **Applies.** Proposals are re-validated in merge order against the
+///    live state (fresh gain still positive, destination within its
+///    maximum, source above its minimum) and applied one at a time. A
+///    vertex moves at most once per round.
+/// 4. **Delta-updates.** Moved vertices are re-keyed for their new source
+///    part and their neighbourhoods refreshed, then the next round begins.
+///    A round that applies nothing ends the pass.
 ///
-/// # Errors
-/// Returns [`PartitionError::Input`] if `initial` is inconsistent with `hg`
-/// or violates a fixity.
-pub fn refine_pass_parallel(
+/// Every applied move strictly improves the objective, so the pass
+/// terminates and never returns a worse assignment than its input. A
+/// part/resource pair that satisfies its bounds keeps satisfying them, so
+/// no best-prefix rollback is needed. Emits [`Event::KwayPassStart`] /
+/// [`Event::KwayPassEnd`] around per-round [`Event::RoundStart`] /
+/// [`Event::RoundApplied`] pairs, with one [`Event::KwayMove`] per applied
+/// move, and polls `cancel` at round boundaries and every
+/// [`CHECK_INTERVAL`] proposals inside the apply stage.
+#[allow(clippy::too_many_arguments)]
+fn refine_pass_rounds<S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
     initial: Vec<PartId>,
     objective: Objective,
-    threads: usize,
+    pass: u32,
+    sink: &S,
+    cancel: &CancelToken,
 ) -> Result<PartitionResult, PartitionError> {
-    crate::parallel::refine::refine_pass_rounds(
-        hg,
-        fixed,
-        balance,
-        initial,
-        objective,
-        0,
-        &NullSink,
-        &CancelToken::never(),
-        threads,
-    )
+    let k = balance.num_parts();
+    let mut p = Partitioning::from_parts_fixed(hg, k, initial, fixed)?;
+    let nr = hg.num_resources();
+    let n = hg.num_vertices();
+
+    let setup = build_kway_gains(hg, fixed, &p, k, objective);
+    let mut gains = setup.gains;
+    let mut bucket_ops = if S::ENABLED { setup.inserts } else { 0 };
+
+    let value_before = p.cut_value(objective);
+    if S::ENABLED {
+        sink.record(&Event::KwayPassStart {
+            pass,
+            value: value_before,
+            movable: setup.movable,
+        });
+    }
+
+    // Whether moving weights `ws` from `from` to `to` keeps both parts
+    // within their bounds under `loads`.
+    let keeps_bounds = |loads: &[u64], ws: &[u64], from: PartId, to: PartId| {
+        ws.iter().enumerate().all(|(r, &w)| {
+            loads[to.index() * nr + r] + w <= balance.max(to, r)
+                && loads[from.index() * nr + r] - w >= balance.min(from, r)
+        })
+    };
+    let mut proposals: Vec<(i64, u32, u32)> = Vec::new();
+    let mut moved: Vec<VertexId> = Vec::new();
+    let mut total_moves = 0u64;
+    // Dedup stamps for the per-round neighbourhood refresh.
+    let mut stamp = vec![0u32; n];
+    let mut epoch = 0u32;
+    let mut round = 0u32;
+    let mut cancelled = false;
+
+    while !cancelled {
+        if !cancel.is_never() && cancel.is_cancelled() {
+            break;
+        }
+
+        proposals.clear();
+        let loads = p.loads();
+        for v in hg.vertices() {
+            let (ws, from) = (hg.vertex_weights(v), p.part_of(v));
+            let best = gains.best_entry(v, |to| keeps_bounds(loads, ws, from, to));
+            if let Some((to, gain)) = best {
+                if gain > 0 {
+                    proposals.push((gain, v.0, to.index() as u32));
+                }
+            }
+        }
+        if proposals.is_empty() {
+            break;
+        }
+        proposals.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+
+        if S::ENABLED {
+            sink.record(&Event::RoundStart {
+                pass,
+                round,
+                value: p.cut_value(objective),
+                proposed: proposals.len() as u64,
+            });
+        }
+
+        let mut applied = 0u64;
+        moved.clear();
+        for (i, &(_, raw, to_raw)) in proposals.iter().enumerate() {
+            if !cancel.is_never() && i % CHECK_INTERVAL == 0 && i > 0 && cancel.is_cancelled() {
+                cancelled = true;
+                break;
+            }
+            let v = VertexId(raw);
+            let to = PartId(to_raw);
+            let from = p.part_of(v);
+            if from == to {
+                continue;
+            }
+            let gain = move_gain(hg, &p, v, to, objective);
+            if gain <= 0 {
+                continue;
+            }
+            if !keeps_bounds(p.loads(), hg.vertex_weights(v), from, to) {
+                continue;
+            }
+            p.move_vertex(hg, v, to);
+            applied += 1;
+            moved.push(v);
+            if S::ENABLED {
+                sink.record(&Event::KwayMove {
+                    pass,
+                    vertex: v.index() as u64,
+                    from: from.index() as u32,
+                    to: to.index() as u32,
+                    gain,
+                    value: p.cut_value(objective),
+                });
+            }
+        }
+        total_moves += applied;
+
+        if S::ENABLED {
+            sink.record(&Event::RoundApplied {
+                pass,
+                round,
+                applied,
+                value: p.cut_value(objective),
+            });
+        }
+        if applied == 0 {
+            break;
+        }
+
+        // Moved vertices get a fresh entry set for their new source part,
+        // then their neighbourhoods are re-keyed (each vertex at most once
+        // via the epoch stamps).
+        epoch += 1;
+        for &v in &moved {
+            stamp[v.index()] = epoch;
+            gains.remove_all(v);
+            let fx = fixed.fixity(v);
+            let from = p.part_of(v);
+            for t in 0..k {
+                let to = PartId::from_index(t);
+                if to == from || !fx.allows(to) {
+                    continue;
+                }
+                gains.insert(v, to, move_gain(hg, &p, v, to, objective));
+                if S::ENABLED {
+                    bucket_ops += 1;
+                }
+            }
+            if S::ENABLED {
+                bucket_ops += 1; // the remove_all above
+            }
+        }
+        for &v in &moved {
+            for &net in hg.vertex_nets(v) {
+                for &u in hg.net_pins(net) {
+                    if stamp[u.index()] == epoch {
+                        continue;
+                    }
+                    stamp[u.index()] = epoch;
+                    let fx = fixed.fixity(u);
+                    if fx.is_immovable() {
+                        continue;
+                    }
+                    let uf = p.part_of(u);
+                    for t in 0..k {
+                        let to = PartId::from_index(t);
+                        if to == uf || !fx.allows(to) {
+                            continue;
+                        }
+                        gains.update(u, to, move_gain(hg, &p, u, to, objective));
+                        if S::ENABLED {
+                            bucket_ops += 1;
+                        }
+                    }
+                }
+            }
+        }
+        gains.decay_max();
+
+        // Debug builds cross-check every live key against a from-scratch
+        // gain, the invariant `refine_pass_reference` holds by construction.
+        #[cfg(debug_assertions)]
+        verify_gain_consistency(hg, fixed, &p, &gains, k, objective);
+
+        round += 1;
+    }
+
+    let value_after = p.cut_value(objective);
+    debug_assert!(
+        value_after <= value_before,
+        "a round worsened the objective"
+    );
+    if S::ENABLED {
+        sink.record(&Event::KwayPassEnd {
+            pass,
+            moves: total_moves,
+            best_prefix: total_moves,
+            value_before,
+            value_after,
+            bucket_ops,
+        });
+    }
+    Ok(PartitionResult::new(p.into_parts(), value_after))
 }
 
-/// The pre-container k-way pass: a lazy max-heap with re-queue on stale
-/// gains. Retained as the suite's **test oracle** — an independent
-/// implementation that recomputes every candidate's gain from scratch
-/// (`best_move_of`) instead of delta-maintaining a [`KwayGains`]
-/// container, so agreement with the sequential pass (one pass of
-/// [`KwayRefiner`](crate::KwayRefiner) at a budget of one thread) and
-/// legality of its output cross-check the container's bookkeeping.
-/// `tests/refinement_equivalence.rs` runs it across the property-test
-/// corpus, and the `kway_gains` benchmark keeps it honest as the
-/// performance baseline.
+/// Asserts that every live `(vertex, target)` entry's key equals the
+/// exact [`move_gain`] of that move under the current assignment.
+#[cfg(debug_assertions)]
+fn verify_gain_consistency(
+    hg: &Hypergraph,
+    fixed: &FixedVertices,
+    p: &Partitioning,
+    gains: &KwayGains,
+    k: usize,
+    objective: Objective,
+) {
+    for v in hg.vertices() {
+        let fx = fixed.fixity(v);
+        if fx.is_immovable() {
+            continue;
+        }
+        let from = p.part_of(v);
+        for t in 0..k {
+            let to = PartId::from_index(t);
+            if to == from || !fx.allows(to) {
+                continue;
+            }
+            debug_assert!(gains.contains(v, to), "missing gain entry for {v} -> {to}");
+            let expected = move_gain(hg, p, v, to, objective);
+            debug_assert_eq!(
+                gains.key(v, to),
+                expected,
+                "stale gain for {v} -> {to} (expected {expected})"
+            );
+        }
+    }
+}
+
+/// The pre-container k-way FM-relaxation pass: a lazy max-heap with
+/// re-queue on stale gains. Retained as the suite's **test oracle** — an
+/// independent implementation that recomputes every candidate's gain from
+/// scratch (`best_move_of`) instead of delta-maintaining a [`KwayGains`]
+/// container, so legality of its output and agreement with
+/// [`KwayRefiner`](crate::KwayRefiner) cross-check the container's
+/// bookkeeping. `tests/refinement_equivalence.rs` runs it across the
+/// property-test corpus, and the `kway_gains` benchmark keeps it honest as
+/// the performance baseline.
 ///
 /// It is deliberately **not** in any production dispatch path: engines
-/// reach refinement only through [`KwayRefiner`](crate::KwayRefiner) and
-/// [`refine_pass_parallel`].
+/// reach refinement only through [`KwayRefiner`](crate::KwayRefiner)'s
+/// pass loop.
 ///
 /// # Errors
 /// Returns [`PartitionError::Input`] if `initial` is inconsistent with `hg`
@@ -853,7 +1053,7 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
     } else {
         initial.parts
     };
-    let r = refine_threaded(
+    let r = refine(
         coarsest_hg,
         coarsest_fixed,
         balance,
@@ -862,7 +1062,6 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
         4,
         sink,
         cancel,
-        ml_config.threads,
     )?;
     if S::ENABLED {
         sink.record(&Event::LevelEnd {
@@ -890,16 +1089,8 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
             fine_parts = p;
             fully_legal = legal;
         }
-        let r = refine_threaded(
-            fine_hg,
-            fine_fixed,
-            balance,
-            fine_parts,
-            objective,
-            4,
-            sink,
-            cancel,
-            ml_config.threads,
+        let r = refine(
+            fine_hg, fine_fixed, balance, fine_parts, objective, 4, sink, cancel,
         )?;
         if S::ENABLED {
             sink.record(&Event::LevelEnd {
@@ -917,18 +1108,7 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
         // reports per-part loads against the maxima. Refine once more so
         // the repair moves get locally re-optimized.
         let (p, _) = crate::warmstart::legalize_assignment(hg, fixed, balance, &parts)?;
-        parts = refine_threaded(
-            hg,
-            fixed,
-            balance,
-            p,
-            objective,
-            4,
-            sink,
-            cancel,
-            ml_config.threads,
-        )?
-        .parts;
+        parts = refine(hg, fixed, balance, p, objective, 4, sink, cancel)?.parts;
     }
     let cut = CutState::new(hg, k, &parts).value(objective);
     if S::ENABLED && cancel.is_cancelled() {
@@ -940,17 +1120,20 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
     Ok(PartitionResult::new(parts, cut))
 }
 
-/// Loops [`refine_pass_threaded`] until a pass stops improving (at most
-/// `max_passes`), the body of [`KwayRefiner`](crate::KwayRefiner). The
-/// budget selects the refinement regime per that function's contract:
-/// budget ≤ 1 runs the sequential pass, budget ≥ 2 runs the
-/// synchronous-round engine and is byte-identical across all budgets ≥ 2.
-/// `cancel` is polled at pass boundaries (and inside each pass every
-/// [`CHECK_INTERVAL`] moves); a cancelled run records one
-/// [`Event::Cancelled`] (stage `kway_pass`) and returns the best
-/// assignment reached so far.
+/// Runs up to `max_passes` k-way refinement passes from `parts`, stopping
+/// at the first pass that does not improve `objective`: the body of
+/// [`KwayRefiner`](crate::KwayRefiner), of the k-way engines' refinement,
+/// of warm starts and of the quality phase.
+///
+/// The pass comes from the instance, never from a thread budget: the
+/// synchronous-round pass ([`refine_pass_rounds`]) when
+/// [`windows_admit_a_move`], else the FM-relaxation pass
+/// ([`refine_pass_fm`]). Both run on the calling thread, so no answer
+/// depends on the thread count. `cancel` is polled at pass boundaries (and
+/// inside each pass); a cancelled run records one [`Event::Cancelled`]
+/// (stage `kway_pass`) and returns the best assignment reached so far.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn refine_threaded<S: Sink>(
+pub(crate) fn refine<S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
@@ -959,12 +1142,16 @@ pub(crate) fn refine_threaded<S: Sink>(
     max_passes: usize,
     sink: &S,
     cancel: &CancelToken,
-    threads: usize,
 ) -> Result<PartitionResult, PartitionError> {
+    let pass_fn = if windows_admit_a_move(hg, fixed, balance) {
+        refine_pass_rounds::<S>
+    } else {
+        refine_pass_fm::<S>
+    };
     let mut best = CutState::new(hg, balance.num_parts(), &parts).value(objective);
     if !cancel.is_cancelled() {
         for pass in 0..max_passes {
-            let r = refine_pass_threaded(
+            let r = pass_fn(
                 hg,
                 fixed,
                 balance,
@@ -973,7 +1160,6 @@ pub(crate) fn refine_threaded<S: Sink>(
                 pass as u32,
                 sink,
                 cancel,
-                threads,
             )?;
             if r.cut < best {
                 best = r.cut;
@@ -1001,6 +1187,7 @@ mod tests {
     use vlsi_hypergraph::{HypergraphBuilder, Tolerance};
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
+    use vlsi_trace::NullSink;
 
     fn rb(
         hg: &Hypergraph,
@@ -1048,8 +1235,8 @@ mod tests {
         max_passes: usize,
     ) -> Result<PartitionResult, PartitionError> {
         let never = CancelToken::never();
-        refine_threaded(
-            hg, fixed, balance, parts, objective, max_passes, &NullSink, &never, 1,
+        super::refine(
+            hg, fixed, balance, parts, objective, max_passes, &NullSink, &never,
         )
     }
 

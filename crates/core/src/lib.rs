@@ -24,13 +24,12 @@
 //!   engine — flat FM, multilevel, Kernighan–Lin, simulated annealing and
 //!   both k-way strategies — with a by-name [`EngineConfig`] registry, so
 //!   drivers need no engine-specific glue.
-//! * A deterministic [`parallel`] execution layer behind the multilevel
-//!   and FM hot phases: results are byte-identical at any thread count.
 //!
 //! Every engine run takes a [`RunCtx`] bundling the RNG, a
 //! [`trace::Sink`] receiving structured [`trace`] events (pass brackets,
 //! committed moves, coarsening levels, multistart records), a
-//! [`CancelToken`], and a thread budget; the defaults built by
+//! [`CancelToken`], and a thread budget (it reaches multistart starts and
+//! coarsening only, and never changes an answer); the defaults built by
 //! [`RunCtx::new`] use [`trace::NullSink`], which compiles the
 //! instrumentation out entirely. There is one way to call each engine:
 //! [`Partitioner::partition_ctx`] from scratch, [`Refiner::refine_ctx`]
@@ -81,7 +80,6 @@ pub mod kl;
 pub mod kway;
 pub mod multilevel;
 pub mod multistart;
-pub mod parallel;
 pub mod policy;
 pub mod quality;
 mod result;
@@ -97,7 +95,7 @@ pub use engine::{
 };
 pub use error::PartitionError;
 pub use fm::{BipartFm, FmResult, PassStats, RunStats};
-pub use gain::{GainBuckets, KwayGains, KwayGainsSnapshot, MoveLog};
+pub use gain::{GainBuckets, KwayGains, MoveLog};
 pub use initial::random_initial;
 pub use kl::KlConfig;
 pub use multilevel::{MultilevelPartitioner, MultilevelResult};

@@ -61,10 +61,11 @@ pub struct CoarsenParams {
     /// fixed-terminals regime. Fixed–fixed merges within one partition are
     /// always allowed (the terminal-clustering equivalence).
     pub allow_free_fixed_merge: bool,
-    /// Worker-thread budget for net contraction. Purely a speed knob: the
-    /// parallel phase computes exactly what the sequential code would
-    /// (see [`crate::parallel`]), so the coarse level is byte-identical
-    /// for every value. `0` and `1` both mean single-threaded.
+    /// Worker-thread budget for net contraction, the only fork inside one
+    /// run. Purely a speed knob: each worker normalizes a contiguous range
+    /// of nets and the shards concatenate in net order, so the coarse
+    /// level is byte-identical for every value. `0` and `1` both mean
+    /// single-threaded.
     pub threads: usize,
 }
 
@@ -338,7 +339,7 @@ pub fn contract_clusters(
     // brings identical coarse nets together; u64 weight addition is
     // order-independent, so the coarse net list (lexicographic by pin
     // slice) does not depend on how equal slices were ordered.
-    let net_workers = crate::parallel::effective_threads(threads, hg.num_nets(), NET_GRAIN);
+    let net_workers = effective_threads(threads, hg.num_nets(), NET_GRAIN);
     let normalize = |range: std::ops::Range<usize>,
                      pin_arena: &mut Vec<u32>,
                      spans: &mut Vec<(u32, u32, u64)>| {
@@ -366,7 +367,7 @@ pub fn contract_clusters(
     let mut pin_arena: Vec<u32>;
     let mut spans: Vec<(u32, u32, u64)>;
     if net_workers > 1 {
-        let shards = crate::parallel::par_map_chunks(hg.num_nets(), net_workers, |range| {
+        let shards = par_map_chunks(hg.num_nets(), net_workers, |range| {
             let mut local_pins: Vec<u32> = Vec::new();
             let mut local_spans: Vec<(u32, u32, u64)> = Vec::new();
             normalize(range, &mut local_pins, &mut local_spans);
@@ -410,6 +411,50 @@ pub fn contract_clusters(
         fixed: FixedVertices::from_fixities(fixities),
         map: cluster_of.into_iter().map(VertexId).collect(),
     }
+}
+
+/// Decides how many worker threads a phase should actually use.
+///
+/// Returns 1 (run inline) unless more than one thread was requested *and*
+/// there are at least `grain` items per prospective worker; otherwise caps
+/// the requested count so each worker keeps a full grain of work.
+fn effective_threads(requested: usize, items: usize, grain: usize) -> usize {
+    if requested <= 1 {
+        return 1;
+    }
+    requested.min(items / grain.max(1)).max(1)
+}
+
+/// Runs `f` over `0..len` split into at most `threads` contiguous chunks
+/// and returns the per-chunk results **in chunk order**.
+///
+/// With `threads <= 1` (or `len <= 1`) this is exactly `vec![f(0..len)]`
+/// on the current thread. A worker panic is propagated to the caller.
+fn par_map_chunks<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(std::ops::Range<usize>) -> T + Sync,
+{
+    let workers = threads.min(len).max(1);
+    if workers <= 1 {
+        return vec![f(0..len)];
+    }
+    let chunk = len.div_ceil(workers);
+    let ranges: Vec<std::ops::Range<usize>> = (0..workers)
+        .map(|i| (i * chunk).min(len)..((i + 1) * chunk).min(len))
+        .filter(|r| !r.is_empty())
+        .collect();
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = ranges
+            .into_iter()
+            .map(|r| scope.spawn(move || f(r)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// A normalized coarse net: `(offset, len, weight)` into a pin arena whose
@@ -503,6 +548,45 @@ mod tests {
             allow_free_fixed_merge: false,
             threads: 1,
         }
+    }
+
+    #[test]
+    fn effective_threads_caps_by_grain() {
+        assert_eq!(effective_threads(1, 1_000_000, 1), 1);
+        assert_eq!(effective_threads(4, 0, 64), 1);
+        assert_eq!(effective_threads(4, 64, 64), 1);
+        assert_eq!(effective_threads(4, 128, 64), 2);
+        assert_eq!(effective_threads(4, 10_000, 64), 4);
+        assert_eq!(effective_threads(3, 100, 0), 3); // zero grain never divides by zero
+    }
+
+    #[test]
+    fn par_map_chunks_is_ordered_and_thread_count_invariant() {
+        let expected: Vec<usize> = (0..257).map(|i| i * i).collect();
+        for threads in [1, 2, 3, 4, 8] {
+            let chunks = par_map_chunks(257, threads, |r| r.map(|i| i * i).collect::<Vec<_>>());
+            let flat: Vec<usize> = chunks.into_iter().flatten().collect();
+            assert_eq!(flat, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn par_map_chunks_handles_empty_and_tiny_inputs() {
+        let empty = par_map_chunks(0, 4, |r| r.len());
+        assert_eq!(empty, vec![0]);
+        let one = par_map_chunks(1, 4, |r| r.len());
+        assert_eq!(one, vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker boom")]
+    fn worker_panics_propagate() {
+        par_map_chunks(100, 4, |r| {
+            if r.contains(&99) {
+                panic!("worker boom");
+            }
+            0usize
+        });
     }
 
     fn chain(n: usize) -> Hypergraph {

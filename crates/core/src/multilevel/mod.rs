@@ -92,8 +92,10 @@ impl MultilevelPartitioner {
     /// hypergraph; higher indices are coarser. A `LevelStart` is emitted as
     /// each coarse level is built (top-down), and a `LevelEnd` with the
     /// post-refinement cut as each level is solved (bottom-up, coarsest
-    /// first). The run uses the larger of [`MultilevelConfig::threads`]
-    /// and `ctx.threads` workers; the result is the same for any budget.
+    /// first). Coarsening's net contraction forks over the larger of
+    /// [`MultilevelConfig::threads`] and `ctx.threads` workers; everything
+    /// else runs on the calling thread, and the result is the same for any
+    /// budget.
     ///
     /// A cancelled run truncates coarsening, keeps only the first coarse
     /// start, lets the inner FM stop at its own checkpoints, and records
@@ -171,7 +173,7 @@ impl MultilevelPartitioner {
             Some(l) => (&l.hg, &l.fixed),
             None => (hg, fixed),
         };
-        let coarse_fm = BipartFm::new(cfg.coarse_fm).with_threads(cfg.threads);
+        let coarse_fm = BipartFm::new(cfg.coarse_fm);
         let mut best: Option<(u64, Vec<PartId>)> = None;
         for start in 0..cfg.coarse_starts.max(1) {
             // Start 0 always runs so a cancelled run still yields a legal

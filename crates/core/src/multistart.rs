@@ -36,7 +36,7 @@
 //! starts, and the quality phase draws from its own RNG derived from
 //! `base_seed` (never from a worker's stream), running only
 //! thread-invariant machinery (restricted coarsening, the FM stack, the
-//! synchronous-round k-way engine).
+//! k-way pass loop).
 //!
 //! # Example
 //!

@@ -25,20 +25,18 @@
 //!   is never worse than the best retained start.
 //!
 //! Every step is deterministic and worker-thread-count invariant: the
-//! restricted coarsening, the 2-way FM stack's gain initialization and the
-//! synchronous-round k-way engine all compute byte-identical results at
-//! any thread budget (see [`crate::parallel`]).
+//! thread budget reaches only the restricted coarsening's net contraction,
+//! which is byte-identical at any budget, and refinement (the 2-way FM
+//! stack or the k-way pass loop) runs on the calling thread.
 //!
 //! [`Multistart`]: crate::multistart::Multistart
 
 use std::collections::HashMap;
 
 use vlsi_rng::Rng;
-use vlsi_trace::{Event, Sink};
+use vlsi_trace::{Event, NullSink, Sink};
 
-use vlsi_hypergraph::{
-    BalanceConstraint, CutState, FixedVertices, Fixity, Hypergraph, Objective, PartId,
-};
+use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Fixity, Hypergraph, Objective, PartId};
 
 use crate::config::MultilevelConfig;
 use crate::engine::{FmStack, Refiner, RunCtx};
@@ -50,21 +48,10 @@ use crate::{PartitionError, PartitionResult};
 /// giving up (each pass is itself a full best-prefix refinement).
 const QUALITY_REFINE_PASSES: usize = 4;
 
-/// The objective value of `parts` on `hg` under `balance`'s part count.
-pub(crate) fn objective_value(
-    hg: &Hypergraph,
-    balance: &BalanceConstraint,
-    parts: &[PartId],
-    objective: Objective,
-) -> u64 {
-    CutState::new(hg, balance.num_parts(), parts).value(objective)
-}
-
-/// Refines `parts` in place with the strongest thread-count-invariant
-/// refiner for the instance shape: the 2-way FM stack for bisection under
-/// the cut objective, the synchronous-round k-way engine otherwise. Never
-/// returns a solution worse than the seed; the returned `cut` field holds
-/// the value of `objective`.
+/// Refines `parts` with the refiner for the instance shape: the 2-way FM
+/// stack for bisection under the cut objective, the k-way pass loop
+/// (untraced) otherwise. Never returns a solution worse than the seed; the
+/// returned `cut` field holds the value of `objective`.
 fn quality_refine<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
@@ -73,36 +60,20 @@ fn quality_refine<R: Rng + ?Sized, S: Sink>(
     parts: Vec<PartId>,
     ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
-    let threads = ctx.threads;
     if balance.num_parts() == 2 && objective == Objective::Cut {
-        let cfg = MultilevelConfig {
-            threads,
-            ..MultilevelConfig::default()
-        };
-        let refiner = FmStack::from_multilevel(&cfg);
+        let refiner = FmStack::from_multilevel(&MultilevelConfig::default());
         return refiner.refine_ctx(hg, fixed, balance, parts, ctx);
     }
-    let seed_value = objective_value(hg, balance, &parts, objective);
-    let mut best = PartitionResult::new(parts, seed_value);
-    for _ in 0..QUALITY_REFINE_PASSES {
-        if ctx.cancel.is_cancelled() {
-            break;
-        }
-        let r = kway::refine_pass_parallel(
-            hg,
-            fixed,
-            balance,
-            best.parts.clone(),
-            objective,
-            threads.max(1),
-        )?;
-        if r.cut < best.cut {
-            best = r;
-        } else {
-            break;
-        }
-    }
-    Ok(best)
+    kway::refine(
+        hg,
+        fixed,
+        balance,
+        parts,
+        objective,
+        QUALITY_REFINE_PASSES,
+        &NullSink,
+        ctx.cancel,
+    )
 }
 
 /// The coarsening knobs the quality layer uses: the multilevel engine's
@@ -356,7 +327,9 @@ pub(crate) fn recombine<R: Rng + ?Sized, S: Sink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlsi_hypergraph::{validate_partitioning, HypergraphBuilder, Partitioning, Tolerance};
+    use vlsi_hypergraph::{
+        validate_partitioning, CutState, HypergraphBuilder, Partitioning, Tolerance,
+    };
     use vlsi_rng::{ChaCha8Rng, SeedableRng};
 
     fn grid(side: usize) -> Hypergraph {
@@ -386,7 +359,7 @@ mod tests {
         let parts: Vec<PartId> = (0..hg.num_vertices())
             .map(|i| PartId(((i % 10) >= 5) as u32))
             .collect();
-        let seed_cut = objective_value(&hg, &balance, &parts, Objective::Cut);
+        let seed_cut = CutState::new(&hg, 2, &parts).cut();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let r = run_vcycles(
             &hg,
@@ -417,8 +390,8 @@ mod tests {
             })
             .collect();
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.30));
-        let va = objective_value(&hg, &balance, &a, Objective::Cut);
-        let vb = objective_value(&hg, &balance, &b, Objective::Cut);
+        let va = CutState::new(&hg, 2, &a).cut();
+        let vb = CutState::new(&hg, 2, &b).cut();
         assert!(va <= vb);
         let top = vec![PartitionResult::new(a, va), PartitionResult::new(b, vb)];
         let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -465,7 +438,7 @@ mod tests {
         let top: Vec<PartitionResult> = [b, c, d, e]
             .into_iter()
             .map(|p| {
-                let v = objective_value(&hg, &balance, &p, Objective::Cut);
+                let v = CutState::new(&hg, 2, &p).cut();
                 PartitionResult::new(p, v)
             })
             .collect();

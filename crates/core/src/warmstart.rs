@@ -13,7 +13,7 @@
 //!
 //! Legalization is deterministic and purely structural — no RNG is drawn —
 //! so a warm run's result depends only on `(instance, seed assignment,
-//! objective, max_passes, thread regime)`:
+//! objective, max_passes)`:
 //!
 //! 1. Every vertex whose seed part is out of range or forbidden by its
 //!    fixity is relocated to its fixed part (or the lowest-indexed allowed
@@ -25,9 +25,8 @@
 //!
 //! One [`Event::WarmStart`] is emitted after legalization with the
 //! reused/relocated split and the seed objective value, then refinement
-//! proceeds exactly as [`KwayRefiner`](crate::KwayRefiner) would: the
-//! thread budget in the [`RunCtx`] selects the sequential pass (≤ 1) or
-//! the synchronous-round parallel engine (≥ 2), both deterministic.
+//! proceeds exactly as [`KwayRefiner`](crate::KwayRefiner) would, on the
+//! calling thread at every budget.
 
 use vlsi_rng::Rng;
 use vlsi_trace::{Event, Sink};
@@ -366,11 +365,10 @@ fn legalize_balance(
 /// This is the engine behind the service's incremental (warm-start) API:
 /// instead of partitioning from scratch, the cached assignment for a
 /// nearby instance is repaired and refined for up to `max_passes` k-way FM
-/// passes. The [`RunCtx`] thread budget selects the refinement regime
-/// exactly as [`KwayRefiner`](crate::KwayRefiner) does — `<= 1` runs the
-/// sequential LIFO pass, `>= 2` the deterministic synchronous-round
-/// parallel engine. No randomness is drawn; the RNG in the context exists
-/// only for [`RunCtx`] API uniformity.
+/// passes. The passes are [`KwayRefiner`](crate::KwayRefiner)'s, chosen
+/// from the instance, and the [`RunCtx`] thread budget plays no part. No
+/// randomness is drawn; the RNG in the context exists only for [`RunCtx`]
+/// API uniformity.
 ///
 /// Emits one [`Event::WarmStart`] (reused/relocated split and the
 /// legalized seed value) before the refinement passes.
@@ -443,16 +441,8 @@ where
         });
     }
 
-    let result = kway::refine_threaded(
-        hg,
-        fixed,
-        balance,
-        parts,
-        objective,
-        max_passes,
-        ctx.sink,
-        ctx.cancel,
-        ctx.threads,
+    let result = kway::refine(
+        hg, fixed, balance, parts, objective, max_passes, ctx.sink, ctx.cancel,
     )?;
     Ok(WarmStartOutcome { result, relocated })
 }
@@ -611,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_result_is_identical_across_thread_budgets_within_a_regime() {
+    fn warm_result_is_identical_across_thread_budgets() {
         let hg = chain(24);
         let balance = even(&hg, 2, 0.1);
         let mut fixed = FixedVertices::all_free(24);
@@ -632,16 +622,11 @@ mod tests {
             )
             .unwrap()
         };
-        let seq = run(1);
-        let p2 = run(2);
-        let p4 = run(4);
-        let p8 = run(8);
-        assert_eq!(p2, p4, "parallel regime is budget-invariant");
-        assert_eq!(p2, p8, "parallel regime is budget-invariant");
-        // Both regimes must be legal; they may legitimately differ.
-        for out in [&seq, &p2] {
-            let pt = Partitioning::from_parts(&hg, 2, out.result.parts.clone()).unwrap();
-            assert!(validate_partitioning(&hg, &pt, &balance, &fixed).is_valid());
+        let base = run(1);
+        for threads in [2, 4, 8] {
+            assert_eq!(run(threads), base, "{threads} threads changed the answer");
         }
+        let pt = Partitioning::from_parts(&hg, 2, base.result.parts.clone()).unwrap();
+        assert!(validate_partitioning(&hg, &pt, &balance, &fixed).is_valid());
     }
 }

@@ -24,13 +24,9 @@
 //! from the cut to the connectivity (λ−1) metric.
 //!
 //! Starts run on `--threads` OS threads (default: the machine's available
-//! parallelism) with deterministic per-start seeding, so multistart
-//! results are identical for every thread count. With a single start the
-//! budget goes to the engine's internal phases instead; there determinism
-//! is two-regime: `--threads 1` replays the sequential refinement
-//! bit-for-bit, while any `--threads N` with `N >= 2` selects the
-//! synchronous-round parallel k-way refinement (engines `rb`/`kway`) and
-//! returns one identical answer regardless of `N`. `--trace` streams
+//! parallelism) with deterministic per-start seeding. With a single start
+//! the budget goes to the engine's coarsening instead. Either way no
+//! answer depends on `--threads`: it only changes speed. `--trace` streams
 //! per-pass events of every start into one JSONL file, which only makes
 //! sense on a single interleaving — it forces the sequential driver.
 //!
@@ -352,8 +348,8 @@ fn main() {
         )
     } else {
         // One start cannot use multistart-level parallelism, so hand the
-        // whole thread budget to the engine's internal parallel phases;
-        // with several starts the workers stay single-threaded to avoid
+        // whole thread budget to the engine's coarsening; with several
+        // starts the workers stay single-threaded to avoid
         // oversubscription. Either way the result is thread-count
         // invariant.
         let engine = if starts == 1 {

@@ -458,9 +458,6 @@ fn execute_warm(
     let engine = EngineConfig::by_name(&req.engine).expect("engine validated at ingress");
     let label = warm_label(engine.name());
     let balance = job_balance(req);
-    // No multistart on the warm path: the requested threads go straight to
-    // the k-way refinement, whose parallel regime starts at 2.
-    let parallel_refine = req.threads >= 2;
     let warm_engine = format!("warm:{sid}:{}", req.engine);
     // The warm path refines from the seed and never runs the multistart
     // quality phase, so the vcycles/ensemble knobs do not influence its
@@ -472,7 +469,7 @@ fn execute_warm(
         req.tolerance,
         req.starts,
         req.seed,
-        parallel_refine,
+        false,
         0,
         false,
         req.objective,
@@ -517,10 +514,7 @@ fn execute_warm(
                 seed,
                 req.objective,
                 WARM_MAX_PASSES,
-                RunCtx::new(&mut rng)
-                    .with_sink(&sink)
-                    .with_cancel(&cancel)
-                    .with_threads(req.threads),
+                RunCtx::new(&mut rng).with_sink(&sink).with_cancel(&cancel),
             )
         }
         None => refine_from_partition_ctx(
@@ -532,8 +526,7 @@ fn execute_warm(
             WARM_MAX_PASSES,
             RunCtx::new(&mut rng)
                 .with_sink(&ctx.metrics.engine)
-                .with_cancel(&cancel)
-                .with_threads(req.threads),
+                .with_cancel(&cancel),
         ),
     };
 
@@ -616,7 +609,7 @@ fn execute_cold(
         .with_objective(req.objective);
     // With several multistart workers the starts already saturate the
     // requested threads; only a single start hands them to the engine's
-    // internal parallel coarsening/refinement instead.
+    // coarsening instead. Neither changes the answer.
     let engine = if req.starts == 1 {
         engine.with_threads(req.threads.max(1))
     } else {
@@ -624,17 +617,13 @@ fn execute_cold(
     };
     let balance = job_balance(req);
 
-    // The regime bit mirrors the with_threads hand-off below: only a
-    // single start gives the engine an internal budget, and only a budget
-    // >= 2 switches the k-way refinement onto the parallel round engine.
-    let parallel_refine = req.starts == 1 && req.threads >= 2;
     let key = cache_key(
         &req.engine,
         req.k,
         req.tolerance,
         req.starts,
         req.seed,
-        parallel_refine,
+        false,
         req.vcycles,
         req.ensemble,
         req.objective,

@@ -231,6 +231,59 @@ fn stdio_session_covers_cache_deadline_and_errors() {
 }
 
 #[test]
+fn kway_jobs_at_different_thread_counts_share_one_cache_entry() {
+    // No answer depends on the thread count, so the same single-start
+    // k-way job at threads 1 and then 2 is one cache entry.
+    let service = Service::start(ServiceConfig {
+        workers: 1, // sequential job order makes the second job a guaranteed hit
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let inst = instance_json();
+    let job = |id: &str, threads: usize| {
+        format!(
+            r#"{{"id":"{id}","engine":"kway","k":4,"starts":1,"seed":3,"threads":{threads},"tolerance":{TOLERANCE},{inst}}}"#
+        )
+    };
+    let input = format!("{}\n{}\n", job("t1", 1), job("t2", 2));
+    let mut out = Vec::new();
+    service
+        .serve(Cursor::new(input), &mut out)
+        .expect("session runs");
+    service.shutdown();
+
+    let text = String::from_utf8(out).expect("utf8 output");
+    let responses: Vec<Json> = text
+        .lines()
+        .map(|l| json::parse(l).expect("valid JSON"))
+        .collect();
+    let by_id = |id: &str| {
+        responses
+            .iter()
+            .find(|r| r.get("id").and_then(|v| v.as_str()) == Some(id))
+            .unwrap_or_else(|| panic!("no response for {id}: {text}"))
+    };
+    let (first, second) = (by_id("t1"), by_id("t2"));
+    for r in [first, second] {
+        assert_eq!(
+            r.get("status").and_then(|s| s.as_str()),
+            Some("ok"),
+            "{text}"
+        );
+    }
+    assert_eq!(
+        first.get("cache_hit").and_then(|h| h.as_bool()),
+        Some(false)
+    );
+    assert_eq!(
+        second.get("cache_hit").and_then(|h| h.as_bool()),
+        Some(true),
+        "threads 2 must be answered from the threads 1 entry"
+    );
+    assert_eq!(first.get("parts"), second.get("parts"));
+}
+
+#[test]
 fn shutdown_op_ends_the_session_and_queued_jobs_still_answer() {
     let service = Service::start(ServiceConfig {
         workers: 1,

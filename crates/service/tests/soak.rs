@@ -308,8 +308,8 @@ fn responses_are_byte_identical_across_worker_counts() {
                 r#"{{"id":"c{i}","engine":"kway","k":{K},"tolerance":{TOLERANCE},"seed":{i},{inst}}}"#
             ));
         }
-        // Warm continuations, one per cold job, including the parallel
-        // refinement regime (threads >= 2) on the last two.
+        // Warm continuations, one per cold job, at threads 1 on the first
+        // two and threads 2 on the last two.
         lines
     };
 

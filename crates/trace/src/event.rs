@@ -184,9 +184,9 @@ pub enum Event {
         /// performed during the pass.
         bucket_ops: u64,
     },
-    /// A synchronous round of the parallel k-way refinement engine began:
-    /// proposals were collected from a frozen gain snapshot and merged into
-    /// the deterministic apply order. Emitted once per round, inside a
+    /// A synchronous round of the k-way round pass began: proposals were
+    /// collected under the round-start state and merged into the
+    /// deterministic apply order. Emitted once per round, inside a
     /// `KwayPassStart`/`KwayPassEnd` bracket.
     RoundStart {
         /// 0-based pass index the round belongs to.
@@ -198,8 +198,8 @@ pub enum Event {
         /// Number of merged move proposals entering the apply stage.
         proposed: u64,
     },
-    /// A synchronous round of the parallel k-way refinement engine finished
-    /// its apply stage: proposals were re-validated in merge order and the
+    /// A synchronous round of the k-way round pass finished its apply
+    /// stage: proposals were re-validated in merge order and the
     /// surviving moves applied. `applied <= proposed` of the matching
     /// [`Event::RoundStart`]; a round with `applied = 0` ends the pass.
     RoundApplied {

@@ -38,11 +38,20 @@ cargo test -q --offline -p vlsi-service --test protocol_doc
 
 # Golden output digests: every public way to run an engine, on one small
 # netlist with ~10% fixed vertices at 1 and 2 threads, folded into FNV-1a
-# digests of the partition, the value and the trace stream. A change that
-# claims to leave outputs alone must leave every digest alone; one that
-# changes partitions on purpose re-records the table and says why.
+# digests of the partition, the value and the trace stream (one digest
+# per case, which both budgets must produce). A change that claims to
+# leave outputs alone must leave every digest alone; one that changes
+# partitions on purpose re-records the table and says why.
 echo "==> golden output digests"
 cargo test -q --offline -p fixed-vertices-repro --test golden_digests
+
+# Thread-count invariance: every registry engine, rb/kway at k=4 under cut
+# and km1, KwayRefiner and the warm start on an ~8900-vertex netlist must
+# return the same parts, value and trace at 1, 2 and 4 threads, with and
+# without an armed cancel token (about 40 s in a debug build).
+echo "==> thread-count invariance"
+cargo test -q --offline -p fixed-vertices-repro --test determinism \
+    no_answer_depends_on_the_thread_count
 
 # Decode fuzz smoke: the differential suite that pins `parse_request` to
 # the earlier tree-based decoder, re-based on a fixed seed outside its
@@ -56,8 +65,8 @@ TESTKIT_SEED=1999 TESTKIT_CASES=10000 \
 # FM differential fuzz smoke: the suite that pins the 2-way FM pass loop
 # (results and trace events, bucket_ops included) to the earlier
 # KwayGains/Partitioning loop, re-based on the same fixed seed and scaled
-# to 4x its checked-in case counts (1600 small instances plus 16 with
-# forked gain initialization; about 2 s in a debug build).
+# to 4x its checked-in case counts (1600 small instances plus 16 with over
+# 2,100 vertices; about 2 s in a debug build).
 echo "==> FM differential fuzz smoke (TESTKIT_SEED=1999, 4x cases)"
 TESTKIT_SEED=1999 TESTKIT_CASES=4x \
     cargo test -q --offline -p fixed-vertices-repro --test fm_differential
@@ -131,10 +140,11 @@ fi
 # The suite writes results/bench/BENCH_partition.json (the CI artifact) and
 # prints the speedup of the parallelized phases at the widest measured
 # thread count within the CI machine's available_parallelism. That machine
-# has 2 cores: the t2 slices are real two-thread runs (the coarsen_once,
-# flat_fm, multilevel, vcycle and scale/partition baseline entries were
-# re-recorded on it), while the t4/t8 slices oversubscribe it and only
-# guard per-call fork and per-round freeze/merge overhead. Skip with
+# has 2 cores: the t2 slices are real two-thread runs, and the
+# coarsen_once, flat_fm, multilevel, vcycle and scale/partition baseline
+# entries were re-recorded on it. The t4/t8 coarsening and multilevel
+# slices oversubscribe it and only guard per-call fork overhead; flat_fm
+# and the k-way refinement groups have a t1 slice only. Skip with
 # PERF_SMOKE=0 (e.g. on heavily-loaded builders where wall-clock medians
 # are meaningless). The
 # suite's million-cell scale/ group (single-shot ~30 s partition plus a

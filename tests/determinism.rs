@@ -149,9 +149,9 @@ fn multistart_parallel_is_thread_count_invariant() {
 
 #[test]
 fn parallel_multilevel_is_byte_identical_across_thread_counts() {
-    // The engine-internal parallelism (heavy-edge matching, contraction and
-    // gain initialization on worker threads) is required to compute exactly
-    // what the sequential code computes — not merely an equally good cut.
+    // The engine-internal parallelism (net contraction on worker threads)
+    // is required to compute exactly what the sequential code computes —
+    // not merely an equally good cut.
     // One run per thread count, all compared byte-for-byte against the
     // single-threaded partition vector.
     use fixed_vertices_repro::vlsi_partition::{Partitioner, RunCtx};
@@ -187,10 +187,116 @@ fn parallel_multilevel_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// A k-way instance large enough (~8900 vertices) that the round engine's
-/// proposal scan actually forks the full worker budget at 8 threads, with
-/// a round-robin slice of fixed vertices so the frozen-snapshot path sees
-/// immovables too.
+/// The `ibm01_like_scaled(0.7, 11)` netlist (~8900 vertices) with every
+/// 17th vertex fixed round-robin over `k` parts, under an even 10% balance.
+fn thread_budget_fixture(
+    k: usize,
+) -> (
+    fixed_vertices_repro::vlsi_hypergraph::Hypergraph,
+    FixedVertices,
+    BalanceConstraint,
+) {
+    let hg = ibm01_like_scaled(0.7, 11).hypergraph;
+    let balance = BalanceConstraint::even(k, &[hg.total_weight()], Tolerance::Relative(0.1));
+    let mut fixed = FixedVertices::all_free(hg.num_vertices());
+    for i in 0..hg.num_vertices() / 17 {
+        fixed.fix(VertexId((i * 17) as u32), PartId((i % k) as u32));
+    }
+    (hg, fixed, balance)
+}
+
+#[test]
+fn no_answer_depends_on_the_thread_count() {
+    // The thread budget only changes speed: every registry engine at
+    // k = 2, `rb` and `kway` at k = 4 under cut and km1, `KwayRefiner` and
+    // the warm start must return the same parts, value and trace at 1, 2
+    // and 4 threads, with and without an armed (never fired) cancel token.
+    use fixed_vertices_repro::vlsi_hypergraph::Objective;
+    use fixed_vertices_repro::vlsi_partition::trace::VecSink;
+    use fixed_vertices_repro::vlsi_partition::{
+        random_initial, refine_from_partition_ctx, CancelToken, EngineConfig, KwayRefiner,
+        Partitioner, Refiner, ENGINES,
+    };
+
+    enum Case {
+        Engine(EngineConfig),
+        Refiner,
+        WarmStart,
+    }
+    let mut cases: Vec<(String, usize, Case)> = ENGINES
+        .iter()
+        .map(|info| {
+            let engine = EngineConfig::by_name(info.name).expect("registered");
+            (format!("{}/k2", info.name), 2, Case::Engine(engine))
+        })
+        .collect();
+    for name in ["rb", "kway"] {
+        for objective in [Objective::Cut, Objective::KMinus1] {
+            let engine = EngineConfig::by_name(name)
+                .expect("registered")
+                .with_objective(objective);
+            cases.push((format!("{name}/k4/{objective:?}"), 4, Case::Engine(engine)));
+        }
+    }
+    cases.push(("kway_refiner/k4".into(), 4, Case::Refiner));
+    cases.push(("warm_start/k4".into(), 4, Case::WarmStart));
+
+    for k in [2, 4] {
+        let (hg, fixed, balance) = thread_budget_fixture(k);
+        let mut rng = ChaCha8Rng::seed_from_u64(4242);
+        let initial = random_initial(&hg, &fixed, &balance, k, &mut rng).expect("feasible fixture");
+        let run = |case: &Case, threads: usize, cancel: &CancelToken| {
+            let sink = VecSink::new();
+            let mut rng = ChaCha8Rng::seed_from_u64(9);
+            let ctx = RunCtx::new(&mut rng)
+                .with_sink(&sink)
+                .with_cancel(cancel)
+                .with_threads(threads);
+            let r = match case {
+                Case::Engine(engine) => engine.partition_ctx(&hg, &fixed, &balance, ctx),
+                Case::Refiner => {
+                    KwayRefiner::default().refine_ctx(&hg, &fixed, &balance, initial.clone(), ctx)
+                }
+                Case::WarmStart => refine_from_partition_ctx(
+                    &hg,
+                    &fixed,
+                    &balance,
+                    &initial,
+                    Objective::KMinus1,
+                    4,
+                    ctx,
+                )
+                .map(|o| o.result),
+            }
+            .expect("engine runs");
+            let trace: Vec<String> = sink.take().iter().map(|e| e.to_jsonl()).collect();
+            (r.parts, r.cut, trace)
+        };
+
+        for (name, _, case) in cases.iter().filter(|c| c.1 == k) {
+            let base = run(case, 1, &CancelToken::never());
+            for threads in [1, 2, 4] {
+                for armed in [false, true] {
+                    if threads == 1 && !armed {
+                        continue;
+                    }
+                    let token = if armed {
+                        CancelToken::new()
+                    } else {
+                        CancelToken::never()
+                    };
+                    assert!(
+                        run(case, threads, &token) == base,
+                        "{name}: {threads} threads (armed token: {armed}) changed the answer"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The k = 4 thread-budget fixture with a seeded random start, for the
+/// k-way refinement tests below.
 fn kway_refinement_fixture() -> (
     fixed_vertices_repro::vlsi_hypergraph::Hypergraph,
     FixedVertices,
@@ -199,56 +305,64 @@ fn kway_refinement_fixture() -> (
 ) {
     use fixed_vertices_repro::vlsi_partition::random_initial;
 
-    let circuit = ibm01_like_scaled(0.7, 11);
-    let hg = circuit.hypergraph;
-    let k = 4;
-    let balance = BalanceConstraint::even(k, &[hg.total_weight()], Tolerance::Relative(0.1));
-    let mut fixed = FixedVertices::all_free(hg.num_vertices());
-    for i in 0..hg.num_vertices() / 17 {
-        fixed.fix(VertexId((i * 17) as u32), PartId((i % k) as u32));
-    }
+    let (hg, fixed, balance) = thread_budget_fixture(4);
     let mut rng = ChaCha8Rng::seed_from_u64(4242);
-    let initial = random_initial(&hg, &fixed, &balance, k, &mut rng).expect("feasible fixture");
+    let initial = random_initial(&hg, &fixed, &balance, 4, &mut rng).expect("feasible fixture");
     (hg, fixed, balance, initial)
 }
 
 #[test]
 fn kway_round_refinement_is_byte_identical_across_thread_counts() {
-    // The synchronous-round engine must be worker-count invariant *as an
-    // algorithm*: proposals are pure reads of frozen state and the merge
-    // order is a strict total order, so 1, 2, 4 and 8 workers — different
-    // chunk boundaries — must produce the byte-identical assignment.
+    // One `KwayRefiner` pass on a windowed instance is the synchronous-round
+    // pass. Its proposals are pure reads of frozen state and the merge order
+    // is a strict total order, so 1, 2, 4 and 8 threads must produce the
+    // byte-identical assignment and trace.
     use fixed_vertices_repro::vlsi_hypergraph::Objective;
-    use fixed_vertices_repro::vlsi_partition::kway;
+    use fixed_vertices_repro::vlsi_partition::trace::{Event, VecSink};
+    use fixed_vertices_repro::vlsi_partition::{KwayRefiner, Refiner, RunCtx};
 
     let (hg, fixed, balance, initial) = kway_refinement_fixture();
-    let run = |threads: usize| {
-        kway::refine_pass_parallel(
-            &hg,
-            &fixed,
-            &balance,
-            initial.clone(),
-            Objective::Cut,
-            threads,
-        )
-        .expect("round engine runs")
+    let refiner = KwayRefiner {
+        objective: Objective::Cut,
+        max_passes: 1,
     };
-    let base = run(1);
+    let run = |threads: usize| {
+        let sink = VecSink::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(9); // unused by the refiner
+        let r = refiner
+            .refine_ctx(
+                &hg,
+                &fixed,
+                &balance,
+                initial.clone(),
+                RunCtx::new(&mut rng).with_sink(&sink).with_threads(threads),
+            )
+            .expect("round pass runs");
+        (r, sink.take())
+    };
+    let (base, events) = run(1);
     assert!(base.cut > 0, "fixture should leave a non-trivial cut");
+    assert!(
+        events.iter().any(|e| matches!(e, Event::RoundStart { .. })),
+        "a 10% window admits single moves: the round pass must run"
+    );
+    let trace: Vec<String> = events.iter().map(|e| e.to_jsonl()).collect();
     for threads in [2, 4, 8] {
-        let r = run(threads);
+        let (r, events) = run(threads);
         assert_eq!(
             r.parts, base.parts,
-            "{threads} workers changed the round engine's assignment"
+            "{threads} threads changed the round pass's assignment"
         );
-        assert_eq!(r.cut, base.cut, "{threads} workers changed the cut");
+        assert_eq!(r.cut, base.cut, "{threads} threads changed the cut");
+        let other: Vec<String> = events.iter().map(|e| e.to_jsonl()).collect();
+        assert!(other == trace, "{threads} threads changed the trace");
     }
 }
 
 #[test]
 fn kway_round_refinement_ignores_an_armed_cancel_token() {
     // An armed-but-unfired CancelToken is only ever *polled* by the round
-    // engine, so its presence must not perturb the result at any thread
+    // pass, so its presence must not perturb the result at any thread
     // count; a token fired before the run must return the input unchanged
     // (best-so-far semantics with zero rounds run).
     use fixed_vertices_repro::vlsi_hypergraph::{CutState, Objective};

@@ -14,9 +14,8 @@
 //! or explicit per-part capacity rows; zero-weight and weighted nets and
 //! vertices; LIFO and CLIP; every `PassCutoff` with and without
 //! `cutoff_first_pass`; unbalanced and fixity-violating starts; and a sink
-//! that cancels the run's token at the N-th committed move. Every case
-//! runs the engine at thread budgets 1 and 2, and the larger instances
-//! have enough vertices for gain initialization to fork.
+//! that cancels the run's token at the N-th committed move. A second
+//! property runs the same check on instances of over 2,100 vertices.
 
 use std::cell::Cell;
 
@@ -636,26 +635,24 @@ fn run(s: &Setup, fm: Option<&BipartFm>) -> (Result<FmResult, PartitionError>, V
     (result, sink.events.take())
 }
 
-/// Requires the engine at 1 and 2 threads to match the reference's
-/// result and event stream, and its untraced run to match the result.
+/// Requires the engine to match the reference's result and event stream,
+/// and its untraced run to match the result.
 fn check(s: &Setup) {
     let (want, want_events) = run(s, None);
-    for threads in [1, 2] {
-        let fm = BipartFm::new(s.config).with_threads(threads);
-        let (got, got_events) = run(s, Some(&fm));
-        assert_eq!(got, want, "{threads} threads: result");
-        assert_eq!(got_events, want_events, "{threads} threads: events");
-        if s.cancel_at.is_none() {
-            let mut rng = ChaCha8Rng::seed_from_u64(0);
-            let quiet = fm.run(
-                &s.hg,
-                &s.fixed,
-                &s.balance,
-                s.initial.clone(),
-                RunCtx::new(&mut rng),
-            );
-            assert_eq!(quiet, want, "{threads} threads: untraced result");
-        }
+    let fm = BipartFm::new(s.config);
+    let (got, got_events) = run(s, Some(&fm));
+    assert_eq!(got, want, "result");
+    assert_eq!(got_events, want_events, "events");
+    if s.cancel_at.is_none() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let quiet = fm.run(
+            &s.hg,
+            &s.fixed,
+            &s.balance,
+            s.initial.clone(),
+            RunCtx::new(&mut rng),
+        );
+        assert_eq!(quiet, want, "untraced result");
     }
 }
 
@@ -675,8 +672,7 @@ fn small_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     }
 }
 
-/// Instances with over 2 × 1024 vertices, so a 2-thread budget forks the
-/// gain initialization.
+/// Instances with over 2,100 vertices.
 fn large_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     let gen = instances(InstanceConfig {
         vertices: 2100..2600,
@@ -708,7 +704,7 @@ prop_test! {
     }
 
     #[cases(4)]
-    fn fm_passes_match_reference_loop_with_forked_gain_init(case in large_cases()) {
+    fn fm_passes_match_reference_loop_on_large_instances(case in large_cases()) {
         let (inst, knob) = case;
         check(&setup(&inst, knob));
     }

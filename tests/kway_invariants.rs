@@ -1,8 +1,8 @@
 //! The fixed-vertex contract, property-tested for the k-way engines: no
 //! matter how many vertices are fixed (0–50%, drawn at random) and for any
-//! k ∈ {2, 3, 4}, one sequential k-way FM pass (`KwayRefiner` with one
-//! pass at one thread) and the recursive-bisection stack (`RecursiveBisection`
-//! without cleanup passes) must return solutions in which (a) every fixed
+//! k ∈ {2, 3, 4}, one k-way refinement pass (`KwayRefiner` with one pass)
+//! and the recursive-bisection stack (`RecursiveBisection` without
+//! cleanup passes) must return solutions in which (a) every fixed
 //! vertex sits exactly in its assigned part and (b) the per-part balance
 //! constraint holds.
 
@@ -19,7 +19,7 @@ use fixed_vertices_repro::vlsi_partition::{
     Partitioner, RecursiveBisection, Refiner, RunCtx,
 };
 
-/// One sequential k-way FM pass over `initial`.
+/// One k-way refinement pass over `initial`.
 fn refine_pass(
     hg: &Hypergraph,
     fixed: &FixedVertices,

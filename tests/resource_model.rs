@@ -10,9 +10,8 @@
 //!   byte-identical to the plain scalar instance for every engine and
 //!   every thread count: the vector path is a strict superset, never a
 //!   fork, of the scalar code.
-//! * **Determinism** — the capacity-constrained km1 path keeps the
-//!   repo's two-regime determinism contract: one answer at 1 thread,
-//!   one (worker-count-invariant) answer across 2/4/8 threads.
+//! * **Determinism** — the capacity-constrained km1 path returns one
+//!   answer at every thread count: 1, 2, 4 and 8 threads agree.
 
 use vlsi_rng::{ChaCha8Rng, Rng, RngCore, SeedableRng};
 use vlsi_testkit::gen::{distinct_sorted, RawInstance};
@@ -110,7 +109,7 @@ prop_test! {
 
 /// Pushing a scalar instance through the multi-resource side-table at
 /// arity 1 must not perturb any engine: identical parts and identical
-/// value for every thread count in both determinism regimes.
+/// value at every thread count.
 #[test]
 fn arity_one_vector_path_is_byte_identical_to_scalar() {
     let circuit = ibm01_like_scaled(0.04, 23);
@@ -157,9 +156,8 @@ fn arity_one_vector_path_is_byte_identical_to_scalar() {
     }
 }
 
-/// Two-regime determinism for the capacity-constrained km1 path: the
-/// sequential answer (1 thread) replays byte-identically, and the
-/// synchronous-round parallel answer is invariant across 2/4/8 workers.
+/// Determinism for the capacity-constrained km1 path: the answer replays
+/// byte-identically and is the same at 1, 2, 4 and 8 threads.
 #[test]
 fn constrained_km1_keeps_two_regime_determinism() {
     const K: usize = 4;
@@ -202,45 +200,37 @@ fn constrained_km1_keeps_two_regime_determinism() {
             .expect("constrained engine runs")
     };
 
-    let seq_a = run(1);
-    let seq_b = run(1);
-    assert_eq!(
-        seq_a.parts, seq_b.parts,
-        "sequential regime must replay byte-identically"
-    );
-
-    let par = run(2);
-    for threads in [4usize, 8] {
+    let base = run(1);
+    assert_eq!(base.parts, run(1).parts, "the answer must replay");
+    for threads in [2usize, 4, 8] {
         let r = run(threads);
         assert_eq!(
-            par.parts, r.parts,
+            base.parts, r.parts,
             "{threads} workers changed the constrained km1 assignment"
         );
-        assert_eq!(par.cut, r.cut);
+        assert_eq!(base.cut, r.cut);
     }
 
-    // Every answer is legal under the capacity balance and reports km1.
-    for r in [&seq_a, &par] {
-        let mut loads = [0u64; K * DIMS];
-        for (i, p) in r.parts.iter().enumerate() {
-            for (d, &w) in hg
-                .vertex_weights(VertexId::from_index(i))
-                .iter()
-                .enumerate()
-            {
-                loads[p.index() * DIMS + d] += w;
-            }
+    // The answer is legal under the capacity balance and reports km1.
+    let mut loads = [0u64; K * DIMS];
+    for (i, p) in base.parts.iter().enumerate() {
+        for (d, &w) in hg
+            .vertex_weights(VertexId::from_index(i))
+            .iter()
+            .enumerate()
+        {
+            loads[p.index() * DIMS + d] += w;
         }
-        for part in 0..K {
-            for d in 0..DIMS {
-                assert!(
-                    loads[part * DIMS + d] <= caps.cap(PartId::from_index(part), d),
-                    "part {part} resource {d} over capacity"
-                );
-            }
-        }
-        let cs = CutState::new(&hg, K, &r.parts);
-        assert_eq!(r.cut, cs.value(Objective::KMinus1));
-        assert!(cs.value(Objective::KMinus1) >= cs.value(Objective::Cut));
     }
+    for part in 0..K {
+        for d in 0..DIMS {
+            assert!(
+                loads[part * DIMS + d] <= caps.cap(PartId::from_index(part), d),
+                "part {part} resource {d} over capacity"
+            );
+        }
+    }
+    let cs = CutState::new(&hg, K, &base.parts);
+    assert_eq!(base.cut, cs.value(Objective::KMinus1));
+    assert!(cs.value(Objective::KMinus1) >= cs.value(Objective::Cut));
 }
