@@ -16,7 +16,8 @@ use vlsi_hypergraph::{
 };
 use vlsi_trace::{CancelStage, Event, Sink};
 
-use crate::cancel::{CancelToken, CHECK_INTERVAL};
+use crate::cancel::CHECK_INTERVAL;
+use crate::engine::RunCtx;
 use crate::{PartitionError, PartitionResult};
 
 /// Configuration of the annealer; run it through
@@ -66,10 +67,10 @@ impl Default for AnnealingConfig {
     }
 }
 
-/// Runs simulated annealing from the given initial assignment, emitting
-/// one [`Event::SweepFinished`] per sweep (accepted-flip count, current and
-/// best cut) and polling `cancel` at sweep boundaries and every
-/// [`CHECK_INTERVAL`] proposals. A cancelled run records one
+/// Runs simulated annealing from the given initial assignment, drawing
+/// from `ctx.rng`, emitting one [`Event::SweepFinished`] per sweep into
+/// `ctx.sink` (accepted-flip count, current and best cut) and polling
+/// `ctx.cancel` at sweep boundaries and every [`CHECK_INTERVAL`] proposals. A cancelled run records one
 /// [`Event::Cancelled`] (stage `sweep`) and returns the best balanced state
 /// visited so far.
 ///
@@ -80,17 +81,17 @@ impl Default for AnnealingConfig {
 /// # Errors
 /// * [`PartitionError::UnsupportedPartCount`] unless `balance` is 2-way.
 /// * [`PartitionError::Input`] for inconsistent initial assignments.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn simulated_annealing<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
     initial: Vec<PartId>,
     config: AnnealingConfig,
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
+    ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
+    let RunCtx {
+        rng, sink, cancel, ..
+    } = ctx;
     if balance.num_parts() != 2 {
         return Err(PartitionError::UnsupportedPartCount {
             requested: balance.num_parts(),
@@ -246,7 +247,6 @@ mod tests {
     use vlsi_hypergraph::{validate_partitioning, HypergraphBuilder, Tolerance};
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
-    use vlsi_trace::NullSink;
 
     fn sa(
         hg: &Hypergraph,
@@ -256,8 +256,7 @@ mod tests {
         config: AnnealingConfig,
         rng: &mut ChaCha8Rng,
     ) -> Result<PartitionResult, PartitionError> {
-        let never = CancelToken::never();
-        simulated_annealing(hg, fixed, balance, initial, config, rng, &NullSink, &never)
+        simulated_annealing(hg, fixed, balance, initial, config, RunCtx::new(rng))
     }
 
     fn two_cliques(s: usize) -> Hypergraph {

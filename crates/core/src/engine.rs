@@ -69,6 +69,7 @@ use crate::initial::random_initial;
 use crate::kl::{kernighan_lin, KlConfig};
 use crate::kway;
 use crate::multilevel::MultilevelPartitioner;
+use crate::warmstart::{legalize_assignment, stuck_error};
 use crate::{PartitionError, PartitionResult};
 
 /// Backs the default `cancel` borrow of [`RunCtx::new`].
@@ -264,7 +265,7 @@ impl Partitioner for KlConfig {
             });
         }
         let initial = random_initial(hg, fixed, balance, 2, ctx.rng)?;
-        kernighan_lin(hg, fixed, balance, initial, *self, ctx.sink, ctx.cancel)
+        kernighan_lin(hg, fixed, balance, initial, *self, ctx)
     }
 }
 
@@ -284,9 +285,7 @@ impl Partitioner for AnnealingConfig {
             });
         }
         let initial = random_initial(hg, fixed, balance, 2, ctx.rng)?;
-        simulated_annealing(
-            hg, fixed, balance, initial, *self, ctx.rng, ctx.sink, ctx.cancel,
-        )
+        simulated_annealing(hg, fixed, balance, initial, *self, ctx)
     }
 }
 
@@ -304,7 +303,9 @@ pub struct KwayConfig {
     /// Multilevel settings of the inner bipartitioning / coarsening engine
     /// (including its worker-thread budget).
     pub ml: MultilevelConfig,
-    /// Upper bound on direct k-way FM refinement passes.
+    /// Upper bound on k-way refinement passes: at every level of
+    /// [`DirectKway`], and in the final stage of [`RecursiveBisection`]
+    /// (where 0 skips the stage).
     pub refine_passes: usize,
     /// Objective optimised by the k-way refinement passes.
     pub objective: Objective,
@@ -332,41 +333,30 @@ impl Partitioner for RecursiveBisection {
         hg: &Hypergraph,
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
-        ctx: RunCtx<'_, R, S>,
+        mut ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
         let cfg = &self.0;
-        let ml = MultilevelConfig {
-            threads: cfg.ml.threads.max(ctx.threads),
-            ..cfg.ml
-        };
-        let r = kway::recursive_bisection(
-            hg,
-            fixed,
-            balance.num_parts(),
-            cfg.tolerance,
-            &ml,
-            ctx.rng,
-            ctx.sink,
-            ctx.cancel,
-        )?;
+        let k = balance.num_parts();
+        let r = kway::recursive_bisection(hg, fixed, k, cfg.tolerance, &cfg.ml, ctx.reborrow())?;
         // The bisection stack only targets even splits. Under a
         // heterogeneous constraint (per-part capacity vectors), repair the
         // assignment deterministically before judging or refining; the
         // uniform even-split case is routed untouched, bit-for-bit.
-        let uniform = BalanceConstraint::even(
-            balance.num_parts(),
-            hg.total_weights(),
-            Tolerance::Relative(cfg.tolerance),
-        );
+        let uniform =
+            BalanceConstraint::even(k, hg.total_weights(), Tolerance::Relative(cfg.tolerance));
         let parts = if *balance == uniform {
             r.parts
         } else {
-            crate::warmstart::legalize_assignment(hg, fixed, balance, &r.parts)?.0
+            let (parts, _, legal) = legalize_assignment(hg, fixed, balance, &r.parts)?;
+            if !legal {
+                return Err(stuck_error(hg, fixed, balance, &parts));
+            }
+            parts
         };
         if cfg.refine_passes == 0 || ctx.cancel.is_cancelled() {
             // The bisection stack reports a plain cut; the result carries
             // the configured objective's value, as refinement's would.
-            let value = CutState::new(hg, balance.num_parts(), &parts).value(cfg.objective);
+            let value = CutState::new(hg, k, &parts).value(cfg.objective);
             return Ok(PartitionResult::new(parts, value));
         }
         kway::refine(
@@ -376,14 +366,16 @@ impl Partitioner for RecursiveBisection {
             parts,
             cfg.objective,
             cfg.refine_passes,
-            ctx.sink,
-            ctx.cancel,
+            ctx,
         )
     }
 }
 
 /// Direct multilevel k-way partitioning: coarsen once, solve the coarsest
-/// level k-way, refine k-way at every uncoarsening level.
+/// level by recursive bisection, then repair and refine k-way at every
+/// uncoarsening level. The answer is legal under `balance`, or the run
+/// fails with [`PartitionError::Balance`] /
+/// [`PartitionError::InfeasibleInstance`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DirectKway(pub KwayConfig);
 
@@ -395,22 +387,7 @@ impl Partitioner for DirectKway {
         balance: &BalanceConstraint,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
-        let cfg = &self.0;
-        let ml = MultilevelConfig {
-            threads: cfg.ml.threads.max(ctx.threads),
-            ..cfg.ml
-        };
-        kway::multilevel_kway(
-            hg,
-            fixed,
-            balance,
-            cfg.objective,
-            cfg.tolerance,
-            &ml,
-            ctx.rng,
-            ctx.sink,
-            ctx.cancel,
-        )
+        kway::multilevel_kway(hg, fixed, balance, &self.0, ctx)
     }
 }
 
@@ -516,8 +493,7 @@ impl Refiner for KwayRefiner {
             parts,
             self.objective,
             self.max_passes,
-            ctx.sink,
-            ctx.cancel,
+            ctx,
         )
     }
 }

@@ -19,9 +19,11 @@
 use vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Fixity, Hypergraph, Objective, PartId, Partitioning, VertexId,
 };
+use vlsi_rng::Rng;
 use vlsi_trace::{CancelStage, Event, Sink};
 
 use crate::cancel::CancelToken;
+use crate::engine::RunCtx;
 use crate::{PartitionError, PartitionResult};
 
 /// Number of top-gain candidates considered per side for each swap.
@@ -74,11 +76,12 @@ impl Default for KlConfig {
 }
 
 /// Runs KL from the given initial bipartition, bracketing each pass with
-/// [`Event::PassStart`]/[`Event::PassEnd`] (`moves` counts swaps; KL has
-/// no gain buckets, so `bucket_ops` is 0) and polling `cancel` at pass
-/// boundaries and before every swap. A cancelled run keeps the best prefix
-/// of the interrupted pass, records one [`Event::Cancelled`] (stage
-/// `kl_pass`), and returns the best solution found so far.
+/// [`Event::PassStart`]/[`Event::PassEnd`] into `ctx.sink` (`moves` counts
+/// swaps; KL has no gain buckets, so `bucket_ops` is 0) and polling
+/// `ctx.cancel` at pass boundaries and before every swap. KL draws no
+/// randomness. A cancelled run keeps the best prefix of the interrupted
+/// pass, records one [`Event::Cancelled`] (stage `kl_pass`), and returns
+/// the best solution found so far.
 ///
 /// The public entry point is [`KlConfig`]'s
 /// [`partition_ctx`](crate::Partitioner::partition_ctx), which draws the
@@ -88,15 +91,15 @@ impl Default for KlConfig {
 /// * [`PartitionError::UnsupportedPartCount`] unless `balance` is 2-way.
 /// * [`PartitionError::Input`] if `initial` is inconsistent with `hg` or a
 ///   fixity.
-pub(crate) fn kernighan_lin<S: Sink>(
+pub(crate) fn kernighan_lin<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
     initial: Vec<PartId>,
     config: KlConfig,
-    sink: &S,
-    cancel: &CancelToken,
+    ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
+    let RunCtx { sink, cancel, .. } = ctx;
     if balance.num_parts() != 2 {
         return Err(PartitionError::UnsupportedPartCount {
             requested: balance.num_parts(),
@@ -296,7 +299,6 @@ mod tests {
     use vlsi_hypergraph::{validate_partitioning, HypergraphBuilder, Tolerance};
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
-    use vlsi_trace::NullSink;
 
     fn kl(
         hg: &Hypergraph,
@@ -305,8 +307,8 @@ mod tests {
         initial: Vec<PartId>,
         config: KlConfig,
     ) -> Result<PartitionResult, PartitionError> {
-        let never = CancelToken::never();
-        kernighan_lin(hg, fixed, balance, initial, config, &NullSink, &never)
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        kernighan_lin(hg, fixed, balance, initial, config, RunCtx::new(&mut rng))
     }
 
     fn two_cliques(s: usize) -> Hypergraph {

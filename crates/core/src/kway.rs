@@ -15,9 +15,10 @@ use vlsi_trace::{CancelStage, Event, Sink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::MultilevelConfig;
-use crate::engine::RunCtx;
+use crate::engine::{KwayConfig, RunCtx};
 use crate::gain::{KwayGains, MoveLog};
-use crate::multilevel::MultilevelPartitioner;
+use crate::multilevel::{CoarsenParams, Hierarchy, MultilevelPartitioner};
+use crate::warmstart::{legalize_assignment, stuck_error};
 use crate::{PartitionError, PartitionResult};
 
 /// Partitions `hg` into `k` blocks by recursive bisection with the
@@ -32,26 +33,24 @@ use crate::{PartitionError, PartitionResult};
 /// projected onto the two sides, and the bisection balance targets are
 /// scaled by the number of blocks on each side.
 ///
-/// `cancel` reaches every inner multilevel run. The recursion itself
+/// `ctx.cancel` reaches every inner multilevel run. The recursion itself
 /// always completes (every vertex must receive a block), but once the
 /// token fires each sub-bisection degenerates to a cheap legal split, so
 /// cancellation latency stays bounded while the result remains a legal
-/// k-way partition.
+/// k-way partition. The inner runs coarsen over the larger of
+/// `ml_config.threads` and `ctx.threads` workers.
 ///
 /// # Errors
 /// * [`PartitionError::UnsupportedPartCount`] if `k` is 0 or exceeds 64.
 /// * [`PartitionError::InfeasibleInstance`] if a fixity names a partition
 ///   `≥ k` or a sub-bisection cannot be balanced.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn recursive_bisection<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     k: usize,
     tolerance: f64,
     ml_config: &MultilevelConfig,
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
+    ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
     if k == 0 || k > PartSet::MAX_PARTS {
         return Err(PartitionError::UnsupportedPartCount {
@@ -73,6 +72,13 @@ pub(crate) fn recursive_bisection<R: Rng + ?Sized, S: Sink>(
         }
     }
 
+    let ml_config = &MultilevelConfig {
+        threads: ml_config.threads.max(ctx.threads),
+        ..*ml_config
+    };
+    let RunCtx {
+        rng, sink, cancel, ..
+    } = ctx;
     let mut parts = vec![PartId(0); hg.num_vertices()];
     let active: Vec<VertexId> = hg.vertices().collect();
     rb_recurse(
@@ -910,26 +916,25 @@ pub fn refine_pass_reference(
 /// [`DirectKway`](crate::DirectKway): coarsen with the fixity-aware
 /// heavy-edge matcher (vector weights accumulate exactly, so `balance` is
 /// valid verbatim at every level), solve the coarsest instance by
-/// recursive bisection, then refine k-way with `objective` at every level.
-/// Compared to plain recursive bisection, the k-way refinement at the
-/// finer levels can move vertices between *any* pair of blocks, repairing
-/// decisions the bisection hierarchy locked in.
+/// recursive bisection, then refine k-way with `cfg.objective` at every
+/// level. Compared to plain recursive bisection, the k-way refinement at
+/// the finer levels can move vertices between *any* pair of blocks,
+/// repairing decisions the bisection hierarchy locked in.
 ///
-/// The uniform even split under `tolerance` with the cut objective is
-/// refined as solved. Any other constraint (per-part capacity vectors,
-/// multi-resource bounds) or objective re-legalizes the coarsest solve
-/// against `balance` (the warm-start repair) before refinement; a repair
-/// stuck at cluster granularity is retried after each uncoarsening and is
-/// strict only at the finest level. The multi-dimensional heavy-vertex
-/// guard caps every cluster's weight *vector* during coarsening so that
-/// repair stays possible ("Vertex Weights Revisited" pathology).
-/// `tolerance` only shapes the coarsest even-split solve; legality is
-/// judged by `balance`.
+/// The coarsest solve targets an even split under `cfg.tolerance`, so it
+/// is re-legalized against `balance` (the warm-start repair) before
+/// refinement. A repair stuck at cluster granularity is retried after each
+/// uncoarsening and is strict only at the finest level. The
+/// multi-dimensional heavy-vertex guard caps every cluster's weight
+/// *vector* during coarsening so that repair stays possible ("Vertex
+/// Weights Revisited" pathology). Every level runs up to
+/// `cfg.refine_passes` refinement passes.
 ///
-/// As in the 2-way multilevel engine, a fired `cancel` stops coarsening
-/// early, the coarsest solve degenerates to a cheap legal split, the
-/// projection back to the original hypergraph always completes, and one
-/// [`Event::Cancelled`] (stage `level`) records the early termination.
+/// As in the 2-way multilevel engine, a fired `ctx.cancel` stops
+/// coarsening early, the coarsest solve degenerates to a cheap legal
+/// split, the projection back to the original hypergraph always
+/// completes, and one [`Event::Cancelled`] (stage `level`) records the
+/// early termination.
 ///
 /// # Errors
 /// * [`PartitionError::UnsupportedPartCount`] if `balance.num_parts()` is
@@ -937,20 +942,13 @@ pub fn refine_pass_reference(
 /// * [`PartitionError::InfeasibleInstance`] / [`PartitionError::Balance`]
 ///   when no legal assignment is reachable (capacities too tight for the
 ///   instance or its fixed vertices).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
-    objective: Objective,
-    tolerance: f64,
-    ml_config: &MultilevelConfig,
-    rng: &mut R,
-    sink: &S,
-    cancel: &CancelToken,
+    cfg: &KwayConfig,
+    mut ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
-    use crate::multilevel::{coarsen_once, CoarsenParams, Level};
-
     let k = balance.num_parts();
     if k == 0 || k > PartSet::MAX_PARTS {
         return Err(PartitionError::UnsupportedPartCount {
@@ -958,19 +956,12 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
             supported: PartSet::MAX_PARTS,
         });
     }
-    let uniform = BalanceConstraint::even(
-        k,
-        hg.total_weights(),
-        vlsi_hypergraph::Tolerance::Relative(tolerance),
-    );
-    let legalize = *balance != uniform || objective != Objective::Cut;
-    if legalize {
-        balance
-            .check_feasible(hg.total_weights())
-            .map_err(PartitionError::Balance)?;
-    }
+    balance
+        .check_feasible(hg.total_weights())
+        .map_err(PartitionError::Balance)?;
+    let ml = &cfg.ml;
     let cluster_cap = |total: u64| -> u64 {
-        ((total as f64) * ml_config.max_cluster_fraction / (k as f64 / 2.0))
+        ((total as f64) * ml.max_cluster_fraction / (k as f64 / 2.0))
             .ceil()
             .max(1.0) as u64
     };
@@ -991,133 +982,62 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
             .map(|p| balance.max(PartId::from_index(p), 0))
             .collect(),
         allow_free_fixed_merge: false,
-        threads: ml_config.threads,
+        threads: ml.threads.max(ctx.threads),
     };
+    let h = Hierarchy::build(
+        hg,
+        fixed,
+        &params,
+        ml.coarsest_size.max(4 * k),
+        ml.min_shrink,
+        None,
+        ctx.reborrow(),
+    );
 
-    let mut levels: Vec<Level> = Vec::new();
-    loop {
-        let (cur_hg, cur_fixed) = match levels.last() {
-            Some(l) => (&l.hg, &l.fixed),
-            None => (hg, fixed),
-        };
-        if cur_hg.num_vertices() <= ml_config.coarsest_size.max(4 * k) || cancel.is_cancelled() {
-            break;
-        }
-        match coarsen_once(cur_hg, cur_fixed, &params, ml_config.min_shrink, None, rng) {
-            Some(level) => {
-                if S::ENABLED {
-                    sink.record(&Event::LevelStart {
-                        level: levels.len() as u32 + 1,
-                        vertices: level.hg.num_vertices() as u64,
-                        nets: level.hg.num_nets() as u64,
-                    });
-                }
-                levels.push(level);
-            }
-            None => break,
-        }
-    }
-
-    let (coarsest_hg, coarsest_fixed) = match levels.last() {
-        Some(l) => (&l.hg, &l.fixed),
-        None => (hg, fixed),
-    };
+    let (coarsest_hg, coarsest_fixed) = h.coarsest();
     let initial = recursive_bisection(
         coarsest_hg,
         coarsest_fixed,
         k,
-        tolerance,
-        ml_config,
-        rng,
-        sink,
-        cancel,
+        cfg.tolerance,
+        ml,
+        ctx.reborrow(),
     )?;
-    // The coarsest solve targets an even split; under an arbitrary vector
-    // constraint it may be illegal, so repair it deterministically before
-    // refining. Projection preserves per-part loads exactly, so legality
-    // established at any level is invariant down the hierarchy. Cluster
-    // granularity can leave a tight constraint unreachable this high up
-    // (no single cluster move shrinks the overfull part), so a stuck
-    // repair is tolerated here and retried after each uncoarsening, where
-    // vertices are finer; only the finest level treats it as infeasible.
-    let mut fully_legal = !legalize;
-    let initial_parts = if legalize {
-        let (p, _, legal) = crate::warmstart::legalize_assignment_lenient(
-            coarsest_hg,
-            coarsest_fixed,
-            balance,
-            &initial.parts,
-        )?;
-        fully_legal = legal;
-        p
-    } else {
-        initial.parts
+    // The coarsest solve targets an even split, which may break `balance`,
+    // so every level repairs the assignment deterministically before
+    // refining it, until it is legal. Projection preserves per-part loads
+    // exactly, so legality established at any level holds down the
+    // hierarchy. Cluster granularity can leave a tight constraint
+    // unreachable at coarse levels (no single cluster move shrinks the
+    // overfull part), so a stuck repair is retried after each
+    // uncoarsening, where vertices are finer.
+    let (sink, objective, passes) = (ctx.sink, cfg.objective, cfg.refine_passes);
+    let mut legal = false;
+    let mut step = |hg: &Hypergraph, fixed: &FixedVertices, mut parts: Vec<PartId>| {
+        if !legal {
+            (parts, _, legal) = legalize_assignment(hg, fixed, balance, &parts)?;
+        }
+        refine(hg, fixed, balance, parts, objective, passes, ctx.reborrow())
     };
-    let r = refine(
-        coarsest_hg,
-        coarsest_fixed,
-        balance,
-        initial_parts,
-        objective,
-        4,
-        sink,
-        cancel,
-    )?;
-    if S::ENABLED {
-        sink.record(&Event::LevelEnd {
-            level: levels.len() as u32,
-            vertices: coarsest_hg.num_vertices() as u64,
-            nets: coarsest_hg.num_nets() as u64,
-            cut: r.cut,
-        });
-    }
-    let mut parts = r.parts;
-    for i in (0..levels.len()).rev() {
-        let mut fine_parts = levels[i].project(&parts);
-        let (fine_hg, fine_fixed) = if i == 0 {
-            (hg, fixed)
-        } else {
-            (&levels[i - 1].hg, &levels[i - 1].fixed)
-        };
-        if !fully_legal {
-            let (p, _, legal) = crate::warmstart::legalize_assignment_lenient(
-                fine_hg,
-                fine_fixed,
-                balance,
-                &fine_parts,
-            )?;
-            fine_parts = p;
-            fully_legal = legal;
-        }
-        let r = refine(
-            fine_hg, fine_fixed, balance, fine_parts, objective, 4, sink, cancel,
-        )?;
-        if S::ENABLED {
-            sink.record(&Event::LevelEnd {
-                level: i as u32,
-                vertices: fine_hg.num_vertices() as u64,
-                nets: fine_hg.num_nets() as u64,
-                cut: r.cut,
-            });
-        }
-        parts = r.parts;
-    }
-    if !fully_legal {
+    let coarsest = step(coarsest_hg, coarsest_fixed, initial.parts)?;
+    let mut r = h.uncoarsen(coarsest, sink, step)?;
+    if !legal {
         // Finest level: the repair must succeed now or the instance is
-        // genuinely infeasible under `balance` — the strict variant
-        // reports per-part loads against the maxima. Refine once more so
-        // the repair moves get locally re-optimized.
-        let (p, _) = crate::warmstart::legalize_assignment(hg, fixed, balance, &parts)?;
-        parts = refine(hg, fixed, balance, p, objective, 4, sink, cancel)?.parts;
+        // infeasible under `balance`. Refine once more so the repair moves
+        // get locally re-optimized.
+        let (parts, _, legal) = legalize_assignment(hg, fixed, balance, &r.parts)?;
+        if !legal {
+            return Err(stuck_error(hg, fixed, balance, &parts));
+        }
+        r = refine(hg, fixed, balance, parts, objective, passes, ctx.reborrow())?;
     }
-    let cut = CutState::new(hg, k, &parts).value(objective);
-    if S::ENABLED && cancel.is_cancelled() {
+    if S::ENABLED && ctx.cancel.is_cancelled() {
         sink.record(&Event::Cancelled {
             stage: CancelStage::Level,
-            value: cut,
+            value: r.cut,
         });
     }
-    Ok(PartitionResult::new(parts, cut))
+    Ok(r)
 }
 
 /// Runs up to `max_passes` k-way refinement passes from `parts`, stopping
@@ -1129,20 +1049,20 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
 /// synchronous-round pass ([`refine_pass_rounds`]) when
 /// [`windows_admit_a_move`], else the FM-relaxation pass
 /// ([`refine_pass_fm`]). Both run on the calling thread, so no answer
-/// depends on the thread count. `cancel` is polled at pass boundaries (and
-/// inside each pass); a cancelled run records one [`Event::Cancelled`]
-/// (stage `kway_pass`) and returns the best assignment reached so far.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine<S: Sink>(
+/// depends on the thread count, and none draws from `ctx.rng`.
+/// `ctx.cancel` is polled at pass boundaries (and inside each pass); a
+/// cancelled run records one [`Event::Cancelled`] (stage `kway_pass`) and
+/// returns the best assignment reached so far.
+pub(crate) fn refine<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
     mut parts: Vec<PartId>,
     objective: Objective,
     max_passes: usize,
-    sink: &S,
-    cancel: &CancelToken,
+    ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
+    let RunCtx { sink, cancel, .. } = ctx;
     let pass_fn = if windows_admit_a_move(hg, fixed, balance) {
         refine_pass_rounds::<S>
     } else {
@@ -1187,7 +1107,6 @@ mod tests {
     use vlsi_hypergraph::{HypergraphBuilder, Tolerance};
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
-    use vlsi_trace::NullSink;
 
     fn rb(
         hg: &Hypergraph,
@@ -1197,8 +1116,7 @@ mod tests {
         cfg: &MultilevelConfig,
         rng: &mut ChaCha8Rng,
     ) -> Result<PartitionResult, PartitionError> {
-        let never = CancelToken::never();
-        recursive_bisection(hg, fixed, k, tolerance, cfg, rng, &NullSink, &never)
+        recursive_bisection(hg, fixed, k, tolerance, cfg, RunCtx::new(rng))
     }
 
     /// Direct k-way under the uniform even split and the cut objective.
@@ -1212,18 +1130,12 @@ mod tests {
     ) -> Result<PartitionResult, PartitionError> {
         let balance =
             BalanceConstraint::even(k, hg.total_weights(), Tolerance::Relative(tolerance));
-        let never = CancelToken::never();
-        multilevel_kway(
-            hg,
-            fixed,
-            &balance,
-            Objective::Cut,
+        let cfg = KwayConfig {
             tolerance,
-            cfg,
-            rng,
-            &NullSink,
-            &never,
-        )
+            ml: *cfg,
+            ..KwayConfig::default()
+        };
+        multilevel_kway(hg, fixed, &balance, &cfg, RunCtx::new(rng))
     }
 
     fn refine(
@@ -1234,9 +1146,15 @@ mod tests {
         objective: Objective,
         max_passes: usize,
     ) -> Result<PartitionResult, PartitionError> {
-        let never = CancelToken::never();
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
         super::refine(
-            hg, fixed, balance, parts, objective, max_passes, &NullSink, &never,
+            hg,
+            fixed,
+            balance,
+            parts,
+            objective,
+            max_passes,
+            RunCtx::new(&mut rng),
         )
     }
 

@@ -8,9 +8,11 @@
 //! (see [`crate::quality`]).
 
 mod coarsen;
+mod hierarchy;
 
 pub(crate) use coarsen::within_resource_caps;
 pub use coarsen::{coarsen_once, contract_clusters, merge_fixity, CoarsenParams, Level};
+pub(crate) use hierarchy::{coarsen_params, Hierarchy};
 
 use vlsi_rng::Rng;
 use vlsi_trace::{CancelStage, Event, Sink};
@@ -112,14 +114,8 @@ impl MultilevelPartitioner {
         hg: &Hypergraph,
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
-        ctx: RunCtx<'_, R, S>,
+        mut ctx: RunCtx<'_, R, S>,
     ) -> Result<MultilevelResult, PartitionError> {
-        let RunCtx {
-            rng,
-            sink,
-            cancel,
-            threads,
-        } = ctx;
         if balance.num_parts() != 2 {
             return Err(PartitionError::UnsupportedPartCount {
                 requested: balance.num_parts(),
@@ -127,123 +123,57 @@ impl MultilevelPartitioner {
             });
         }
         let cfg = &MultilevelConfig {
-            threads: self.config.threads.max(threads),
+            threads: self.config.threads.max(ctx.threads),
             ..self.config
         };
-        let params = CoarsenParams {
-            max_cluster_weight: ((hg.total_weight() as f64) * cfg.max_cluster_fraction)
-                .ceil()
-                .max(1.0) as u64,
-            max_cluster_weights: Vec::new(),
-            max_net_size_for_matching: 64,
-            // Never let a partition's fixed weight outgrow its capacity.
-            max_fixed_part_weight: (0..2).map(|p| balance.max(PartId(p), 0)).collect(),
-            allow_free_fixed_merge: false,
-            threads: cfg.threads,
-        };
-
-        // Build the coarsening stack: levels[i] is the coarse graph produced
-        // from levels[i-1] (levels[0] from the original).
-        let mut levels: Vec<Level> = Vec::new();
-        loop {
-            let (cur_hg, cur_fixed) = match levels.last() {
-                Some(l) => (&l.hg, &l.fixed),
-                None => (hg, fixed),
-            };
-            if cur_hg.num_vertices() <= cfg.coarsest_size || cancel.is_cancelled() {
-                break;
-            }
-            match coarsen_once(cur_hg, cur_fixed, &params, cfg.min_shrink, None, rng) {
-                Some(level) => {
-                    if S::ENABLED {
-                        sink.record(&Event::LevelStart {
-                            level: (levels.len() + 1) as u32,
-                            vertices: level.hg.num_vertices() as u64,
-                            nets: level.hg.num_nets() as u64,
-                        });
-                    }
-                    levels.push(level);
-                }
-                None => break,
-            }
-        }
+        let h = Hierarchy::build(
+            hg,
+            fixed,
+            &coarsen_params(hg, balance, cfg),
+            cfg.coarsest_size,
+            cfg.min_shrink,
+            None,
+            ctx.reborrow(),
+        );
 
         // Solve the coarsest level with multi-start FM.
-        let (coarsest_hg, coarsest_fixed) = match levels.last() {
-            Some(l) => (&l.hg, &l.fixed),
-            None => (hg, fixed),
-        };
+        let (coarsest_hg, coarsest_fixed) = h.coarsest();
         let coarse_fm = BipartFm::new(cfg.coarse_fm);
-        let mut best: Option<(u64, Vec<PartId>)> = None;
+        let mut best: Option<PartitionResult> = None;
         for start in 0..cfg.coarse_starts.max(1) {
             // Start 0 always runs so a cancelled run still yields a legal
             // solution; later starts are skipped once the token fires.
-            if start > 0 && cancel.is_cancelled() {
+            if start > 0 && ctx.cancel.is_cancelled() {
                 break;
             }
-            let r = coarse_fm.partition_ctx(
-                coarsest_hg,
-                coarsest_fixed,
-                balance,
-                RunCtx::new(&mut *rng).with_sink(sink).with_cancel(cancel),
-            )?;
-            if best.as_ref().is_none_or(|(c, _)| r.cut < *c) {
-                best = Some((r.cut, r.parts));
+            let r =
+                coarse_fm.partition_ctx(coarsest_hg, coarsest_fixed, balance, ctx.reborrow())?;
+            if best.as_ref().is_none_or(|b| r.cut < b.cut) {
+                best = Some(r);
             }
         }
-        let (coarse_cut, mut parts) = best.expect("at least one start");
-        if S::ENABLED {
-            sink.record(&Event::LevelEnd {
-                level: levels.len() as u32,
-                vertices: coarsest_hg.num_vertices() as u64,
-                nets: coarsest_hg.num_nets() as u64,
-                cut: coarse_cut,
-            });
-        }
+        let coarsest = best.expect("at least one start");
+        let coarse_cut = coarsest.cut;
 
         // Uncoarsen and refine (the configured FM stack at every level).
         let refiner = FmStack::from_multilevel(cfg);
-        let mut cut = coarse_cut;
-        for i in (0..levels.len()).rev() {
-            let fine_parts = levels[i].project(&parts);
-            let (fine_hg, fine_fixed) = if i == 0 {
-                (hg, fixed)
-            } else {
-                (&levels[i - 1].hg, &levels[i - 1].fixed)
-            };
-            let r = refiner.refine_ctx(
-                fine_hg,
-                fine_fixed,
-                balance,
-                fine_parts,
-                RunCtx::new(&mut *rng).with_sink(sink).with_cancel(cancel),
-            )?;
-            parts = r.parts;
-            cut = r.cut;
-            if S::ENABLED {
-                sink.record(&Event::LevelEnd {
-                    level: i as u32,
-                    vertices: fine_hg.num_vertices() as u64,
-                    nets: fine_hg.num_nets() as u64,
-                    cut,
-                });
-            }
-        }
+        let sink = ctx.sink;
+        let PartitionResult { parts, cut } =
+            h.uncoarsen(coarsest, sink, |fine_hg, fine_fixed, parts| {
+                refiner.refine_ctx(fine_hg, fine_fixed, balance, parts, ctx.reborrow())
+            })?;
 
-        if S::ENABLED && cancel.is_cancelled() {
+        if S::ENABLED && ctx.cancel.is_cancelled() {
             sink.record(&Event::Cancelled {
                 stage: CancelStage::Level,
                 value: cut,
             });
         }
 
-        let mut level_sizes = vec![hg.num_vertices()];
-        level_sizes.extend(levels.iter().map(|l| l.hg.num_vertices()));
-
         Ok(MultilevelResult {
             parts,
             cut,
-            level_sizes,
+            level_sizes: h.level_sizes(),
             coarse_cut,
         })
     }

@@ -41,7 +41,7 @@ use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Fixity, Hypergraph, Obje
 use crate::config::MultilevelConfig;
 use crate::engine::{FmStack, Refiner, RunCtx};
 use crate::kway;
-use crate::multilevel::{coarsen_once, contract_clusters, merge_fixity, CoarsenParams, Level};
+use crate::multilevel::{coarsen_params, contract_clusters, merge_fixity, Hierarchy};
 use crate::{PartitionError, PartitionResult};
 
 /// Improvement passes the k-way refinement path spends per level before
@@ -71,109 +71,17 @@ fn quality_refine<R: Rng + ?Sized, S: Sink>(
         parts,
         objective,
         QUALITY_REFINE_PASSES,
-        &NullSink,
-        ctx.cancel,
+        RunCtx::new(ctx.rng).with_cancel(ctx.cancel),
     )
 }
 
-/// The coarsening knobs the quality layer uses: the multilevel engine's
-/// defaults, with the fixed-weight budget extended to every part of a
-/// k-way instance.
-fn vcycle_params(hg: &Hypergraph, balance: &BalanceConstraint, threads: usize) -> CoarsenParams {
-    let cfg = MultilevelConfig::default();
-    CoarsenParams {
-        max_cluster_weight: ((hg.total_weight() as f64) * cfg.max_cluster_fraction)
-            .ceil()
-            .max(1.0) as u64,
-        max_cluster_weights: Vec::new(),
-        max_net_size_for_matching: 64,
-        max_fixed_part_weight: (0..balance.num_parts())
-            .map(|p| balance.max(PartId(p as u32), 0))
-            .collect(),
-        allow_free_fixed_merge: false,
-        threads,
-    }
-}
-
-/// One V-cycle: coarsen restricted to same-part merges (so the partition
-/// projects exactly), then refine the projection back down the hierarchy.
-fn one_vcycle<R: Rng + ?Sized, S: Sink>(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    objective: Objective,
-    params: &CoarsenParams,
-    parts: &[PartId],
-    mut ctx: RunCtx<'_, R, S>,
-) -> Result<PartitionResult, PartitionError> {
-    let cfg = MultilevelConfig::default();
-    let mut levels: Vec<Level> = Vec::new();
-    let mut cur_parts = parts.to_vec();
-    loop {
-        let (cur_hg, cur_fixed) = match levels.last() {
-            Some(l) => (&l.hg, &l.fixed),
-            None => (hg, fixed),
-        };
-        if cur_hg.num_vertices() <= cfg.coarsest_size || ctx.cancel.is_cancelled() {
-            break;
-        }
-        match coarsen_once(
-            cur_hg,
-            cur_fixed,
-            params,
-            cfg.min_shrink,
-            Some(&cur_parts),
-            ctx.rng,
-        ) {
-            Some(level) => {
-                // A cluster's part = any member's part (all members share
-                // it by the same-part restriction).
-                let mut coarse_parts = vec![PartId(0); level.hg.num_vertices()];
-                for v in 0..level.map.len() {
-                    coarse_parts[level.map[v].index()] = cur_parts[v];
-                }
-                cur_parts = coarse_parts;
-                levels.push(level);
-            }
-            None => break,
-        }
-    }
-
-    let (coarsest_hg, coarsest_fixed) = match levels.last() {
-        Some(l) => (&l.hg, &l.fixed),
-        None => (hg, fixed),
-    };
-    let mut r = quality_refine(
-        coarsest_hg,
-        coarsest_fixed,
-        balance,
-        objective,
-        cur_parts,
-        ctx.reborrow(),
-    )?;
-    for i in (0..levels.len()).rev() {
-        let fine_parts = levels[i].project(&r.parts);
-        let (fine_hg, fine_fixed) = if i == 0 {
-            (hg, fixed)
-        } else {
-            (&levels[i - 1].hg, &levels[i - 1].fixed)
-        };
-        r = quality_refine(
-            fine_hg,
-            fine_fixed,
-            balance,
-            objective,
-            fine_parts,
-            ctx.reborrow(),
-        )?;
-    }
-    Ok(r)
-}
-
 /// Runs up to `cycles` V-cycles on `best`, stopping at the first cycle
-/// without strict improvement (or on cancellation). Emits one
-/// [`Event::VCycleStart`] / [`Event::VCycleEnd`] bracket per cycle run.
-/// The returned value is never worse than the input.
+/// without strict improvement (or on cancellation). Each cycle coarsens
+/// with the default multilevel knobs, merging only vertices in the same
+/// part so the partition projects exactly, then refines the projection
+/// back down the hierarchy. Emits one [`Event::VCycleStart`] /
+/// [`Event::VCycleEnd`] bracket per cycle run, and no level events. The
+/// returned value is never worse than the input.
 pub(crate) fn run_vcycles<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
@@ -183,7 +91,11 @@ pub(crate) fn run_vcycles<R: Rng + ?Sized, S: Sink>(
     cycles: usize,
     mut ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
-    let params = vcycle_params(hg, balance, ctx.threads);
+    let cfg = MultilevelConfig {
+        threads: ctx.threads,
+        ..MultilevelConfig::default()
+    };
+    let params = coarsen_params(hg, balance, &cfg);
     for cycle in 0..cycles {
         if ctx.cancel.is_cancelled() {
             break;
@@ -195,15 +107,35 @@ pub(crate) fn run_vcycles<R: Rng + ?Sized, S: Sink>(
             });
         }
         let before = best.cut;
-        let candidate = one_vcycle(
+        let mut parts = best.parts.clone();
+        let h = Hierarchy::build(
             hg,
             fixed,
+            &params,
+            cfg.coarsest_size,
+            cfg.min_shrink,
+            Some(&mut parts),
+            RunCtx::new(&mut *ctx.rng).with_cancel(ctx.cancel),
+        );
+        let (coarsest_hg, coarsest_fixed) = h.coarsest();
+        let coarsest = quality_refine(
+            coarsest_hg,
+            coarsest_fixed,
             balance,
             objective,
-            &params,
-            &best.parts,
+            parts,
             ctx.reborrow(),
         )?;
+        let candidate = h.uncoarsen(coarsest, &NullSink, |fine_hg, fine_fixed, parts| {
+            quality_refine(
+                fine_hg,
+                fine_fixed,
+                balance,
+                objective,
+                parts,
+                ctx.reborrow(),
+            )
+        })?;
         if candidate.cut <= best.cut {
             best = candidate;
         }

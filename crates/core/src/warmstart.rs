@@ -23,6 +23,11 @@
 //!    most headroom (ties: lowest index). Underfull parts are filled the
 //!    same way, from the part with the most surplus.
 //!
+//! The repair is the crate's one legalization routine: the k-way engines
+//! run it on their even-split solves too (direct k-way at every level
+//! until the assignment is legal, recursive bisection under per-part
+//! capacity vectors).
+//!
 //! One [`Event::WarmStart`] is emitted after legalization with the
 //! reused/relocated split and the seed objective value, then refinement
 //! proceeds exactly as [`KwayRefiner`](crate::KwayRefiner) would, on the
@@ -113,38 +118,22 @@ fn fits_after_add(
         .all(|r| pt.load(part, r) + weights.get(r).copied().unwrap_or(0) <= balance.max(part, r))
 }
 
-/// Repairs an arbitrary assignment to full legality (fixity, then balance)
-/// without refining — the shared pre-step of the warm-start API, also used
-/// by the constrained multilevel k-way driver on its coarsest-level solve.
-/// Deterministic, no RNG. Returns the legal assignment and the number of
-/// vertices relocated.
+/// Repairs an arbitrary assignment toward legality (fixity, then balance)
+/// without refining: the warm start's pre-step, and the k-way engines'
+/// repair of their even-split solves. Deterministic, no RNG. Returns the
+/// repaired assignment, the number of vertices relocated, and whether the
+/// assignment is now legal.
+///
+/// A balance repair can get stuck: on a coarse level, cluster granularity
+/// can make a tight constraint unreachable by single-vertex moves even
+/// though the fine instance is feasible. Then the partially repaired
+/// assignment comes back with `false`; callers that need a legal answer
+/// turn that into [`stuck_error`].
 ///
 /// # Errors
-/// Same repair errors as [`refine_from_partition_ctx`].
+/// [`PartitionError::InfeasibleInstance`] when a fixity allows no part
+/// below `k`, and [`PartitionError::Input`] when `seed` does not fit `hg`.
 pub(crate) fn legalize_assignment(
-    hg: &Hypergraph,
-    fixed: &FixedVertices,
-    balance: &BalanceConstraint,
-    seed: &[PartId],
-) -> Result<(Vec<PartId>, usize), PartitionError> {
-    let k = balance.num_parts();
-    let (clamped, mut relocated) = clamp_to_fixity(seed, fixed, k)?;
-    let mut pt = Partitioning::from_parts(hg, k, clamped)?;
-    let (moves, legal) = legalize_balance(hg, fixed, balance, &mut pt)?;
-    relocated += moves;
-    if !legal {
-        return Err(stuck_error(balance, &pt, hg.num_resources()));
-    }
-    Ok((pt.into_parts(), relocated))
-}
-
-/// Best-effort variant of [`legalize_assignment`] for coarse multilevel
-/// levels, where cluster granularity can make a tight vector constraint
-/// unreachable by single-vertex moves even though the fine instance is
-/// feasible. Fixity violations are still hard errors; a stuck balance
-/// repair instead returns the partially repaired assignment with
-/// `legal = false` so the caller can retry after uncoarsening.
-pub(crate) fn legalize_assignment_lenient(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
@@ -158,22 +147,29 @@ pub(crate) fn legalize_assignment_lenient(
     Ok((pt.into_parts(), relocated, legal))
 }
 
-/// The diagnostic error for a balance repair that ran out of legal moves:
-/// includes per-part per-resource loads against the constraint's maxima.
-fn stuck_error(
+/// The error for an assignment [`legalize_assignment`] could not make
+/// legal: per-part per-resource loads, the weight fixed into each part, and
+/// the constraint's maxima.
+pub(crate) fn stuck_error(
+    hg: &Hypergraph,
+    fixed: &FixedVertices,
     balance: &BalanceConstraint,
-    pt: &Partitioning,
-    num_resources: usize,
+    parts: &[PartId],
 ) -> PartitionError {
     let k = balance.num_parts();
-    let resources = num_resources.min(balance.num_resources());
-    let loads: Vec<Vec<u64>> = (0..k)
-        .map(|p| {
-            (0..resources)
-                .map(|r| pt.load(PartId::from_index(p), r))
-                .collect()
-        })
-        .collect();
+    let resources = hg.num_resources().min(balance.num_resources());
+    let mut loads = vec![vec![0u64; resources]; k];
+    let mut fixed_weight = vec![vec![0u64; resources]; k];
+    for v in hg.vertices() {
+        let p = parts[v.index()].index();
+        let pinned = v.index() < fixed.len() && matches!(fixed.fixity(v), Fixity::Fixed(_));
+        for (r, &w) in hg.vertex_weights(v).iter().take(resources).enumerate() {
+            loads[p][r] += w;
+            if pinned {
+                fixed_weight[p][r] += w;
+            }
+        }
+    }
     let maxima: Vec<Vec<u64>> = (0..k)
         .map(|p| {
             (0..resources)
@@ -182,8 +178,8 @@ fn stuck_error(
         })
         .collect();
     infeasible(format!(
-        "cannot re-legalize warm-start seed: balance repair ran out of legal single-vertex \
-         moves (loads {loads:?}, maxima {maxima:?})"
+        "cannot legalize the assignment: balance repair ran out of legal single-vertex moves \
+         (loads {loads:?}, fixed {fixed_weight:?}, maxima {maxima:?})"
     ))
 }
 
@@ -431,7 +427,10 @@ where
             },
         ));
     }
-    let (parts, relocated) = legalize_assignment(hg, fixed, balance, seed)?;
+    let (parts, relocated, legal) = legalize_assignment(hg, fixed, balance, seed)?;
+    if !legal {
+        return Err(stuck_error(hg, fixed, balance, &parts));
+    }
 
     if S::ENABLED {
         ctx.sink.record(&Event::WarmStart {
@@ -441,9 +440,7 @@ where
         });
     }
 
-    let result = kway::refine(
-        hg, fixed, balance, parts, objective, max_passes, ctx.sink, ctx.cancel,
-    )?;
+    let result = kway::refine(hg, fixed, balance, parts, objective, max_passes, ctx)?;
     Ok(WarmStartOutcome { result, relocated })
 }
 
@@ -578,6 +575,25 @@ mod tests {
         .unwrap();
         let pt = Partitioning::from_parts(&hg, 2, out.result.parts.clone()).unwrap();
         assert!(validate_partitioning(&hg, &pt, &balance, &fixed).is_valid());
+    }
+
+    #[test]
+    fn stuck_repair_reports_loads_fixed_weight_and_maxima() {
+        // Six of ten unit vertices fixed into part 0, whose maximum is 5:
+        // no sequence of moves can make the seed legal.
+        let hg = chain(10);
+        let balance = even(&hg, 2, 0.0);
+        let mut fixed = FixedVertices::all_free(10);
+        for i in 0..6 {
+            fixed.fix(VertexId::from_index(i), PartId::from_index(0));
+        }
+        let seed = vec![PartId::from_index(0); 10];
+        let (parts, _, legal) = legalize_assignment(&hg, &fixed, &balance, &seed).unwrap();
+        assert!(!legal);
+        let msg = stuck_error(&hg, &fixed, &balance, &parts).to_string();
+        for part in ["loads [[6], [4]]", "fixed [[6], [0]]", "maxima [[5], [5]]"] {
+            assert!(msg.contains(part), "{msg} lacks {part}");
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 use std::io::Cursor;
 
 use vlsi_hypergraph::{
-    validate_partitioning, BalanceConstraint, FixedVertices, HypergraphBuilder, PartId,
+    validate_partitioning, BalanceConstraint, FixedVertices, Fixity, HypergraphBuilder, PartId,
     Partitioning, Tolerance, VertexId,
 };
+use vlsi_netgen::instances::ibm01_like_scaled;
 use vlsi_service::json::{self, Json};
 use vlsi_service::{ServeOutcome, Service, ServiceConfig};
 
@@ -281,6 +282,79 @@ fn kway_jobs_at_different_thread_counts_share_one_cache_entry() {
         "threads 2 must be answered from the threads 1 entry"
     );
     assert_eq!(first.get("parts"), second.get("parts"));
+}
+
+#[test]
+fn kway_job_with_fixed_vertices_gets_a_legal_answer() {
+    // A netgen circuit with every tenth vertex fixed round-robin: the
+    // direct k-way engine's coarsest even split comes back over capacity
+    // here, and the job must still be answered with a legal partition,
+    // never `internal_error`.
+    let k = 4;
+    let hg = ibm01_like_scaled(0.04, 7).hypergraph;
+    let mut fixed = FixedVertices::all_free(hg.num_vertices());
+    for v in hg.vertices().step_by(10) {
+        fixed.fix(v, PartId::from_index(v.index() / 10 % k));
+    }
+    let list = |items: Vec<String>| items.join(",");
+    let vertices = list(
+        hg.vertices()
+            .map(|v| hg.vertex_weight(v).to_string())
+            .collect(),
+    );
+    let nets = list(
+        hg.nets()
+            .map(|n| {
+                let pins = list(
+                    hg.net_pins(n)
+                        .iter()
+                        .map(|p| p.index().to_string())
+                        .collect(),
+                );
+                format!(r#"{{"w":{},"pins":[{pins}]}}"#, hg.net_weight(n))
+            })
+            .collect(),
+    );
+    let fixities = list(
+        hg.vertices()
+            .map(|v| match fixed.fixity(v) {
+                Fixity::Fixed(p) => p.index().to_string(),
+                _ => "-1".to_string(),
+            })
+            .collect(),
+    );
+    let job = format!(
+        r#"{{"id":"k4","engine":"kway","k":{k},"starts":1,"seed":1999,"tolerance":{TOLERANCE},"hypergraph":{{"vertices":[{vertices}],"nets":[{nets}]}},"fixed":[{fixities}]}}"#
+    );
+    let service = Service::start(ServiceConfig::default()).expect("service starts");
+    let mut out = Vec::new();
+    service
+        .serve(Cursor::new(format!("{job}\n")), &mut out)
+        .expect("session runs");
+    service.shutdown();
+
+    let text = String::from_utf8(out).expect("utf8 output");
+    let resp = json::parse(text.lines().next().expect("one response")).expect("valid JSON");
+    assert_eq!(
+        resp.get("status").and_then(|s| s.as_str()),
+        Some("ok"),
+        "{text}"
+    );
+    let parts: Vec<PartId> = resp
+        .get("parts")
+        .and_then(|p| p.as_arr())
+        .expect("ok response has parts")
+        .iter()
+        .map(|p| PartId::from_index(p.as_u64().expect("part id") as usize))
+        .collect();
+    let balance = BalanceConstraint::even(k, hg.total_weights(), Tolerance::Relative(TOLERANCE));
+    let p = Partitioning::from_parts(&hg, k, parts).expect("well-formed assignment");
+    let report = validate_partitioning(&hg, &p, &balance, &fixed);
+    assert!(report.is_valid(), "response violates invariants: {report}");
+    assert_eq!(
+        report.recomputed_cut,
+        resp.get("cut").and_then(|c| c.as_u64()).expect("cut")
+    );
 }
 
 #[test]

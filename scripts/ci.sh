@@ -53,6 +53,17 @@ echo "==> thread-count invariance"
 cargo test -q --offline -p fixed-vertices-repro --test determinism \
     no_answer_depends_on_the_thread_count
 
+# K-way legality: the direct k-way engine on small netgen circuits (k in
+# {3, 4, 6, 8}, ±10-30%, all free or 0-50% fixed at random, cut and km1)
+# must return an answer the independent referee accepts, or an
+# infeasibility error; never an over- or underfull partition. Re-based on
+# a fixed seed outside the checked-in corpus at 4x its cases (about 1 s in
+# a debug build).
+echo "==> k-way legality (TESTKIT_SEED=1999, 4x cases)"
+TESTKIT_SEED=1999 TESTKIT_CASES=4x \
+    cargo test -q --offline -p fixed-vertices-repro --test kway_invariants \
+    direct_kway_answers_are_legal_or_infeasible
+
 # Decode fuzz smoke: the differential suite that pins `parse_request` to
 # the earlier tree-based decoder, re-based on a fixed seed outside its
 # checked-in corpus and bounded in cases (about 2 s in a debug build). It

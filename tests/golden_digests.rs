@@ -32,7 +32,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("rb/k2", 0x15a5270520291b53),
     ("kway/k2", 0xb9dd3e2022664162),
     ("rb/k4", 0x95e75567539e2fd5),
-    ("kway/k4", 0x1b02c8948af74965),
+    ("kway/k4", 0xd3d8023c30e9b018),
     ("rb/k4/km1", 0x6fadbedd0132a7f5),
     ("kway/k4/km1", 0xa43b6717478e450c),
     ("multistart/run", 0x0f653179944ba73f),

@@ -4,19 +4,22 @@
 //! and the recursive-bisection stack (`RecursiveBisection` without
 //! cleanup passes) must return solutions in which (a) every fixed
 //! vertex sits exactly in its assigned part and (b) the per-part balance
-//! constraint holds.
+//! constraint holds. The direct k-way engine (`DirectKway`) must go
+//! further: every answer is legal under the k-way constraint itself, or
+//! the run fails with an infeasibility error.
 
 use vlsi_rng::{ChaCha8Rng, Rng, RngCore, SeedableRng};
 use vlsi_testkit::gen::{distinct_sorted, RawInstance};
-use vlsi_testkit::{prop_test, TestRng};
+use vlsi_testkit::{prop_test, Shrink, TestRng};
 
 use fixed_vertices_repro::vlsi_hypergraph::{
-    BalanceConstraint, CutState, FixedVertices, Fixity, Hypergraph, HypergraphBuilder, Objective,
-    PartId, Tolerance, VertexId,
+    validate_partitioning, BalanceConstraint, CutState, FixedVertices, Fixity, Hypergraph,
+    HypergraphBuilder, Objective, PartId, Partitioning, Tolerance, VertexId,
 };
+use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
 use fixed_vertices_repro::vlsi_partition::{
-    random_initial, KwayConfig, KwayRefiner, MultilevelConfig, PartitionError, PartitionResult,
-    Partitioner, RecursiveBisection, Refiner, RunCtx,
+    random_initial, DirectKway, KwayConfig, KwayRefiner, MultilevelConfig, PartitionError,
+    PartitionResult, Partitioner, RecursiveBisection, Refiner, RunCtx,
 };
 
 /// One k-way refinement pass over `initial`.
@@ -229,6 +232,83 @@ prop_test! {
                 "recursive-bisection: part {p} load {load} outside {target:.1} ± {slack:.1} \
                  (loads {loads:?}, k = {k})"
             );
+        }
+    }
+}
+
+/// One direct k-way job on a small ibm01-like netgen circuit.
+#[derive(Clone, Debug)]
+struct KwayJob {
+    scale: f64,
+    circuit_seed: u64,
+    k: usize,
+    tolerance: f64,
+    /// Share of vertices fixed, each into a random part (0 = all free).
+    fix_fraction: f64,
+    objective: Objective,
+    run_seed: u64,
+}
+
+// Each field is a drawn parameter of a real netlist; there is nothing
+// smaller to shrink to.
+impl Shrink for KwayJob {}
+
+fn kway_job(rng: &mut TestRng) -> KwayJob {
+    KwayJob {
+        scale: rng.gen_range(0.05..0.15),
+        circuit_seed: rng.next_u64(),
+        k: [3, 4, 6, 8][rng.gen_range(0..4usize)],
+        tolerance: rng.gen_range(0.1..0.3),
+        fix_fraction: if rng.gen_bool(0.25) {
+            0.0
+        } else {
+            rng.gen_range(0.0..0.5)
+        },
+        objective: if rng.gen_bool(0.5) {
+            Objective::Cut
+        } else {
+            Objective::KMinus1
+        },
+        run_seed: rng.next_u64(),
+    }
+}
+
+prop_test! {
+    /// Direct k-way answers are legal: every run on a netgen circuit,
+    /// under either objective and with the engine's own tolerance equal to
+    /// the constraint's, returns an assignment the independent referee
+    /// accepts, with the reported value recomputed exactly, or fails with
+    /// an infeasibility error.
+    #[cases(24)]
+    fn direct_kway_answers_are_legal_or_infeasible(job in kway_job) {
+        let hg = ibm01_like_scaled(job.scale, job.circuit_seed).hypergraph;
+        let mut rng = ChaCha8Rng::seed_from_u64(job.run_seed);
+        let mut fixed = FixedVertices::all_free(hg.num_vertices());
+        for v in hg.vertices() {
+            if rng.gen_bool(job.fix_fraction) {
+                fixed.fix(v, PartId::from_index(rng.gen_range(0..job.k)));
+            }
+        }
+        let balance = BalanceConstraint::even(
+            job.k,
+            hg.total_weights(),
+            Tolerance::Relative(job.tolerance),
+        );
+        let engine = DirectKway(KwayConfig {
+            tolerance: job.tolerance,
+            objective: job.objective,
+            ..KwayConfig::default()
+        });
+        match engine.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng)) {
+            Ok(r) => {
+                let value = CutState::new(&hg, job.k, &r.parts).value(job.objective);
+                let p = Partitioning::from_parts(&hg, job.k, r.parts).expect("well-formed");
+                let report = validate_partitioning(&hg, &p, &balance, &fixed);
+                assert!(report.is_valid(), "illegal k-way answer: {report}");
+                assert_eq!(r.cut, value, "reported value differs from the recomputed one");
+            }
+            Err(PartitionError::InfeasibleInstance { .. } | PartitionError::Balance(_)) => {}
+            Err(e) => panic!("unexpected error: {e}"),
         }
     }
 }
