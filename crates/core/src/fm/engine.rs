@@ -9,7 +9,7 @@ use vlsi_hypergraph::{
 use vlsi_trace::{CancelStage, Event, MoverFixity, Sink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
-use crate::config::{FmConfig, SelectionPolicy};
+use crate::config::{FmConfig, PassCutoff, SelectionPolicy};
 use crate::engine::RunCtx;
 use crate::fm::{PassStats, RunStats};
 use crate::PartitionError;
@@ -31,6 +31,19 @@ fn initial_gain_of(hg: &Hypergraph, parts: &[PartId], pins: &[[u32; 2]], v: Vert
         }
     }
     g
+}
+
+/// Sets `side`'s bit in a net's frozen-side mask. Returns the net's weight
+/// `w` if that froze it on both sides, else 0.
+#[inline]
+fn freeze(mask: &mut u8, side: usize, w: u64) -> u64 {
+    let before = *mask;
+    *mask = before | 1 << side;
+    if before == 1 << (1 - side) {
+        w
+    } else {
+        0
+    }
 }
 
 /// Result of an FM run: the final assignment, its cut, and the per-pass
@@ -96,6 +109,11 @@ impl BipartFm {
     /// (or `max_passes` is reached), returning the final assignment with
     /// its per-pass statistics. [`partition_ctx`](crate::Partitioner::partition_ctx) runs the same
     /// engine from a random legal initial solution.
+    ///
+    /// Under [`PassCutoff::Exact`] every pass, the first included, ends as
+    /// soon as the nets with an unmovable pin on both sides outweigh the
+    /// best prefix's cut: no later prefix could be kept, so the passes
+    /// keep, roll back and hand on exactly what classic passes would.
     ///
     /// The run emits [`Event::PassStart`], [`Event::MoveCommitted`] and
     /// [`Event::PassEnd`] per pass into `ctx.sink` (with
@@ -254,8 +272,18 @@ struct PassState<'a, S: Sink> {
     loads: Vec<u64>,
     /// Current weighted cut.
     cut: u64,
+    /// Weight of the nets frozen on both sides (see `frozen`): they stay
+    /// cut until the pass ends, so no later state cuts less. Kept only
+    /// under [`PassCutoff::Exact`]; otherwise 0.
+    dead: u64,
     /// Every net's pin count on side 0 and on side 1.
     pins: Vec<[u32; 2]>,
+    /// Whether `frozen` and `dead` are kept ([`PassCutoff::Exact`]).
+    exact: bool,
+    /// Per net, bit `s` is set once side `s` holds a pin that cannot move
+    /// again in this pass: an immovable vertex, or one already moved.
+    /// Empty unless `exact`.
+    frozen: Vec<u8>,
     nodes: Vec<Node>,
     /// Keys range over `[-key_bound, key_bound]`.
     key_bound: i64,
@@ -270,6 +298,10 @@ struct PassState<'a, S: Sink> {
     /// Pass-start copies of the cut and the side-0 pin counts.
     start_cut: u64,
     start_pins0: Vec<u32>,
+    /// Pass-start `frozen` and `dead`: the immovable vertices' sides,
+    /// which no pass changes.
+    start_frozen: Vec<u8>,
+    start_dead: u64,
     /// Gain-bucket operations of the current pass (only maintained when
     /// `S::ENABLED`; reported on the pass's `PassEnd` event).
     bucket_ops: u64,
@@ -317,6 +349,21 @@ impl<'a, S: Sink> PassState<'a, S> {
             .collect();
         let num_movable = nodes.iter().filter(|node| node.movable).count();
 
+        // The exact stop's pass-start mask, from the immovable vertices'
+        // nets only.
+        let exact = matches!(engine.config.cutoff, PassCutoff::Exact);
+        let mut start_frozen = Vec::new();
+        let mut start_dead = 0;
+        if exact {
+            start_frozen = vec![0u8; hg.num_nets()];
+            for v in hg.vertices().filter(|v| !nodes[v.index()].movable) {
+                let side = parts[v.index()].index();
+                for &n in hg.vertex_nets(v) {
+                    start_dead += freeze(&mut start_frozen[n.index()], side, hg.net_weight(n));
+                }
+            }
+        }
+
         // Maximum possible |gain| = largest total incident net weight over
         // the *movable* vertices (immovable ones never enter the buckets;
         // a clustered mega-terminal would otherwise blow the array up).
@@ -362,10 +409,15 @@ impl<'a, S: Sink> PassState<'a, S> {
             relax,
             start_cut: cut,
             start_pins0: vec![0; pins.len()],
+            frozen: start_frozen.clone(),
+            start_frozen,
+            start_dead,
             parts,
             loads,
             cut,
+            dead: start_dead,
             pins,
+            exact,
             nodes,
             key_bound,
             heads: [vec![NONE; span], vec![NONE; span]],
@@ -394,6 +446,8 @@ impl<'a, S: Sink> PassState<'a, S> {
         for (c0, counts) in self.start_pins0.iter_mut().zip(&self.pins) {
             *c0 = counts[0];
         }
+        self.frozen.copy_from_slice(&self.start_frozen);
+        self.dead = self.start_dead;
         self.prepare_buckets();
 
         self.moves.clear();
@@ -442,14 +496,19 @@ impl<'a, S: Sink> PassState<'a, S> {
             }
 
             // Only strictly balanced states may become the accepted prefix.
-            if !self.balance.is_satisfied(&self.loads) {
-                continue;
+            if self.balance.is_satisfied(&self.loads) {
+                let imbalance = self.imbalance();
+                if cut < best_cut || (cut == best_cut && imbalance < best_imbalance) {
+                    best_cut = cut;
+                    best_len = self.moves.len();
+                    best_imbalance = imbalance;
+                }
             }
-            let imbalance = self.imbalance();
-            if cut < best_cut || (cut == best_cut && imbalance < best_imbalance) {
-                best_cut = cut;
-                best_len = self.moves.len();
-                best_imbalance = imbalance;
+            // Every later state cuts at least `dead`, and a prefix is kept
+            // only if it cuts less than the best, or as much with less
+            // imbalance. Equality can still be kept, so stop strictly above.
+            if self.dead > best_cut {
+                break;
             }
         }
 
@@ -688,9 +747,10 @@ impl<'a, S: Sink> PassState<'a, S> {
 
     /// Moves `vertex` from `from` to `to` with the standard FM delta-gain
     /// updates. The first loop over its nets shifts each pin count, updates
-    /// the cut and bumps the gains that depend on the `to` side's count
-    /// before the move; the second bumps those that depend on the `from`
-    /// side's count after it.
+    /// the cut (and, under the exact stop, freezes the net's `to` side)
+    /// and bumps the gains that depend on the `to` side's count before the
+    /// move; the second bumps those that depend on the `from` side's count
+    /// after it.
     fn apply_move(&mut self, vertex: VertexId, from: usize, to: usize) {
         let hg = self.hg;
         let expected_cut = self
@@ -702,6 +762,10 @@ impl<'a, S: Sink> PassState<'a, S> {
             let w = hg.net_weight(n) as i64;
             if w == 0 {
                 continue;
+            }
+            if self.exact {
+                // The moved vertex is locked on `to` for the rest of the pass.
+                self.dead += freeze(&mut self.frozen[n.index()], to, w as u64);
             }
             if to_count == 0 {
                 // Net becomes critical from the `to` side: every other pin
@@ -743,6 +807,7 @@ impl<'a, S: Sink> PassState<'a, S> {
             self.cut, expected_cut,
             "gain of {vertex} disagreed with actual cut delta"
         );
+        debug_assert!(self.dead <= self.cut, "a dead net is not cut");
     }
 
     /// Moves one pin of net `n` from side `from` to side `to` and updates
@@ -1000,6 +1065,33 @@ mod tests {
                 assert!(p.moves_made <= 4);
             }
         }
+    }
+
+    #[test]
+    fn exact_stop_keeps_the_classic_answer_in_fewer_moves() {
+        let hg = two_cliques(8, 2);
+        let mut fixed = FixedVertices::all_free(hg.num_vertices());
+        for i in 0..4 {
+            fixed.fix(VertexId(i), PartId(0));
+            fixed.fix(VertexId(8 + i), PartId(1));
+        }
+        let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.0));
+        let run = |cutoff| {
+            let fm = BipartFm::new(FmConfig {
+                cutoff,
+                ..FmConfig::default()
+            });
+            let mut rng = ChaCha8Rng::seed_from_u64(6);
+            run_random(&fm, &hg, &fixed, &balance, &mut rng).unwrap()
+        };
+        let (classic, exact) = (
+            run(crate::PassCutoff::Unlimited),
+            run(crate::PassCutoff::Exact),
+        );
+        assert_eq!(exact.parts, classic.parts);
+        assert_eq!(exact.cut, classic.cut);
+        assert_eq!(exact.stats.num_passes(), classic.stats.num_passes());
+        assert!(exact.stats.total_moves() < classic.stats.total_moves());
     }
 
     #[test]

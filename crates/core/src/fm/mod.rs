@@ -8,6 +8,12 @@
 //! ([`vlsi_hypergraph::Fixity::FixedAny`]) move only within their allowed
 //! set. Pass lengths can be hard-capped ([`crate::PassCutoff`], Table III
 //! of the paper) and every pass's statistics are recorded (Table II).
+//! Under [`crate::PassCutoff::Exact`] a pass ends once no later prefix
+//! could be kept: per net, a two-bit mask records which sides hold a pin
+//! that cannot move again in the pass (an immovable vertex, built once
+//! per run, or one already moved, set in the move's first net loop), and
+//! the pass stops when the nets frozen on both sides, which stay cut,
+//! outweigh the best prefix's cut.
 //!
 //! The engine does not run on the shared [`crate::KwayGains`] container
 //! or on a [`vlsi_hypergraph::Partitioning`]. It keeps a 2-way pass state

@@ -12,8 +12,10 @@ pub struct PassStats {
     pub pass: usize,
     /// Number of vertices eligible to move in this run.
     pub movable: usize,
-    /// Moves actually made before the pass ended (gain exhaustion, balance
-    /// lock-up, or the configured cutoff).
+    /// Moves actually made before the pass ended: no feasible move was
+    /// left, the cutoff's limit was reached, or, under
+    /// [`PassCutoff::Exact`](crate::PassCutoff::Exact), no later prefix
+    /// could be kept.
     pub moves_made: usize,
     /// Length of the best prefix that was kept after rollback.
     pub moves_kept: usize,

@@ -7,10 +7,13 @@
 //! * A flat Fiduccia–Mattheyses bipartitioner ([`fm::BipartFm`]) with
 //!   gain-bucket selection, LIFO tie-breaking, the CLIP variant of Dutt &
 //!   Deng, full fixed-vertex awareness, balance constraints, per-pass
-//!   statistics (Table II of the paper) and hard pass cutoffs (Table III).
+//!   statistics (Table II of the paper), hard pass cutoffs (Table III) and
+//!   an exact pass stop that ends a pass once no later prefix could be kept
+//!   ([`PassCutoff::Exact`]).
 //! * A multilevel partitioner ([`multilevel::MultilevelPartitioner`]):
 //!   heavy-edge-matching / first-choice coarsening that respects fixities,
-//!   FM at the coarsest level, and refinement during uncoarsening.
+//!   FM at the coarsest level, and refinement during uncoarsening, with
+//!   the exact pass stop in every FM stage.
 //! * A multistart driver ([`multistart::Multistart`]) reproducing the
 //!   paper's 1/2/4/8-start protocol, with an iterated-multilevel quality
 //!   phase ([`quality`]): V-cycles over the best solution (which the paper

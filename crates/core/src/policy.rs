@@ -2,12 +2,13 @@
 //!
 //! Section II: "In all of our experiments, an instance with 20% or more
 //! vertices fixed is essentially solvable to very high quality in one or
-//! two starts, i.e., further starts are unnecessary." Section III: pass
-//! cutoffs are safe (and fast) once terminals are sufficient, harmful on
-//! free hypergraphs. These functions encode that guidance so a caller in
-//! the top-down-placement context can spend effort where it pays.
-
-use crate::config::{FmConfig, PassCutoff};
+//! two starts, i.e., further starts are unnecessary."
+//! [`recommended_starts`] encodes that guidance so a caller in the
+//! top-down-placement context can spend effort where it pays. Section
+//! III's finding, that later FM moves are wasted once terminals are
+//! sufficient, needs no tuning here: the multilevel engine's passes end
+//! with [`PassCutoff::Exact`](crate::PassCutoff::Exact), which saves those
+//! moves without changing an answer.
 
 /// Recommended number of multilevel starts as a function of the instance's
 /// fixed-vertex fraction (`0.0..=1.0`).
@@ -36,53 +37,6 @@ pub fn recommended_starts(fixed_fraction: f64) -> usize {
     }
 }
 
-/// Recommended FM pass cutoff as a function of the fixed fraction: no
-/// cutoff on (nearly) free hypergraphs — where Table III shows quality
-/// loss — and increasingly aggressive cutoffs as terminals accumulate,
-/// where Table III shows pure runtime savings.
-///
-/// # Panics
-/// Panics if `fixed_fraction` is outside `[0, 1]`.
-///
-/// # Example
-/// ```
-/// use vlsi_partition::policy::recommended_cutoff;
-/// use vlsi_partition::PassCutoff;
-/// assert_eq!(recommended_cutoff(0.0), PassCutoff::Unlimited);
-/// assert_eq!(recommended_cutoff(0.30), PassCutoff::Fraction(0.25));
-/// assert_eq!(recommended_cutoff(0.60), PassCutoff::Fraction(0.10));
-/// ```
-pub fn recommended_cutoff(fixed_fraction: f64) -> PassCutoff {
-    assert!(
-        (0.0..=1.0).contains(&fixed_fraction),
-        "fixed fraction must be in [0, 1]"
-    );
-    match fixed_fraction {
-        f if f >= 0.50 => PassCutoff::Fraction(0.10),
-        f if f >= 0.20 => PassCutoff::Fraction(0.25),
-        f if f >= 0.10 => PassCutoff::Fraction(0.50),
-        _ => PassCutoff::Unlimited,
-    }
-}
-
-/// A flat-FM configuration tuned to the instance's fixed fraction: LIFO
-/// selection with the recommended pass cutoff.
-///
-/// # Example
-/// ```
-/// use vlsi_partition::policy::tuned_fm_config;
-/// use vlsi_partition::PassCutoff;
-/// let cfg = tuned_fm_config(0.35);
-/// assert_eq!(cfg.cutoff, PassCutoff::Fraction(0.25));
-/// assert!(!cfg.cutoff_first_pass); // the first pass is always exempt
-/// ```
-pub fn tuned_fm_config(fixed_fraction: f64) -> FmConfig {
-    FmConfig {
-        cutoff: recommended_cutoff(fixed_fraction),
-        ..FmConfig::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,30 +53,8 @@ mod tests {
     }
 
     #[test]
-    fn cutoff_tightens_with_fixing() {
-        let frac = |c: PassCutoff| match c {
-            PassCutoff::Unlimited => 1.0,
-            PassCutoff::Fraction(f) => f,
-            PassCutoff::Moves(_) => unreachable!("policy never emits Moves"),
-        };
-        let mut prev = f64::INFINITY;
-        for f in [0.0, 0.10, 0.20, 0.50, 1.0] {
-            let c = frac(recommended_cutoff(f));
-            assert!(c <= prev);
-            prev = c;
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "fixed fraction")]
     fn rejects_bad_fraction() {
         let _ = recommended_starts(1.5);
-    }
-
-    #[test]
-    fn tuned_config_defaults() {
-        let cfg = tuned_fm_config(0.0);
-        assert_eq!(cfg.cutoff, PassCutoff::Unlimited);
-        assert_eq!(cfg.max_passes, FmConfig::default().max_passes);
     }
 }

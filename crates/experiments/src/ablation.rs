@@ -11,9 +11,7 @@ use vlsi_rng::ChaCha8Rng;
 use vlsi_rng::SeedableRng;
 
 use vlsi_hypergraph::Hypergraph;
-use vlsi_partition::{
-    EngineConfig, FmConfig, MultilevelConfig, Multistart, PartitionError, RunCtx, SelectionPolicy,
-};
+use vlsi_partition::{EngineConfig, MultilevelConfig, Multistart, PartitionError, RunCtx};
 
 use crate::harness::{find_good_solution, paper_balance};
 use crate::regimes::{FixSchedule, Regime};
@@ -33,22 +31,15 @@ pub struct Variant {
 
 /// The standard ablation battery.
 pub fn standard_variants() -> Vec<Variant> {
+    // The single-stage variants run the default's own stages, so their
+    // passes end the same way as the default's.
     let base = MultilevelConfig::default();
     let clip_only = MultilevelConfig {
-        refine_fm: FmConfig {
-            policy: SelectionPolicy::Clip,
-            max_passes: 8,
-            ..FmConfig::default()
-        },
         refine_fm2: None,
         ..base
     };
     let lifo_only = MultilevelConfig {
-        refine_fm: FmConfig {
-            policy: SelectionPolicy::Lifo,
-            max_passes: 8,
-            ..FmConfig::default()
-        },
+        refine_fm: base.refine_fm2.expect("the default stacks a LIFO stage"),
         refine_fm2: None,
         ..base
     };

@@ -75,12 +75,23 @@ TESTKIT_SEED=1999 TESTKIT_CASES=10000 \
 
 # FM differential fuzz smoke: the suite that pins the 2-way FM pass loop
 # (results and trace events, bucket_ops included) to the earlier
-# KwayGains/Partitioning loop, re-based on the same fixed seed and scaled
-# to 4x its checked-in case counts (1600 small instances plus 16 with over
-# 2,100 vertices; about 2 s in a debug build).
+# KwayGains/Partitioning loop, and the exact pass stop to that loop's
+# classic passes, re-based on the same fixed seed and scaled to 4x its
+# checked-in case counts (1600 small instances plus 16 with over 2,100
+# vertices per property; about 3 s in a debug build).
 echo "==> FM differential fuzz smoke (TESTKIT_SEED=1999, 4x cases)"
 TESTKIT_SEED=1999 TESTKIT_CASES=4x \
     cargo test -q --offline -p fixed-vertices-repro --test fm_differential
+
+# Exact pass stop identity: the default multilevel engine and rb/kway at
+# k=4 end their FM passes with the exact stop (PassCutoff::Exact). On a
+# small netgen circuit, all free, pads only and 10/30/50% fixed at random,
+# they must return the answers and traces of the same configs with classic
+# full passes, apart from the `move` events and each `pass_end`'s move and
+# bucket-op counts (about 1 s in a debug build).
+echo "==> exact pass stop identity"
+cargo test -q --offline -p fixed-vertices-repro --test determinism \
+    multilevel_answers_do_not_depend_on_the_pass_stop
 
 # Service soak smoke: bring up an in-process server, drive a bounded
 # mixed cold/warm workload over concurrent TCP connections, and fail on

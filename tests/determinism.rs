@@ -522,3 +522,122 @@ fn vcycles_and_ensemble_are_thread_count_invariant() {
         assert_eq!(r.top, base.top, "{threads} threads changed the top list");
     }
 }
+
+/// `cfg` with classic full passes in all three FM stages.
+fn classic_passes(cfg: MultilevelConfig) -> MultilevelConfig {
+    use fixed_vertices_repro::vlsi_partition::PassCutoff;
+    let unlimited = |fm: FmConfig| FmConfig {
+        cutoff: PassCutoff::Unlimited,
+        ..fm
+    };
+    MultilevelConfig {
+        coarse_fm: unlimited(cfg.coarse_fm),
+        refine_fm: unlimited(cfg.refine_fm),
+        refine_fm2: cfg.refine_fm2.map(unlimited),
+        ..cfg
+    }
+}
+
+#[test]
+fn multilevel_answers_do_not_depend_on_the_pass_stop() {
+    // The default FM stages end each pass with the exact stop. Against
+    // classic full passes, the multilevel engine and rb/kway at k = 4 must
+    // return the same answers and the same trace, apart from the `move`
+    // events and the move and bucket-op counts of each `pass_end`.
+    use fixed_vertices_repro::vlsi_partition::trace::{Event, VecSink};
+    use fixed_vertices_repro::vlsi_partition::{EngineConfig, KwayConfig, Partitioner};
+    use vlsi_rng::Rng;
+
+    let answer_events = |events: Vec<Event>| -> Vec<Event> {
+        events
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::MoveCommitted { .. } => None,
+                Event::PassEnd {
+                    pass,
+                    best_prefix,
+                    cut_before,
+                    cut_after,
+                    ..
+                } => Some(Event::PassEnd {
+                    pass,
+                    moves: 0,
+                    best_prefix,
+                    cut_before,
+                    cut_after,
+                    bucket_ops: 0,
+                }),
+                other => Some(other),
+            })
+            .collect()
+    };
+
+    let circuit = ibm01_like_scaled(0.1, 13);
+    let hg = &circuit.hypergraph;
+    let center = circuit.die.center();
+    let stop = MultilevelConfig::default();
+    let classic = classic_passes(stop);
+    let engines = |ml: MultilevelConfig| {
+        let kway = KwayConfig {
+            ml,
+            ..KwayConfig::default()
+        };
+        [
+            (2, EngineConfig::Multilevel(ml)),
+            (4, EngineConfig::KwayRb(kway)),
+            (4, EngineConfig::KwayDirect(kway)),
+        ]
+    };
+    let mut stopped = 0;
+    for (&(k, with_stop), &(_, without)) in engines(stop).iter().zip(&engines(classic)) {
+        // All free, pads only (fixed to their side of the die, or their
+        // quadrant at k = 4), and 10, 30 and 50% fixed at random.
+        let mut fixities = vec![("free", FixedVertices::all_free(hg.num_vertices()))];
+        let mut pads = FixedVertices::all_free(hg.num_vertices());
+        for v in circuit.pads() {
+            let at = circuit.location(v);
+            let (x, y) = (u32::from(at.x >= center.x), u32::from(at.y >= center.y));
+            pads.fix(v, PartId(if k == 2 { x } else { x + 2 * y }));
+        }
+        fixities.push(("pads", pads));
+        for (label, fraction) in [("10%", 0.1), ("30%", 0.3), ("50%", 0.5)] {
+            let mut fixed = FixedVertices::all_free(hg.num_vertices());
+            let mut rng = ChaCha8Rng::seed_from_u64(17);
+            for v in hg.vertices() {
+                if rng.gen_bool(fraction) {
+                    fixed.fix(v, PartId(rng.gen_range(0..k as u32)));
+                }
+            }
+            fixities.push((label, fixed));
+        }
+
+        let balance = BalanceConstraint::even(k, &[hg.total_weight()], Tolerance::Relative(0.1));
+        for (label, fixed) in &fixities {
+            let run = |engine: &EngineConfig| {
+                let sink = VecSink::new();
+                let mut rng = ChaCha8Rng::seed_from_u64(5);
+                let ctx = RunCtx::new(&mut rng).with_sink(&sink);
+                let r = engine
+                    .partition_ctx(hg, fixed, &balance, ctx)
+                    .map(|r| (r.parts, r.cut));
+                (r, sink.take())
+            };
+            let name = with_stop.name();
+            let (got, got_events) = run(&with_stop);
+            let (want, want_events) = run(&without);
+            assert_eq!(got, want, "{name}/k{k}, {label} fixed: the answer changed");
+            let moves = |events: &[Event]| {
+                events
+                    .iter()
+                    .filter(|e| matches!(e, Event::MoveCommitted { .. }))
+                    .count()
+            };
+            stopped += usize::from(moves(&got_events) < moves(&want_events));
+            assert!(
+                answer_events(got_events) == answer_events(want_events),
+                "{name}/k{k}, {label} fixed: the trace changed"
+            );
+        }
+    }
+    assert!(stopped > 0, "the stop never fired: the check was vacuous");
+}

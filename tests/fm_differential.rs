@@ -16,12 +16,16 @@
 //! `cutoff_first_pass`; unbalanced and fixity-violating starts; and a sink
 //! that cancels the run's token at the N-th committed move. A second
 //! property runs the same check on instances of over 2,100 vertices.
+//!
+//! A third test runs the engine under [`PassCutoff::Exact`] against the
+//! reference's classic passes over both corpora, without cancellation: the
+//! stop may only drop the moves after it, never change what a pass keeps.
 
 use std::cell::Cell;
 
 use vlsi_rng::{ChaCha8Rng, Rng, SeedableRng};
 use vlsi_testkit::gen::{instances, InstanceConfig, RawInstance};
-use vlsi_testkit::{prop_test, TestRng};
+use vlsi_testkit::{prop_test, PropConfig, TestRng};
 
 use fixed_vertices_repro::vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Fixity, Hypergraph, HypergraphBuilder, PartId, PartSet,
@@ -29,8 +33,8 @@ use fixed_vertices_repro::vlsi_hypergraph::{
 };
 use fixed_vertices_repro::vlsi_partition::trace::{Event, Sink, VecSink};
 use fixed_vertices_repro::vlsi_partition::{
-    random_initial, BipartFm, CancelToken, FmConfig, FmResult, PartitionError, PassCutoff, RunCtx,
-    SelectionPolicy,
+    random_initial, BipartFm, CancelToken, FmConfig, FmResult, PartitionError, PassCutoff,
+    PassStats, RunCtx, SelectionPolicy,
 };
 
 /// A port of the earlier 2-way pass loop, single-threaded (gain
@@ -40,7 +44,7 @@ mod reference {
     use fixed_vertices_repro::vlsi_hypergraph::{NetId, Objective, Partitioning};
     use fixed_vertices_repro::vlsi_partition::cancel::CHECK_INTERVAL;
     use fixed_vertices_repro::vlsi_partition::trace::MoverFixity;
-    use fixed_vertices_repro::vlsi_partition::{KwayGains, MoveLog, PassStats, RunStats};
+    use fixed_vertices_repro::vlsi_partition::{KwayGains, MoveLog, RunStats};
 
     pub fn run<S: Sink>(
         config: &FmConfig,
@@ -656,6 +660,89 @@ fn check(s: &Setup) {
     }
 }
 
+/// The events a pass stop must leave alone: each pass's `MoveCommitted`
+/// events cut to its first `moves[pass]`, and `PassEnd` without its
+/// `moves` and `bucket_ops`.
+fn kept_events(events: &[Event], moves: &[u64]) -> Vec<Event> {
+    let mut seen = vec![0u64; moves.len()];
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            Event::MoveCommitted { pass, .. } => {
+                let seen = &mut seen[pass as usize];
+                *seen += 1;
+                (*seen <= moves[pass as usize]).then(|| e.clone())
+            }
+            Event::PassEnd {
+                pass,
+                best_prefix,
+                cut_before,
+                cut_after,
+                ..
+            } => Some(Event::PassEnd {
+                pass,
+                moves: 0,
+                best_prefix,
+                cut_before,
+                cut_after,
+                bucket_ops: 0,
+            }),
+            ref other => Some(other.clone()),
+        })
+        .collect()
+}
+
+/// Requires the engine under the exact stop to keep what the reference's
+/// classic passes keep, pass by pass, and returns how many of its passes
+/// the stop ended early.
+fn check_exact_stop(mut s: Setup) -> usize {
+    s.cancel_at = None;
+    s.config.cutoff = PassCutoff::Unlimited;
+    let (want, want_events) = run(&s, None);
+    let fm = BipartFm::new(FmConfig {
+        cutoff: PassCutoff::Exact,
+        ..s.config
+    });
+    let (got, got_events) = run(&s, Some(&fm));
+    let (got, want) = match (got, want) {
+        (Ok(got), Ok(want)) => (got, want),
+        (got, want) => {
+            assert_eq!(got, want, "result");
+            return 0;
+        }
+    };
+    assert_eq!(got.parts, want.parts, "parts");
+    assert_eq!(got.cut, want.cut, "cut");
+    assert_eq!(got.stats.num_passes(), want.stats.num_passes(), "passes");
+    let mut stopped = 0;
+    for (g, w) in got.stats.passes.iter().zip(&want.stats.passes) {
+        let kept = |p: &PassStats| {
+            (
+                p.pass,
+                p.cut_before,
+                p.cut_after,
+                p.moves_kept,
+                p.move_limit,
+            )
+        };
+        assert_eq!(kept(g), kept(w), "pass {}", w.pass);
+        assert!(g.moves_made <= w.moves_made, "pass {} moved more", w.pass);
+        stopped += usize::from(g.moves_made < w.moves_made);
+    }
+    let moves: Vec<u64> = got
+        .stats
+        .passes
+        .iter()
+        .map(|p| p.moves_made as u64)
+        .collect();
+    assert_eq!(
+        kept_events(&got_events, &moves),
+        kept_events(&want_events, &moves),
+        "events"
+    );
+    stopped
+}
+
 fn small_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     let gen = instances(InstanceConfig {
         vertices: 2..40,
@@ -708,4 +795,29 @@ prop_test! {
         let (inst, knob) = case;
         check(&setup(&inst, knob));
     }
+}
+
+#[test]
+fn exact_pass_stop_keeps_the_classic_passes() {
+    let stopped = Cell::new(0);
+    let count = |case: (RawInstance, u64)| {
+        let (inst, knob) = case;
+        stopped.set(stopped.get() + check_exact_stop(setup(&inst, knob)));
+    };
+    vlsi_testkit::check(
+        "exact_pass_stop_keeps_the_classic_passes",
+        PropConfig::cases(400),
+        small_cases(),
+        count,
+    );
+    vlsi_testkit::check(
+        "exact_pass_stop_keeps_the_classic_passes_on_large_instances",
+        PropConfig::cases(4),
+        large_cases(),
+        count,
+    );
+    assert!(
+        stopped.get() > 0,
+        "no pass stopped early: the check was vacuous"
+    );
 }
