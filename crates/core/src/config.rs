@@ -19,7 +19,6 @@ use std::fmt;
 /// assert_eq!(PassCutoff::Unlimited.limit(1000), 1000);
 /// assert_eq!(PassCutoff::Exact.limit(1000), 1000);
 /// assert_eq!(PassCutoff::Fraction(0.25).limit(1000), 250);
-/// assert_eq!(PassCutoff::Moves(42).limit(1000), 42);
 /// // a fractional cutoff always allows at least one move
 /// assert_eq!(PassCutoff::Fraction(0.05).limit(3), 1);
 /// ```
@@ -39,8 +38,6 @@ pub enum PassCutoff {
     Exact,
     /// Stop the pass after this fraction of the movable vertices has moved.
     Fraction(f64),
-    /// Stop the pass after this absolute number of moves.
-    Moves(usize),
 }
 
 impl PassCutoff {
@@ -53,7 +50,6 @@ impl PassCutoff {
                 let l = (movable as f64 * f).floor() as usize;
                 l.clamp(usize::from(movable > 0), movable)
             }
-            PassCutoff::Moves(m) => m.min(movable),
         }
     }
 }
@@ -64,7 +60,6 @@ impl fmt::Display for PassCutoff {
             PassCutoff::Unlimited => write!(f, "unlimited"),
             PassCutoff::Exact => write!(f, "exact"),
             PassCutoff::Fraction(x) => write!(f, "{:.0}%", x * 100.0),
-            PassCutoff::Moves(m) => write!(f, "{m} moves"),
         }
     }
 }
@@ -113,14 +108,12 @@ pub struct FmConfig {
     /// Gain selection policy (LIFO or CLIP).
     pub policy: SelectionPolicy,
     /// When a pass ends early: a hard cutoff on its moves, applied after
-    /// the first pass unless `cutoff_first_pass`, or the exact stop, which
-    /// applies to every pass and changes no answer.
+    /// the first pass (the paper always exempts the first pass, since it
+    /// starts from a random partitioning), or the exact stop, which applies
+    /// to every pass and changes no answer.
     pub cutoff: PassCutoff,
     /// Upper bound on the number of passes per run.
     pub max_passes: usize,
-    /// Also apply the cutoff to the first pass (the paper always exempts
-    /// the first pass, since it starts from a random partitioning).
-    pub cutoff_first_pass: bool,
 }
 
 impl Default for FmConfig {
@@ -129,7 +122,6 @@ impl Default for FmConfig {
             policy: SelectionPolicy::Lifo,
             cutoff: PassCutoff::Unlimited,
             max_passes: 30,
-            cutoff_first_pass: false,
         }
     }
 }
@@ -185,7 +177,6 @@ impl Default for MultilevelConfig {
                 policy: SelectionPolicy::Lifo,
                 cutoff: PassCutoff::Exact,
                 max_passes: 20,
-                ..FmConfig::default()
             },
             // The paper's engine used CLIP refinement and found LIFO "very
             // similar". In this implementation CLIP refines free instances
@@ -195,13 +186,11 @@ impl Default for MultilevelConfig {
                 policy: SelectionPolicy::Clip,
                 cutoff: PassCutoff::Exact,
                 max_passes: 8,
-                ..FmConfig::default()
             },
             refine_fm2: Some(FmConfig {
                 policy: SelectionPolicy::Lifo,
                 cutoff: PassCutoff::Exact,
                 max_passes: 8,
-                ..FmConfig::default()
             }),
             coarse_starts: 4,
             threads: 1,
@@ -221,7 +210,6 @@ mod tests {
         assert_eq!(PassCutoff::Fraction(0.05).limit(10), 1);
         assert_eq!(PassCutoff::Fraction(0.0).limit(10), 1);
         assert_eq!(PassCutoff::Fraction(0.05).limit(0), 0);
-        assert_eq!(PassCutoff::Moves(3).limit(2), 2);
     }
 
     #[test]
@@ -229,7 +217,6 @@ mod tests {
         assert_eq!(PassCutoff::Fraction(0.25).to_string(), "25%");
         assert_eq!(PassCutoff::Unlimited.to_string(), "unlimited");
         assert_eq!(PassCutoff::Exact.to_string(), "exact");
-        assert_eq!(PassCutoff::Moves(9).to_string(), "9 moves");
     }
 
     #[test]
@@ -239,7 +226,6 @@ mod tests {
         assert_eq!(ml.refine_fm.policy, SelectionPolicy::Clip);
         assert_eq!(FmConfig::default().cutoff, PassCutoff::Unlimited);
         assert_eq!(PassCutoff::default(), PassCutoff::Unlimited);
-        assert!(!FmConfig::default().cutoff_first_pass);
         for stage in [ml.coarse_fm, ml.refine_fm, ml.refine_fm2.unwrap()] {
             assert_eq!(stage.cutoff, PassCutoff::Exact);
         }

@@ -189,8 +189,7 @@ impl BipartFm {
         let mut stats = RunStats::default();
         if !cancel.is_cancelled() {
             for pass_idx in 0..self.config.max_passes {
-                let cutoff_active = pass_idx > 0 || self.config.cutoff_first_pass;
-                let limit = if cutoff_active {
+                let limit = if pass_idx > 0 {
                     self.config.cutoff.limit(state.num_movable)
                 } else {
                     state.num_movable

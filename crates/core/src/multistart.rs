@@ -281,6 +281,8 @@ impl Multistart {
 
     /// Parallel run of an engine across up to `threads` OS threads with
     /// deterministic per-start seeding (`base_seed + i` for start `i`).
+    /// A lone start gets the whole `threads` budget in its context (for
+    /// its coarsening); with several starts each start gets one thread.
     ///
     /// `sink` receives the deterministic summary stream: one
     /// [`Event::StartFinished`] per completed start in ascending order at
@@ -324,6 +326,11 @@ impl Multistart {
         assert!(starts > 0, "at least one start required");
         assert!(threads > 0, "at least one thread required");
         let workers = threads.min(starts);
+        // A lone start cannot use start-level parallelism, so the whole
+        // budget goes to its coarsening; with several starts each runs on
+        // one thread, so the workers alone fill the budget. Neither changes
+        // the answer.
+        let start_threads = if starts == 1 { threads } else { 1 };
 
         let mut slots: Vec<Option<Result<(PartitionResult, Duration), PartitionError>>> =
             (0..starts).map(|_| None).collect();
@@ -342,7 +349,8 @@ impl Multistart {
                         let mut rng = ChaCha8Rng::seed_from_u64(base_seed.wrapping_add(i as u64));
                         let ctx = RunCtx::new(&mut rng)
                             .with_sink(engine_sink)
-                            .with_cancel(cancel);
+                            .with_cancel(cancel)
+                            .with_threads(start_threads);
                         let t0 = Instant::now();
                         let result = engine.partition_ctx(hg, fixed, balance, ctx);
                         *slot = Some(result.map(|r| (r, t0.elapsed())));
@@ -491,6 +499,7 @@ impl TopSet {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
     use vlsi_hypergraph::{HypergraphBuilder, PartId, Tolerance};
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
@@ -512,6 +521,8 @@ mod tests {
     struct Scripted {
         script: Vec<Result<PartitionResult, PartitionError>>,
         calls: AtomicUsize,
+        /// The `ctx.threads` of every call, in call order.
+        budgets: Mutex<Vec<usize>>,
     }
 
     impl Scripted {
@@ -530,6 +541,7 @@ mod tests {
             Scripted {
                 script,
                 calls: AtomicUsize::new(0),
+                budgets: Mutex::new(Vec::new()),
             }
         }
     }
@@ -540,8 +552,9 @@ mod tests {
             _: &Hypergraph,
             _: &FixedVertices,
             _: &BalanceConstraint,
-            _: RunCtx<'_, R, S>,
+            ctx: RunCtx<'_, R, S>,
         ) -> Result<PartitionResult, PartitionError> {
+            self.budgets.lock().unwrap().push(ctx.threads);
             let i = self.calls.fetch_add(1, Ordering::Relaxed);
             self.script[i % self.script.len()].clone()
         }
@@ -654,6 +667,19 @@ mod tests {
         let outcome = run_parallel_scripted(&Multistart::new(3), 1, &Scripted::cuts(&[2])).unwrap();
         assert_eq!(outcome.starts.len(), 3);
         assert_eq!(outcome.best.cut, 2);
+    }
+
+    #[test]
+    fn a_lone_start_gets_the_whole_thread_budget() {
+        for (starts, threads, budgets) in [(1, 1, vec![1]), (1, 3, vec![3]), (3, 2, vec![1; 3])] {
+            let engine = Scripted::cuts(&[4, 5, 6]);
+            run_parallel_scripted(&Multistart::new(starts), threads, &engine).unwrap();
+            assert_eq!(
+                engine.budgets.into_inner().unwrap(),
+                budgets,
+                "{starts} start(s) on {threads} thread(s)"
+            );
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //! parallelism) with deterministic per-start seeding. With a single start
 //! the budget goes to the engine's coarsening instead. Either way no
 //! answer depends on `--threads`: it only changes speed. `--trace` streams
-//! per-pass events of every start into one JSONL file, which only makes
-//! sense on a single interleaving — it forces the sequential driver.
+//! the engine events of every start, then the start summaries and the
+//! quality phase, into one JSONL file. A traced run keeps its starts on
+//! one worker, so the file is one deterministic interleaving, and it
+//! returns the same answer as the untraced run.
 //!
 //! The quality-at-fixed-cost levers: `--vcycles N` runs up to `N` iterated
 //! multilevel V-cycles over the best start (stopping early without strict
@@ -40,18 +42,15 @@ use std::fs::File;
 use std::io::Write as _;
 use std::process::exit;
 
-use vlsi_rng::ChaCha8Rng;
-use vlsi_rng::SeedableRng;
-
 use vlsi_experiments::opts::{run_with_trace, TraceRun};
 use vlsi_hypergraph::io::{apply_multi_areas, read_fix, read_hgr, read_multi_are};
 use vlsi_hypergraph::{
     validate_partitioning, BalanceConstraint, FixedVertices, Hypergraph, Objective, PartCapacities,
     PartId, Partitioning, Tolerance,
 };
-use vlsi_partition::trace::{NullSink, Sink};
+use vlsi_partition::trace::Sink;
 use vlsi_partition::{
-    CancelToken, EngineConfig, Multistart, MultistartOutcome, PartitionError, RunCtx, ENGINES,
+    CancelToken, EngineConfig, Multistart, MultistartOutcome, PartitionError, ENGINES,
 };
 
 struct Args {
@@ -332,44 +331,24 @@ fn main() {
         .vcycles(args.vcycles)
         .ensemble(args.ensemble)
         .objective(args.objective);
-    let solved = if args.trace.is_some() {
-        // A traced run must be one deterministic event interleaving, so the
-        // sequential driver carries the sink through every start.
-        run_with_trace(
-            args.trace.as_deref().map(std::path::Path::new),
-            Solve {
-                hg: &hg,
-                fixed: &fixed,
-                balance: &balance,
-                engine: &base_engine,
-                driver: &driver,
-                seed: args.seed,
+    let solved = run_with_trace(
+        args.trace.as_deref().map(std::path::Path::new),
+        Solve {
+            hg: &hg,
+            fixed: &fixed,
+            balance: &balance,
+            engine: &base_engine,
+            driver: &driver,
+            seed: args.seed,
+            // A traced run keeps its starts on one worker, so the trace is
+            // one deterministic interleaving; the answer is the same.
+            threads: if args.trace.is_some() {
+                1
+            } else {
+                args.threads
             },
-        )
-    } else {
-        // One start cannot use multistart-level parallelism, so hand the
-        // whole thread budget to the engine's coarsening; with several
-        // starts the workers stay single-threaded to avoid
-        // oversubscription. Either way the result is thread-count
-        // invariant.
-        let engine = if starts == 1 {
-            base_engine.with_threads(args.threads)
-        } else {
-            base_engine
-        };
-        let never = CancelToken::never();
-        driver.run_parallel(
-            &hg,
-            &fixed,
-            &balance,
-            args.threads,
-            args.seed,
-            &engine,
-            &NullSink,
-            &NullSink,
-            &never,
-        )
-    };
+        },
+    );
     let outcome = match solved {
         Ok(o) => o,
         Err(e) => {
@@ -433,7 +412,9 @@ fn main() {
 }
 
 /// The multistart protocol with every start traced into the `--trace`
-/// sink (monomorphised away entirely when no trace file was requested).
+/// sink (monomorphised away entirely when no trace file was requested):
+/// the sink takes the engine events of every start, then the start
+/// summaries and the quality phase.
 struct Solve<'a> {
     hg: &'a Hypergraph,
     fixed: &'a FixedVertices,
@@ -441,19 +422,23 @@ struct Solve<'a> {
     engine: &'a EngineConfig,
     driver: &'a Multistart,
     seed: u64,
+    threads: usize,
 }
 
 impl TraceRun for Solve<'_> {
     type Output = Result<MultistartOutcome, PartitionError>;
 
-    fn run<S: Sink>(self, sink: &S) -> Self::Output {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        self.driver.run(
+    fn run<S: Sink + Sync>(self, sink: &S) -> Self::Output {
+        self.driver.run_parallel(
             self.hg,
             self.fixed,
             self.balance,
+            self.threads,
+            self.seed,
             self.engine,
-            RunCtx::new(&mut rng).with_sink(sink),
+            sink,
+            sink,
+            &CancelToken::never(),
         )
     }
 }

@@ -126,8 +126,9 @@ const USAGE: &str =
 pub trait TraceRun {
     /// What the experiment returns.
     type Output;
-    /// Runs the experiment, streaming trace events into `sink`.
-    fn run<S: Sink>(self, sink: &S) -> Self::Output;
+    /// Runs the experiment, streaming trace events into `sink` (which may
+    /// be shared by worker threads).
+    fn run<S: Sink + Sync>(self, sink: &S) -> Self::Output;
 }
 
 /// Runs `job` against a [`JsonlSink`] writing to `trace` when a path was

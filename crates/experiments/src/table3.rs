@@ -71,7 +71,6 @@ pub fn run_table3<S: Sink>(
                 // Run passes to natural termination (no improvement), as the
                 // paper does: short cut-off passes need more of them.
                 max_passes: 10_000,
-                ..FmConfig::default()
             });
             let mut cut_sum = 0.0;
             let mut time_sum = Duration::ZERO;

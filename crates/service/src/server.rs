@@ -13,11 +13,16 @@
 //! Admission control ([`AdmissionConfig`]) sits in front of the queue:
 //! per-client token buckets answer `rate_limited` to floods, and once the
 //! queue depth crosses the high-water mark new jobs are shed with
-//! `overloaded` instead of queued. Warm-start jobs (`warm_start` in the
-//! request) resolve their seed in the solution cache and refine from it
-//! via [`vlsi_partition::refine_from_partition_ctx`] instead of
-//! partitioning from scratch, falling back to a cold run (`"warm":"miss"`)
-//! when the seed has been evicted.
+//! `overloaded` instead of queued.
+//!
+//! Every job takes one path. Warm-start jobs (`warm_start` in the request)
+//! whose seed is still cached refine from it via
+//! [`vlsi_partition::refine_from_partition_ctx`]; every other job, an
+//! evicted seed included (`"warm":"miss"`), runs the cold multistart. Both
+//! kinds then share one sequence: cache lookup, run, the independent
+//! referee, cache insert (complete runs only) and one response. The
+//! optional JSONL trace file is an `Option<JsonlSink>` teed beside the
+//! engine counters, so traced and untraced jobs make the same engine call.
 //!
 //! Shutdown is graceful end to end: `{"op":"shutdown"}` (or EOF on stdio)
 //! stops the reader, every already-accepted job still runs and answers,
@@ -98,13 +103,9 @@ impl ServiceCtx {
     /// Records one admission refusal (rate limit or load shed) at the
     /// given queue depth in the engine counters and the trace stream.
     fn record_shed(&self, depth: usize) {
-        let ev = Event::Shed {
+        Tee::new(&self.metrics.engine, &self.trace).record(&Event::Shed {
             queue_depth: depth as u64,
-        };
-        self.metrics.engine.record(&ev);
-        if let Some(trace) = &self.trace {
-            trace.record(&ev);
-        }
+        });
     }
 }
 
@@ -357,9 +358,7 @@ impl Service {
     /// returns the final metrics snapshot.
     pub fn shutdown(self) -> MetricsSnapshot {
         self.pool.shutdown();
-        if let Some(trace) = &self.ctx.trace {
-            trace.flush();
-        }
+        self.ctx.trace.flush();
         self.ctx.metrics.snapshot()
     }
 }
@@ -430,335 +429,179 @@ fn job_balance(req: &JobRequest) -> BalanceConstraint {
     }
 }
 
+/// Executes one job: warm when its `warm_start` seed is still cached and
+/// fits the instance, cold otherwise. Both kinds run one sequence — cache
+/// lookup, run (warm refinement or the cold multistart), referee, cache
+/// insert, response — and differ only in the cache key, the latency label,
+/// the `warm` note and the run itself.
 fn execute_job(ctx: &ServiceCtx, req: &JobRequest) -> String {
     let t0 = Instant::now();
-    if let Some(sid) = req.warm_from.as_deref() {
-        let seed = ctx.cache.lock().expect("cache mutex").get_by_id(sid);
-        match seed {
-            // A seed for a different vertex count cannot be re-legalized
-            // onto this instance — treat it like an eviction.
-            Some((parts, _)) if parts.len() == req.hg.num_vertices() => {
-                return execute_warm(ctx, req, sid, &parts, t0);
-            }
-            _ => return execute_cold(ctx, req, t0, Some("miss")),
-        }
-    }
-    execute_cold(ctx, req, t0, None)
-}
-
-/// Runs a warm-start job: legalize the cached seed against the (possibly
-/// delta-edited) instance, refine from it, cache under a warm key.
-fn execute_warm(
-    ctx: &ServiceCtx,
-    req: &JobRequest,
-    sid: &str,
-    seed: &[PartId],
-    t0: Instant,
-) -> String {
-    let engine = EngineConfig::by_name(&req.engine).expect("engine validated at ingress");
-    let label = warm_label(engine.name());
+    let engine = EngineConfig::by_name(&req.engine)
+        .expect("engine validated at ingress")
+        .with_objective(req.objective);
     let balance = job_balance(req);
-    let warm_engine = format!("warm:{sid}:{}", req.engine);
+    // A seed for a different vertex count cannot be re-legalized onto this
+    // instance — treat it like an eviction.
+    let seed = req.warm_from.as_deref().and_then(|sid| {
+        let cached = ctx.cache.lock().expect("cache mutex").get_by_id(sid);
+        cached
+            .filter(|(parts, _)| parts.len() == req.hg.num_vertices())
+            .map(|(parts, _)| (sid, parts))
+    });
     // The warm path refines from the seed and never runs the multistart
     // quality phase, so the vcycles/ensemble knobs do not influence its
     // output — they stay out of the warm key (identical executions share
     // one entry).
+    let (key_engine, vcycles, ensemble, label, warm) = match &seed {
+        Some((sid, _)) => (
+            format!("warm:{sid}:{}", req.engine),
+            0,
+            false,
+            warm_label(engine.name()),
+            Some("hit"),
+        ),
+        None => (
+            req.engine.clone(),
+            req.vcycles,
+            req.ensemble,
+            engine.name(),
+            req.warm_from.as_ref().map(|_| "miss"),
+        ),
+    };
     let key = cache_key(
-        &warm_engine,
+        &key_engine,
         req.k,
         req.tolerance,
         req.starts,
         req.seed,
         false,
-        0,
-        false,
+        vcycles,
+        ensemble,
         req.objective,
         req.part_capacities.as_ref(),
         &req.hg,
         &req.fixed,
     );
-    if let Some((parts, _value)) = ctx.cache.lock().expect("cache mutex").get(&key) {
-        ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        ctx.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
-        let micros = t0.elapsed().as_micros() as u64;
-        ctx.metrics.record_latency_us(label, micros);
-        let (cut, km1) = cut_and_km1(&req.hg, req.k, &parts);
-        return JobResponse {
-            id: req.id.clone(),
-            cut,
-            km1,
-            parts: parts.iter().map(|p| p.index() as u32).collect(),
-            cache_hit: true,
-            deadline_expired: false,
-            starts_run: 0,
-            micros,
-            solution_id: Some(key.solution_id()),
-            warm: Some("hit"),
-        }
-        .to_line();
-    }
-    ctx.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-    let cancel = match req.deadline_ms {
-        Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
-        None => CancelToken::never(),
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(req.seed);
-    let outcome = match &ctx.trace {
-        Some(trace) => {
-            let sink = Tee::new(&ctx.metrics.engine, trace);
-            refine_from_partition_ctx(
-                &req.hg,
-                &req.fixed,
-                &balance,
-                seed,
-                req.objective,
-                WARM_MAX_PASSES,
-                RunCtx::new(&mut rng).with_sink(&sink).with_cancel(&cancel),
-            )
+    let cached = ctx.cache.lock().expect("cache mutex").get(&key);
+    let cache_hit = cached.is_some();
+    let (parts, starts_run, deadline_expired, solution_id) = match cached {
+        Some((parts, _value)) => {
+            ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            (parts, 0, false, Some(key.solution_id()))
         }
-        None => refine_from_partition_ctx(
-            &req.hg,
-            &req.fixed,
-            &balance,
-            seed,
-            req.objective,
-            WARM_MAX_PASSES,
-            RunCtx::new(&mut rng)
-                .with_sink(&ctx.metrics.engine)
-                .with_cancel(&cancel),
-        ),
-    };
+        None => {
+            ctx.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
+            let cancel = match req.deadline_ms {
+                Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
+                None => CancelToken::never(),
+            };
+            let sink = Tee::new(&ctx.metrics.engine, &ctx.trace);
+            let run = match &seed {
+                Some((_, seed)) => {
+                    let mut rng = ChaCha8Rng::seed_from_u64(req.seed);
+                    refine_from_partition_ctx(
+                        &req.hg,
+                        &req.fixed,
+                        &balance,
+                        seed,
+                        req.objective,
+                        WARM_MAX_PASSES,
+                        RunCtx::new(&mut rng).with_sink(&sink).with_cancel(&cancel),
+                    )
+                    .map(|outcome| (outcome.result, 1))
+                }
+                // The engine counters additionally see every start's
+                // internal events (levels, passes, moves) via the driver's
+                // engine sink; the JSONL trace keeps the deterministic
+                // summary stream only.
+                None => Multistart::new(req.starts)
+                    .vcycles(req.vcycles)
+                    .ensemble(req.ensemble)
+                    .objective(req.objective)
+                    .run_parallel(
+                        &req.hg,
+                        &req.fixed,
+                        &balance,
+                        req.threads,
+                        req.seed,
+                        &engine,
+                        &sink,
+                        &ctx.metrics.engine,
+                        &cancel,
+                    )
+                    .map(|outcome| (outcome.best, outcome.starts.len())),
+            };
+            let (result, starts_run) = match run {
+                Ok(run) => run,
+                Err(e) => {
+                    ctx.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                    return ProtocolError {
+                        id: Some(req.id.clone()),
+                        code: error_code(&e),
+                        message: e.to_string(),
+                    }
+                    .to_line();
+                }
+            };
+            let deadline_expired = cancel.is_cancelled();
 
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => {
-            ctx.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            return ProtocolError {
-                id: Some(req.id.clone()),
-                code: error_code(&e),
-                message: e.to_string(),
+            // Independent referee: never hand out an illegal partition,
+            // even from a cancelled best-so-far path.
+            let legal = Partitioning::from_parts(&req.hg, req.k, result.parts.clone())
+                .map(|p| validate_partitioning(&req.hg, &p, &balance, &req.fixed).is_valid())
+                .unwrap_or(false);
+            if !legal {
+                ctx.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
+                let source = if seed.is_some() {
+                    "warm refinement"
+                } else {
+                    "engine"
+                };
+                return ProtocolError {
+                    id: Some(req.id.clone()),
+                    code: "internal_error",
+                    message: format!("{source} returned a partition that failed validation"),
+                }
+                .to_line();
             }
-            .to_line();
-        }
-    };
-    let deadline_expired = cancel.is_cancelled();
 
-    // Same independent referee as the cold path: never hand out an
-    // illegal partition.
-    let legal = Partitioning::from_parts(&req.hg, req.k, outcome.result.parts.clone())
-        .map(|p| validate_partitioning(&req.hg, &p, &balance, &req.fixed).is_valid())
-        .unwrap_or(false);
-    if !legal {
-        ctx.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        return ProtocolError {
-            id: Some(req.id.clone()),
-            code: "internal_error",
-            message: "warm refinement returned a partition that failed validation".to_string(),
+            let solution_id = if deadline_expired {
+                ctx.metrics
+                    .deadline_expirations
+                    .fetch_add(1, Ordering::Relaxed);
+                None
+            } else {
+                // Only complete runs are cached: a best-so-far solution
+                // would otherwise shadow the full-quality answer for later
+                // requests.
+                let sid = key.solution_id();
+                ctx.cache.lock().expect("cache mutex").insert(
+                    key,
+                    result.parts.clone(),
+                    result.cut,
+                );
+                Some(sid)
+            };
+            (result.parts, starts_run, deadline_expired, solution_id)
         }
-        .to_line();
-    }
-
-    let solution_id = if deadline_expired {
-        ctx.metrics
-            .deadline_expirations
-            .fetch_add(1, Ordering::Relaxed);
-        None
-    } else {
-        let sid = key.solution_id();
-        ctx.cache.lock().expect("cache mutex").insert(
-            key,
-            outcome.result.parts.clone(),
-            outcome.result.cut,
-        );
-        Some(sid)
     };
     ctx.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
     let micros = t0.elapsed().as_micros() as u64;
     ctx.metrics.record_latency_us(label, micros);
 
-    let (cut, km1) = cut_and_km1(&req.hg, req.k, &outcome.result.parts);
+    let (cut, km1) = cut_and_km1(&req.hg, req.k, &parts);
     JobResponse {
         id: req.id.clone(),
         cut,
         km1,
-        parts: outcome
-            .result
-            .parts
-            .iter()
-            .map(|p: &PartId| p.index() as u32)
-            .collect(),
-        cache_hit: false,
+        parts: parts.iter().map(|p| p.index() as u32).collect(),
+        cache_hit,
         deadline_expired,
-        starts_run: 1,
+        starts_run,
         micros,
         solution_id,
-        warm: Some("hit"),
-    }
-    .to_line()
-}
-
-fn execute_cold(
-    ctx: &ServiceCtx,
-    req: &JobRequest,
-    t0: Instant,
-    warm_note: Option<&'static str>,
-) -> String {
-    let engine = EngineConfig::by_name(&req.engine)
-        .expect("engine validated at ingress")
-        .with_objective(req.objective);
-    // With several multistart workers the starts already saturate the
-    // requested threads; only a single start hands them to the engine's
-    // coarsening instead. Neither changes the answer.
-    let engine = if req.starts == 1 {
-        engine.with_threads(req.threads.max(1))
-    } else {
-        engine
-    };
-    let balance = job_balance(req);
-
-    let key = cache_key(
-        &req.engine,
-        req.k,
-        req.tolerance,
-        req.starts,
-        req.seed,
-        false,
-        req.vcycles,
-        req.ensemble,
-        req.objective,
-        req.part_capacities.as_ref(),
-        &req.hg,
-        &req.fixed,
-    );
-    let cached = ctx.cache.lock().expect("cache mutex").get(&key);
-    if let Some((parts, _value)) = cached {
-        ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        ctx.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
-        let micros = t0.elapsed().as_micros() as u64;
-        ctx.metrics.record_latency_us(engine.name(), micros);
-        let (cut, km1) = cut_and_km1(&req.hg, req.k, &parts);
-        return JobResponse {
-            id: req.id.clone(),
-            cut,
-            km1,
-            parts: parts.iter().map(|p| p.index() as u32).collect(),
-            cache_hit: true,
-            deadline_expired: false,
-            starts_run: 0,
-            micros,
-            solution_id: Some(key.solution_id()),
-            warm: warm_note,
-        }
-        .to_line();
-    }
-    ctx.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-
-    let cancel = match req.deadline_ms {
-        Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
-        None => CancelToken::never(),
-    };
-    // The engine counters additionally see every start's internal events
-    // (levels, passes, moves) via the driver's engine sink; the JSONL
-    // trace keeps the deterministic summary stream only.
-    let driver = Multistart::new(req.starts)
-        .vcycles(req.vcycles)
-        .ensemble(req.ensemble)
-        .objective(req.objective);
-    let outcome = match &ctx.trace {
-        Some(trace) => {
-            let sink = Tee::new(&ctx.metrics.engine, trace);
-            driver.run_parallel(
-                &req.hg,
-                &req.fixed,
-                &balance,
-                req.threads,
-                req.seed,
-                &engine,
-                &sink,
-                &ctx.metrics.engine,
-                &cancel,
-            )
-        }
-        None => driver.run_parallel(
-            &req.hg,
-            &req.fixed,
-            &balance,
-            req.threads,
-            req.seed,
-            &engine,
-            &ctx.metrics.engine,
-            &ctx.metrics.engine,
-            &cancel,
-        ),
-    };
-
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => {
-            ctx.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            return ProtocolError {
-                id: Some(req.id.clone()),
-                code: error_code(&e),
-                message: e.to_string(),
-            }
-            .to_line();
-        }
-    };
-    let deadline_expired = cancel.is_cancelled();
-
-    // Independent referee: never hand out an illegal partition, even from
-    // a cancelled best-so-far path.
-    let legal = Partitioning::from_parts(&req.hg, req.k, outcome.best.parts.clone())
-        .map(|p| validate_partitioning(&req.hg, &p, &balance, &req.fixed).is_valid())
-        .unwrap_or(false);
-    if !legal {
-        ctx.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
-        return ProtocolError {
-            id: Some(req.id.clone()),
-            code: "internal_error",
-            message: "engine returned a partition that failed validation".to_string(),
-        }
-        .to_line();
-    }
-
-    let solution_id = if deadline_expired {
-        ctx.metrics
-            .deadline_expirations
-            .fetch_add(1, Ordering::Relaxed);
-        None
-    } else {
-        // Only complete runs are cached: a best-so-far solution would
-        // otherwise shadow the full-quality answer for later requests.
-        let sid = key.solution_id();
-        ctx.cache.lock().expect("cache mutex").insert(
-            key,
-            outcome.best.parts.clone(),
-            outcome.best.cut,
-        );
-        Some(sid)
-    };
-    ctx.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
-    let micros = t0.elapsed().as_micros() as u64;
-    ctx.metrics.record_latency_us(engine.name(), micros);
-
-    let (cut, km1) = cut_and_km1(&req.hg, req.k, &outcome.best.parts);
-    JobResponse {
-        id: req.id.clone(),
-        cut,
-        km1,
-        parts: outcome
-            .best
-            .parts
-            .iter()
-            .map(|p: &PartId| p.index() as u32)
-            .collect(),
-        cache_hit: false,
-        deadline_expired,
-        starts_run: outcome.starts.len(),
-        micros,
-        solution_id,
-        warm: warm_note,
+        warm,
     }
     .to_line()
 }

@@ -28,6 +28,8 @@
 //! * [`JsonlSink`] — buffered structured output, one JSON object per line
 //!   with deterministic field order (see `docs/TRACING.md` for the schema).
 //! * [`Tee`] — fans one stream out to two sinks.
+//! * `Option<S>` — a sink that may be absent (`None` records nothing), so
+//!   an optional trace file rides in a [`Tee`] beside an always-on sink.
 //!
 //! # Example: count FM work with a [`CounterSink`]
 //!

@@ -406,6 +406,37 @@ impl Drop for JsonlSink {
     }
 }
 
+/// An optional sink: `Some` records into the wrapped sink, `None` drops
+/// every event. This is how an optional trace file rides in a [`Tee`]
+/// beside a sink that is always on, without a second call site per
+/// engine.
+///
+/// ```
+/// use vlsi_trace::{CounterSink, Event, Sink, Tee, VecSink};
+/// let counters = CounterSink::new();
+/// let ev = Event::StartFinished { start: 0, cut: 7, micros: 1 };
+/// let (off, on): (Option<VecSink>, _) = (None, Some(VecSink::new()));
+/// Tee::new(&counters, &off).record(&ev);
+/// Tee::new(&counters, &on).record(&ev);
+/// assert_eq!(counters.snapshot().starts, 2);
+/// assert_eq!(on.map(|trace| trace.len()), Some(1));
+/// ```
+impl<S: Sink> Sink for Option<S> {
+    const ENABLED: bool = S::ENABLED;
+
+    fn record(&self, event: &Event) {
+        if let Some(sink) = self {
+            sink.record(event);
+        }
+    }
+
+    fn flush(&self) {
+        if let Some(sink) = self {
+            sink.flush();
+        }
+    }
+}
+
 /// Fans one event stream out to two sinks.
 ///
 /// `ENABLED` is the OR of the parts, and each part is guarded by its own

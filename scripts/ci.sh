@@ -93,6 +93,25 @@ echo "==> exact pass stop identity"
 cargo test -q --offline -p fixed-vertices-repro --test determinism \
     multilevel_answers_do_not_depend_on_the_pass_stop
 
+# Service golden session: one worker answers a fixed session on a netgen
+# circuit (a cold ml run with a V-cycle and its repeat, k-way km1 on two
+# threads, rb with ensemble, a warm start with a delta and its repeat, a
+# warm miss, a zero-deadline job, an infeasible job, an unknown engine,
+# then metrics) with and without a trace file. Every response line and
+# the JSONL trace must match recorded FNV-1a digests with the wall-clock
+# fields masked, and the trace file must change no response (about 1 s
+# in a debug build).
+echo "==> service golden session"
+cargo test -q --offline -p vlsi-service --test golden_session
+
+# Partition trace identity: the `partition` binary must write the same
+# assignment with and without --trace (4 starts and a V-cycle, three
+# seeds), and traced runs at --threads 1 and 2 the same assignment and
+# the same trace apart from wall-clock fields (about 1 s in a debug
+# build).
+echo "==> partition trace identity"
+cargo test -q --offline -p vlsi-experiments --test partition_cli
+
 # Service soak smoke: bring up an in-process server, drive a bounded
 # mixed cold/warm workload over concurrent TCP connections, and fail on
 # any error or failed connection. Deeper gates (warm-start pass counts,

@@ -12,8 +12,8 @@
 //! The corpus covers what the pass loop branches on: 0–50% fixed
 //! vertices, some of them `FixedAny`; one to three resources under even
 //! or explicit per-part capacity rows; zero-weight and weighted nets and
-//! vertices; LIFO and CLIP; every `PassCutoff` with and without
-//! `cutoff_first_pass`; unbalanced and fixity-violating starts; and a sink
+//! vertices; LIFO and CLIP; unlimited and fractional `PassCutoff`s;
+//! unbalanced and fixity-violating starts; and a sink
 //! that cancels the run's token at the N-th committed move. A second
 //! property runs the same check on instances of over 2,100 vertices.
 //!
@@ -121,8 +121,7 @@ mod reference {
         let mut stats = RunStats::default();
         if !cancel.is_cancelled() {
             for pass_idx in 0..config.max_passes {
-                let cutoff_active = pass_idx > 0 || config.cutoff_first_pass;
-                let limit = if cutoff_active {
+                let limit = if pass_idx > 0 {
                     config.cutoff.limit(num_movable)
                 } else {
                     num_movable
@@ -588,17 +587,16 @@ fn setup(inst: &RawInstance, knob: u64) -> Setup {
         } else {
             SelectionPolicy::Clip
         },
-        cutoff: match if plain { 0 } else { rng.gen_range(0..3) } {
-            0 => PassCutoff::Unlimited,
-            1 => PassCutoff::Fraction(rng.gen_range(0.0..1.0)),
-            _ => PassCutoff::Moves(rng.gen_range(0..=n + 1)),
+        cutoff: if plain || rng.gen_bool(0.5) {
+            PassCutoff::Unlimited
+        } else {
+            PassCutoff::Fraction(rng.gen_range(0.0..1.0))
         },
         max_passes: if plain || rng.gen_bool(0.7) {
             FmConfig::default().max_passes
         } else {
             rng.gen_range(0..=4)
         },
-        cutoff_first_pass: !plain && rng.gen_bool(0.3),
     };
     let cancel_at = (!plain && rng.gen_bool(0.3)).then(|| rng.gen_range(0..=2 * n as u64));
 
