@@ -1,9 +1,10 @@
 //! The CI perf-regression suite. Unlike the paper-table benches, this
-//! target exists to be *gated*: it measures the hot phases (coarsening's
-//! sharded contraction and an end-to-end multilevel partition at several
-//! thread counts, a full flat-FM run, one k-way refinement pass under both
-//! the cut and the connectivity objectives, and the V-cycle quality phase
-//! on top of the multistart driver at one and four threads), writes
+//! target exists to be *gated*: it measures the hot phases (one coarsening
+//! step, an end-to-end multilevel partition, a full flat-FM run, one k-way
+//! refinement pass under both the cut and the connectivity objectives, and
+//! the V-cycle quality phase on top of the multistart driver with its
+//! starts on one and on four workers — the only phase a thread count
+//! reaches), writes
 //! `results/bench/BENCH_partition.json`, and — when `PERF_GATE=1` — fails
 //! the process if any benchmark's median regressed more than 15% against
 //! the checked-in baseline (`PERF_BASELINE`, defaulting to
@@ -27,9 +28,6 @@ use vlsi_partition::{
     BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Partitioner, RunCtx,
     SelectionPolicy,
 };
-
-/// Thread counts every phase is measured at.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// The default gate threshold: a benchmark fails if its median exceeds
 /// the baseline median by more than this factor. `PERF_MAX_REGRESSION`
@@ -97,20 +95,18 @@ fn fixture() -> (
 fn bench_coarsen(c: &mut Criterion, hg: &vlsi_hypergraph::Hypergraph, fixed: &FixedVertices) {
     let mut group = c.benchmark_group("partition/coarsen_once");
     group.sample_size(15);
-    for threads in THREADS {
-        let params = CoarsenParams {
-            max_cluster_weight: hg.total_weight() / 20,
-            max_cluster_weights: Vec::new(),
-            max_net_size_for_matching: 64,
-            max_fixed_part_weight: Vec::new(),
-            allow_free_fixed_merge: false,
-            threads,
-        };
-        group.bench_function(format!("t{threads}").as_str(), |b| {
-            let mut rng = ChaCha8Rng::seed_from_u64(4);
-            b.iter(|| black_box(coarsen_once(hg, fixed, &params, 0.99, None, &mut rng)))
-        });
-    }
+    let params = CoarsenParams {
+        max_cluster_weight: hg.total_weight() / 20,
+        max_cluster_weights: Vec::new(),
+        max_net_size_for_matching: 64,
+        max_fixed_part_weight: Vec::new(),
+        allow_free_fixed_merge: false,
+        threads: 1,
+    };
+    group.bench_function("t1", |b| {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        b.iter(|| black_box(coarsen_once(hg, fixed, &params, 0.99, None, &mut rng)))
+    });
     group.finish();
 }
 
@@ -147,23 +143,20 @@ fn bench_multilevel(
 ) {
     let mut group = c.benchmark_group("partition/multilevel");
     group.sample_size(10);
-    for threads in THREADS {
-        let ml = MultilevelPartitioner::new(MultilevelConfig {
-            coarsest_size: 60,
-            coarse_starts: 2,
-            threads,
-            ..MultilevelConfig::default()
-        });
-        group.bench_function(format!("t{threads}").as_str(), |b| {
-            b.iter(|| {
-                let mut rng = ChaCha8Rng::seed_from_u64(23);
-                black_box(
-                    ml.partition_ctx(hg, fixed, balance, RunCtx::new(&mut rng))
-                        .expect("ml runs"),
-                )
-            })
-        });
-    }
+    let ml = MultilevelPartitioner::new(MultilevelConfig {
+        coarsest_size: 60,
+        coarse_starts: 2,
+        ..MultilevelConfig::default()
+    });
+    group.bench_function("t1", |b| {
+        b.iter(|| {
+            let mut rng = ChaCha8Rng::seed_from_u64(23);
+            black_box(
+                ml.partition_ctx(hg, fixed, balance, RunCtx::new(&mut rng))
+                    .expect("ml runs"),
+            )
+        })
+    });
     group.finish();
 }
 
@@ -224,8 +217,8 @@ fn bench_vcycle(
     // The iterated-multilevel quality phase end to end: a 2-start parallel
     // multistart followed by two V-cycles over the incumbent best. This
     // prices what `--vcycles 2` adds on top of the plain driver — the
-    // restricted re-coarsening plus re-refinement per cycle — at the
-    // sequential and 4-thread budgets. Gated on the general median bound.
+    // restricted re-coarsening plus re-refinement per cycle — with the
+    // starts on one and on four workers. Gated on the general median bound.
     use vlsi_partition::trace::NullSink;
     use vlsi_partition::{CancelToken, EngineConfig, Multistart};
 
@@ -282,7 +275,6 @@ fn bench_scale(c: &mut Criterion) {
     let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.05));
     let ml = MultilevelPartitioner::new(MultilevelConfig {
         coarse_starts: 1,
-        threads: 8,
         ..MultilevelConfig::default()
     });
     let t = std::time::Instant::now();
@@ -292,7 +284,7 @@ fn bench_scale(c: &mut Criterion) {
         .expect("ml runs at 1M cells");
     let wall_ns = t.elapsed().as_nanos() as f64;
     black_box(&result);
-    c.report_value("scale/partition/1M/t8", wall_ns);
+    c.report_value("scale/partition/1M", wall_ns);
     if let Some(peak) = bench::mem::peak_rss_bytes() {
         c.report_value("scale/peak_rss/1M/bytes", peak as f64);
     }
@@ -342,10 +334,9 @@ fn parse_records(json: &str) -> Vec<BenchRecord> {
     out
 }
 
-/// Reports the speedup of the parallelized phases at the largest measured
-/// thread count the machine has cores for and, when `PERF_GATE=1`,
-/// compares every benchmark's median against the baseline. Returns
-/// `false` if the gate failed.
+/// Reports the V-cycle group's speedup from spreading its starts over four
+/// workers and, when `PERF_GATE=1`, compares every benchmark's median
+/// against the baseline. Returns `false` if the gate failed.
 fn gate(results_path: &std::path::Path) -> bool {
     let Ok(current_json) = std::fs::read_to_string(results_path) else {
         eprintln!("perf_suite: no results at {}", results_path.display());
@@ -353,32 +344,14 @@ fn gate(results_path: &std::path::Path) -> bool {
     };
     let current = parse_records(&current_json);
 
-    // A slice with more threads than cores measures oversubscription, not
-    // parallel speedup.
+    // The t4 slice runs its two starts on min(4, 2, cores) workers.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for phase in [
-        "partition/coarsen_once",
-        "partition/multilevel",
-        "partition/vcycle",
-    ] {
-        let median = |threads: usize| {
-            let id = format!("{phase}/t{threads}");
-            current.iter().find(|r| r.id == id).map(|r| r.median_ns)
-        };
-        let widest = THREADS
-            .iter()
-            .rev()
-            .filter(|&&t| t > 1 && t <= cores)
-            .find_map(|&t| median(t).map(|m| (t, m)));
-        match (median(1), widest) {
-            (Some(t1), Some((t, tn))) => println!(
-                "perf_suite: {phase} speedup at {t} threads: {:.2}x (available_parallelism {cores})",
-                t1 / tn
-            ),
-            _ => println!(
-                "perf_suite: {phase} speedup: no multi-thread slice within available_parallelism {cores}"
-            ),
-        }
+    let median = |id: &str| current.iter().find(|r| r.id == id).map(|r| r.median_ns);
+    if let (Some(t1), Some(t4)) = (median("partition/vcycle/t1"), median("partition/vcycle/t4")) {
+        println!(
+            "perf_suite: partition/vcycle speedup t1/t4: {:.2}x (available_parallelism {cores})",
+            t1 / t4
+        );
     }
 
     if std::env::var("PERF_GATE").as_deref() != Ok("1") {

@@ -1,12 +1,12 @@
 //! Bounded million-cell smoke: generate a Rent-faithful instance with the
 //! streaming netgen path, run a full multilevel bisection, check the
-//! result is legal, and report wall-clock plus peak RSS. `scripts/ci.sh`
-//! runs this as the memory-safety net for the compact-CSR layout.
+//! result is legal, and report wall-clock plus peak RSS. The bisection runs
+//! on one thread. `scripts/ci.sh` runs this as the memory-safety net for
+//! the compact-CSR layout.
 //!
 //! Environment knobs (all optional):
 //!
 //! * `SCALE_SMOKE_CELLS` — instance size (default `1000000`).
-//! * `SCALE_SMOKE_THREADS` — partitioner thread budget (default `8`).
 //! * `SCALE_SMOKE_SEED` — generator/partitioner seed (default `7`).
 //! * `SCALE_SMOKE_MAX_RSS_MB` — fail if peak RSS exceeds this (default
 //!   `0` = report only).
@@ -28,7 +28,6 @@ fn mb(bytes: u64) -> f64 {
 
 fn main() {
     let cells = env_u64("SCALE_SMOKE_CELLS", 1_000_000) as usize;
-    let threads = env_u64("SCALE_SMOKE_THREADS", 8) as usize;
     let seed = env_u64("SCALE_SMOKE_SEED", 7);
     let max_rss_mb = env_u64("SCALE_SMOKE_MAX_RSS_MB", 0);
 
@@ -55,7 +54,6 @@ fn main() {
 
     let ml = MultilevelPartitioner::new(MultilevelConfig {
         coarse_starts: 1,
-        threads,
         ..MultilevelConfig::default()
     });
     let t1 = std::time::Instant::now();
@@ -64,7 +62,7 @@ fn main() {
         .partition_ctx(hg, &fixed, &balance, RunCtx::new(&mut rng))
         .expect("multilevel partition of the smoke instance");
     println!(
-        "scale_smoke: partitioned at t{threads} in {:.2?}: cut = {}",
+        "scale_smoke: partitioned in {:.2?}: cut = {}",
         t1.elapsed(),
         result.cut
     );

@@ -89,9 +89,7 @@ pub(crate) fn simulated_annealing<R: Rng + ?Sized, S: Sink>(
     config: AnnealingConfig,
     ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
-    let RunCtx {
-        rng, sink, cancel, ..
-    } = ctx;
+    let RunCtx { rng, sink, cancel } = ctx;
     if balance.num_parts() != 2 {
         return Err(PartitionError::UnsupportedPartCount {
             requested: balance.num_parts(),

@@ -156,12 +156,6 @@ pub struct MultilevelConfig {
     pub refine_fm2: Option<FmConfig>,
     /// Number of random initial solutions tried at the coarsest level.
     pub coarse_starts: usize,
-    /// Worker-thread budget for coarsening's net contraction, the only
-    /// fork inside a run. The result is byte-identical for every value —
-    /// the shards compute exactly what the sequential code would and
-    /// concatenate in net order — so this is purely a speed knob. `0` and
-    /// `1` both mean single-threaded.
-    pub threads: usize,
 }
 
 impl Default for MultilevelConfig {
@@ -193,7 +187,6 @@ impl Default for MultilevelConfig {
                 max_passes: 8,
             }),
             coarse_starts: 4,
-            threads: 1,
         }
     }
 }
@@ -222,7 +215,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let ml = MultilevelConfig::default();
-        assert_eq!(ml.threads, 1); // parallelism is opt-in
         assert_eq!(ml.refine_fm.policy, SelectionPolicy::Clip);
         assert_eq!(FmConfig::default().cutoff, PassCutoff::Unlimited);
         assert_eq!(PassCutoff::default(), PassCutoff::Unlimited);

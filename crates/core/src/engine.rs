@@ -17,11 +17,11 @@
 //!   [`KwayRefiner`] (the k-way FM inner loop).
 //!
 //! Each trait has exactly one method, taking a [`RunCtx`] parameter object
-//! that bundles the run-scoped resources: the RNG, the trace [`Sink`], the
-//! [`CancelToken`], and the worker-thread budget. These two methods are the
-//! way to call an engine. The only inherent entry points left are the two
-//! that return a richer result: [`BipartFm::run`] (per-pass statistics)
-//! and [`MultilevelPartitioner::run`] (the level hierarchy); both take the
+//! that bundles the run-scoped resources: the RNG, the trace [`Sink`] and
+//! the [`CancelToken`]. These two methods are the way to call an engine.
+//! The only inherent entry points left are the two that return a richer
+//! result: [`BipartFm::run`] (per-pass statistics) and
+//! [`MultilevelPartitioner::run`] (the level hierarchy); both take the
 //! same `RunCtx`.
 //!
 //! The traits are generic over the RNG and the [`Sink`], so they are not
@@ -75,20 +75,18 @@ use crate::{PartitionError, PartitionResult};
 /// Backs the default `cancel` borrow of [`RunCtx::new`].
 static NEVER_CANCEL: CancelToken = CancelToken::never();
 
-/// The run-scoped resources of one engine invocation: RNG, trace sink,
-/// cancellation token, and worker-thread budget.
+/// The run-scoped resources of one engine invocation: RNG, trace sink and
+/// cancellation token.
 ///
 /// Built with [`RunCtx::new`] (defaults: [`NullSink`],
-/// [`CancelToken::never`], one thread) and customised with the `with_*`
-/// builders. A `RunCtx` is consumed by [`Partitioner::partition_ctx`] /
+/// [`CancelToken::never`]) and customised with the `with_*` builders. A
+/// `RunCtx` is consumed by [`Partitioner::partition_ctx`] /
 /// [`Refiner::refine_ctx`]; loops that run several engines off one RNG
 /// construct a fresh context per call (`RunCtx::new(&mut *rng)`).
 ///
-/// `threads` is a *budget*, not a demand, and no answer depends on it. It
-/// reaches one fork inside a run, coarsening's net contraction, whose
-/// shards concatenate in net order; refinement always runs on the calling
-/// thread. An engine whose own config also names a thread count (e.g.
-/// [`MultilevelConfig::threads`]) uses the larger of the two.
+/// One engine run uses one thread: the only parallel path is
+/// [`Multistart::run_parallel`](crate::Multistart::run_parallel), which
+/// spreads independent starts over workers.
 pub struct RunCtx<'a, R: ?Sized, S> {
     /// Source of randomness for the run.
     pub rng: &'a mut R,
@@ -96,20 +94,15 @@ pub struct RunCtx<'a, R: ?Sized, S> {
     pub sink: &'a S,
     /// Polled at pass boundaries and every few dozen moves.
     pub cancel: &'a CancelToken,
-    /// Worker-thread budget for coarsening's net contraction (`<= 1` =
-    /// inline).
-    pub threads: usize,
 }
 
 impl<'a, R: Rng + ?Sized> RunCtx<'a, R, NullSink> {
-    /// A default context around `rng`: no tracing, no cancellation, one
-    /// thread.
+    /// A default context around `rng`: no tracing, no cancellation.
     pub fn new(rng: &'a mut R) -> Self {
         RunCtx {
             rng,
             sink: &NullSink,
             cancel: &NEVER_CANCEL,
-            threads: 1,
         }
     }
 }
@@ -121,7 +114,6 @@ impl<'a, R: ?Sized, S> RunCtx<'a, R, S> {
             rng: self.rng,
             sink,
             cancel: self.cancel,
-            threads: self.threads,
         }
     }
 
@@ -132,10 +124,11 @@ impl<'a, R: ?Sized, S> RunCtx<'a, R, S> {
         self
     }
 
-    /// Sets the worker-thread budget.
+    /// Returns `self` unchanged: an engine run has no thread budget. Kept
+    /// so that callers built against the earlier budget (the `perfbench`
+    /// package among them) keep compiling.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -146,7 +139,6 @@ impl<'a, R: ?Sized, S> RunCtx<'a, R, S> {
             rng: self.rng,
             sink: self.sink,
             cancel: self.cancel,
-            threads: self.threads,
         }
     }
 }
@@ -161,12 +153,11 @@ impl<'a, R: ?Sized, S> RunCtx<'a, R, S> {
 pub trait Partitioner {
     /// Partitions `hg` under `balance`, honouring `fixed`. The engine
     /// draws randomness from `ctx.rng`, streams its trace events into
-    /// `ctx.sink`, polls `ctx.cancel` at pass boundaries (and, in the hot
-    /// engines, every few dozen moves), and uses at most `ctx.threads`
-    /// worker threads for coarsening. With [`NullSink`] the
-    /// instrumentation compiles out entirely; with [`CancelToken::never`]
-    /// every cancellation check is one predictable branch; the thread
-    /// budget never changes the result.
+    /// `ctx.sink` and polls `ctx.cancel` at pass boundaries (and, in the
+    /// hot engines, every few dozen moves), all on the calling thread. With
+    /// [`NullSink`] the instrumentation compiles out entirely; with
+    /// [`CancelToken::never`] every cancellation check is one predictable
+    /// branch.
     ///
     /// A cancelled run is **not** an error: the engine stops early and
     /// returns its best-so-far legal solution, recording an
@@ -195,10 +186,9 @@ pub trait Partitioner {
 /// `ctx.rng`, so any RNG will do and its state is left untouched.
 pub trait Refiner {
     /// Refines `parts`, streaming pass brackets into `ctx.sink` and polling
-    /// `ctx.cancel` at pass boundaries. Refinement runs on the calling
-    /// thread: `ctx.threads` is not used, so the answer is the same at
-    /// every budget. A cancelled refinement returns the best solution
-    /// reached so far (never worse than the input).
+    /// `ctx.cancel` at pass boundaries, on the calling thread. A cancelled
+    /// refinement returns the best solution reached so far (never worse
+    /// than the input).
     ///
     /// # Errors
     /// [`PartitionError::UnsupportedPartCount`] for part counts the refiner
@@ -300,8 +290,8 @@ pub struct KwayConfig {
     /// balance constraints (recursive-bisection splits, coarsest-level
     /// solves).
     pub tolerance: f64,
-    /// Multilevel settings of the inner bipartitioning / coarsening engine
-    /// (including its worker-thread budget).
+    /// Multilevel settings of the inner bipartitioning / coarsening
+    /// engine.
     pub ml: MultilevelConfig,
     /// Upper bound on k-way refinement passes: at every level of
     /// [`DirectKway`], and in the final stage of [`RecursiveBisection`]
@@ -459,7 +449,7 @@ impl Refiner for FmStack {
 /// movable vertex of positive weight fits inside the balance windows
 /// (`max − min`) of two parts its fixity allows, else the FM-relaxation
 /// pass, which overshoots by the heaviest movable vertex and rolls back to
-/// the best balanced prefix. `ctx.threads` plays no part.
+/// the best balanced prefix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KwayRefiner {
     /// Objective optimised by each pass.
@@ -635,17 +625,12 @@ impl EngineConfig {
             .expect("every variant is registered")
     }
 
-    /// Sets the engine's *internal* worker-thread budget where the engine
-    /// has one (the multilevel and k-way configs, whose coarsening forks
-    /// over it); a no-op for the flat engines, which never fork. No answer
-    /// depends on it.
+    /// Returns `self` unchanged: no engine has an internal thread budget,
+    /// since one engine run uses one thread. Kept so that callers built
+    /// against the earlier budget (the `perfbench` package among them)
+    /// keep compiling.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        match &mut self {
-            EngineConfig::Multilevel(cfg) => cfg.threads = threads,
-            EngineConfig::KwayRb(cfg) | EngineConfig::KwayDirect(cfg) => cfg.ml.threads = threads,
-            EngineConfig::Fm(_) | EngineConfig::Kl(_) | EngineConfig::Annealing(_) => {}
-        }
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -746,20 +731,6 @@ mod tests {
                 assert!(msg.contains(alias), "{msg} missing alias {alias}");
             }
         }
-    }
-
-    #[test]
-    fn with_threads_reaches_the_threaded_engines_only() {
-        match EngineConfig::by_name("ml").unwrap().with_threads(4) {
-            EngineConfig::Multilevel(cfg) => assert_eq!(cfg.threads, 4),
-            other => panic!("unexpected engine {other:?}"),
-        }
-        match EngineConfig::by_name("kway").unwrap().with_threads(3) {
-            EngineConfig::KwayDirect(cfg) => assert_eq!(cfg.ml.threads, 3),
-            other => panic!("unexpected engine {other:?}"),
-        }
-        let fm = EngineConfig::by_name("fm").unwrap();
-        assert_eq!(fm.with_threads(8), fm); // flat engines: config untouched
     }
 
     #[test]
@@ -952,7 +923,7 @@ mod tests {
         let balance = BalanceConstraint::bisection(16, Tolerance::Relative(0.1));
         let engine = EngineConfig::by_name("fm").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let mut ctx = RunCtx::new(&mut rng).with_threads(2);
+        let mut ctx = RunCtx::new(&mut rng);
         let a = engine
             .partition_ctx(&hg, &fixed, &balance, ctx.reborrow())
             .unwrap();

@@ -118,9 +118,8 @@ impl BipartFm {
     /// The run emits [`Event::PassStart`], [`Event::MoveCommitted`] and
     /// [`Event::PassEnd`] per pass into `ctx.sink` (with
     /// [`NullSink`](vlsi_trace::NullSink) the
-    /// instrumentation compiles away) and runs on the calling thread
-    /// (`ctx.threads` is not used); FM draws no randomness, so `ctx.rng`
-    /// is left untouched. `ctx.cancel` is polled
+    /// instrumentation compiles away) and runs on the calling thread; FM
+    /// draws no randomness, so `ctx.rng` is left untouched. `ctx.cancel` is polled
     /// at pass boundaries and every [`CHECK_INTERVAL`] moves inside a
     /// pass. Cancellation is not an error: the run stops after restoring
     /// the current pass's best prefix, records one [`Event::Cancelled`]

@@ -37,8 +37,7 @@ use crate::{PartitionError, PartitionResult};
 /// always completes (every vertex must receive a block), but once the
 /// token fires each sub-bisection degenerates to a cheap legal split, so
 /// cancellation latency stays bounded while the result remains a legal
-/// k-way partition. The inner runs coarsen over the larger of
-/// `ml_config.threads` and `ctx.threads` workers.
+/// k-way partition.
 ///
 /// # Errors
 /// * [`PartitionError::UnsupportedPartCount`] if `k` is 0 or exceeds 64.
@@ -72,13 +71,7 @@ pub(crate) fn recursive_bisection<R: Rng + ?Sized, S: Sink>(
         }
     }
 
-    let ml_config = &MultilevelConfig {
-        threads: ml_config.threads.max(ctx.threads),
-        ..*ml_config
-    };
-    let RunCtx {
-        rng, sink, cancel, ..
-    } = ctx;
+    let RunCtx { rng, sink, cancel } = ctx;
     let mut parts = vec![PartId(0); hg.num_vertices()];
     let active: Vec<VertexId> = hg.vertices().collect();
     rb_recurse(
@@ -982,7 +975,7 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
             .map(|p| balance.max(PartId::from_index(p), 0))
             .collect(),
         allow_free_fixed_merge: false,
-        threads: ml.threads.max(ctx.threads),
+        threads: 1,
     };
     let h = Hierarchy::build(
         hg,
@@ -1045,11 +1038,10 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
 /// [`KwayRefiner`](crate::KwayRefiner), of the k-way engines' refinement,
 /// of warm starts and of the quality phase.
 ///
-/// The pass comes from the instance, never from a thread budget: the
-/// synchronous-round pass ([`refine_pass_rounds`]) when
-/// [`windows_admit_a_move`], else the FM-relaxation pass
-/// ([`refine_pass_fm`]). Both run on the calling thread, so no answer
-/// depends on the thread count, and none draws from `ctx.rng`.
+/// The pass comes from the instance: the synchronous-round pass
+/// ([`refine_pass_rounds`]) when [`windows_admit_a_move`], else the
+/// FM-relaxation pass ([`refine_pass_fm`]). Both run on the calling
+/// thread, and neither draws from `ctx.rng`.
 /// `ctx.cancel` is polled at pass boundaries (and inside each pass); a
 /// cancelled run records one [`Event::Cancelled`] (stage `kway_pass`) and
 /// returns the best assignment reached so far.

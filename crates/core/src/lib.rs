@@ -30,9 +30,10 @@
 //!
 //! Every engine run takes a [`RunCtx`] bundling the RNG, a
 //! [`trace::Sink`] receiving structured [`trace`] events (pass brackets,
-//! committed moves, coarsening levels, multistart records), a
-//! [`CancelToken`], and a thread budget (it reaches multistart starts and
-//! coarsening only, and never changes an answer); the defaults built by
+//! committed moves, coarsening levels, multistart records) and a
+//! [`CancelToken`]; one run uses one thread, and only
+//! [`Multistart::run_parallel`] spreads independent starts over workers,
+//! which never changes an answer. The defaults built by
 //! [`RunCtx::new`] use [`trace::NullSink`], which compiles the
 //! instrumentation out entirely. There is one way to call each engine:
 //! [`Partitioner::partition_ctx`] from scratch, [`Refiner::refine_ctx`]

@@ -5,12 +5,7 @@ use std::collections::HashMap;
 use vlsi_rng::seq::SliceRandom;
 use vlsi_rng::Rng;
 
-use vlsi_hypergraph::{
-    FixedVertices, Fixity, Hypergraph, HypergraphBuilder, NetId, PartId, VertexId,
-};
-
-/// Minimum nets per worker before contraction forks threads.
-const NET_GRAIN: usize = 1024;
+use vlsi_hypergraph::{FixedVertices, Fixity, Hypergraph, HypergraphBuilder, PartId, VertexId};
 
 /// One coarsening level: the coarse hypergraph, its fixities, and the map
 /// from fine vertex to coarse vertex.
@@ -61,11 +56,9 @@ pub struct CoarsenParams {
     /// fixed-terminals regime. Fixed–fixed merges within one partition are
     /// always allowed (the terminal-clustering equivalence).
     pub allow_free_fixed_merge: bool,
-    /// Worker-thread budget for net contraction, the only fork inside one
-    /// run. Purely a speed knob: each worker normalizes a contiguous range
-    /// of nets and the shards concatenate in net order, so the coarse
-    /// level is byte-identical for every value. `0` and `1` both mean
-    /// single-threaded.
+    /// Ignored: coarsening runs on the calling thread. The field stays so
+    /// that code building `CoarsenParams` literals (the `perfbench`
+    /// package among them) keeps compiling.
     pub threads: usize,
 }
 
@@ -288,13 +281,7 @@ pub fn coarsen_once<R: Rng + ?Sized>(
         return None;
     }
 
-    Some(contract_clusters(
-        hg,
-        fixed,
-        cluster_of,
-        num_clusters,
-        params.threads,
-    ))
+    Some(contract_clusters(hg, fixed, cluster_of, num_clusters))
 }
 
 /// Contracts an explicit clustering into a coarse [`Level`].
@@ -305,7 +292,7 @@ pub fn coarsen_once<R: Rng + ?Sized>(
 /// summed, fixities merged (panics if a cluster holds incompatible
 /// fixities — callers must pre-check with [`merge_fixity`]), and nets are
 /// mapped, deduplicated and merged by the sort-based span scheme, so the
-/// coarse net list is deterministic and thread-count invariant.
+/// coarse net list is deterministic.
 ///
 /// `cluster_of[v]` must be a dense id in `0..num_clusters`.
 pub fn contract_clusters(
@@ -313,7 +300,6 @@ pub fn contract_clusters(
     fixed: &FixedVertices,
     cluster_of: Vec<u32>,
     num_clusters: usize,
-    threads: usize,
 ) -> Level {
     // Build the coarse hypergraph.
     let nr = hg.num_resources();
@@ -333,61 +319,30 @@ pub fn contract_clusters(
     // Every net's mapped pins are normalized (sorted, internally deduped)
     // in place at the tail of one shared pin arena, with an
     // `(offset, len, weight)` span per surviving net — no per-net key
-    // allocation, no hashing. With a thread budget the normalize pass is
-    // sharded and the shard arenas concatenate in net order, so the spans
-    // are the same at every thread count. Sorting the spans by pin slice
-    // brings identical coarse nets together; u64 weight addition is
+    // allocation, no hashing. Sorting the spans by pin slice brings
+    // identical coarse nets together; u64 weight addition is
     // order-independent, so the coarse net list (lexicographic by pin
     // slice) does not depend on how equal slices were ordered.
-    let net_workers = effective_threads(threads, hg.num_nets(), NET_GRAIN);
-    let normalize = |range: std::ops::Range<usize>,
-                     pin_arena: &mut Vec<u32>,
-                     spans: &mut Vec<(u32, u32, u64)>| {
-        for ni in range {
-            let net = NetId(ni as u32);
-            let start = pin_arena.len();
-            pin_arena.extend(hg.net_pins(net).iter().map(|&p| cluster_of[p.index()]));
-            pin_arena[start..].sort_unstable();
-            // In-place dedup of the tail written for this net.
-            let mut w = start + 1;
-            for r in start + 1..pin_arena.len() {
-                if pin_arena[r] != pin_arena[w - 1] {
-                    pin_arena[w] = pin_arena[r];
-                    w += 1;
-                }
+    let mut pin_arena: Vec<u32> = Vec::with_capacity(hg.num_pins());
+    let mut spans: Vec<Span> = Vec::with_capacity(hg.num_nets());
+    for net in hg.nets() {
+        let start = pin_arena.len();
+        pin_arena.extend(hg.net_pins(net).iter().map(|&p| cluster_of[p.index()]));
+        pin_arena[start..].sort_unstable();
+        // In-place dedup of the tail written for this net.
+        let mut w = start + 1;
+        for r in start + 1..pin_arena.len() {
+            if pin_arena[r] != pin_arena[w - 1] {
+                pin_arena[w] = pin_arena[r];
+                w += 1;
             }
-            pin_arena.truncate(w);
-            if w - start < 2 {
-                pin_arena.truncate(start); // internal to one cluster: can never be cut
-                continue;
-            }
-            spans.push((start as u32, (w - start) as u32, hg.net_weight(net)));
         }
-    };
-    let mut pin_arena: Vec<u32>;
-    let mut spans: Vec<(u32, u32, u64)>;
-    if net_workers > 1 {
-        let shards = par_map_chunks(hg.num_nets(), net_workers, |range| {
-            let mut local_pins: Vec<u32> = Vec::new();
-            let mut local_spans: Vec<(u32, u32, u64)> = Vec::new();
-            normalize(range, &mut local_pins, &mut local_spans);
-            (local_pins, local_spans)
-        });
-        pin_arena = Vec::with_capacity(shards.iter().map(|(p, _)| p.len()).sum());
-        spans = Vec::with_capacity(shards.iter().map(|(_, s)| s.len()).sum());
-        for (local_pins, local_spans) in shards {
-            let base = pin_arena.len() as u32;
-            pin_arena.extend_from_slice(&local_pins);
-            spans.extend(
-                local_spans
-                    .into_iter()
-                    .map(|(off, len, w)| (base + off, len, w)),
-            );
+        pin_arena.truncate(w);
+        if w - start < 2 {
+            pin_arena.truncate(start); // internal to one cluster: can never be cut
+            continue;
         }
-    } else {
-        pin_arena = Vec::with_capacity(hg.num_pins());
-        spans = Vec::with_capacity(hg.num_nets());
-        normalize(0..hg.num_nets(), &mut pin_arena, &mut spans);
+        spans.push((start as u32, (w - start) as u32, hg.net_weight(net)));
     }
 
     let spans = dedup_spans(&pin_arena, spans, num_clusters);
@@ -411,50 +366,6 @@ pub fn contract_clusters(
         fixed: FixedVertices::from_fixities(fixities),
         map: cluster_of.into_iter().map(VertexId).collect(),
     }
-}
-
-/// Decides how many worker threads a phase should actually use.
-///
-/// Returns 1 (run inline) unless more than one thread was requested *and*
-/// there are at least `grain` items per prospective worker; otherwise caps
-/// the requested count so each worker keeps a full grain of work.
-fn effective_threads(requested: usize, items: usize, grain: usize) -> usize {
-    if requested <= 1 {
-        return 1;
-    }
-    requested.min(items / grain.max(1)).max(1)
-}
-
-/// Runs `f` over `0..len` split into at most `threads` contiguous chunks
-/// and returns the per-chunk results **in chunk order**.
-///
-/// With `threads <= 1` (or `len <= 1`) this is exactly `vec![f(0..len)]`
-/// on the current thread. A worker panic is propagated to the caller.
-fn par_map_chunks<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(std::ops::Range<usize>) -> T + Sync,
-{
-    let workers = threads.min(len).max(1);
-    if workers <= 1 {
-        return vec![f(0..len)];
-    }
-    let chunk = len.div_ceil(workers);
-    let ranges: Vec<std::ops::Range<usize>> = (0..workers)
-        .map(|i| (i * chunk).min(len)..((i + 1) * chunk).min(len))
-        .filter(|r| !r.is_empty())
-        .collect();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(move || f(r)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
 }
 
 /// A normalized coarse net: `(offset, len, weight)` into a pin arena whose
@@ -548,45 +459,6 @@ mod tests {
             allow_free_fixed_merge: false,
             threads: 1,
         }
-    }
-
-    #[test]
-    fn effective_threads_caps_by_grain() {
-        assert_eq!(effective_threads(1, 1_000_000, 1), 1);
-        assert_eq!(effective_threads(4, 0, 64), 1);
-        assert_eq!(effective_threads(4, 64, 64), 1);
-        assert_eq!(effective_threads(4, 128, 64), 2);
-        assert_eq!(effective_threads(4, 10_000, 64), 4);
-        assert_eq!(effective_threads(3, 100, 0), 3); // zero grain never divides by zero
-    }
-
-    #[test]
-    fn par_map_chunks_is_ordered_and_thread_count_invariant() {
-        let expected: Vec<usize> = (0..257).map(|i| i * i).collect();
-        for threads in [1, 2, 3, 4, 8] {
-            let chunks = par_map_chunks(257, threads, |r| r.map(|i| i * i).collect::<Vec<_>>());
-            let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-            assert_eq!(flat, expected, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn par_map_chunks_handles_empty_and_tiny_inputs() {
-        let empty = par_map_chunks(0, 4, |r| r.len());
-        assert_eq!(empty, vec![0]);
-        let one = par_map_chunks(1, 4, |r| r.len());
-        assert_eq!(one, vec![1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker boom")]
-    fn worker_panics_propagate() {
-        par_map_chunks(100, 4, |r| {
-            if r.contains(&99) {
-                panic!("worker boom");
-            }
-            0usize
-        });
     }
 
     fn chain(n: usize) -> Hypergraph {
@@ -723,66 +595,6 @@ mod tests {
             Some(Fixed(PartId(2)))
         );
         assert_eq!(merge_fixity(Fixed(PartId(0)), FixedAny(s12)), None);
-    }
-
-    #[test]
-    fn parallel_coarsening_matches_sequential_exactly() {
-        // Big enough to clear NET_GRAIN so the contraction actually forks:
-        // a 3000-vertex chain with weights and a sprinkling of fixed
-        // vertices, plus some wider nets for the contraction dedup.
-        let n = 3000;
-        let mut b = HypergraphBuilder::new();
-        let v: Vec<_> = (0..n).map(|i| b.add_vertex(1 + (i as u64 % 3))).collect();
-        for w in v.windows(2) {
-            b.add_net(1, [w[0], w[1]]).unwrap();
-        }
-        for i in (0..n - 4).step_by(7) {
-            b.add_net(2, [v[i], v[i + 2], v[i + 4]]).unwrap();
-        }
-        let hg = b.build().unwrap();
-        let mut fx = FixedVertices::all_free(n);
-        for i in (0..n).step_by(13) {
-            fx.fix(VertexId(i as u32), PartId((i % 2) as u32));
-        }
-        let budgeted = CoarsenParams {
-            max_cluster_weight: 9,
-            max_fixed_part_weight: vec![4000, 4000],
-            ..params()
-        };
-        let baseline = {
-            let mut rng = ChaCha8Rng::seed_from_u64(99);
-            coarsen_once(&hg, &fx, &budgeted, 0.95, None, &mut rng).unwrap()
-        };
-        for threads in [2, 4, 8] {
-            let p = CoarsenParams {
-                threads,
-                ..budgeted.clone()
-            };
-            let mut rng = ChaCha8Rng::seed_from_u64(99);
-            let level = coarsen_once(&hg, &fx, &p, 0.95, None, &mut rng).unwrap();
-            assert_eq!(level.map, baseline.map, "{threads} threads: cluster map");
-            assert_eq!(
-                level.hg.num_nets(),
-                baseline.hg.num_nets(),
-                "{threads} threads: net count"
-            );
-            let nets: Vec<(Vec<VertexId>, u64)> = level
-                .hg
-                .nets()
-                .map(|nt| (level.hg.net_pins(nt).to_vec(), level.hg.net_weight(nt)))
-                .collect();
-            let base_nets: Vec<(Vec<VertexId>, u64)> = baseline
-                .hg
-                .nets()
-                .map(|nt| {
-                    (
-                        baseline.hg.net_pins(nt).to_vec(),
-                        baseline.hg.net_weight(nt),
-                    )
-                })
-                .collect();
-            assert_eq!(nets, base_nets, "{threads} threads: coarse nets");
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub(crate) fn coarsen_params(
             .map(|p| balance.max(PartId::from_index(p), 0))
             .collect(),
         allow_free_fixed_merge: false,
-        threads: cfg.threads,
+        threads: 1,
     }
 }
 

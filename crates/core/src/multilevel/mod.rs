@@ -94,10 +94,7 @@ impl MultilevelPartitioner {
     /// hypergraph; higher indices are coarser. A `LevelStart` is emitted as
     /// each coarse level is built (top-down), and a `LevelEnd` with the
     /// post-refinement cut as each level is solved (bottom-up, coarsest
-    /// first). Coarsening's net contraction forks over the larger of
-    /// [`MultilevelConfig::threads`] and `ctx.threads` workers; everything
-    /// else runs on the calling thread, and the result is the same for any
-    /// budget.
+    /// first). The whole run stays on the calling thread.
     ///
     /// A cancelled run truncates coarsening, keeps only the first coarse
     /// start, lets the inner FM stop at its own checkpoints, and records
@@ -122,10 +119,7 @@ impl MultilevelPartitioner {
                 supported: 2,
             });
         }
-        let cfg = &MultilevelConfig {
-            threads: self.config.threads.max(ctx.threads),
-            ..self.config
-        };
+        let cfg = &self.config;
         let h = Hierarchy::build(
             hg,
             fixed,

@@ -17,14 +17,15 @@
 //! * **Sequential** ([`Multistart::run`]): starts share the caller's RNG
 //!   through a [`RunCtx`], advancing it across starts — one stream,
 //!   exactly as a hand-written loop would. The context's sink receives the
-//!   engine's events and an [`Event::StartFinished`] per start, its cancel
-//!   token skips starts after the first once fired, and its thread budget
-//!   is forwarded to the engine and the quality phase.
+//!   engine's events and an [`Event::StartFinished`] per start, and its
+//!   cancel token skips starts after the first once fired.
 //! * **Parallel** ([`Multistart::run_parallel`]): start `i` always runs on
 //!   `ChaCha8Rng::seed_from_u64(base_seed + i)`, so the outcome is
 //!   identical for every worker-thread count — including one — and to a
 //!   sequential loop with the same per-start seeding. Starts are sharded
-//!   over at most `threads` OS threads in contiguous chunks.
+//!   in contiguous chunks over at most `min(threads, starts, cores)` OS
+//!   threads. This is the only place a thread count reaches: each start
+//!   runs on one thread.
 //!
 //! With quality knobs off (the default), both reduce exactly to the
 //! classic keep-the-best loop.
@@ -34,9 +35,8 @@
 //! Every path is deterministic in its seeds, and the parallel family is
 //! worker-thread-count invariant end-to-end: per-start seeding fixes the
 //! starts, and the quality phase draws from its own RNG derived from
-//! `base_seed` (never from a worker's stream), running only
-//! thread-invariant machinery (restricted coarsening, the FM stack, the
-//! k-way pass loop).
+//! `base_seed` (never from a worker's stream) and runs on the calling
+//! thread.
 //!
 //! # Example
 //!
@@ -228,9 +228,8 @@ impl Multistart {
     }
 
     /// Sequential run of an engine: starts share `ctx.rng` (one stream,
-    /// advancing across starts), the engine streams its events into
-    /// `ctx.sink` and polls `ctx.cancel`, and `ctx.threads` is forwarded
-    /// to the engine and the quality phase. Start 0 always executes, so a
+    /// advancing across starts), and the engine streams its events into
+    /// `ctx.sink` and polls `ctx.cancel`. Start 0 always executes, so a
     /// pre-expired token still yields a legal solution; a cancelled run
     /// records one [`Event::Cancelled`] (stage `multistart`) and skips the
     /// quality phase.
@@ -279,10 +278,11 @@ impl Multistart {
         self.finish(hg, fixed, balance, records, top, ctx)
     }
 
-    /// Parallel run of an engine across up to `threads` OS threads with
-    /// deterministic per-start seeding (`base_seed + i` for start `i`).
-    /// A lone start gets the whole `threads` budget in its context (for
-    /// its coarsening); with several starts each start gets one thread.
+    /// Parallel run of an engine with deterministic per-start seeding
+    /// (`base_seed + i` for start `i`). Starts spread over at most
+    /// `min(threads, starts, cores)` OS threads, where `cores` is
+    /// [`std::thread::available_parallelism`] (1 when unknown); each start
+    /// runs on one thread, so the worker count never changes the answer.
     ///
     /// `sink` receives the deterministic summary stream: one
     /// [`Event::StartFinished`] per completed start in ascending order at
@@ -325,12 +325,14 @@ impl Multistart {
         let starts = self.starts;
         assert!(starts > 0, "at least one start required");
         assert!(threads > 0, "at least one thread required");
-        let workers = threads.min(starts);
-        // A lone start cannot use start-level parallelism, so the whole
-        // budget goes to its coarsening; with several starts each runs on
-        // one thread, so the workers alone fill the budget. Neither changes
-        // the answer.
-        let start_threads = if starts == 1 { threads } else { 1 };
+        // More workers than cores only oversubscribe the machine, and a
+        // request must not be able to start an unbounded number of threads.
+        // The core count costs tens of microseconds to read, so a run on one
+        // worker skips it.
+        let workers = match threads.min(starts) {
+            1 => 1,
+            w => w.min(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        };
 
         let mut slots: Vec<Option<Result<(PartitionResult, Duration), PartitionError>>> =
             (0..starts).map(|_| None).collect();
@@ -349,8 +351,7 @@ impl Multistart {
                         let mut rng = ChaCha8Rng::seed_from_u64(base_seed.wrapping_add(i as u64));
                         let ctx = RunCtx::new(&mut rng)
                             .with_sink(engine_sink)
-                            .with_cancel(cancel)
-                            .with_threads(start_threads);
+                            .with_cancel(cancel);
                         let t0 = Instant::now();
                         let result = engine.partition_ctx(hg, fixed, balance, ctx);
                         *slot = Some(result.map(|r| (r, t0.elapsed())));
@@ -383,10 +384,7 @@ impl Multistart {
         // derived from `base_seed` (salted away from every start seed), so
         // the whole run stays worker-thread-count invariant.
         let mut qrng = ChaCha8Rng::seed_from_u64(base_seed ^ QUALITY_SEED_SALT);
-        let ctx = RunCtx::new(&mut qrng)
-            .with_sink(sink)
-            .with_cancel(cancel)
-            .with_threads(threads);
+        let ctx = RunCtx::new(&mut qrng).with_sink(sink).with_cancel(cancel);
         self.finish(hg, fixed, balance, records, top, ctx)
     }
 
@@ -498,7 +496,6 @@ impl TopSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
     use vlsi_hypergraph::{HypergraphBuilder, PartId, Tolerance};
     use vlsi_rng::ChaCha8Rng;
@@ -520,9 +517,8 @@ mod tests {
     /// driver's bookkeeping can be checked against known per-start results.
     struct Scripted {
         script: Vec<Result<PartitionResult, PartitionError>>,
-        calls: AtomicUsize,
-        /// The `ctx.threads` of every call, in call order.
-        budgets: Mutex<Vec<usize>>,
+        /// The thread of every call, in call order.
+        threads: Mutex<Vec<std::thread::ThreadId>>,
     }
 
     impl Scripted {
@@ -540,8 +536,7 @@ mod tests {
         fn results(script: Vec<Result<PartitionResult, PartitionError>>) -> Self {
             Scripted {
                 script,
-                calls: AtomicUsize::new(0),
-                budgets: Mutex::new(Vec::new()),
+                threads: Mutex::new(Vec::new()),
             }
         }
     }
@@ -552,10 +547,11 @@ mod tests {
             _: &Hypergraph,
             _: &FixedVertices,
             _: &BalanceConstraint,
-            ctx: RunCtx<'_, R, S>,
+            _: RunCtx<'_, R, S>,
         ) -> Result<PartitionResult, PartitionError> {
-            self.budgets.lock().unwrap().push(ctx.threads);
-            let i = self.calls.fetch_add(1, Ordering::Relaxed);
+            let mut threads = self.threads.lock().unwrap();
+            let i = threads.len();
+            threads.push(std::thread::current().id());
             self.script[i % self.script.len()].clone()
         }
     }
@@ -670,16 +666,18 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_start_gets_the_whole_thread_budget() {
-        for (starts, threads, budgets) in [(1, 1, vec![1]), (1, 3, vec![3]), (3, 2, vec![1; 3])] {
-            let engine = Scripted::cuts(&[4, 5, 6]);
-            run_parallel_scripted(&Multistart::new(starts), threads, &engine).unwrap();
-            assert_eq!(
-                engine.budgets.into_inner().unwrap(),
-                budgets,
-                "{starts} start(s) on {threads} thread(s)"
-            );
-        }
+    fn workers_never_outnumber_the_cores() {
+        let engine = Scripted::cuts(&[4, 5, 6]);
+        run_parallel_scripted(&Multistart::new(16), 16, &engine).unwrap();
+        let calls = engine.threads.into_inner().unwrap();
+        assert_eq!(calls.len(), 16, "every start ran");
+        let used: std::collections::HashSet<_> = calls.into_iter().collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(
+            used.len() <= cores,
+            "{} worker threads on {cores} cores",
+            used.len()
+        );
     }
 
     #[test]

@@ -24,10 +24,9 @@
 //!   is preserved exactly by the contraction, so the recombined solution
 //!   is never worse than the best retained start.
 //!
-//! Every step is deterministic and worker-thread-count invariant: the
-//! thread budget reaches only the restricted coarsening's net contraction,
-//! which is byte-identical at any budget, and refinement (the 2-way FM
-//! stack or the k-way pass loop) runs on the calling thread.
+//! Every step is deterministic and runs on the calling thread: the
+//! restricted coarsening, the contraction and refinement (the 2-way FM
+//! stack or the k-way pass loop) alike.
 //!
 //! [`Multistart`]: crate::multistart::Multistart
 
@@ -91,10 +90,7 @@ pub(crate) fn run_vcycles<R: Rng + ?Sized, S: Sink>(
     cycles: usize,
     mut ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
-    let cfg = MultilevelConfig {
-        threads: ctx.threads,
-        ..MultilevelConfig::default()
-    };
+    let cfg = MultilevelConfig::default();
     let params = coarsen_params(hg, balance, &cfg);
     for cycle in 0..cycles {
         if ctx.cancel.is_cancelled() {
@@ -235,7 +231,7 @@ pub(crate) fn recombine<R: Rng + ?Sized, S: Sink>(
         });
     }
 
-    let level = contract_clusters(hg, fixed, cluster_of, num_clusters, ctx.threads);
+    let level = contract_clusters(hg, fixed, cluster_of, num_clusters);
     // Seed the coarse solve from the best start: every cluster member
     // shares its assignment (the signature includes solution 0), and the
     // contraction preserves part loads and the objective value exactly.

@@ -31,7 +31,7 @@
 //! One [`Event::WarmStart`] is emitted after legalization with the
 //! reused/relocated split and the seed objective value, then refinement
 //! proceeds exactly as [`KwayRefiner`](crate::KwayRefiner) would, on the
-//! calling thread at every budget.
+//! calling thread.
 
 use vlsi_rng::Rng;
 use vlsi_trace::{Event, Sink};
@@ -362,9 +362,8 @@ fn legalize_balance(
 /// instead of partitioning from scratch, the cached assignment for a
 /// nearby instance is repaired and refined for up to `max_passes` k-way FM
 /// passes. The passes are [`KwayRefiner`](crate::KwayRefiner)'s, chosen
-/// from the instance, and the [`RunCtx`] thread budget plays no part. No
-/// randomness is drawn; the RNG in the context exists only for [`RunCtx`]
-/// API uniformity.
+/// from the instance. No randomness is drawn; the RNG in the context
+/// exists only for [`RunCtx`] API uniformity.
 ///
 /// Emits one [`Event::WarmStart`] (reused/relocated split and the
 /// legalized seed value) before the refinement passes.
@@ -614,35 +613,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, PartitionError::Input(_)), "{err:?}");
-    }
-
-    #[test]
-    fn warm_result_is_identical_across_thread_budgets() {
-        let hg = chain(24);
-        let balance = even(&hg, 2, 0.1);
-        let mut fixed = FixedVertices::all_free(24);
-        for i in 0..6 {
-            fixed.fix(VertexId::from_index(i), PartId::from_index(i % 2));
-        }
-        let seed: Vec<PartId> = (0..24).map(|i| PartId::from_index(i % 2)).collect();
-        let run = |threads: usize| {
-            let mut rng = ChaCha8Rng::seed_from_u64(0);
-            refine_from_partition_ctx(
-                &hg,
-                &fixed,
-                &balance,
-                &seed,
-                Objective::Cut,
-                8,
-                RunCtx::new(&mut rng).with_threads(threads),
-            )
-            .unwrap()
-        };
-        let base = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(run(threads), base, "{threads} threads changed the answer");
-        }
-        let pt = Partitioning::from_parts(&hg, 2, base.result.parts.clone()).unwrap();
-        assert!(validate_partitioning(&hg, &pt, &balance, &fixed).is_valid());
     }
 }

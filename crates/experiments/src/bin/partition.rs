@@ -23,10 +23,11 @@
 //! resource separated by `,`), and `--objective km1` switches the engines
 //! from the cut to the connectivity (λ−1) metric.
 //!
-//! Starts run on `--threads` OS threads (default: the machine's available
-//! parallelism) with deterministic per-start seeding. With a single start
-//! the budget goes to the engine's coarsening instead. Either way no
-//! answer depends on `--threads`: it only changes speed. `--trace` streams
+//! `--threads N` spreads the starts over at most `N` worker threads
+//! (default: the machine's available parallelism), capped at the number
+//! of cores; each start runs on one thread with deterministic per-start
+//! seeding, so no answer depends on `--threads`: it only changes speed.
+//! A single start runs on one thread whatever `N` is. `--trace` streams
 //! the engine events of every start, then the start summaries and the
 //! quality phase, into one JSONL file. A traced run keeps its starts on
 //! one worker, so the file is one deterministic interleaving, and it
@@ -69,8 +70,9 @@ struct Args {
     /// guideline via `vlsi_partition::policy`).
     starts: Option<usize>,
     seed: u64,
-    /// OS threads for the multistart driver; `--trace` forces 1 (the
-    /// traced run must be a single deterministic event interleaving).
+    /// Most worker threads the starts spread over (capped at the number
+    /// of cores); `--trace` forces 1 (the traced run must be a single
+    /// deterministic event interleaving).
     threads: usize,
     engine: EngineConfig,
     /// Iterated-multilevel V-cycles applied to the best start.

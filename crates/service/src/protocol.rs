@@ -110,7 +110,8 @@ pub struct JobRequest {
     pub tolerance: f64,
     /// Independent multistart attempts (≥ 1).
     pub starts: usize,
-    /// Worker threads for the multistart driver (≥ 1).
+    /// Most worker threads for the multistart driver (≥ 1); a job uses at
+    /// most `min(threads, starts, cores)`.
     pub threads: usize,
     /// Base RNG seed; start `i` uses `seed + i`.
     pub seed: u64,

@@ -37,18 +37,22 @@ cargo test -q --offline -p fixed-vertices-repro --test doc_links
 cargo test -q --offline -p vlsi-service --test protocol_doc
 
 # Golden output digests: every public way to run an engine, on one small
-# netlist with ~10% fixed vertices at 1 and 2 threads, folded into FNV-1a
-# digests of the partition, the value and the trace stream (one digest
-# per case, which both budgets must produce). A change that claims to
+# netlist with ~10% fixed vertices, folded into FNV-1a digests of the
+# partition, the value and the trace stream (one digest per case;
+# Multistart::run_parallel, the one path a thread count reaches, must
+# produce its digest on one and on two workers). A change that claims to
 # leave outputs alone must leave every digest alone; one that changes
 # partitions on purpose re-records the table and says why.
 echo "==> golden output digests"
 cargo test -q --offline -p fixed-vertices-repro --test golden_digests
 
-# Thread-count invariance: every registry engine, rb/kway at k=4 under cut
-# and km1, KwayRefiner and the warm start on an ~8900-vertex netlist must
-# return the same parts, value and trace at 1, 2 and 4 threads, with and
-# without an armed cancel token (about 40 s in a debug build).
+# Thread-count invariance: a thread count reaches only the start workers of
+# Multistart::run_parallel. On an ~8900-vertex netlist, every registry
+# engine at k=2 and rb/kway at k=4 under cut and km1 must return the same
+# best answer, per-start cuts and top list from 2 starts on 1, 2 and 4
+# workers and with an armed cancel token; KwayRefiner and the warm start
+# must return the same parts, value and trace with and without an armed
+# token (about 40 s in a debug build).
 echo "==> thread-count invariance"
 cargo test -q --offline -p fixed-vertices-repro --test determinism \
     no_answer_depends_on_the_thread_count
@@ -179,13 +183,11 @@ fi
 # Perf smoke gate: run the perf-regression suite with a small sample count
 # and fail on a >15% median regression against the checked-in baseline.
 # The suite writes results/bench/BENCH_partition.json (the CI artifact) and
-# prints the speedup of the parallelized phases at the widest measured
-# thread count within the CI machine's available_parallelism. That machine
-# has 2 cores: the t2 slices are real two-thread runs, and the
+# prints the V-cycle group's t1/t4 speedup: its two starts spread over
+# min(4, 2, cores) workers, the only place a thread count reaches. Every
+# other group runs one engine on one thread (a t1 slice only). The
 # coarsen_once, flat_fm, multilevel, vcycle and scale/partition baseline
-# entries were re-recorded on it. The t4/t8 coarsening and multilevel
-# slices oversubscribe it and only guard per-call fork overhead; flat_fm
-# and the k-way refinement groups have a t1 slice only. Skip with
+# entries were recorded on a 2-core machine. Skip with
 # PERF_SMOKE=0 (e.g. on heavily-loaded builders where wall-clock medians
 # are meaningless). The
 # suite's million-cell scale/ group (single-shot ~30 s partition plus a

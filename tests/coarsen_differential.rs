@@ -7,7 +7,7 @@
 //! sorting their spans on whole pin slices. The properties drive both
 //! implementations over random instances and require equal [`Level`]s —
 //! cluster map, coarse nets in order with their weights, vertex weight
-//! vectors and fixities — at 1, 2 and 4 threads.
+//! vectors and fixities.
 //!
 //! The corpus covers what makes matching subtle: zero-weight nets (`.hgr`
 //! fmt 1 accepts weight 0, and a candidate seen only through them scores
@@ -15,8 +15,9 @@
 //! `max_net_size_for_matching`, `FixedAny` vertices, multi-resource caps,
 //! fixed-part budgets and the `same_part` restriction the V-cycles use.
 //! Chains of levels exercise coarse nets that already carry merged
-//! weights, and larger instances push the contraction's normalize pass
-//! onto more than one thread.
+//! weights, and larger instances (about 2,000 vertices) run those chains
+//! at a size where the matching sees long candidate lists and the
+//! contraction merges many parallel nets.
 
 use vlsi_rng::{ChaCha8Rng, Rng, SeedableRng};
 use vlsi_testkit::gen::{instances, InstanceConfig, RawInstance};
@@ -29,7 +30,7 @@ use fixed_vertices_repro::vlsi_partition::multilevel::{
     coarsen_once, contract_clusters, CoarsenParams, Level,
 };
 
-/// Ports of the earlier matching and contraction kernels, single-threaded.
+/// Ports of the earlier matching and contraction kernels.
 mod reference {
     use std::collections::HashMap;
 
@@ -440,24 +441,18 @@ fn chain(
     levels
 }
 
-/// Requires the kernels under test, at 1, 2 and 4 threads, to build the
-/// same chain of levels as the reference, stalling at the same depth.
+/// Requires the kernels under test to build the same chain of levels as
+/// the reference, stalling at the same depth.
 fn check_chain(hg: &Hypergraph, fx: &FixedVertices, k: &Knobs, seed: u64, max_levels: usize) {
     let want = chain(hg, fx, k, seed, max_levels, |h, f, same_part, rng| {
         reference::coarsen_once(h, f, &k.params, k.min_shrink, same_part, rng)
     });
-    for threads in [1, 2, 4] {
-        let params = CoarsenParams {
-            threads,
-            ..k.params.clone()
-        };
-        let got = chain(hg, fx, k, seed, max_levels, |h, f, same_part, rng| {
-            coarsen_once(h, f, &params, k.min_shrink, same_part, rng)
-        });
-        assert_eq!(got.len(), want.len(), "{threads} threads: chain length");
-        for (depth, (got, want)) in got.iter().zip(&want).enumerate() {
-            assert_same_level(got, want, &format!("{threads} threads, level {depth}"));
-        }
+    let got = chain(hg, fx, k, seed, max_levels, |h, f, same_part, rng| {
+        coarsen_once(h, f, &k.params, k.min_shrink, same_part, rng)
+    });
+    assert_eq!(got.len(), want.len(), "chain length");
+    for (depth, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_same_level(got, want, &format!("level {depth}"));
     }
 }
 
@@ -477,8 +472,7 @@ fn small_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     }
 }
 
-/// Instances with enough nets (over 2 × 1024) for the contraction's
-/// normalize pass to shard across threads.
+/// Instances of 1,500–2,500 vertices with at least two nets per vertex.
 fn large_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     let gen = instances(InstanceConfig {
         vertices: 1500..2500,
@@ -512,7 +506,7 @@ prop_test! {
     }
 
     #[cases(6)]
-    fn sharded_contraction_matches_reference_kernels(case in large_cases()) {
+    fn coarsen_chain_matches_reference_kernels_on_large_instances(case in large_cases()) {
         let (inst, knob) = case;
         let (hg, fx) = build(&inst, knob);
         let k = knobs(&inst, &hg, &fx, knob);
@@ -545,9 +539,7 @@ prop_test! {
             })
             .collect();
         let want = reference::contract_clusters(&hg, &fx, cluster_of.clone(), num_clusters as usize);
-        for threads in [1, 2, 4] {
-            let got = contract_clusters(&hg, &fx, cluster_of.clone(), num_clusters as usize, threads);
-            assert_same_level(&got, &want, &format!("{threads} threads"));
-        }
+        let got = contract_clusters(&hg, &fx, cluster_of, num_clusters as usize);
+        assert_same_level(&got, &want, "contraction");
     }
 }

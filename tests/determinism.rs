@@ -147,49 +147,9 @@ fn multistart_parallel_is_thread_count_invariant() {
     }
 }
 
-#[test]
-fn parallel_multilevel_is_byte_identical_across_thread_counts() {
-    // The engine-internal parallelism (net contraction on worker threads)
-    // is required to compute exactly what the sequential code computes —
-    // not merely an equally good cut.
-    // One run per thread count, all compared byte-for-byte against the
-    // single-threaded partition vector.
-    use fixed_vertices_repro::vlsi_partition::{Partitioner, RunCtx};
-
-    let circuit = ibm01_like_scaled(0.06, 5);
-    let hg = &circuit.hypergraph;
-    let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.02));
-    let mut fixed = FixedVertices::all_free(hg.num_vertices());
-    for i in 0..hg.num_vertices() / 15 {
-        fixed.fix(VertexId((i * 5) as u32), PartId((i % 2) as u32));
-    }
-
-    let run = |threads: usize| {
-        let ml = MultilevelPartitioner::new(MultilevelConfig {
-            coarsest_size: 40,
-            coarse_starts: 2,
-            threads,
-            ..MultilevelConfig::default()
-        });
-        let mut rng = ChaCha8Rng::seed_from_u64(1999);
-        ml.partition_ctx(hg, &fixed, &balance, RunCtx::new(&mut rng))
-            .expect("ml runs")
-    };
-
-    let base = run(1);
-    for threads in [2, 4, 8] {
-        let r = run(threads);
-        assert_eq!(
-            r.parts, base.parts,
-            "{threads} internal threads changed the partition vector"
-        );
-        assert_eq!(r.cut, base.cut);
-    }
-}
-
 /// The `ibm01_like_scaled(0.7, 11)` netlist (~8900 vertices) with every
 /// 17th vertex fixed round-robin over `k` parts, under an even 10% balance.
-fn thread_budget_fixture(
+fn invariance_fixture(
     k: usize,
 ) -> (
     fixed_vertices_repro::vlsi_hypergraph::Hypergraph,
@@ -207,27 +167,24 @@ fn thread_budget_fixture(
 
 #[test]
 fn no_answer_depends_on_the_thread_count() {
-    // The thread budget only changes speed: every registry engine at
-    // k = 2, `rb` and `kway` at k = 4 under cut and km1, `KwayRefiner` and
-    // the warm start must return the same parts, value and trace at 1, 2
-    // and 4 threads, with and without an armed (never fired) cancel token.
+    // A thread count reaches only `Multistart::run_parallel`, which spreads
+    // the starts over its workers. Every registry engine at k = 2 and `rb`
+    // and `kway` at k = 4 under cut and km1 must return the same best
+    // answer, per-start cuts and top list on 1, 2 and 4 workers, and with
+    // an armed (never fired) cancel token. `KwayRefiner` and the warm
+    // start take no thread count; an armed token must leave their parts,
+    // value and trace alone.
     use fixed_vertices_repro::vlsi_hypergraph::Objective;
-    use fixed_vertices_repro::vlsi_partition::trace::VecSink;
+    use fixed_vertices_repro::vlsi_partition::trace::{NullSink, VecSink};
     use fixed_vertices_repro::vlsi_partition::{
-        random_initial, refine_from_partition_ctx, CancelToken, EngineConfig, KwayRefiner,
-        Partitioner, Refiner, ENGINES,
+        refine_from_partition_ctx, CancelToken, EngineConfig, KwayRefiner, Refiner, ENGINES,
     };
 
-    enum Case {
-        Engine(EngineConfig),
-        Refiner,
-        WarmStart,
-    }
-    let mut cases: Vec<(String, usize, Case)> = ENGINES
+    let mut engines: Vec<(String, usize, EngineConfig)> = ENGINES
         .iter()
         .map(|info| {
             let engine = EngineConfig::by_name(info.name).expect("registered");
-            (format!("{}/k2", info.name), 2, Case::Engine(engine))
+            (format!("{}/k2", info.name), 2, engine)
         })
         .collect();
     for name in ["rb", "kway"] {
@@ -235,29 +192,44 @@ fn no_answer_depends_on_the_thread_count() {
             let engine = EngineConfig::by_name(name)
                 .expect("registered")
                 .with_objective(objective);
-            cases.push((format!("{name}/k4/{objective:?}"), 4, Case::Engine(engine)));
+            engines.push((format!("{name}/k4/{objective:?}"), 4, engine));
         }
     }
-    cases.push(("kway_refiner/k4".into(), 4, Case::Refiner));
-    cases.push(("warm_start/k4".into(), 4, Case::WarmStart));
 
     for k in [2, 4] {
-        let (hg, fixed, balance) = thread_budget_fixture(k);
-        let mut rng = ChaCha8Rng::seed_from_u64(4242);
-        let initial = random_initial(&hg, &fixed, &balance, k, &mut rng).expect("feasible fixture");
-        let run = |case: &Case, threads: usize, cancel: &CancelToken| {
+        let (hg, fixed, balance) = invariance_fixture(k);
+        for (name, _, engine) in engines.iter().filter(|e| e.1 == k) {
+            let run = |threads: usize, cancel: &CancelToken| {
+                let o = Multistart::new(2)
+                    .run_parallel(
+                        &hg, &fixed, &balance, threads, 9, engine, &NullSink, &NullSink, cancel,
+                    )
+                    .expect("engine runs");
+                let cuts: Vec<u64> = o.starts.iter().map(|s| s.cut).collect();
+                (o.best, cuts, o.top)
+            };
+            let base = run(1, &CancelToken::never());
+            for threads in [2, 4] {
+                assert!(
+                    run(threads, &CancelToken::never()) == base,
+                    "{name}: {threads} workers changed the answer"
+                );
+            }
+            assert!(
+                run(2, &CancelToken::new()) == base,
+                "{name}: an armed cancel token changed the answer"
+            );
+        }
+    }
+
+    let (hg, fixed, balance, initial) = kway_refinement_fixture();
+    for warm in [false, true] {
+        let run = |cancel: &CancelToken| {
             let sink = VecSink::new();
             let mut rng = ChaCha8Rng::seed_from_u64(9);
-            let ctx = RunCtx::new(&mut rng)
-                .with_sink(&sink)
-                .with_cancel(cancel)
-                .with_threads(threads);
-            let r = match case {
-                Case::Engine(engine) => engine.partition_ctx(&hg, &fixed, &balance, ctx),
-                Case::Refiner => {
-                    KwayRefiner::default().refine_ctx(&hg, &fixed, &balance, initial.clone(), ctx)
-                }
-                Case::WarmStart => refine_from_partition_ctx(
+            let ctx = RunCtx::new(&mut rng).with_sink(&sink).with_cancel(cancel);
+            let r = if warm {
+                refine_from_partition_ctx(
                     &hg,
                     &fixed,
                     &balance,
@@ -266,37 +238,28 @@ fn no_answer_depends_on_the_thread_count() {
                     4,
                     ctx,
                 )
-                .map(|o| o.result),
+                .map(|o| o.result)
+            } else {
+                KwayRefiner::default().refine_ctx(&hg, &fixed, &balance, initial.clone(), ctx)
             }
-            .expect("engine runs");
+            .expect("refinement runs");
             let trace: Vec<String> = sink.take().iter().map(|e| e.to_jsonl()).collect();
             (r.parts, r.cut, trace)
         };
-
-        for (name, _, case) in cases.iter().filter(|c| c.1 == k) {
-            let base = run(case, 1, &CancelToken::never());
-            for threads in [1, 2, 4] {
-                for armed in [false, true] {
-                    if threads == 1 && !armed {
-                        continue;
-                    }
-                    let token = if armed {
-                        CancelToken::new()
-                    } else {
-                        CancelToken::never()
-                    };
-                    assert!(
-                        run(case, threads, &token) == base,
-                        "{name}: {threads} threads (armed token: {armed}) changed the answer"
-                    );
-                }
+        assert!(
+            run(&CancelToken::new()) == run(&CancelToken::never()),
+            "{}: an armed cancel token changed the answer",
+            if warm {
+                "warm_start/k4"
+            } else {
+                "kway_refiner/k4"
             }
-        }
+        );
     }
 }
 
-/// The k = 4 thread-budget fixture with a seeded random start, for the
-/// k-way refinement tests below.
+/// The k = 4 invariance fixture with a seeded random start, for the k-way
+/// refinement tests.
 fn kway_refinement_fixture() -> (
     fixed_vertices_repro::vlsi_hypergraph::Hypergraph,
     FixedVertices,
@@ -305,72 +268,24 @@ fn kway_refinement_fixture() -> (
 ) {
     use fixed_vertices_repro::vlsi_partition::random_initial;
 
-    let (hg, fixed, balance) = thread_budget_fixture(4);
+    let (hg, fixed, balance) = invariance_fixture(4);
     let mut rng = ChaCha8Rng::seed_from_u64(4242);
     let initial = random_initial(&hg, &fixed, &balance, 4, &mut rng).expect("feasible fixture");
     (hg, fixed, balance, initial)
 }
 
 #[test]
-fn kway_round_refinement_is_byte_identical_across_thread_counts() {
-    // One `KwayRefiner` pass on a windowed instance is the synchronous-round
-    // pass. Its proposals are pure reads of frozen state and the merge order
-    // is a strict total order, so 1, 2, 4 and 8 threads must produce the
-    // byte-identical assignment and trace.
-    use fixed_vertices_repro::vlsi_hypergraph::Objective;
-    use fixed_vertices_repro::vlsi_partition::trace::{Event, VecSink};
-    use fixed_vertices_repro::vlsi_partition::{KwayRefiner, Refiner, RunCtx};
-
-    let (hg, fixed, balance, initial) = kway_refinement_fixture();
-    let refiner = KwayRefiner {
-        objective: Objective::Cut,
-        max_passes: 1,
-    };
-    let run = |threads: usize| {
-        let sink = VecSink::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(9); // unused by the refiner
-        let r = refiner
-            .refine_ctx(
-                &hg,
-                &fixed,
-                &balance,
-                initial.clone(),
-                RunCtx::new(&mut rng).with_sink(&sink).with_threads(threads),
-            )
-            .expect("round pass runs");
-        (r, sink.take())
-    };
-    let (base, events) = run(1);
-    assert!(base.cut > 0, "fixture should leave a non-trivial cut");
-    assert!(
-        events.iter().any(|e| matches!(e, Event::RoundStart { .. })),
-        "a 10% window admits single moves: the round pass must run"
-    );
-    let trace: Vec<String> = events.iter().map(|e| e.to_jsonl()).collect();
-    for threads in [2, 4, 8] {
-        let (r, events) = run(threads);
-        assert_eq!(
-            r.parts, base.parts,
-            "{threads} threads changed the round pass's assignment"
-        );
-        assert_eq!(r.cut, base.cut, "{threads} threads changed the cut");
-        let other: Vec<String> = events.iter().map(|e| e.to_jsonl()).collect();
-        assert!(other == trace, "{threads} threads changed the trace");
-    }
-}
-
-#[test]
 fn kway_round_refinement_ignores_an_armed_cancel_token() {
     // An armed-but-unfired CancelToken is only ever *polled* by the round
-    // pass, so its presence must not perturb the result at any thread
-    // count; a token fired before the run must return the input unchanged
-    // (best-so-far semantics with zero rounds run).
+    // pass, so its presence must not perturb the result; a token fired
+    // before the run must return the input unchanged (best-so-far
+    // semantics with zero rounds run).
     use fixed_vertices_repro::vlsi_hypergraph::{CutState, Objective};
-    use fixed_vertices_repro::vlsi_partition::{CancelToken, KwayRefiner, Refiner, RunCtx};
+    use fixed_vertices_repro::vlsi_partition::{CancelToken, KwayRefiner, Refiner};
 
     let (hg, fixed, balance, initial) = kway_refinement_fixture();
     let refiner = KwayRefiner::default();
-    let run = |threads: usize, cancel: &CancelToken| {
+    let run = |cancel: &CancelToken| {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         refiner
             .refine_ctx(
@@ -378,35 +293,24 @@ fn kway_round_refinement_ignores_an_armed_cancel_token() {
                 &fixed,
                 &balance,
                 initial.clone(),
-                RunCtx::new(&mut rng)
-                    .with_threads(threads)
-                    .with_cancel(cancel),
+                RunCtx::new(&mut rng).with_cancel(cancel),
             )
             .expect("refiner runs")
     };
 
-    let base = run(4, &CancelToken::never());
-    for threads in [2, 4, 8] {
-        let armed = CancelToken::new();
-        let r = run(threads, &armed);
-        assert_eq!(
-            r.parts, base.parts,
-            "an armed token perturbed the result at {threads} threads"
-        );
-        assert_eq!(r.cut, base.cut);
-    }
+    let base = run(&CancelToken::never());
+    let r = run(&CancelToken::new());
+    assert_eq!(r.parts, base.parts, "an armed token perturbed the result");
+    assert_eq!(r.cut, base.cut);
 
-    let before = CutState::new(&hg, 4, &initial).value(Objective::Cut);
-    for threads in [1, 2, 8] {
-        let fired = CancelToken::new();
-        fired.cancel();
-        let r = run(threads, &fired);
-        assert_eq!(
-            r.parts, initial,
-            "a pre-fired token must return the input unchanged ({threads} threads)"
-        );
-        assert_eq!(r.cut, before);
-    }
+    let fired = CancelToken::new();
+    fired.cancel();
+    let r = run(&fired);
+    assert_eq!(
+        r.parts, initial,
+        "a pre-fired token must return the input unchanged"
+    );
+    assert_eq!(r.cut, CutState::new(&hg, 4, &initial).value(Objective::Cut));
 }
 
 /// A fixed-vertex bisection instance for the V-cycle invariant tests.

@@ -1,8 +1,10 @@
 //! Golden digests: fixed-seed outputs pinned across commits.
 //!
 //! Every public way to run an engine is driven on one small netlist with
-//! about 10% of its vertices fixed, at one and at two worker threads, and
-//! its output is folded into two 64-bit FNV-1a digests. [`GOLDEN`] covers
+//! about 10% of its vertices fixed, and its output is folded into two
+//! 64-bit FNV-1a digests. `Multistart::run_parallel`, the one entry point a
+//! thread count reaches, runs with its starts on one and on two workers,
+//! and both runs must produce the recorded digest. [`GOLDEN`] covers
 //! the partition vector, the reported value, and every trace event's JSONL
 //! line (with the wall-clock `StartFinished.micros` zeroed). [`ANSWERS`]
 //! covers the same without the `move` events, and with each `pass_end`
@@ -26,8 +28,8 @@ use fixed_vertices_repro::vlsi_partition::{
 };
 use vlsi_rng::{ChaCha8Rng, SeedableRng};
 
-/// Recorded digests, one per case. No answer depends on the thread count,
-/// so each case must produce its digest at both budgets.
+/// Recorded digests, one per case. No answer depends on the worker count,
+/// so `multistart/run_parallel` must produce its digest at both.
 const GOLDEN: &[(&str, u64)] = &[
     ("fm/k2", 0x57c877fa53fc5534),
     ("ml/k2", 0xbdc85dbb0b4ce7ce),
@@ -173,61 +175,64 @@ fn round_robin_seed(inst: &Instance) -> Vec<PartId> {
         .collect()
 }
 
-fn engine_case(inst: &Instance, engine: &EngineConfig, threads: usize) -> (u64, u64) {
+fn engine_case(inst: &Instance, engine: &EngineConfig) -> (u64, u64) {
     let sink = VecSink::new();
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    let ctx = RunCtx::new(&mut rng).with_sink(&sink).with_threads(threads);
+    let ctx = RunCtx::new(&mut rng).with_sink(&sink);
     match engine.partition_ctx(&inst.hg, &inst.fixed, &inst.balance, ctx) {
         Ok(r) => result_digest(&r, &sink),
         Err(e) => panic!("{} failed: {e}", engine.name()),
     }
 }
 
-/// Every case's name, thread budget, full digest and answer digest.
+/// The worker counts a case runs at: only `run_parallel` takes one.
+fn workers(name: &str) -> &'static [usize] {
+    if name == "multistart/run_parallel" {
+        &[1, 2]
+    } else {
+        &[1]
+    }
+}
+
+/// Every case's name, worker count, full digest and answer digest.
 fn compute() -> Vec<(String, usize, (u64, u64))> {
     let bi = instance(2);
     let quad = instance(4);
     let ml = EngineConfig::Multilevel(MultilevelConfig::default());
     let never = CancelToken::never();
     let mut out = Vec::new();
-    for threads in [1usize, 2] {
-        let mut push = |name: String, d: (u64, u64)| out.push((name, threads, d));
+    let mut push = |name: String, d: (u64, u64)| out.push((name, 1, d));
 
-        for info in ENGINES {
-            let engine = EngineConfig::by_name(info.name).unwrap();
-            push(
-                format!("{}/k2", info.name),
-                engine_case(&bi, &engine, threads),
-            );
-        }
-        for name in ["rb", "kway"] {
-            let engine = EngineConfig::by_name(name).unwrap();
-            push(format!("{name}/k4"), engine_case(&quad, &engine, threads));
-        }
-        for name in ["rb", "kway"] {
-            let engine = EngineConfig::by_name(name)
-                .unwrap()
-                .with_objective(Objective::KMinus1);
-            push(
-                format!("{name}/k4/km1"),
-                engine_case(&quad, &engine, threads),
-            );
-        }
+    for info in ENGINES {
+        let engine = EngineConfig::by_name(info.name).unwrap();
+        push(format!("{}/k2", info.name), engine_case(&bi, &engine));
+    }
+    for name in ["rb", "kway"] {
+        let engine = EngineConfig::by_name(name).unwrap();
+        push(format!("{name}/k4"), engine_case(&quad, &engine));
+    }
+    for name in ["rb", "kway"] {
+        let engine = EngineConfig::by_name(name)
+            .unwrap()
+            .with_objective(Objective::KMinus1);
+        push(format!("{name}/k4/km1"), engine_case(&quad, &engine));
+    }
 
-        let quality = Multistart::new(4).vcycles(2).ensemble(true);
-        let sink = VecSink::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-        let o = quality
-            .run(
-                &bi.hg,
-                &bi.fixed,
-                &bi.balance,
-                &ml,
-                RunCtx::new(&mut rng).with_sink(&sink).with_threads(threads),
-            )
-            .unwrap();
-        push("multistart/run".into(), result_digest(&o.best, &sink));
+    let quality = Multistart::new(4).vcycles(2).ensemble(true);
+    let sink = VecSink::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let o = quality
+        .run(
+            &bi.hg,
+            &bi.fixed,
+            &bi.balance,
+            &ml,
+            RunCtx::new(&mut rng).with_sink(&sink),
+        )
+        .unwrap();
+    push("multistart/run".into(), result_digest(&o.best, &sink));
 
+    for &threads in workers("multistart/run_parallel") {
         let sink = VecSink::new();
         let o = quality
             .run_parallel(
@@ -242,81 +247,83 @@ fn compute() -> Vec<(String, usize, (u64, u64))> {
                 &never,
             )
             .unwrap();
-        push(
+        out.push((
             "multistart/run_parallel".into(),
+            threads,
             result_digest(&o.best, &sink),
-        );
-
-        let sink = VecSink::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-        let o = Multistart::new(1)
-            .vcycles(1)
-            .run(
-                &bi.hg,
-                &bi.fixed,
-                &bi.balance,
-                &ml,
-                RunCtx::new(&mut rng).with_sink(&sink).with_threads(threads),
-            )
-            .unwrap();
-        push("multistart/ml_vcycle".into(), result_digest(&o.best, &sink));
-
-        for (inst, objective, label) in [
-            (&bi, Objective::Cut, "k2"),
-            (&quad, Objective::KMinus1, "k4/km1"),
-        ] {
-            let sink = VecSink::new();
-            let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-            let o = refine_from_partition_ctx(
-                &inst.hg,
-                &inst.fixed,
-                &inst.balance,
-                &round_robin_seed(inst),
-                objective,
-                4,
-                RunCtx::new(&mut rng).with_sink(&sink).with_threads(threads),
-            )
-            .unwrap();
-            push(
-                format!("warmstart/{label}"),
-                result_digest(&o.result, &sink),
-            );
-        }
-
-        let sink = VecSink::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-        let initial = EngineConfig::by_name("rb")
-            .unwrap()
-            .partition_ctx(&quad.hg, &quad.fixed, &quad.balance, RunCtx::new(&mut rng))
-            .unwrap();
-        let refiner = KwayRefiner {
-            objective: Objective::KMinus1,
-            max_passes: 4,
-        };
-        let r = refiner
-            .refine_ctx(
-                &quad.hg,
-                &quad.fixed,
-                &quad.balance,
-                initial.parts,
-                RunCtx::new(&mut rng).with_sink(&sink).with_threads(threads),
-            )
-            .unwrap();
-        push("kway_refiner/k4/km1".into(), result_digest(&r, &sink));
+        ));
     }
+    let mut push = |name: String, d: (u64, u64)| out.push((name, 1, d));
+
+    let sink = VecSink::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let o = Multistart::new(1)
+        .vcycles(1)
+        .run(
+            &bi.hg,
+            &bi.fixed,
+            &bi.balance,
+            &ml,
+            RunCtx::new(&mut rng).with_sink(&sink),
+        )
+        .unwrap();
+    push("multistart/ml_vcycle".into(), result_digest(&o.best, &sink));
+
+    for (inst, objective, label) in [
+        (&bi, Objective::Cut, "k2"),
+        (&quad, Objective::KMinus1, "k4/km1"),
+    ] {
+        let sink = VecSink::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+        let o = refine_from_partition_ctx(
+            &inst.hg,
+            &inst.fixed,
+            &inst.balance,
+            &round_robin_seed(inst),
+            objective,
+            4,
+            RunCtx::new(&mut rng).with_sink(&sink),
+        )
+        .unwrap();
+        push(
+            format!("warmstart/{label}"),
+            result_digest(&o.result, &sink),
+        );
+    }
+
+    let sink = VecSink::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let initial = EngineConfig::by_name("rb")
+        .unwrap()
+        .partition_ctx(&quad.hg, &quad.fixed, &quad.balance, RunCtx::new(&mut rng))
+        .unwrap();
+    let refiner = KwayRefiner {
+        objective: Objective::KMinus1,
+        max_passes: 4,
+    };
+    let r = refiner
+        .refine_ctx(
+            &quad.hg,
+            &quad.fixed,
+            &quad.balance,
+            initial.parts,
+            RunCtx::new(&mut rng).with_sink(&sink),
+        )
+        .unwrap();
+    push("kway_refiner/k4/km1".into(), result_digest(&r, &sink));
     out
 }
 
 #[test]
 fn fixed_seed_outputs_match_the_recorded_digests() {
     let actual = compute();
-    let expected: Vec<(String, usize, (u64, u64))> = [1, 2]
-        .into_iter()
-        .flat_map(|t| {
-            GOLDEN
+    let expected: Vec<(String, usize, (u64, u64))> = GOLDEN
+        .iter()
+        .zip(ANSWERS)
+        .flat_map(|(&(name, full), &(_, answer))| {
+            workers(name)
                 .iter()
-                .zip(ANSWERS)
-                .map(move |(&(name, full), &(_, answer))| (name.to_string(), t, (full, answer)))
+                .map(move |&t| (name.to_string(), t, (full, answer)))
         })
         .collect();
     if actual != expected {
@@ -326,11 +333,11 @@ fn fixed_seed_outputs_match_the_recorded_digests() {
             let want = expected.iter().find(|(n, et, _)| n == name && et == t);
             if let Some((_, _, (want_full, want_answer))) = want {
                 if full != want_full {
-                    changed.push_str(&format!("  {name} at {t} threads: GOLDEN {full:#018x}\n"));
+                    changed.push_str(&format!("  {name} at {t} workers: GOLDEN {full:#018x}\n"));
                 }
                 if answer != want_answer {
                     changed.push_str(&format!(
-                        "  {name} at {t} threads: ANSWERS {answer:#018x}\n"
+                        "  {name} at {t} workers: ANSWERS {answer:#018x}\n"
                     ));
                 }
             }
@@ -340,7 +347,7 @@ fn fixed_seed_outputs_match_the_recorded_digests() {
             }
         }
         panic!(
-            "golden digests differ:\n{changed}recomputed tables at one thread:\n\
+            "golden digests differ:\n{changed}recomputed tables at one worker:\n\
              GOLDEN:\n{golden}ANSWERS:\n{answers}"
         );
     }

@@ -7,11 +7,10 @@
 //!   λ parts contributes `w` to the cut and `w·(λ−1) ≥ w` to km1).
 //! * **Differential** — a single-resource instance pushed through the
 //!   multi-resource side-table (`apply_multi_areas` at arity 1) must be
-//!   byte-identical to the plain scalar instance for every engine and
-//!   every thread count: the vector path is a strict superset, never a
-//!   fork, of the scalar code.
-//! * **Determinism** — the capacity-constrained km1 path returns one
-//!   answer at every thread count: 1, 2, 4 and 8 threads agree.
+//!   byte-identical to the plain scalar instance for every engine: the
+//!   vector path is a strict superset, never a fork, of the scalar code.
+//! * **Determinism** — the capacity-constrained km1 path replays its
+//!   answer byte for byte.
 
 use vlsi_rng::{ChaCha8Rng, Rng, RngCore, SeedableRng};
 use vlsi_testkit::gen::{distinct_sorted, RawInstance};
@@ -109,7 +108,7 @@ prop_test! {
 
 /// Pushing a scalar instance through the multi-resource side-table at
 /// arity 1 must not perturb any engine: identical parts and identical
-/// value at every thread count.
+/// value.
 #[test]
 fn arity_one_vector_path_is_byte_identical_to_scalar() {
     let circuit = ibm01_like_scaled(0.04, 23);
@@ -130,34 +129,24 @@ fn arity_one_vector_path_is_byte_identical_to_scalar() {
             BalanceConstraint::even(k, scalar.total_weights(), Tolerance::Relative(0.1))
         };
         let engine = EngineConfig::by_name(engine_name).expect("registered engine");
-        for threads in [1usize, 2, 4, 8] {
-            let run = |hg: &Hypergraph| {
-                let mut rng = ChaCha8Rng::seed_from_u64(5);
-                engine
-                    .partition_ctx(
-                        hg,
-                        &fixed,
-                        &balance,
-                        RunCtx::new(&mut rng).with_threads(threads),
-                    )
-                    .expect("engine runs")
-            };
-            let a = run(scalar);
-            let b = run(&vector);
-            assert_eq!(
-                a.parts, b.parts,
-                "{engine_name} at {threads} threads: arity-1 vector path diverged from scalar"
-            );
-            assert_eq!(
-                a.cut, b.cut,
-                "{engine_name} at {threads} threads: value diverged"
-            );
-        }
+        let run = |hg: &Hypergraph| {
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            engine
+                .partition_ctx(hg, &fixed, &balance, RunCtx::new(&mut rng))
+                .expect("engine runs")
+        };
+        let a = run(scalar);
+        let b = run(&vector);
+        assert_eq!(
+            a.parts, b.parts,
+            "{engine_name}: arity-1 vector path diverged from scalar"
+        );
+        assert_eq!(a.cut, b.cut, "{engine_name}: value diverged");
     }
 }
 
 /// Determinism for the capacity-constrained km1 path: the answer replays
-/// byte-identically and is the same at 1, 2, 4 and 8 threads.
+/// byte-identically.
 #[test]
 fn constrained_km1_keeps_two_regime_determinism() {
     const K: usize = 4;
@@ -188,28 +177,17 @@ fn constrained_km1_keeps_two_regime_determinism() {
     let engine = EngineConfig::by_name("kway")
         .expect("kway is registered")
         .with_objective(Objective::KMinus1);
-    let run = |threads: usize| {
+    let run = || {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         engine
-            .partition_ctx(
-                &hg,
-                &fixed,
-                &balance,
-                RunCtx::new(&mut rng).with_threads(threads),
-            )
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
             .expect("constrained engine runs")
     };
 
-    let base = run(1);
-    assert_eq!(base.parts, run(1).parts, "the answer must replay");
-    for threads in [2usize, 4, 8] {
-        let r = run(threads);
-        assert_eq!(
-            base.parts, r.parts,
-            "{threads} workers changed the constrained km1 assignment"
-        );
-        assert_eq!(base.cut, r.cut);
-    }
+    let base = run();
+    let again = run();
+    assert_eq!(base.parts, again.parts, "the answer must replay");
+    assert_eq!(base.cut, again.cut);
 
     // The answer is legal under the capacity balance and reports km1.
     let mut loads = [0u64; K * DIMS];
