@@ -105,11 +105,7 @@ fn rb_recurse<R: Rng + ?Sized, S: Sink>(
     let mid = lo + (hi - lo).div_ceil(2);
 
     // Extract the sub-instance over the active vertices.
-    let mut in_active = vec![false; hg.num_vertices()];
-    for &v in active {
-        in_active[v.index()] = true;
-    }
-    let sub = induced_subgraph(hg, 2, |v| in_active[v.index()]);
+    let sub = induced_subgraph(hg, active, |_| None);
 
     // Project fixities onto the two sides of this bisection.
     let side_of = |p: PartId| -> Option<PartId> {

@@ -43,15 +43,9 @@ pub fn collect_bisection_profile(
     config: &PlacerConfig,
     seed: u64,
 ) -> Result<Vec<(usize, usize)>, PartitionError> {
-    let placer = TopDownPlacer::new(config.clone());
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let placement = placer.place_circuit(circuit, &mut rng)?;
-    // The `Placement` aggregates totals; per-instance data comes from the
-    // per-bisection callback below.
-    let _ = placement;
-    let placer = TopDownPlacer::new(config.clone());
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    placer.place_circuit_profiled(circuit, &mut rng)
+    let placement = TopDownPlacer::new(config.clone()).place_circuit(circuit, &mut rng)?;
+    Ok(placement.bisections)
 }
 
 /// Buckets a bisection profile by movable count (powers of two) and

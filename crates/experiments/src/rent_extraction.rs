@@ -13,7 +13,7 @@ use vlsi_rng::ChaCha8Rng;
 use vlsi_rng::SeedableRng;
 
 use vlsi_hypergraph::{
-    induced_subgraph, BalanceConstraint, FixedVertices, Hypergraph, PartId, Tolerance, VertexId,
+    induced_subgraph, BalanceConstraint, Hypergraph, NetId, PartId, Tolerance, VertexId,
 };
 use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError, RunCtx};
 
@@ -54,17 +54,20 @@ fn recurse(
     samples: &mut Vec<RentSample>,
 ) -> Result<(), PartitionError> {
     if block.len() < hg.num_vertices() {
-        // Count nets crossing the block boundary.
-        let mut inside = vec![false; hg.num_vertices()];
-        for &v in block {
-            inside[v.index()] = true;
-        }
-        let external = hg
-            .nets()
-            .filter(|&n| {
-                let pins = hg.net_pins(n);
-                let ins = pins.iter().filter(|p| inside[p.index()]).count();
-                ins > 0 && ins < pins.len()
+        // Count the block's nets with a pin outside it.
+        let mut nets: Vec<NetId> = block
+            .iter()
+            .flat_map(|&v| hg.vertex_nets(v))
+            .copied()
+            .collect();
+        nets.sort_unstable();
+        nets.dedup();
+        let external = nets
+            .iter()
+            .filter(|&&n| {
+                hg.net_pins(n)
+                    .iter()
+                    .any(|p| block.binary_search(p).is_err())
             })
             .count();
         samples.push(RentSample {
@@ -76,11 +79,7 @@ fn recurse(
         return Ok(());
     }
 
-    let mut inside = vec![false; hg.num_vertices()];
-    for &v in block {
-        inside[v.index()] = true;
-    }
-    let sub = induced_subgraph(hg, 2, |v| inside[v.index()]);
+    let sub = induced_subgraph(hg, block, |_| None);
     if sub.hg.num_vertices() < 4 {
         return Ok(());
     }
@@ -93,9 +92,8 @@ fn recurse(
     let slack = ((sub.hg.total_weight() as f64) * 0.05) as u64;
     let balance =
         BalanceConstraint::bisection(sub.hg.total_weight(), Tolerance::Absolute(slack.max(wmax)));
-    let free = FixedVertices::all_free(sub.hg.num_vertices());
     let ml = MultilevelPartitioner::new(*ml_config);
-    let result = ml.run(&sub.hg, &free, &balance, RunCtx::new(&mut *rng))?;
+    let result = ml.run(&sub.hg, &sub.fixed, &balance, RunCtx::new(&mut *rng))?;
 
     let mut left = Vec::new();
     let mut right = Vec::new();

@@ -8,10 +8,8 @@
 //! hypergraph, fixed in the closest partition; adjacent cells not in the
 //! block similarly induce terminal vertices."
 
-use std::collections::HashMap;
-
 use vlsi_hypergraph::stats::InstanceStats;
-use vlsi_hypergraph::{FixedVertices, Hypergraph, HypergraphBuilder, PartId, VertexId};
+use vlsi_hypergraph::{induced_subgraph, FixedVertices, Hypergraph, PartId, VertexId};
 
 use crate::circuit::Circuit;
 use crate::geometry::{Cutline, Point, Rect};
@@ -79,77 +77,23 @@ pub fn extract_block(
     let locs = placement.unwrap_or(&circuit.placement);
     assert_eq!(locs.len(), hg.num_vertices(), "placement length");
 
-    // Movable vertices: cells inside the block.
-    let mut inside = vec![false; hg.num_vertices()];
-    let mut to_parent: Vec<VertexId> = Vec::new();
-    let mut new_id = vec![None::<VertexId>; hg.num_vertices()];
-    let mut builder = HypergraphBuilder::new();
-    for v in circuit.cells() {
-        if block.contains(locs[v.index()]) {
-            inside[v.index()] = true;
-            let nv = builder.add_vertex(hg.vertex_weight(v));
-            new_id[v.index()] = Some(nv);
-            to_parent.push(v);
-        }
-    }
-    if to_parent.is_empty() {
+    // Movable vertices: cells inside the block. Terminals: every other
+    // vertex on one of their nets, fixed on its side of the cutline.
+    let cells: Vec<VertexId> = circuit
+        .cells()
+        .filter(|v| block.contains(locs[v.index()]))
+        .collect();
+    if cells.is_empty() {
         return None;
     }
-    let num_cells = to_parent.len();
-
-    // Terminals: one per external entity adjacent to an inside cell.
-    let mut terminal_of: HashMap<u32, VertexId> = HashMap::new();
-    let mut terminal_fix: Vec<PartId> = Vec::new();
-    let mut nets: Vec<(u64, Vec<VertexId>)> = Vec::new();
-    for n in hg.nets() {
-        let pins = hg.net_pins(n);
-        if !pins.iter().any(|&p| inside[p.index()]) {
-            continue;
-        }
-        let mut new_pins: Vec<VertexId> = Vec::with_capacity(pins.len());
-        for &p in pins {
-            if inside[p.index()] {
-                new_pins.push(new_id[p.index()].expect("inside cells are mapped"));
-            } else {
-                let next_index = num_cells + terminal_of.len();
-                let t = *terminal_of.entry(p.0).or_insert_with(|| {
-                    terminal_fix.push(PartId(cutline.side(&block, locs[p.index()])));
-                    VertexId::from_index(next_index)
-                });
-                if !new_pins.contains(&t) {
-                    new_pins.push(t);
-                }
-            }
-        }
-        if new_pins.len() >= 2 {
-            nets.push((hg.net_weight(n), new_pins));
-        }
-    }
-
-    // Materialise terminal vertices (zero area) and record parents.
-    let mut terminals: Vec<(VertexId, u32)> = terminal_of.iter().map(|(&p, &t)| (t, p)).collect();
-    terminals.sort();
-    for &(_, parent) in &terminals {
-        builder.add_vertex(0);
-        to_parent.push(VertexId(parent));
-    }
-    for (w, pins) in nets {
-        builder
-            .add_net(w, pins)
-            .expect("extracted nets reference valid vertices");
-    }
-    let hypergraph = builder.build().expect("valid extracted hypergraph");
-
-    let mut fixed = FixedVertices::all_free(hypergraph.num_vertices());
-    for (i, &side) in terminal_fix.iter().enumerate() {
-        fixed.fix(VertexId::from_index(num_cells + i), side);
-    }
-
+    let sub = induced_subgraph(hg, &cells, |v| {
+        Some(PartId(cutline.side(&block, locs[v.index()])))
+    });
     Some(BlockInstance {
         name: name.to_string(),
-        hypergraph,
-        fixed,
-        to_parent,
+        hypergraph: sub.hg,
+        fixed: sub.fixed,
+        to_parent: sub.to_parent,
         block,
         cutline,
     })

@@ -3,12 +3,20 @@
 use vlsi_rng::Rng;
 
 use vlsi_hypergraph::{
-    BalanceConstraint, FixedVertices, Hypergraph, HypergraphBuilder, PartId, VertexId,
+    induced_subgraph, BalanceConstraint, Hypergraph, PartId, Tolerance, VertexId,
 };
-use vlsi_netgen::{Circuit, Point, Rect};
+use vlsi_netgen::{Circuit, Cutline, Point, Rect};
 use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError, RunCtx};
 
-/// Configuration of the top-down placer.
+/// Blocks with at most this many cells are placed directly (end case).
+const MIN_BLOCK_CELLS: usize = 8;
+
+/// Balance tolerance of each bisection (relative to the area split).
+const BALANCE_TOLERANCE: f64 = 0.1;
+
+/// Configuration of the top-down placer. Blocks of at most eight cells are
+/// placed directly; every larger block is bisected at a 10% balance
+/// tolerance, widened to admit its heaviest cell.
 ///
 /// # Example
 /// ```
@@ -18,10 +26,6 @@ use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError, Ru
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacerConfig {
-    /// Blocks with at most this many cells are placed directly (end case).
-    pub min_block_cells: usize,
-    /// Balance tolerance of each bisection (relative to the area split).
-    pub balance_tolerance: f64,
     /// Multilevel partitioner settings used for every bisection.
     pub ml_config: MultilevelConfig,
     /// Propagate terminals from outside each block (Dunlop–Kernighan).
@@ -33,38 +37,49 @@ pub struct PlacerConfig {
 impl Default for PlacerConfig {
     fn default() -> Self {
         PlacerConfig {
-            min_block_cells: 8,
-            balance_tolerance: 0.1,
             ml_config: MultilevelConfig::default(),
             terminal_propagation: true,
         }
     }
 }
 
-/// The result of placement: a position for every vertex, and counters about
-/// the partitioning instances the run generated.
+/// The result of placement: a position for every vertex, and the size of
+/// every partitioning instance the run generated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Position of every vertex (pads keep their input positions).
     pub positions: Vec<Point>,
-    /// Number of bisection instances solved.
-    pub num_bisections: usize,
-    /// Total number of fixed terminal vertices over all bisection instances
-    /// (they exist only when terminal propagation is on).
-    pub total_terminals: usize,
-    /// Total number of movable vertices over all bisection instances.
-    pub total_movables: usize,
+    /// `(movable, terminal)` vertex counts of every bisection instance, in
+    /// the order they were solved — the raw data for comparing the
+    /// placement hierarchy against Rent's-rule expectations (the paper's
+    /// Table I). Terminals exist only when terminal propagation is on.
+    pub bisections: Vec<(usize, usize)>,
 }
 
 impl Placement {
+    /// Number of bisection instances solved.
+    pub fn num_bisections(&self) -> usize {
+        self.bisections.len()
+    }
+
+    /// Total number of fixed terminal vertices over all bisection instances.
+    pub fn total_terminals(&self) -> usize {
+        self.bisections.iter().map(|&(_, t)| t).sum()
+    }
+
+    /// Total number of movable vertices over all bisection instances.
+    pub fn total_movables(&self) -> usize {
+        self.bisections.iter().map(|&(m, _)| m).sum()
+    }
+
     /// Average fraction of fixed vertices per bisection instance — directly
     /// comparable to the paper's Table I expectations.
     pub fn avg_fixed_fraction(&self) -> f64 {
-        let total = self.total_terminals + self.total_movables;
+        let total = self.total_terminals() + self.total_movables();
         if total == 0 {
             0.0
         } else {
-            self.total_terminals as f64 / total as f64
+            self.total_terminals() as f64 / total as f64
         }
     }
 }
@@ -104,34 +119,6 @@ impl TopDownPlacer {
         self.place(&circuit.hypergraph, &anchored, circuit.die, rng)
     }
 
-    /// Like [`TopDownPlacer::place_circuit`] but returns, for every
-    /// bisection instance the run generated, its `(movable, terminal)`
-    /// vertex counts — the raw data for comparing the placement hierarchy
-    /// against Rent's-rule expectations (the paper's Table I).
-    ///
-    /// # Errors
-    /// Propagates partitioning failures.
-    pub fn place_circuit_profiled<R: Rng + ?Sized>(
-        &self,
-        circuit: &Circuit,
-        rng: &mut R,
-    ) -> Result<Vec<(usize, usize)>, PartitionError> {
-        let anchored: Vec<Option<Point>> = circuit
-            .hypergraph
-            .vertices()
-            .map(|v| circuit.is_pad(v).then(|| circuit.location(v)))
-            .collect();
-        let mut profile = Vec::new();
-        self.place_impl(
-            &circuit.hypergraph,
-            &anchored,
-            circuit.die,
-            rng,
-            Some(&mut profile),
-        )?;
-        Ok(profile)
-    }
-
     /// Places a hypergraph inside `die`. `anchored[v] = Some(point)` pins
     /// vertex `v` (e.g. a pad) at a location; all other vertices are placed.
     ///
@@ -146,17 +133,6 @@ impl TopDownPlacer {
         anchored: &[Option<Point>],
         die: Rect,
         rng: &mut R,
-    ) -> Result<Placement, PartitionError> {
-        self.place_impl(hg, anchored, die, rng, None)
-    }
-
-    fn place_impl<R: Rng + ?Sized>(
-        &self,
-        hg: &Hypergraph,
-        anchored: &[Option<Point>],
-        die: Rect,
-        rng: &mut R,
-        mut profile: Option<&mut Vec<(usize, usize)>>,
     ) -> Result<Placement, PartitionError> {
         assert_eq!(anchored.len(), hg.num_vertices(), "anchored length");
         let cfg = &self.config;
@@ -179,99 +155,48 @@ impl TopDownPlacer {
         // terminal positions are equally accurate (Dunlop–Kernighan).
         let mut queue: std::collections::VecDeque<(Rect, Vec<VertexId>)> =
             std::collections::VecDeque::from([(die, movable)]);
-        let mut num_bisections = 0usize;
-        let mut total_terminals = 0usize;
-        let mut total_movables = 0usize;
+        let mut bisections = Vec::new();
 
         while let Some((rect, cells)) = queue.pop_front() {
-            if cells.len() <= cfg.min_block_cells {
+            if cells.len() <= MIN_BLOCK_CELLS {
                 place_end_case(&mut positions, &rect, &cells);
                 continue;
             }
-            let vertical = rect.width() >= rect.height();
-            let (r0, r1) = if vertical {
-                rect.split_vertical()
+            let (cutline, (r0, r1)) = if rect.width() >= rect.height() {
+                (Cutline::Vertical, rect.split_vertical())
             } else {
-                rect.split_horizontal()
+                (Cutline::Horizontal, rect.split_horizontal())
             };
 
-            // Build the bisection instance: block cells + propagated
-            // terminals from everything outside the block they connect to.
-            let mut in_block = vec![false; hg.num_vertices()];
-            for &v in &cells {
-                in_block[v.index()] = true;
-            }
-            let mut builder = HypergraphBuilder::new();
-            let mut sub_of = vec![None::<VertexId>; hg.num_vertices()];
-            for &v in &cells {
-                sub_of[v.index()] = Some(builder.add_vertex(hg.vertex_weight(v)));
-            }
-            let mut terminal_sides: Vec<PartId> = Vec::new();
-            let mut terminal_ids = std::collections::HashMap::<u32, VertexId>::new();
-            let mut nets: Vec<(u64, Vec<VertexId>)> = Vec::new();
-            for n in hg.nets() {
-                let pins = hg.net_pins(n);
-                if !pins.iter().any(|&p| in_block[p.index()]) {
-                    continue;
-                }
-                let mut new_pins = Vec::with_capacity(pins.len());
-                for &p in pins {
-                    if let Some(s) = sub_of[p.index()] {
-                        new_pins.push(s);
-                    } else if cfg.terminal_propagation {
-                        let next = cells.len() + terminal_ids.len();
-                        let t = *terminal_ids.entry(p.0).or_insert_with(|| {
-                            let pos = positions[p.index()];
-                            let side = if vertical {
-                                u32::from(pos.x >= (rect.x0 + rect.x1) / 2.0)
-                            } else {
-                                u32::from(pos.y >= (rect.y0 + rect.y1) / 2.0)
-                            };
-                            terminal_sides.push(PartId(side));
-                            VertexId::from_index(next)
-                        });
-                        if !new_pins.contains(&t) {
-                            new_pins.push(t);
-                        }
-                    }
-                }
-                if new_pins.len() >= 2 {
-                    nets.push((hg.net_weight(n), new_pins));
-                }
-            }
-            for _ in 0..terminal_ids.len() {
-                builder.add_vertex(0);
-            }
-            for (w, pins) in nets {
-                builder.add_net(w, pins).expect("valid bisection net");
-            }
-            let sub_hg = builder.build().expect("valid bisection instance");
-            let mut sub_fixed = FixedVertices::all_free(sub_hg.num_vertices());
-            for (i, &side) in terminal_sides.iter().enumerate() {
-                sub_fixed.fix(VertexId::from_index(cells.len() + i), side);
-            }
+            // The bisection instance: block cells + propagated terminals
+            // from everything outside the block they connect to, fixed on
+            // their side of the cutline.
+            let sub = induced_subgraph(hg, &cells, |v| {
+                cfg.terminal_propagation
+                    .then(|| PartId(cutline.side(&rect, positions[v.index()])))
+            });
 
             // The balance slack must admit the block's largest cell (blocks
             // deep in the hierarchy are often dominated by one macro); real
             // top-down placers shift the cutline in exactly this way.
-            let wmax = cells
-                .iter()
-                .map(|&v| hg.vertex_weight(v))
-                .max()
-                .unwrap_or(0);
-            let rel_slack = (sub_hg.total_weight() as f64 * cfg.balance_tolerance / 2.0) as u64;
-            let balance = BalanceConstraint::bisection(
-                sub_hg.total_weight(),
-                vlsi_hypergraph::Tolerance::Absolute(rel_slack.max(wmax)),
-            );
-            let result = ml.run(&sub_hg, &sub_fixed, &balance, RunCtx::new(&mut *rng))?;
-
-            num_bisections += 1;
-            total_terminals += terminal_sides.len();
-            total_movables += cells.len();
-            if let Some(profile) = profile.as_deref_mut() {
-                profile.push((cells.len(), terminal_sides.len()));
+            let (mut min, mut max) = (Vec::new(), Vec::new());
+            for (r, &total) in sub.hg.total_weights().iter().enumerate() {
+                let wmax = cells
+                    .iter()
+                    .map(|&v| hg.vertex_weights(v)[r])
+                    .max()
+                    .unwrap_or(0);
+                let rel_slack = (total as f64 * BALANCE_TOLERANCE / 2.0) as u64;
+                let tolerance = Tolerance::Absolute(rel_slack.max(wmax));
+                min.push(tolerance.min_load(total, 2));
+                max.push(tolerance.max_load(total, 2));
             }
+            let nr = min.len();
+            min.extend_from_within(..);
+            max.extend_from_within(..);
+            let balance = BalanceConstraint::explicit(2, nr, min, max)?;
+            let result = ml.run(&sub.hg, &sub.fixed, &balance, RunCtx::new(&mut *rng))?;
+            bisections.push((cells.len(), sub.to_parent.len() - cells.len()));
 
             let mut left = Vec::new();
             let mut right = Vec::new();
@@ -301,19 +226,13 @@ impl TopDownPlacer {
             for &v in &right {
                 positions[v.index()] = r1.center();
             }
-            if !left.is_empty() {
-                queue.push_back((r0, left));
-            }
-            if !right.is_empty() {
-                queue.push_back((r1, right));
-            }
+            queue.push_back((r0, left));
+            queue.push_back((r1, right));
         }
 
         Ok(Placement {
             positions,
-            num_bisections,
-            total_terminals,
-            total_movables,
+            bisections,
         })
     }
 }
@@ -384,8 +303,8 @@ mod tests {
         let placer = TopDownPlacer::new(fast_config());
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let placement = placer.place_circuit(&c, &mut rng).unwrap();
-        assert!(placement.num_bisections > 10);
-        assert!(placement.total_terminals > 0);
+        assert!(placement.num_bisections() > 10);
+        assert!(placement.total_terminals() > 0);
         // The paper's core claim about the placement context: a noticeable
         // share of each instance's vertices are fixed.
         assert!(
@@ -420,7 +339,7 @@ mod tests {
         // And without propagation there are no terminals at all.
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let p2 = without.place_circuit(&c, &mut rng).unwrap();
-        assert_eq!(p2.total_terminals, 0);
+        assert_eq!(p2.total_terminals(), 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              avg fixed fraction per instance = {:.1}%",
             propagate,
             wl,
-            placement.num_bisections,
+            placement.num_bisections(),
             100.0 * placement.avg_fixed_fraction()
         );
     }

@@ -40,9 +40,13 @@ cargo test -q --offline -p vlsi-service --test protocol_doc
 # netlist with ~10% fixed vertices, folded into FNV-1a digests of the
 # partition, the value and the trace stream (one digest per case;
 # Multistart::run_parallel, the one path a thread count reaches, must
-# produce its digest on one and on two workers). A change that claims to
-# leave outputs alone must leave every digest alone; one that changes
-# partitions on purpose re-records the table and says why.
+# produce its digest on one and on two workers). A second table pins the
+# callers of the block-instance builder (induced_subgraph) on a small
+# netgen circuit: the placer's positions and per-bisection counts with
+# terminal propagation on and off, Table IV's eight standard instances
+# and the Rent extraction's samples. A change that claims to leave outputs
+# alone must leave every digest alone; one that changes partitions on
+# purpose re-records the table and says why.
 echo "==> golden output digests"
 cargo test -q --offline -p fixed-vertices-repro --test golden_digests
 
@@ -86,6 +90,18 @@ TESTKIT_SEED=1999 TESTKIT_CASES=10000 \
 echo "==> FM differential fuzz smoke (TESTKIT_SEED=1999, 4x cases)"
 TESTKIT_SEED=1999 TESTKIT_CASES=4x \
     cargo test -q --offline -p fixed-vertices-repro --test fm_differential
+
+# Block instance differential: the block-instance builder
+# (induced_subgraph, behind the placer, Table IV's extraction, rb and the
+# Rent extraction) against a full-scan reference builder on random
+# hypergraphs with one to three resources: empty, one-cell, all-cell and
+# random cell sets under four terminal rules must give equal pins per net,
+# weights, fixities and to_parent, and unsorted or duplicate cells must
+# panic. Re-based on the same fixed seed at 4x its cases (under 1 s in a
+# debug build).
+echo "==> block instance differential (TESTKIT_SEED=1999, 4x cases)"
+TESTKIT_SEED=1999 TESTKIT_CASES=4x \
+    cargo test -q --offline -p fixed-vertices-repro --test block_instance_differential
 
 # Exact pass stop identity: the default multilevel engine and rb/kway at
 # k=4 end their FM passes with the exact stop (PassCutoff::Exact). On a

@@ -16,16 +16,27 @@
 //!
 //! On a mismatch the test prints both recomputed tables, ready to paste
 //! over [`GOLDEN`] and [`ANSWERS`].
+//!
+//! [`INSTANCES`] pins the callers of the block-instance builder
+//! (`induced_subgraph`) on a small netgen circuit: the placer's positions
+//! (f64 bits) and per-bisection `(movable, terminal)` counts with terminal
+//! propagation on and off, Table IV's standard instances (pins per net,
+//! net and vertex weights, fixities, `to_parent`) and the Rent
+//! extraction's samples.
 
+use fixed_vertices_repro::vlsi_experiments::rent_extraction::rent_samples;
 use fixed_vertices_repro::vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Hypergraph, Objective, PartId, Tolerance, VertexId,
 };
+use fixed_vertices_repro::vlsi_netgen::blocks::standard_instances;
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
+use fixed_vertices_repro::vlsi_netgen::{Circuit, Point};
 use fixed_vertices_repro::vlsi_partition::trace::{Event, NullSink, VecSink};
 use fixed_vertices_repro::vlsi_partition::{
     refine_from_partition_ctx, CancelToken, EngineConfig, KwayRefiner, MultilevelConfig,
     Multistart, PartitionResult, Partitioner, Refiner, RunCtx, ENGINES,
 };
+use fixed_vertices_repro::vlsi_placer::{PlacerConfig, TopDownPlacer};
 use vlsi_rng::{ChaCha8Rng, SeedableRng};
 
 /// Recorded digests, one per case. No answer depends on the worker count,
@@ -69,6 +80,14 @@ const ANSWERS: &[(&str, u64)] = &[
     ("kway_refiner/k4/km1", 0x5e5d6ce04c9905cc),
 ];
 
+/// Recorded digests of the block-instance builder's callers, one per case.
+const INSTANCES: &[(&str, u64)] = &[
+    ("placer/propagate", 0x4a6d6618f8f57857),
+    ("placer/no_propagate", 0x4ce7efb2e6b6a1ee),
+    ("table4/standard_instances", 0x01f4d60911355fda),
+    ("rent/samples", 0x0599afb79323fe79),
+];
+
 const SEED: u64 = 1999;
 const TOLERANCE: f64 = 0.1;
 
@@ -85,6 +104,10 @@ impl Fnv {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
     }
 }
 
@@ -350,5 +373,83 @@ fn fixed_seed_outputs_match_the_recorded_digests() {
             "golden digests differ:\n{changed}recomputed tables at one worker:\n\
              GOLDEN:\n{golden}ANSWERS:\n{answers}"
         );
+    }
+}
+
+/// Places `circuit` with terminal propagation on or off and returns the
+/// positions and the per-bisection `(movable, terminal)` counts.
+fn place(circuit: &Circuit, propagate: bool) -> (Vec<Point>, Vec<(usize, usize)>) {
+    let placer = TopDownPlacer::new(PlacerConfig {
+        terminal_propagation: propagate,
+        ..PlacerConfig::default()
+    });
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let placement = placer.place_circuit(circuit, &mut rng).unwrap();
+    (placement.positions, placement.bisections)
+}
+
+/// Every block-instance case's name and digest.
+fn instance_cases() -> Vec<(String, u64)> {
+    let circuit = ibm01_like_scaled(0.04, 7);
+    let mut out = Vec::new();
+    for (name, propagate) in [("placer/propagate", true), ("placer/no_propagate", false)] {
+        let (positions, bisections) = place(&circuit, propagate);
+        let mut h = Fnv::new();
+        for p in &positions {
+            h.u64(p.x.to_bits());
+            h.u64(p.y.to_bits());
+        }
+        for &(movable, terminal) in &bisections {
+            h.u64(movable as u64);
+            h.u64(terminal as u64);
+        }
+        out.push((name.to_string(), h.0));
+    }
+
+    let mut h = Fnv::new();
+    for inst in standard_instances(&circuit, None) {
+        let hg = &inst.hypergraph;
+        h.bytes(inst.name.as_bytes());
+        h.u64(hg.num_vertices() as u64);
+        for v in hg.vertices() {
+            for &w in hg.vertex_weights(v) {
+                h.u64(w);
+            }
+            h.bytes(format!("{};", inst.fixed.fixity(v)).as_bytes());
+            h.u64(u64::from(inst.to_parent[v.index()].0));
+        }
+        h.u64(hg.num_nets() as u64);
+        for n in hg.nets() {
+            h.u64(hg.net_weight(n));
+            h.u64(hg.net_size(n) as u64);
+            for p in hg.net_pins(n) {
+                h.u64(u64::from(p.0));
+            }
+        }
+    }
+    out.push(("table4/standard_instances".into(), h.0));
+
+    let mut h = Fnv::new();
+    for s in rent_samples(&circuit.hypergraph, 32, &MultilevelConfig::default(), SEED).unwrap() {
+        h.u64(s.cells as u64);
+        h.u64(s.external as u64);
+    }
+    out.push(("rent/samples".into(), h.0));
+    out
+}
+
+#[test]
+fn block_instance_callers_match_the_recorded_digests() {
+    let actual = instance_cases();
+    let expected: Vec<(String, u64)> = INSTANCES
+        .iter()
+        .map(|&(name, d)| (name.to_string(), d))
+        .collect();
+    if actual != expected {
+        let table: String = actual
+            .iter()
+            .map(|(name, d)| format!("    ({name:?}, {d:#018x}),\n"))
+            .collect();
+        panic!("block-instance digests differ; recomputed INSTANCES:\n{table}");
     }
 }

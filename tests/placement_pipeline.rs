@@ -7,9 +7,12 @@ use vlsi_rng::ChaCha8Rng;
 use vlsi_rng::SeedableRng;
 
 use fixed_vertices_repro::vlsi_experiments::harness::paper_balance;
-use fixed_vertices_repro::vlsi_hypergraph::{validate_partitioning, FixedVertices, Partitioning};
+use fixed_vertices_repro::vlsi_hypergraph::{
+    validate_partitioning, FixedVertices, HypergraphBuilder, Partitioning,
+};
 use fixed_vertices_repro::vlsi_netgen::blocks::standard_instances;
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
+use fixed_vertices_repro::vlsi_netgen::Point;
 use fixed_vertices_repro::vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
 use fixed_vertices_repro::vlsi_placer::{hpwl, PlacerConfig, TopDownPlacer};
 
@@ -28,7 +31,7 @@ fn place_then_derive_then_partition() {
     let placement = placer
         .place_circuit(&circuit, &mut rng)
         .expect("placement succeeds");
-    assert!(placement.total_terminals > 0);
+    assert!(placement.total_terminals() > 0);
     assert!(hpwl(&circuit.hypergraph, &placement.positions) > 0.0);
 
     // Derive benchmarks from the placer's own placement, as the paper
@@ -102,4 +105,51 @@ fn derived_instances_have_nested_terminal_structure() {
     assert!(fixed_frac("_D_V") > fixed_frac("_B_V"));
     assert!(fixed_frac("_B_V") > fixed_frac("_A_V"));
     let _ = FixedVertices::all_free(0); // keep the import used in all cfgs
+}
+
+#[test]
+fn placer_balances_every_resource() {
+    // A second resource per cell: the first (vertical) cut must balance it
+    // too, within its 10% tolerance.
+    let circuit = ibm01_like_scaled(0.02, 13);
+    let hg = &circuit.hypergraph;
+    let second = |v: usize| (v % 3) as u64;
+    let mut b = HypergraphBuilder::with_resources(2);
+    for v in hg.vertices() {
+        b.add_vertex_multi(&[hg.vertex_weight(v), second(v.index())])
+            .unwrap();
+    }
+    for n in hg.nets() {
+        b.add_net(hg.net_weight(n), hg.net_pins(n).iter().copied())
+            .unwrap();
+    }
+    let two = b.build().unwrap();
+    let anchored: Vec<Option<Point>> = two
+        .vertices()
+        .map(|v| circuit.is_pad(v).then(|| circuit.location(v)))
+        .collect();
+    let placer = TopDownPlacer::new(PlacerConfig {
+        ml_config: MultilevelConfig {
+            coarsest_size: 30,
+            coarse_starts: 2,
+            ..MultilevelConfig::default()
+        },
+        ..PlacerConfig::default()
+    });
+    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let placement = placer
+        .place(&two, &anchored, circuit.die, &mut rng)
+        .expect("placement succeeds");
+    let (left, _) = circuit.die.split_vertical();
+    let in_left: u64 = circuit
+        .cells()
+        .filter(|v| left.contains(placement.positions[v.index()]))
+        .map(|v| second(v.index()))
+        .sum();
+    let total: u64 = circuit.cells().map(|v| second(v.index())).sum();
+    assert!(
+        in_left.abs_diff(total - in_left) <= total / 5,
+        "resource 1 split {in_left} / {}",
+        total - in_left
+    );
 }

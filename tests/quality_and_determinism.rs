@@ -141,7 +141,7 @@ fn placer_is_bit_deterministic() {
     let a = run();
     let b = run();
     assert_eq!(a.positions, b.positions);
-    assert_eq!(a.num_bisections, b.num_bisections);
+    assert_eq!(a.bisections, b.bisections);
 }
 
 #[test]
