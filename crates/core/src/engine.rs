@@ -64,7 +64,7 @@ use vlsi_hypergraph::{
 use crate::annealing::{simulated_annealing, AnnealingConfig};
 use crate::cancel::CancelToken;
 use crate::config::{FmConfig, MultilevelConfig};
-use crate::fm::BipartFm;
+use crate::fm::{self, BipartFm};
 use crate::initial::random_initial;
 use crate::kl::{kernighan_lin, KlConfig};
 use crate::kway;
@@ -295,7 +295,9 @@ pub struct KwayConfig {
     pub ml: MultilevelConfig,
     /// Upper bound on k-way refinement passes: at every level of
     /// [`DirectKway`], and in the final stage of [`RecursiveBisection`]
-    /// (where 0 skips the stage).
+    /// (where 0 skips the stage). The synchronous-round pass runs once per
+    /// level whatever the bound, since it ends at a fixpoint (see
+    /// [`KwayRefiner`]).
     pub refine_passes: usize,
     /// Objective optimised by the k-way refinement passes.
     pub objective: Objective,
@@ -402,19 +404,22 @@ impl Refiner for BipartFm {
 /// by an optional second stage with a different configuration. FM never
 /// worsens its input, so the stack dominates either stage alone (the
 /// default [`MultilevelConfig`] stacks CLIP then LIFO).
+///
+/// Both stages run on one FM pass state, built once per call: the second
+/// starts from the assignment, loads and pin counts the first left, and
+/// is skipped once `ctx.cancel` has fired. The answer and the trace equal
+/// those of [`BipartFm::run`] with the first configuration followed, on
+/// its output, by a run with the second.
 #[derive(Debug, Clone)]
 pub struct FmStack {
-    first: BipartFm,
-    second: Option<BipartFm>,
+    first: FmConfig,
+    second: Option<FmConfig>,
 }
 
 impl FmStack {
     /// Builds a stack from the stage configurations.
     pub fn new(first: FmConfig, second: Option<FmConfig>) -> Self {
-        FmStack {
-            first: BipartFm::new(first),
-            second: second.map(BipartFm::new),
-        }
+        FmStack { first, second }
     }
 
     /// The refinement stack used at every uncoarsening level by a
@@ -432,24 +437,26 @@ impl Refiner for FmStack {
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
         parts: Vec<PartId>,
-        mut ctx: RunCtx<'_, R, S>,
+        ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
-        let r = self.first.run(hg, fixed, balance, parts, ctx.reborrow())?;
-        let r = match &self.second {
-            Some(fm2) if !ctx.cancel.is_cancelled() => fm2.run(hg, fixed, balance, r.parts, ctx)?,
-            _ => r,
+        let stages: &[&FmConfig] = match &self.second {
+            Some(second) => &[&self.first, second],
+            None => &[&self.first],
         };
+        let r = fm::run_stages(stages, hg, fixed, balance, parts, ctx.sink, ctx.cancel)?;
         Ok(PartitionResult::new(r.parts, r.cut))
     }
 }
 
-/// The direct k-way refinement loop as a [`Refiner`]: up to `max_passes`
-/// passes, stopping early when a pass fails to improve the objective.
-/// The instance picks the pass: the synchronous-round pass whenever some
-/// movable vertex of positive weight fits inside the balance windows
-/// (`max − min`) of two parts its fixity allows, else the FM-relaxation
-/// pass, which overshoots by the heaviest movable vertex and rolls back to
-/// the best balanced prefix.
+/// The direct k-way refinement loop as a [`Refiner`]. The instance picks
+/// the pass: the synchronous-round pass whenever some movable vertex of
+/// positive weight fits inside the balance windows (`max − min`) of two
+/// parts its fixity allows, else the FM-relaxation pass, which overshoots
+/// by the heaviest movable vertex and rolls back to the best balanced
+/// prefix. The round pass runs once (any `max_passes` ≥ 1): it ends at a
+/// fixpoint, from which a further pass would apply nothing. The
+/// FM-relaxation pass repeats up to `max_passes` times, stopping early when
+/// a pass fails to improve the objective.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KwayRefiner {
     /// Objective optimised by each pass.

@@ -3,8 +3,8 @@
 use vlsi_rng::Rng;
 
 use vlsi_hypergraph::{
-    BalanceConstraint, FixedVertices, Fixity, Hypergraph, NetId, Objective, PartId, Partitioning,
-    VertexId,
+    check_assignment, BalanceConstraint, FixedVertices, Fixity, Hypergraph, NetId, PartId,
+    PartitionInputError, VertexId,
 };
 use vlsi_trace::{CancelStage, Event, MoverFixity, Sink};
 
@@ -13,25 +13,6 @@ use crate::config::{FmConfig, PassCutoff, SelectionPolicy};
 use crate::engine::RunCtx;
 use crate::fm::{PassStats, RunStats};
 use crate::PartitionError;
-
-/// Gain of moving `v` to the other side under the cut objective: the net
-/// weight freed by emptying `from`-critical nets minus the weight newly
-/// cut by touching nets with no pin on the other side.
-fn initial_gain_of(hg: &Hypergraph, parts: &[PartId], pins: &[[u32; 2]], v: VertexId) -> i64 {
-    let from = parts[v.index()].index();
-    let mut g = 0i64;
-    for &n in hg.vertex_nets(v) {
-        let w = hg.net_weight(n) as i64;
-        let counts = pins[n.index()];
-        if counts[from] == 1 {
-            g += w;
-        }
-        if counts[1 - from] == 0 {
-            g -= w;
-        }
-    }
-    g
-}
 
 /// Sets `side`'s bit in a net's frozen-side mask. Returns the net's weight
 /// `w` if that froze it on both sides, else 0.
@@ -174,47 +155,48 @@ impl BipartFm {
         ctx: RunCtx<'_, R, S>,
     ) -> Result<FmResult, PartitionError> {
         let RunCtx { sink, cancel, .. } = ctx;
-        if balance.num_parts() != 2 {
-            return Err(PartitionError::UnsupportedPartCount {
-                requested: balance.num_parts(),
-                supported: 2,
-            });
-        }
-        // The partitioning validates the assignment against the graph and
-        // the fixities; the pass state copies what it needs and drops it.
-        let partitioning = Partitioning::from_parts_fixed(hg, 2, initial, fixed)?;
-        let mut state = PassState::new(self, hg, balance, fixed, partitioning, sink, cancel);
-
-        let mut stats = RunStats::default();
-        if !cancel.is_cancelled() {
-            for pass_idx in 0..self.config.max_passes {
-                let limit = if pass_idx > 0 {
-                    self.config.cutoff.limit(state.num_movable)
-                } else {
-                    state.num_movable
-                };
-                let pass_stats = state.run_pass(pass_idx, limit);
-                let improved = pass_stats.improved();
-                stats.passes.push(pass_stats);
-                if !improved || cancel.is_cancelled() {
-                    break;
-                }
-            }
-        }
-
-        let cut = state.cut;
-        if S::ENABLED && cancel.is_cancelled() {
-            sink.record(&Event::Cancelled {
-                stage: CancelStage::FmPass,
-                value: cut,
-            });
-        }
-        Ok(FmResult {
-            parts: state.parts,
-            cut,
-            stats,
-        })
+        run_stages(&[&self.config], hg, fixed, balance, initial, sink, cancel)
     }
+}
+
+/// Runs the FM `stages` in order on one pass state, each from the
+/// assignment the one before it left: the body of [`BipartFm::run`] (one
+/// stage) and of [`FmStack`](crate::FmStack). Each stage runs as
+/// [`BipartFm::run`] with its configuration would from that assignment,
+/// recording its own [`Event::Cancelled`]; once `cancel` has fired, the
+/// later stages are skipped. The statistics list every pass of every stage
+/// that ran.
+///
+/// # Errors
+/// As [`BipartFm::run`].
+pub(crate) fn run_stages<S: Sink>(
+    stages: &[&FmConfig],
+    hg: &Hypergraph,
+    fixed: &FixedVertices,
+    balance: &BalanceConstraint,
+    initial: Vec<PartId>,
+    sink: &S,
+    cancel: &CancelToken,
+) -> Result<FmResult, PartitionError> {
+    if balance.num_parts() != 2 {
+        return Err(PartitionError::UnsupportedPartCount {
+            requested: balance.num_parts(),
+            supported: 2,
+        });
+    }
+    let mut state = PassState::new(hg, balance, fixed, initial, sink, cancel)?;
+    let mut stats = RunStats::default();
+    for (i, config) in stages.iter().enumerate() {
+        if i > 0 && cancel.is_cancelled() {
+            break;
+        }
+        state.run_stage(config, &mut stats);
+    }
+    Ok(FmResult {
+        parts: state.parts,
+        cut: state.cut,
+        stats,
+    })
 }
 
 /// Sentinel for an absent bucket link.
@@ -244,15 +226,19 @@ struct Node {
     in_bucket: bool,
 }
 
-/// Mutable working state shared by the passes of one run.
+/// Mutable working state shared by the passes of every stage of one run.
 ///
 /// The state is 2-way only and owns everything a pass touches: the
 /// assignment, the part loads, the cut, every net's pin count on each
 /// side, one [`Node`] per vertex and one bucket-head array per target
-/// side. Each pass starts by copying the cut and the side-0 pin counts. At
-/// its end the pin counts and the cut are restored from that copy and the
-/// kept prefix of moves is replayed into them, while the assignment and
-/// loads undo the moves beyond the prefix (one write per vertex each).
+/// side. What depends only on the instance (movability, the transient
+/// balance slack, the gain bound, the weights behind the pass-start gains
+/// and the immovable vertices' frozen sides) is built once; a stage sets
+/// only its policy, exactness, key bound and bucket size. Each pass starts
+/// by copying the cut and the side-0 pin counts. At its end the pin counts
+/// and the cut are restored from that copy and the kept prefix of moves is
+/// replayed into them, while the assignment and loads undo the moves
+/// beyond the prefix (one write per vertex each).
 struct PassState<'a, S: Sink> {
     hg: &'a Hypergraph,
     balance: &'a BalanceConstraint,
@@ -264,6 +250,13 @@ struct PassState<'a, S: Sink> {
     num_movable: usize,
     /// Per-resource transient balance slack (largest movable vertex weight).
     relax: Vec<u64>,
+    /// Largest total incident net weight of a movable vertex: no gain
+    /// exceeds it in magnitude.
+    gain_bound: i64,
+    /// Per movable vertex, the total weight of its nets with at least two
+    /// pins (0 for the others): its gain is minus this while none of them
+    /// is cut.
+    multi_pin_weight: Vec<i64>,
     /// Current side of every vertex.
     parts: Vec<PartId>,
     /// Flat `2 × num_resources` load matrix.
@@ -280,7 +273,7 @@ struct PassState<'a, S: Sink> {
     exact: bool,
     /// Per net, bit `s` is set once side `s` holds a pin that cannot move
     /// again in this pass: an immovable vertex, or one already moved.
-    /// Empty unless `exact`.
+    /// Empty until the first exact stage.
     frozen: Vec<u8>,
     nodes: Vec<Node>,
     /// Keys range over `[-key_bound, key_bound]`.
@@ -306,24 +299,39 @@ struct PassState<'a, S: Sink> {
 }
 
 impl<'a, S: Sink> PassState<'a, S> {
-    /// Takes over a validated `partitioning` and sizes the buckets.
+    /// Builds the state for the start `parts`: pin counts, loads and cut
+    /// straight from the assignment, and the instance-only fields.
     fn new(
-        engine: &BipartFm,
         hg: &'a Hypergraph,
         balance: &'a BalanceConstraint,
         fixed: &'a FixedVertices,
-        partitioning: Partitioning,
+        parts: Vec<PartId>,
         sink: &'a S,
         cancel: &'a CancelToken,
-    ) -> Self {
-        let cs = partitioning.cut_state();
+    ) -> Result<Self, PartitionInputError> {
+        check_assignment(hg, 2, &parts, fixed)?;
+        let nr = hg.num_resources();
+        let mut loads = vec![0u64; 2 * nr];
+        for v in hg.vertices() {
+            let base = parts[v.index()].index() * nr;
+            for (r, &w) in hg.vertex_weights(v).iter().enumerate() {
+                loads[base + r] += w;
+            }
+        }
+        let mut cut = 0;
         let pins: Vec<[u32; 2]> = hg
             .nets()
-            .map(|n| [cs.pins_in(n, PartId(0)), cs.pins_in(n, PartId(1))])
+            .map(|n| {
+                let mut counts = [0u32; 2];
+                for &u in hg.net_pins(n) {
+                    counts[parts[u.index()].index()] += 1;
+                }
+                if counts[0] > 0 && counts[1] > 0 {
+                    cut += hg.net_weight(n);
+                }
+                counts
+            })
             .collect();
-        let loads = partitioning.loads().to_vec();
-        let cut = partitioning.cut_value(Objective::Cut);
-        let parts = partitioning.into_parts();
 
         let nodes: Vec<Node> = hg
             .vertices()
@@ -347,83 +355,115 @@ impl<'a, S: Sink> PassState<'a, S> {
             .collect();
         let num_movable = nodes.iter().filter(|node| node.movable).count();
 
-        // The exact stop's pass-start mask, from the immovable vertices'
-        // nets only.
-        let exact = matches!(engine.config.cutoff, PassCutoff::Exact);
-        let mut start_frozen = Vec::new();
-        let mut start_dead = 0;
-        if exact {
-            start_frozen = vec![0u8; hg.num_nets()];
-            for v in hg.vertices().filter(|v| !nodes[v.index()].movable) {
-                let side = parts[v.index()].index();
-                for &n in hg.vertex_nets(v) {
-                    start_dead += freeze(&mut start_frozen[n.index()], side, hg.net_weight(n));
-                }
-            }
-        }
-
         // Maximum possible |gain| = largest total incident net weight over
         // the *movable* vertices (immovable ones never enter the buckets;
         // a clustered mega-terminal would otherwise blow the array up).
-        let gain_bound: i64 = hg
-            .vertices()
-            .filter(|v| nodes[v.index()].movable)
-            .map(|v| {
-                hg.vertex_nets(v)
-                    .iter()
-                    .map(|&n| hg.net_weight(n) as i64)
-                    .sum()
-            })
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        // CLIP keys are (gain - initial gain), so they span twice the range.
-        let key_bound = match engine.config.policy {
-            SelectionPolicy::Lifo => gain_bound,
-            SelectionPolicy::Clip => 2 * gain_bound,
-        };
-
         // Moves may transiently overshoot the balance window by the weight
         // of the largest movable vertex (the classic FM relaxation); only
-        // strictly balanced prefixes are accepted.
-        let mut relax = vec![0u64; hg.num_resources()];
-        for v in hg.vertices() {
-            if nodes[v.index()].movable {
-                for (r, &w) in hg.vertex_weights(v).iter().enumerate() {
-                    relax[r] = relax[r].max(w);
+        // strictly balanced prefixes are accepted. The pass-start gains
+        // start from each movable vertex's multi-pin net weight.
+        let mut gain_bound = 0;
+        let mut multi_pin_weight = vec![0i64; hg.num_vertices()];
+        let mut relax = vec![0u64; nr];
+        for v in hg.vertices().filter(|v| nodes[v.index()].movable) {
+            let mut total = 0;
+            for &n in hg.vertex_nets(v) {
+                let w = hg.net_weight(n) as i64;
+                total += w;
+                if hg.net_size(n) >= 2 {
+                    multi_pin_weight[v.index()] += w;
                 }
+            }
+            gain_bound = gain_bound.max(total);
+            for (r, &w) in hg.vertex_weights(v).iter().enumerate() {
+                relax[r] = relax[r].max(w);
             }
         }
 
-        let span = (2 * key_bound + 1) as usize;
-        PassState {
+        Ok(PassState {
             hg,
             balance,
             fixed,
             sink,
             cancel,
-            policy: engine.config.policy,
+            policy: SelectionPolicy::Lifo,
             num_movable,
             relax,
+            gain_bound: gain_bound.max(1),
+            multi_pin_weight,
             start_cut: cut,
             start_pins0: vec![0; pins.len()],
-            frozen: start_frozen.clone(),
-            start_frozen,
-            start_dead,
+            frozen: Vec::new(),
+            start_frozen: Vec::new(),
+            start_dead: 0,
             parts,
             loads,
             cut,
-            dead: start_dead,
+            dead: 0,
             pins,
-            exact,
+            exact: false,
             nodes,
-            key_bound,
-            heads: [vec![NONE; span], vec![NONE; span]],
-            max_key: [-key_bound; 2],
+            key_bound: 0,
+            heads: [Vec::new(), Vec::new()],
+            max_key: [0; 2],
             in_buckets: [0; 2],
             // A pass moves each movable vertex at most once.
             moves: Vec::with_capacity(num_movable),
             bucket_ops: 0,
+        })
+    }
+
+    /// Runs one stage: up to `config.max_passes` passes from the current
+    /// assignment, until a pass fails to improve the cut or `cancel`
+    /// fires, appending each pass's statistics to `stats`. Records one
+    /// [`Event::Cancelled`] if the token has fired by the end.
+    fn run_stage(&mut self, config: &FmConfig, stats: &mut RunStats) {
+        self.policy = config.policy;
+        // CLIP keys are (gain - initial gain), so they span twice the range.
+        self.key_bound = match config.policy {
+            SelectionPolicy::Lifo => self.gain_bound,
+            SelectionPolicy::Clip => 2 * self.gain_bound,
+        };
+        let span = (2 * self.key_bound + 1) as usize;
+        for heads in &mut self.heads {
+            heads.resize(span, NONE);
+        }
+        self.exact = matches!(config.cutoff, PassCutoff::Exact);
+        if self.exact && self.frozen.len() != self.hg.num_nets() {
+            // The first exact stage builds the exact stop's pass-start
+            // mask, from the immovable vertices' nets only.
+            let hg = self.hg;
+            self.start_frozen = vec![0u8; hg.num_nets()];
+            for v in hg.vertices().filter(|v| !self.nodes[v.index()].movable) {
+                let side = self.parts[v.index()].index();
+                for &n in hg.vertex_nets(v) {
+                    self.start_dead +=
+                        freeze(&mut self.start_frozen[n.index()], side, hg.net_weight(n));
+                }
+            }
+            self.frozen = self.start_frozen.clone();
+        }
+
+        if !self.cancel.is_cancelled() {
+            for pass_idx in 0..config.max_passes {
+                let limit = if pass_idx > 0 {
+                    config.cutoff.limit(self.num_movable)
+                } else {
+                    self.num_movable
+                };
+                let pass_stats = self.run_pass(pass_idx, limit);
+                let improved = pass_stats.improved();
+                stats.passes.push(pass_stats);
+                if !improved || self.cancel.is_cancelled() {
+                    break;
+                }
+            }
+        }
+        if S::ENABLED && self.cancel.is_cancelled() {
+            self.sink.record(&Event::Cancelled {
+                stage: CancelStage::FmPass,
+                value: self.cut,
+            });
         }
     }
 
@@ -444,8 +484,12 @@ impl<'a, S: Sink> PassState<'a, S> {
         for (c0, counts) in self.start_pins0.iter_mut().zip(&self.pins) {
             *c0 = counts[0];
         }
-        self.frozen.copy_from_slice(&self.start_frozen);
-        self.dead = self.start_dead;
+        if self.exact {
+            self.frozen.copy_from_slice(&self.start_frozen);
+            self.dead = self.start_dead;
+        } else {
+            self.dead = 0;
+        }
         self.prepare_buckets();
 
         self.moves.clear();
@@ -566,22 +610,55 @@ impl<'a, S: Sink> PassState<'a, S> {
         self.loads[0].abs_diff(self.loads[self.hg.num_resources()])
     }
 
-    /// Computes all initial gains and fills the buckets.
+    /// Sets every movable vertex's `gain` to its pass-start value, touching
+    /// only the cut nets' pins. Leaving its side, a vertex would cut every
+    /// uncut net of two or more pins it is on, so it starts at
+    /// `-multi_pin_weight`; a cut net it is on gives that net's weight
+    /// back, since it stays cut, and once more if the vertex is its only
+    /// pin on its side, since it becomes uncut. One-pin nets change nothing
+    /// either way.
+    fn seed_gains(&mut self) {
+        for (node, &g) in self.nodes.iter_mut().zip(&self.multi_pin_weight) {
+            node.gain = -g;
+        }
+        let hg = self.hg;
+        for (n, &counts) in hg.nets().zip(&self.pins) {
+            if counts[0] == 0 || counts[1] == 0 {
+                continue;
+            }
+            let w = hg.net_weight(n) as i64;
+            if w == 0 {
+                continue;
+            }
+            if counts[0] > 1 && counts[1] > 1 {
+                for &u in hg.net_pins(n) {
+                    self.nodes[u.index()].gain += w;
+                }
+            } else {
+                for &u in hg.net_pins(n) {
+                    let lone = counts[self.parts[u.index()].index()] == 1;
+                    self.nodes[u.index()].gain += if lone { 2 * w } else { w };
+                }
+            }
+        }
+    }
+
+    /// Computes all pass-start gains and fills the buckets.
     fn prepare_buckets(&mut self) {
         for heads in &mut self.heads {
             heads.fill(NONE);
         }
         self.max_key = [-self.key_bound; 2];
         self.in_buckets = [0; 2];
+        self.seed_gains();
         let hg = self.hg;
         match self.policy {
             SelectionPolicy::Lifo => {
                 for v in hg.vertices() {
-                    if !self.nodes[v.index()].movable {
-                        continue;
+                    let node = self.nodes[v.index()];
+                    if node.movable {
+                        self.enter(v, node.gain, node.gain);
                     }
-                    let g = initial_gain_of(hg, &self.parts, &self.pins, v);
-                    self.enter(v, g, g);
                 }
             }
             SelectionPolicy::Clip => {
@@ -594,13 +671,10 @@ impl<'a, S: Sink> PassState<'a, S> {
                 // order, counting-sorted: gains lie in ±key_bound / 2.
                 let gain_bound = self.key_bound / 2;
                 let mut starts = vec![0u32; (2 * gain_bound + 2) as usize];
-                for v in hg.vertices() {
-                    if !self.nodes[v.index()].movable {
-                        continue;
+                for node in &self.nodes {
+                    if node.movable {
+                        starts[(node.gain + gain_bound + 1) as usize] += 1;
                     }
-                    let g = initial_gain_of(hg, &self.parts, &self.pins, v);
-                    self.nodes[v.index()].gain = g;
-                    starts[(g + gain_bound + 1) as usize] += 1;
                 }
                 for i in 1..starts.len() {
                     starts[i] += starts[i - 1];
@@ -866,7 +940,9 @@ impl<'a, S: Sink> PassState<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlsi_hypergraph::{validate_partitioning, HypergraphBuilder, PartSet, Tolerance};
+    use vlsi_hypergraph::{
+        validate_partitioning, HypergraphBuilder, Objective, PartSet, Partitioning, Tolerance,
+    };
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
 
@@ -949,6 +1025,108 @@ mod tests {
             b.add_net(rng.gen_range(1..4u64), pins).unwrap();
         }
         b.build().unwrap()
+    }
+
+    /// Gain of moving `v` to the other side under the cut objective, from
+    /// every net of `v`: the net weight freed by emptying `from`-critical
+    /// nets minus the weight newly cut by touching nets with no pin on the
+    /// other side. The oracle for the pass-start gains from the cut nets.
+    fn initial_gain_of(hg: &Hypergraph, parts: &[PartId], pins: &[[u32; 2]], v: VertexId) -> i64 {
+        let from = parts[v.index()].index();
+        let mut g = 0i64;
+        for &n in hg.vertex_nets(v) {
+            let w = hg.net_weight(n) as i64;
+            let counts = pins[n.index()];
+            if counts[from] == 1 {
+                g += w;
+            }
+            if counts[1 - from] == 0 {
+                g -= w;
+            }
+        }
+        g
+    }
+
+    /// Random 2-way instance: weights 0–3, nets of 1–4 distinct pins, a
+    /// fifth of them weightless, and `Fixed` and `FixedAny` vertices (over
+    /// both sides, or one side and a part a bisection lacks), with an
+    /// assignment that honours every fixity.
+    fn random_start(rng: &mut ChaCha8Rng) -> (Hypergraph, FixedVertices, Vec<PartId>) {
+        use vlsi_rng::Rng;
+        let n = rng.gen_range(1..30usize);
+        let mut b = HypergraphBuilder::new();
+        let v: Vec<_> = (0..n).map(|_| b.add_vertex(rng.gen_range(0..4))).collect();
+        for _ in 0..rng.gen_range(0..3 * n) {
+            let size = rng.gen_range(1..=4usize.min(n));
+            let mut pins = Vec::with_capacity(size);
+            while pins.len() < size {
+                let cand = v[rng.gen_range(0..n)];
+                if !pins.contains(&cand) {
+                    pins.push(cand);
+                }
+            }
+            let w = if rng.gen_bool(0.2) {
+                0
+            } else {
+                rng.gen_range(1..5)
+            };
+            b.add_net(w, pins).unwrap();
+        }
+        let hg = b.build().unwrap();
+        let mut fixed = FixedVertices::all_free(n);
+        for &u in &v {
+            let p = PartId(rng.gen_range(0..2));
+            match rng.gen_range(0..5) {
+                0 => fixed.fix(u, p),
+                1 => fixed.fix_any(u, PartSet::all(2)),
+                2 => {
+                    let mut set = PartSet::single(p);
+                    set.insert(PartId(2));
+                    fixed.fix_any(u, set);
+                }
+                _ => {}
+            }
+        }
+        let parts = hg
+            .vertices()
+            .map(|u| {
+                let p = PartId(rng.gen_range(0..2));
+                if fixed.fixity(u).allows(p) {
+                    p
+                } else {
+                    p.other_side()
+                }
+            })
+            .collect();
+        (hg, fixed, parts)
+    }
+
+    #[test]
+    fn cut_net_gains_match_a_walk_over_every_net() {
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let cancel = CancelToken::never();
+        for trial in 0..300 {
+            let (hg, fixed, parts) = random_start(&mut rng);
+            let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.1));
+            let reference = Partitioning::from_parts_fixed(&hg, 2, parts.clone(), &fixed).unwrap();
+            let mut state =
+                PassState::new(&hg, &balance, &fixed, parts, &vlsi_trace::NullSink, &cancel)
+                    .unwrap();
+            assert_eq!(
+                state.cut,
+                reference.cut_value(Objective::Cut),
+                "trial {trial}"
+            );
+            assert_eq!(state.loads, reference.loads(), "trial {trial}");
+            state.seed_gains();
+            for v in hg.vertices().filter(|v| state.nodes[v.index()].movable) {
+                assert_eq!(
+                    state.nodes[v.index()].gain,
+                    initial_gain_of(&hg, &state.parts, &state.pins, v),
+                    "trial {trial}: gain of {v}"
+                );
+            }
+        }
     }
 
     /// End-to-end gain consistency on random instances, for both selection

@@ -17,18 +17,27 @@
 //!
 //! The engine does not run on the shared [`crate::KwayGains`] container
 //! or on a [`vlsi_hypergraph::Partitioning`]. It keeps a 2-way pass state
-//! of its own: one packed node per vertex (gain, bucket key, bucket links,
-//! target side, in-bucket flag), one bucket-head array per target side,
-//! and the assignment, part loads, cut and per-net pin counts on each
-//! side. A move shifts its nets' pin counts, updates the cut and bumps
-//! the gains that depend on the pre-move counts in one loop over its nets,
-//! and bumps the rest in a second. A pass starts from a copy of the cut
-//! and the side-0 pin counts; its end restores that copy and replays the
-//! kept prefix of moves into it, instead of walking every later move's
-//! nets to undo it.
+//! of its own, built straight from the start assignment: one packed node
+//! per vertex (gain, bucket key, bucket links, target side, in-bucket
+//! flag), one bucket-head array per target side, and the assignment, part
+//! loads, cut and per-net pin counts on each side. A move shifts its nets'
+//! pin counts, updates the cut and bumps the gains that depend on the
+//! pre-move counts in one loop over its nets, and bumps the rest in a
+//! second. A pass starts from a copy of the cut and the side-0 pin counts;
+//! its end restores that copy and replays the kept prefix of moves into
+//! it, instead of walking every later move's nets to undo it.
+//!
+//! A pass's starting gains come from the cut nets: each movable vertex
+//! starts at minus the weight of its nets of two or more pins (computed
+//! once per state), and only the pins of cut nets are touched to add
+//! their weight back, twice for a net's only pin on its side. The state
+//! serves every stage of a run: [`crate::FmStack`]'s CLIP and LIFO stages
+//! share one, changing only the selection policy, the exact stop, the key
+//! bound and the bucket arrays between them.
 
 mod engine;
 mod stats;
 
+pub(crate) use engine::run_stages;
 pub use engine::{BipartFm, FmResult};
 pub use stats::{PassStats, RunStats};

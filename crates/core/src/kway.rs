@@ -383,8 +383,8 @@ fn windows_admit_a_move(
 
 /// The FM-relaxation k-way pass over all movable vertices: repeatedly
 /// applies the best feasible single-vertex move, each vertex at most once,
-/// then restores the best balanced prefix. Returns the refined assignment
-/// and its objective value, emitting [`Event::KwayPassStart`],
+/// then restores the best balanced prefix. Hands `p` back refined, with
+/// its objective value, emitting [`Event::KwayPassStart`],
 /// [`Event::KwayMove`] and [`Event::KwayPassEnd`] (stamped with `pass`)
 /// into `sink` and polling `cancel` every [`CHECK_INTERVAL`] moves; the
 /// best-prefix rollback makes stopping mid-pass safe.
@@ -403,14 +403,13 @@ fn refine_pass_fm<S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
-    initial: Vec<PartId>,
+    mut p: Partitioning,
     objective: Objective,
     pass: u32,
     sink: &S,
     cancel: &CancelToken,
-) -> Result<PartitionResult, PartitionError> {
+) -> (Partitioning, u64) {
     let k = balance.num_parts();
-    let mut p = Partitioning::from_parts_fixed(hg, k, initial, fixed)?;
     let nr = hg.num_resources();
 
     let setup = build_kway_gains(hg, fixed, &p, k, objective);
@@ -520,7 +519,7 @@ fn refine_pass_fm<S: Sink>(
             bucket_ops,
         });
     }
-    Ok(PartitionResult::new(p.into_parts(), cut))
+    (p, cut)
 }
 
 /// The synchronous-round k-way pass, in the style of mt-KaHyPar's
@@ -539,29 +538,32 @@ fn refine_pass_fm<S: Sink>(
 ///    vertex moves at most once per round.
 /// 4. **Delta-updates.** Moved vertices are re-keyed for their new source
 ///    part and their neighbourhoods refreshed, then the next round begins.
-///    A round that applies nothing ends the pass.
+///    A round that proposes or applies nothing ends the pass.
 ///
 /// Every applied move strictly improves the objective, so the pass
 /// terminates and never returns a worse assignment than its input. A
 /// part/resource pair that satisfies its bounds keeps satisfying them, so
-/// no best-prefix rollback is needed. Emits [`Event::KwayPassStart`] /
+/// no best-prefix rollback is needed. Uncancelled, the pass ends at a
+/// fixpoint: its keys equal fresh [`move_gain`]s and a round depends only
+/// on the keys, the loads and the assignment, so a new pass from its
+/// output would replay its last round and apply nothing. Hands `p` back
+/// with its objective value. Emits [`Event::KwayPassStart`] /
 /// [`Event::KwayPassEnd`] around per-round [`Event::RoundStart`] /
 /// [`Event::RoundApplied`] pairs, with one [`Event::KwayMove`] per applied
 /// move, and polls `cancel` at round boundaries and every
 /// [`CHECK_INTERVAL`] proposals inside the apply stage.
-#[allow(clippy::too_many_arguments)]
 fn refine_pass_rounds<S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
-    initial: Vec<PartId>,
+    mut p: Partitioning,
     objective: Objective,
-    pass: u32,
     sink: &S,
     cancel: &CancelToken,
-) -> Result<PartitionResult, PartitionError> {
+) -> (Partitioning, u64) {
+    // The only pass of its `refine` call.
+    let pass = 0;
     let k = balance.num_parts();
-    let mut p = Partitioning::from_parts_fixed(hg, k, initial, fixed)?;
     let nr = hg.num_resources();
     let n = hg.num_vertices();
 
@@ -746,7 +748,7 @@ fn refine_pass_rounds<S: Sink>(
             bucket_ops,
         });
     }
-    Ok(PartitionResult::new(p.into_parts(), value_after))
+    (p, value_after)
 }
 
 /// Asserts that every live `(vertex, target)` entry's key equals the
@@ -916,8 +918,9 @@ pub fn refine_pass_reference(
 /// uncoarsening and is strict only at the finest level. The
 /// multi-dimensional heavy-vertex guard caps every cluster's weight
 /// *vector* during coarsening so that repair stays possible ("Vertex
-/// Weights Revisited" pathology). Every level runs up to
-/// `cfg.refine_passes` refinement passes.
+/// Weights Revisited" pathology). Every level runs [`refine`]: one
+/// synchronous-round pass, or up to `cfg.refine_passes` FM-relaxation
+/// passes.
 ///
 /// As in the 2-way multilevel engine, a fired `ctx.cancel` stops
 /// coarsening early, the coarsest solve degenerates to a cheap legal
@@ -1029,54 +1032,50 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
     Ok(r)
 }
 
-/// Runs up to `max_passes` k-way refinement passes from `parts`, stopping
-/// at the first pass that does not improve `objective`: the body of
+/// Refines `parts` under `objective`: the body of
 /// [`KwayRefiner`](crate::KwayRefiner), of the k-way engines' refinement,
-/// of warm starts and of the quality phase.
+/// of warm starts and of the quality phase. One [`Partitioning`] carries
+/// the assignment through every pass.
 ///
-/// The pass comes from the instance: the synchronous-round pass
-/// ([`refine_pass_rounds`]) when [`windows_admit_a_move`], else the
-/// FM-relaxation pass ([`refine_pass_fm`]). Both run on the calling
-/// thread, and neither draws from `ctx.rng`.
+/// The pass comes from the instance. When [`windows_admit_a_move`], one
+/// synchronous-round pass ([`refine_pass_rounds`]) runs: it ends at a
+/// fixpoint, where a further pass would apply nothing. Otherwise up to
+/// `max_passes` FM-relaxation passes ([`refine_pass_fm`]) run, stopping at
+/// the first that does not improve `objective`; locking lets a later pass
+/// find moves an earlier one could not take. Both run on the calling
+/// thread, and neither draws from `ctx.rng`. With `max_passes` 0 no pass
+/// runs.
+///
 /// `ctx.cancel` is polled at pass boundaries (and inside each pass); a
 /// cancelled run records one [`Event::Cancelled`] (stage `kway_pass`) and
 /// returns the best assignment reached so far.
+///
+/// # Errors
+/// [`PartitionError::Input`] if `parts` is inconsistent with `hg` or
+/// `balance`'s part count, or violates a fixity.
 pub(crate) fn refine<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     balance: &BalanceConstraint,
-    mut parts: Vec<PartId>,
+    parts: Vec<PartId>,
     objective: Objective,
     max_passes: usize,
     ctx: RunCtx<'_, R, S>,
 ) -> Result<PartitionResult, PartitionError> {
     let RunCtx { sink, cancel, .. } = ctx;
-    let pass_fn = if windows_admit_a_move(hg, fixed, balance) {
-        refine_pass_rounds::<S>
-    } else {
-        refine_pass_fm::<S>
-    };
-    let mut best = CutState::new(hg, balance.num_parts(), &parts).value(objective);
-    if !cancel.is_cancelled() {
-        for pass in 0..max_passes {
-            let r = pass_fn(
-                hg,
-                fixed,
-                balance,
-                parts.clone(),
-                objective,
-                pass as u32,
-                sink,
-                cancel,
-            )?;
-            if r.cut < best {
-                best = r.cut;
-                parts = r.parts;
-            } else {
-                break;
-            }
-            if cancel.is_cancelled() {
-                break;
+    let mut p = Partitioning::from_parts_fixed(hg, balance.num_parts(), parts, fixed)?;
+    let mut best = p.cut_value(objective);
+    if max_passes > 0 && !cancel.is_cancelled() {
+        if windows_admit_a_move(hg, fixed, balance) {
+            (p, best) = refine_pass_rounds(hg, fixed, balance, p, objective, sink, cancel);
+        } else {
+            for pass in 0..max_passes {
+                let before = best;
+                (p, best) =
+                    refine_pass_fm(hg, fixed, balance, p, objective, pass as u32, sink, cancel);
+                if best >= before || cancel.is_cancelled() {
+                    break;
+                }
             }
         }
     }
@@ -1086,7 +1085,7 @@ pub(crate) fn refine<R: Rng + ?Sized, S: Sink>(
             value: best,
         });
     }
-    Ok(PartitionResult::new(parts, best))
+    Ok(PartitionResult::new(p.into_parts(), best))
 }
 
 #[cfg(test)]

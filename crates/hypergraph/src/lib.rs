@@ -65,7 +65,7 @@ pub use error::{BuildError, PartitionInputError};
 pub use fixed::{FixedVertices, Fixity, PartSet};
 pub use graph::Hypergraph;
 pub use ids::{NetId, PartId, VertexId};
-pub use partitioning::Partitioning;
+pub use partitioning::{check_assignment, Partitioning};
 pub use resource::{ParseResourceError, PartCapacities, ResourceVec};
 pub use subgraph::{induced_subgraph, Subgraph};
 pub use validate::{validate_partitioning, ValidationReport};

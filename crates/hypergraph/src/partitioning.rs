@@ -56,25 +56,30 @@ impl Partitioning {
         num_parts: usize,
         parts: Vec<PartId>,
     ) -> Result<Self, PartitionInputError> {
-        if num_parts > PartSet::MAX_PARTS {
-            return Err(PartitionInputError::TooManyParts { num_parts });
-        }
-        if parts.len() != hg.num_vertices() {
-            return Err(PartitionInputError::LengthMismatch {
-                num_vertices: hg.num_vertices(),
-                assignment_len: parts.len(),
-            });
-        }
+        check_parts(hg, num_parts, &parts)?;
+        Ok(Self::build(hg, num_parts, parts))
+    }
+
+    /// Like [`Partitioning::from_parts`] but additionally verifies the
+    /// assignment against a fixed-vertex table.
+    ///
+    /// # Errors
+    /// As [`check_assignment`].
+    pub fn from_parts_fixed(
+        hg: &Hypergraph,
+        num_parts: usize,
+        parts: Vec<PartId>,
+        fixed: &FixedVertices,
+    ) -> Result<Self, PartitionInputError> {
+        check_assignment(hg, num_parts, &parts, fixed)?;
+        Ok(Self::build(hg, num_parts, parts))
+    }
+
+    /// Builds the loads and the cut of a checked assignment.
+    fn build(hg: &Hypergraph, num_parts: usize, parts: Vec<PartId>) -> Self {
         let num_resources = hg.num_resources();
         let mut loads = vec![0u64; num_parts * num_resources];
         for (i, &p) in parts.iter().enumerate() {
-            if p.index() >= num_parts {
-                return Err(PartitionInputError::PartOutOfRange {
-                    vertex: VertexId::from_index(i),
-                    part: p,
-                    num_parts,
-                });
-            }
             let base = p.index() * num_resources;
             let ws = hg.vertex_weights(VertexId::from_index(i));
             for (r, &w) in ws.iter().enumerate() {
@@ -82,35 +87,13 @@ impl Partitioning {
             }
         }
         let cut = CutState::new(hg, num_parts, &parts);
-        Ok(Partitioning {
+        Partitioning {
             num_parts,
             parts,
             loads,
             num_resources,
             cut,
-        })
-    }
-
-    /// Like [`Partitioning::from_parts`] but additionally verifies the
-    /// assignment against a fixed-vertex table.
-    ///
-    /// # Errors
-    /// All of [`Partitioning::from_parts`]'s errors, plus
-    /// [`PartitionInputError::FixedViolation`] when a fixed vertex sits in a
-    /// partition its fixity forbids.
-    pub fn from_parts_fixed(
-        hg: &Hypergraph,
-        num_parts: usize,
-        parts: Vec<PartId>,
-        fixed: &FixedVertices,
-    ) -> Result<Self, PartitionInputError> {
-        for (i, &p) in parts.iter().enumerate() {
-            let v = VertexId::from_index(i);
-            if i < fixed.len() && !fixed.fixity(v).allows(p) {
-                return Err(PartitionInputError::FixedViolation { vertex: v, part: p });
-            }
         }
-        Self::from_parts(hg, num_parts, parts)
     }
 
     /// Number of partitions.
@@ -192,6 +175,57 @@ impl Partitioning {
     /// Number of vertices assigned to `part`.
     pub fn part_size(&self, part: PartId) -> usize {
         self.parts.iter().filter(|&&p| p == part).count()
+    }
+}
+
+/// Checks an assignment as [`Partitioning::from_parts_fixed`] does, without
+/// building it.
+///
+/// # Errors
+/// The first that applies, in this order:
+/// * [`PartitionInputError::FixedViolation`] when a fixed vertex sits in a
+///   partition its fixity forbids;
+/// * [`PartitionInputError::TooManyParts`] if `num_parts > 64`;
+/// * [`PartitionInputError::LengthMismatch`] if the vector length differs
+///   from the vertex count;
+/// * [`PartitionInputError::PartOutOfRange`] if an entry is `>= num_parts`.
+pub fn check_assignment(
+    hg: &Hypergraph,
+    num_parts: usize,
+    parts: &[PartId],
+    fixed: &FixedVertices,
+) -> Result<(), PartitionInputError> {
+    for (i, &p) in parts.iter().enumerate().take(fixed.len()) {
+        let v = VertexId::from_index(i);
+        if !fixed.fixity(v).allows(p) {
+            return Err(PartitionInputError::FixedViolation { vertex: v, part: p });
+        }
+    }
+    check_parts(hg, num_parts, parts)
+}
+
+/// [`check_assignment`] without the fixity check.
+fn check_parts(
+    hg: &Hypergraph,
+    num_parts: usize,
+    parts: &[PartId],
+) -> Result<(), PartitionInputError> {
+    if num_parts > PartSet::MAX_PARTS {
+        return Err(PartitionInputError::TooManyParts { num_parts });
+    }
+    if parts.len() != hg.num_vertices() {
+        return Err(PartitionInputError::LengthMismatch {
+            num_vertices: hg.num_vertices(),
+            assignment_len: parts.len(),
+        });
+    }
+    match parts.iter().position(|p| p.index() >= num_parts) {
+        Some(i) => Err(PartitionInputError::PartOutOfRange {
+            vertex: VertexId::from_index(i),
+            part: parts[i],
+            num_parts,
+        }),
+        None => Ok(()),
     }
 }
 

@@ -72,15 +72,32 @@ impl Placement {
         self.bisections.iter().map(|&(m, _)| m).sum()
     }
 
-    /// Average fraction of fixed vertices per bisection instance — directly
-    /// comparable to the paper's Table I expectations.
-    pub fn avg_fixed_fraction(&self) -> f64 {
+    /// Fixed share of all bisection instances' vertices pooled together,
+    /// Σ terminals / Σ (movable + terminals): large instances weigh most
+    /// (0 without instances).
+    pub fn pooled_fixed_fraction(&self) -> f64 {
         let total = self.total_terminals() + self.total_movables();
         if total == 0 {
             0.0
         } else {
             self.total_terminals() as f64 / total as f64
         }
+    }
+
+    /// Mean over bisection instances of each one's fixed fraction
+    /// `terminal / (movable + terminal)`, every instance weighing the same
+    /// — directly comparable to the paper's Table I expectations (0
+    /// without instances; an empty instance counts as 0).
+    pub fn mean_fixed_fraction(&self) -> f64 {
+        if self.bisections.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = self
+            .bisections
+            .iter()
+            .map(|&(m, t)| t as f64 / (m + t).max(1) as f64)
+            .sum();
+        sum / self.bisections.len() as f64
     }
 }
 
@@ -308,10 +325,27 @@ mod tests {
         // The paper's core claim about the placement context: a noticeable
         // share of each instance's vertices are fixed.
         assert!(
-            placement.avg_fixed_fraction() > 0.05,
-            "avg fixed fraction {}",
-            placement.avg_fixed_fraction()
+            placement.pooled_fixed_fraction() > 0.05,
+            "pooled fixed fraction {}",
+            placement.pooled_fixed_fraction()
         );
+    }
+
+    #[test]
+    fn pooled_and_mean_fixed_fractions_weigh_instances_differently() {
+        let placement = Placement {
+            positions: Vec::new(),
+            bisections: vec![(90, 10), (1, 3), (0, 0)],
+        };
+        // 13 terminals of 104 vertices pooled; (0.1 + 0.75 + 0) / 3 mean.
+        assert!((placement.pooled_fixed_fraction() - 13.0 / 104.0).abs() < 1e-12);
+        assert!((placement.mean_fixed_fraction() - 0.85 / 3.0).abs() < 1e-12);
+        let empty = Placement {
+            positions: Vec::new(),
+            bisections: Vec::new(),
+        };
+        assert_eq!(empty.pooled_fixed_fraction(), 0.0);
+        assert_eq!(empty.mean_fixed_fraction(), 0.0);
     }
 
     #[test]

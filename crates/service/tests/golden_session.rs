@@ -38,7 +38,7 @@ const RESPONSES: &[(&str, u64)] = &[
     ("deadline", 0x0e5f618b3598520b),
     ("infeasible", 0xb95c45b17b900d4d),
     ("unknown", 0x74f88a0bc4c8ccde),
-    ("metrics", 0x123332c795e732df),
+    ("metrics", 0x8fc20112031124c6),
 ];
 
 /// Recorded digest of the JSONL trace of the whole session.

@@ -33,11 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let wl = hpwl(&circuit.hypergraph, &placement.positions);
         println!(
             "terminal propagation {:>5}: HPWL = {:10.1}, {} bisections, \
-             avg fixed fraction per instance = {:.1}%",
+             fixed fraction {:.1}% mean per instance, {:.1}% pooled",
             propagate,
             wl,
             placement.num_bisections(),
-            100.0 * placement.avg_fixed_fraction()
+            100.0 * placement.mean_fixed_fraction(),
+            100.0 * placement.pooled_fixed_fraction()
         );
     }
     // Legalize the terminal-propagated placement into standard-cell rows.

@@ -38,15 +38,18 @@ cargo test -q --offline -p vlsi-service --test protocol_doc
 
 # Golden output digests: every public way to run an engine, on one small
 # netlist with ~10% fixed vertices, folded into FNV-1a digests of the
-# partition, the value and the trace stream (one digest per case;
+# partition, the value and the trace stream (three digests per case: full
+# trace, kept answers without move counts, and parts plus value alone;
 # Multistart::run_parallel, the one path a thread count reaches, must
-# produce its digest on one and on two workers). A second table pins the
+# produce its digests on one and on two workers). A second table pins the
 # callers of the block-instance builder (induced_subgraph) on a small
 # netgen circuit: the placer's positions and per-bisection counts with
 # terminal propagation on and off, Table IV's eight standard instances
 # and the Rent extraction's samples. A change that claims to leave outputs
-# alone must leave every digest alone; one that changes partitions on
-# purpose re-records the table and says why.
+# alone must leave every digest alone; one that only drops work that
+# provably changes nothing may re-record the trace tables but never the
+# parts table; one that changes partitions on purpose re-records the
+# tables and says why.
 echo "==> golden output digests"
 cargo test -q --offline -p fixed-vertices-repro --test golden_digests
 
@@ -83,10 +86,11 @@ TESTKIT_SEED=1999 TESTKIT_CASES=10000 \
 
 # FM differential fuzz smoke: the suite that pins the 2-way FM pass loop
 # (results and trace events, bucket_ops included) to the earlier
-# KwayGains/Partitioning loop, and the exact pass stop to that loop's
-# classic passes, re-based on the same fixed seed and scaled to 4x its
-# checked-in case counts (1600 small instances plus 16 with over 2,100
-# vertices per property; about 3 s in a debug build).
+# KwayGains/Partitioning loop, the exact pass stop to that loop's
+# classic passes, and FmStack to that loop stage by stage, re-based on
+# the same fixed seed and scaled to 4x its checked-in case counts (1600
+# small instances plus 16 with over 2,100 vertices per property; about
+# 4 s in a debug build).
 echo "==> FM differential fuzz smoke (TESTKIT_SEED=1999, 4x cases)"
 TESTKIT_SEED=1999 TESTKIT_CASES=4x \
     cargo test -q --offline -p fixed-vertices-repro --test fm_differential
@@ -102,6 +106,17 @@ TESTKIT_SEED=1999 TESTKIT_CASES=4x \
 echo "==> block instance differential (TESTKIT_SEED=1999, 4x cases)"
 TESTKIT_SEED=1999 TESTKIT_CASES=4x \
     cargo test -q --offline -p fixed-vertices-repro --test block_instance_differential
+
+# Refinement fixpoint differential: KwayRefiner with four passes must
+# return what one-pass calls repeated until the value stops improving
+# return, with one pass bracket under the round pass, which ends at its
+# fixpoint (k in {2, 3, 4}, cut and km1, windowed and exact balance).
+# Re-based on the same fixed seed at 4x its cases (about 1 s in a debug
+# build). FmStack's stage-by-stage property runs in the FM differential
+# fuzz smoke above.
+echo "==> refinement fixpoint differential (TESTKIT_SEED=1999, 4x cases)"
+TESTKIT_SEED=1999 TESTKIT_CASES=4x \
+    cargo test -q --offline -p fixed-vertices-repro --test refinement_equivalence fixpoint
 
 # Exact pass stop identity: the default multilevel engine and rb/kway at
 # k=4 end their FM passes with the exact stop (PassCutoff::Exact). On a

@@ -20,6 +20,14 @@
 //! A third test runs the engine under [`PassCutoff::Exact`] against the
 //! reference's classic passes over both corpora, without cancellation: the
 //! stop may only drop the moves after it, never change what a pass keeps.
+//!
+//! A fourth property pins [`FmStack`], whose stages share one pass state,
+//! to the reference run as its first stage and then, unless the token has
+//! fired, as its second stage from the first one's output. Stage configs
+//! are drawn over both policies, unlimited, fractional and exact cutoffs
+//! and pass budgets; the reference's exact stop is a port of the engine's
+//! rule (off for the other cutoffs). Parts, cut, event streams and errors
+//! must be equal, on both corpora and under cancellation.
 
 use std::cell::Cell;
 
@@ -33,8 +41,8 @@ use fixed_vertices_repro::vlsi_hypergraph::{
 };
 use fixed_vertices_repro::vlsi_partition::trace::{Event, Sink, VecSink};
 use fixed_vertices_repro::vlsi_partition::{
-    random_initial, BipartFm, CancelToken, FmConfig, FmResult, PartitionError, PassCutoff,
-    PassStats, RunCtx, SelectionPolicy,
+    random_initial, BipartFm, CancelToken, FmConfig, FmResult, FmStack, PartitionError, PassCutoff,
+    PassStats, Refiner, RunCtx, SelectionPolicy,
 };
 
 /// A port of the earlier 2-way pass loop, single-threaded (gain
@@ -105,6 +113,7 @@ mod reference {
         let mut state = PassState {
             hg,
             balance,
+            exact: matches!(config.cutoff, PassCutoff::Exact),
             movable: &movable,
             partitioning: &mut partitioning,
             gains: KwayGains::new(2, hg.num_vertices(), key_bound),
@@ -152,6 +161,8 @@ mod reference {
     struct PassState<'a, S: Sink> {
         hg: &'a Hypergraph,
         balance: &'a BalanceConstraint,
+        /// Whether passes end with the exact stop.
+        exact: bool,
         movable: &'a [bool],
         partitioning: &'a mut Partitioning,
         gains: KwayGains,
@@ -163,6 +174,18 @@ mod reference {
         sink: &'a S,
         cancel: &'a CancelToken,
         bucket_ops: u64,
+    }
+
+    /// Marks `side` of net `n` frozen; returns the net's weight `w` if
+    /// that froze it on both sides.
+    fn freeze(frozen: &mut [u8], n: NetId, side: usize, w: u64) -> u64 {
+        let before = frozen[n.index()];
+        frozen[n.index()] |= 1 << side;
+        if before != 3 && frozen[n.index()] == 3 {
+            w
+        } else {
+            0
+        }
     }
 
     impl<S: Sink> PassState<'_, S> {
@@ -178,6 +201,20 @@ mod reference {
                 });
             }
             self.prepare_buckets();
+
+            // The exact stop: per net, the sides holding a pin that cannot
+            // move again in this pass (immovable, or already moved), and
+            // the weight of the nets frozen on both sides.
+            let mut frozen = vec![0u8; self.hg.num_nets()];
+            let mut dead = 0u64;
+            if self.exact {
+                for v in self.hg.vertices().filter(|v| !self.movable[v.index()]) {
+                    let side = self.partitioning.part_of(v).index();
+                    for &n in self.hg.vertex_nets(v) {
+                        dead += freeze(&mut frozen, n, side, self.hg.net_weight(n));
+                    }
+                }
+            }
 
             let mut move_log = MoveLog::with_capacity(move_limit);
             let mut best_cut = cut_before;
@@ -199,6 +236,11 @@ mod reference {
                 self.locked[vertex.index()] = true;
                 let gain = self.gain[vertex.index()];
                 self.apply_move_with_gain_updates(vertex, from, to);
+                if self.exact {
+                    for &n in self.hg.vertex_nets(vertex) {
+                        dead += freeze(&mut frozen, n, to.index(), self.hg.net_weight(n));
+                    }
+                }
                 move_log.record(vertex, from);
                 let cut = self.partitioning.cut_value(Objective::Cut);
                 if S::ENABLED {
@@ -219,14 +261,17 @@ mod reference {
                     });
                 }
 
-                if !self.balance.is_satisfied(self.partitioning.loads()) {
-                    continue;
+                if self.balance.is_satisfied(self.partitioning.loads()) {
+                    let imbalance = self.imbalance();
+                    if cut < best_cut || (cut == best_cut && imbalance < best_imbalance) {
+                        best_cut = cut;
+                        move_log.mark_best();
+                        best_imbalance = imbalance;
+                    }
                 }
-                let imbalance = self.imbalance();
-                if cut < best_cut || (cut == best_cut && imbalance < best_imbalance) {
-                    best_cut = cut;
-                    move_log.mark_best();
-                    best_imbalance = imbalance;
+                // Frozen nets stay cut: no later prefix cuts less.
+                if dead > best_cut {
+                    break;
                 }
             }
 
@@ -610,9 +655,8 @@ fn setup(inst: &RawInstance, knob: u64) -> Setup {
     }
 }
 
-/// Runs `fm` (or the reference, when `fm` is `None`) and returns the
-/// result with the recorded events.
-fn run(s: &Setup, fm: Option<&BipartFm>) -> (Result<FmResult, PartitionError>, Vec<Event>) {
+/// A recording sink and the token it cancels as `s.cancel_at` asks.
+fn cancel_sink(s: &Setup) -> (CancelAt, CancelToken) {
     let sink = CancelAt::new(s.cancel_at.unwrap_or(u64::MAX));
     let token = match s.cancel_at {
         None => CancelToken::never(),
@@ -623,6 +667,13 @@ fn run(s: &Setup, fm: Option<&BipartFm>) -> (Result<FmResult, PartitionError>, V
             sink.token.clone()
         }
     };
+    (sink, token)
+}
+
+/// Runs `fm` (or the reference, when `fm` is `None`) and returns the
+/// result with the recorded events.
+fn run(s: &Setup, fm: Option<&BipartFm>) -> (Result<FmResult, PartitionError>, Vec<Event>) {
+    let (sink, token) = cancel_sink(s);
     let initial = s.initial.clone();
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let result = match fm {
@@ -741,6 +792,65 @@ fn check_exact_stop(mut s: Setup) -> usize {
     stopped
 }
 
+/// One FM stage: either policy, an unlimited, fractional or exact cutoff,
+/// and the default or a small pass budget.
+fn stage_config(rng: &mut ChaCha8Rng) -> FmConfig {
+    FmConfig {
+        policy: if rng.gen_bool(0.5) {
+            SelectionPolicy::Lifo
+        } else {
+            SelectionPolicy::Clip
+        },
+        cutoff: match rng.gen_range(0..3) {
+            0 => PassCutoff::Unlimited,
+            1 => PassCutoff::Fraction(rng.gen_range(0.0..1.0)),
+            _ => PassCutoff::Exact,
+        },
+        max_passes: if rng.gen_bool(0.7) {
+            FmConfig::default().max_passes
+        } else {
+            rng.gen_range(0..=4)
+        },
+    }
+}
+
+/// Requires an [`FmStack`] of one or two random stages to match the
+/// reference run as its first stage and then, unless the token has fired,
+/// as its second from the first one's output: equal parts and cut, or
+/// equal errors, and equal event streams. Returns whether a second stage
+/// ran.
+fn check_stack(s: &Setup, knob: u64) -> bool {
+    let mut rng = ChaCha8Rng::seed_from_u64(knob.rotate_left(32));
+    let first = stage_config(&mut rng);
+    let second = rng.gen_bool(0.8).then(|| stage_config(&mut rng));
+
+    let (sink, token) = cancel_sink(s);
+    let reference = |config: &FmConfig, initial: Vec<PartId>| {
+        reference::run(config, &s.hg, &s.fixed, &s.balance, initial, &sink, &token)
+    };
+    let mut want = reference(&first, s.initial.clone());
+    let mut second_ran = false;
+    let mid = want.as_ref().ok().map(|r| r.parts.clone());
+    if let (Some(parts), Some(second)) = (mid, &second) {
+        if !token.is_cancelled() {
+            want = reference(second, parts);
+            second_ran = true;
+        }
+    }
+    let want = want.map(|r| (r.parts, r.cut));
+    let want_events = sink.events.take();
+
+    let (sink, token) = cancel_sink(s);
+    let mut rng = ChaCha8Rng::seed_from_u64(0);
+    let ctx = RunCtx::new(&mut rng).with_sink(&sink).with_cancel(&token);
+    let got = FmStack::new(first, second)
+        .refine_ctx(&s.hg, &s.fixed, &s.balance, s.initial.clone(), ctx)
+        .map(|r| (r.parts, r.cut));
+    assert_eq!(got, want, "result");
+    assert_eq!(sink.events.take(), want_events, "events");
+    second_ran
+}
+
 fn small_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     let gen = instances(InstanceConfig {
         vertices: 2..40,
@@ -817,5 +927,31 @@ fn exact_pass_stop_keeps_the_classic_passes() {
     assert!(
         stopped.get() > 0,
         "no pass stopped early: the check was vacuous"
+    );
+}
+
+#[test]
+fn fm_stack_matches_the_reference_stage_by_stage() {
+    let seconds = Cell::new(0);
+    let count = |case: (RawInstance, u64)| {
+        let (inst, knob) = case;
+        let ran = check_stack(&setup(&inst, knob), knob);
+        seconds.set(seconds.get() + usize::from(ran));
+    };
+    vlsi_testkit::check(
+        "fm_stack_matches_the_reference_stage_by_stage",
+        PropConfig::cases(400),
+        small_cases(),
+        count,
+    );
+    vlsi_testkit::check(
+        "fm_stack_matches_the_reference_stage_by_stage_on_large_instances",
+        PropConfig::cases(4),
+        large_cases(),
+        count,
+    );
+    assert!(
+        seconds.get() > 0,
+        "no second stage ran: the check was vacuous"
     );
 }

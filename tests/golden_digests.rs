@@ -1,7 +1,7 @@
 //! Golden digests: fixed-seed outputs pinned across commits.
 //!
 //! Every public way to run an engine is driven on one small netlist with
-//! about 10% of its vertices fixed, and its output is folded into two
+//! about 10% of its vertices fixed, and its output is folded into three
 //! 64-bit FNV-1a digests. `Multistart::run_parallel`, the one entry point a
 //! thread count reaches, runs with its starts on one and on two workers,
 //! and both runs must produce the recorded digest. [`GOLDEN`] covers
@@ -9,13 +9,20 @@
 //! line (with the wall-clock `StartFinished.micros` zeroed). [`ANSWERS`]
 //! covers the same without the `move` events, and with each `pass_end`
 //! reduced to its pass, best prefix and cuts: what a pass keeps, not how
-//! many moves it tried. A refactor that claims to be output-preserving
-//! must leave every digest unchanged; one that only ends FM passes earlier
-//! may re-record `GOLDEN` but must leave `ANSWERS` alone. A change that
-//! alters partitions on purpose re-records both tables and says why.
+//! many moves it tried. [`PARTS`] covers the partition vector and the
+//! reported value alone: the answer, whatever the trace says about how it
+//! was reached.
 //!
-//! On a mismatch the test prints both recomputed tables, ready to paste
-//! over [`GOLDEN`] and [`ANSWERS`].
+//! A refactor that claims to be output-preserving must leave every digest
+//! unchanged. One that only ends FM passes earlier may re-record `GOLDEN`
+//! but must leave `ANSWERS` and `PARTS` alone. One that only drops passes
+//! that provably change nothing (a k-way round pass started at the
+//! previous pass's fixpoint) may re-record `GOLDEN` and `ANSWERS`, never
+//! `PARTS`. A change that alters partitions on purpose re-records all
+//! three tables and says why.
+//!
+//! On a mismatch the test prints the recomputed tables, ready to paste
+//! over [`GOLDEN`], [`ANSWERS`] and [`PARTS`].
 //!
 //! [`INSTANCES`] pins the callers of the block-instance builder
 //! (`induced_subgraph`) on a small netgen circuit: the placer's positions
@@ -46,17 +53,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("ml/k2", 0xbdc85dbb0b4ce7ce),
     ("kl/k2", 0xf888348ae42b93fb),
     ("sa/k2", 0xd723cef41b6d0d05),
-    ("rb/k2", 0xe988e664fb22ff24),
-    ("kway/k2", 0x2cace6a30600c36a),
+    ("rb/k2", 0x05ac98315f56bd92),
+    ("kway/k2", 0xa27a918453c1e744),
     ("rb/k4", 0x694d6324cc97229c),
-    ("kway/k4", 0x2d2f421878974ffb),
+    ("kway/k4", 0xfa172035acb30e42),
     ("rb/k4/km1", 0x649f9f47d9086a68),
-    ("kway/k4/km1", 0x18ca65a6ceb485f9),
+    ("kway/k4/km1", 0xdfe309559b888533),
     ("multistart/run", 0x448788efae3b5a7d),
     ("multistart/run_parallel", 0x1a811d204195ffa7),
     ("multistart/ml_vcycle", 0x50ead22bb64b720c),
-    ("warmstart/k2", 0x1fac5516ab2b1252),
-    ("warmstart/k4/km1", 0x1e8238469bc47de6),
+    ("warmstart/k2", 0x82fb2fca89324f31),
+    ("warmstart/k4/km1", 0x701f667017977035),
     ("kway_refiner/k4/km1", 0x5e5d6ce04c9905cc),
 ];
 
@@ -66,18 +73,39 @@ const ANSWERS: &[(&str, u64)] = &[
     ("ml/k2", 0xb6a2be9b843e1aff),
     ("kl/k2", 0xde41ef9d0a6162e4),
     ("sa/k2", 0xd723cef41b6d0d05),
-    ("rb/k2", 0x146e049f71297011),
-    ("kway/k2", 0xb7b54566aa27ae81),
+    ("rb/k2", 0x510ba527309af923),
+    ("kway/k2", 0x5eae9cec4370dcb3),
     ("rb/k4", 0xe08493b5cfdc5950),
-    ("kway/k4", 0x071a1ed0a854aa46),
+    ("kway/k4", 0xb630c38b6b27beb7),
     ("rb/k4/km1", 0x37b005ca0f87df60),
-    ("kway/k4/km1", 0xebc2550a81a70cf2),
+    ("kway/k4/km1", 0x5e53cde160509550),
     ("multistart/run", 0x5052f312594dc45c),
     ("multistart/run_parallel", 0xfe26bf0cd96428eb),
     ("multistart/ml_vcycle", 0x547d96494b71a21e),
-    ("warmstart/k2", 0x1fac5516ab2b1252),
-    ("warmstart/k4/km1", 0x1e8238469bc47de6),
+    ("warmstart/k2", 0x82fb2fca89324f31),
+    ("warmstart/k4/km1", 0x701f667017977035),
     ("kway_refiner/k4/km1", 0x5e5d6ce04c9905cc),
+];
+
+/// Recorded partition-and-value digests, one per case, in the order of
+/// [`GOLDEN`].
+const PARTS: &[(&str, u64)] = &[
+    ("fm/k2", 0x8366850565758334),
+    ("ml/k2", 0x6ff144346ae0a399),
+    ("kl/k2", 0x77fd370941d28451),
+    ("sa/k2", 0xe47bf9e47a191ae2),
+    ("rb/k2", 0xa6433feb33e6b82f),
+    ("kway/k2", 0xff00410f5b9b899f),
+    ("rb/k4", 0xec8ad524ef847933),
+    ("kway/k4", 0x19550d2e47ebf659),
+    ("rb/k4/km1", 0xae954712d9a5e4f1),
+    ("kway/k4/km1", 0xd34e0f78da1e80b8),
+    ("multistart/run", 0x0d80505ebba4c09e),
+    ("multistart/run_parallel", 0x32452cefac05c44f),
+    ("multistart/ml_vcycle", 0xb0246cb462e932b8),
+    ("warmstart/k2", 0x5f34fa6032ff06a8),
+    ("warmstart/k4/km1", 0x2ada79663f33a591),
+    ("kway_refiner/k4/km1", 0xae954712d9a5e4f1),
 ];
 
 /// Recorded digests of the block-instance builder's callers, one per case.
@@ -150,14 +178,18 @@ fn digest(parts: &[PartId], value: u64, events: &[Event], answers_only: bool) ->
     h.0
 }
 
-/// The full and the answer digest of one run.
-fn result_digest(r: &PartitionResult, sink: &VecSink) -> (u64, u64) {
+/// The full, the answer and the partition digest of one run.
+fn result_digest(r: &PartitionResult, sink: &VecSink) -> Digests {
     let events = sink.take();
     (
         digest(&r.parts, r.cut, &events, false),
         digest(&r.parts, r.cut, &events, true),
+        digest(&r.parts, r.cut, &[], false),
     )
 }
+
+/// One case's [`GOLDEN`], [`ANSWERS`] and [`PARTS`] digests.
+type Digests = (u64, u64, u64);
 
 /// The instance: a scaled ibm01-like netlist with every tenth vertex fixed,
 /// round-robin over the `k` parts.
@@ -198,7 +230,7 @@ fn round_robin_seed(inst: &Instance) -> Vec<PartId> {
         .collect()
 }
 
-fn engine_case(inst: &Instance, engine: &EngineConfig) -> (u64, u64) {
+fn engine_case(inst: &Instance, engine: &EngineConfig) -> Digests {
     let sink = VecSink::new();
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
     let ctx = RunCtx::new(&mut rng).with_sink(&sink);
@@ -217,14 +249,14 @@ fn workers(name: &str) -> &'static [usize] {
     }
 }
 
-/// Every case's name, worker count, full digest and answer digest.
-fn compute() -> Vec<(String, usize, (u64, u64))> {
+/// Every case's name, worker count and digests.
+fn compute() -> Vec<(String, usize, Digests)> {
     let bi = instance(2);
     let quad = instance(4);
     let ml = EngineConfig::Multilevel(MultilevelConfig::default());
     let never = CancelToken::never();
     let mut out = Vec::new();
-    let mut push = |name: String, d: (u64, u64)| out.push((name, 1, d));
+    let mut push = |name: String, d: Digests| out.push((name, 1, d));
 
     for info in ENGINES {
         let engine = EngineConfig::by_name(info.name).unwrap();
@@ -276,7 +308,7 @@ fn compute() -> Vec<(String, usize, (u64, u64))> {
             result_digest(&o.best, &sink),
         ));
     }
-    let mut push = |name: String, d: (u64, u64)| out.push((name, 1, d));
+    let mut push = |name: String, d: Digests| out.push((name, 1, d));
 
     let sink = VecSink::new();
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
@@ -340,38 +372,41 @@ fn compute() -> Vec<(String, usize, (u64, u64))> {
 #[test]
 fn fixed_seed_outputs_match_the_recorded_digests() {
     let actual = compute();
-    let expected: Vec<(String, usize, (u64, u64))> = GOLDEN
+    let expected: Vec<(String, usize, Digests)> = GOLDEN
         .iter()
         .zip(ANSWERS)
-        .flat_map(|(&(name, full), &(_, answer))| {
+        .zip(PARTS)
+        .flat_map(|((&(name, full), &(_, answer)), &(_, parts))| {
             workers(name)
                 .iter()
-                .map(move |&t| (name.to_string(), t, (full, answer)))
+                .map(move |&t| (name.to_string(), t, (full, answer, parts)))
         })
         .collect();
     if actual != expected {
         let mut changed = String::new();
-        let (mut golden, mut answers) = (String::new(), String::new());
-        for (name, t, (full, answer)) in &actual {
-            let want = expected.iter().find(|(n, et, _)| n == name && et == t);
-            if let Some((_, _, (want_full, want_answer))) = want {
-                if full != want_full {
-                    changed.push_str(&format!("  {name} at {t} workers: GOLDEN {full:#018x}\n"));
-                }
-                if answer != want_answer {
+        let mut tables = [String::new(), String::new(), String::new()];
+        for (name, t, d) in &actual {
+            let got = [d.0, d.1, d.2];
+            let want = expected
+                .iter()
+                .find(|(n, et, _)| n == name && et == t)
+                .map(|(_, _, w)| [w.0, w.1, w.2]);
+            for (i, table) in ["GOLDEN", "ANSWERS", "PARTS"].iter().enumerate() {
+                if want.is_some_and(|w| w[i] != got[i]) {
                     changed.push_str(&format!(
-                        "  {name} at {t} workers: ANSWERS {answer:#018x}\n"
+                        "  {name} at {t} workers: {table} {:#018x}\n",
+                        got[i]
                     ));
                 }
-            }
-            if *t == 1 {
-                golden.push_str(&format!("    ({name:?}, {full:#018x}),\n"));
-                answers.push_str(&format!("    ({name:?}, {answer:#018x}),\n"));
+                if *t == 1 {
+                    tables[i].push_str(&format!("    ({name:?}, {:#018x}),\n", got[i]));
+                }
             }
         }
+        let [golden, answers, parts] = tables;
         panic!(
             "golden digests differ:\n{changed}recomputed tables at one worker:\n\
-             GOLDEN:\n{golden}ANSWERS:\n{answers}"
+             GOLDEN:\n{golden}ANSWERS:\n{answers}PARTS:\n{parts}"
         );
     }
 }

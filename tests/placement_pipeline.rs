@@ -67,7 +67,7 @@ fn place_then_derive_then_partition() {
 #[test]
 fn placer_instances_live_in_the_fixed_terminals_regime() {
     // The quantitative version of the paper's Table I motivation: the
-    // average bisection instance of a top-down placement run carries a
+    // bisection instances of a top-down placement run, pooled, carry a
     // substantial fixed fraction.
     let circuit = ibm01_like_scaled(0.04, 33);
     let placer = TopDownPlacer::new(PlacerConfig {
@@ -82,7 +82,7 @@ fn placer_instances_live_in_the_fixed_terminals_regime() {
     let placement = placer
         .place_circuit(&circuit, &mut rng)
         .expect("placement succeeds");
-    let frac = placement.avg_fixed_fraction();
+    let frac = placement.pooled_fixed_fraction();
     assert!(
         frac > 0.10,
         "expected a terminal-heavy regime, got {frac:.3}"

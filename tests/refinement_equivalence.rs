@@ -22,6 +22,13 @@
 //! * **Selection.** The trace shows which pass ran: round brackets on a
 //!   windowed instance, plain `KwayMove`s and no round on a zero-window one.
 //!
+//! A fixpoint property pins `KwayRefiner`'s pass loop: four allowed passes
+//! must return what one-pass calls return when repeated until the value
+//! stops improving (at most four), on both corpora under cut and km1. The
+//! round pass ends at its fixpoint, so it runs once, with one pass bracket
+//! in the trace; the FM-relaxation pass runs as many passes as the
+//! repeated calls.
+//!
 //! The last property attacks the round pass's conflict resolution with
 //! equal-gain gadget swarms: hundreds of disjoint gadgets proposing
 //! identical gains, so the `(gain desc, vertex id asc)` merge order is the
@@ -287,6 +294,75 @@ prop_test! {
     fn fm_relaxation_pass_is_legal_at_exact_balance(inst in exact_balance_instance) {
         exact_balance_case(&inst, Objective::Cut);
         exact_balance_case(&inst, Objective::KMinus1);
+    }
+}
+
+// --- the pass loop's fixpoint ---------------------------------------------
+
+/// `KwayRefiner { max_passes: 4 }` against one-pass calls repeated until
+/// the value stops improving, at most four times: equal parts and value.
+/// The traced call carries one `KwayPassStart` under the round pass
+/// (`windowed`), and one per repeated call under the FM-relaxation pass.
+fn fixpoint_case(inst: &RawInstance, objective: Objective, tolerance: f64, windowed: bool) {
+    let k = part_count(inst);
+    let (hg, fixed) = build(inst, k);
+    let balance = BalanceConstraint::even(k, &[hg.total_weight()], Tolerance::Relative(tolerance));
+    let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
+    let Ok(initial) = random_initial(&hg, &fixed, &balance, k, &mut rng) else {
+        return; // infeasible fixity mask
+    };
+
+    let sink = VecSink::new();
+    let refiner = KwayRefiner {
+        objective,
+        max_passes: 4,
+    };
+    let full = refiner
+        .refine_ctx(
+            &hg,
+            &fixed,
+            &balance,
+            initial.clone(),
+            RunCtx::new(&mut rng).with_sink(&sink),
+        )
+        .expect("k-way passes refine");
+    let brackets = sink
+        .take()
+        .iter()
+        .filter(|e| matches!(e, Event::KwayPassStart { .. }))
+        .count();
+
+    let mut parts = initial;
+    let mut value = CutState::new(&hg, k, &parts).value(objective);
+    let mut calls = 0;
+    while calls < 4 {
+        calls += 1;
+        let (r, _) = one_pass(&hg, &fixed, &balance, parts.clone(), objective);
+        if r.cut >= value {
+            break;
+        }
+        (parts, value) = (r.parts, r.cut);
+    }
+    assert_eq!(full.parts, parts, "{objective:?}: parts");
+    assert_eq!(full.cut, value, "{objective:?}: value");
+    let want = if windowed { 1 } else { calls };
+    assert_eq!(brackets, want, "{objective:?}: pass brackets");
+}
+
+prop_test! {
+    /// Windowed instances (the round pass): one pass, at its fixpoint.
+    #[cases(32)]
+    fn kway_passes_stop_at_the_fixpoint(inst in instance_with_random_fix_fraction) {
+        fixpoint_case(&inst, Objective::Cut, 0.1, true);
+        fixpoint_case(&inst, Objective::KMinus1, 0.1, true);
+    }
+
+    /// Exact balance (the FM-relaxation pass): passes until one fails to
+    /// improve.
+    #[cases(32)]
+    fn kway_passes_stop_at_the_fixpoint_at_exact_balance(inst in exact_balance_instance) {
+        fixpoint_case(&inst, Objective::Cut, 0.0, false);
+        fixpoint_case(&inst, Objective::KMinus1, 0.0, false);
     }
 }
 
