@@ -9,6 +9,14 @@ use vlsi_hypergraph::{FixedVertices, Fixity, Hypergraph, HypergraphBuilder, Part
 
 /// One coarsening level: the coarse hypergraph, its fixities, and the map
 /// from fine vertex to coarse vertex.
+///
+/// A level is a deterministic function of the fine instance and the
+/// clustering: coarse vertex `c` is cluster `c`, carrying the summed
+/// weight vectors and merged fixities of its members. Every fine net that
+/// spans two or more clusters maps to its ascending, duplicate-free list
+/// of clusters; the coarse nets are those lists in lexicographic order,
+/// one per distinct list, each weighing the sum of the fine nets that map
+/// to it. A fine net inside one cluster has no coarse net.
 #[derive(Debug, Clone)]
 pub struct Level {
     /// The coarse hypergraph.
@@ -104,9 +112,13 @@ pub fn merge_fixity(a: Fixity, b: Fixity) -> Option<Fixity> {
 ///
 /// Vertices are visited in random order; each unmatched vertex is paired
 /// with the unmatched neighbour maximising the standard hypergraph
-/// heavy-edge score `Σ w(n) / (|n| − 1)` over shared nets, subject to the
-/// cluster-weight cap and fixity compatibility. When `same_part` is given
-/// (V-cycling), only vertices currently in the same partition may merge.
+/// heavy-edge score `Σ w(n) / (|n| − 1)` over shared nets (ties go to the
+/// higher vertex id), subject to the cluster-weight cap and fixity
+/// compatibility. When `same_part` is given (V-cycling), only vertices
+/// currently in the same partition may merge. Before matching, vertices
+/// fixed in the same partition are grouped up to the weight cap, so those
+/// terminal clusters take the lowest coarse ids. The clustering is then
+/// contracted by [`contract_clusters`].
 ///
 /// Returns `None` if matching failed to shrink the graph below
 /// `min_shrink × |V|` (a stall).
@@ -122,8 +134,8 @@ pub fn coarsen_once<R: Rng + ?Sized>(
     let mut order: Vec<VertexId> = hg.vertices().collect();
     order.shuffle(rng);
 
+    // A vertex is matched once it has a cluster.
     const UNMATCHED: u32 = u32::MAX;
-    let mut partner = vec![UNMATCHED; n];
     let mut num_clusters = 0usize;
     let mut cluster_of = vec![UNMATCHED; n];
 
@@ -165,7 +177,6 @@ pub fn coarsen_once<R: Rng + ?Sized>(
                         ) =>
                 {
                     cluster_of[v.index()] = *cluster;
-                    partner[v.index()] = v.0;
                     *bw += w;
                     for (a, &b) in bws.iter_mut().zip(hg.vertex_weights(v)) {
                         *a += b;
@@ -175,7 +186,6 @@ pub fn coarsen_once<R: Rng + ?Sized>(
                     let cluster = num_clusters as u32;
                     num_clusters += 1;
                     cluster_of[v.index()] = cluster;
-                    partner[v.index()] = v.0;
                     bin_cluster.insert(p.0, (cluster, w, hg.vertex_weights(v).to_vec()));
                 }
             }
@@ -186,15 +196,17 @@ pub fn coarsen_once<R: Rng + ?Sized>(
     // in a dense array indexed by vertex, with the vertices touched for
     // the current `v` listed in `candidates`; each candidate's score is
     // summed in `v`'s net order, so the f64 sums never depend on how they
-    // are stored. Membership is tracked in `is_candidate` rather than by a
-    // sentinel score, because a zero-weight net scores a candidate exactly
-    // 0.0. The argmax is over `(score, id)`, a total order on candidates,
-    // so the choice does not depend on the order they are visited in.
-    let mut score = vec![0.0f64; n];
-    let mut is_candidate = vec![false; n];
+    // are stored. A score is a sum of non-negative terms (a zero-weight
+    // net scores a candidate exactly 0.0), so a negative entry marks a
+    // vertex not yet touched. The argmax is over `(score, id)`, a total
+    // order on candidates, so the choice does not depend on the order they
+    // are visited in, and a candidate that cannot beat the best so far
+    // skips the merge checks.
+    const UNTOUCHED: f64 = -1.0;
+    let mut score = vec![UNTOUCHED; n];
     let mut candidates: Vec<VertexId> = Vec::new();
     for &v in &order {
-        if partner[v.index()] != UNMATCHED {
+        if cluster_of[v.index()] != UNMATCHED {
             continue;
         }
         for &net in hg.vertex_nets(v) {
@@ -205,9 +217,8 @@ pub fn coarsen_once<R: Rng + ?Sized>(
             let s = hg.net_weight(net) as f64 / (size as f64 - 1.0);
             for &u in hg.net_pins(net) {
                 let ui = u.index();
-                if u != v && partner[ui] == UNMATCHED {
-                    if !is_candidate[ui] {
-                        is_candidate[ui] = true;
+                if u != v && cluster_of[ui] == UNMATCHED {
+                    if score[ui] < 0.0 {
                         score[ui] = 0.0;
                         candidates.push(u);
                     }
@@ -219,8 +230,10 @@ pub fn coarsen_once<R: Rng + ?Sized>(
         let vfix = fixed.fixity(v);
         let mut best: Option<(f64, VertexId)> = None;
         for &u in &candidates {
-            is_candidate[u.index()] = false;
-            let score = score[u.index()];
+            let u_score = std::mem::replace(&mut score[u.index()], UNTOUCHED);
+            if best.is_some_and(|(bs, bu)| (bs, bu.0) >= (u_score, u.0)) {
+                continue;
+            }
             if vw + hg.vertex_weight(u) > params.max_cluster_weight {
                 continue;
             }
@@ -252,28 +265,21 @@ pub fn coarsen_once<R: Rng + ?Sized>(
                     continue;
                 }
             }
-            match best {
-                Some((bs, bu)) if (bs, bu.0) >= (score, u.0) => {}
-                _ => best = Some((score, u)),
-            }
+            best = Some((u_score, u));
         }
         candidates.clear();
+        let cluster = num_clusters as u32;
+        num_clusters += 1;
+        cluster_of[v.index()] = cluster;
         if let Some((_, u)) = best {
-            if let Some(Fixity::Fixed(p)) = merge_fixity(vfix, fixed.fixity(u)) {
+            let ufix = fixed.fixity(u);
+            if let Some(Fixity::Fixed(p)) = merge_fixity(vfix, ufix) {
                 if p.index() < fixed_weight.len() {
-                    fixed_weight[p.index()] += fixed_delta(vfix, p, vw)
-                        + fixed_delta(fixed.fixity(u), p, hg.vertex_weight(u));
+                    fixed_weight[p.index()] +=
+                        fixed_delta(vfix, p, vw) + fixed_delta(ufix, p, hg.vertex_weight(u));
                 }
             }
-            partner[v.index()] = u.0;
-            partner[u.index()] = v.0;
-            cluster_of[v.index()] = num_clusters as u32;
-            cluster_of[u.index()] = num_clusters as u32;
-            num_clusters += 1;
-        } else {
-            partner[v.index()] = v.0; // matched with itself
-            cluster_of[v.index()] = num_clusters as u32;
-            num_clusters += 1;
+            cluster_of[u.index()] = cluster;
         }
     }
 
@@ -291,8 +297,17 @@ pub fn coarsen_once<R: Rng + ?Sized>(
 /// (which force-coarsens agreement clusters): cluster weight vectors are
 /// summed, fixities merged (panics if a cluster holds incompatible
 /// fixities — callers must pre-check with [`merge_fixity`]), and nets are
-/// mapped, deduplicated and merged by the sort-based span scheme, so the
-/// coarse net list is deterministic.
+/// mapped to clusters, deduplicated and merged, so the coarse net list is
+/// deterministic (see [`Level`]).
+///
+/// Each fine net spanning two or more clusters becomes one item holding
+/// its first two coarse pins; only a net of three or more pins writes its
+/// sorted pins to a shared arena. Two stable counting sorts over the
+/// clusters, by second pin and then by first, order the items, and only a
+/// run of items with equal first two pins that holds a longer net is
+/// sorted by the pins after them. Runs of equal pin lists merge in place
+/// by summing weights; u64 addition is order-independent, so the order of
+/// equal lists cannot reach the output.
 ///
 /// `cluster_of[v]` must be a dense id in `0..num_clusters`.
 pub fn contract_clusters(
@@ -301,7 +316,6 @@ pub fn contract_clusters(
     cluster_of: Vec<u32>,
     num_clusters: usize,
 ) -> Level {
-    // Build the coarse hypergraph.
     let nr = hg.num_resources();
     let mut weights = vec![0u64; num_clusters * nr];
     let mut fixities = vec![Fixity::Free; num_clusters];
@@ -314,52 +328,110 @@ pub fn contract_clusters(
             .expect("matching produced incompatible fixities");
     }
 
-    // Map, dedup and merge nets: identical coarse pin sets sum weights.
-    //
-    // Every net's mapped pins are normalized (sorted, internally deduped)
-    // in place at the tail of one shared pin arena, with an
-    // `(offset, len, weight)` span per surviving net — no per-net key
-    // allocation, no hashing. Sorting the spans by pin slice brings
-    // identical coarse nets together; u64 weight addition is
-    // order-independent, so the coarse net list (lexicographic by pin
-    // slice) does not depend on how equal slices were ordered.
-    let mut pin_arena: Vec<u32> = Vec::with_capacity(hg.num_pins());
-    let mut spans: Vec<Span> = Vec::with_capacity(hg.num_nets());
+    // Map every net to its ascending, duplicate-free coarse pins, counting
+    // the items per first and per second pin as they are made. A net
+    // inside one cluster can never be cut and is dropped.
+    let cluster = |p: VertexId| VertexId(cluster_of[p.index()]);
+    let mut arena: Vec<VertexId> = Vec::new();
+    let mut items: Vec<Item> = Vec::with_capacity(hg.num_nets());
+    let mut by_first = vec![0u32; num_clusters];
+    let mut by_second = vec![0u32; num_clusters];
     for net in hg.nets() {
-        let start = pin_arena.len();
-        pin_arena.extend(hg.net_pins(net).iter().map(|&p| cluster_of[p.index()]));
-        pin_arena[start..].sort_unstable();
-        // In-place dedup of the tail written for this net.
-        let mut w = start + 1;
-        for r in start + 1..pin_arena.len() {
-            if pin_arena[r] != pin_arena[w - 1] {
-                pin_arena[w] = pin_arena[r];
-                w += 1;
+        let weight = hg.net_weight(net);
+        let item = match *hg.net_pins(net) {
+            [a, b] => {
+                let (a, b) = (cluster(a), cluster(b));
+                if a == b {
+                    continue;
+                }
+                Item::pair([a.min(b), a.max(b)], weight)
             }
-        }
-        pin_arena.truncate(w);
-        if w - start < 2 {
-            pin_arena.truncate(start); // internal to one cluster: can never be cut
-            continue;
-        }
-        spans.push((start as u32, (w - start) as u32, hg.net_weight(net)));
+            ref pins => {
+                // Sort and dedup the mapped pins in place at the arena's tail.
+                let start = arena.len();
+                arena.extend(pins.iter().map(|&p| cluster(p)));
+                let tail = &mut arena[start..];
+                tail.sort_unstable();
+                let mut len = 1;
+                for r in 1..tail.len() {
+                    if tail[r] != tail[len - 1] {
+                        tail[len] = tail[r];
+                        len += 1;
+                    }
+                }
+                arena.truncate(start + len);
+                match arena[start..] {
+                    [a, b] => {
+                        arena.truncate(start);
+                        Item::pair([a, b], weight)
+                    }
+                    [a, b, ..] => Item {
+                        head: [a, b],
+                        start: start as u32,
+                        len: len as u32,
+                        weight,
+                    },
+                    _ => {
+                        arena.truncate(start);
+                        continue;
+                    }
+                }
+            }
+        };
+        by_first[item.head[0].index()] += 1;
+        by_second[item.head[1].index()] += 1;
+        items.push(item);
     }
 
-    let spans = dedup_spans(&pin_arena, spans, num_clusters);
-    let pins = spans.iter().map(|s| s.1 as usize).sum();
-    let pin_slice = |s: &Span| &pin_arena[s.0 as usize..(s.0 + s.1) as usize];
+    // Order the items by (first pin, second pin) and back into `items`.
+    let mut scatter = vec![Item::pair([VertexId(0); 2], 0); items.len()];
+    scatter_by(&items, &mut scatter, &mut by_second, |item| item.head[1]);
+    scatter_by(&scatter, &mut items, &mut by_first, |item| item.head[0]);
+    drop(scatter);
+
+    // Finish the lexicographic order inside each run of equal first two
+    // pins, and merge each set of equal pin lists into its first item.
+    // One pass: items are compacted in place as the runs go by.
+    let mut kept = 0;
+    let mut start = 0;
+    while start < items.len() {
+        let head = items[start].head;
+        let mut end = start + 1;
+        while end < items.len() && items[end].head == head {
+            end += 1;
+        }
+        let run = &mut items[start..end];
+        if run.len() > 1 && run.iter().any(|item| item.len > 2) {
+            run.sort_unstable_by(|a, b| a.rest(&arena).cmp(b.rest(&arena)));
+        }
+        for i in start..end {
+            let item = items[i];
+            if i > start && items[kept - 1].rest(&arena) == item.rest(&arena) {
+                items[kept - 1].weight += item.weight;
+            } else {
+                items[kept] = item;
+                kept += 1;
+            }
+        }
+        start = end;
+    }
+    items.truncate(kept);
+
+    let pins = items.iter().map(|item| item.len as usize).sum();
     let mut builder =
-        HypergraphBuilder::with_capacity_and_resources(num_clusters, spans.len(), pins, nr);
+        HypergraphBuilder::with_capacity_and_resources(num_clusters, items.len(), pins, nr);
     for c in 0..num_clusters {
         builder
             .add_vertex_multi(&weights[c * nr..(c + 1) * nr])
             .expect("arity matches");
     }
-    for span in &spans {
+    for item in &items {
         builder
-            .add_net(span.2, pin_slice(span).iter().copied().map(VertexId))
+            .add_sorted_net(item.weight, item.pins(&arena))
             .expect("valid coarse net");
     }
+    // Free the items and the arena before the CSR transpose allocates.
+    drop((items, arena));
 
     Level {
         hg: builder.build().expect("valid coarse hypergraph"),
@@ -368,60 +440,57 @@ pub fn contract_clusters(
     }
 }
 
-/// A normalized coarse net: `(offset, len, weight)` into a pin arena whose
-/// slice is sorted, duplicate-free and at least two pins long.
-type Span = (u32, u32, u64);
+/// A coarse net being built: its first two pins, its weight, and for a
+/// net of three or more pins the span of all its pins in the arena.
+#[derive(Clone, Copy)]
+struct Item {
+    head: [VertexId; 2],
+    /// Arena offset of the pins; unused when `len == 2`.
+    start: u32,
+    len: u32,
+    weight: u64,
+}
 
-/// Sorts `spans` lexicographically by their pin slices in `pin_arena`
-/// (pins are `< num_clusters`) and merges each run of equal slices into
-/// one span carrying the summed weight.
-///
-/// A counting sort buckets the spans by first pin, and each bucket is
-/// then ordered by second pin with the rest of the slice as tie-break.
-/// Buckets hold about one span per coarse vertex and the second pin is
-/// copied next to each span, so most comparisons never touch the arena;
-/// this is much cheaper than one comparison sort over whole slices.
-fn dedup_spans(pin_arena: &[u32], spans: Vec<Span>, num_clusters: usize) -> Vec<Span> {
-    let first_pin = |s: &Span| pin_arena[s.0 as usize] as usize;
-    // `end[c]` first counts bucket `c`'s spans, then becomes the write
-    // cursor, which leaves it at the bucket's end once every span is placed.
-    let mut end = vec![0usize; num_clusters];
-    for s in &spans {
-        end[first_pin(s)] += 1;
+impl Item {
+    fn pair(head: [VertexId; 2], weight: u64) -> Self {
+        Item {
+            head,
+            start: 0,
+            len: 2,
+            weight,
+        }
     }
+
+    /// All pins, ascending.
+    fn pins<'a>(&'a self, arena: &'a [VertexId]) -> &'a [VertexId] {
+        if self.len == 2 {
+            &self.head
+        } else {
+            &arena[self.start as usize..][..self.len as usize]
+        }
+    }
+
+    /// The pins after the first two.
+    fn rest<'a>(&'a self, arena: &'a [VertexId]) -> &'a [VertexId] {
+        &self.pins(arena)[2..]
+    }
+}
+
+/// One pass of a stable counting sort: moves each item of `from` to slot
+/// `next[key]` of `to` and advances that slot. `next` enters holding each
+/// key's item count and is turned into the first slot of each key here.
+fn scatter_by(from: &[Item], to: &mut [Item], next: &mut [u32], key: impl Fn(&Item) -> VertexId) {
     let mut acc = 0;
-    for slot in &mut end {
-        acc += *slot;
-        *slot = acc - *slot;
+    for slot in next.iter_mut() {
+        let count = *slot;
+        *slot = acc;
+        acc += count;
     }
-    // `(second pin, span)`, bucketed by first pin.
-    let mut sorted: Vec<(u32, Span)> = vec![(0, (0, 0, 0)); spans.len()];
-    for s in spans {
-        let cursor = &mut end[first_pin(&s)];
-        sorted[*cursor] = (pin_arena[s.0 as usize + 1], s);
-        *cursor += 1;
+    for item in from {
+        let slot = &mut next[key(item).index()];
+        to[*slot as usize] = *item;
+        *slot += 1;
     }
-    let rest = |s: &Span| &pin_arena[s.0 as usize + 2..(s.0 + s.1) as usize];
-    let mut merged: Vec<Span> = Vec::with_capacity(sorted.len());
-    let mut start = 0;
-    for &stop in &end {
-        let bucket = &mut sorted[start..stop];
-        start = stop;
-        if bucket.len() > 1 {
-            bucket.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(&a.1).cmp(rest(&b.1))));
-        }
-        for (i, &(pin1, span)) in bucket.iter().enumerate() {
-            let repeats = i > 0 && {
-                let (prev_pin1, prev) = bucket[i - 1];
-                prev_pin1 == pin1 && rest(&prev) == rest(&span)
-            };
-            match merged.last_mut() {
-                Some(run) if repeats => run.2 += span.2,
-                _ => merged.push(span),
-            }
-        }
-    }
-    merged
 }
 
 /// Component-wise heavy-vertex guard: `true` when `acc + add` stays within

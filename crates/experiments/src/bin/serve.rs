@@ -16,7 +16,8 @@
 //! `--max-pins` enable admission control (load shedding, per-client rate
 //! limits and a per-request instance-size cap — see `docs/OPERATIONS.md`
 //! for tuning). On exit the final metrics
-//! snapshot is printed to stderr.
+//! snapshot is printed to stderr as one line, the object a
+//! `{"op":"metrics"}` request returns.
 
 use std::process::exit;
 use std::time::Duration;
@@ -103,18 +104,7 @@ fn main() {
         None => serve_stdio(args.config),
     };
     match served {
-        Ok(snapshot) => {
-            eprintln!(
-                "served {} jobs ({} failed, {} cache hits, {} deadline expirations); \
-                 latency p50 {}us p99 {}us",
-                snapshot.jobs_ok,
-                snapshot.jobs_failed,
-                snapshot.cache_hits,
-                snapshot.deadline_expirations,
-                snapshot.p50_us,
-                snapshot.p99_us
-            );
-        }
+        Ok(snapshot) => eprintln!("{}", snapshot.to_line()),
         Err(e) => {
             eprintln!("serve: {e}");
             exit(1);

@@ -214,6 +214,39 @@ impl HypergraphBuilder {
         self.finish_net(weight, start, net)
     }
 
+    /// Adds a net whose pins are strictly ascending, checking that in one
+    /// pass instead of [`HypergraphBuilder::add_net`]'s per-pin scan of the
+    /// pins before it. Builds the same net as `add_net` on such input.
+    ///
+    /// # Errors
+    /// * [`BuildError::EmptyNet`] if `pins` is empty.
+    /// * [`BuildError::UnknownVertex`] if a pin references a vertex that was
+    ///   never added.
+    /// * [`BuildError::DuplicatePin`] for the first pin that is not above
+    ///   the pin before it (a repeated pin, or pins out of order).
+    /// * [`BuildError::ArenaOverflow`] if the pin arena would exceed
+    ///   `u32::MAX` entries.
+    pub fn add_sorted_net(&mut self, weight: u64, pins: &[VertexId]) -> Result<NetId, BuildError> {
+        let net = NetId::from_index(self.net_weights.len());
+        if pins.is_empty() {
+            return Err(BuildError::EmptyNet { net });
+        }
+        for (i, &pin) in pins.iter().enumerate() {
+            if pin.index() >= self.num_vertices {
+                return Err(BuildError::UnknownVertex {
+                    vertex: pin,
+                    num_vertices: self.num_vertices,
+                });
+            }
+            if i > 0 && pins[i - 1] >= pin {
+                return Err(BuildError::DuplicatePin { net, vertex: pin });
+            }
+        }
+        let start = self.net_pins.len();
+        self.net_pins.extend_from_slice(pins);
+        self.finish_net(weight, start, net)
+    }
+
     /// Like [`HypergraphBuilder::add_net`] but silently drops duplicate pins
     /// instead of failing — convenient when translating netlists in which a
     /// cell may legitimately connect to the same signal through several pins.
@@ -374,6 +407,59 @@ mod tests {
         let v0 = b.add_vertex(1);
         let err = b.add_net(1, [v0, v0]).unwrap_err();
         assert!(matches!(err, BuildError::DuplicatePin { .. }));
+    }
+
+    #[test]
+    fn sorted_net_rejects_bad_pins_and_builder_still_usable() {
+        let mut b = HypergraphBuilder::new();
+        let v: Vec<_> = (0..3).map(|_| b.add_vertex(1)).collect();
+        let net = NetId(0);
+        assert_eq!(b.add_sorted_net(1, &[]), Err(BuildError::EmptyNet { net }));
+        assert_eq!(
+            b.add_sorted_net(1, &[v[0], VertexId(3)]),
+            Err(BuildError::UnknownVertex {
+                vertex: VertexId(3),
+                num_vertices: 3
+            })
+        );
+        // Unsorted pins and repeated pins are both refused as duplicates.
+        assert_eq!(
+            b.add_sorted_net(1, &[v[1], v[0]]),
+            Err(BuildError::DuplicatePin { net, vertex: v[0] })
+        );
+        assert_eq!(
+            b.add_sorted_net(1, &[v[0], v[1], v[1]]),
+            Err(BuildError::DuplicatePin { net, vertex: v[1] })
+        );
+        // Failed adds must not leave partial pins behind.
+        assert_eq!((b.num_nets(), b.num_pins()), (0, 0));
+        assert_eq!(b.add_sorted_net(2, &[v[0], v[2]]), Ok(net));
+        let hg = b.build().unwrap();
+        assert_eq!(hg.num_pins(), 2);
+        assert_eq!(hg.net_pins(net), &[v[0], v[2]]);
+        assert_eq!(hg.net_weight(net), 2);
+    }
+
+    #[test]
+    fn sorted_net_builds_the_graph_add_net_builds() {
+        let nets: [(u64, &[u32]); 4] =
+            [(1, &[0, 1, 4]), (3, &[2]), (2, &[1, 3]), (5, &[0, 2, 3, 4])];
+        let build = |sorted: bool| {
+            let mut b = HypergraphBuilder::with_resources(2);
+            for i in 0..5 {
+                b.add_vertex_multi(&[i + 1, 2 * i]).unwrap();
+            }
+            for (weight, pins) in nets {
+                let pins: Vec<VertexId> = pins.iter().copied().map(VertexId).collect();
+                if sorted {
+                    b.add_sorted_net(weight, &pins).unwrap();
+                } else {
+                    b.add_net(weight, pins).unwrap();
+                }
+            }
+            b.build().unwrap()
+        };
+        assert_eq!(build(true), build(false));
     }
 
     #[test]

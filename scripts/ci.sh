@@ -107,6 +107,18 @@ echo "==> block instance differential (TESTKIT_SEED=1999, 4x cases)"
 TESTKIT_SEED=1999 TESTKIT_CASES=4x \
     cargo test -q --offline -p fixed-vertices-repro --test block_instance_differential
 
+# Coarsening differential fuzz smoke: the suite that pins heavy-edge
+# matching and cluster contraction (coarsen_once, contract_clusters) to
+# the earlier kernels, level by level: cluster map, coarse nets in order
+# with their weights, vertex weights and fixities. It covers small and
+# ~2,000-vertex instances, the fixed-terminal regime (45% of vertices
+# fixed into two parts, no cluster cap) and clusterings whose nets share
+# their first two coarse pins. Re-based on the same fixed seed at 4x its
+# cases (about 4 s in a debug build).
+echo "==> coarsening differential fuzz smoke (TESTKIT_SEED=1999, 4x cases)"
+TESTKIT_SEED=1999 TESTKIT_CASES=4x \
+    cargo test -q --offline -p fixed-vertices-repro --test coarsen_differential
+
 # Refinement fixpoint differential: KwayRefiner with four passes must
 # return what one-pass calls repeated until the value stops improving
 # return, with one pass bracket under the round pass, which ends at its

@@ -18,7 +18,16 @@
 //! weights, and larger instances (about 2,000 vertices) run those chains
 //! at a size where the matching sees long candidate lists and the
 //! contraction merges many parallel nets.
+//!
+//! Two cases aim at the contraction's ordering by first and second coarse
+//! pin. In the paper's fixed-terminal regime, about 45% of the vertices
+//! are fixed into two parts with no cluster cap, so the terminal pre-pass
+//! forms two clusters with the lowest ids that own most nets. And
+//! hand-built clusterings put many nets of three or more pins on the same
+//! first two clusters, differing after them in content and in length,
+//! among repeats that must merge, two-pin, one-cluster and one-pin nets.
 
+use vlsi_rng::seq::SliceRandom;
 use vlsi_rng::{ChaCha8Rng, Rng, SeedableRng};
 use vlsi_testkit::gen::{instances, InstanceConfig, RawInstance};
 use vlsi_testkit::{prop_test, TestRng};
@@ -474,13 +483,19 @@ fn small_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
 
 /// Instances of 1,500–2,500 vertices with at least two nets per vertex.
 fn large_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
+    large_cases_fixing(0.2, K as u8)
+}
+
+/// [`large_cases`] with each vertex fixed with probability `fix_prob`
+/// into one of `fix_parts` parts.
+fn large_cases_fixing(fix_prob: f64, fix_parts: u8) -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     let gen = instances(InstanceConfig {
         vertices: 1500..2500,
         max_weight: 6,
         nets_per_vertex: 3.0,
         max_net_size: 6,
-        fix_prob: 0.2,
-        fix_parts: K as u8,
+        fix_prob,
+        fix_parts,
     });
     move |rng| {
         let mut inst = gen(rng);
@@ -494,6 +509,63 @@ fn large_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
         let knob = rng.gen_range(0..u64::MAX);
         (inst, knob)
     }
+}
+
+/// A clustering of 4–10 clusters of two to four vertices each, with nets
+/// that mostly hold a vertex of cluster 0, one of cluster 1 and one to
+/// four vertices of the other clusters. Their coarse pins share the first
+/// two and differ after them, in content and in length; with so few
+/// clusters many repeat and must merge. About one net in ten each has one
+/// pin, maps to clusters 0 and 1 alone, or lies inside one cluster. Net
+/// weights include 0.
+fn shared_head_clustering(seed: u64) -> (Hypergraph, FixedVertices, Vec<u32>, usize) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let num_clusters = rng.gen_range(4..=10u32);
+    let mut cluster_of: Vec<u32> = (0..num_clusters)
+        .flat_map(|c| std::iter::repeat_n(c, rng.gen_range(2..=4)))
+        .collect();
+    cluster_of.shuffle(&mut rng);
+    let members: Vec<Vec<usize>> = (0..num_clusters)
+        .map(|c| {
+            (0..cluster_of.len())
+                .filter(|&v| cluster_of[v] == c)
+                .collect()
+        })
+        .collect();
+    let pick = |rng: &mut ChaCha8Rng, c: u32| {
+        let m = &members[c as usize];
+        m[rng.gen_range(0..m.len())]
+    };
+    let mut b = HypergraphBuilder::new();
+    for _ in &cluster_of {
+        b.add_vertex(rng.gen_range(1..=3));
+    }
+    for _ in 0..rng.gen_range(20..=60) {
+        let mut pins = vec![pick(&mut rng, 0), pick(&mut rng, 1)];
+        match rng.gen_range(0..10) {
+            0 => pins.truncate(1),
+            1 => {}
+            2 => {
+                let c = rng.gen_range(0..num_clusters);
+                pins = vec![pick(&mut rng, c), pick(&mut rng, c)];
+            }
+            _ => {
+                for _ in 0..rng.gen_range(1..=4) {
+                    let c = rng.gen_range(2..num_clusters);
+                    pins.push(pick(&mut rng, c));
+                }
+            }
+        }
+        pins.shuffle(&mut rng);
+        b.add_net_dedup(
+            rng.gen_range(0..=3),
+            pins.into_iter().map(VertexId::from_index),
+        )
+        .expect("picked pins are valid");
+    }
+    let fx = FixedVertices::all_free(cluster_of.len());
+    let hg = b.build().expect("clustering instance builds");
+    (hg, fx, cluster_of, num_clusters as usize)
 }
 
 prop_test! {
@@ -511,6 +583,46 @@ prop_test! {
         let (hg, fx) = build(&inst, knob);
         let k = knobs(&inst, &hg, &fx, knob);
         check_chain(&hg, &fx, &k, inst.seed, 3);
+    }
+
+    #[cases(6)]
+    fn coarsen_chain_matches_reference_kernels_under_terminal_clusters(
+        case in large_cases_fixing(0.45, 2)
+    ) {
+        let (inst, knob) = case;
+        let (hg, _) = build(&inst, knob);
+        // Every fixed vertex `Fixed`, with no cluster cap and no fixed-part
+        // budget: the pre-pass gathers each part's terminals into one
+        // cluster, and those two clusters own most nets at every level.
+        let mut fx = FixedVertices::all_free(hg.num_vertices());
+        for (i, f) in inst.fixities.iter().enumerate() {
+            if let Some(p) = f {
+                fx.fix(VertexId::from_index(i), PartId(u32::from(*p)));
+            }
+        }
+        let k = Knobs {
+            params: CoarsenParams {
+                max_cluster_weight: u64::MAX,
+                max_cluster_weights: Vec::new(),
+                max_net_size_for_matching: 64,
+                max_fixed_part_weight: Vec::new(),
+                allow_free_fixed_merge: false,
+                threads: 1,
+            },
+            min_shrink: 1.0,
+            same_part: None,
+        };
+        check_chain(&hg, &fx, &k, inst.seed, 3);
+    }
+
+    #[cases(64)]
+    fn contract_clusters_matches_reference_when_nets_share_their_first_two_pins(
+        seed in |rng: &mut TestRng| rng.gen_range(0..u64::MAX)
+    ) {
+        let (hg, fx, cluster_of, num_clusters) = shared_head_clustering(seed);
+        let want = reference::contract_clusters(&hg, &fx, cluster_of.clone(), num_clusters);
+        let got = contract_clusters(&hg, &fx, cluster_of, num_clusters);
+        assert_same_level(&got, &want, "contraction");
     }
 
     #[cases(96)]
