@@ -88,14 +88,14 @@ fn bench_ablations(c: &mut Criterion) {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         b.iter(|| {
             let ctx = RunCtx::new(&mut rng);
-            black_box(ml.run(hg, &fixed, &balance, ctx).expect("runs"))
+            black_box(ml.partition_ctx(hg, &fixed, &balance, ctx).expect("runs"))
         })
     });
     group.bench_function("clustered", |b| {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         b.iter(|| {
             black_box(
-                ml.run(
+                ml.partition_ctx(
                     &clustered.hypergraph,
                     &clustered.fixed,
                     &clustered_balance,

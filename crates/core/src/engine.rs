@@ -18,11 +18,9 @@
 //!
 //! Each trait has exactly one method, taking a [`RunCtx`] parameter object
 //! that bundles the run-scoped resources: the RNG, the trace [`Sink`] and
-//! the [`CancelToken`]. These two methods are the way to call an engine.
-//! The only inherent entry points left are the two that return a richer
-//! result: [`BipartFm::run`] (per-pass statistics) and
-//! [`MultilevelPartitioner::run`] (the level hierarchy); both take the
-//! same `RunCtx`.
+//! the [`CancelToken`]. These two methods are the only way to call an
+//! engine. What a run did (its passes, moves and levels) is reported only
+//! through the trace events it records into the sink.
 //!
 //! The traits are generic over the RNG and the [`Sink`], so they are not
 //! dyn-compatible; by-name construction goes through the [`EngineConfig`]
@@ -222,20 +220,7 @@ impl Partitioner for BipartFm {
             });
         }
         let initial = random_initial(hg, fixed, balance, 2, ctx.rng)?;
-        let r = self.run(hg, fixed, balance, initial, ctx)?;
-        Ok(PartitionResult::new(r.parts, r.cut))
-    }
-}
-
-impl Partitioner for MultilevelPartitioner {
-    fn partition_ctx<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        ctx: RunCtx<'_, R, S>,
-    ) -> Result<PartitionResult, PartitionError> {
-        self.run(hg, fixed, balance, ctx).map(Into::into)
+        self.refine_ctx(hg, fixed, balance, initial, ctx)
     }
 }
 
@@ -395,8 +380,15 @@ impl Refiner for BipartFm {
         parts: Vec<PartId>,
         ctx: RunCtx<'_, R, S>,
     ) -> Result<PartitionResult, PartitionError> {
-        let r = self.run(hg, fixed, balance, parts, ctx)?;
-        Ok(PartitionResult::new(r.parts, r.cut))
+        fm::run_stages(
+            &[self.config()],
+            hg,
+            fixed,
+            balance,
+            parts,
+            ctx.sink,
+            ctx.cancel,
+        )
     }
 }
 
@@ -408,8 +400,8 @@ impl Refiner for BipartFm {
 /// Both stages run on one FM pass state, built once per call: the second
 /// starts from the assignment, loads and pin counts the first left, and
 /// is skipped once `ctx.cancel` has fired. The answer and the trace equal
-/// those of [`BipartFm::run`] with the first configuration followed, on
-/// its output, by a run with the second.
+/// those of [`BipartFm`]'s [`Refiner`] with the first configuration
+/// followed, on its output, by a run with the second.
 #[derive(Debug, Clone)]
 pub struct FmStack {
     first: FmConfig,
@@ -443,8 +435,7 @@ impl Refiner for FmStack {
             Some(second) => &[&self.first, second],
             None => &[&self.first],
         };
-        let r = fm::run_stages(stages, hg, fixed, balance, parts, ctx.sink, ctx.cancel)?;
-        Ok(PartitionResult::new(r.parts, r.cut))
+        fm::run_stages(stages, hg, fixed, balance, parts, ctx.sink, ctx.cancel)
     }
 }
 

@@ -1,7 +1,5 @@
 //! The FM bipartitioning engine proper.
 
-use vlsi_rng::Rng;
-
 use vlsi_hypergraph::{
     check_assignment, BalanceConstraint, FixedVertices, Fixity, Hypergraph, NetId, PartId,
     PartitionInputError, VertexId,
@@ -10,9 +8,7 @@ use vlsi_trace::{CancelStage, Event, MoverFixity, Sink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::{FmConfig, PassCutoff, SelectionPolicy};
-use crate::engine::RunCtx;
-use crate::fm::{PassStats, RunStats};
-use crate::PartitionError;
+use crate::{PartitionError, PartitionResult};
 
 /// Sets `side`'s bit in a net's frozen-side mask. Returns the net's weight
 /// `w` if that froze it on both sides, else 0.
@@ -27,24 +23,40 @@ fn freeze(mask: &mut u8, side: usize, w: u64) -> u64 {
     }
 }
 
-/// Result of an FM run: the final assignment, its cut, and the per-pass
-/// statistics used by the paper's Tables II and III.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FmResult {
-    /// Final partition of every vertex.
-    pub parts: Vec<PartId>,
-    /// Final (best) cut value.
-    pub cut: u64,
-    /// Statistics of every executed pass.
-    pub stats: RunStats,
-}
-
 /// Flat FM bipartitioner with fixed-vertex support.
+///
+/// A run makes FM passes from an assignment
+/// ([`Refiner::refine_ctx`](crate::Refiner::refine_ctx)) or from a random
+/// legal one ([`Partitioner::partition_ctx`](crate::Partitioner::partition_ctx))
+/// until a pass fails to improve the cut or `max_passes` is reached.
+///
+/// Under [`PassCutoff::Exact`] every pass, the first included, ends as
+/// soon as the nets with an unmovable pin on both sides outweigh the best
+/// prefix's cut: no later prefix could be kept, so the passes keep, roll
+/// back and hand on exactly what classic passes would.
+///
+/// The run emits [`Event::PassStart`], [`Event::MoveCommitted`] and
+/// [`Event::PassEnd`] per pass into `ctx.sink`; these are its per-pass
+/// statistics ([`vlsi_trace::replay::pass_summaries`] folds them into one
+/// record per pass). Refinement draws no randomness, so `ctx.rng` is left
+/// untouched. `ctx.cancel` is polled at pass boundaries and every
+/// [`CHECK_INTERVAL`] moves inside a pass. Cancellation is not an error:
+/// the run stops after restoring the current pass's best prefix, records
+/// one [`Event::Cancelled`] (stage `fm_pass`, value = cut at termination),
+/// and returns the best solution found so far.
+///
+/// # Errors
+/// * [`PartitionError::UnsupportedPartCount`] if `balance` describes more
+///   than two partitions.
+/// * [`PartitionError::Input`] if the start assignment is inconsistent
+///   with the hypergraph or violates a fixity.
 ///
 /// # Example
 /// ```
 /// use vlsi_rng::SeedableRng;
 /// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
+/// use vlsi_partition::trace::replay::pass_summaries;
+/// use vlsi_partition::trace::{CounterSink, Tee, VecSink};
 /// use vlsi_partition::{BipartFm, FmConfig, Partitioner, RunCtx};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -65,8 +77,18 @@ pub struct FmResult {
 /// let balance = BalanceConstraint::bisection(8, Tolerance::Relative(0.0));
 /// let fixed = FixedVertices::all_free(8);
 /// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(3);
-/// let result = fm.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
+/// let (record, counters) = (VecSink::new(), CounterSink::new());
+/// let tee = Tee::new(&record, &counters);
+/// let result = fm.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng).with_sink(&tee))?;
 /// assert_eq!(result.cut, 1);
+///
+/// // The trace is the run's statistics: one summary per pass.
+/// let passes = pass_summaries(&record.take());
+/// let c = counters.snapshot();
+/// assert_eq!(c.passes as usize, passes.len());
+/// assert_eq!(c.moves_tried, passes.iter().map(|p| p.moves).sum::<u64>());
+/// assert_eq!(passes.last().map(|p| p.cut_after), Some(1));
+/// assert!(c.bucket_ops > 0);
 /// # Ok(())
 /// # }
 /// ```
@@ -85,90 +107,18 @@ impl BipartFm {
     pub fn config(&self) -> &FmConfig {
         &self.config
     }
-
-    /// Runs FM passes from `initial` until a pass fails to improve the cut
-    /// (or `max_passes` is reached), returning the final assignment with
-    /// its per-pass statistics. [`partition_ctx`](crate::Partitioner::partition_ctx) runs the same
-    /// engine from a random legal initial solution.
-    ///
-    /// Under [`PassCutoff::Exact`] every pass, the first included, ends as
-    /// soon as the nets with an unmovable pin on both sides outweigh the
-    /// best prefix's cut: no later prefix could be kept, so the passes
-    /// keep, roll back and hand on exactly what classic passes would.
-    ///
-    /// The run emits [`Event::PassStart`], [`Event::MoveCommitted`] and
-    /// [`Event::PassEnd`] per pass into `ctx.sink` (with
-    /// [`NullSink`](vlsi_trace::NullSink) the
-    /// instrumentation compiles away) and runs on the calling thread; FM
-    /// draws no randomness, so `ctx.rng` is left untouched. `ctx.cancel` is polled
-    /// at pass boundaries and every [`CHECK_INTERVAL`] moves inside a
-    /// pass. Cancellation is not an error: the run stops after restoring
-    /// the current pass's best prefix, records one [`Event::Cancelled`]
-    /// (stage `fm_pass`, value = cut at termination), and returns the best
-    /// solution found so far.
-    ///
-    /// # Errors
-    /// * [`PartitionError::UnsupportedPartCount`] if `balance` describes
-    ///   more than two partitions.
-    /// * [`PartitionError::Input`] if `initial` is inconsistent with the
-    ///   hypergraph or violates a fixity.
-    ///
-    /// # Example: count the engine's work with a `CounterSink`
-    /// ```
-    /// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
-    /// use vlsi_partition::{BipartFm, FmConfig, RunCtx};
-    /// use vlsi_rng::SeedableRng;
-    /// use vlsi_trace::CounterSink;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let mut b = HypergraphBuilder::new();
-    /// let v: Vec<_> = (0..6).map(|_| b.add_vertex(1)).collect();
-    /// for w in v.windows(2) {
-    ///     b.add_net(1, [w[0], w[1]])?;
-    /// }
-    /// let hg = b.build()?;
-    /// let balance = BalanceConstraint::bisection(6, Tolerance::Relative(0.0));
-    /// let fixed = FixedVertices::all_free(6);
-    ///
-    /// let counters = CounterSink::new();
-    /// let fm = BipartFm::new(FmConfig::default());
-    /// let initial = (0..6)
-    ///     .map(|i| vlsi_hypergraph::PartId((i % 2) as u32))
-    ///     .collect();
-    /// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(0);
-    /// let ctx = RunCtx::new(&mut rng).with_sink(&counters);
-    /// let result = fm.run(&hg, &fixed, &balance, initial, ctx)?;
-    ///
-    /// let c = counters.snapshot();
-    /// assert_eq!(c.passes as usize, result.stats.num_passes());
-    /// assert_eq!(c.moves_tried as usize, result.stats.total_moves());
-    /// assert!(c.bucket_ops > 0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn run<R: Rng + ?Sized, S: Sink>(
-        &self,
-        hg: &Hypergraph,
-        fixed: &FixedVertices,
-        balance: &BalanceConstraint,
-        initial: Vec<PartId>,
-        ctx: RunCtx<'_, R, S>,
-    ) -> Result<FmResult, PartitionError> {
-        let RunCtx { sink, cancel, .. } = ctx;
-        run_stages(&[&self.config], hg, fixed, balance, initial, sink, cancel)
-    }
 }
 
 /// Runs the FM `stages` in order on one pass state, each from the
-/// assignment the one before it left: the body of [`BipartFm::run`] (one
-/// stage) and of [`FmStack`](crate::FmStack). Each stage runs as
-/// [`BipartFm::run`] with its configuration would from that assignment,
-/// recording its own [`Event::Cancelled`]; once `cancel` has fired, the
-/// later stages are skipped. The statistics list every pass of every stage
-/// that ran.
+/// assignment the one before it left: the body of [`BipartFm`]'s
+/// [`Refiner`](crate::Refiner) (one stage) and of
+/// [`FmStack`](crate::FmStack). Each stage runs as [`BipartFm`] with its
+/// configuration would from that assignment, recording its own
+/// [`Event::Cancelled`]; once `cancel` has fired, the later stages are
+/// skipped.
 ///
 /// # Errors
-/// As [`BipartFm::run`].
+/// As [`BipartFm`].
 pub(crate) fn run_stages<S: Sink>(
     stages: &[&FmConfig],
     hg: &Hypergraph,
@@ -177,7 +127,7 @@ pub(crate) fn run_stages<S: Sink>(
     initial: Vec<PartId>,
     sink: &S,
     cancel: &CancelToken,
-) -> Result<FmResult, PartitionError> {
+) -> Result<PartitionResult, PartitionError> {
     if balance.num_parts() != 2 {
         return Err(PartitionError::UnsupportedPartCount {
             requested: balance.num_parts(),
@@ -185,18 +135,13 @@ pub(crate) fn run_stages<S: Sink>(
         });
     }
     let mut state = PassState::new(hg, balance, fixed, initial, sink, cancel)?;
-    let mut stats = RunStats::default();
     for (i, config) in stages.iter().enumerate() {
         if i > 0 && cancel.is_cancelled() {
             break;
         }
-        state.run_stage(config, &mut stats);
+        state.run_stage(config);
     }
-    Ok(FmResult {
-        parts: state.parts,
-        cut: state.cut,
-        stats,
-    })
+    Ok(PartitionResult::new(state.parts, state.cut))
 }
 
 /// Sentinel for an absent bucket link.
@@ -415,9 +360,9 @@ impl<'a, S: Sink> PassState<'a, S> {
 
     /// Runs one stage: up to `config.max_passes` passes from the current
     /// assignment, until a pass fails to improve the cut or `cancel`
-    /// fires, appending each pass's statistics to `stats`. Records one
-    /// [`Event::Cancelled`] if the token has fired by the end.
-    fn run_stage(&mut self, config: &FmConfig, stats: &mut RunStats) {
+    /// fires. Records one [`Event::Cancelled`] if the token has fired by
+    /// the end.
+    fn run_stage(&mut self, config: &FmConfig) {
         self.policy = config.policy;
         // CLIP keys are (gain - initial gain), so they span twice the range.
         self.key_bound = match config.policy {
@@ -451,9 +396,9 @@ impl<'a, S: Sink> PassState<'a, S> {
                 } else {
                     self.num_movable
                 };
-                let pass_stats = self.run_pass(pass_idx, limit);
-                let improved = pass_stats.improved();
-                stats.passes.push(pass_stats);
+                let cut_before = self.cut;
+                self.run_pass(pass_idx, limit);
+                let improved = self.cut < cut_before;
                 if !improved || self.cancel.is_cancelled() {
                     break;
                 }
@@ -467,9 +412,9 @@ impl<'a, S: Sink> PassState<'a, S> {
         }
     }
 
-    /// Executes one FM pass and restores the best prefix. Returns its stats
-    /// and emits the pass's trace events into the sink.
-    fn run_pass(&mut self, pass: usize, move_limit: usize) -> PassStats {
+    /// Executes one FM pass and restores the best prefix, emitting the
+    /// pass's trace events into the sink.
+    fn run_pass(&mut self, pass: usize, move_limit: usize) {
         let cut_before = self.cut;
         if S::ENABLED {
             self.bucket_ops = 0;
@@ -569,16 +514,6 @@ impl<'a, S: Sink> PassState<'a, S> {
                 cut_after: best_cut,
                 bucket_ops: self.bucket_ops,
             });
-        }
-
-        PassStats {
-            pass,
-            movable: self.num_movable,
-            moves_made,
-            moves_kept: best_len,
-            cut_before,
-            cut_after: best_cut,
-            move_limit,
         }
     }
 
@@ -940,11 +875,14 @@ impl<'a, S: Sink> PassState<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Refiner, RunCtx};
     use vlsi_hypergraph::{
         validate_partitioning, HypergraphBuilder, Objective, PartSet, Partitioning, Tolerance,
     };
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
+    use vlsi_trace::replay::{pass_summaries, PassSummary};
+    use vlsi_trace::VecSink;
 
     /// Two cliques of size `s` joined by `bridges` two-pin nets.
     fn two_cliques(s: usize, bridges: usize) -> Hypergraph {
@@ -970,16 +908,36 @@ mod tests {
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
         rng: &mut ChaCha8Rng,
-    ) -> Result<FmResult, PartitionError> {
+    ) -> Result<PartitionResult, PartitionError> {
         let initial = crate::random_initial(hg, fixed, balance, 2, rng)?;
-        fm.run(hg, fixed, balance, initial, RunCtx::new(rng))
+        fm.refine_ctx(hg, fixed, balance, initial, RunCtx::new(rng))
     }
 
-    fn run_default(hg: &Hypergraph, fixed: &FixedVertices, tol: f64, seed: u64) -> FmResult {
+    /// [`run_random`] with its trace folded into one summary per pass.
+    fn run_traced(
+        fm: &BipartFm,
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        balance: &BalanceConstraint,
+        seed: u64,
+    ) -> (PartitionResult, Vec<PassSummary>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let initial = crate::random_initial(hg, fixed, balance, 2, &mut rng).unwrap();
+        let sink = VecSink::new();
+        let ctx = RunCtx::new(&mut rng).with_sink(&sink);
+        let result = fm.refine_ctx(hg, fixed, balance, initial, ctx).unwrap();
+        (result, pass_summaries(&sink.take()))
+    }
+
+    fn run_default(
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        tol: f64,
+        seed: u64,
+    ) -> (PartitionResult, Vec<PassSummary>) {
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(tol));
         let fm = BipartFm::new(FmConfig::default());
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        run_random(&fm, hg, fixed, &balance, &mut rng).unwrap()
+        run_traced(&fm, hg, fixed, &balance, seed)
     }
 
     #[test]
@@ -987,7 +945,7 @@ mod tests {
         let hg = two_cliques(6, 1);
         let fixed = FixedVertices::all_free(hg.num_vertices());
         for seed in 0..5 {
-            let result = run_default(&hg, &fixed, 0.0, seed);
+            let (result, _) = run_default(&hg, &fixed, 0.0, seed);
             assert_eq!(result.cut, 1, "seed {seed}");
         }
     }
@@ -1178,7 +1136,7 @@ mod tests {
         // cliques to match (cut = the 2 bridges), and the pins stay put.
         fixed.fix(VertexId(0), PartId(1));
         fixed.fix(VertexId(5), PartId(0));
-        let result = run_default(&hg, &fixed, 0.0, 7);
+        let (result, _) = run_default(&hg, &fixed, 0.0, 7);
         assert_eq!(result.parts[0], PartId(1));
         assert_eq!(result.parts[5], PartId(0));
         assert!(result.cut >= 2);
@@ -1190,7 +1148,7 @@ mod tests {
         let mut fixed = FixedVertices::all_free(hg.num_vertices());
         // FixedAny over both sides is equivalent to free in a bisection.
         fixed.fix_any(VertexId(0), PartSet::all(2));
-        let result = run_default(&hg, &fixed, 0.0, 9);
+        let (result, _) = run_default(&hg, &fixed, 0.0, 9);
         assert_eq!(result.cut, 1);
     }
 
@@ -1203,9 +1161,9 @@ mod tests {
             fixed.fix(VertexId(6 + i), PartId(1));
         }
         // Everything fixed consistently: FM has nothing to do, cut is 1.
-        let result = run_default(&hg, &fixed, 0.0, 1);
+        let (result, passes) = run_default(&hg, &fixed, 0.0, 1);
         assert_eq!(result.cut, 1);
-        assert_eq!(result.stats.total_moves(), 0);
+        assert_eq!(passes.iter().map(|p| p.moves).sum::<u64>(), 0);
     }
 
     #[test]
@@ -1231,14 +1189,14 @@ mod tests {
             cutoff: crate::PassCutoff::Fraction(0.25),
             ..FmConfig::default()
         });
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let result = run_random(&fm, &hg, &fixed, &balance, &mut rng).unwrap();
-        for p in &result.stats.passes {
+        let (_, passes) = run_traced(&fm, &hg, &fixed, &balance, 2);
+        assert!(passes.len() > 1);
+        for p in &passes {
             if p.pass == 0 {
                 assert_eq!(p.move_limit, p.movable);
             } else {
                 assert_eq!(p.move_limit, 4); // 25% of 16
-                assert!(p.moves_made <= 4);
+                assert!(p.moves <= 4);
             }
         }
     }
@@ -1257,28 +1215,27 @@ mod tests {
                 cutoff,
                 ..FmConfig::default()
             });
-            let mut rng = ChaCha8Rng::seed_from_u64(6);
-            run_random(&fm, &hg, &fixed, &balance, &mut rng).unwrap()
+            run_traced(&fm, &hg, &fixed, &balance, 6)
         };
-        let (classic, exact) = (
+        let ((classic, classic_passes), (exact, exact_passes)) = (
             run(crate::PassCutoff::Unlimited),
             run(crate::PassCutoff::Exact),
         );
-        assert_eq!(exact.parts, classic.parts);
-        assert_eq!(exact.cut, classic.cut);
-        assert_eq!(exact.stats.num_passes(), classic.stats.num_passes());
-        assert!(exact.stats.total_moves() < classic.stats.total_moves());
+        assert_eq!(exact, classic);
+        assert_eq!(exact_passes.len(), classic_passes.len());
+        let total_moves = |passes: &[PassSummary]| passes.iter().map(|p| p.moves).sum::<u64>();
+        assert!(total_moves(&exact_passes) < total_moves(&classic_passes));
     }
 
     #[test]
     fn stats_record_full_first_pass() {
         let hg = two_cliques(6, 2);
         let fixed = FixedVertices::all_free(hg.num_vertices());
-        let result = run_default(&hg, &fixed, 0.0, 3);
-        let first = &result.stats.passes[0];
+        let (_, passes) = run_default(&hg, &fixed, 0.0, 3);
+        let first = &passes[0];
         assert_eq!(first.movable, 12);
         // Without terminals the first pass flips essentially every vertex.
-        assert!(first.moves_made >= 10);
+        assert!(first.moves >= 10);
     }
 
     #[test]
@@ -1309,34 +1266,35 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let initial = vec![PartId(0); hg.num_vertices()];
         let err = fm
-            .run(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
+            .refine_ctx(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
             .unwrap_err();
         assert!(matches!(err, PartitionError::UnsupportedPartCount { .. }));
     }
 
     #[test]
     fn trace_covers_every_move_of_every_pass() {
-        use vlsi_trace::{replay, VecSink};
         let hg = two_cliques(6, 2);
         let fixed = FixedVertices::all_free(hg.num_vertices());
-        let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.0));
-        let fm = BipartFm::new(FmConfig::default());
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let initial = crate::random_initial(&hg, &fixed, &balance, 2, &mut rng).unwrap();
-        let sink = VecSink::new();
-        let ctx = RunCtx::new(&mut rng).with_sink(&sink);
-        let result = fm.run(&hg, &fixed, &balance, initial, ctx).unwrap();
-        let traces = replay::pass_summaries(&sink.take());
-        assert_eq!(traces.len(), result.stats.passes.len());
-        for (trace, stats) in traces.iter().zip(&result.stats.passes) {
-            assert_eq!(trace.cuts.len(), stats.moves_made);
-            assert_eq!(trace.cut_before, stats.cut_before);
+        let (result, passes) = run_default(&hg, &fixed, 0.0, 8);
+        assert!(!passes.is_empty());
+        let mut cut = passes[0].cut_before;
+        for (i, p) in passes.iter().enumerate() {
+            // Passes are numbered in order, each starting from the cut the
+            // one before it kept, with one move event per move made.
+            assert_eq!(p.pass as usize, i);
+            assert_eq!(p.cut_before, cut);
+            assert_eq!(p.cuts.len() as u64, p.moves);
+            assert!(p.best_prefix <= p.moves);
             // The minimum of the trajectory is the accepted cut (or the
             // pass start if nothing improved).
-            if let Some(&min) = trace.cuts.iter().min() {
-                assert_eq!(stats.cut_after, min.min(stats.cut_before));
+            if let Some(&min) = p.cuts.iter().min() {
+                assert_eq!(p.cut_after, min.min(p.cut_before));
             }
+            // Only the last pass may have failed to improve the cut.
+            assert!(p.improved() || i + 1 == passes.len());
+            cut = p.cut_after;
         }
+        assert_eq!(cut, result.cut);
     }
 
     #[test]
@@ -1358,7 +1316,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let initial = vec![PartId(0), PartId(1), PartId(0), PartId(1)];
         let result = fm
-            .run(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
+            .refine_ctx(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
             .unwrap();
         assert_eq!(result.cut, 1);
         assert_eq!(result.parts[0], result.parts[1]);

@@ -7,7 +7,8 @@
 //! Fixed vertices never enter the buckets; "or"-fixed vertices
 //! ([`vlsi_hypergraph::Fixity::FixedAny`]) move only within their allowed
 //! set. Pass lengths can be hard-capped ([`crate::PassCutoff`], Table III
-//! of the paper) and every pass's statistics are recorded (Table II).
+//! of the paper), and every pass reports itself through `pass_start` and
+//! `pass_end` trace events, the source of Table II.
 //! Under [`crate::PassCutoff::Exact`] a pass ends once no later prefix
 //! could be kept: per net, a two-bit mask records which sides hold a pin
 //! that cannot move again in the pass (an immovable vertex, built once
@@ -36,8 +37,6 @@
 //! bound and the bucket arrays between them.
 
 mod engine;
-mod stats;
 
 pub(crate) use engine::run_stages;
-pub use engine::{BipartFm, FmResult};
-pub use stats::{PassStats, RunStats};
+pub use engine::BipartFm;

@@ -15,7 +15,7 @@ use vlsi_trace::{CancelStage, Event, Sink};
 
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::MultilevelConfig;
-use crate::engine::{KwayConfig, RunCtx};
+use crate::engine::{KwayConfig, Partitioner, RunCtx};
 use crate::gain::{KwayGains, MoveLog};
 use crate::multilevel::{CoarsenParams, Hierarchy, MultilevelPartitioner};
 use crate::warmstart::{legalize_assignment, stuck_error};
@@ -196,7 +196,7 @@ fn rb_recurse<R: Rng + ?Sized, S: Sink>(
 
     let ml = MultilevelPartitioner::new(*ml_config);
     let ctx = RunCtx::new(&mut *rng).with_sink(sink).with_cancel(cancel);
-    let result = ml.run(&sub.hg, &sub_fixed, &balance, ctx)?;
+    let result = ml.partition_ctx(&sub.hg, &sub_fixed, &balance, ctx)?;
 
     let mut left = Vec::new();
     let mut right = Vec::new();

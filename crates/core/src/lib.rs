@@ -6,10 +6,9 @@
 //!
 //! * A flat Fiduccia–Mattheyses bipartitioner ([`fm::BipartFm`]) with
 //!   gain-bucket selection, LIFO tie-breaking, the CLIP variant of Dutt &
-//!   Deng, full fixed-vertex awareness, balance constraints, per-pass
-//!   statistics (Table II of the paper), hard pass cutoffs (Table III) and
-//!   an exact pass stop that ends a pass once no later prefix could be kept
-//!   ([`PassCutoff::Exact`]).
+//!   Deng, full fixed-vertex awareness, balance constraints, hard pass
+//!   cutoffs (Table III of the paper) and an exact pass stop that ends a
+//!   pass once no later prefix could be kept ([`PassCutoff::Exact`]).
 //! * A multilevel partitioner ([`multilevel::MultilevelPartitioner`]):
 //!   heavy-edge-matching / first-choice coarsening that respects fixities,
 //!   FM at the coarsest level, and refinement during uncoarsening, with
@@ -36,17 +35,18 @@
 //! which never changes an answer. The defaults built by
 //! [`RunCtx::new`] use [`trace::NullSink`], which compiles the
 //! instrumentation out entirely. There is one way to call each engine:
-//! [`Partitioner::partition_ctx`] from scratch, [`Refiner::refine_ctx`]
-//! from an existing assignment, and [`BipartFm::run`] /
-//! [`MultilevelPartitioner::run`] where a caller needs the per-pass
-//! statistics or the level hierarchy.
+//! [`Partitioner::partition_ctx`] from scratch, and [`Refiner::refine_ctx`]
+//! from an existing assignment. Run statistics come only from the trace:
+//! per-pass figures (Table II of the paper) from the pass brackets, folded
+//! by [`trace::replay::pass_summaries`], and the level hierarchy from the
+//! level brackets.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use vlsi_rng::SeedableRng;
 //! use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
-//! use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
+//! use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, Partitioner, RunCtx};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut b = HypergraphBuilder::new();
@@ -63,7 +63,7 @@
 //!
 //! let ml = MultilevelPartitioner::new(MultilevelConfig::default());
 //! let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(1);
-//! let result = ml.run(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
+//! let result = ml.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
 //! assert_eq!(result.cut, 1); // a chain bisects with a single cut net
 //! # Ok(())
 //! # }
@@ -98,11 +98,11 @@ pub use engine::{
     RecursiveBisection, Refiner, RunCtx, UnknownEngine, ENGINES,
 };
 pub use error::PartitionError;
-pub use fm::{BipartFm, FmResult, PassStats, RunStats};
+pub use fm::BipartFm;
 pub use gain::{GainBuckets, KwayGains, MoveLog};
 pub use initial::random_initial;
 pub use kl::KlConfig;
-pub use multilevel::{MultilevelPartitioner, MultilevelResult};
+pub use multilevel::MultilevelPartitioner;
 pub use multistart::{Multistart, MultistartOutcome, StartRecord};
 pub use result::PartitionResult;
 pub use warmstart::{refine_from_partition_ctx, WarmStartOutcome};

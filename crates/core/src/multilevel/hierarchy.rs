@@ -119,13 +119,6 @@ impl<'a> Hierarchy<'a> {
         self.instance(self.levels.len())
     }
 
-    /// Vertex counts of every level, from the input down to the coarsest.
-    pub(crate) fn level_sizes(&self) -> Vec<usize> {
-        (0..=self.levels.len())
-            .map(|i| self.instance(i).0.num_vertices())
-            .collect()
-    }
-
     /// Walks `coarsest`, a solution of the coarsest level, back down to the
     /// input. Records the coarsest level's [`Event::LevelEnd`], then at each
     /// finer level projects the solution, runs `refine` on it and records

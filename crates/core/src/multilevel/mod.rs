@@ -17,39 +17,45 @@ pub(crate) use hierarchy::{coarsen_params, Hierarchy};
 use vlsi_rng::Rng;
 use vlsi_trace::{CancelStage, Event, Sink};
 
-use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Hypergraph, PartId};
+use vlsi_hypergraph::{BalanceConstraint, FixedVertices, Hypergraph};
 
 use crate::config::MultilevelConfig;
 use crate::engine::{FmStack, Partitioner, Refiner, RunCtx};
 use crate::fm::BipartFm;
 use crate::{PartitionError, PartitionResult};
 
-/// Result of a multilevel run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MultilevelResult {
-    /// Final partition of every original vertex.
-    pub parts: Vec<PartId>,
-    /// Final cut value.
-    pub cut: u64,
-    /// Vertex counts of each level, from the original down to the coarsest.
-    pub level_sizes: Vec<usize>,
-    /// Cut of the coarsest-level solution before refinement.
-    pub coarse_cut: u64,
-}
-
-impl From<MultilevelResult> for PartitionResult {
-    fn from(r: MultilevelResult) -> Self {
-        PartitionResult::new(r.parts, r.cut)
-    }
-}
-
 /// The multilevel bipartitioner.
+///
+/// A run partitions an instance into two blocks under a 2-way balance,
+/// honouring the fixities, through
+/// [`Partitioner::partition_ctx`].
+///
+/// It records [`Event::LevelStart`] / [`Event::LevelEnd`] brackets plus
+/// every underlying FM pass into `ctx.sink`. Level 0 is the original
+/// hypergraph; higher indices are coarser. A `LevelStart` with the level's
+/// vertex and net counts is emitted as each coarse level is built
+/// (top-down), and a `LevelEnd` with the post-refinement cut as each level
+/// is solved (bottom-up, coarsest first, so the first `LevelEnd` carries
+/// the coarsest solution's cut). The whole run stays on the calling
+/// thread.
+///
+/// A cancelled run truncates coarsening, keeps only the first coarse
+/// start, lets the inner FM stop at its own checkpoints, and records one
+/// [`Event::Cancelled`] (stage `level`). The projection from coarse to
+/// fine always completes, so the result is a legal partition of the
+/// *original* hypergraph.
+///
+/// # Errors
+/// * [`PartitionError::UnsupportedPartCount`] unless the balance is 2-way.
+/// * [`PartitionError::InfeasibleInstance`] / [`PartitionError::Balance`]
+///   when no legal solution can be constructed.
 ///
 /// # Example
 /// ```
 /// use vlsi_rng::SeedableRng;
 /// use vlsi_hypergraph::{BalanceConstraint, FixedVertices, HypergraphBuilder, Tolerance};
-/// use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
+/// use vlsi_partition::trace::{Event, VecSink};
+/// use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, Partitioner, RunCtx};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut b = HypergraphBuilder::new();
@@ -62,9 +68,12 @@ impl From<MultilevelResult> for PartitionResult {
 /// let fixed = FixedVertices::all_free(64);
 /// let ml = MultilevelPartitioner::new(MultilevelConfig::default());
 /// let mut rng = vlsi_rng::ChaCha8Rng::seed_from_u64(0);
-/// let r = ml.run(&hg, &fixed, &balance, RunCtx::new(&mut rng))?;
+/// let sink = VecSink::new();
+/// let r = ml.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng).with_sink(&sink))?;
 /// assert_eq!(r.cut, 1);
-/// assert_eq!(r.level_sizes[0], 64); // level 0 is the input
+/// // The last level solved is level 0, the input itself.
+/// let last = sink.take().into_iter().rev().find(|e| matches!(e, Event::LevelEnd { .. }));
+/// assert!(matches!(last, Some(Event::LevelEnd { level: 0, vertices: 64, cut: 1, .. })));
 /// # Ok(())
 /// # }
 /// ```
@@ -83,36 +92,16 @@ impl MultilevelPartitioner {
     pub fn config(&self) -> &MultilevelConfig {
         &self.config
     }
+}
 
-    /// Partitions `hg` into two blocks under `balance`, honouring `fixed`,
-    /// and reports the level hierarchy alongside the solution
-    /// ([`partition_ctx`](Partitioner::partition_ctx) returns the solution
-    /// only).
-    ///
-    /// Records [`Event::LevelStart`] / [`Event::LevelEnd`] brackets plus
-    /// every underlying FM pass into `ctx.sink`. Level 0 is the original
-    /// hypergraph; higher indices are coarser. A `LevelStart` is emitted as
-    /// each coarse level is built (top-down), and a `LevelEnd` with the
-    /// post-refinement cut as each level is solved (bottom-up, coarsest
-    /// first). The whole run stays on the calling thread.
-    ///
-    /// A cancelled run truncates coarsening, keeps only the first coarse
-    /// start, lets the inner FM stop at its own checkpoints, and records
-    /// one [`Event::Cancelled`] (stage `level`). The projection from coarse
-    /// to fine always completes, so the result is a legal partition of the
-    /// *original* hypergraph.
-    ///
-    /// # Errors
-    /// * [`PartitionError::UnsupportedPartCount`] unless `balance` is 2-way.
-    /// * [`PartitionError::InfeasibleInstance`] / [`PartitionError::Balance`]
-    ///   when no legal solution can be constructed.
-    pub fn run<R: Rng + ?Sized, S: Sink>(
+impl Partitioner for MultilevelPartitioner {
+    fn partition_ctx<R: Rng + ?Sized, S: Sink>(
         &self,
         hg: &Hypergraph,
         fixed: &FixedVertices,
         balance: &BalanceConstraint,
         mut ctx: RunCtx<'_, R, S>,
-    ) -> Result<MultilevelResult, PartitionError> {
+    ) -> Result<PartitionResult, PartitionError> {
         if balance.num_parts() != 2 {
             return Err(PartitionError::UnsupportedPartCount {
                 requested: balance.num_parts(),
@@ -147,29 +136,21 @@ impl MultilevelPartitioner {
             }
         }
         let coarsest = best.expect("at least one start");
-        let coarse_cut = coarsest.cut;
 
         // Uncoarsen and refine (the configured FM stack at every level).
         let refiner = FmStack::from_multilevel(cfg);
         let sink = ctx.sink;
-        let PartitionResult { parts, cut } =
-            h.uncoarsen(coarsest, sink, |fine_hg, fine_fixed, parts| {
-                refiner.refine_ctx(fine_hg, fine_fixed, balance, parts, ctx.reborrow())
-            })?;
+        let r = h.uncoarsen(coarsest, sink, |fine_hg, fine_fixed, parts| {
+            refiner.refine_ctx(fine_hg, fine_fixed, balance, parts, ctx.reborrow())
+        })?;
 
         if S::ENABLED && ctx.cancel.is_cancelled() {
             sink.record(&Event::Cancelled {
                 stage: CancelStage::Level,
-                value: cut,
+                value: r.cut,
             });
         }
-
-        Ok(MultilevelResult {
-            parts,
-            cut,
-            level_sizes: h.level_sizes(),
-            coarse_cut,
-        })
+        Ok(r)
     }
 }
 
@@ -177,10 +158,12 @@ impl MultilevelPartitioner {
 mod tests {
     use super::*;
     use vlsi_hypergraph::{
-        validate_partitioning, HypergraphBuilder, Partitioning, Tolerance, VertexId,
+        validate_partitioning, HypergraphBuilder, PartId, Partitioning, Tolerance, VertexId,
     };
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
+    use vlsi_trace::replay::pass_summaries;
+    use vlsi_trace::VecSink;
 
     /// A 2D grid graph: gridsize² vertices, 2-pin nets along rows/columns.
     fn grid(side: usize) -> Hypergraph {
@@ -208,18 +191,62 @@ mod tests {
         }
     }
 
+    /// Runs `ml` on `hg` from `seed` and returns the result with its trace.
+    fn run_traced(
+        ml: &MultilevelPartitioner,
+        hg: &Hypergraph,
+        fixed: &FixedVertices,
+        balance: &BalanceConstraint,
+        seed: u64,
+    ) -> (PartitionResult, Vec<Event>) {
+        let sink = VecSink::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let ctx = RunCtx::new(&mut rng).with_sink(&sink);
+        let r = ml.partition_ctx(hg, fixed, balance, ctx).unwrap();
+        (r, sink.take())
+    }
+
+    /// The `(level, vertices)` of every `LevelStart`, in stream order.
+    fn level_starts(events: &[Event]) -> Vec<(u32, u64)> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::LevelStart {
+                    level, vertices, ..
+                } => Some((level, vertices)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The `(level, vertices, cut)` of every `LevelEnd`, in stream order.
+    fn level_ends(events: &[Event]) -> Vec<(u32, u64, u64)> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::LevelEnd {
+                    level,
+                    vertices,
+                    cut,
+                    ..
+                } => Some((level, vertices, cut)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn grid_bisection_near_optimal() {
         let hg = grid(12); // 144 vertices; optimal bisection cut = 12
         let fixed = FixedVertices::all_free(hg.num_vertices());
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.02));
         let ml = MultilevelPartitioner::new(small_config());
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let r = ml
-            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
-            .unwrap();
+        let (r, events) = run_traced(&ml, &hg, &fixed, &balance, 42);
         assert!(r.cut <= 16, "cut {} too far from optimal 12", r.cut);
-        assert!(r.level_sizes.len() >= 2, "expected actual coarsening");
+        assert!(
+            !level_starts(&events).is_empty(),
+            "expected actual coarsening"
+        );
         let p = Partitioning::from_parts(&hg, 2, r.parts).unwrap();
         assert!(validate_partitioning(&hg, &p, &balance, &fixed).is_valid());
     }
@@ -237,7 +264,7 @@ mod tests {
         let ml = MultilevelPartitioner::new(small_config());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let r = ml
-            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
             .unwrap();
         for row in 0..10 {
             assert_eq!(r.parts[row * 10], PartId(0));
@@ -254,11 +281,9 @@ mod tests {
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.02));
         let ml = MultilevelPartitioner::new(small_config());
         for seed in 0..5 {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let r = ml
-                .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
-                .unwrap();
-            assert!(r.cut <= r.coarse_cut, "seed {seed}");
+            let (r, events) = run_traced(&ml, &hg, &fixed, &balance, seed);
+            // The first `LevelEnd` carries the coarsest solve's cut.
+            assert!(r.cut <= level_ends(&events)[0].2, "seed {seed}");
         }
     }
 
@@ -271,60 +296,57 @@ mod tests {
             coarsest_size: 100,
             ..MultilevelConfig::default()
         });
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let r = ml
-            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
-            .unwrap();
-        assert_eq!(r.level_sizes, vec![9]);
+        let (r, events) = run_traced(&ml, &hg, &fixed, &balance, 0);
+        assert_eq!(level_starts(&events), vec![]);
+        assert_eq!(level_ends(&events), vec![(0, 9, r.cut)]);
         assert!(r.cut <= 5);
     }
 
     #[test]
     fn sink_brackets_every_level() {
-        use vlsi_trace::VecSink;
         let hg = grid(12);
         let fixed = FixedVertices::all_free(hg.num_vertices());
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.02));
         let ml = MultilevelPartitioner::new(small_config());
-        let sink = VecSink::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let r = ml
-            .run(
-                &hg,
-                &fixed,
-                &balance,
-                RunCtx::new(&mut rng).with_sink(&sink),
-            )
+        let (r, events) = run_traced(&ml, &hg, &fixed, &balance, 42);
+        let starts = level_starts(&events);
+        let ends = level_ends(&events);
+        // One LevelStart per coarse level, counting up from 1, each level
+        // smaller than the one before it.
+        assert!(!starts.is_empty());
+        assert!(starts
+            .iter()
+            .enumerate()
+            .all(|(i, &(l, _))| l == i as u32 + 1));
+        let mut sizes = vec![hg.num_vertices() as u64];
+        sizes.extend(starts.iter().map(|&(_, n)| n));
+        assert!(sizes.windows(2).all(|w| w[1] < w[0]), "{sizes:?}");
+        // LevelEnd walks back down: coarsest first, level 0 last, with
+        // the vertex counts the levels were built with.
+        let walk: Vec<(u32, u64)> = ends.iter().map(|&(l, n, _)| (l, n)).collect();
+        let down: Vec<(u32, u64)> = (0..sizes.len() as u32).zip(sizes).rev().collect();
+        assert_eq!(walk, down);
+        assert_eq!(ends.last().unwrap().2, r.cut);
+        // The coarsest LevelEnd carries the best coarse start's cut: the
+        // least final cut of the FM runs before it.
+        let first_end = events
+            .iter()
+            .position(|e| matches!(e, Event::LevelEnd { .. }))
             .unwrap();
-        let events = sink.take();
-        let starts: Vec<u32> = events
+        let passes = pass_summaries(&events[..first_end]);
+        let best_start = passes
             .iter()
-            .filter_map(|e| match e {
-                Event::LevelStart { level, .. } => Some(*level),
-                _ => None,
-            })
-            .collect();
-        let ends: Vec<(u32, u64)> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::LevelEnd { level, cut, .. } => Some((*level, *cut)),
-                _ => None,
-            })
-            .collect();
-        // One LevelStart per coarse level, counting up from 1.
-        assert_eq!(starts.len(), r.level_sizes.len() - 1);
-        assert!(starts.iter().enumerate().all(|(i, &l)| l == i as u32 + 1));
-        // LevelEnd walks back down: coarsest first, level 0 last.
-        assert_eq!(ends.len(), r.level_sizes.len());
-        assert_eq!(ends[0], (starts.len() as u32, r.coarse_cut));
-        assert_eq!(*ends.last().unwrap(), (0, r.cut));
+            .enumerate()
+            .filter(|&(i, _)| passes.get(i + 1).is_none_or(|next| next.pass == 0))
+            .map(|(_, p)| p.cut_after)
+            .min();
+        assert_eq!(best_start, Some(ends[0].2));
         // The same stream carries the FM pass brackets.
         assert!(events.iter().any(|e| matches!(e, Event::PassEnd { .. })));
     }
 
     #[test]
     fn sink_run_matches_null_run() {
-        use vlsi_trace::VecSink;
         let hg = grid(10);
         let fixed = FixedVertices::all_free(hg.num_vertices());
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(0.02));
@@ -332,11 +354,11 @@ mod tests {
         let mut rng_a = ChaCha8Rng::seed_from_u64(7);
         let mut rng_b = ChaCha8Rng::seed_from_u64(7);
         let plain = ml
-            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng_a))
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng_a))
             .unwrap();
         let sink = VecSink::new();
         let traced = ml
-            .run(
+            .partition_ctx(
                 &hg,
                 &fixed,
                 &balance,
@@ -354,7 +376,7 @@ mod tests {
         let ml = MultilevelPartitioner::new(small_config());
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let err = ml
-            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
             .unwrap_err();
         assert!(matches!(err, PartitionError::UnsupportedPartCount { .. }));
     }

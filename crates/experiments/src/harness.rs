@@ -145,11 +145,6 @@ pub fn paper_balance(hg: &Hypergraph) -> BalanceConstraint {
     }
 }
 
-/// A fast multilevel configuration for scaled-down experiment runs.
-pub fn default_ml_config() -> MultilevelConfig {
-    MultilevelConfig::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

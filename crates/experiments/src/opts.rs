@@ -2,8 +2,8 @@
 //! plus the `--trace` plumbing that turns a path into a live
 //! [`JsonlSink`].
 //!
-//! No external CLI dependency is warranted for five binaries with a
-//! handful of flags, so this is a tiny hand-rolled parser.
+//! No external CLI dependency is warranted for the handful of flags the
+//! experiment binaries share, so this is a tiny hand-rolled parser.
 
 use std::path::Path;
 

@@ -17,7 +17,7 @@ use vlsi_hypergraph::Hypergraph;
 use vlsi_partition::trace::replay::pass_summaries;
 use vlsi_partition::trace::{Sink, Tee, VecSink};
 use vlsi_partition::{
-    BipartFm, FmConfig, MultilevelConfig, PartitionError, RunCtx, SelectionPolicy,
+    BipartFm, FmConfig, MultilevelConfig, PartitionError, Refiner, RunCtx, SelectionPolicy,
 };
 
 use crate::harness::{find_good_solution, paper_balance};
@@ -76,7 +76,7 @@ pub fn run_pass_profile<S: Sink>(
             let record = VecSink::new();
             let tee = Tee::new(&record, forward);
             let ctx = RunCtx::new(&mut run_rng).with_sink(&tee);
-            fm.run(hg, &fixed, &balance, initial, ctx)?;
+            fm.refine_ctx(hg, &fixed, &balance, initial, ctx)?;
             for trace in &pass_summaries(&record.take()) {
                 let Some(pos) = trace.best_position_fraction() else {
                     continue;

@@ -15,7 +15,9 @@ use vlsi_rng::SeedableRng;
 use vlsi_hypergraph::{
     induced_subgraph, BalanceConstraint, Hypergraph, NetId, PartId, Tolerance, VertexId,
 };
-use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError, RunCtx};
+use vlsi_partition::{
+    MultilevelConfig, MultilevelPartitioner, PartitionError, Partitioner, RunCtx,
+};
 
 /// One observation: a block of `cells` vertices with `external` nets
 /// crossing its boundary.
@@ -93,7 +95,7 @@ fn recurse(
     let balance =
         BalanceConstraint::bisection(sub.hg.total_weight(), Tolerance::Absolute(slack.max(wmax)));
     let ml = MultilevelPartitioner::new(*ml_config);
-    let result = ml.run(&sub.hg, &sub.fixed, &balance, RunCtx::new(&mut *rng))?;
+    let result = ml.partition_ctx(&sub.hg, &sub.fixed, &balance, RunCtx::new(&mut *rng))?;
 
     let mut left = Vec::new();
     let mut right = Vec::new();

@@ -103,8 +103,7 @@ pub fn run_table2<S: Sink>(
                     / later.len() as f64;
                 pct_moved_count += 1;
             }
-            // Mean kept/made over later passes that made a move — the same
-            // quantity as `RunStats::avg_best_prefix_fraction_excl_first`.
+            // Mean kept/made over later passes that made a move.
             if passes.len() >= 2 {
                 let fracs: Vec<f64> = passes[1..]
                     .iter()

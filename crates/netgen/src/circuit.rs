@@ -60,16 +60,6 @@ impl Circuit {
     pub fn pads(&self) -> impl ExactSizeIterator<Item = VertexId> + Clone + '_ {
         (self.pad_offset as u32..self.hypergraph.num_vertices() as u32).map(VertexId)
     }
-
-    /// Replaces the placement (e.g. with the output of the top-down placer).
-    ///
-    /// # Panics
-    /// Panics if the new placement has the wrong length.
-    pub fn with_placement(mut self, placement: Vec<Point>) -> Self {
-        assert_eq!(placement.len(), self.hypergraph.num_vertices());
-        self.placement = placement;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -106,13 +96,5 @@ mod tests {
         assert!(!c.is_pad(VertexId(1)));
         assert_eq!(c.cells().count(), 2);
         assert_eq!(c.pads().collect::<Vec<_>>(), vec![VertexId(2)]);
-    }
-
-    #[test]
-    fn placement_replacement() {
-        let c = tiny();
-        let new_placement = vec![Point::default(); 3];
-        let c = c.with_placement(new_placement);
-        assert_eq!(c.location(VertexId(0)), Point::default());
     }
 }

@@ -142,17 +142,6 @@ scale_preset!(
     0.62
 );
 
-/// All five full-size presets, generated with consecutive seeds.
-pub fn all_full(seed: u64) -> Vec<Circuit> {
-    vec![
-        ibm01_like(seed),
-        ibm02_like(seed + 1),
-        ibm03_like(seed + 2),
-        ibm04_like(seed + 3),
-        ibm05_like(seed + 4),
-    ]
-}
-
 /// Looks a preset up by name (`"ibm01"`…`"ibm05"`), at the given scale.
 ///
 /// Returns `None` for unknown names.

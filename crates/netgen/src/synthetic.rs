@@ -172,12 +172,12 @@ impl Generator {
         };
         let mut endpoints = gen.build_block(0, n as u32, die, 0);
 
-        // Attach remaining endpoints to pads on the die boundary.
+        // Attach remaining endpoints to pads on the die boundary, in turn.
+        // With no pads they stay unattached, as in the streaming generator.
         let num_pads = cfg.num_pads.min(endpoints.len().max(1));
-        let pad_ids: Vec<u32> = (0..num_pads as u32).map(|i| n as u32 + i).collect();
         endpoints.shuffle(gen.rng);
-        for (i, ep) in endpoints.iter().enumerate() {
-            let pad = pad_ids[i % pad_ids.len().max(1)];
+        let pads = (n as u32..(n + num_pads) as u32).cycle();
+        for (ep, pad) in endpoints.iter().zip(pads) {
             match *ep {
                 Endpoint::Pin(cell) => gen.nets.push(vec![cell, pad]),
                 Endpoint::Net(idx) => {
@@ -409,6 +409,19 @@ mod tests {
         for pad in c.pads() {
             assert_eq!(c.hypergraph.vertex_weight(pad), 0);
         }
+    }
+
+    #[test]
+    fn zero_pads_attach_no_endpoints() {
+        let c = Generator::new(GeneratorConfig {
+            num_cells: 500,
+            num_pads: 0,
+            ..GeneratorConfig::default()
+        })
+        .generate(1);
+        assert_eq!(c.num_pads(), 0);
+        assert_eq!(c.hypergraph.num_vertices(), 500);
+        assert!(c.hypergraph.num_nets() > 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@ use vlsi_hypergraph::{
     induced_subgraph, BalanceConstraint, Hypergraph, PartId, Tolerance, VertexId,
 };
 use vlsi_netgen::{Circuit, Cutline, Point, Rect};
-use vlsi_partition::{MultilevelConfig, MultilevelPartitioner, PartitionError, RunCtx};
+use vlsi_partition::{
+    MultilevelConfig, MultilevelPartitioner, PartitionError, Partitioner, RunCtx,
+};
 
 /// Blocks with at most this many cells are placed directly (end case).
 const MIN_BLOCK_CELLS: usize = 8;
@@ -212,7 +214,7 @@ impl TopDownPlacer {
             min.extend_from_within(..);
             max.extend_from_within(..);
             let balance = BalanceConstraint::explicit(2, nr, min, max)?;
-            let result = ml.run(&sub.hg, &sub.fixed, &balance, RunCtx::new(&mut *rng))?;
+            let result = ml.partition_ctx(&sub.hg, &sub.fixed, &balance, RunCtx::new(&mut *rng))?;
             bisections.push((cells.len(), sub.to_parent.len() - cells.len()));
 
             let mut left = Vec::new();

@@ -98,7 +98,8 @@ pub struct InstanceConfig {
     /// Net count range expressed as multiples of the vertex count:
     /// the count is drawn from `1..max(2, (nets_per_vertex * n))`.
     pub nets_per_vertex: f64,
-    /// Net sizes drawn from `2..=max_net_size` (clamped to `n`).
+    /// Net sizes drawn from `1..=max_net_size` (clamped to `n`): one-pin
+    /// nets occur, as in real netlists and `.hgr` input.
     pub max_net_size: usize,
     /// Probability that a vertex is fixed.
     pub fix_prob: f64,
@@ -126,11 +127,8 @@ pub fn instances(cfg: InstanceConfig) -> impl Fn(&mut TestRng) -> RawInstance {
         let weights: Vec<u64> = (0..n).map(|_| rng.gen_range(1..=cfg.max_weight)).collect();
         let max_nets = ((cfg.nets_per_vertex * n as f64) as usize).max(2);
         let num_nets = rng.gen_range(1..max_nets);
-        let net_gen = distinct_sorted(n, 2..cfg.max_net_size.min(n) + 1);
-        let nets: Vec<Vec<usize>> = (0..num_nets)
-            .map(|_| net_gen(rng))
-            .filter(|net| net.len() >= 2)
-            .collect();
+        let net_gen = distinct_sorted(n, 1..cfg.max_net_size.min(n) + 1);
+        let nets: Vec<Vec<usize>> = (0..num_nets).map(|_| net_gen(rng)).collect();
         let fixities: Vec<Option<u8>> = (0..n)
             .map(|_| {
                 if rng.gen_bool(cfg.fix_prob) {
@@ -249,17 +247,20 @@ mod tests {
     fn instances_are_structurally_valid() {
         let g = instances(InstanceConfig::default());
         let mut r = rng();
+        let mut one_pin = 0;
         for _ in 0..200 {
             let inst = g(&mut r);
             let n = inst.weights.len();
             assert!((2..24).contains(&n));
             assert_eq!(inst.fixities.len(), n);
             for net in &inst.nets {
-                assert!(net.len() >= 2);
+                assert!((1..=4).contains(&net.len()));
                 assert!(net.iter().all(|&v| v < n));
                 assert!(net.windows(2).all(|w| w[0] < w[1]));
+                one_pin += usize::from(net.len() == 1);
             }
         }
+        assert!(one_pin > 0, "no one-pin net in 200 instances");
     }
 
     #[test]

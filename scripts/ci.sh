@@ -159,6 +159,16 @@ cargo test -q --offline -p vlsi-service --test golden_session
 echo "==> partition trace identity"
 cargo test -q --offline -p vlsi-experiments --test partition_cli
 
+# Examples: README calls them runnable, and `cargo test` only compiles
+# them. Run each in release mode; an example fails the step by panicking
+# or returning an error (about 1 s together on a 2-vCPU machine).
+echo "==> examples (cargo run --release --example)"
+for example in quickstart topdown_placement fixed_terminals_study \
+    benchmark_generation engine_comparison; do
+    echo "--> $example"
+    cargo run --release --offline -q --example "$example" >/dev/null
+done
+
 # Service soak smoke: bring up an in-process server, drive a bounded
 # mixed cold/warm workload over concurrent TCP connections, and fail on
 # any error or failed connection. Deeper gates (warm-start pass counts,

@@ -10,8 +10,9 @@ use fixed_vertices_repro::vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Fixity, PartId, Tolerance, VertexId,
 };
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
+use fixed_vertices_repro::vlsi_partition::trace::VecSink;
 use fixed_vertices_repro::vlsi_partition::{
-    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart, RunCtx,
+    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart, Partitioner, RunCtx,
     SelectionPolicy,
 };
 
@@ -33,18 +34,23 @@ fn multilevel_fm_is_byte_identical_across_runs() {
 
     let run = |seed: u64| {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        ml.run(hg, &fixed, &balance, RunCtx::new(&mut rng))
-            .expect("ml runs")
+        let sink = VecSink::new();
+        let ctx = RunCtx::new(&mut rng).with_sink(&sink);
+        let r = ml
+            .partition_ctx(hg, &fixed, &balance, ctx)
+            .expect("ml runs");
+        (r, sink.take())
     };
-    let a = run(1999);
-    let b = run(1999);
+    let (a, a_events) = run(1999);
+    let (b, b_events) = run(1999);
     assert_eq!(a.parts, b.parts, "same seed must replay byte-identically");
     assert_eq!(a.cut, b.cut);
-    assert_eq!(a.level_sizes, b.level_sizes);
+    // The whole trace replays too: every level's size and every pass.
+    assert_eq!(a_events, b_events);
 
     // Sanity: a different seed explores a different trajectory (collisions
     // on the partition vector are astronomically unlikely at this size).
-    let c = run(2000);
+    let (c, _) = run(2000);
     assert_ne!(a.parts, c.parts, "distinct seeds should diverge");
 }
 

@@ -146,7 +146,7 @@ prop_test! {
             ..MultilevelConfig::default()
         });
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
-        let Ok(result) = ml.run(&hg, &fixed, &balance, RunCtx::new(&mut rng)) else {
+        let Ok(result) = ml.partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng)) else {
             return;
         };
         assert_invariants("multilevel", &hg, &fixed, &balance, &result.parts);

@@ -5,9 +5,8 @@
 //! two-target `KwayGains` container, assignment, loads and pin counts in a
 //! `Partitioning`, and a rollback that undoes every move beyond the best
 //! prefix, newest first. The properties drive both over random instances
-//! and require equal [`FmResult`]s (assignment, cut and per-pass
-//! statistics) and equal trace event streams, down to each pass's
-//! `bucket_ops`.
+//! and require equal results (assignment and cut) and equal trace event
+//! streams, which carry every pass's statistics down to its `bucket_ops`.
 //!
 //! The corpus covers what the pass loop branches on: 0–50% fixed
 //! vertices, some of them `FixedAny`; one to three resources under even
@@ -41,8 +40,8 @@ use fixed_vertices_repro::vlsi_hypergraph::{
 };
 use fixed_vertices_repro::vlsi_partition::trace::{Event, Sink, VecSink};
 use fixed_vertices_repro::vlsi_partition::{
-    random_initial, BipartFm, CancelToken, FmConfig, FmResult, FmStack, PartitionError, PassCutoff,
-    PassStats, Refiner, RunCtx, SelectionPolicy,
+    random_initial, BipartFm, CancelToken, FmConfig, FmStack, PartitionError, PartitionResult,
+    PassCutoff, Refiner, RunCtx, SelectionPolicy,
 };
 
 /// A port of the earlier 2-way pass loop, single-threaded (gain
@@ -52,7 +51,7 @@ mod reference {
     use fixed_vertices_repro::vlsi_hypergraph::{NetId, Objective, Partitioning};
     use fixed_vertices_repro::vlsi_partition::cancel::CHECK_INTERVAL;
     use fixed_vertices_repro::vlsi_partition::trace::MoverFixity;
-    use fixed_vertices_repro::vlsi_partition::{KwayGains, MoveLog, RunStats};
+    use fixed_vertices_repro::vlsi_partition::{KwayGains, MoveLog};
 
     pub fn run<S: Sink>(
         config: &FmConfig,
@@ -62,7 +61,7 @@ mod reference {
         initial: Vec<PartId>,
         sink: &S,
         cancel: &CancelToken,
-    ) -> Result<FmResult, PartitionError> {
+    ) -> Result<PartitionResult, PartitionError> {
         if balance.num_parts() != 2 {
             return Err(PartitionError::UnsupportedPartCount {
                 requested: balance.num_parts(),
@@ -127,7 +126,6 @@ mod reference {
             bucket_ops: 0,
         };
 
-        let mut stats = RunStats::default();
         if !cancel.is_cancelled() {
             for pass_idx in 0..config.max_passes {
                 let limit = if pass_idx > 0 {
@@ -135,9 +133,7 @@ mod reference {
                 } else {
                     num_movable
                 };
-                let pass_stats = state.run_pass(pass_idx, num_movable, limit);
-                let improved = pass_stats.improved();
-                stats.passes.push(pass_stats);
+                let improved = state.run_pass(pass_idx, num_movable, limit);
                 if !improved || cancel.is_cancelled() {
                     break;
                 }
@@ -151,11 +147,7 @@ mod reference {
                 value: cut,
             });
         }
-        Ok(FmResult {
-            parts: partitioning.into_parts(),
-            cut,
-            stats,
-        })
+        Ok(PartitionResult::new(partitioning.into_parts(), cut))
     }
 
     struct PassState<'a, S: Sink> {
@@ -189,7 +181,8 @@ mod reference {
     }
 
     impl<S: Sink> PassState<'_, S> {
-        fn run_pass(&mut self, pass: usize, num_movable: usize, move_limit: usize) -> PassStats {
+        /// Runs one pass; returns whether it improved the cut.
+        fn run_pass(&mut self, pass: usize, num_movable: usize, move_limit: usize) -> bool {
             let cut_before = self.partitioning.cut_value(Objective::Cut);
             if S::ENABLED {
                 self.bucket_ops = 0;
@@ -296,16 +289,7 @@ mod reference {
                     bucket_ops: self.bucket_ops,
                 });
             }
-
-            PassStats {
-                pass,
-                movable: num_movable,
-                moves_made,
-                moves_kept: best_len,
-                cut_before,
-                cut_after: best_cut,
-                move_limit,
-            }
+            best_cut < cut_before
         }
 
         fn imbalance(&self) -> u64 {
@@ -672,14 +656,14 @@ fn cancel_sink(s: &Setup) -> (CancelAt, CancelToken) {
 
 /// Runs `fm` (or the reference, when `fm` is `None`) and returns the
 /// result with the recorded events.
-fn run(s: &Setup, fm: Option<&BipartFm>) -> (Result<FmResult, PartitionError>, Vec<Event>) {
+fn run(s: &Setup, fm: Option<&BipartFm>) -> (Result<PartitionResult, PartitionError>, Vec<Event>) {
     let (sink, token) = cancel_sink(s);
     let initial = s.initial.clone();
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let result = match fm {
         Some(fm) => {
             let ctx = RunCtx::new(&mut rng).with_sink(&sink).with_cancel(&token);
-            fm.run(&s.hg, &s.fixed, &s.balance, initial, ctx)
+            fm.refine_ctx(&s.hg, &s.fixed, &s.balance, initial, ctx)
         }
         None => reference::run(
             &s.config, &s.hg, &s.fixed, &s.balance, initial, &sink, &token,
@@ -698,7 +682,7 @@ fn check(s: &Setup) {
     assert_eq!(got_events, want_events, "events");
     if s.cancel_at.is_none() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let quiet = fm.run(
+        let quiet = fm.refine_ctx(
             &s.hg,
             &s.fixed,
             &s.balance,
@@ -741,6 +725,17 @@ fn kept_events(events: &[Event], moves: &[u64]) -> Vec<Event> {
         .collect()
 }
 
+/// Each pass's move count, from its `PassEnd` event, in stream order.
+fn pass_moves(events: &[Event]) -> Vec<u64> {
+    events
+        .iter()
+        .filter_map(|e| match *e {
+            Event::PassEnd { moves, .. } => Some(moves),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Requires the engine under the exact stop to keep what the reference's
 /// classic passes keep, pass by pass, and returns how many of its passes
 /// the stop ended early.
@@ -753,37 +748,19 @@ fn check_exact_stop(mut s: Setup) -> usize {
         ..s.config
     });
     let (got, got_events) = run(&s, Some(&fm));
-    let (got, want) = match (got, want) {
-        (Ok(got), Ok(want)) => (got, want),
-        (got, want) => {
-            assert_eq!(got, want, "result");
-            return 0;
-        }
-    };
-    assert_eq!(got.parts, want.parts, "parts");
-    assert_eq!(got.cut, want.cut, "cut");
-    assert_eq!(got.stats.num_passes(), want.stats.num_passes(), "passes");
-    let mut stopped = 0;
-    for (g, w) in got.stats.passes.iter().zip(&want.stats.passes) {
-        let kept = |p: &PassStats| {
-            (
-                p.pass,
-                p.cut_before,
-                p.cut_after,
-                p.moves_kept,
-                p.move_limit,
-            )
-        };
-        assert_eq!(kept(g), kept(w), "pass {}", w.pass);
-        assert!(g.moves_made <= w.moves_made, "pass {} moved more", w.pass);
-        stopped += usize::from(g.moves_made < w.moves_made);
+    assert_eq!(got, want, "result");
+    if got.is_err() {
+        return 0;
     }
-    let moves: Vec<u64> = got
-        .stats
-        .passes
-        .iter()
-        .map(|p| p.moves_made as u64)
-        .collect();
+    // The kept events hold each pass's index, start cut, movable count and
+    // move limit (`PassStart`) and its kept prefix and cuts (`PassEnd`).
+    let (moves, want_moves) = (pass_moves(&got_events), pass_moves(&want_events));
+    assert_eq!(moves.len(), want_moves.len(), "passes");
+    let mut stopped = 0;
+    for (pass, (g, w)) in moves.iter().zip(&want_moves).enumerate() {
+        assert!(g <= w, "pass {pass} moved more");
+        stopped += usize::from(g < w);
+    }
     assert_eq!(
         kept_events(&got_events, &moves),
         kept_events(&want_events, &moves),

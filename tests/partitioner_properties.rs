@@ -97,7 +97,7 @@ prop_test! {
         });
         let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
         let result = ml
-            .run(&hg, &fixed, &balance, RunCtx::new(&mut rng))
+            .partition_ctx(&hg, &fixed, &balance, RunCtx::new(&mut rng))
             .expect("ml runs");
         let p = Partitioning::from_parts(&hg, 2, result.parts.clone()).expect("valid parts");
         let report = validate_partitioning(&hg, &p, &balance, &fixed);
@@ -116,7 +116,7 @@ prop_test! {
         let initial_cut = CutState::new(&hg, 2, &initial).cut();
         let fm = BipartFm::new(FmConfig::default());
         let result = fm
-            .run(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
+            .refine_ctx(&hg, &fixed, &balance, initial, RunCtx::new(&mut rng))
             .expect("fm runs");
         assert!(result.cut <= initial_cut);
     }

@@ -13,7 +13,9 @@ use fixed_vertices_repro::vlsi_hypergraph::{
 use fixed_vertices_repro::vlsi_netgen::blocks::standard_instances;
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
 use fixed_vertices_repro::vlsi_netgen::Point;
-use fixed_vertices_repro::vlsi_partition::{MultilevelConfig, MultilevelPartitioner, RunCtx};
+use fixed_vertices_repro::vlsi_partition::{
+    MultilevelConfig, MultilevelPartitioner, Partitioner, RunCtx,
+};
 use fixed_vertices_repro::vlsi_placer::{hpwl, PlacerConfig, TopDownPlacer};
 
 #[test]
@@ -50,7 +52,7 @@ fn place_then_derive_then_partition() {
     {
         let balance = paper_balance(&inst.hypergraph);
         let result = ml
-            .run(
+            .partition_ctx(
                 &inst.hypergraph,
                 &inst.fixed,
                 &balance,

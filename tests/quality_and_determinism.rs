@@ -10,6 +10,7 @@ use fixed_vertices_repro::vlsi_hypergraph::{
     Tolerance, VertexId,
 };
 use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
+use fixed_vertices_repro::vlsi_partition::trace::VecSink;
 use fixed_vertices_repro::vlsi_partition::{
     BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart, Partitioner, RunCtx,
 };
@@ -113,14 +114,17 @@ fn multilevel_is_bit_deterministic() {
     let ml = MultilevelPartitioner::new(MultilevelConfig::default());
     let run = || {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        ml.run(hg, &fixed, &balance, RunCtx::new(&mut rng))
-            .expect("runs")
+        let sink = VecSink::new();
+        let ctx = RunCtx::new(&mut rng).with_sink(&sink);
+        let r = ml.partition_ctx(hg, &fixed, &balance, ctx).expect("runs");
+        (r, sink.take())
     };
-    let a = run();
-    let b = run();
+    let (a, a_events) = run();
+    let (b, b_events) = run();
     assert_eq!(a.parts, b.parts);
     assert_eq!(a.cut, b.cut);
-    assert_eq!(a.level_sizes, b.level_sizes);
+    // The whole trace replays too: every level's size and every pass.
+    assert_eq!(a_events, b_events);
 }
 
 #[test]
