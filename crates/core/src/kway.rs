@@ -933,7 +933,8 @@ pub fn refine_pass_reference(
 ///   0 or exceeds 64.
 /// * [`PartitionError::InfeasibleInstance`] / [`PartitionError::Balance`]
 ///   when no legal assignment is reachable (capacities too tight for the
-///   instance or its fixed vertices).
+///   instance or its fixed vertices). A vertex that fits no part its
+///   fixity allows is named before any work starts.
 pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
@@ -951,6 +952,15 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
     balance
         .check_feasible(hg.total_weights())
         .map_err(PartitionError::Balance)?;
+    if let Some(v) = unplaceable_vertex(hg, fixed, balance) {
+        return Err(PartitionError::InfeasibleInstance {
+            vertex: Some(v),
+            detail: format!(
+                "weights {:?} fit no part its fixity allows in 0..{k}",
+                hg.vertex_weights(v)
+            ),
+        });
+    }
     let ml = &cfg.ml;
     let cluster_cap = |total: u64| -> u64 {
         ((total as f64) * ml.max_cluster_fraction / (k as f64 / 2.0))
@@ -1030,6 +1040,31 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
         });
     }
     Ok(r)
+}
+
+/// The first vertex that fits no part its fixity allows below `k`: part
+/// `p` fits `v` when `w_r(v) ≤ max(p, r)` in every resource `r`.
+fn unplaceable_vertex(
+    hg: &Hypergraph,
+    fixed: &FixedVertices,
+    balance: &BalanceConstraint,
+) -> Option<VertexId> {
+    let resources = hg.num_resources().min(balance.num_resources());
+    hg.vertices().find(|&v| {
+        let fx = if v.index() < fixed.len() {
+            fixed.fixity(v)
+        } else {
+            Fixity::Free
+        };
+        let weights = &hg.vertex_weights(v)[..resources];
+        !(0..balance.num_parts()).map(PartId::from_index).any(|p| {
+            fx.allows(p)
+                && weights
+                    .iter()
+                    .enumerate()
+                    .all(|(r, &w)| w <= balance.max(p, r))
+        })
+    })
 }
 
 /// Refines `parts` under `objective`: the body of
@@ -1285,6 +1320,44 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let r = direct(&hg, &fixed, 4, 0.2, &cfg, &mut rng).unwrap();
         assert_eq!(r.parts[0], PartId(2));
+    }
+
+    #[test]
+    fn multilevel_kway_names_a_vertex_no_allowed_part_can_hold() {
+        // A path whose vertex 0 weighs 4; the other seven weigh 1.
+        let mut b = HypergraphBuilder::new();
+        let v: Vec<_> = (0..8)
+            .map(|i| b.add_vertex(if i == 0 { 4 } else { 1 }))
+            .collect();
+        for w in v.windows(2) {
+            b.add_net(1, [w[0], w[1]]).unwrap();
+        }
+        let hg = b.build().unwrap();
+        let free = FixedVertices::all_free(8);
+        let mut pinned = free.clone();
+        pinned.fix(VertexId(0), PartId(0));
+        let cfg = KwayConfig::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut run = |fixed: &FixedVertices, max: Vec<u64>| {
+            let balance = BalanceConstraint::explicit(max.len(), 1, vec![0; max.len()], max);
+            multilevel_kway(&hg, fixed, &balance.unwrap(), &cfg, RunCtx::new(&mut rng))
+        };
+        // The totals fit both constraints, but vertex 0 fits no part of the
+        // first, and fixed in part 0 it fits no part of the second.
+        for err in [run(&free, vec![3; 4]), run(&pinned, vec![3, 20])] {
+            assert!(
+                matches!(
+                    err,
+                    Err(PartitionError::InfeasibleInstance {
+                        vertex: Some(VertexId(0)),
+                        ..
+                    })
+                ),
+                "{err:?}"
+            );
+        }
+        // Free, it fits part 1 of the second.
+        assert!(run(&free, vec![3, 20]).is_ok());
     }
 
     #[test]

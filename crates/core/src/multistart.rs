@@ -96,13 +96,15 @@ pub struct MultistartOutcome {
     /// when V-cycles or recombination were enabled — never worse than
     /// `top[0]`.
     pub best: PartitionResult,
-    /// Per-start cut/time records, in execution order. Only the raw
-    /// starts: the quality phase adds no records.
+    /// Per-start cut/time records of the starts that returned an answer,
+    /// in execution order. Only the raw starts: the quality phase adds no
+    /// records.
     pub starts: Vec<StartRecord>,
     /// The retained top start solutions, **ordered by (cut ascending,
     /// start index ascending)** — ties keep the earlier start, so
     /// `top[0]` is always the best *raw* start. Length is
-    /// `min(keep_top, executed starts)` (cancellation can shorten it).
+    /// `min(keep_top, answered starts)` (cancellation and failed starts
+    /// can shorten it).
     /// The quality phase never rewrites this list.
     pub top: Vec<PartitionResult>,
 }
@@ -232,10 +234,12 @@ impl Multistart {
     /// `ctx.sink` and polls `ctx.cancel`. Start 0 always executes, so a
     /// pre-expired token still yields a legal solution; a cancelled run
     /// records one [`Event::Cancelled`] (stage `multistart`) and skips the
-    /// quality phase.
+    /// quality phase. A start that returns an error adds no record, no
+    /// [`Event::StartFinished`] and no `top` entry; the starts after it
+    /// run as they would have had it answered.
     ///
     /// # Errors
-    /// Propagates the first error returned by the engine.
+    /// Only when no start returned an answer: the first start's error.
     ///
     /// # Panics
     /// Panics if `starts == 0`.
@@ -260,7 +264,13 @@ impl Multistart {
                 break;
             }
             let t0 = Instant::now();
-            let result = engine.partition_ctx(hg, fixed, balance, ctx.reborrow())?;
+            let result = match engine.partition_ctx(hg, fixed, balance, ctx.reborrow()) {
+                Ok(result) => result,
+                Err(e) => {
+                    top.fail(e);
+                    continue;
+                }
+            };
             let elapsed = t0.elapsed();
             if S::ENABLED {
                 ctx.sink.record(&Event::StartFinished {
@@ -297,10 +307,13 @@ impl Multistart {
     ///
     /// Start 0 always runs; starts not yet begun when `cancel` fires are
     /// skipped entirely, so `outcome.starts` may be shorter than `starts`
-    /// — but never empty — and the quality phase is skipped.
+    /// — but never empty — and the quality phase is skipped. A start that
+    /// returns an error adds no record, no [`Event::StartFinished`] and no
+    /// `top` entry.
     ///
     /// # Errors
-    /// Propagates the error of the lowest-indexed failing start.
+    /// Only when no start returned an answer: the lowest-indexed start's
+    /// error.
     ///
     /// # Panics
     /// Panics if `starts == 0` or `threads == 0`.
@@ -363,10 +376,14 @@ impl Multistart {
         let mut records = Vec::new();
         let mut top = TopSet::new(self.retention());
         for (i, slot) in slots.into_iter().enumerate() {
-            let Some(outcome) = slot else {
-                continue; // start skipped by cancellation
+            let (result, elapsed) = match slot {
+                Some(Ok(outcome)) => outcome,
+                Some(Err(e)) => {
+                    top.fail(e);
+                    continue;
+                }
+                None => continue, // start skipped by cancellation
             };
-            let (result, elapsed) = outcome?;
             if S::ENABLED {
                 sink.record(&Event::StartFinished {
                     start: i as u32,
@@ -388,7 +405,8 @@ impl Multistart {
         self.finish(hg, fixed, balance, records, top, ctx)
     }
 
-    /// Ends a run: a cancelled run records one [`Event::Cancelled`] and
+    /// Ends a run: with no answered start it returns the first failed
+    /// start's error; a cancelled run records one [`Event::Cancelled`] and
     /// keeps the best start; otherwise the quality phase runs on it —
     /// recombination over the raw retained starts, then V-cycles. Both
     /// accept a candidate only when it is no worse, so the returned
@@ -402,7 +420,7 @@ impl Multistart {
         top: TopSet,
         mut ctx: RunCtx<'_, R, S>,
     ) -> Result<MultistartOutcome, PartitionError> {
-        let mut best = top.best().clone();
+        let mut best = top.best()?.clone();
         if ctx.cancel.is_cancelled() {
             if S::ENABLED {
                 ctx.sink.record(&Event::Cancelled {
@@ -446,11 +464,13 @@ impl Multistart {
 
 /// Bounded retention of the best `cap` start solutions, ordered by
 /// (cut ascending, start index ascending) — the ordering guarantee
-/// documented on [`MultistartOutcome::top`].
+/// documented on [`MultistartOutcome::top`] — and of the first failed
+/// start's error.
 struct TopSet {
     cap: usize,
     keys: Vec<(u64, usize)>,
     sols: Vec<PartitionResult>,
+    first_err: Option<PartitionError>,
 }
 
 impl TopSet {
@@ -459,7 +479,14 @@ impl TopSet {
             cap: cap.max(1),
             keys: Vec::new(),
             sols: Vec::new(),
+            first_err: None,
         }
+    }
+
+    /// Records a failed start. Starts must be reported in ascending index
+    /// order, so the kept error is the lowest-indexed start's.
+    fn fail(&mut self, err: PartitionError) {
+        self.first_err.get_or_insert(err);
     }
 
     /// Offers start `start`'s solution; keeps it only while it ranks among
@@ -479,9 +506,12 @@ impl TopSet {
         }
     }
 
-    /// The best solution (ties keep the earliest start).
-    fn best(&self) -> &PartitionResult {
-        self.sols.first().expect("start 0 always runs")
+    /// The best solution (ties keep the earliest start), or the first
+    /// failed start's error when no start answered.
+    fn best(&self) -> Result<&PartitionResult, PartitionError> {
+        self.sols
+            .first()
+            .ok_or_else(|| self.first_err.clone().expect("start 0 always runs"))
     }
 
     fn solutions(&self) -> &[PartitionResult] {
@@ -528,7 +558,7 @@ mod tests {
             Scripted::results(
                 cuts.iter()
                     .enumerate()
-                    .map(|(i, &cut)| Ok(PartitionResult::new(vec![PartId(i as u32); 4], cut)))
+                    .map(|(i, &cut)| Ok(tagged(i, cut)))
                     .collect(),
             )
         }
@@ -554,6 +584,12 @@ mod tests {
             threads.push(std::thread::current().id());
             self.script[i % self.script.len()].clone()
         }
+    }
+
+    /// Cut `cut` on an assignment tagged with `i` (every vertex in part
+    /// `i`).
+    fn tagged(i: usize, cut: u64) -> PartitionResult {
+        PartitionResult::new(vec![PartId(i as u32); 4], cut)
     }
 
     fn boom() -> PartitionError {
@@ -630,6 +666,19 @@ mod tests {
         let err =
             run_scripted(&Multistart::new(2), &Scripted::results(vec![Err(boom())])).unwrap_err();
         assert!(matches!(err, PartitionError::InfeasibleInstance { .. }));
+    }
+
+    #[test]
+    fn a_failed_start_does_not_sink_the_answered_ones() {
+        let engine = || Scripted::results(vec![Ok(tagged(0, 5)), Err(boom()), Ok(tagged(2, 3))]);
+        let ms = Multistart::new(3);
+        let seq = run_scripted(&ms, &engine()).unwrap();
+        let runs = [1, 2].map(|threads| run_parallel_scripted(&ms, threads, &engine()).unwrap());
+        for outcome in [seq].iter().chain(&runs) {
+            assert_eq!(outcome.best.cut, 3);
+            assert_eq!(outcome.starts.len(), 2);
+            assert_eq!(outcome.top.len(), 1);
+        }
     }
 
     #[test]

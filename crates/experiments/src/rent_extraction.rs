@@ -3,7 +3,8 @@
 //! The standard empirical procedure (Landman & Russo, and the wire-length
 //! literature the paper cites): recursively bisect the netlist with a
 //! min-cut partitioner, record `(block size, external nets)` for every
-//! block of the partitioning hierarchy, and fit `log T = log k + p·log C`.
+//! block of the partitioning hierarchy, and fit `log T = log k + p·log C`
+//! ([`vlsi_netgen::rent::fit_rent`]).
 //! Applied to our synthetic circuits this measures the *realised* Rent
 //! exponent with machinery completely independent of the generator's own
 //! bookkeeping — the honest check that the IBM-substitute circuits really
@@ -130,35 +131,10 @@ pub fn band_average(samples: &[RentSample], lo: usize, hi: usize) -> Option<f64>
     Some(in_band.iter().map(|s| s.external as f64).sum::<f64>() / in_band.len() as f64)
 }
 
-/// Least-squares fit of the Rent exponent over samples with at least
-/// `min_cells` vertices. Returns `(exponent, coefficient k)`; `None` with
-/// fewer than three usable samples.
-pub fn fit_rent(samples: &[RentSample], min_cells: usize) -> Option<(f64, f64)> {
-    let pts: Vec<(f64, f64)> = samples
-        .iter()
-        .filter(|s| s.cells >= min_cells && s.external > 0)
-        .map(|s| ((s.cells as f64).ln(), (s.external as f64).ln()))
-        .collect();
-    if pts.len() < 3 {
-        return None;
-    }
-    let n = pts.len() as f64;
-    let sx: f64 = pts.iter().map(|p| p.0).sum();
-    let sy: f64 = pts.iter().map(|p| p.1).sum();
-    let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return None;
-    }
-    let p = (n * sxy - sx * sy) / denom;
-    let logk = (sy - p * sx) / n;
-    Some((p, logk.exp()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vlsi_netgen::rent::fit_rent;
     use vlsi_netgen::synthetic::{Generator, GeneratorConfig};
 
     #[test]
@@ -184,7 +160,8 @@ mod tests {
             let samples = rent_samples(&circuit.hypergraph, 32, &cfg, 9).unwrap();
             assert!(samples.len() > 20, "need a real hierarchy");
             let band = band_average(&samples, 128, 512).expect("band populated");
-            let (p, _) = fit_rent(&samples, 48).expect("fit succeeds");
+            let points = samples.iter().map(|s| (s.cells, s.external));
+            let (p, _) = fit_rent(points, 48).expect("fit succeeds");
             (band, p)
         };
         let (band_low, p_low) = extract(0.50);
@@ -196,34 +173,5 @@ mod tests {
         for p in [p_low, p_high] {
             assert!((0.25..0.85).contains(&p), "implausible exponent {p}");
         }
-    }
-
-    #[test]
-    fn fit_rejects_degenerate_input() {
-        assert!(fit_rent(&[], 1).is_none());
-        let flat = vec![
-            RentSample {
-                cells: 10,
-                external: 5,
-            };
-            5
-        ];
-        assert!(fit_rent(&flat, 1).is_none(), "zero variance in x");
-    }
-
-    #[test]
-    fn fit_recovers_exact_power_law() {
-        let samples: Vec<RentSample> = (3..12)
-            .map(|i| {
-                let c = 1usize << i;
-                RentSample {
-                    cells: c,
-                    external: (3.5 * (c as f64).powf(0.6)).round() as usize,
-                }
-            })
-            .collect();
-        let (p, k) = fit_rent(&samples, 1).unwrap();
-        assert!((p - 0.6).abs() < 0.02, "p = {p}");
-        assert!((k - 3.5).abs() < 0.5, "k = {k}");
     }
 }

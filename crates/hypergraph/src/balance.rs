@@ -244,58 +244,6 @@ impl BalanceConstraint {
             .all(|(r, &l)| l <= self.max[base + r])
     }
 
-    /// Returns `true` if moving a vertex with the given `weights` from
-    /// `from` to `to` keeps `to` under its maxima, given the current flat
-    /// `loads` matrix (`num_parts × num_resources`).
-    ///
-    /// Only the destination maxima are enforced during refinement (the
-    /// classic FM relaxation); terminal minima are checked at acceptance
-    /// time with [`BalanceConstraint::is_satisfied`].
-    ///
-    /// # Panics
-    /// Panics if shapes disagree.
-    #[inline]
-    pub fn move_allowed(&self, loads: &[u64], from: PartId, to: PartId, weights: &[u64]) -> bool {
-        debug_assert_eq!(loads.len(), self.num_parts * self.num_resources);
-        debug_assert_eq!(weights.len(), self.num_resources);
-        if from == to {
-            return true;
-        }
-        let to_base = to.index() * self.num_resources;
-        weights
-            .iter()
-            .enumerate()
-            .all(|(r, &w)| loads[to_base + r] + w <= self.max[to_base + r])
-    }
-
-    /// Like [`BalanceConstraint::move_allowed`] but additionally requires the
-    /// source partition to stay at or above its minima — the discipline used
-    /// by the FM engines so that every intermediate solution in a pass is
-    /// legal.
-    ///
-    /// # Panics
-    /// Panics (debug) if shapes disagree.
-    #[inline]
-    pub fn move_allowed_strict(
-        &self,
-        loads: &[u64],
-        from: PartId,
-        to: PartId,
-        weights: &[u64],
-    ) -> bool {
-        debug_assert_eq!(loads.len(), self.num_parts * self.num_resources);
-        debug_assert_eq!(weights.len(), self.num_resources);
-        if from == to {
-            return true;
-        }
-        let to_base = to.index() * self.num_resources;
-        let from_base = from.index() * self.num_resources;
-        weights.iter().enumerate().all(|(r, &w)| {
-            loads[to_base + r] + w <= self.max[to_base + r]
-                && loads[from_base + r] >= self.min[from_base + r].saturating_add(w)
-        })
-    }
-
     /// Returns `true` if every partition's load lies within `[min, max]` for
     /// every resource. `loads` is the flat `num_parts × num_resources`
     /// matrix.
@@ -357,25 +305,6 @@ mod tests {
         assert_eq!(bc.min(PartId(0), 0), 5);
         assert!(bc.is_satisfied(&[5, 5]));
         assert!(!bc.is_satisfied(&[4, 6]));
-    }
-
-    #[test]
-    fn move_allowed_checks_destination_only() {
-        let bc = BalanceConstraint::bisection(100, Tolerance::Relative(0.1));
-        // loads: [54, 46]; max is 55 each
-        assert!(bc.move_allowed(&[54, 46], PartId(0), PartId(1), &[9]));
-        assert!(!bc.move_allowed(&[46, 54], PartId(0), PartId(1), &[2]));
-        assert!(bc.move_allowed(&[60, 40], PartId(0), PartId(0), &[99]));
-    }
-
-    #[test]
-    fn move_allowed_strict_checks_both_sides() {
-        let bc = BalanceConstraint::bisection(100, Tolerance::Relative(0.1));
-        // loads [50, 50], min 45, max 55: a weight-6 move empties the source
-        // below min even though the destination has room.
-        assert!(!bc.move_allowed_strict(&[50, 50], PartId(0), PartId(1), &[6]));
-        assert!(bc.move_allowed_strict(&[50, 50], PartId(0), PartId(1), &[5]));
-        assert!(bc.move_allowed_strict(&[50, 50], PartId(0), PartId(0), &[99]));
     }
 
     #[test]

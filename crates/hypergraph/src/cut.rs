@@ -134,12 +134,6 @@ impl CutState {
         self.spans[net.index()]
     }
 
-    /// Returns `true` if `net` is cut (spans ≥ 2 partitions).
-    #[inline]
-    pub fn is_cut(&self, net: NetId) -> bool {
-        self.spans[net.index()] >= 2
-    }
-
     /// Current weighted cut.
     #[inline]
     pub fn cut(&self) -> u64 {

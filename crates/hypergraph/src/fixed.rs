@@ -118,12 +118,6 @@ impl PartSet {
     pub fn intersection(self, other: PartSet) -> PartSet {
         PartSet(self.0 & other.0)
     }
-
-    /// Set union.
-    #[inline]
-    pub fn union(self, other: PartSet) -> PartSet {
-        PartSet(self.0 | other.0)
-    }
 }
 
 impl FromIterator<PartId> for PartSet {
@@ -396,11 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn partset_union_intersection() {
+    fn partset_intersection() {
         let a: PartSet = [PartId(0), PartId(1)].into_iter().collect();
         let b: PartSet = [PartId(1), PartId(2)].into_iter().collect();
         assert_eq!(a.intersection(b), PartSet::single(PartId(1)));
-        assert_eq!(a.union(b).len(), 3);
     }
 
     #[test]

@@ -66,6 +66,6 @@ pub use fixed::{FixedVertices, Fixity, PartSet};
 pub use graph::Hypergraph;
 pub use ids::{NetId, PartId, VertexId};
 pub use partitioning::{check_assignment, Partitioning};
-pub use resource::{ParseResourceError, PartCapacities, ResourceVec};
+pub use resource::{ParseResourceError, PartCapacities};
 pub use subgraph::{induced_subgraph, Subgraph};
 pub use validate::{validate_partitioning, ValidationReport};

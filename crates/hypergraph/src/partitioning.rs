@@ -171,11 +171,6 @@ impl Partitioning {
         self.parts[vertex.index()] = to;
         from
     }
-
-    /// Number of vertices assigned to `part`.
-    pub fn part_size(&self, part: PartId) -> usize {
-        self.parts.iter().filter(|&&p| p == part).count()
-    }
 }
 
 /// Checks an assignment as [`Partitioning::from_parts_fixed`] does, without
@@ -252,7 +247,6 @@ mod tests {
         assert_eq!(p.load(PartId(0), 0), 3);
         assert_eq!(p.load(PartId(1), 0), 7);
         assert_eq!(p.cut_value(Objective::Cut), 2);
-        assert_eq!(p.part_size(PartId(0)), 2);
     }
 
     #[test]

@@ -4,17 +4,12 @@
 //! The paper's formulation balances one scalar area per vertex against a
 //! uniform target. Real placement targets do not: an FPGA device balances
 //! several resource types at once (LUTs, FFs, DSPs, BRAM) and a multi-die
-//! system gives each die its own capacity vector. This module provides the
-//! vocabulary types for that regime:
+//! system gives each die its own capacity vector. This module provides
+//! [`PartCapacities`] for that regime: per-partition capacity vectors with
+//! a feasibility check, convertible to a [`BalanceConstraint`] for the
+//! refinement engines.
 //!
-//! * [`ResourceVec`] — a fixed-arity weight vector, stored flat `u64`,
-//!   with component-wise arithmetic and fit checks. This is the owned
-//!   counterpart of the `&[u64]` weight rows the CSR side-tables hand out.
-//! * [`PartCapacities`] — per-partition capacity vectors with feasibility
-//!   and tightest-fit-epsilon checks, convertible to a
-//!   [`BalanceConstraint`] for the refinement engines.
-//!
-//! Both types parse from and render to compact text forms so the CLI and
+//! Capacities parse from and render to a compact text form so the CLI and
 //! the service protocol can carry them: resources are comma-separated,
 //! partitions semicolon-separated (`"100,8;100,8;200,16"`).
 
@@ -25,89 +20,7 @@ use std::str::FromStr;
 use crate::balance::{BalanceConstraint, BalanceError};
 use crate::PartId;
 
-/// A fixed-arity, component-wise vector of resource demands or loads.
-///
-/// # Example
-/// ```
-/// use vlsi_hypergraph::ResourceVec;
-/// let mut acc = ResourceVec::zeros(3);
-/// acc.add_assign(&[1, 2, 3]);
-/// acc.add_assign(&[4, 0, 1]);
-/// assert_eq!(acc.as_slice(), &[5, 2, 4]);
-/// assert!(acc.fits_within(&[5, 2, 4]));
-/// assert!(!acc.fits_within(&[5, 1, 9]));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ResourceVec(Vec<u64>);
-
-impl ResourceVec {
-    /// An all-zero vector with `dims` components.
-    pub fn zeros(dims: usize) -> Self {
-        ResourceVec(vec![0; dims])
-    }
-
-    /// Wraps an existing weight row.
-    pub fn from_slice(w: &[u64]) -> Self {
-        ResourceVec(w.to_vec())
-    }
-
-    /// Number of resource dimensions.
-    #[inline]
-    pub fn dims(&self) -> usize {
-        self.0.len()
-    }
-
-    /// The flat components.
-    #[inline]
-    pub fn as_slice(&self) -> &[u64] {
-        &self.0
-    }
-
-    /// Component-wise saturating accumulation.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != self.dims()`.
-    pub fn add_assign(&mut self, w: &[u64]) {
-        assert_eq!(w.len(), self.0.len(), "resource arity mismatch");
-        for (a, &b) in self.0.iter_mut().zip(w) {
-            *a = a.saturating_add(b);
-        }
-    }
-
-    /// Component-wise saturating subtraction.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != self.dims()`.
-    pub fn sub_assign(&mut self, w: &[u64]) {
-        assert_eq!(w.len(), self.0.len(), "resource arity mismatch");
-        for (a, &b) in self.0.iter_mut().zip(w) {
-            *a = a.saturating_sub(b);
-        }
-    }
-
-    /// `true` if every component is `<=` the corresponding capacity.
-    ///
-    /// # Panics
-    /// Panics if `caps.len() != self.dims()`.
-    pub fn fits_within(&self, caps: &[u64]) -> bool {
-        assert_eq!(caps.len(), self.0.len(), "resource arity mismatch");
-        self.0.iter().zip(caps).all(|(&l, &c)| l <= c)
-    }
-}
-
-impl fmt::Display for ResourceVec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, w) in self.0.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{w}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Error parsing a [`ResourceVec`] or [`PartCapacities`] text form.
+/// Error parsing a [`PartCapacities`] text form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseResourceError(String);
 
@@ -119,24 +32,19 @@ impl fmt::Display for ParseResourceError {
 
 impl Error for ParseResourceError {}
 
-impl FromStr for ResourceVec {
-    type Err = ParseResourceError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        if s.is_empty() {
-            return Err(ParseResourceError("empty vector".into()));
-        }
-        let mut out = Vec::new();
-        for tok in s.split(',') {
-            let tok = tok.trim();
-            out.push(
-                tok.parse::<u64>()
-                    .map_err(|_| ParseResourceError(format!("'{tok}' is not a u64")))?,
-            );
-        }
-        Ok(ResourceVec(out))
+/// Parses one part's row of comma-separated `u64` capacities.
+fn parse_row(row: &str) -> Result<Vec<u64>, ParseResourceError> {
+    let row = row.trim();
+    if row.is_empty() {
+        return Err(ParseResourceError("empty vector".into()));
     }
+    row.split(',')
+        .map(|tok| {
+            let tok = tok.trim();
+            tok.parse::<u64>()
+                .map_err(|_| ParseResourceError(format!("'{tok}' is not a u64")))
+        })
+        .collect()
 }
 
 /// Per-partition capacity vectors: a flat `num_parts × num_resources`
@@ -228,13 +136,6 @@ impl PartCapacities {
         self.caps[part.index() * self.num_resources + resource]
     }
 
-    /// The capacity row of one part.
-    #[inline]
-    pub fn part_row(&self, part: PartId) -> &[u64] {
-        let base = part.index() * self.num_resources;
-        &self.caps[base..base + self.num_resources]
-    }
-
     /// The flat row-major capacity matrix.
     #[inline]
     pub fn as_flat(&self) -> &[u64] {
@@ -261,36 +162,6 @@ impl PartCapacities {
             }
         }
         Ok(())
-    }
-
-    /// The tightest-fit epsilon: the relative headroom of the most
-    /// constrained (part, resource) cell against an even split.
-    ///
-    /// For each resource `r` with total `T_r`, the even-split target is
-    /// `T_r / k`; the headroom of the scarcest part is
-    /// `min_p cap(p, r) / (T_r / k) − 1`. The result is the minimum over
-    /// resources, clamped at 0 — the FPGA exemplar's rule that the scarcest
-    /// resource sets the imbalance budget. Resources with zero total are
-    /// skipped (they constrain nothing). Returns `0.0` when every resource
-    /// total is zero.
-    pub fn tightest_fit_epsilon(&self, totals: &[u64]) -> f64 {
-        let mut eps = f64::INFINITY;
-        for (r, &total) in totals.iter().enumerate().take(self.num_resources) {
-            if total == 0 {
-                continue;
-            }
-            let ave = total as f64 / self.num_parts as f64;
-            let min_cap = (0..self.num_parts)
-                .map(|p| self.caps[p * self.num_resources + r])
-                .min()
-                .unwrap_or(0);
-            eps = eps.min((min_cap as f64 - ave) / ave);
-        }
-        if eps.is_finite() {
-            eps.max(0.0)
-        } else {
-            0.0
-        }
     }
 
     /// Converts to the engines' [`BalanceConstraint`]: the capacities become
@@ -337,16 +208,16 @@ impl FromStr for PartCapacities {
         let mut num_resources = 0usize;
         let mut num_parts = 0usize;
         for row in s.split(';') {
-            let v: ResourceVec = row.parse()?;
+            let v = parse_row(row)?;
             if num_parts == 0 {
-                num_resources = v.dims();
-            } else if v.dims() != num_resources {
+                num_resources = v.len();
+            } else if v.len() != num_resources {
                 return Err(ParseResourceError(format!(
                     "part {num_parts} has {} resources, expected {num_resources}",
-                    v.dims()
+                    v.len()
                 )));
             }
-            caps.extend_from_slice(v.as_slice());
+            caps.extend(v);
             num_parts += 1;
         }
         Ok(PartCapacities {
@@ -363,40 +234,22 @@ mod tests {
     use crate::Tolerance;
 
     #[test]
-    fn resource_vec_roundtrip() {
-        let v: ResourceVec = " 3, 0 ,12 ".parse().unwrap();
-        assert_eq!(v.as_slice(), &[3, 0, 12]);
-        assert_eq!(v.to_string(), "3,0,12");
-        assert_eq!(v.to_string().parse::<ResourceVec>().unwrap(), v);
-    }
-
-    #[test]
-    fn resource_vec_rejects_junk() {
-        assert!("".parse::<ResourceVec>().is_err());
-        assert!("1,,2".parse::<ResourceVec>().is_err());
-        assert!("1,-2".parse::<ResourceVec>().is_err());
-        assert!("a".parse::<ResourceVec>().is_err());
-    }
-
-    #[test]
-    fn resource_vec_arithmetic() {
-        let mut v = ResourceVec::zeros(2);
-        v.add_assign(&[u64::MAX, 1]);
-        v.add_assign(&[1, 1]);
-        assert_eq!(v.as_slice(), &[u64::MAX, 2]); // saturating
-        v.sub_assign(&[1, 5]);
-        assert_eq!(v.as_slice(), &[u64::MAX - 1, 0]);
-    }
-
-    #[test]
     fn capacities_roundtrip() {
         let c: PartCapacities = "100,8;60,4;60,4".parse().unwrap();
         assert_eq!(c.num_parts(), 3);
         assert_eq!(c.num_resources(), 2);
         assert_eq!(c.cap(PartId(1), 1), 4);
-        assert_eq!(c.part_row(PartId(0)), &[100, 8]);
         assert_eq!(c.to_string(), "100,8;60,4;60,4");
         assert_eq!(c.to_string().parse::<PartCapacities>().unwrap(), c);
+    }
+
+    #[test]
+    fn capacities_reject_junk() {
+        for junk in ["", "1,,2", "1,-2", "a", "1,2;"] {
+            assert!(junk.parse::<PartCapacities>().is_err(), "{junk:?}");
+        }
+        let err = "4;1,-2".parse::<PartCapacities>().unwrap_err();
+        assert_eq!(err.to_string(), "bad resource vector: '-2' is not a u64");
     }
 
     #[test]
@@ -440,27 +293,6 @@ mod tests {
     fn feasibility_saturates_aggregate() {
         let c = PartCapacities::uniform(3, &[u64::MAX]);
         assert!(c.check_feasible(&[u64::MAX]).is_ok());
-    }
-
-    #[test]
-    fn tightest_fit_epsilon_scarcest_resource_wins() {
-        // Resource 0: caps 60 each vs target 50 -> 20% headroom.
-        // Resource 1: caps 5 each vs target 5 -> 0% headroom (tightest).
-        let c: PartCapacities = "60,5;60,5".parse().unwrap();
-        let eps = c.tightest_fit_epsilon(&[100, 10]);
-        assert!(eps.abs() < 1e-12, "eps = {eps}");
-        let loose: PartCapacities = "60,6;60,6".parse().unwrap();
-        let eps = loose.tightest_fit_epsilon(&[100, 10]);
-        assert!((eps - 0.2).abs() < 1e-12, "eps = {eps}");
-    }
-
-    #[test]
-    fn tightest_fit_epsilon_clamped_and_degenerate() {
-        // Over-subscribed resource would give negative headroom: clamp to 0.
-        let c: PartCapacities = "4;4".parse().unwrap();
-        assert_eq!(c.tightest_fit_epsilon(&[100]), 0.0);
-        // All-zero totals constrain nothing.
-        assert_eq!(c.tightest_fit_epsilon(&[0]), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! paper reports for its benchmarks (Table IV: cells, pads, nets, external
 //! nets, `Max%`) plus degree/size distributions.
 
-use crate::{FixedVertices, Hypergraph, NetId};
+use crate::{FixedVertices, Hypergraph};
 
 /// Summary statistics of a (possibly fixed-terminal) partitioning instance.
 ///
@@ -104,17 +104,6 @@ pub fn vertex_degree_histogram(hg: &Hypergraph, cap: usize) -> Vec<usize> {
     hist
 }
 
-/// Returns the ids of nets incident to at least one fixed vertex.
-pub fn external_nets(hg: &Hypergraph, fixed: &FixedVertices) -> Vec<NetId> {
-    hg.nets()
-        .filter(|&n| {
-            hg.net_pins(n)
-                .iter()
-                .any(|&v| v.index() < fixed.len() && fixed.fixity(v).is_fixed())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,12 +151,5 @@ mod tests {
         let (hg, _) = instance();
         let nh = net_size_histogram(&hg, 2);
         assert_eq!(nh[2], 3); // the 3-pin net is folded into the cap bucket
-    }
-
-    #[test]
-    fn external_nets_listed() {
-        let (hg, fx) = instance();
-        let ext = external_nets(&hg, &fx);
-        assert_eq!(ext, vec![NetId(1), NetId(2)]);
     }
 }

@@ -5,7 +5,8 @@
 //! terminals. This corresponds to a partitioning instance of `C + T`
 //! vertices, of which `T` are fixed." Table I lists, for each Rent
 //! parameter, the block sizes below which the expected number of fixed
-//! vertices exceeds 5%, 10% or 20% of all vertices.
+//! vertices exceeds 5%, 10% or 20% of all vertices. [`fit_rent`] measures
+//! the realised `k` and `p` of observed blocks.
 
 /// A Rent's-rule model: `terminals(C) = k · C^p`.
 ///
@@ -147,6 +148,45 @@ pub fn table_one(rent_parameters: &[f64]) -> Vec<TableOneRow> {
         .collect()
 }
 
+/// Least-squares fit of `log T = log k + p·log C` over `(C, T)`
+/// observations — a block's cell count and its external terminals or nets
+/// — keeping blocks of at least `min_cells` cells with `T > 0`. Returns
+/// `(p, k)`; `None` with fewer than three usable samples or no spread in
+/// block size.
+///
+/// # Example
+/// ```
+/// use vlsi_netgen::rent::fit_rent;
+/// // T = 4·C^0.5 exactly.
+/// let (p, k) = fit_rent([(16, 16), (64, 32), (256, 64), (1024, 128)], 1).unwrap();
+/// assert!((p - 0.5).abs() < 1e-9 && (k - 4.0).abs() < 1e-9);
+/// ```
+pub fn fit_rent(
+    samples: impl IntoIterator<Item = (usize, usize)>,
+    min_cells: usize,
+) -> Option<(f64, f64)> {
+    let pts: Vec<(f64, f64)> = samples
+        .into_iter()
+        .filter(|&(c, t)| c >= min_cells && t > 0)
+        .map(|(c, t)| ((c as f64).ln(), (t as f64).ln()))
+        .collect();
+    if pts.len() < 3 {
+        return None;
+    }
+    let n = pts.len() as f64;
+    let sx: f64 = pts.iter().map(|p| p.0).sum();
+    let sy: f64 = pts.iter().map(|p| p.1).sum();
+    let sxx: f64 = pts.iter().map(|p| p.0 * p.0).sum();
+    let sxy: f64 = pts.iter().map(|p| p.0 * p.1).sum();
+    let denom = n * sxx - sx * sx;
+    if denom.abs() < 1e-12 {
+        return None;
+    }
+    let p = (n * sxy - sx * sy) / denom;
+    let logk = (sy - p * sx) / n;
+    Some((p, logk.exp()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,5 +261,22 @@ mod tests {
     #[should_panic(expected = "rent exponent")]
     fn invalid_exponent_rejected() {
         let _ = RentModel::new(3.5, 1.5);
+    }
+
+    #[test]
+    fn fit_rejects_degenerate_input() {
+        assert!(fit_rent([], 1).is_none());
+        assert!(fit_rent([(10, 5); 5], 1).is_none(), "zero variance in x");
+    }
+
+    #[test]
+    fn fit_recovers_exact_power_law() {
+        let samples = (3..12).map(|i| {
+            let c = 1usize << i;
+            (c, (3.5 * (c as f64).powf(0.6)).round() as usize)
+        });
+        let (p, k) = fit_rent(samples, 1).unwrap();
+        assert!((p - 0.6).abs() < 0.02, "p = {p}");
+        assert!((k - 3.5).abs() < 0.5, "k = {k}");
     }
 }

@@ -1,59 +1,58 @@
-//! Million-cell-scale Rent-faithful generation with *streaming emission*.
+//! The hierarchical Rent construction behind every netgen circuit, with
+//! *emit-on-close* nets.
 //!
-//! [`synthetic::Generator`](crate::synthetic::Generator) keeps every net it
-//! has ever created in a `Vec<Vec<u32>>` until the whole circuit is done —
-//! fine at ISPD-98 sizes, ruinous at 10^7 cells. This module re-implements
-//! the same hierarchical Rent construction with an **emit-on-close** slab:
-//! a net lives in memory only while an open endpoint can still extend it,
-//! and the moment it closes it is handed to a caller-supplied sink and its
-//! slot recycled. Because Rent's rule bounds the open endpoints of the
-//! recursion to `O(k·n^p)` (tens of thousands at 10^7 cells, not tens of
-//! millions), the working set of the netlist state stays tiny no matter how
-//! large the circuit is — the sink decides what, if anything, to retain.
+//! One recursion (`stream_nets`) builds a balanced binary hierarchy over
+//! the cells. Each leaf cell exposes ~`k` open pins. When two sibling
+//! blocks of combined size `C` merge, Rent's rule says the combined block
+//! should expose only `T = k·C^p` terminals, so the surplus open endpoints
+//! are *consumed* by creating nets that join the two sides (or by extending
+//! nets that already reach the boundary). Endpoints remaining at the root
+//! are attached to boundary pads. Because the same recursion assigns each
+//! block a rectangle of the die, the placement has exactly the spatial
+//! locality the connectivity implies — which is what the paper's Section
+//! IV block-extraction methodology needs.
 //!
-//! [`build_circuit`] is the standard sink: it feeds a
-//! [`HypergraphBuilder`] directly, so the only full-size allocations are
-//! the final CSR arenas and the placement.
+//! Nets live in a slab only while an open endpoint can still extend them;
+//! the moment one closes it is handed to a sink, with its creation index,
+//! and its slot recycled. Rent's rule bounds the open endpoints to
+//! `O(k·n^p)` (tens of thousands at 10^7 cells, not tens of millions), so
+//! the live netlist state stays tiny however large the circuit is — the
+//! sink decides what, if anything, to retain. There are two sinks:
+//!
+//! * [`build_circuit`] feeds a [`HypergraphBuilder`] in close order, so its
+//!   only full-size allocations are the final CSR arenas and the placement
+//!   (the million-cell scale presets);
+//! * [`Generator::generate`](crate::synthetic::Generator::generate) stores
+//!   the nets by creation index and builds them in that order (the IBM-like
+//!   presets).
 
 use vlsi_rng::seq::SliceRandom;
 use vlsi_rng::ChaCha8Rng;
 use vlsi_rng::Rng;
 use vlsi_rng::SeedableRng;
 
-use vlsi_hypergraph::{HypergraphBuilder, VertexId};
+use vlsi_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
 
 use crate::circuit::Circuit;
 use crate::geometry::{Point, Rect};
-use crate::synthetic::{perimeter_point, take_random, GeneratorConfig};
+use crate::synthetic::GeneratorConfig;
 
 /// Only hierarchy blocks of at least this many cells contribute a Rent
 /// sample, keeping the stats `O(n / 32)` instead of `O(n)`.
 const RENT_SAMPLE_MIN_BLOCK: usize = 32;
 
-/// Observations from one streaming emission run.
+/// Observations from one run of the construction.
 #[derive(Debug, Clone, Default)]
-pub struct EmitStats {
-    /// Nets handed to the sink.
-    pub nets_emitted: usize,
-    /// Total pins across emitted nets.
-    pub pins_emitted: usize,
+pub(crate) struct StreamStats {
+    /// Pads the root endpoints were attached to, in turn:
+    /// `min(num_pads, max(endpoints, 1))`.
+    pub(crate) pads: usize,
     /// High-water mark of simultaneously open nets — the live netlist
     /// state, `O(k·n^p)` by construction.
-    pub max_open_nets: usize,
+    pub(crate) max_open_nets: usize,
     /// `(block_size, external_terminals)` for hierarchy blocks of at
-    /// least `RENT_SAMPLE_MIN_BLOCK` cells (same regression input as
-    /// [`GenStats`](crate::synthetic::GenStats)).
-    pub rent_samples: Vec<(usize, usize)>,
-}
-
-impl EmitStats {
-    /// Least-squares estimate of the realised Rent exponent (see
-    /// [`GenStats::fitted_rent_exponent`](crate::synthetic::GenStats::fitted_rent_exponent)).
-    pub fn fitted_rent_exponent(&self, min_block: usize) -> Option<f64> {
-        let mut g = crate::synthetic::GenStats::default();
-        g.rent_samples.clone_from(&self.rent_samples);
-        g.fitted_rent_exponent(min_block)
-    }
+    /// least `RENT_SAMPLE_MIN_BLOCK` cells.
+    pub(crate) rent_samples: Vec<(usize, usize)>,
 }
 
 /// An open connection endpoint of a block.
@@ -65,137 +64,130 @@ enum Endpoint {
     Net(u32),
 }
 
-/// Streams the Rent-faithful netlist of `cfg` to `sink`, one closed net at
-/// a time. Every emitted net has ≥ 2 distinct pins (cells in
-/// `0..num_cells`, pads in `num_cells..num_cells + num_pads`) and is
-/// emitted exactly once. If `placement` is non-empty it must hold
-/// `num_cells` slots and receives the native leaf placement.
+/// The die of an `n`-cell circuit: the square `[0, ceil(sqrt(n))]²`.
+fn die(num_cells: usize) -> Rect {
+    let side = (num_cells as f64).sqrt().ceil().max(1.0);
+    Rect::new(0.0, 0.0, side, side)
+}
+
+/// Runs the construction of `cfg` on `rng`: writes the native leaf
+/// placement of cell `i` to `placement[i]` and hands every net to `sink`
+/// exactly once, when it closes, with its creation index (nets are
+/// numbered `0..` in the order they are created). Every net has ≥ 2
+/// distinct pins: cells in `0..num_cells`, pads from `num_cells` on.
 ///
 /// # Panics
-/// Panics if `cfg.num_cells == 0` or `cfg.leaf_size == 0`.
-pub fn emit_nets<F: FnMut(&[u32])>(cfg: &GeneratorConfig, seed: u64, mut sink: F) -> EmitStats {
-    emit_impl(cfg, seed, &mut sink, None)
-}
-
-/// [`emit_nets`] that also fills `placement` (resized to `num_cells`) with
-/// the leaf grid positions inside the die square `[0, ceil(sqrt(n))]²`.
-pub fn emit_nets_placed<F: FnMut(&[u32])>(
+/// Panics if `cfg.num_cells == 0`, `cfg.leaf_size == 0`, or `placement`
+/// is not `num_cells` long.
+pub(crate) fn stream_nets<F: FnMut(usize, &[u32])>(
     cfg: &GeneratorConfig,
-    seed: u64,
-    sink: &mut F,
-    placement: &mut Vec<Point>,
-) -> EmitStats {
-    emit_impl(cfg, seed, sink, Some(placement))
-}
-
-fn emit_impl<F: FnMut(&[u32])>(
-    cfg: &GeneratorConfig,
-    seed: u64,
-    sink: &mut F,
-    placement: Option<&mut Vec<Point>>,
-) -> EmitStats {
+    rng: &mut ChaCha8Rng,
+    placement: &mut [Point],
+    mut sink: F,
+) -> StreamStats {
     assert!(cfg.num_cells > 0, "need at least one cell");
     assert!(cfg.leaf_size > 0, "leaf size must be positive");
     let n = cfg.num_cells;
-    let mut placement = placement;
-    if let Some(p) = placement.as_mut() {
-        p.clear();
-        p.resize(n, Point::default());
-    }
-
-    let die_side = (n as f64).sqrt().ceil().max(1.0);
-    let die = Rect::new(0.0, 0.0, die_side, die_side);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    assert_eq!(placement.len(), n, "one placement slot per cell");
     let mut st = StreamState {
         cfg,
-        rng: &mut rng,
+        rng,
         open: Vec::new(),
         free: Vec::new(),
-        sink,
+        created: 0,
+        sink: &mut sink,
         placement,
-        stats: EmitStats::default(),
+        stats: StreamStats::default(),
     };
-    let mut endpoints = st.build_block(0, n as u32, die, 0);
+    let mut endpoints = st.build_block(0, n as u32, die(n), 0);
 
-    // Attach remaining endpoints to pads on the die boundary, closing the
-    // nets they kept open.
-    let num_pads = cfg.num_pads.min(endpoints.len().max(1));
+    // Attach remaining endpoints to pads on the die boundary, in turn,
+    // closing the nets they kept open. With no pads they stay unattached.
+    let pads = cfg.num_pads.min(endpoints.len().max(1));
     endpoints.shuffle(st.rng);
-    for (i, ep) in endpoints.iter().enumerate() {
-        let pad = if num_pads > 0 {
-            Some(n as u32 + (i % num_pads) as u32)
-        } else {
-            None
-        };
-        match *ep {
-            Endpoint::Pin(cell) => {
-                if let Some(pad) = pad {
-                    st.emit(&[cell, pad]);
-                }
-            }
-            Endpoint::Net(slot) => {
-                if let Some(pad) = pad {
-                    if !st.open[slot as usize].contains(&pad) {
-                        st.open[slot as usize].push(pad);
-                    }
+    for (i, ep) in endpoints.into_iter().enumerate() {
+        let pad = (pads > 0).then(|| (n + i % pads) as u32);
+        match (ep, pad) {
+            (Endpoint::Pin(cell), Some(pad)) => st.emit(&[cell, pad]),
+            (Endpoint::Pin(_), None) => {}
+            (Endpoint::Net(slot), pad) => {
+                let pins = &mut st.open[slot as usize].1;
+                if let Some(pad) = pad.filter(|pad| !pins.contains(pad)) {
+                    pins.push(pad);
                 }
                 st.close(slot);
             }
         }
     }
     debug_assert_eq!(st.free.len(), st.open.len(), "all nets closed");
+    st.stats.pads = pads;
     st.stats
 }
 
-struct StreamState<'a, R: Rng, F: FnMut(&[u32])> {
-    cfg: &'a GeneratorConfig,
-    rng: &'a mut R,
-    /// Slab of open nets; closed slots are recycled through `free`.
-    open: Vec<Vec<u32>>,
-    free: Vec<u32>,
-    sink: &'a mut F,
-    placement: Option<&'a mut Vec<Point>>,
-    stats: EmitStats,
+/// Walks a distance `d` along the perimeter of `r` counter-clockwise from
+/// the bottom-left corner.
+fn perimeter_point(r: &Rect, d: f64) -> Point {
+    let (w, h) = (r.width(), r.height());
+    let d = d % (2.0 * (w + h));
+    if d < w {
+        Point::new(r.x0 + d, r.y0)
+    } else if d < w + h {
+        Point::new(r.x1, r.y0 + (d - w))
+    } else if d < 2.0 * w + h {
+        Point::new(r.x1 - (d - w - h), r.y1)
+    } else {
+        Point::new(r.x0, r.y1 - (d - 2.0 * w - h))
+    }
 }
 
-impl<R: Rng, F: FnMut(&[u32])> StreamState<'_, R, F> {
-    /// Emits a finished pin set straight to the sink.
+struct StreamState<'a, F: FnMut(usize, &[u32])> {
+    cfg: &'a GeneratorConfig,
+    rng: &'a mut ChaCha8Rng,
+    /// Slab of open nets with their creation indices; closed slots are
+    /// recycled through `free`.
+    open: Vec<(usize, Vec<u32>)>,
+    free: Vec<u32>,
+    /// Nets created so far: the next net's creation index.
+    created: usize,
+    sink: &'a mut F,
+    placement: &'a mut [Point],
+    stats: StreamStats,
+}
+
+impl<F: FnMut(usize, &[u32])> StreamState<'_, F> {
+    /// Creates a net that is finished at once and hands it to the sink.
     fn emit(&mut self, pins: &[u32]) {
-        if pins.len() >= 2 {
-            self.stats.nets_emitted += 1;
-            self.stats.pins_emitted += pins.len();
-            (self.sink)(pins);
-        }
+        self.created += 1;
+        (self.sink)(self.created - 1, pins);
     }
 
     /// Opens a fresh 2-pin net in the slab, reusing a free slot.
     fn open_net(&mut self, a: u32, b: u32) -> u32 {
+        let id = self.created;
+        self.created += 1;
         if let Some(slot) = self.free.pop() {
-            let pins = &mut self.open[slot as usize];
-            pins.clear();
-            pins.push(a);
-            pins.push(b);
+            let (net_id, pins) = &mut self.open[slot as usize];
+            *net_id = id;
+            pins.extend([a, b]);
             slot
         } else {
-            self.open.push(vec![a, b]);
+            self.open.push((id, vec![a, b]));
             let live = self.open.len() - self.free.len();
             self.stats.max_open_nets = self.stats.max_open_nets.max(live);
             (self.open.len() - 1) as u32
         }
     }
 
-    /// Closes an open net: emits it and recycles the slot.
+    /// Closes an open net: hands it to the sink and recycles the slot.
     fn close(&mut self, slot: u32) {
-        let pins = std::mem::take(&mut self.open[slot as usize]);
-        self.emit(&pins);
-        self.open[slot as usize] = pins; // hand the allocation back for reuse
-        self.open[slot as usize].clear();
+        let (id, pins) = &mut self.open[slot as usize];
+        (self.sink)(*id, pins);
+        pins.clear();
         self.free.push(slot);
     }
 
-    /// Recursively builds the block of cells `[lo, hi)`, returning its open
-    /// endpoints. Mirrors `synthetic::GenState::build_block`, but any net
-    /// whose last endpoint is consumed is emitted immediately.
+    /// Recursively builds the block of cells `[lo, hi)` inside `rect`,
+    /// returning its open endpoints.
     fn build_block(&mut self, lo: u32, hi: u32, rect: Rect, depth: usize) -> Vec<Endpoint> {
         let count = (hi - lo) as usize;
         if count <= self.cfg.leaf_size {
@@ -225,14 +217,17 @@ impl<R: Rng, F: FnMut(&[u32])> StreamState<'_, R, F> {
         }
         merged.extend(left);
         merged.extend(right);
+        // If still over budget (one side ran dry), silently keep the extra
+        // endpoints — the realised Rent exponent simply ends up a bit higher.
         if count >= RENT_SAMPLE_MIN_BLOCK {
             self.stats.rent_samples.push((count, merged.len()));
         }
         merged
     }
 
-    /// Joins one endpoint from each side; nets that lose their last
-    /// endpoint are closed (emitted) on the spot.
+    /// Joins one endpoint from each side, pushing any surviving endpoint
+    /// onto `merged`, and returns how many endpoints were consumed. Nets
+    /// that lose their last endpoint are closed on the spot.
     fn join(&mut self, el: Endpoint, er: Endpoint, merged: &mut Vec<Endpoint>) -> usize {
         use Endpoint::*;
         let keep_open = self.rng.gen_bool(self.cfg.keep_open_probability);
@@ -250,8 +245,9 @@ impl<R: Rng, F: FnMut(&[u32])> StreamState<'_, R, F> {
             (Pin(a), Net(n)) | (Net(n), Pin(a)) => {
                 let extend = self.rng.gen_bool(self.cfg.extend_probability);
                 if extend {
-                    if !self.open[n as usize].contains(&a) {
-                        self.open[n as usize].push(a);
+                    let pins = &mut self.open[n as usize].1;
+                    if !pins.contains(&a) {
+                        pins.push(a);
                     }
                     if keep_open {
                         merged.push(Net(n));
@@ -264,6 +260,7 @@ impl<R: Rng, F: FnMut(&[u32])> StreamState<'_, R, F> {
                     // Keep the net open, spend the pin on a fresh 2-pin net
                     // with a random member of the net (local connection).
                     let other = *self.open[n as usize]
+                        .1
                         .as_slice()
                         .choose(self.rng)
                         .expect("open nets are non-empty");
@@ -289,19 +286,17 @@ impl<R: Rng, F: FnMut(&[u32])> StreamState<'_, R, F> {
         }
     }
 
-    /// Builds a leaf block: optionally places its cells in `rect` and
-    /// exposes ~k open pins per cell.
+    /// Builds a leaf block: places its cells in `rect` and exposes ~k open
+    /// pins per cell.
     fn build_leaf(&mut self, lo: u32, hi: u32, rect: Rect) -> Vec<Endpoint> {
         let count = (hi - lo) as usize;
-        if let Some(placement) = self.placement.as_deref_mut() {
-            let cols = (count as f64).sqrt().ceil() as usize;
-            let rows = count.div_ceil(cols.max(1));
-            for (i, cell) in (lo..hi).enumerate() {
-                let (r, c) = (i / cols, i % cols);
-                let x = rect.x0 + rect.width() * (c as f64 + 0.5) / cols as f64;
-                let y = rect.y0 + rect.height() * (r as f64 + 0.5) / rows.max(1) as f64;
-                placement[cell as usize] = Point::new(x, y);
-            }
+        let cols = (count as f64).sqrt().ceil() as usize;
+        let rows = count.div_ceil(cols.max(1));
+        for (i, cell) in (lo..hi).enumerate() {
+            let (r, c) = (i / cols, i % cols);
+            let x = rect.x0 + rect.width() * (c as f64 + 0.5) / cols as f64;
+            let y = rect.y0 + rect.height() * (r as f64 + 0.5) / rows.max(1) as f64;
+            self.placement[cell as usize] = Point::new(x, y);
         }
         let k = self.cfg.pins_per_cell;
         let base = k.floor() as usize;
@@ -317,18 +312,44 @@ impl<R: Rng, F: FnMut(&[u32])> StreamState<'_, R, F> {
     }
 }
 
+/// Removes and returns a uniformly random element of `v`.
+fn take_random<T>(v: &mut Vec<T>, rng: &mut ChaCha8Rng) -> T {
+    let i = rng.gen_range(0..v.len());
+    v.swap_remove(i)
+}
+
+/// Wraps a generated netlist into the circuit of `cfg`: appends `pads`
+/// positions, evenly spaced along the die's perimeter, to the cells'
+/// `placement`.
+pub(crate) fn finish_circuit(
+    cfg: &GeneratorConfig,
+    hypergraph: Hypergraph,
+    mut placement: Vec<Point>,
+    pads: usize,
+) -> Circuit {
+    let die = die(cfg.num_cells);
+    let perimeter = 2.0 * (die.width() + die.height());
+    placement.extend((0..pads).map(|i| perimeter_point(&die, perimeter * i as f64 / pads as f64)));
+    Circuit {
+        name: cfg.name.clone(),
+        hypergraph,
+        placement,
+        pad_offset: cfg.num_cells,
+        die,
+        target_rent_exponent: cfg.rent_exponent,
+    }
+}
+
 /// Builds a full [`Circuit`] by streaming the netlist straight into a
-/// [`HypergraphBuilder`] — the only `O(n)` allocations are the final CSR
-/// arenas, the cell areas and the placement.
+/// [`HypergraphBuilder`], nets in the order they close, with all
+/// `cfg.num_pads` pad vertices — the only `O(n)` allocations are the final
+/// CSR arenas, the cell areas and the placement.
 ///
 /// # Panics
 /// Panics if `cfg.num_cells == 0` or `cfg.leaf_size == 0`, or if the
 /// circuit would exceed the `u32` pin-arena range.
 pub fn build_circuit(cfg: &GeneratorConfig, seed: u64) -> Circuit {
     let n = cfg.num_cells;
-    let die_side = (n as f64).sqrt().ceil().max(1.0);
-    let die = Rect::new(0.0, 0.0, die_side, die_side);
-
     // Areas come from an rng stream independent of the netlist recursion so
     // connectivity is a function of (cfg, seed) alone.
     let mut area_rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -344,37 +365,22 @@ pub fn build_circuit(cfg: &GeneratorConfig, seed: u64) -> Circuit {
         builder.add_vertex(0);
     }
 
-    let mut placement = Vec::with_capacity(n);
-    {
-        let mut sink = |pins: &[u32]| {
-            builder
-                .add_net(1, pins.iter().copied().map(VertexId))
-                .expect("streaming generator stays within the pin arena");
-        };
-        emit_nets_placed(cfg, seed, &mut sink, &mut placement);
-    }
+    let mut placement = Vec::with_capacity(n + cfg.num_pads);
+    placement.resize(n, Point::default());
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    stream_nets(cfg, &mut rng, &mut placement, |_, pins| {
+        builder
+            .add_net(1, pins.iter().copied().map(VertexId))
+            .expect("streaming generator stays within the pin arena");
+    });
     let hypergraph = builder.build().expect("streaming generator is valid");
-
-    // Pads evenly spaced along the perimeter.
-    let perimeter = 2.0 * (die.width() + die.height());
-    for i in 0..cfg.num_pads {
-        let d = perimeter * i as f64 / cfg.num_pads.max(1) as f64;
-        placement.push(perimeter_point(&die, d));
-    }
-
-    Circuit {
-        name: cfg.name.clone(),
-        hypergraph,
-        placement,
-        pad_offset: n,
-        die,
-        target_rent_exponent: cfg.rent_exponent,
-    }
+    finish_circuit(cfg, hypergraph, placement, cfg.num_pads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rent::fit_rent;
 
     fn cfg(cells: usize, p: f64) -> GeneratorConfig {
         GeneratorConfig {
@@ -386,29 +392,37 @@ mod tests {
         }
     }
 
+    /// Runs the construction of `cfg` from `seed` into `sink`.
+    fn stream<F: FnMut(usize, &[u32])>(cfg: &GeneratorConfig, seed: u64, sink: F) -> StreamStats {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut placement = vec![Point::default(); cfg.num_cells];
+        stream_nets(cfg, &mut rng, &mut placement, sink)
+    }
+
     #[test]
     fn every_net_emitted_once_and_closed() {
-        let mut nets = 0usize;
-        let mut pins = 0usize;
-        let stats = emit_nets(&cfg(5000, 0.62), 3, |ps| {
+        let mut ids = Vec::new();
+        stream(&cfg(5000, 0.62), 3, |id, ps| {
             assert!(ps.len() >= 2);
             let mut sorted = ps.to_vec();
             sorted.sort_unstable();
             sorted.dedup();
             assert_eq!(sorted.len(), ps.len(), "duplicate pin in emitted net");
-            nets += 1;
-            pins += ps.len();
+            ids.push(id);
         });
-        assert_eq!(stats.nets_emitted, nets);
-        assert_eq!(stats.pins_emitted, pins);
+        let nets = ids.len();
         assert!(nets > 2500, "too few nets: {nets}");
+        // The creation indices are exactly 0..nets, each handed over once.
+        ids.sort_unstable();
+        assert!(ids.into_iter().eq(0..nets));
     }
 
     #[test]
     fn open_state_is_sublinear() {
         // The whole point: live netlist state tracks k·n^p, not n.
         let c = cfg(100_000, 0.62);
-        let stats = emit_nets(&c, 7, |_| {});
+        let mut nets = 0usize;
+        let stats = stream(&c, 7, |_, _| nets += 1);
         let rent_bound = (c.pins_per_cell * (c.num_cells as f64).powf(c.rent_exponent)) as usize;
         assert!(
             stats.max_open_nets < 4 * rent_bound,
@@ -416,18 +430,17 @@ mod tests {
             stats.max_open_nets
         );
         assert!(
-            stats.max_open_nets * 20 < stats.nets_emitted,
-            "open high-water {} should be far below total {}",
-            stats.max_open_nets,
-            stats.nets_emitted
+            stats.max_open_nets * 20 < nets,
+            "open high-water {} should be far below total {nets}",
+            stats.max_open_nets
         );
     }
 
     #[test]
     fn deterministic_per_seed() {
         let collect = |seed| {
-            let mut v: Vec<Vec<u32>> = Vec::new();
-            emit_nets(&cfg(2000, 0.6), seed, |ps| v.push(ps.to_vec()));
+            let mut v: Vec<(usize, Vec<u32>)> = Vec::new();
+            stream(&cfg(2000, 0.6), seed, |id, ps| v.push((id, ps.to_vec())));
             v
         };
         assert_eq!(collect(9), collect(9));
@@ -437,8 +450,8 @@ mod tests {
     #[test]
     fn realised_rent_exponent_tracks_target() {
         for &p in &[0.55, 0.68] {
-            let stats = emit_nets(&cfg(32_768, p), 5, |_| {});
-            let fitted = stats.fitted_rent_exponent(64).expect("enough samples");
+            let stats = stream(&cfg(32_768, p), 5, |_, _| {});
+            let (fitted, _) = fit_rent(stats.rent_samples, 64).expect("enough samples");
             assert!((fitted - p).abs() < 0.12, "target {p}, fitted {fitted}");
         }
     }
@@ -472,5 +485,15 @@ mod tests {
         let a = build_circuit(&cfg(1500, 0.6), 2);
         let b = build_circuit(&cfg(1500, 0.6), 2);
         assert_eq!(a.hypergraph, b.hypergraph);
+    }
+
+    #[test]
+    fn perimeter_point_walks_all_edges() {
+        let r = Rect::new(0.0, 0.0, 4.0, 2.0);
+        assert_eq!(perimeter_point(&r, 0.0), Point::new(0.0, 0.0));
+        assert_eq!(perimeter_point(&r, 4.0), Point::new(4.0, 0.0));
+        assert_eq!(perimeter_point(&r, 6.0), Point::new(4.0, 2.0));
+        assert_eq!(perimeter_point(&r, 10.0), Point::new(0.0, 2.0));
+        assert_eq!(perimeter_point(&r, 11.0), Point::new(0.0, 1.0));
     }
 }

@@ -26,6 +26,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 echo "==> cargo test --doc --offline"
 cargo test --doc -q --offline --workspace
 
+# The end-to-end benchmark: perfbench is a workspace of its own that builds
+# against the repository's crates by path, so the steps above never compile
+# it. Building and testing it here makes a change to a public item it uses
+# fail this gate instead of the benchmark run (about 16 s cold on a 2-vCPU
+# machine; it builds into the git-ignored perfbench/target/).
+echo "==> perfbench build and tests (cargo test --release, perfbench/Cargo.toml)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # Doc integrity gate: every relative markdown link in README/docs must
 # resolve, the doc set must cross-reference itself, and PROTOCOL.md must
 # enumerate exactly vlsi_service::ERROR_CODES (same codes, same order)
@@ -45,7 +53,11 @@ cargo test -q --offline -p vlsi-service --test protocol_doc
 # callers of the block-instance builder (induced_subgraph) on a small
 # netgen circuit: the placer's positions and per-bisection counts with
 # terminal propagation on and off, Table IV's eight standard instances
-# and the Rent extraction's samples. A change that claims to leave outputs
+# and the Rent extraction's samples. A third, CIRCUITS, pins the netlist
+# generator: 36 circuits (the IBM-like and million-cell presets, and edge
+# configurations through both Generator::generate and
+# scale::build_circuit) by their weights, nets, placement, pad offset and
+# die. A change that claims to leave outputs
 # alone must leave every digest alone; one that only drops work that
 # provably changes nothing may re-record the trace tables but never the
 # parts table; one that changes partitions on purpose re-records the

@@ -30,13 +30,25 @@
 //! propagation on and off, Table IV's standard instances (pins per net,
 //! net and vertex weights, fixities, `to_parent`) and the Rent
 //! extraction's samples.
+//!
+//! [`CIRCUITS`] pins the netlist generator: for the IBM-like presets, the
+//! million-cell scale presets and edge configurations run through both
+//! `Generator::generate` and `scale::build_circuit`, a digest of the
+//! circuit's name, vertex weights, nets (weight and pins in order),
+//! placement (f64 bits), pad offset and die.
 
 use fixed_vertices_repro::vlsi_experiments::rent_extraction::rent_samples;
 use fixed_vertices_repro::vlsi_hypergraph::{
     BalanceConstraint, FixedVertices, Hypergraph, Objective, PartId, Tolerance, VertexId,
 };
 use fixed_vertices_repro::vlsi_netgen::blocks::standard_instances;
-use fixed_vertices_repro::vlsi_netgen::instances::ibm01_like_scaled;
+use fixed_vertices_repro::vlsi_netgen::instances::{
+    ibm01_like, ibm01_like_scaled, ibm02_like, ibm02_like_scaled, ibm03_like, ibm03_like_scaled,
+    ibm04_like, ibm04_like_scaled, ibm05_like, ibm05_like_scaled, million_cells_scaled,
+    ten_million_cells_scaled,
+};
+use fixed_vertices_repro::vlsi_netgen::scale::build_circuit;
+use fixed_vertices_repro::vlsi_netgen::synthetic::{Generator, GeneratorConfig};
 use fixed_vertices_repro::vlsi_netgen::{Circuit, Point};
 use fixed_vertices_repro::vlsi_partition::trace::{Event, NullSink, VecSink};
 use fixed_vertices_repro::vlsi_partition::{
@@ -114,6 +126,46 @@ const INSTANCES: &[(&str, u64)] = &[
     ("placer/no_propagate", 0x4ce7efb2e6b6a1ee),
     ("table4/standard_instances", 0x01f4d60911355fda),
     ("rent/samples", 0x0599afb79323fe79),
+];
+
+/// Recorded digests of generated circuits, one per case.
+const CIRCUITS: &[(&str, u64)] = &[
+    ("ibm01/1999", 0x1662d5f04c070a78),
+    ("ibm01/s0.05/7", 0x437c03a24a59783b),
+    ("ibm01/s0.2/3", 0x6c88b9a23375f2ab),
+    ("ibm02/1999", 0x3d82ae98187a6ac2),
+    ("ibm02/s0.05/7", 0xe97766273d310913),
+    ("ibm02/s0.2/3", 0x08833430d8f74800),
+    ("ibm03/1999", 0xaa6ce36cb6f8948d),
+    ("ibm03/s0.05/7", 0x8e01bee700752400),
+    ("ibm03/s0.2/3", 0x9f26cfcaf01b6b42),
+    ("ibm04/1999", 0x39ed36433c757db9),
+    ("ibm04/s0.05/7", 0x12277dc7ef38ebd9),
+    ("ibm04/s0.2/3", 0x5291677144f9d322),
+    ("ibm05/1999", 0xe5957013f9debd7d),
+    ("ibm05/s0.05/7", 0x48d8db60d2024a43),
+    ("ibm05/s0.2/3", 0xb253ea2e67c44c35),
+    ("ibm01/1", 0xe460873bd9b3d9c4),
+    ("rent-1m/s0.01/1", 0xddca00a3b42b56b8),
+    ("rent-1m/s0.01/7", 0x51095ae377a997ba),
+    ("rent-1m/s0.05/1999", 0xf480abaa53af3b76),
+    ("rent-10m/s0.001/1", 0x3725521ee0f84067),
+    ("generate/no_pads", 0x7c268e7a4269fead),
+    ("build_circuit/no_pads", 0xc0cc407281af2e73),
+    ("generate/pads_exceed_endpoints", 0x952bcf36d0e52b0d),
+    ("build_circuit/pads_exceed_endpoints", 0xa0d43944002bb293),
+    ("generate/one_cell", 0x6c94a3d26caa9d8f),
+    ("build_circuit/one_cell", 0x9066e57562170c8d),
+    ("generate/leaf_size_1", 0xbb582a662f827f33),
+    ("build_circuit/leaf_size_1", 0x60e6295a9f9b0643),
+    ("generate/single_leaf", 0xcbed805da76d73be),
+    ("build_circuit/single_leaf", 0x61aaedb980facd6a),
+    ("generate/all_open", 0x8ae8422dfa412fd5),
+    ("build_circuit/all_open", 0x63d82f1cc2d2deb1),
+    ("generate/all_closed", 0x0232468a72aed089),
+    ("build_circuit/all_closed", 0x1a30fcb9a12f402f),
+    ("generate/steep", 0x2c8169708f11c925),
+    ("build_circuit/steep", 0x275b19d3f16a0643),
 ];
 
 const SEED: u64 = 1999;
@@ -486,5 +538,159 @@ fn block_instance_callers_match_the_recorded_digests() {
             .map(|(name, d)| format!("    ({name:?}, {d:#018x}),\n"))
             .collect();
         panic!("block-instance digests differ; recomputed INSTANCES:\n{table}");
+    }
+}
+
+/// Digest of a whole circuit: name, vertex weights, nets (weight and pins
+/// in order), placement (f64 bits), pad offset and die.
+fn circuit_digest(c: &Circuit) -> u64 {
+    let hg = &c.hypergraph;
+    let mut h = Fnv::new();
+    h.bytes(c.name.as_bytes());
+    h.u64(hg.num_vertices() as u64);
+    for v in hg.vertices() {
+        for &w in hg.vertex_weights(v) {
+            h.u64(w);
+        }
+    }
+    h.u64(hg.num_nets() as u64);
+    for n in hg.nets() {
+        h.u64(hg.net_weight(n));
+        h.u64(hg.net_size(n) as u64);
+        for p in hg.net_pins(n) {
+            h.u64(u64::from(p.0));
+        }
+    }
+    for p in &c.placement {
+        h.u64(p.x.to_bits());
+        h.u64(p.y.to_bits());
+    }
+    h.u64(c.pad_offset as u64);
+    for x in [c.die.x0, c.die.y0, c.die.x1, c.die.y1] {
+        h.u64(x.to_bits());
+    }
+    h.0
+}
+
+/// Edge configurations of the generator, each run through both entry
+/// points: no pads, far more pads than root endpoints, one cell, leaf size
+/// one, a single leaf, every net kept open and extended, none kept open or
+/// extended, and a steep exponent at two pins per cell.
+fn edge_configs() -> Vec<(&'static str, GeneratorConfig)> {
+    let cfg = |name: &str, num_cells: usize| GeneratorConfig {
+        name: name.to_string(),
+        num_cells,
+        ..GeneratorConfig::default()
+    };
+    vec![
+        (
+            "no_pads",
+            GeneratorConfig {
+                num_pads: 0,
+                ..cfg("no_pads", 500)
+            },
+        ),
+        (
+            "pads_exceed_endpoints",
+            GeneratorConfig {
+                num_pads: 2000,
+                ..cfg("pads_exceed_endpoints", 40)
+            },
+        ),
+        ("one_cell", cfg("one_cell", 1)),
+        (
+            "leaf_size_1",
+            GeneratorConfig {
+                leaf_size: 1,
+                ..cfg("leaf_size_1", 300)
+            },
+        ),
+        (
+            "single_leaf",
+            GeneratorConfig {
+                leaf_size: 64,
+                ..cfg("single_leaf", 50)
+            },
+        ),
+        (
+            "all_open",
+            GeneratorConfig {
+                keep_open_probability: 1.0,
+                extend_probability: 1.0,
+                ..cfg("all_open", 400)
+            },
+        ),
+        (
+            "all_closed",
+            GeneratorConfig {
+                keep_open_probability: 0.0,
+                extend_probability: 0.0,
+                ..cfg("all_closed", 400)
+            },
+        ),
+        (
+            "steep",
+            GeneratorConfig {
+                rent_exponent: 0.9,
+                pins_per_cell: 2.0,
+                num_pads: 5,
+                ..cfg("steep", 777)
+            },
+        ),
+    ]
+}
+
+/// Every circuit case's name and digest.
+fn circuit_cases() -> Vec<(String, u64)> {
+    type Full = fn(u64) -> Circuit;
+    type Scaled = fn(f64, u64) -> Circuit;
+    let ibm: [(&str, Full, Scaled); 5] = [
+        ("ibm01", ibm01_like, ibm01_like_scaled),
+        ("ibm02", ibm02_like, ibm02_like_scaled),
+        ("ibm03", ibm03_like, ibm03_like_scaled),
+        ("ibm04", ibm04_like, ibm04_like_scaled),
+        ("ibm05", ibm05_like, ibm05_like_scaled),
+    ];
+    let mut out = Vec::new();
+    let mut push = |name: String, c: Circuit| out.push((name, circuit_digest(&c)));
+    for (name, full, scaled) in ibm {
+        push(format!("{name}/1999"), full(SEED));
+        push(format!("{name}/s0.05/7"), scaled(0.05, 7));
+        push(format!("{name}/s0.2/3"), scaled(0.2, 3));
+    }
+    push("ibm01/1".into(), ibm01_like(1));
+    for (scale, seed) in [(0.01, 1), (0.01, 7), (0.05, 1999)] {
+        push(
+            format!("rent-1m/s{scale}/{seed}"),
+            million_cells_scaled(scale, seed),
+        );
+    }
+    push(
+        "rent-10m/s0.001/1".into(),
+        ten_million_cells_scaled(0.001, 1),
+    );
+    for (name, cfg) in edge_configs() {
+        push(
+            format!("generate/{name}"),
+            Generator::new(cfg.clone()).generate(5),
+        );
+        push(format!("build_circuit/{name}"), build_circuit(&cfg, 5));
+    }
+    out
+}
+
+#[test]
+fn generated_circuits_match_the_recorded_digests() {
+    let actual = circuit_cases();
+    let expected: Vec<(String, u64)> = CIRCUITS
+        .iter()
+        .map(|&(name, d)| (name.to_string(), d))
+        .collect();
+    if actual != expected {
+        let table: String = actual
+            .iter()
+            .map(|(name, d)| format!("    ({name:?}, {d:#018x}),\n"))
+            .collect();
+        panic!("circuit digests differ; recomputed CIRCUITS:\n{table}");
     }
 }
