@@ -79,9 +79,12 @@ use crate::engine::{Partitioner, RunCtx};
 use crate::quality;
 use crate::{PartitionError, PartitionResult};
 
-/// One independent start: its cut and wall-clock time.
+/// One independent start: its index, cut and wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StartRecord {
+    /// The start's index in `0..starts`, so a caller can tell which starts
+    /// answered.
+    pub index: usize,
     /// Cut achieved by this start.
     pub cut: u64,
     /// Wall-clock time the start took.
@@ -280,6 +283,7 @@ impl Multistart {
                 });
             }
             records.push(StartRecord {
+                index: start,
                 cut: result.cut,
                 elapsed,
             });
@@ -392,6 +396,7 @@ impl Multistart {
                 });
             }
             records.push(StartRecord {
+                index: i,
                 cut: result.cut,
                 elapsed,
             });
@@ -676,7 +681,8 @@ mod tests {
         let runs = [1, 2].map(|threads| run_parallel_scripted(&ms, threads, &engine()).unwrap());
         for outcome in [seq].iter().chain(&runs) {
             assert_eq!(outcome.best.cut, 3);
-            assert_eq!(outcome.starts.len(), 2);
+            let answered: Vec<usize> = outcome.starts.iter().map(|s| s.index).collect();
+            assert_eq!(answered, [0, 2]);
             assert_eq!(outcome.top.len(), 1);
         }
     }

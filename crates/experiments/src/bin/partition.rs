@@ -33,6 +33,11 @@
 //! one worker, so the file is one deterministic interleaving, and it
 //! returns the same answer as the untraced run.
 //!
+//! A start that returns an error is dropped, and the run fails only when
+//! no start answered. The summary reads "best cut over A of N starts (F
+//! failed)", and each answered start's line carries its index in `0..N`,
+//! the index its seed and its trace `start` event use.
+//!
 //! The quality-at-fixed-cost levers: `--vcycles N` runs up to `N` iterated
 //! multilevel V-cycles over the best start (stopping early without strict
 //! improvement), and `--ensemble` recombines the agreement clusters of the
@@ -376,17 +381,18 @@ fn main() {
         Objective::KMinus1 => "km1",
         _ => "cut",
     };
+    let answered = outcome.starts.len();
     println!(
-        "best {metric} over {} starts: {} ({}; loads {})",
-        starts,
+        "best {metric} over {answered} of {starts} starts ({} failed): {} ({}; loads {})",
+        starts - answered,
         outcome.best.cut,
         report,
         loads.join(" / "),
     );
-    for (i, s) in outcome.starts.iter().enumerate() {
+    for s in &outcome.starts {
         println!(
             "  start {}: {metric} {} in {:.3}s",
-            i + 1,
+            s.index,
             s.cut,
             s.elapsed.as_secs_f64()
         );

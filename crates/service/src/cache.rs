@@ -1,15 +1,31 @@
 //! Content-addressed solution cache with LRU eviction.
 //!
 //! A solution is addressed by the *content* of the job that produced it:
-//! the canonical byte encoding of (engine, k, tolerance, starts, seed,
-//! quality knobs, objective, capacities, vertex weights, nets, fixities) —
-//! everything that determines the deterministic output. Two structurally
-//! identical requests therefore share one entry no matter how their JSON
-//! was formatted, while any change to the instance or configuration
-//! misses. The thread count stays out of the key: no answer depends on it,
-//! so one entry serves every budget.
+//! (engine, k, tolerance, starts, seed, quality knobs, objective,
+//! capacities, vertex weights, nets, fixities) — everything that
+//! determines the deterministic output. Two structurally identical
+//! requests therefore share one entry no matter how their JSON was
+//! formatted, while any change to the instance or configuration misses.
+//! The thread count stays out of the key: no answer depends on it, so one
+//! entry serves every budget.
 //!
-//! Lookups compare the full key bytes, not just the 64-bit hash, so a
+//! The key has two encodings of the same fields in the same order,
+//! written in one pass:
+//!
+//! * the **compact bytes** the cache stores and compares: integers as
+//!   LEB128 varints, the engine name length-prefixed, each fixity one tag
+//!   byte (followed by its part or part mask when fixed). Every field is
+//!   self-delimiting and every sequence carries its length, so distinct
+//!   contents never share bytes (moving a weight to the next vertex or a
+//!   pin to the next net changes them);
+//! * the **canonical stream** the solution id is hashed from: every
+//!   integer as 8 little-endian bytes (a free vertex `u64::MAX`, a fixed
+//!   one `0` and its part, a multi-part one `1` and its mask), hashed with
+//!   FNV-1a 64 but never built. A zero byte's FNV-1a step is a bare
+//!   multiply, so each integer folds its low bytes up to the highest
+//!   non-zero one and then multiplies by a power of the FNV prime.
+//!
+//! Lookups compare the full compact bytes, not just the 64-bit hash, so a
 //! hash collision degrades to a miss instead of returning a wrong
 //! solution. Deadline-expired (best-so-far) results are never inserted —
 //! caching them would make a later identical request with a generous
@@ -19,7 +35,8 @@ use std::collections::HashMap;
 
 use vlsi_hypergraph::{FixedVertices, Fixity, Hypergraph, Objective, PartCapacities, PartId};
 
-/// The canonical byte encoding of a job's solution-determining content.
+/// The compact encoding of a job's solution-determining content, with the
+/// hash of its canonical stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     bytes: Vec<u8>,
@@ -27,9 +44,14 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// The 64-bit FNV-1a hash of the key bytes.
+    /// The 64-bit FNV-1a hash of the canonical u64-LE stream.
     pub fn hash(&self) -> u64 {
         self.hash
+    }
+
+    /// The compact bytes the cache stores and compares.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// The **solution id** of this key: a stable, content-derived handle
@@ -43,17 +65,68 @@ impl CacheKey {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^i` for `i` in `0..=8`: the FNV-1a step of `i` zero bytes.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut i = 1;
+    while i < powers.len() {
+        powers[i] = powers[i - 1].wrapping_mul(FNV_PRIME);
+        i += 1;
     }
-    h
+    powers
+};
+
+/// Writes the compact bytes and hashes the canonical stream in one pass.
+struct KeyWriter {
+    bytes: Vec<u8>,
+    hash: u64,
 }
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl KeyWriter {
+    /// One integer: a LEB128 varint in the compact bytes, 8 LE bytes in the
+    /// canonical stream.
+    #[inline]
+    fn word(&mut self, v: u64) {
+        self.fold(v);
+        let mut rest = v;
+        while rest >= 0x80 {
+            self.bytes.push(rest as u8 | 0x80);
+            rest >>= 7;
+        }
+        self.bytes.push(rest as u8);
+    }
+
+    /// A one-byte compact tag standing for the canonical word `canonical`.
+    #[inline]
+    fn tag(&mut self, tag: u8, canonical: u64) {
+        self.fold(canonical);
+        self.bytes.push(tag);
+    }
+
+    /// Bytes that both encodings carry as they are.
+    fn raw(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash = (self.hash ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        self.bytes.extend_from_slice(bytes);
+    }
+
+    /// Folds `v`'s 8 LE bytes into the hash: the bytes below the highest
+    /// non-zero one step by step, then that byte's step and the zero bytes
+    /// above it as one multiply (`v = 0` takes one multiply by `FNV_PRIME^8`).
+    #[inline]
+    fn fold(&mut self, v: u64) {
+        let significant = ((71 - v.leading_zeros() as usize) / 8).max(1);
+        let mut h = self.hash;
+        let mut rest = v;
+        for _ in 1..significant {
+            h = (h ^ (rest & 0xff)).wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+        }
+        self.hash = (h ^ rest).wrapping_mul(PRIME_POWERS[9 - significant]);
+    }
 }
 
 /// Builds the content address of a job. `_parallel_refine` is ignored, as
@@ -62,10 +135,6 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
 /// `ensemble` are the quality-phase knobs: a plain multistart solution
 /// must never answer a V-cycle/ensemble request (they produce different —
 /// better — partitions), so both are part of the address.
-///
-/// The encoding is length-prefixed throughout, so distinct structures can
-/// never alias (e.g. moving a weight from one vertex to the next changes
-/// the bytes even though the concatenation is identical).
 #[allow(clippy::too_many_arguments)]
 pub fn cache_key(
     engine: &str,
@@ -81,80 +150,95 @@ pub fn cache_key(
     hg: &Hypergraph,
     fixed: &FixedVertices,
 ) -> CacheKey {
-    let mut bytes = Vec::with_capacity(64 + 8 * (hg.num_vertices() + hg.num_pins()));
-    push_u64(&mut bytes, engine.len() as u64);
-    bytes.extend_from_slice(engine.as_bytes());
-    push_u64(&mut bytes, k as u64);
-    push_u64(&mut bytes, tolerance.to_bits());
-    push_u64(&mut bytes, starts as u64);
-    push_u64(&mut bytes, seed);
-    push_u64(&mut bytes, vcycles as u64);
-    push_u64(&mut bytes, ensemble as u64);
-    push_u64(
-        &mut bytes,
-        match objective {
-            Objective::Cut => 0,
-            Objective::KMinus1 => 1,
-            Objective::Soed => 2,
-        },
-    );
+    // About two bytes per weight, fixity and pin and three per net; the
+    // cache shrinks the bytes it keeps to their length.
+    let mut w = KeyWriter {
+        bytes: Vec::with_capacity(
+            64 + engine.len()
+                + 2 * (hg.num_vertices() * (hg.num_resources() + 1) + hg.num_pins())
+                + 3 * hg.num_nets(),
+        ),
+        hash: 0xcbf2_9ce4_8422_2325,
+    };
+    w.word(engine.len() as u64);
+    w.raw(engine.as_bytes());
+    w.word(k as u64);
+    w.word(tolerance.to_bits());
+    w.word(starts as u64);
+    w.word(seed);
+    w.word(vcycles as u64);
+    w.word(ensemble as u64);
+    w.word(match objective {
+        Objective::Cut => 0,
+        Objective::KMinus1 => 1,
+        Objective::Soed => 2,
+    });
     match part_capacities {
-        None => push_u64(&mut bytes, 0),
+        None => w.word(0),
         Some(caps) => {
-            push_u64(&mut bytes, 1);
-            push_u64(&mut bytes, caps.num_parts() as u64);
-            push_u64(&mut bytes, caps.num_resources() as u64);
+            w.word(1);
+            w.word(caps.num_parts() as u64);
+            w.word(caps.num_resources() as u64);
             for &c in caps.as_flat() {
-                push_u64(&mut bytes, c);
+                w.word(c);
             }
         }
     }
 
-    push_u64(&mut bytes, hg.num_vertices() as u64);
-    push_u64(&mut bytes, hg.num_resources() as u64);
+    w.word(hg.num_vertices() as u64);
+    w.word(hg.num_resources() as u64);
     for v in hg.vertices() {
-        for &w in hg.vertex_weights(v) {
-            push_u64(&mut bytes, w);
+        for &weight in hg.vertex_weights(v) {
+            w.word(weight);
         }
     }
-    push_u64(&mut bytes, hg.num_nets() as u64);
+    w.word(hg.num_nets() as u64);
     for n in hg.nets() {
-        push_u64(&mut bytes, hg.net_weight(n));
-        push_u64(&mut bytes, hg.net_size(n) as u64);
+        w.word(hg.net_weight(n));
+        w.word(hg.net_size(n) as u64);
         for &p in hg.net_pins(n) {
-            push_u64(&mut bytes, p.index() as u64);
+            w.word(p.index() as u64);
         }
     }
 
-    push_u64(&mut bytes, fixed.len() as u64);
+    w.word(fixed.len() as u64);
     for fixity in fixed.as_slice() {
         match fixity {
-            Fixity::Free => push_u64(&mut bytes, u64::MAX),
+            Fixity::Free => w.tag(0, u64::MAX),
             Fixity::Fixed(p) => {
-                push_u64(&mut bytes, 0);
-                push_u64(&mut bytes, p.index() as u64);
+                w.tag(1, 0);
+                w.word(p.index() as u64);
             }
             Fixity::FixedAny(set) => {
-                push_u64(&mut bytes, 1);
-                let mut mask = 0u64;
-                for p in set.iter() {
-                    mask |= 1 << p.index();
-                }
-                push_u64(&mut bytes, mask);
+                w.tag(2, 1);
+                w.word(set.iter().fold(0u64, |mask, p| mask | 1 << p.index()));
             }
         }
     }
 
-    let hash = fnv1a(&bytes);
-    CacheKey { bytes, hash }
+    CacheKey {
+        bytes: w.bytes,
+        hash: w.hash,
+    }
+}
+
+/// A refereed solution: the assignment and both reported metrics, so a
+/// cache hit answers without counting them again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Solution {
+    /// One part per vertex.
+    pub parts: Vec<PartId>,
+    /// The cut of `parts`.
+    pub cut: u64,
+    /// The (λ − 1) connectivity of `parts`.
+    pub km1: u64,
 }
 
 /// A cached solution.
 #[derive(Debug, Clone)]
 struct Entry {
     key_bytes: Vec<u8>,
-    parts: Vec<PartId>,
-    cut: u64,
+    solution: Solution,
     last_used: u64,
 }
 
@@ -200,7 +284,7 @@ impl SolutionCache {
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &CacheKey) -> Option<(Vec<PartId>, u64)> {
+    pub fn get(&mut self, key: &CacheKey) -> Option<Solution> {
         self.tick += 1;
         let tick = self.tick;
         let found = self.map.get_mut(&key.hash).and_then(|bucket| {
@@ -209,7 +293,7 @@ impl SolutionCache {
                 .find(|e| e.key_bytes == key.bytes)
                 .map(|e| {
                     e.last_used = tick;
-                    (e.parts.clone(), e.cut)
+                    e.solution.clone()
                 })
         });
         match &found {
@@ -219,7 +303,7 @@ impl SolutionCache {
         found
     }
 
-    /// Looks up a solution by its content-derived id (see
+    /// Looks up a solution's parts by its content-derived id (see
     /// [`CacheKey::solution_id`]), refreshing recency on a hit. Used by
     /// the warm-start path; `None` (an evicted or never-seen id) makes the
     /// server fall back to a cold run with a `warm:"miss"` note.
@@ -228,7 +312,7 @@ impl SolutionCache {
     /// hash, the first entry in the bucket answers — the warm-start path
     /// only needs *a* plausible seed, and it re-legalizes and re-validates
     /// whatever it gets.
-    pub fn get_by_id(&mut self, id: &str) -> Option<(Vec<PartId>, u64)> {
+    pub fn get_by_id(&mut self, id: &str) -> Option<Vec<PartId>> {
         let hash = id
             .strip_prefix('s')
             .and_then(|h| u64::from_str_radix(h, 16).ok());
@@ -239,7 +323,7 @@ impl SolutionCache {
             .and_then(|bucket| bucket.first_mut())
             .map(|e| {
                 e.last_used = tick;
-                (e.parts.clone(), e.cut)
+                e.solution.parts.clone()
             });
         match &found {
             Some(_) => self.hits += 1,
@@ -250,19 +334,19 @@ impl SolutionCache {
 
     /// Inserts (or refreshes) a solution, evicting the least-recently-used
     /// entry when the capacity bound is exceeded.
-    pub fn insert(&mut self, key: CacheKey, parts: Vec<PartId>, cut: u64) {
+    pub fn insert(&mut self, key: CacheKey, solution: Solution) {
         self.tick += 1;
         let bucket = self.map.entry(key.hash).or_default();
         if let Some(e) = bucket.iter_mut().find(|e| e.key_bytes == key.bytes) {
-            e.parts = parts;
-            e.cut = cut;
+            e.solution = solution;
             e.last_used = self.tick;
             return;
         }
+        let mut key_bytes = key.bytes;
+        key_bytes.shrink_to_fit();
         bucket.push(Entry {
-            key_bytes: key.bytes,
-            parts,
-            cut,
+            key_bytes,
+            solution,
             last_used: self.tick,
         });
         self.len += 1;
@@ -324,6 +408,16 @@ mod tests {
             b.add_net(1, [w[0], w[1]]).unwrap();
         }
         b.build().unwrap()
+    }
+
+    /// A four-vertex solution in part `part`, with `cut` standing for
+    /// both metrics.
+    fn solution(part: usize, cut: u64) -> Solution {
+        Solution {
+            parts: vec![PartId::from_index(part); 4],
+            cut,
+            km1: cut,
+        }
     }
 
     fn key_of(hg: &Hypergraph, fixed: &FixedVertices, seed: u64) -> CacheKey {
@@ -427,10 +521,8 @@ mod tests {
         let mut cache = SolutionCache::new(8);
         let key = key_of(&hg, &fx, 0);
         assert!(cache.get(&key).is_none());
-        cache.insert(key.clone(), vec![PartId::from_index(0); 4], 3);
-        let (parts, cut) = cache.get(&key).expect("hit after insert");
-        assert_eq!(cut, 3);
-        assert_eq!(parts.len(), 4);
+        cache.insert(key.clone(), solution(0, 3));
+        assert_eq!(cache.get(&key), Some(solution(0, 3)), "hit after insert");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
@@ -444,12 +536,11 @@ mod tests {
         let id0 = k0.solution_id();
         assert!(id0.starts_with('s') && id0.len() == 17, "{id0}");
         assert_eq!(id0, key_of(&hg, &fx, 0).solution_id(), "content-derived");
-        cache.insert(k0.clone(), vec![PartId::from_index(1); 4], 2);
-        let (parts, cut) = cache.get_by_id(&id0).expect("hit by id");
-        assert_eq!((parts.len(), cut), (4, 2));
+        cache.insert(k0.clone(), solution(1, 2));
+        assert_eq!(cache.get_by_id(&id0), Some(solution(1, 2).parts));
         // Capacity 1: inserting a second solution evicts the first, and
         // its id now misses instead of erroring.
-        cache.insert(key_of(&hg, &fx, 1), vec![PartId::from_index(0); 4], 3);
+        cache.insert(key_of(&hg, &fx, 1), solution(0, 3));
         assert!(cache.get_by_id(&id0).is_none(), "evicted id misses");
         assert!(cache.get_by_id("not-an-id").is_none());
         assert!(cache.get_by_id("sffffffffffffffff").is_none());
@@ -463,10 +554,10 @@ mod tests {
         let k0 = key_of(&hg, &fx, 0);
         let k1 = key_of(&hg, &fx, 1);
         let k2 = key_of(&hg, &fx, 2);
-        cache.insert(k0.clone(), vec![PartId::from_index(0); 4], 0);
-        cache.insert(k1.clone(), vec![PartId::from_index(0); 4], 1);
+        cache.insert(k0.clone(), solution(0, 0));
+        cache.insert(k1.clone(), solution(0, 1));
         cache.get(&k0); // refresh k0 — k1 becomes coldest
-        cache.insert(k2.clone(), vec![PartId::from_index(0); 4], 2);
+        cache.insert(k2.clone(), solution(0, 2));
         assert!(cache.get(&k0).is_some(), "recently used entry survives");
         assert!(cache.get(&k1).is_none(), "coldest entry was evicted");
         assert!(cache.get(&k2).is_some());

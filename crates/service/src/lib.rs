@@ -73,7 +73,7 @@ pub mod server;
 mod sys;
 
 pub use admission::{AdmissionConfig, TokenBucket};
-pub use cache::{cache_key, CacheKey, CacheStats, SolutionCache};
+pub use cache::{cache_key, CacheKey, CacheStats, Solution, SolutionCache};
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
 pub use protocol::{parse_request, JobRequest, JobResponse, ProtocolError, Request, ERROR_CODES};
 pub use queue::{BoundedQueue, Lane, QueueClosed, WorkerPool};

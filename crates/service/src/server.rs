@@ -36,10 +36,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use vlsi_hypergraph::{
-    validate_partitioning, BalanceConstraint, CutState, Hypergraph, Objective, PartId,
-    Partitioning, Tolerance,
-};
+use vlsi_hypergraph::{BalanceConstraint, Objective, PartId, Partitioning, Tolerance};
 use vlsi_partition::{
     refine_from_partition_ctx, CancelToken, EngineConfig, Multistart, PartitionError, RunCtx,
 };
@@ -47,7 +44,7 @@ use vlsi_rng::{ChaCha8Rng, SeedableRng};
 use vlsi_trace::{Event, JsonlSink, Sink, Tee};
 
 use crate::admission::{AdmissionConfig, TokenBucket};
-use crate::cache::{cache_key, CacheStats, SolutionCache};
+use crate::cache::{cache_key, CacheStats, Solution, SolutionCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::protocol::{parse_request, JobRequest, JobResponse, ProtocolError, Request};
 use crate::queue::{BoundedQueue, WorkerPool};
@@ -407,12 +404,24 @@ fn warm_label(engine: &str) -> &'static str {
     }
 }
 
-/// Both reported metrics of a final assignment. The engine optimizes the
-/// requested objective; the response always carries cut *and* km1 so
-/// clients can compare runs across objectives.
-fn cut_and_km1(hg: &Hypergraph, k: usize, parts: &[PartId]) -> (u64, u64) {
-    let cs = CutState::new(hg, k, parts);
-    (cs.value(Objective::Cut), cs.value(Objective::KMinus1))
+/// The independent referee: one [`Partitioning::from_parts_fixed`] checks
+/// the assignment's length, part range and fixities, and its loads must
+/// satisfy the job's balance constraint. A legal assignment comes back
+/// with both reported metrics read off the `CutState` that build counted:
+/// the engine optimizes the requested objective, but the response always
+/// carries cut *and* km1 so clients can compare runs across objectives.
+/// `None` means the assignment is illegal.
+fn referee(req: &JobRequest, balance: &BalanceConstraint, parts: Vec<PartId>) -> Option<Solution> {
+    let p = Partitioning::from_parts_fixed(&req.hg, req.k, parts, &req.fixed).ok()?;
+    if !balance.is_satisfied(p.loads()) {
+        return None;
+    }
+    let (cut, km1) = (p.cut_value(Objective::Cut), p.cut_value(Objective::KMinus1));
+    Some(Solution {
+        parts: p.into_parts(),
+        cut,
+        km1,
+    })
 }
 
 /// The balance constraint a job is solved and validated under: explicit
@@ -445,8 +454,8 @@ fn execute_job(ctx: &ServiceCtx, req: &JobRequest) -> String {
     let seed = req.warm_from.as_deref().and_then(|sid| {
         let cached = ctx.cache.lock().expect("cache mutex").get_by_id(sid);
         cached
-            .filter(|(parts, _)| parts.len() == req.hg.num_vertices())
-            .map(|(parts, _)| (sid, parts))
+            .filter(|parts| parts.len() == req.hg.num_vertices())
+            .map(|parts| (sid, parts))
     });
     // The warm path refines from the seed and never runs the multistart
     // quality phase, so the vcycles/ensemble knobs do not influence its
@@ -485,10 +494,10 @@ fn execute_job(ctx: &ServiceCtx, req: &JobRequest) -> String {
 
     let cached = ctx.cache.lock().expect("cache mutex").get(&key);
     let cache_hit = cached.is_some();
-    let (parts, starts_run, deadline_expired, solution_id) = match cached {
-        Some((parts, _value)) => {
+    let (solution, starts_run, deadline_expired, solution_id) = match cached {
+        Some(solution) => {
             ctx.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            (parts, 0, false, Some(key.solution_id()))
+            (solution, 0, false, Some(key.solution_id()))
         }
         None => {
             ctx.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -548,10 +557,7 @@ fn execute_job(ctx: &ServiceCtx, req: &JobRequest) -> String {
 
             // Independent referee: never hand out an illegal partition,
             // even from a cancelled best-so-far path.
-            let legal = Partitioning::from_parts(&req.hg, req.k, result.parts.clone())
-                .map(|p| validate_partitioning(&req.hg, &p, &balance, &req.fixed).is_valid())
-                .unwrap_or(false);
-            if !legal {
+            let Some(solution) = referee(req, &balance, result.parts) else {
                 ctx.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 let source = if seed.is_some() {
                     "warm refinement"
@@ -564,7 +570,7 @@ fn execute_job(ctx: &ServiceCtx, req: &JobRequest) -> String {
                     message: format!("{source} returned a partition that failed validation"),
                 }
                 .to_line();
-            }
+            };
 
             let solution_id = if deadline_expired {
                 ctx.metrics
@@ -576,26 +582,24 @@ fn execute_job(ctx: &ServiceCtx, req: &JobRequest) -> String {
                 // would otherwise shadow the full-quality answer for later
                 // requests.
                 let sid = key.solution_id();
-                ctx.cache.lock().expect("cache mutex").insert(
-                    key,
-                    result.parts.clone(),
-                    result.cut,
-                );
+                ctx.cache
+                    .lock()
+                    .expect("cache mutex")
+                    .insert(key, solution.clone());
                 Some(sid)
             };
-            (result.parts, starts_run, deadline_expired, solution_id)
+            (solution, starts_run, deadline_expired, solution_id)
         }
     };
     ctx.metrics.jobs_ok.fetch_add(1, Ordering::Relaxed);
     let micros = t0.elapsed().as_micros() as u64;
     ctx.metrics.record_latency_us(label, micros);
 
-    let (cut, km1) = cut_and_km1(&req.hg, req.k, &parts);
     JobResponse {
         id: req.id.clone(),
-        cut,
-        km1,
-        parts: parts.iter().map(|p| p.index() as u32).collect(),
+        cut: solution.cut,
+        km1: solution.km1,
+        parts: solution.parts.iter().map(|p| p.index() as u32).collect(),
         cache_hit,
         deadline_expired,
         starts_run,
@@ -701,4 +705,84 @@ fn serve_listener(service: &Service, listener: TcpListener) -> io::Result<()> {
         }
     });
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vlsi_hypergraph::CutState;
+
+    /// The job a request line is accepted as.
+    fn job(line: &str) -> JobRequest {
+        match parse_request(line) {
+            Ok(Request::Job(job)) => *job,
+            _ => panic!("not an accepted job: {line}"),
+        }
+    }
+
+    /// k = 3 on six unit vertices under the even split at ±50% (loads 1
+    /// to 3 per part), vertex 0 fixed in part 0, one net over three parts.
+    fn even_job() -> JobRequest {
+        job(
+            r#"{"id":"e","k":3,"tolerance":0.5,"hypergraph":{"vertices":[1,1,1,1,1,1],
+            "nets":[[0,2,4],[1,2],[3,4,5],[0,5]]},"fixed":[0,-1,-1,-1,-1,-1]}"#,
+        )
+    }
+
+    /// k = 2 with two resources and explicit capacities of 3 and 4 per part.
+    fn capacities_job() -> JobRequest {
+        job(
+            r#"{"id":"c","hypergraph":{"vertices":[1,1,1,1],"nets":[[0,1],[1,2],[2,3]]},
+            "resources":[[1,1],[1,1],[1,3],[1,3]],"part_capacities":[[3,4],[3,4]]}"#,
+        )
+    }
+
+    fn judge(req: &JobRequest, parts: &[u32]) -> Option<Solution> {
+        referee(
+            req,
+            &job_balance(req),
+            parts.iter().map(|&p| PartId(p)).collect(),
+        )
+    }
+
+    #[test]
+    fn the_referee_refuses_every_illegal_assignment() {
+        let even = even_job();
+        for (what, parts) in [
+            ("wrong length", &[0, 0, 1, 1, 2][..]),
+            ("part >= k", &[0, 0, 1, 1, 2, 3]),
+            ("fixity violation", &[1, 0, 0, 1, 2, 2]),
+            ("overfull", &[0, 0, 0, 0, 1, 2]),
+            ("underfull", &[0, 0, 0, 1, 1, 1]),
+        ] {
+            assert_eq!(judge(&even, parts), None, "{what}");
+        }
+        // Resource 0 fits both parts (2 and 2 of 3); resource 1 holds 2
+        // and 6 against 4.
+        let caps = capacities_job();
+        assert_eq!(
+            judge(&caps, &[0, 0, 1, 1]),
+            None,
+            "overfull in the second resource only"
+        );
+    }
+
+    #[test]
+    fn a_legal_assignment_carries_the_cut_and_km1_a_fresh_count_gives() {
+        for (req, parts) in [
+            (even_job(), &[0, 0, 1, 1, 2, 2][..]),
+            (capacities_job(), &[0, 1, 0, 1]),
+        ] {
+            let parts: Vec<PartId> = parts.iter().map(|&p| PartId(p)).collect();
+            let fresh = CutState::new(&req.hg, req.k, &parts);
+            let solution = referee(&req, &job_balance(&req), parts.clone()).expect("legal");
+            assert_eq!(solution.parts, parts);
+            assert_eq!(solution.cut, fresh.value(Objective::Cut));
+            assert_eq!(solution.km1, fresh.value(Objective::KMinus1));
+        }
+        // The net over three parts counts once in the cut, twice in km1.
+        let even = even_job();
+        let solution = judge(&even, &[0, 0, 1, 1, 2, 2]).expect("legal");
+        assert_eq!((solution.cut, solution.km1), (4, 5));
+    }
 }

@@ -4,10 +4,11 @@
 //! One worker answers a scripted session over the stdio transport on a
 //! netgen circuit with every tenth vertex fixed: a cold multilevel run
 //! with a V-cycle and its exact repeat (a cache hit), direct k-way under
-//! km1 on two threads, recursive bisection with ensemble recombination, a
-//! warm start with a netlist delta and its repeat, a warm start whose seed
-//! is unknown (the cold fallback), a zero-deadline job, an infeasible job,
-//! an unknown engine, and finally a metrics query. Each response line,
+//! km1 on two threads, recursive bisection with ensemble recombination
+//! (whose illegal answer the referee refuses), a warm start with a
+//! netlist delta and its repeat, a warm start whose seed is unknown (the
+//! cold fallback), a zero-deadline job, an infeasible job, an unknown
+//! engine, and finally a metrics query. Each response line,
 //! with `micros` and every `*_us` value masked, folds into one 64-bit
 //! FNV-1a digest, and the JSONL trace file (with `micros` masked) into one
 //! more. The session runs with and without a trace file and must answer
@@ -244,6 +245,16 @@ fn service_session_matches_the_recorded_digests() {
     assert_eq!(
         traced, untraced,
         "a trace file must not change any response"
+    );
+    // `rb` does not repair its answer against the uniform split, and the
+    // referee refuses the illegal partition it returns here.
+    let rb = traced
+        .iter()
+        .find(|(id, _)| id == "rb")
+        .expect("rb answered");
+    assert_eq!(
+        rb.1,
+        r#"{"id":"rb","status":"error","code":"internal_error","message":"engine returned a partition that failed validation"}"#
     );
 
     let digests: Vec<(String, u64)> = traced

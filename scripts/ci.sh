@@ -163,6 +163,20 @@ cargo test -q --offline -p fixed-vertices-repro --test determinism \
 echo "==> service golden session"
 cargo test -q --offline -p vlsi-service --test golden_session
 
+# Cache key identity: the service's cache key against the fixed-width
+# encoding it replaced, over the testkit instance corpus widened with
+# edge values (weights 0, 2^56 and u64::MAX, multi-resource rows,
+# explicit capacities, multi-part fixities, one-pin nets). The key must
+# hash like FNV-1a over that encoding, so every solution id is unchanged,
+# and two keys' compact bytes must be equal exactly when their reference
+# encodings are, over near-identical pairs (a weight moved to the next
+# vertex, a pin moved to the next net, Free against FixedAny over every
+# part). Re-based on the same fixed seed at 4x its cases (about 1 s in a
+# debug build).
+echo "==> cache key identity (TESTKIT_SEED=1999, 4x cases)"
+TESTKIT_SEED=1999 TESTKIT_CASES=4x \
+    cargo test -q --offline -p vlsi-service --test cache_key_identity
+
 # Partition trace identity: the `partition` binary must write the same
 # assignment with and without --trace (4 starts and a V-cycle, three
 # seeds), and traced runs at --threads 1 and 2 the same assignment and
