@@ -29,6 +29,19 @@ pub enum PartitionError {
         /// Parts supported by this engine.
         supported: usize,
     },
+    /// A movable vertex's nets weigh too much for the engine's gain
+    /// buckets: their keys span twice a vertex's total weight of nets of
+    /// two or more pins and must fit in `i32`, so no movable vertex's such
+    /// nets may weigh more than `limit` in total.
+    GainRange {
+        /// The movable vertex whose nets of two or more pins weigh the
+        /// most.
+        vertex: VertexId,
+        /// Their total weight.
+        weight: u64,
+        /// The largest total the gain buckets take.
+        limit: u64,
+    },
 }
 
 impl fmt::Display for PartitionError {
@@ -46,6 +59,15 @@ impl fmt::Display for PartitionError {
             } => write!(
                 f,
                 "{requested} partitions requested, this engine supports {supported}"
+            ),
+            PartitionError::GainRange {
+                vertex,
+                weight,
+                limit,
+            } => write!(
+                f,
+                "the nets of two or more pins of {vertex} weigh {weight} in total, \
+                 past the gain range's {limit}"
             ),
         }
     }

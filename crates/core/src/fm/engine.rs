@@ -1,8 +1,7 @@
 //! The FM bipartitioning engine proper.
 
 use vlsi_hypergraph::{
-    check_assignment, BalanceConstraint, FixedVertices, Fixity, Hypergraph, NetId, PartId,
-    PartitionInputError, VertexId,
+    check_assignment, BalanceConstraint, FixedVertices, Fixity, Hypergraph, NetId, PartId, VertexId,
 };
 use vlsi_trace::{CancelStage, Event, MoverFixity, Sink};
 
@@ -50,6 +49,9 @@ fn freeze(mask: &mut u8, side: usize, w: u64) -> u64 {
 ///   than two partitions.
 /// * [`PartitionError::Input`] if the start assignment is inconsistent
 ///   with the hypergraph or violates a fixity.
+/// * [`PartitionError::GainRange`] if a movable vertex's nets of two or
+///   more pins weigh more than `i32::MAX / 2` in total: CLIP keys span
+///   twice the gains, and every key is an `i32`.
 ///
 /// # Example
 /// ```
@@ -147,17 +149,16 @@ pub(crate) fn run_stages<S: Sink>(
 /// Sentinel for an absent bucket link.
 const NONE: u32 = u32::MAX;
 
-/// One vertex of the 2-way pass state. Gain, bucket key and bucket links
-/// sit side by side, so a gain bump reads and writes one cache line.
+/// One vertex of the 2-way pass state in 16 bytes: bucket key and bucket
+/// links side by side, so a gain bump reads and writes one cache line, and
+/// four nodes share it.
 #[derive(Debug, Clone, Copy)]
-#[repr(align(32))]
+#[repr(align(16))]
 struct Node {
-    /// Gain of moving the vertex to side `to`; kept current only while the
-    /// vertex is in a bucket.
-    gain: i64,
-    /// Bucket key: the gain under LIFO, the gain minus its pass-start value
-    /// under CLIP.
-    key: i64,
+    /// Bucket key, kept current only while the vertex is in a bucket: the
+    /// gain of moving the vertex to side `to` under LIFO, that gain minus
+    /// its pass-start value under CLIP.
+    key: i32,
     /// Next vertex in the bucket list (`NONE` at the tail).
     next: u32,
     /// Previous vertex in the bucket list (`NONE` at the head).
@@ -177,13 +178,13 @@ struct Node {
 /// assignment, the part loads, the cut, every net's pin count on each
 /// side, one [`Node`] per vertex and one bucket-head array per target
 /// side. What depends only on the instance (movability, the transient
-/// balance slack, the gain bound, the weights behind the pass-start gains
-/// and the immovable vertices' frozen sides) is built once; a stage sets
-/// only its policy, exactness, key bound and bucket size. Each pass starts
-/// by copying the cut and the side-0 pin counts. At its end the pin counts
-/// and the cut are restored from that copy and the kept prefix of moves is
-/// replayed into them, while the assignment and loads undo the moves
-/// beyond the prefix (one write per vertex each).
+/// balance slack, the gain bound, the weights behind the pass-start gains,
+/// each net's `mate` and the immovable vertices' frozen sides) is built
+/// once; a stage sets only its policy, exactness, key bound and bucket
+/// size. Each pass starts by copying the cut and the side-0 pin counts. At
+/// its end the pin counts and the cut are restored from that copy and the
+/// kept prefix of moves is replayed into them, while the assignment and
+/// loads undo the moves beyond the prefix (one write per vertex each).
 struct PassState<'a, S: Sink> {
     hg: &'a Hypergraph,
     balance: &'a BalanceConstraint,
@@ -195,13 +196,18 @@ struct PassState<'a, S: Sink> {
     num_movable: usize,
     /// Per-resource transient balance slack (largest movable vertex weight).
     relax: Vec<u64>,
-    /// Largest total incident net weight of a movable vertex: no gain
-    /// exceeds it in magnitude.
+    /// Largest `multi_pin_weight` of a movable vertex: no gain exceeds it
+    /// in magnitude, since a one-pin net changes no gain.
     gain_bound: i64,
-    /// Per movable vertex, the total weight of its nets with at least two
-    /// pins (0 for the others): its gain is minus this while none of them
-    /// is cut.
+    /// Per vertex, the total weight of its nets with at least two pins: a
+    /// movable vertex's gain is minus this while none of them is cut.
     multi_pin_weight: Vec<i64>,
+    /// Per vertex, its gain at the start of the current pass (valid for
+    /// the movable ones): a CLIP key's offset from the gain.
+    start_gain: Vec<i64>,
+    /// Per net, the XOR of its pins' ids: the other pin of a two-pin net
+    /// is `v ^ mate[n]`.
+    mate: Vec<u32>,
     /// Current side of every vertex.
     parts: Vec<PartId>,
     /// Flat `2 × num_resources` load matrix.
@@ -212,7 +218,8 @@ struct PassState<'a, S: Sink> {
     /// cut until the pass ends, so no later state cuts less. Kept only
     /// under [`PassCutoff::Exact`]; otherwise 0.
     dead: u64,
-    /// Every net's pin count on side 0 and on side 1.
+    /// Every net's pin count on side 0 and on side 1; their sum is the
+    /// net's size.
     pins: Vec<[u32; 2]>,
     /// Whether `frozen` and `dead` are kept ([`PassCutoff::Exact`]).
     exact: bool,
@@ -221,7 +228,7 @@ struct PassState<'a, S: Sink> {
     /// Empty until the first exact stage.
     frozen: Vec<u8>,
     nodes: Vec<Node>,
-    /// Keys range over `[-key_bound, key_bound]`.
+    /// Keys range over `[-key_bound, key_bound]`, inside `i32`.
     key_bound: i64,
     /// Bucket-list heads per target side, indexed by `key + key_bound`.
     heads: [Vec<u32>; 2],
@@ -244,8 +251,15 @@ struct PassState<'a, S: Sink> {
 }
 
 impl<'a, S: Sink> PassState<'a, S> {
-    /// Builds the state for the start `parts`: pin counts, loads and cut
-    /// straight from the assignment, and the instance-only fields.
+    /// Builds the state for the start `parts`: loads straight from the
+    /// assignment, then one walk over every net's pins for its pin counts,
+    /// the cut, its `mate` and each vertex's multi-pin weight, and the
+    /// instance-only fields.
+    ///
+    /// # Errors
+    /// [`PartitionError::Input`] as [`check_assignment`], and
+    /// [`PartitionError::GainRange`] if a movable vertex's nets weigh too
+    /// much for `i32` keys.
     fn new(
         hg: &'a Hypergraph,
         balance: &'a BalanceConstraint,
@@ -253,7 +267,7 @@ impl<'a, S: Sink> PassState<'a, S> {
         parts: Vec<PartId>,
         sink: &'a S,
         cancel: &'a CancelToken,
-    ) -> Result<Self, PartitionInputError> {
+    ) -> Result<Self, PartitionError> {
         check_assignment(hg, 2, &parts, fixed)?;
         let nr = hg.num_resources();
         let mut loads = vec![0u64; 2 * nr];
@@ -263,20 +277,28 @@ impl<'a, S: Sink> PassState<'a, S> {
                 loads[base + r] += w;
             }
         }
+        // A built hypergraph's net weights sum to at most `i64::MAX`, so no
+        // vertex's total overflows.
         let mut cut = 0;
-        let pins: Vec<[u32; 2]> = hg
-            .nets()
-            .map(|n| {
-                let mut counts = [0u32; 2];
-                for &u in hg.net_pins(n) {
-                    counts[parts[u.index()].index()] += 1;
-                }
-                if counts[0] > 0 && counts[1] > 0 {
-                    cut += hg.net_weight(n);
-                }
-                counts
-            })
-            .collect();
+        let mut multi_pin_weight = vec![0i64; hg.num_vertices()];
+        let mut pins = Vec::with_capacity(hg.num_nets());
+        let mut mate = Vec::with_capacity(hg.num_nets());
+        for n in hg.nets() {
+            let w = hg.net_weight(n);
+            let net = hg.net_pins(n);
+            let multi = if net.len() >= 2 { w as i64 } else { 0 };
+            let (mut counts, mut ids) = ([0u32; 2], 0);
+            for &u in net {
+                counts[parts[u.index()].index()] += 1;
+                ids ^= u.0;
+                multi_pin_weight[u.index()] += multi;
+            }
+            if counts[0] > 0 && counts[1] > 0 {
+                cut += w;
+            }
+            pins.push(counts);
+            mate.push(ids);
+        }
 
         let nodes: Vec<Node> = hg
             .vertices()
@@ -287,7 +309,6 @@ impl<'a, S: Sink> PassState<'a, S> {
                     Fixity::Free
                 };
                 Node {
-                    gain: 0,
                     key: 0,
                     next: NONE,
                     prev: NONE,
@@ -300,30 +321,25 @@ impl<'a, S: Sink> PassState<'a, S> {
             .collect();
         let num_movable = nodes.iter().filter(|node| node.movable).count();
 
-        // Maximum possible |gain| = largest total incident net weight over
-        // the *movable* vertices (immovable ones never enter the buckets;
-        // a clustered mega-terminal would otherwise blow the array up).
+        // Maximum possible |gain| = largest multi-pin weight over the
+        // *movable* vertices (immovable ones never enter the buckets; a
+        // clustered mega-terminal would otherwise blow the array up). CLIP
+        // keys span twice that, and every key must fit in `i32`.
         // Moves may transiently overshoot the balance window by the weight
         // of the largest movable vertex (the classic FM relaxation); only
-        // strictly balanced prefixes are accepted. The pass-start gains
-        // start from each movable vertex's multi-pin net weight.
-        let mut gain_bound = 0;
-        let mut multi_pin_weight = vec![0i64; hg.num_vertices()];
+        // strictly balanced prefixes are accepted.
+        let mut heaviest = (VertexId(0), 0);
         let mut relax = vec![0u64; nr];
         for v in hg.vertices().filter(|v| nodes[v.index()].movable) {
-            let mut total = 0;
-            for &n in hg.vertex_nets(v) {
-                let w = hg.net_weight(n) as i64;
-                total += w;
-                if hg.net_size(n) >= 2 {
-                    multi_pin_weight[v.index()] += w;
-                }
+            if multi_pin_weight[v.index()] > heaviest.1 {
+                heaviest = (v, multi_pin_weight[v.index()]);
             }
-            gain_bound = gain_bound.max(total);
             for (r, &w) in hg.vertex_weights(v).iter().enumerate() {
                 relax[r] = relax[r].max(w);
             }
         }
+        let gain_bound = heaviest.1.max(1);
+        crate::gain::doubled_key_bound(heaviest.0, gain_bound)?;
 
         Ok(PassState {
             hg,
@@ -334,8 +350,10 @@ impl<'a, S: Sink> PassState<'a, S> {
             policy: SelectionPolicy::Lifo,
             num_movable,
             relax,
-            gain_bound: gain_bound.max(1),
+            gain_bound,
+            start_gain: vec![0; multi_pin_weight.len()],
             multi_pin_weight,
+            mate,
             start_cut: cut,
             start_pins0: vec![0; pins.len()],
             frozen: Vec::new(),
@@ -460,8 +478,8 @@ impl<'a, S: Sink> PassState<'a, S> {
             self.in_buckets[to] -= 1;
             self.decay_max(to);
             // The realised gain, read before the move's own updates.
-            let gain = self.nodes[vertex.index()].gain;
-            self.apply_move(vertex, from, to);
+            let gain = self.gain(vertex);
+            self.apply_move(vertex, from, to, gain);
             self.moves.push(vertex);
             let cut = self.cut;
             if S::ENABLED {
@@ -532,7 +550,7 @@ impl<'a, S: Sink> PassState<'a, S> {
             let to = self.parts[v.index()].index();
             if i < keep {
                 for &n in self.hg.vertex_nets(v) {
-                    self.shift_pin(n, 1 - to, to);
+                    self.shift_pin(n, self.hg.net_weight(n), 1 - to, to);
                 }
             } else {
                 self.set_side(v, to, 1 - to);
@@ -545,16 +563,16 @@ impl<'a, S: Sink> PassState<'a, S> {
         self.loads[0].abs_diff(self.loads[self.hg.num_resources()])
     }
 
-    /// Sets every movable vertex's `gain` to its pass-start value, touching
-    /// only the cut nets' pins. Leaving its side, a vertex would cut every
-    /// uncut net of two or more pins it is on, so it starts at
+    /// Sets every movable vertex's `start_gain` to its pass-start value,
+    /// touching only the cut nets' pins. Leaving its side, a vertex would
+    /// cut every uncut net of two or more pins it is on, so it starts at
     /// `-multi_pin_weight`; a cut net it is on gives that net's weight
     /// back, since it stays cut, and once more if the vertex is its only
     /// pin on its side, since it becomes uncut. One-pin nets change nothing
     /// either way.
     fn seed_gains(&mut self) {
-        for (node, &g) in self.nodes.iter_mut().zip(&self.multi_pin_weight) {
-            node.gain = -g;
+        for (g, &w) in self.start_gain.iter_mut().zip(&self.multi_pin_weight) {
+            *g = -w;
         }
         let hg = self.hg;
         for (n, &counts) in hg.nets().zip(&self.pins) {
@@ -567,14 +585,24 @@ impl<'a, S: Sink> PassState<'a, S> {
             }
             if counts[0] > 1 && counts[1] > 1 {
                 for &u in hg.net_pins(n) {
-                    self.nodes[u.index()].gain += w;
+                    self.start_gain[u.index()] += w;
                 }
             } else {
                 for &u in hg.net_pins(n) {
                     let lone = counts[self.parts[u.index()].index()] == 1;
-                    self.nodes[u.index()].gain += if lone { 2 * w } else { w };
+                    self.start_gain[u.index()] += if lone { 2 * w } else { w };
                 }
             }
+        }
+    }
+
+    /// The gain of moving bucketed `v`: its key, plus its pass-start gain
+    /// under CLIP.
+    fn gain(&self, v: VertexId) -> i64 {
+        let key = i64::from(self.nodes[v.index()].key);
+        match self.policy {
+            SelectionPolicy::Lifo => key,
+            SelectionPolicy::Clip => key + self.start_gain[v.index()],
         }
     }
 
@@ -590,9 +618,8 @@ impl<'a, S: Sink> PassState<'a, S> {
         match self.policy {
             SelectionPolicy::Lifo => {
                 for v in hg.vertices() {
-                    let node = self.nodes[v.index()];
-                    if node.movable {
-                        self.enter(v, node.gain, node.gain);
+                    if self.nodes[v.index()].movable {
+                        self.enter(v, self.start_gain[v.index()]);
                     }
                 }
             }
@@ -603,12 +630,12 @@ impl<'a, S: Sink> PassState<'a, S> {
                 // plain gain order; once moves start, the deltas cluster
                 // selection around recently moved vertices. Insertion is at
                 // the list head, so we insert in increasing (gain, vertex)
-                // order, counting-sorted: gains lie in ±key_bound / 2.
-                let gain_bound = self.key_bound / 2;
+                // order, counting-sorted: gains lie in ±gain_bound.
+                let gain_bound = self.gain_bound;
                 let mut starts = vec![0u32; (2 * gain_bound + 2) as usize];
-                for node in &self.nodes {
+                for (node, &g) in self.nodes.iter().zip(&self.start_gain) {
                     if node.movable {
-                        starts[(node.gain + gain_bound + 1) as usize] += 1;
+                        starts[(g + gain_bound + 1) as usize] += 1;
                     }
                 }
                 for i in 1..starts.len() {
@@ -616,26 +643,23 @@ impl<'a, S: Sink> PassState<'a, S> {
                 }
                 let mut order = vec![VertexId(0); self.num_movable];
                 for v in hg.vertices() {
-                    let node = self.nodes[v.index()];
-                    if node.movable {
-                        let slot = &mut starts[(node.gain + gain_bound) as usize];
+                    if self.nodes[v.index()].movable {
+                        let slot = &mut starts[(self.start_gain[v.index()] + gain_bound) as usize];
                         order[*slot as usize] = v;
                         *slot += 1;
                     }
                 }
                 for v in order {
-                    self.enter(v, self.nodes[v.index()].gain, 0);
+                    self.enter(v, 0);
                 }
             }
         }
     }
 
-    /// Puts movable `v` with the given gain into its target side's bucket
-    /// for `key`.
-    fn enter(&mut self, v: VertexId, gain: i64, key: i64) {
+    /// Puts movable `v` into its target side's bucket for `key`.
+    fn enter(&mut self, v: VertexId, key: i64) {
         let to = 1 - self.parts[v.index()].index();
         let node = &mut self.nodes[v.index()];
-        node.gain = gain;
         node.to = to as u8;
         node.in_bucket = true;
         self.push_head(v, to, key);
@@ -658,7 +682,8 @@ impl<'a, S: Sink> PassState<'a, S> {
             self.nodes[head as usize].prev = v.0;
         }
         let node = &mut self.nodes[v.index()];
-        node.key = key;
+        // `key_bound` fits in `i32` (checked when the state was built).
+        node.key = key as i32;
         node.next = head;
         node.prev = NONE;
         self.max_key[to] = self.max_key[to].max(key);
@@ -677,7 +702,7 @@ impl<'a, S: Sink> PassState<'a, S> {
         if prev != NONE {
             self.nodes[prev as usize].next = next;
         } else {
-            self.heads[usize::from(to)][(key + self.key_bound) as usize] = next;
+            self.heads[usize::from(to)][(i64::from(key) + self.key_bound) as usize] = next;
         }
         if next != NONE {
             self.nodes[next as usize].prev = prev;
@@ -752,40 +777,52 @@ impl<'a, S: Sink> PassState<'a, S> {
         None
     }
 
-    /// Moves `vertex` from `from` to `to` with the standard FM delta-gain
-    /// updates. The first loop over its nets shifts each pin count, updates
-    /// the cut (and, under the exact stop, freezes the net's `to` side)
-    /// and bumps the gains that depend on the `to` side's count before the
-    /// move; the second bumps those that depend on the `from` side's count
-    /// after it.
-    fn apply_move(&mut self, vertex: VertexId, from: usize, to: usize) {
+    /// Moves `vertex`, whose move gains `gain`, from `from` to `to` with
+    /// the standard FM delta-gain updates. The first loop over its nets
+    /// shifts each pin count, updates the cut (and, under the exact stop,
+    /// freezes the net's `to` side) and bumps the gains that depend on the
+    /// `to` side's count before the move; the second bumps those that
+    /// depend on the `from` side's count after it.
+    ///
+    /// A two-pin net's other pin gets both of its updates, which always
+    /// have the same sign, as one in the second loop: `+2w` if it shared
+    /// `from` with the moved vertex, `-2w` if it was on `to`. Only a
+    /// vertex's last push places it in its bucket, an unlink keeps the
+    /// other vertices in order, and the maximum-key hint ends where it
+    /// would, so the buckets come out as with two updates; it counts as
+    /// two bucket operations.
+    fn apply_move(&mut self, vertex: VertexId, from: usize, to: usize, gain: i64) {
         let hg = self.hg;
-        let expected_cut = self
-            .cut
-            .wrapping_sub(self.nodes[vertex.index()].gain as u64);
+        let expected_cut = self.cut.wrapping_sub(gain as u64);
         for &n in hg.vertex_nets(vertex) {
-            let to_count = self.shift_pin(n, from, to);
+            let w = hg.net_weight(n);
+            let [from_count, to_count] = self.shift_pin(n, w, from, to);
             // Zero-weight nets change no gain.
-            let w = hg.net_weight(n) as i64;
             if w == 0 {
                 continue;
             }
             if self.exact {
                 // The moved vertex is locked on `to` for the rest of the pass.
-                self.dead += freeze(&mut self.frozen[n.index()], to, w as u64);
+                self.dead += freeze(&mut self.frozen[n.index()], to, w);
             }
+            if from_count + to_count <= 2 {
+                // A two-pin net's update waits for the second loop; a
+                // one-pin net has no other pin.
+                continue;
+            }
+            let w = w as i64;
             if to_count == 0 {
                 // Net becomes critical from the `to` side: every other pin
                 // gains from following the move.
                 for &u in hg.net_pins(n) {
                     if u != vertex {
-                        self.bump(u, w);
+                        self.bump(u, w, 1);
                     }
                 }
             } else if to_count == 1 {
                 // The lone `to`-side pin loses its incentive to leave.
                 if let Some(u) = self.lone_pin(n, to) {
-                    self.bump(u, -w);
+                    self.bump(u, -w, 1);
                 }
             }
         }
@@ -795,18 +832,22 @@ impl<'a, S: Sink> PassState<'a, S> {
             if w == 0 {
                 continue;
             }
-            let from_count = self.pins[n.index()][from];
-            if from_count == 0 {
+            let counts = self.pins[n.index()];
+            let (from_count, size) = (counts[from], counts[0] + counts[1]);
+            if size == 2 {
+                let u = VertexId(vertex.0 ^ self.mate[n.index()]);
+                self.bump(u, if from_count == 1 { 2 * w } else { -2 * w }, 2);
+            } else if from_count == 0 && size > 2 {
                 // Net no longer touches `from`: following moves stop paying.
                 for &u in hg.net_pins(n) {
                     if u != vertex {
-                        self.bump(u, -w);
+                        self.bump(u, -w, 1);
                     }
                 }
             } else if from_count == 1 {
                 // The lone `from`-side pin can now uncut the net by moving.
                 if let Some(u) = self.lone_pin(n, from) {
-                    self.bump(u, w);
+                    self.bump(u, w, 1);
                 }
             }
         }
@@ -817,10 +858,11 @@ impl<'a, S: Sink> PassState<'a, S> {
         debug_assert!(self.dead <= self.cut, "a dead net is not cut");
     }
 
-    /// Moves one pin of net `n` from side `from` to side `to` and updates
-    /// the cut. Returns the `to` side's pin count before the shift.
+    /// Moves one pin of net `n`, of weight `w`, from side `from` to side
+    /// `to` and updates the cut. Returns the `from` and `to` sides' pin
+    /// counts before the shift.
     #[inline]
-    fn shift_pin(&mut self, n: NetId, from: usize, to: usize) -> u32 {
+    fn shift_pin(&mut self, n: NetId, w: u64, from: usize, to: usize) -> [u32; 2] {
         let counts = &mut self.pins[n.index()];
         let (from_count, to_count) = (counts[from], counts[to]);
         debug_assert!(from_count > 0, "moving vertex not counted in 'from'");
@@ -828,11 +870,11 @@ impl<'a, S: Sink> PassState<'a, S> {
         counts[to] = to_count + 1;
         // A net is cut while both sides hold a pin.
         if to_count == 0 && from_count > 1 {
-            self.cut += self.hg.net_weight(n);
+            self.cut += w;
         } else if to_count > 0 && from_count == 1 {
-            self.cut -= self.hg.net_weight(n);
+            self.cut -= w;
         }
-        to_count
+        [from_count, to_count]
     }
 
     /// Puts `v` on side `to` and moves its weights between the part loads.
@@ -856,18 +898,17 @@ impl<'a, S: Sink> PassState<'a, S> {
     }
 
     /// Adds `delta` to `u`'s gain and moves it to the head of its new
-    /// bucket, if `u` is in a bucket.
+    /// bucket, if `u` is in a bucket, counting `updates` bucket operations.
     #[inline]
-    fn bump(&mut self, u: VertexId, delta: i64) {
+    fn bump(&mut self, u: VertexId, delta: i64, updates: u64) {
         let node = self.nodes[u.index()];
         if !node.in_bucket {
             return;
         }
         self.unlink(u);
-        self.nodes[u.index()].gain = node.gain + delta;
-        self.push_head(u, usize::from(node.to), node.key + delta);
+        self.push_head(u, usize::from(node.to), i64::from(node.key) + delta);
         if S::ENABLED {
-            self.bucket_ops += 1;
+            self.bucket_ops += updates;
         }
     }
 }
@@ -938,6 +979,11 @@ mod tests {
         let balance = BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(tol));
         let fm = BipartFm::new(FmConfig::default());
         run_traced(&fm, hg, fixed, &balance, seed)
+    }
+
+    #[test]
+    fn a_node_takes_16_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
     }
 
     #[test]
@@ -1079,7 +1125,7 @@ mod tests {
             state.seed_gains();
             for v in hg.vertices().filter(|v| state.nodes[v.index()].movable) {
                 assert_eq!(
-                    state.nodes[v.index()].gain,
+                    state.start_gain[v.index()],
                     initial_gain_of(&hg, &state.parts, &state.pins, v),
                     "trial {trial}: gain of {v}"
                 );

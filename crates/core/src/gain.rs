@@ -9,13 +9,35 @@
 //! move-selection core of direct k-way refinement and of its parallel
 //! rounds. [`MoveLog`] is its best-prefix rollback companion. The 2-way
 //! FM engine ([`crate::BipartFm`]) keeps the same bucket discipline in a
-//! pass state of its own (one packed node per vertex, one head array per
+//! pass state of its own (one 16-byte node per vertex, one head array per
 //! target side), so a gain bump touches one cache line instead of a
 //! vertex's slots in several per-vertex arrays.
 
 use vlsi_hypergraph::{PartId, VertexId};
 
+use crate::PartitionError;
+
 const NONE: u32 = u32::MAX;
+
+/// The key bound `2 × weight` of a gain container whose keys span twice
+/// the largest total weight of a movable vertex's nets of two or more pins
+/// (`weight`, at `vertex`): CLIP keys in 2-way FM, and k-way keys, which
+/// count a net in both its span and its cut term.
+///
+/// # Errors
+/// [`PartitionError::GainRange`] if a key would leave `i32`, before any
+/// bucket is allocated.
+pub(crate) fn doubled_key_bound(vertex: VertexId, weight: i64) -> Result<i64, PartitionError> {
+    const LIMIT: i64 = i32::MAX as i64;
+    weight
+        .checked_mul(2)
+        .filter(|&bound| bound <= LIMIT)
+        .ok_or(PartitionError::GainRange {
+            vertex,
+            weight: weight as u64,
+            limit: (LIMIT / 2) as u64,
+        })
+}
 
 /// A bucket array mapping gain keys to LIFO lists of vertices.
 ///

@@ -285,13 +285,17 @@ struct KwayGainSetup {
 
 /// Builds the [`KwayGainSetup`] for assignment `p`: relaxation vector,
 /// SOED-safe key bound, and a gain container holding every allowed move.
+///
+/// # Errors
+/// [`PartitionError::GainRange`] if a movable vertex's nets weigh too much
+/// for `i32` keys.
 fn build_kway_gains(
     hg: &Hypergraph,
     fixed: &FixedVertices,
     p: &Partitioning,
     k: usize,
     objective: Objective,
-) -> KwayGainSetup {
+) -> Result<KwayGainSetup, PartitionError> {
     let nr = hg.num_resources();
     let mut relax = vec![0u64; nr];
     for v in hg.vertices() {
@@ -303,19 +307,22 @@ fn build_kway_gains(
     }
 
     // Under SOED a single move can change both the span and the cut term
-    // of every incident net, so keys span twice the incident weight.
-    let key_bound: i64 = 2 * hg
-        .vertices()
-        .filter(|v| !fixed.fixity(*v).is_immovable())
-        .map(|v| {
-            hg.vertex_nets(v)
-                .iter()
-                .map(|&n| hg.net_weight(n) as i64)
-                .sum::<i64>()
-        })
-        .max()
-        .unwrap_or(0)
-        .max(1);
+    // of every incident net, so keys span twice the incident weight; a
+    // one-pin net changes no gain under any objective. A built
+    // hypergraph's net weights sum to at most `i64::MAX`.
+    let mut heaviest = (VertexId(0), 0);
+    for v in hg.vertices().filter(|&v| !fixed.fixity(v).is_immovable()) {
+        let weight = hg
+            .vertex_nets(v)
+            .iter()
+            .filter(|&&n| hg.net_size(n) >= 2)
+            .map(|&n| hg.net_weight(n) as i64)
+            .sum();
+        if weight > heaviest.1 {
+            heaviest = (v, weight);
+        }
+    }
+    let key_bound = crate::gain::doubled_key_bound(heaviest.0, heaviest.1.max(1))?;
 
     let mut gains = KwayGains::new(k, hg.num_vertices(), key_bound);
     let mut inserts = 0u64;
@@ -340,12 +347,12 @@ fn build_kway_gains(
             movable += 1;
         }
     }
-    KwayGainSetup {
+    Ok(KwayGainSetup {
         gains,
         relax,
         movable,
         inserts,
-    }
+    })
 }
 
 /// Whether some movable vertex of positive weight fits inside the balance
@@ -387,7 +394,8 @@ fn windows_admit_a_move(
 /// its objective value, emitting [`Event::KwayPassStart`],
 /// [`Event::KwayMove`] and [`Event::KwayPassEnd`] (stamped with `pass`)
 /// into `sink` and polling `cancel` every [`CHECK_INTERVAL`] moves; the
-/// best-prefix rollback makes stopping mid-pass safe.
+/// best-prefix rollback makes stopping mid-pass safe. Fails only as
+/// [`build_kway_gains`] does, before any move.
 ///
 /// Selection runs on the shared [`KwayGains`] container (one gain-bucket
 /// array per target part): every allowed `(vertex, target)` move is a
@@ -408,11 +416,11 @@ fn refine_pass_fm<S: Sink>(
     pass: u32,
     sink: &S,
     cancel: &CancelToken,
-) -> (Partitioning, u64) {
+) -> Result<(Partitioning, u64), PartitionError> {
     let k = balance.num_parts();
     let nr = hg.num_resources();
 
-    let setup = build_kway_gains(hg, fixed, &p, k, objective);
+    let setup = build_kway_gains(hg, fixed, &p, k, objective)?;
     let mut gains = setup.gains;
     let relax = setup.relax;
     let movable = setup.movable;
@@ -519,7 +527,7 @@ fn refine_pass_fm<S: Sink>(
             bucket_ops,
         });
     }
-    (p, cut)
+    Ok((p, cut))
 }
 
 /// The synchronous-round k-way pass, in the style of mt-KaHyPar's
@@ -551,7 +559,8 @@ fn refine_pass_fm<S: Sink>(
 /// [`Event::KwayPassEnd`] around per-round [`Event::RoundStart`] /
 /// [`Event::RoundApplied`] pairs, with one [`Event::KwayMove`] per applied
 /// move, and polls `cancel` at round boundaries and every
-/// [`CHECK_INTERVAL`] proposals inside the apply stage.
+/// [`CHECK_INTERVAL`] proposals inside the apply stage. Fails only as
+/// [`build_kway_gains`] does, before any move.
 fn refine_pass_rounds<S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
@@ -560,14 +569,14 @@ fn refine_pass_rounds<S: Sink>(
     objective: Objective,
     sink: &S,
     cancel: &CancelToken,
-) -> (Partitioning, u64) {
+) -> Result<(Partitioning, u64), PartitionError> {
     // The only pass of its `refine` call.
     let pass = 0;
     let k = balance.num_parts();
     let nr = hg.num_resources();
     let n = hg.num_vertices();
 
-    let setup = build_kway_gains(hg, fixed, &p, k, objective);
+    let setup = build_kway_gains(hg, fixed, &p, k, objective)?;
     let mut gains = setup.gains;
     let mut bucket_ops = if S::ENABLED { setup.inserts } else { 0 };
 
@@ -748,7 +757,7 @@ fn refine_pass_rounds<S: Sink>(
             bucket_ops,
         });
     }
-    (p, value_after)
+    Ok((p, value_after))
 }
 
 /// Asserts that every live `(vertex, target)` entry's key equals the
@@ -1086,8 +1095,10 @@ fn unplaceable_vertex(
 /// returns the best assignment reached so far.
 ///
 /// # Errors
-/// [`PartitionError::Input`] if `parts` is inconsistent with `hg` or
-/// `balance`'s part count, or violates a fixity.
+/// * [`PartitionError::Input`] if `parts` is inconsistent with `hg` or
+///   `balance`'s part count, or violates a fixity.
+/// * [`PartitionError::GainRange`] if a pass runs and a movable vertex's
+///   nets weigh too much for `i32` gain keys.
 pub(crate) fn refine<R: Rng + ?Sized, S: Sink>(
     hg: &Hypergraph,
     fixed: &FixedVertices,
@@ -1102,12 +1113,12 @@ pub(crate) fn refine<R: Rng + ?Sized, S: Sink>(
     let mut best = p.cut_value(objective);
     if max_passes > 0 && !cancel.is_cancelled() {
         if windows_admit_a_move(hg, fixed, balance) {
-            (p, best) = refine_pass_rounds(hg, fixed, balance, p, objective, sink, cancel);
+            (p, best) = refine_pass_rounds(hg, fixed, balance, p, objective, sink, cancel)?;
         } else {
             for pass in 0..max_passes {
                 let before = best;
                 (p, best) =
-                    refine_pass_fm(hg, fixed, balance, p, objective, pass as u32, sink, cancel);
+                    refine_pass_fm(hg, fixed, balance, p, objective, pass as u32, sink, cancel)?;
                 if best >= before || cancel.is_cancelled() {
                     break;
                 }

@@ -533,8 +533,7 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
     use vlsi_hypergraph::{HypergraphBuilder, PartId, Tolerance};
-    use vlsi_rng::ChaCha8Rng;
-    use vlsi_rng::SeedableRng;
+    use vlsi_rng::{ChaCha8Rng, RngCore, SeedableRng};
     use vlsi_trace::NullSink;
 
     fn tiny() -> (Hypergraph, FixedVertices, BalanceConstraint) {
@@ -548,8 +547,11 @@ mod tests {
         (hg, fx, bc)
     }
 
-    /// A test engine that answers call `i` with `script[i % len]`, so the
+    /// A test engine that answers start `i` with `script[i % len]`, so the
     /// driver's bookkeeping can be checked against known per-start results.
+    /// A start is told by its first RNG draw: `run_parallel` at base seed 0
+    /// seeds start `i` from `i`, whatever order its workers call in, and
+    /// `run` calls its starts in order on one stream.
     struct Scripted {
         script: Vec<Result<PartitionResult, PartitionError>>,
         /// The thread of every call, in call order.
@@ -582,12 +584,16 @@ mod tests {
             _: &Hypergraph,
             _: &FixedVertices,
             _: &BalanceConstraint,
-            _: RunCtx<'_, R, S>,
+            ctx: RunCtx<'_, R, S>,
         ) -> Result<PartitionResult, PartitionError> {
+            let draw = ctx.rng.next_u64();
             let mut threads = self.threads.lock().unwrap();
-            let i = threads.len();
+            let call = threads.len();
             threads.push(std::thread::current().id());
-            self.script[i % self.script.len()].clone()
+            let start = (0..64)
+                .find(|&i| ChaCha8Rng::seed_from_u64(i).next_u64() == draw)
+                .map_or(call, |i| i as usize);
+            self.script[start % self.script.len()].clone()
         }
     }
 

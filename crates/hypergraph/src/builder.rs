@@ -301,6 +301,10 @@ impl HypergraphBuilder {
     ///   sum past `u64::MAX`. Part loads and balance totals are `u64`
     ///   sums over subsets of the vertices, so a graph whose totals fit
     ///   keeps every load in range.
+    /// * [`BuildError::NetWeightOverflow`] if the net weights sum past
+    ///   `i64::MAX`. Cuts and move gains are sums over subsets of the
+    ///   nets, so a graph whose total fits keeps every cut in `u64` and
+    ///   every gain in `i64`.
     /// * [`BuildError::ArenaOverflow`] if the packed name arena would
     ///   exceed the `u32` offset range.
     ///
@@ -313,6 +317,15 @@ impl HypergraphBuilder {
                     .checked_add(w)
                     .ok_or(BuildError::WeightOverflow { resource })?;
             }
+        }
+        let mut net_total = 0u64;
+        for (i, &w) in self.net_weights.iter().enumerate() {
+            net_total = net_total
+                .checked_add(w)
+                .filter(|&t| t <= i64::MAX as u64)
+                .ok_or_else(|| BuildError::NetWeightOverflow {
+                    net: NetId::from_index(i),
+                })?;
         }
         let names = if self.names.is_empty() {
             None
@@ -536,6 +549,28 @@ mod tests {
         b.add_vertex(u64::MAX - 1);
         b.add_vertex(1);
         assert_eq!(b.build().unwrap().total_weight(), u64::MAX);
+    }
+
+    #[test]
+    fn net_weight_sums_past_i64_max_are_refused() {
+        // An 8-vertex cycle whose closing net is heavy.
+        let cycle = |heavy: u64| {
+            let mut b = HypergraphBuilder::new();
+            let v: Vec<_> = (0..8).map(|_| b.add_vertex(1)).collect();
+            for i in 0..8 {
+                let w = if i == 7 { heavy } else { 1 };
+                b.add_net(w, [v[i], v[(i + 1) % 8]]).unwrap();
+            }
+            b.build()
+        };
+        for heavy in [u64::MAX, 1 << 63, i64::MAX as u64 - 6] {
+            let err = cycle(heavy).unwrap_err();
+            assert_eq!(err, BuildError::NetWeightOverflow { net: NetId(7) });
+            assert_eq!(err.to_string(), "net weights sum past i64::MAX at net n7");
+        }
+        // A total of exactly i64::MAX still fits.
+        let hg = cycle(i64::MAX as u64 - 7).unwrap();
+        assert_eq!(hg.net_weight(NetId(7)), i64::MAX as u64 - 7);
     }
 
     #[test]

@@ -52,6 +52,12 @@ pub enum BuildError {
         /// The resource whose sum overflowed.
         resource: usize,
     },
+    /// The net weights sum past `i64::MAX`, so a cut, or a move gain,
+    /// would not fit.
+    NetWeightOverflow {
+        /// The net that took the running sum past the limit.
+        net: NetId,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -82,6 +88,9 @@ impl fmt::Display for BuildError {
             ),
             BuildError::WeightOverflow { resource } => {
                 write!(f, "vertex weights of resource {resource} sum past u64::MAX")
+            }
+            BuildError::NetWeightOverflow { net } => {
+                write!(f, "net weights sum past i64::MAX at net {net}")
             }
         }
     }

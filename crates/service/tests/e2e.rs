@@ -358,6 +358,65 @@ fn kway_job_with_fixed_vertices_gets_a_legal_answer() {
 }
 
 #[test]
+fn a_net_too_heavy_for_the_gain_buckets_gets_an_error_line_from_a_live_worker() {
+    // An 8-vertex cycle whose closing net weighs 2^40: every gain-bucket
+    // engine refuses it, and the one worker answers the next job.
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let mut nets: Vec<String> = (0..7).map(|i| format!("[{},{}]", i, i + 1)).collect();
+    nets.push(format!(r#"{{"w":{},"pins":[7,0]}}"#, 1u64 << 40));
+    let heavy = |id: &str, engine: &str| {
+        format!(
+            r#"{{"id":"{id}","engine":"{engine}","starts":2,"seed":3,"hypergraph":{{"vertices":[1,1,1,1,1,1,1,1],"nets":[{}]}}}}"#,
+            nets.join(",")
+        )
+    };
+    let input = format!(
+        "{}\n{}\n{}\n",
+        heavy("ml", "ml"),
+        heavy("fm", "fm"),
+        r#"{"id":"after","engine":"ml","starts":1,"hypergraph":{"vertices":[1,1],"nets":[[0,1]]}}"#,
+    );
+    let mut out = Vec::new();
+    service
+        .serve(Cursor::new(input), &mut out)
+        .expect("session runs");
+    let snapshot = service.shutdown();
+
+    let text = String::from_utf8(out).unwrap();
+    let responses: Vec<Json> = text
+        .lines()
+        .map(|l| json::parse(l).expect("valid JSON"))
+        .collect();
+    let field = |r: &Json, key: &str| r.get(key).and_then(|v| v.as_str()).map(str::to_string);
+    for id in ["ml", "fm"] {
+        let r = responses
+            .iter()
+            .find(|r| field(r, "id").as_deref() == Some(id))
+            .expect("answered");
+        assert_eq!(field(r, "status").as_deref(), Some("error"), "{text}");
+        assert_eq!(field(r, "code").as_deref(), Some("bad_request"), "{text}");
+        assert_eq!(
+            field(r, "message").as_deref(),
+            Some(
+                "the nets of two or more pins of v0 weigh 1099511627777 in total, \
+                 past the gain range's 1073741823"
+            ),
+        );
+    }
+    let after = responses
+        .iter()
+        .find(|r| field(r, "id").as_deref() == Some("after"))
+        .expect("answered");
+    assert_eq!(field(after, "status").as_deref(), Some("ok"), "{text}");
+    assert_eq!((snapshot.jobs_ok, snapshot.jobs_failed), (1, 2));
+    assert_eq!(snapshot.panics, 0);
+}
+
+#[test]
 fn shutdown_op_ends_the_session_and_queued_jobs_still_answer() {
     let service = Service::start(ServiceConfig {
         workers: 1,

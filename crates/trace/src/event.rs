@@ -127,7 +127,10 @@ pub enum Event {
         /// Cut after restoring the best prefix.
         cut_after: u64,
         /// Gain-bucket operations (inserts, removals, key adjustments)
-        /// performed during the pass.
+        /// performed during the pass. The 2-way FM engine adjusts the
+        /// other pin of a two-pin net once per move, by both of its
+        /// updates together, and counts that as two adjustments, so the
+        /// count is that of one adjustment per update.
         bucket_ops: u64,
     },
     /// One multistart start completed.

@@ -99,13 +99,27 @@ TESTKIT_SEED=1999 TESTKIT_CASES=10000 \
 # FM differential fuzz smoke: the suite that pins the 2-way FM pass loop
 # (results and trace events, bucket_ops included) to the earlier
 # KwayGains/Partitioning loop, the exact pass stop to that loop's
-# classic passes, and FmStack to that loop stage by stage, re-based on
-# the same fixed seed and scaled to 4x its checked-in case counts (1600
-# small instances plus 16 with over 2,100 vertices per property; about
-# 4 s in a debug build).
+# classic passes, FmStack to that loop stage by stage, and the merged
+# two-pin gain update on a two-pin corpus (at least 75% two-pin nets,
+# weightless ones and ones with an immovable pin among them, plus one-pin
+# nets; CLIP and LIFO stages and a CLIP->LIFO stack under the exact
+# stop), re-based on the same fixed seed and scaled to 4x its checked-in
+# case counts (1600 small instances plus 16 with over 2,100 vertices per
+# property; about 4 s in a debug build).
 echo "==> FM differential fuzz smoke (TESTKIT_SEED=1999, 4x cases)"
 TESTKIT_SEED=1999 TESTKIT_CASES=4x \
     cargo test -q --offline -p fixed-vertices-repro --test fm_differential
+
+# FM gain range: on an 8-vertex cycle whose closing net is heavy, the
+# builder refuses net weights summing past i64::MAX (u64::MAX, 2^63);
+# past the gain buckets' i32 keys (2^40, and just over the limit) fm, ml,
+# rb and kway return PartitionError::GainRange before allocating a bucket
+# while kl and sa answer with cut 2; at 2^20, and with a 2^40 one-pin
+# net, every engine answers with cut 2. Nothing panics or aborts (under
+# 1 s in a debug build).
+echo "==> FM gain range (heavy net weights)"
+cargo test -q --offline -p fixed-vertices-repro --test gain_range \
+    heavy_net_weights_are_refused_or_answered
 
 # Block instance differential: the block-instance builder
 # (induced_subgraph, behind the placer, Table IV's extraction, rb and the

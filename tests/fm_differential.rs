@@ -27,9 +27,17 @@
 //! and pass budgets; the reference's exact stop is a port of the engine's
 //! rule (off for the other cutoffs). Parts, cut, event streams and errors
 //! must be equal, on both corpora and under cancellation.
+//!
+//! A fifth property covers the engine's two-pin path (one merged gain
+//! update per two-pin net, its other pin found from the net's pin XOR) on
+//! a corpus of at least 75% two-pin nets, weightless ones and ones with an
+//! immovable pin among them, plus one-pin nets. Each case runs as a CLIP
+//! and a LIFO stage under the exact stop and as a CLIP→LIFO stack; the
+//! events, `bucket_ops` included, must equal the reference's.
 
 use std::cell::Cell;
 
+use vlsi_rng::seq::SliceRandom;
 use vlsi_rng::{ChaCha8Rng, Rng, SeedableRng};
 use vlsi_testkit::gen::{instances, InstanceConfig, RawInstance};
 use vlsi_testkit::{prop_test, PropConfig, TestRng};
@@ -791,16 +799,12 @@ fn stage_config(rng: &mut ChaCha8Rng) -> FmConfig {
     }
 }
 
-/// Requires an [`FmStack`] of one or two random stages to match the
-/// reference run as its first stage and then, unless the token has fired,
-/// as its second from the first one's output: equal parts and cut, or
-/// equal errors, and equal event streams. Returns whether a second stage
-/// ran.
-fn check_stack(s: &Setup, knob: u64) -> bool {
-    let mut rng = ChaCha8Rng::seed_from_u64(knob.rotate_left(32));
-    let first = stage_config(&mut rng);
-    let second = rng.gen_bool(0.8).then(|| stage_config(&mut rng));
-
+/// Requires an [`FmStack`] of the stages `first` and `second` to match
+/// the reference run as its first stage and then, unless the token has
+/// fired, as its second from the first one's output: equal parts and cut,
+/// or equal errors, and equal event streams. Returns whether a second
+/// stage ran.
+fn check_stack(s: &Setup, first: FmConfig, second: Option<FmConfig>) -> bool {
     let (sink, token) = cancel_sink(s);
     let reference = |config: &FmConfig, initial: Vec<PartId>| {
         reference::run(config, &s.hg, &s.fixed, &s.balance, initial, &sink, &token)
@@ -828,6 +832,23 @@ fn check_stack(s: &Setup, knob: u64) -> bool {
     second_ran
 }
 
+/// Requires a two-pin-heavy case to match the reference as one CLIP and
+/// one LIFO stage under the exact stop, and as a CLIP→LIFO [`FmStack`]
+/// with the exact stop, the multilevel engine's refinement.
+fn check_two_pin(mut s: Setup) {
+    let stage = |policy| FmConfig {
+        policy,
+        cutoff: PassCutoff::Exact,
+        ..s.config
+    };
+    let (clip, lifo) = (stage(SelectionPolicy::Clip), stage(SelectionPolicy::Lifo));
+    check_stack(&s, clip, Some(lifo));
+    for config in [clip, lifo] {
+        s.config = config;
+        check(&s);
+    }
+}
+
 fn small_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     let gen = instances(InstanceConfig {
         vertices: 2..40,
@@ -839,6 +860,49 @@ fn small_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
     });
     move |rng| {
         let inst = gen(rng);
+        let knob = rng.gen_range(0..u64::MAX);
+        (inst, knob)
+    }
+}
+
+/// Instances whose nets are at least 75% two-pin, the rest one-pin nets
+/// and nets of three to five pins, in random order. `setup` makes a fifth
+/// of them weightless and fixes up to half the vertices, so two-pin nets
+/// with an immovable pin occur too.
+fn two_pin_cases() -> impl Fn(&mut TestRng) -> (RawInstance, u64) {
+    let gen = instances(InstanceConfig {
+        vertices: 2..60,
+        max_weight: 5,
+        nets_per_vertex: 1.0,
+        max_net_size: 2,
+        fix_prob: 0.5,
+        fix_parts: 2,
+    });
+    move |rng| {
+        let mut inst = gen(rng);
+        let n = inst.weights.len();
+        let m = rng.gen_range(n..=3 * n);
+        inst.nets = (0..m)
+            .map(|i| {
+                let size = if 4 * i < 3 * m {
+                    2
+                } else if i % 2 == 0 {
+                    1
+                } else {
+                    rng.gen_range(3..=5usize).min(n)
+                };
+                let mut pins = Vec::with_capacity(size);
+                while pins.len() < size {
+                    let pin = rng.gen_range(0..n);
+                    if !pins.contains(&pin) {
+                        pins.push(pin);
+                    }
+                }
+                pins.sort_unstable();
+                pins
+            })
+            .collect();
+        inst.nets.shuffle(rng);
         let knob = rng.gen_range(0..u64::MAX);
         (inst, knob)
     }
@@ -880,6 +944,12 @@ prop_test! {
         let (inst, knob) = case;
         check(&setup(&inst, knob));
     }
+
+    #[cases(400)]
+    fn two_pin_nets_match_reference_loop(case in two_pin_cases()) {
+        let (inst, knob) = case;
+        check_two_pin(setup(&inst, knob));
+    }
 }
 
 #[test]
@@ -912,7 +982,10 @@ fn fm_stack_matches_the_reference_stage_by_stage() {
     let seconds = Cell::new(0);
     let count = |case: (RawInstance, u64)| {
         let (inst, knob) = case;
-        let ran = check_stack(&setup(&inst, knob), knob);
+        let mut rng = ChaCha8Rng::seed_from_u64(knob.rotate_left(32));
+        let first = stage_config(&mut rng);
+        let second = rng.gen_bool(0.8).then(|| stage_config(&mut rng));
+        let ran = check_stack(&setup(&inst, knob), first, second);
         seconds.set(seconds.get() + usize::from(ran));
     };
     vlsi_testkit::check(
