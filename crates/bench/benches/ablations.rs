@@ -3,7 +3,6 @@
 //! * LIFO vs CLIP selection (the paper: "very similar results");
 //! * V-cycling on vs off (the paper: "a net loss in terms of overall
 //!   cost-runtime profile");
-//! * free–fixed merging in coarsening (this reproduction found it harmful);
 //! * the terminal-clustering equivalence transform vs the raw fixed set.
 
 use std::hint::black_box;
@@ -14,7 +13,7 @@ use vlsi_testkit::bench::{criterion_group, criterion_main, BenchmarkId, Criterio
 use vlsi_experiments::harness::{find_good_solution, paper_balance};
 use vlsi_experiments::regimes::{FixSchedule, Regime};
 use vlsi_netgen::instances::ibm01_like_scaled;
-use vlsi_partition::terminal_cluster::cluster_terminals;
+use vlsi_partition::multilevel::cluster_terminals;
 use vlsi_partition::{
     BipartFm, EngineConfig, FmConfig, MultilevelConfig, MultilevelPartitioner, Multistart,
     Partitioner, RunCtx, SelectionPolicy,
@@ -79,8 +78,8 @@ fn bench_ablations(c: &mut Criterion) {
     // Terminal-clustering equivalence transform: run on the clustered
     // instance vs the raw one (the paper's conclusions predict comparable
     // difficulty; clustering shrinks the vertex set).
-    let clustered = cluster_terminals(hg, &fixed).expect("transform succeeds");
-    let clustered_balance = paper_balance(&clustered.hypergraph);
+    let clustered = cluster_terminals(hg, &fixed);
+    let clustered_balance = paper_balance(&clustered.hg);
     let mut group = c.benchmark_group("ablation/terminal_clustering");
     group.sample_size(10);
     let ml = MultilevelPartitioner::new(MultilevelConfig::default());
@@ -96,7 +95,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 ml.partition_ctx(
-                    &clustered.hypergraph,
+                    &clustered.hg,
                     &clustered.fixed,
                     &clustered_balance,
                     RunCtx::new(&mut rng),

@@ -12,7 +12,7 @@
 use vlsi_rng::Rng;
 
 use vlsi_hypergraph::{
-    BalanceConstraint, FixedVertices, Fixity, Hypergraph, Objective, PartId, Partitioning, VertexId,
+    BalanceConstraint, FixedVertices, Hypergraph, Objective, PartId, Partitioning, VertexId,
 };
 use vlsi_trace::{CancelStage, Event, Sink};
 
@@ -100,11 +100,7 @@ pub(crate) fn simulated_annealing<R: Rng + ?Sized, S: Sink>(
     let movable: Vec<VertexId> = hg
         .vertices()
         .filter(|&v| {
-            let f = if v.index() < fixed.len() {
-                fixed.fixity(v)
-            } else {
-                Fixity::Free
-            };
+            let f = fixed.fixity(v);
             f.allows(PartId(0)) && f.allows(PartId(1))
         })
         .collect();

@@ -303,11 +303,7 @@ impl<'a, S: Sink> PassState<'a, S> {
         let nodes: Vec<Node> = hg
             .vertices()
             .map(|v| {
-                let fixity = if v.index() < fixed.len() {
-                    fixed.fixity(v)
-                } else {
-                    Fixity::Free
-                };
+                let fixity = fixed.fixity(v);
                 Node {
                     key: 0,
                     next: NONE,
@@ -484,9 +480,7 @@ impl<'a, S: Sink> PassState<'a, S> {
             let cut = self.cut;
             if S::ENABLED {
                 self.bucket_ops += 1; // the unlink above
-                let fixity = if vertex.index() < self.fixed.len()
-                    && matches!(self.fixed.fixity(vertex), Fixity::FixedAny(_))
-                {
+                let fixity = if matches!(self.fixed.fixity(vertex), Fixity::FixedAny(_)) {
                     MoverFixity::FixedAny
                 } else {
                     MoverFixity::Free

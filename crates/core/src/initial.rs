@@ -64,12 +64,7 @@ pub fn random_initial<R: Rng + ?Sized>(
     // Phase 1: place fixed vertices (identical on every attempt except for
     // FixedAny choices, which are deterministic greedy here).
     for v in hg.vertices() {
-        let fixity = if v.index() < fixed.len() {
-            fixed.fixity(v)
-        } else {
-            Fixity::Free
-        };
-        match fixity {
+        match fixed.fixity(v) {
             Fixity::Free => free.push(v),
             Fixity::Fixed(p) => {
                 if p.index() >= num_parts {

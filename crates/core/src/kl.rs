@@ -17,7 +17,7 @@
 //! side, making a pass O(passes · n · (pins/n + K²·deg)).
 
 use vlsi_hypergraph::{
-    BalanceConstraint, FixedVertices, Fixity, Hypergraph, Objective, PartId, Partitioning, VertexId,
+    BalanceConstraint, FixedVertices, Hypergraph, Objective, PartId, Partitioning, VertexId,
 };
 use vlsi_rng::Rng;
 use vlsi_trace::{CancelStage, Event, Sink};
@@ -110,11 +110,7 @@ pub(crate) fn kernighan_lin<R: Rng + ?Sized, S: Sink>(
     let movable: Vec<bool> = hg
         .vertices()
         .map(|v| {
-            let f = if v.index() < fixed.len() {
-                fixed.fixity(v)
-            } else {
-                Fixity::Free
-            };
+            let f = fixed.fixity(v);
             f.allows(PartId(0)) && f.allows(PartId(1))
         })
         .collect();

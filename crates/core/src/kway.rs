@@ -17,7 +17,7 @@ use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::config::MultilevelConfig;
 use crate::engine::{KwayConfig, Partitioner, RunCtx};
 use crate::gain::{KwayGains, MoveLog};
-use crate::multilevel::{CoarsenParams, Hierarchy, MultilevelPartitioner};
+use crate::multilevel::{coarsen_params, CoarsenParams, Hierarchy, MultilevelPartitioner};
 use crate::warmstart::{legalize_assignment, stuck_error};
 use crate::{PartitionError, PartitionResult};
 
@@ -988,12 +988,7 @@ pub(crate) fn multilevel_kway<R: Rng + ?Sized, S: Sink>(
         } else {
             Vec::new()
         },
-        max_net_size_for_matching: 64,
-        max_fixed_part_weight: (0..k)
-            .map(|p| balance.max(PartId::from_index(p), 0))
-            .collect(),
-        allow_free_fixed_merge: false,
-        threads: 1,
+        ..coarsen_params(hg, balance, ml)
     };
     let h = Hierarchy::build(
         hg,
@@ -1060,11 +1055,7 @@ fn unplaceable_vertex(
 ) -> Option<VertexId> {
     let resources = hg.num_resources().min(balance.num_resources());
     hg.vertices().find(|&v| {
-        let fx = if v.index() < fixed.len() {
-            fixed.fixity(v)
-        } else {
-            Fixity::Free
-        };
+        let fx = fixed.fixity(v);
         let weights = &hg.vertex_weights(v)[..resources];
         !(0..balance.num_parts()).map(PartId::from_index).any(|p| {
             fx.allows(p)

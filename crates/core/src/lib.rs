@@ -12,7 +12,8 @@
 //! * A multilevel partitioner ([`multilevel::MultilevelPartitioner`]):
 //!   heavy-edge-matching / first-choice coarsening that respects fixities,
 //!   FM at the coarsest level, and refinement during uncoarsening, with
-//!   the exact pass stop in every FM stage.
+//!   the exact pass stop in every FM stage. Each coarsening level first
+//!   groups the vertices fixed in one partition (the fixed pre-pass).
 //! * A multistart driver ([`multistart::Multistart`]) reproducing the
 //!   paper's 1/2/4/8-start protocol, with an iterated-multilevel quality
 //!   phase ([`quality`]): V-cycles over the best solution (which the paper
@@ -20,8 +21,9 @@
 //!   recombination over the retained top-N starts.
 //! * A k-way FM extension ([`kway`]) for the paper's future-work question
 //!   of whether multiway partitioning is as affected by fixed terminals.
-//! * The terminal-clustering equivalence transform
-//!   ([`terminal_cluster::cluster_terminals`]) from the paper's conclusions.
+//! * The terminal-clustering equivalence transform from the paper's
+//!   conclusions ([`multilevel::cluster_terminals`]): the coarsener's fixed
+//!   pre-pass with no weight cap, one terminal per partition.
 //! * A unifying trait layer ([`Partitioner`] / [`Refiner`]) over every
 //!   engine — flat FM, multilevel, Kernighan–Lin, simulated annealing and
 //!   both k-way strategies — with a by-name [`EngineConfig`] registry, so
@@ -87,7 +89,6 @@ pub mod multistart;
 pub mod policy;
 pub mod quality;
 mod result;
-pub mod terminal_cluster;
 pub mod warmstart;
 
 pub use annealing::AnnealingConfig;

@@ -1,11 +1,12 @@
-//! Heavy-edge-matching coarsening with fixity-aware cluster merging.
-
-use std::collections::HashMap;
+//! Heavy-edge-matching coarsening with fixity-aware cluster merging, and
+//! the terminal-clustering transform built on its fixed pre-pass.
 
 use vlsi_rng::seq::SliceRandom;
 use vlsi_rng::Rng;
 
-use vlsi_hypergraph::{FixedVertices, Fixity, Hypergraph, HypergraphBuilder, PartId, VertexId};
+use vlsi_hypergraph::{
+    FixedVertices, Fixity, Hypergraph, HypergraphBuilder, PartId, PartSet, VertexId,
+};
 
 /// One coarsening level: the coarse hypergraph, its fixities, and the map
 /// from fine vertex to coarse vertex.
@@ -52,17 +53,18 @@ pub struct CoarsenParams {
     /// almost no signal and make matching quadratic).
     pub max_net_size_for_matching: usize,
     /// Per-partition cap on the total primary weight of vertices whose
-    /// cluster ends up `Fixed` in that partition. Without this cap, free
-    /// vertices merging into fixed clusters could make a partition's fixed
-    /// weight alone exceed its balance capacity, rendering the coarse
-    /// instance infeasible. Empty = unlimited.
+    /// cluster ends up `Fixed` in that partition: two `FixedAny` vertices
+    /// whose sets meet in one partition merge into a `Fixed` cluster only
+    /// while that partition's fixed weight stays within its cap, so its
+    /// fixed weight alone cannot exceed its balance capacity. Empty =
+    /// unlimited.
     pub max_fixed_part_weight: Vec<u64>,
-    /// When `false` (the default used by the multilevel engine), a free
-    /// vertex never merges with a fixed one: gluing free cells onto
-    /// terminals at coarse levels pre-decides their side before refinement
-    /// can judge, which measurably degrades cut quality in the
-    /// fixed-terminals regime. Fixed–fixed merges within one partition are
-    /// always allowed (the terminal-clustering equivalence).
+    /// Ignored: a free vertex never merges with a fixed one (gluing free
+    /// cells onto terminals pre-decides their side before refinement can
+    /// judge, which degrades cut quality in the fixed-terminals regime),
+    /// and the fixed pre-pass always runs. The field stays so that code
+    /// building `CoarsenParams` literals (the `perfbench` package among
+    /// them) keeps compiling.
     pub allow_free_fixed_merge: bool,
     /// Ignored: coarsening runs on the calling thread. The field stays so
     /// that code building `CoarsenParams` literals (the `perfbench`
@@ -114,9 +116,11 @@ pub fn merge_fixity(a: Fixity, b: Fixity) -> Option<Fixity> {
 /// with the unmatched neighbour maximising the standard hypergraph
 /// heavy-edge score `Σ w(n) / (|n| − 1)` over shared nets (ties go to the
 /// higher vertex id), subject to the cluster-weight cap and fixity
-/// compatibility. When `same_part` is given (V-cycling), only vertices
-/// currently in the same partition may merge. Before matching, vertices
-/// fixed in the same partition are grouped up to the weight cap, so those
+/// compatibility; a free vertex never merges with a fixed one. When
+/// `same_part` is given (V-cycling), only vertices currently in the same
+/// partition may merge. Before matching, the fixed pre-pass (the one
+/// behind [`cluster_terminals`]) groups the vertices fixed in the same
+/// partition up to the weight caps, in the shuffled order, so those
 /// terminal clusters take the lowest coarse ids. The clustering is then
 /// contracted by [`contract_clusters`].
 ///
@@ -135,8 +139,6 @@ pub fn coarsen_once<R: Rng + ?Sized>(
     order.shuffle(rng);
 
     // A vertex is matched once it has a cluster.
-    const UNMATCHED: u32 = u32::MAX;
-    let mut num_clusters = 0usize;
     let mut cluster_of = vec![UNMATCHED; n];
 
     // Running total of weight fixed into each partition (seeded by the
@@ -153,44 +155,16 @@ pub fn coarsen_once<R: Rng + ?Sized>(
         }
     }
 
-    // Pre-pass: vertices fixed in the same partition are interchangeable to
-    // every downstream engine (they can never move), so group them into
-    // clusters up to the weight cap — the paper's terminal-clustering
-    // equivalence, applied per level. This keeps coarsening shrinking even
-    // when half the graph is terminals. (Skipped in the free-fixed-merge
-    // ablation mode, where fixed vertices stay available for matching.)
-    if !params.allow_free_fixed_merge {
-        // part -> (cluster, primary weight, per-resource weights)
-        let mut bin_cluster: HashMap<u32, (u32, u64, Vec<u64>)> = HashMap::new();
-        for &v in &order {
-            let Fixity::Fixed(p) = fixed.fixity(v) else {
-                continue;
-            };
-            let w = hg.vertex_weight(v);
-            match bin_cluster.get_mut(&p.0) {
-                Some((cluster, bw, bws))
-                    if *bw + w <= params.max_cluster_weight
-                        && within_resource_caps(
-                            bws,
-                            hg.vertex_weights(v),
-                            &params.max_cluster_weights,
-                        ) =>
-                {
-                    cluster_of[v.index()] = *cluster;
-                    *bw += w;
-                    for (a, &b) in bws.iter_mut().zip(hg.vertex_weights(v)) {
-                        *a += b;
-                    }
-                }
-                _ => {
-                    let cluster = num_clusters as u32;
-                    num_clusters += 1;
-                    cluster_of[v.index()] = cluster;
-                    bin_cluster.insert(p.0, (cluster, w, hg.vertex_weights(v).to_vec()));
-                }
-            }
-        }
-    }
+    // Pre-pass: the terminal clusters, up to the weight caps. This keeps
+    // coarsening shrinking even when half the graph is terminals.
+    let mut num_clusters = cluster_fixed(
+        hg,
+        fixed,
+        order.iter().copied(),
+        params.max_cluster_weight,
+        &params.max_cluster_weights,
+        &mut cluster_of,
+    );
 
     // Greedy heavy-edge matching in the shuffled visit order. Scores live
     // in a dense array indexed by vertex, with the vertices touched for
@@ -245,7 +219,7 @@ pub fn coarsen_once<R: Rng + ?Sized>(
                 continue;
             }
             let ufix = fixed.fixity(u);
-            if !params.allow_free_fixed_merge && vfix.is_fixed() != ufix.is_fixed() {
+            if vfix.is_fixed() != ufix.is_fixed() {
                 continue;
             }
             let Some(merged) = merge_fixity(vfix, ufix) else {
@@ -288,6 +262,111 @@ pub fn coarsen_once<R: Rng + ?Sized>(
     }
 
     Some(contract_clusters(hg, fixed, cluster_of, num_clusters))
+}
+
+/// The cluster-map entry of a vertex that has no cluster yet.
+const UNMATCHED: u32 = u32::MAX;
+
+/// The fixed pre-pass: groups the vertices fixed in one partition into
+/// clusters, visiting them in `order`. A `Fixed(p)` vertex joins `p`'s
+/// open cluster while its primary weight stays within `max_weight` and its
+/// weight vector within `max_weights` (see [`within_resource_caps`]), and
+/// otherwise opens the next cluster. Vertices fixed in one partition are
+/// interchangeable to every engine, since none can move: this is the
+/// paper's terminal-clustering equivalence.
+///
+/// Clusters take ids from 0 in the order they open, written to
+/// `cluster_of`, which must enter all `UNMATCHED`. Free and `FixedAny`
+/// vertices stay `UNMATCHED`, and so do vertices fixed in a partition
+/// from 64 up, which no balance can hold. Returns the number of clusters.
+fn cluster_fixed(
+    hg: &Hypergraph,
+    fixed: &FixedVertices,
+    order: impl IntoIterator<Item = VertexId>,
+    max_weight: u64,
+    max_weights: &[u64],
+    cluster_of: &mut [u32],
+) -> usize {
+    // Each part's open cluster: (id, primary weight, weight vector).
+    let mut open: Vec<Option<(u32, u64, Vec<u64>)>> = vec![None; PartSet::MAX_PARTS];
+    let mut num_clusters = 0;
+    for v in order {
+        let Fixity::Fixed(p) = fixed.fixity(v) else {
+            continue;
+        };
+        let Some(bin) = open.get_mut(p.index()) else {
+            continue;
+        };
+        let (w, ws) = (hg.vertex_weight(v), hg.vertex_weights(v));
+        match bin {
+            Some((cluster, bw, bws))
+                if *bw + w <= max_weight && within_resource_caps(bws, ws, max_weights) =>
+            {
+                cluster_of[v.index()] = *cluster;
+                *bw += w;
+                for (a, &b) in bws.iter_mut().zip(ws) {
+                    *a += b;
+                }
+            }
+            _ => {
+                cluster_of[v.index()] = num_clusters as u32;
+                *bin = Some((num_clusters as u32, w, ws.to_vec()));
+                num_clusters += 1;
+            }
+        }
+    }
+    num_clusters
+}
+
+/// The terminal-clustering transform from the paper's conclusions: "a
+/// bipartitioning instance with an arbitrary number/percent of fixed
+/// terminals can be represented by an equivalent instance with only two
+/// terminals, by clustering all terminals fixed in a given partition into
+/// one single terminal."
+///
+/// The fixed pre-pass of [`coarsen_once`], run in vertex order with no
+/// weight cap, gives one terminal per partition that has a `Fixed`
+/// vertex; the terminals take the lowest ids, in order of first
+/// appearance. Every other vertex, free or `FixedAny`, becomes its own
+/// cluster, in vertex order, and keeps its fixity. [`contract_clusters`]
+/// then builds the instance, so it drops the nets no assignment can cut
+/// (one-pin nets, and nets inside one terminal) and merges parallel nets.
+/// The cut and km1 of every assignment of the clustered instance equal
+/// those of its [`Level::project`]ion: each terminal sits exactly where
+/// its members sat.
+///
+/// # Example
+/// ```
+/// use vlsi_hypergraph::{FixedVertices, Fixity, HypergraphBuilder, PartId, VertexId};
+/// use vlsi_partition::multilevel::cluster_terminals;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = HypergraphBuilder::new();
+/// let v: Vec<_> = (0..5).map(|_| b.add_vertex(1)).collect();
+/// b.add_net(1, [v[0], v[1], v[4]])?;
+/// b.add_net(1, [v[2], v[3]])?;
+/// let hg = b.build()?;
+/// let mut fx = FixedVertices::all_free(5);
+/// fx.fix(v[0], PartId(0));
+/// fx.fix(v[1], PartId(0));
+/// fx.fix(v[2], PartId(1));
+///
+/// let clustered = cluster_terminals(&hg, &fx);
+/// // Two terminals first, then the two free vertices.
+/// assert_eq!(clustered.hg.num_vertices(), 4);
+/// assert_eq!(clustered.fixed.fixity(VertexId(0)), Fixity::Fixed(PartId(0)));
+/// assert_eq!(clustered.map[4], VertexId(3));
+/// # Ok(())
+/// # }
+/// ```
+pub fn cluster_terminals(hg: &Hypergraph, fixed: &FixedVertices) -> Level {
+    let mut cluster_of = vec![UNMATCHED; hg.num_vertices()];
+    let mut num_clusters = cluster_fixed(hg, fixed, hg.vertices(), u64::MAX, &[], &mut cluster_of);
+    for c in cluster_of.iter_mut().filter(|c| **c == UNMATCHED) {
+        *c = num_clusters as u32;
+        num_clusters += 1;
+    }
+    contract_clusters(hg, fixed, cluster_of, num_clusters)
 }
 
 /// Contracts an explicit clustering into a coarse [`Level`].
@@ -515,7 +594,7 @@ fn fixed_delta(f: Fixity, p: PartId, w: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlsi_hypergraph::PartSet;
+    use vlsi_hypergraph::CutState;
     use vlsi_rng::ChaCha8Rng;
     use vlsi_rng::SeedableRng;
 
@@ -568,24 +647,6 @@ mod tests {
         // The cross nets between the two clusters merge into one weighted net.
         assert_eq!(level.hg.num_nets(), 1);
         assert_eq!(level.hg.net_weight(vlsi_hypergraph::NetId(0)), 7);
-    }
-
-    #[test]
-    fn incompatible_fixities_never_merge_in_ablation_mode() {
-        let hg = chain(8);
-        let mut fx = FixedVertices::all_free(8);
-        for i in 0..8 {
-            fx.fix(VertexId(i), PartId(i % 2));
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        // With the pre-pass disabled, adjacent vertices alternate parts and
-        // no pair can merge => stall.
-        let p = CoarsenParams {
-            allow_free_fixed_merge: true,
-            ..params()
-        };
-        let level = coarsen_once(&hg, &fx, &p, 0.95, None, &mut rng);
-        assert!(level.is_none());
     }
 
     #[test]
@@ -664,6 +725,89 @@ mod tests {
             Some(Fixed(PartId(2)))
         );
         assert_eq!(merge_fixity(Fixed(PartId(0)), FixedAny(s12)), None);
+    }
+
+    /// Three free vertices and three terminals: vertices 0 and 2 fixed in
+    /// part 0, vertex 1 in part 1.
+    fn terminal_instance() -> (Hypergraph, FixedVertices) {
+        let mut b = HypergraphBuilder::new();
+        let v: Vec<_> = (0..6).map(|i| b.add_vertex(i as u64 + 1)).collect();
+        b.add_net(1, [v[0], v[2], v[4]]).unwrap();
+        b.add_net(2, [v[1], v[3]]).unwrap();
+        b.add_net(1, [v[4], v[5]]).unwrap();
+        let hg = b.build().unwrap();
+        let mut fx = FixedVertices::all_free(6);
+        fx.fix(VertexId(0), PartId(0));
+        fx.fix(VertexId(2), PartId(0));
+        fx.fix(VertexId(1), PartId(1));
+        (hg, fx)
+    }
+
+    #[test]
+    fn terminals_cluster_per_part() {
+        let (hg, fx) = terminal_instance();
+        let c = cluster_terminals(&hg, &fx);
+        // 2 terminals, in order of first appearance, then 3 free vertices.
+        assert_eq!(c.hg.num_vertices(), 5);
+        let (t0, t1) = (c.map[0], c.map[1]);
+        assert_eq!((t0, t1, c.map[2]), (VertexId(0), VertexId(1), t0));
+        assert_eq!(&c.map[3..], &[VertexId(2), VertexId(3), VertexId(4)]);
+        assert_eq!(c.hg.vertex_weight(t0), 1 + 3);
+        assert_eq!(c.hg.vertex_weight(t1), 2);
+        assert_eq!(c.fixed.fixity(t0), Fixity::Fixed(PartId(0)));
+        assert_eq!(c.fixed.fixity(t1), Fixity::Fixed(PartId(1)));
+    }
+
+    #[test]
+    fn terminal_clustering_preserves_total_weight() {
+        let (hg, fx) = terminal_instance();
+        let c = cluster_terminals(&hg, &fx);
+        assert_eq!(c.hg.total_weight(), hg.total_weight());
+        assert!(c.hg.num_nets() <= hg.num_nets());
+    }
+
+    #[test]
+    fn terminal_clustering_preserves_the_cut_of_projected_solutions() {
+        let (hg, fx) = terminal_instance();
+        let c = cluster_terminals(&hg, &fx);
+        // Assign the clustered free vertices arbitrarily, terminals fixed.
+        let cparts: Vec<PartId> =
+            c.hg.vertices()
+                .map(|v| match c.fixed.fixity(v) {
+                    Fixity::Fixed(p) => p,
+                    _ => PartId(v.0 % 2),
+                })
+                .collect();
+        let clustered_cut = CutState::new(&c.hg, 2, &cparts).cut();
+        let orig_cut = CutState::new(&hg, 2, &c.project(&cparts)).cut();
+        assert_eq!(clustered_cut, orig_cut);
+    }
+
+    #[test]
+    fn terminal_clustering_keeps_fixed_any_vertices() {
+        let mut b = HypergraphBuilder::new();
+        let v0 = b.add_vertex(1);
+        let v1 = b.add_vertex(1);
+        b.add_net(1, [v0, v1]).unwrap();
+        let hg = b.build().unwrap();
+        let mut fx = FixedVertices::all_free(2);
+        fx.fix_any(v0, PartSet::all(2));
+        let c = cluster_terminals(&hg, &fx);
+        assert_eq!(c.hg.num_vertices(), 2);
+        assert_eq!(c.fixed.fixity(c.map[0]), Fixity::FixedAny(PartSet::all(2)));
+    }
+
+    #[test]
+    fn terminal_clustering_without_terminals_keeps_the_shape() {
+        let mut b = HypergraphBuilder::new();
+        let v0 = b.add_vertex(2);
+        let v1 = b.add_vertex(3);
+        b.add_net(1, [v0, v1]).unwrap();
+        let hg = b.build().unwrap();
+        let c = cluster_terminals(&hg, &FixedVertices::all_free(2));
+        assert_eq!(c.hg, hg);
+        assert_eq!(c.map, vec![v0, v1]);
+        assert_eq!(c.fixed.num_fixed(), 0);
     }
 
     #[test]

@@ -11,7 +11,9 @@ mod coarsen;
 mod hierarchy;
 
 pub(crate) use coarsen::within_resource_caps;
-pub use coarsen::{coarsen_once, contract_clusters, merge_fixity, CoarsenParams, Level};
+pub use coarsen::{
+    cluster_terminals, coarsen_once, contract_clusters, merge_fixity, CoarsenParams, Level,
+};
 pub(crate) use hierarchy::{coarsen_params, Hierarchy};
 
 use vlsi_rng::Rng;

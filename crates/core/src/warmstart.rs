@@ -78,11 +78,7 @@ fn clamp_to_fixity(
     let mut relocated = 0usize;
     for (i, &p) in seed.iter().enumerate() {
         let v = VertexId::from_index(i);
-        let fx = if i < fixed.len() {
-            fixed.fixity(v)
-        } else {
-            Fixity::Free
-        };
+        let fx = fixed.fixity(v);
         let in_range = p.index() < k;
         if in_range && fx.allows(p) {
             parts.push(p);
@@ -162,7 +158,7 @@ pub(crate) fn stuck_error(
     let mut fixed_weight = vec![vec![0u64; resources]; k];
     for v in hg.vertices() {
         let p = parts[v.index()].index();
-        let pinned = v.index() < fixed.len() && matches!(fixed.fixity(v), Fixity::Fixed(_));
+        let pinned = matches!(fixed.fixity(v), Fixity::Fixed(_));
         for (r, &w) in hg.vertex_weights(v).iter().take(resources).enumerate() {
             loads[p][r] += w;
             if pinned {
@@ -195,14 +191,7 @@ fn legalize_balance(
 ) -> Result<(usize, bool), PartitionError> {
     let k = balance.num_parts();
     let resources = hg.num_resources().min(balance.num_resources());
-    let movable = |v: VertexId, to: PartId| -> bool {
-        let fx = if v.index() < fixed.len() {
-            fixed.fixity(v)
-        } else {
-            Fixity::Free
-        };
-        fx.allows(to)
-    };
+    let movable = |v: VertexId, to: PartId| -> bool { fixed.fixity(v).allows(to) };
     let weight_of = |v: VertexId| -> u64 { hg.vertex_weights(v).iter().sum() };
 
     let mut moves = 0usize;

@@ -18,7 +18,8 @@
 //! The heterogeneous surface: `--are FILE` loads multi-dimensional vertex
 //! weights (one whitespace-separated row per vertex, uniform arity;
 //! `--resource-dims N` asserts the arity), `--part-capacities
-//! "100,8;60,4;..."` replaces the uniform tolerance balance with explicit
+//! "100,8;60,4;..."` replaces the uniform tolerance balance (every
+//! resource split evenly over the `k` parts, at every `k`) with explicit
 //! per-part capacity vectors (parts separated by `;`, one capacity per
 //! resource separated by `,`), and `--objective km1` switches the engines
 //! from the cut to the connectivity (λ−1) metric.
@@ -315,9 +316,6 @@ fn main() {
                 exit(1);
             }
             caps.to_balance()
-        }
-        None if args.k == 2 => {
-            BalanceConstraint::bisection(hg.total_weight(), Tolerance::Relative(args.tolerance))
         }
         None => BalanceConstraint::even(
             args.k,

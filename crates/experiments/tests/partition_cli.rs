@@ -5,13 +5,15 @@
 //! assignment. The tests write a small netgen circuit with every seventh
 //! vertex fixed, run the binary on it, and compare the `--out` files, and
 //! the traces of two thread budgets with the wall-clock `micros` masked.
+//! With a second weight column (`--are`), a bisection must balance both
+//! resources, as a k-way run does.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use vlsi_hypergraph::io::{write_fix, write_hgr};
-use vlsi_hypergraph::{FixedVertices, PartId};
+use vlsi_hypergraph::{BalanceConstraint, FixedVertices, PartId, Tolerance};
 use vlsi_netgen::instances::ibm01_like_scaled;
 
 /// A fresh scratch directory holding the test instance as `inst.hgr` and
@@ -124,5 +126,48 @@ fn traced_runs_do_not_depend_on_the_thread_count() {
         trace == masked_trace(&dir.join("t2.jsonl")),
         "the thread count changed the trace"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn two_resource_bisections_balance_both_resources() {
+    let dir = instance_dir("are");
+    let hg = ibm01_like_scaled(0.05, 3).hypergraph;
+    let second: Vec<u64> = hg.vertices().map(|v| v.index() as u64 % 3 + 1).collect();
+    let rows: String = hg
+        .vertices()
+        .map(|v| format!("{} {}\n", hg.vertex_weight(v), second[v.index()]))
+        .collect();
+    let are = dir.join("inst.are");
+    std::fs::write(&are, rows).expect("are written");
+    let totals = [hg.total_weight(), second.iter().sum()];
+    let balance = BalanceConstraint::even(2, &totals, Tolerance::Relative(0.1));
+    for engine in ["ml", "fm", "rb", "kway"] {
+        let flags = [
+            "--are",
+            are.to_str().expect("utf-8 path"),
+            "--k",
+            "2",
+            "--tolerance",
+            "0.1",
+            "--starts",
+            "1",
+            "--seed",
+            "3",
+            "--engine",
+            engine,
+        ];
+        let parts = partition(&dir, &flags, "are.txt", None);
+        let mut loads = [0u64; 4];
+        for (v, part) in parts.lines().enumerate() {
+            let p: usize = part.parse().expect("part id");
+            loads[2 * p] += hg.vertex_weight(vlsi_hypergraph::VertexId::from_index(v));
+            loads[2 * p + 1] += second[v];
+        }
+        assert!(
+            balance.is_satisfied(&loads),
+            "{engine}: loads {loads:?} against totals {totals:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -288,13 +288,24 @@ impl FixedVertices {
         self.fixities.is_empty()
     }
 
-    /// The fixity of `vertex`.
+    /// The fixity of `vertex`. A table may be shorter than its hypergraph:
+    /// a vertex beyond it is free. This is the one place that says so, so
+    /// callers need no length check of their own; the writes
+    /// ([`FixedVertices::fix`] and the rest) still panic past the table.
     ///
-    /// # Panics
-    /// Panics if `vertex` is out of range.
+    /// # Example
+    /// ```
+    /// use vlsi_hypergraph::{FixedVertices, Fixity, PartId, VertexId};
+    /// let fx = FixedVertices::from_fixities(vec![Fixity::Fixed(PartId(1))]);
+    /// assert_eq!(fx.fixity(VertexId(0)), Fixity::Fixed(PartId(1)));
+    /// assert_eq!(fx.fixity(VertexId(5)), Fixity::Free);
+    /// ```
     #[inline]
     pub fn fixity(&self, vertex: crate::VertexId) -> Fixity {
-        self.fixities[vertex.index()]
+        self.fixities
+            .get(vertex.index())
+            .copied()
+            .unwrap_or(Fixity::Free)
     }
 
     /// Pins `vertex` into `part`.

@@ -190,7 +190,7 @@ pub fn check_assignment(
     parts: &[PartId],
     fixed: &FixedVertices,
 ) -> Result<(), PartitionInputError> {
-    for (i, &p) in parts.iter().enumerate().take(fixed.len()) {
+    for (i, &p) in parts.iter().enumerate() {
         let v = VertexId::from_index(i);
         if !fixed.fixity(v).allows(p) {
             return Err(PartitionInputError::FixedViolation { vertex: v, part: p });

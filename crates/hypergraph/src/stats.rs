@@ -57,11 +57,7 @@ impl InstanceStats {
         let num_pads = fixed.num_fixed();
         let num_external_nets = hg
             .nets()
-            .filter(|&n| {
-                hg.net_pins(n)
-                    .iter()
-                    .any(|&v| v.index() < fixed.len() && fixed.fixity(v).is_fixed())
-            })
+            .filter(|&n| hg.net_pins(n).iter().any(|&v| fixed.fixity(v).is_fixed()))
             .count();
         InstanceStats {
             num_vertices: hg.num_vertices(),

@@ -87,7 +87,7 @@ pub fn validate_partitioning(
     let mut report = ValidationReport::default();
 
     for v in hg.vertices() {
-        if v.index() < fixed.len() && !fixed.fixity(v).allows(partitioning.part_of(v)) {
+        if !fixed.fixity(v).allows(partitioning.part_of(v)) {
             report.fixed_violations.push(v);
         }
     }

@@ -87,6 +87,25 @@ TESTKIT_SEED=1999 TESTKIT_CASES=4x \
     cargo test -q --offline -p fixed-vertices-repro --test kway_invariants \
     direct_kway_answers_are_legal_or_infeasible
 
+# Fixed-vertex edges: a fixity table may stop short of its hypergraph,
+# and the vertices past its end are free. Every registry engine at k=2
+# and rb/kway at k=4 must return exactly what it returns for the table
+# padded with Free (200-400 vertices, 0-50% fixed, tables cut at half to
+# full length). The terminal-clustering transform (cluster_terminals, the
+# coarsener's fixed pre-pass with no weight cap) must keep the cut at k=2
+# and the km1 at k=4 of every projected assignment, give one terminal per
+# part holding a Fixed vertex at the lowest ids, keep FixedAny vertices
+# as clusters of their own with their fixity, and leave the invariant
+# constraint metrics unchanged, on a corpus with one-pin nets. Re-based on
+# a fixed seed at 4x its cases (about 3 s in a debug build).
+echo "==> fixed-vertex edges (TESTKIT_SEED=1999, 4x cases)"
+TESTKIT_SEED=1999 TESTKIT_CASES=4x \
+    cargo test -q --offline -p fixed-vertices-repro --test fixed_vertex_invariants \
+    a_short_fixity_table_is_answered_as_the_padded_one
+TESTKIT_SEED=1999 TESTKIT_CASES=4x \
+    cargo test -q --offline -p fixed-vertices-repro --test partitioner_properties \
+    terminal_clustering_preserves_cut_of_projected_solutions
+
 # Decode fuzz smoke: the differential suite that pins `parse_request` to
 # the earlier tree-based decoder, re-based on a fixed seed outside its
 # checked-in corpus and bounded in cases (about 2 s in a debug build). It
@@ -194,8 +213,9 @@ TESTKIT_SEED=1999 TESTKIT_CASES=4x \
 # Partition trace identity: the `partition` binary must write the same
 # assignment with and without --trace (4 starts and a V-cycle, three
 # seeds), and traced runs at --threads 1 and 2 the same assignment and
-# the same trace apart from wall-clock fields (about 1 s in a debug
-# build).
+# the same trace apart from wall-clock fields. With a two-column --are
+# file at --k 2, ml, fm, rb and kway must each write an assignment that
+# balances both resources (about 1 s in a debug build).
 echo "==> partition trace identity"
 cargo test -q --offline -p vlsi-experiments --test partition_cli
 

@@ -93,36 +93,34 @@ mod reference {
             }
         }
 
-        if !params.allow_free_fixed_merge {
-            let mut bin_cluster: HashMap<u32, (u32, u64, Vec<u64>)> = HashMap::new();
-            for &v in &order {
-                let Fixity::Fixed(p) = fixed.fixity(v) else {
-                    continue;
-                };
-                let w = hg.vertex_weight(v);
-                match bin_cluster.get_mut(&p.0) {
-                    Some((cluster, bw, bws))
-                        if *bw + w <= params.max_cluster_weight
-                            && within_resource_caps(
-                                bws,
-                                hg.vertex_weights(v),
-                                &params.max_cluster_weights,
-                            ) =>
-                    {
-                        cluster_of[v.index()] = *cluster;
-                        partner[v.index()] = v.0;
-                        *bw += w;
-                        for (a, &b) in bws.iter_mut().zip(hg.vertex_weights(v)) {
-                            *a += b;
-                        }
+        let mut bin_cluster: HashMap<u32, (u32, u64, Vec<u64>)> = HashMap::new();
+        for &v in &order {
+            let Fixity::Fixed(p) = fixed.fixity(v) else {
+                continue;
+            };
+            let w = hg.vertex_weight(v);
+            match bin_cluster.get_mut(&p.0) {
+                Some((cluster, bw, bws))
+                    if *bw + w <= params.max_cluster_weight
+                        && within_resource_caps(
+                            bws,
+                            hg.vertex_weights(v),
+                            &params.max_cluster_weights,
+                        ) =>
+                {
+                    cluster_of[v.index()] = *cluster;
+                    partner[v.index()] = v.0;
+                    *bw += w;
+                    for (a, &b) in bws.iter_mut().zip(hg.vertex_weights(v)) {
+                        *a += b;
                     }
-                    _ => {
-                        let cluster = num_clusters as u32;
-                        num_clusters += 1;
-                        cluster_of[v.index()] = cluster;
-                        partner[v.index()] = v.0;
-                        bin_cluster.insert(p.0, (cluster, w, hg.vertex_weights(v).to_vec()));
-                    }
+                }
+                _ => {
+                    let cluster = num_clusters as u32;
+                    num_clusters += 1;
+                    cluster_of[v.index()] = cluster;
+                    partner[v.index()] = v.0;
+                    bin_cluster.insert(p.0, (cluster, w, hg.vertex_weights(v).to_vec()));
                 }
             }
         }
@@ -161,7 +159,7 @@ mod reference {
                     continue;
                 }
                 let ufix = fixed.fixity(u);
-                if !params.allow_free_fixed_merge && vfix.is_fixed() != ufix.is_fixed() {
+                if vfix.is_fixed() != ufix.is_fixed() {
                     continue;
                 }
                 let Some(merged) = merge_fixity(vfix, ufix) else {
@@ -340,13 +338,17 @@ fn knobs(inst: &RawInstance, hg: &Hypergraph, fx: &FixedVertices, knob: u64) -> 
             .map(|_| PartId(rng.gen_range(0..K)))
             .collect()
     });
+    let max_net_size_for_matching = if plain { 64 } else { rng.gen_range(2..=6) };
+    // This draw turned on the free–fixed merge mode, which is gone; it
+    // stays so that the draws after it, and so the corpus, are unchanged.
+    let _ = !plain && rng.gen_bool(0.25);
     Knobs {
         params: CoarsenParams {
             max_cluster_weight,
             max_cluster_weights,
-            max_net_size_for_matching: if plain { 64 } else { rng.gen_range(2..=6) },
+            max_net_size_for_matching,
             max_fixed_part_weight,
-            allow_free_fixed_merge: !plain && rng.gen_bool(0.25),
+            allow_free_fixed_merge: false,
             threads: 1,
         },
         min_shrink: if rng.gen_bool(0.2) { 0.9 } else { 1.0 },

@@ -1,7 +1,9 @@
 //! The paper's core contract, property-tested: no matter how many vertices
 //! are fixed (0–50%, drawn at random), every partitioner must return a
 //! solution in which (a) every fixed vertex sits exactly in its assigned
-//! part and (b) the paper's 2% balance constraint holds.
+//! part and (b) the paper's 2% balance constraint holds. A fixity table
+//! shorter than its hypergraph leaves the vertices past its end free, and
+//! every engine must answer it as it answers the table padded with `Free`.
 
 use vlsi_rng::{ChaCha8Rng, Rng, RngCore, SeedableRng};
 use vlsi_testkit::gen::{distinct_sorted, RawInstance};
@@ -12,8 +14,8 @@ use fixed_vertices_repro::vlsi_hypergraph::{
     VertexId,
 };
 use fixed_vertices_repro::vlsi_partition::{
-    BipartFm, FmConfig, MultilevelConfig, MultilevelPartitioner, Partitioner, RunCtx,
-    SelectionPolicy,
+    BipartFm, EngineConfig, FmConfig, MultilevelConfig, MultilevelPartitioner, Partitioner, RunCtx,
+    SelectionPolicy, ENGINES,
 };
 
 /// Paper-scale instances for the 2% constraint: unit weights and enough
@@ -150,6 +152,52 @@ prop_test! {
             return;
         };
         assert_invariants("multilevel", &hg, &fixed, &balance, &result.parts);
+    }
+
+    /// A table that stops short of the hypergraph: every registry engine
+    /// at k = 2 and `rb` and `kway` at k = 4 return exactly what they
+    /// return (answer or error) for the same table padded with `Free`, on
+    /// instances large enough for the multilevel engines to coarsen.
+    #[cases(12)]
+    fn a_short_fixity_table_is_answered_as_the_padded_one(
+        case in |rng: &mut TestRng| {
+            let n = rng.gen_range(200..400usize);
+            let net_gen = distinct_sorted(n, 2..5);
+            let nets = (0..rng.gen_range(n..3 * n)).map(|_| net_gen(rng)).collect();
+            let frac = rng.gen_range(0.0..0.5);
+            let fixities = (0..n)
+                .map(|_| rng.gen_bool(frac).then(|| rng.gen_range(0..2u8)))
+                .collect();
+            let seed = rng.next_u64();
+            let len = rng.gen_range(n / 2..n);
+            (RawInstance { weights: vec![1; n], nets, fixities, seed }, len)
+        }
+    ) {
+        let (inst, len) = case;
+        let (hg, full) = build(&inst);
+        let mut fixities = full.as_slice()[..len].to_vec();
+        let short = FixedVertices::from_fixities(fixities.clone());
+        fixities.resize(hg.num_vertices(), Fixity::Free);
+        let padded = FixedVertices::from_fixities(fixities);
+        let runs = ENGINES
+            .iter()
+            .map(|info| (info.name, 2))
+            .chain([("rb", 4), ("kway", 4)]);
+        for (name, k) in runs {
+            let engine = EngineConfig::by_name(name).expect("registered");
+            let balance =
+                BalanceConstraint::even(k, &[hg.total_weight()], Tolerance::Relative(0.1));
+            let run = |fixed: &FixedVertices| {
+                let mut rng = ChaCha8Rng::seed_from_u64(inst.seed);
+                engine.partition_ctx(&hg, fixed, &balance, RunCtx::new(&mut rng))
+            };
+            assert_eq!(
+                run(&short),
+                run(&padded),
+                "{name} at k = {k}: a table of {len} for {} vertices",
+                hg.num_vertices()
+            );
+        }
     }
 }
 

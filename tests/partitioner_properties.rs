@@ -7,11 +7,12 @@ use vlsi_rng::{ChaCha8Rng, SeedableRng};
 use vlsi_testkit::gen::{instances, InstanceConfig, RawInstance};
 use vlsi_testkit::{prop_test, TestRng};
 
+use fixed_vertices_repro::vlsi_experiments::constraint::constraint_metrics;
 use fixed_vertices_repro::vlsi_hypergraph::{
     validate_partitioning, BalanceConstraint, CutState, FixedVertices, Fixity, Hypergraph,
-    HypergraphBuilder, Objective, PartId, Partitioning, Tolerance, VertexId,
+    HypergraphBuilder, Objective, PartId, PartSet, Partitioning, Tolerance, VertexId,
 };
-use fixed_vertices_repro::vlsi_partition::terminal_cluster::cluster_terminals;
+use fixed_vertices_repro::vlsi_partition::multilevel::cluster_terminals;
 use fixed_vertices_repro::vlsi_partition::{
     random_initial, AnnealingConfig, BipartFm, FmConfig, KlConfig, KwayRefiner, MultilevelConfig,
     MultilevelPartitioner, Partitioner, Refiner, RunCtx, SelectionPolicy,
@@ -123,21 +124,64 @@ prop_test! {
 
     #[cases(64)]
     fn terminal_clustering_preserves_cut_of_projected_solutions(inst in instance_gen(20)) {
-        let (hg, fixed) = build(&inst);
-        let clustered = cluster_terminals(&hg, &fixed).expect("transform");
-        // Partition the clustered instance arbitrarily but legally.
-        let cparts: Vec<PartId> = clustered
-            .hypergraph
-            .vertices()
-            .map(|v| match clustered.fixed.fixity(v) {
-                Fixity::Fixed(p) => p,
-                _ => PartId(v.0 % 2),
-            })
-            .collect();
-        let ccut = CutState::new(&clustered.hypergraph, 2, &cparts).cut();
-        let projected = clustered.project(&cparts);
-        let pcut = CutState::new(&hg, 2, &projected).cut();
-        assert_eq!(ccut, pcut);
+        let (hg, mut fixed) = build(&inst);
+        // Every third fixed vertex may sit in either part instead.
+        for v in hg.vertices().step_by(3) {
+            if fixed.fixity(v).is_fixed() {
+                fixed.fix_any(v, PartSet::all(2));
+            }
+        }
+        let clustered = cluster_terminals(&hg, &fixed);
+
+        // One terminal per part holding a `Fixed` vertex, at the lowest ids
+        // in order of first appearance; every other vertex is a cluster of
+        // its own, in vertex order, with its fixity.
+        let mut terminal_parts: Vec<PartId> = Vec::new();
+        for v in hg.vertices() {
+            if let Fixity::Fixed(p) = fixed.fixity(v) {
+                if !terminal_parts.contains(&p) {
+                    terminal_parts.push(p);
+                }
+            }
+        }
+        let mut next = terminal_parts.len();
+        for v in hg.vertices() {
+            let c = clustered.map[v.index()];
+            if let Fixity::Fixed(p) = fixed.fixity(v) {
+                assert_eq!(Some(c.index()), terminal_parts.iter().position(|&q| q == p));
+            } else {
+                assert_eq!(c.index(), next);
+                next += 1;
+            }
+            assert_eq!(clustered.fixed.fixity(c), fixed.fixity(v));
+        }
+        assert_eq!(clustered.hg.num_vertices(), next);
+
+        // Partition the clustered instance arbitrarily but legally: the cut
+        // of a bisection and the km1 of a 4-way assignment are those of the
+        // projection.
+        for k in [2, 4] {
+            let cparts: Vec<PartId> = clustered
+                .hg
+                .vertices()
+                .map(|v| match clustered.fixed.fixity(v) {
+                    Fixity::Fixed(p) => p,
+                    Fixity::FixedAny(set) => set.iter().nth(v.index() % set.len()).expect("in set"),
+                    Fixity::Free => PartId::from_index(v.index() % k),
+                })
+                .collect();
+            let coarse = CutState::new(&clustered.hg, k, &cparts);
+            let fine = CutState::new(&hg, k, &clustered.project(&cparts));
+            assert_eq!(coarse.cut(), fine.cut());
+            assert_eq!(coarse.kminus1(), fine.kminus1());
+        }
+
+        // The constraint metrics that claim invariance keep their values.
+        let before = constraint_metrics(&hg, &fixed);
+        let after = constraint_metrics(&clustered.hg, &clustered.fixed);
+        assert_eq!(after.terminal_adjacency, before.terminal_adjacency);
+        assert_eq!(after.mean_pull, before.mean_pull);
+        assert_eq!(after.anchored_weight_fraction, before.anchored_weight_fraction);
     }
 
     #[cases(64)]
