@@ -9,6 +9,7 @@
 //! resources, as a k-way run does.
 
 use std::fs::File;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -16,12 +17,31 @@ use vlsi_hypergraph::io::{write_fix, write_hgr};
 use vlsi_hypergraph::{BalanceConstraint, FixedVertices, PartId, Tolerance};
 use vlsi_netgen::instances::ibm01_like_scaled;
 
+/// A scratch directory, removed when the guard drops: at the end of a
+/// test and when a failed assertion unwinds it.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+impl Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
 /// A fresh scratch directory holding the test instance as `inst.hgr` and
 /// `inst.fix`.
-fn instance_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("vlsi-partition-cli-{}-{name}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+fn instance_dir(name: &str) -> ScratchDir {
+    let dir = ScratchDir(
+        std::env::temp_dir().join(format!("vlsi-partition-cli-{}-{name}", std::process::id())),
+    );
+    std::fs::create_dir_all(&*dir).expect("scratch dir");
     let hg = ibm01_like_scaled(0.05, 3).hypergraph;
     let mut fixed = FixedVertices::all_free(hg.num_vertices());
     for v in hg.vertices().step_by(7) {
@@ -94,7 +114,6 @@ fn trace_does_not_change_the_answer() {
             "seed {seed}: --trace changed the assignment"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -126,7 +145,6 @@ fn traced_runs_do_not_depend_on_the_thread_count() {
         trace == masked_trace(&dir.join("t2.jsonl")),
         "the thread count changed the trace"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -169,5 +187,4 @@ fn two_resource_bisections_balance_both_resources() {
             "{engine}: loads {loads:?} against totals {totals:?}"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,7 +11,10 @@
 //! pass and records a flat index of its values: one 8-byte node per value
 //! in document order, where a container's node says where its subtree
 //! ends, a small integer's node holds the integer, and any other number's
-//! or string's node where it starts in the text. The request decoder
+//! or string's node where it starts in the text. An array element that
+//! is a plain integer, the bulk of a job line, is scanned in one tight
+//! loop that pushes the node the general path would, and a nested array
+//! (a net's pin list) skips the general dispatch. The request decoder
 //! reads its fields straight off that index (`Doc`), so a job line's
 //! instance arrays never become a tree; [`parse`] turns the same index
 //! into a [`Json`] tree for callers that want owned values, such as
@@ -133,6 +136,10 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 /// the stack.
 const MAX_DEPTH: usize = 64;
 
+/// Most digits of an integer [`Scanner::int_element`] takes: any such
+/// integer lies inside [`Node::INT_RANGE`].
+const MAX_INT_DIGITS: usize = 17;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
     Null,
@@ -179,6 +186,12 @@ impl Node {
 
     fn tag(self) -> Tag {
         TAGS[(self.0 & 0xF) as usize]
+    }
+
+    /// Whether the node's tag is `tag`: the index walks test this per
+    /// node, and it skips [`Node::tag`]'s table lookup.
+    fn is(self, tag: Tag) -> bool {
+        self.0 & 0xF == tag as u64
     }
 
     fn payload(self) -> usize {
@@ -255,9 +268,10 @@ impl<'d> Value<'d> {
     /// The index one past this value's subtree.
     fn end(self) -> usize {
         let node = self.node();
-        match node.tag() {
-            Tag::Arr | Tag::Obj => node.payload(),
-            _ => self.at + 1,
+        if node.is(Tag::Arr) || node.is(Tag::Obj) {
+            node.payload()
+        } else {
+            self.at + 1
         }
     }
 
@@ -349,7 +363,7 @@ impl<'d> Value<'d> {
 
     /// The elements, if this is an array.
     pub(crate) fn as_arr(self) -> Option<Elems<'d>> {
-        (self.tag() == Tag::Arr).then(|| Elems {
+        self.node().is(Tag::Arr).then(|| Elems {
             doc: self.doc,
             at: self.at + 1,
             end: self.end(),
@@ -422,10 +436,19 @@ pub(crate) struct Elems<'d> {
     end: usize,
 }
 
-impl Elems<'_> {
+impl<'d> Elems<'d> {
     /// Number of elements.
     pub(crate) fn len(&self) -> usize {
-        self.clone().count()
+        // Without a container among them, the nodes are the elements.
+        let nodes = &self.doc.nodes[self.at..self.end];
+        if nodes
+            .iter()
+            .all(|node| !node.is(Tag::Arr) && !node.is(Tag::Obj))
+        {
+            nodes.len()
+        } else {
+            self.clone().count()
+        }
     }
 
     /// Whether there are no elements.
@@ -437,6 +460,20 @@ impl Elems<'_> {
     /// scalars they hold, for sizing what they decode into.
     pub(crate) fn nodes(&self) -> usize {
         self.end - self.at
+    }
+
+    /// The elements as indices below `bound`, read straight off the
+    /// index, when every element is an integer in `0..bound` that its node
+    /// holds (inside [`Node::INT_RANGE`]); `None` when any element is
+    /// something else.
+    pub(crate) fn indices_below(&self, bound: usize) -> Option<impl Iterator<Item = usize> + 'd> {
+        // Such an element is one node, so the nodes are the elements; a
+        // negative integer wraps past any `bound`.
+        let nodes = &self.doc.nodes[self.at..self.end];
+        nodes
+            .iter()
+            .all(|node| node.is(Tag::Int) && (node.int() as u64) < bound as u64)
+            .then(|| nodes.iter().map(|node| node.int() as usize))
     }
 }
 
@@ -579,8 +616,17 @@ impl<'a> Scanner<'a> {
         }
         loop {
             self.skip_ws();
-            self.value()?;
-            self.skip_ws();
+            if !self.int_element() {
+                // A nested array, such as a net's pin list, skips
+                // `value()`'s dispatch too; one past the depth bound goes
+                // through it to be refused.
+                if self.peek() == Some(b'[') && self.depth < MAX_DEPTH {
+                    self.array()?;
+                } else {
+                    self.value()?;
+                }
+                self.skip_ws();
+            }
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
@@ -590,6 +636,43 @@ impl<'a> Scanner<'a> {
                 _ => return Err(self.err("expected ',' or ']'")),
             }
         }
+    }
+
+    /// Scans an array element that is a plain integer (an optional minus
+    /// and at most [`MAX_INT_DIGITS`] digits without a leading zero,
+    /// followed directly by `,` or `]`) in one loop, and pushes the `Int`
+    /// node `value()` would push. A job line's arrays are mostly such
+    /// integers. Any other element, or one too deep to take, is left
+    /// unread (`false`) for `value()`, so every error keeps its message
+    /// and offset.
+    fn int_element(&mut self) -> bool {
+        if self.depth >= MAX_DEPTH {
+            return false;
+        }
+        let rest = &self.bytes[self.pos..];
+        let negative = rest.first() == Some(&b'-');
+        let digits = &rest[usize::from(negative)..];
+        let mut magnitude = 0u64;
+        let mut len = 0;
+        while let Some(&c @ b'0'..=b'9') = digits.get(len) {
+            if len == MAX_INT_DIGITS {
+                return false;
+            }
+            magnitude = magnitude * 10 + u64::from(c - b'0');
+            len += 1;
+        }
+        let leading_zero = len > 1 && digits[0] == b'0';
+        if len == 0 || leading_zero || !matches!(digits.get(len), Some(b',' | b']')) {
+            return false;
+        }
+        let int = if negative {
+            -(magnitude as i64)
+        } else {
+            magnitude as i64
+        };
+        self.pos += usize::from(negative) + len;
+        self.nodes.push(Node::new(Tag::Int, int as u64));
+        true
     }
 
     fn object(&mut self) -> Result<(), JsonError> {
@@ -892,6 +975,10 @@ mod tests {
         assert!(parse(&ok).is_ok());
         let over = "[".repeat(65) + &"]".repeat(65);
         assert_eq!(parse(&over).unwrap_err().offset, 64);
+        // An integer one level too deep is refused like any other value.
+        let int = "[".repeat(64) + "1" + &"]".repeat(64);
+        let err = parse(&int).unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (64, "nesting too deep"));
     }
 
     #[test]

@@ -61,6 +61,7 @@
 //! documented in `docs/PROTOCOL.md` (the complete wire reference).
 
 use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufReader;
 
@@ -230,11 +231,22 @@ impl JobResponse {
             ",\"status\":\"ok\",\"cut\":{},\"km1\":{},\"parts\":[",
             self.cut, self.km1
         ));
-        for (i, p) in self.parts.iter().enumerate() {
+        for (i, &p) in self.parts.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&p.to_string());
+            // A part is below `MAX_PARTS`, so its one or two digits go
+            // straight into the line; anything wider takes the formatter.
+            match u8::try_from(p) {
+                Ok(d @ 0..=9) => out.push(char::from(b'0' + d)),
+                Ok(d @ 10..=99) => {
+                    out.push(char::from(b'0' + d / 10));
+                    out.push(char::from(b'0' + d % 10));
+                }
+                _ => {
+                    let _ = write!(out, "{p}");
+                }
+            }
         }
         out.push_str(&format!(
             "],\"cache_hit\":{},\"deadline_expired\":{},\"starts_run\":{},\"micros\":{}",
@@ -561,17 +573,18 @@ fn decode_instance(
         }
     }
 
-    let mut pins = Vec::new();
     match &source {
         Source::Inline { nets, .. } => {
             for (n, net) in nets.clone().enumerate() {
-                let weight = net_spec(net, n, num_vertices, id, &mut pins)?;
-                check_pins(&pins, NetId::from_index(n))
-                    .map_err(|e| bad(id, format!("net {n}: {e}")))?;
-                if removed.get(n) != Some(&true) {
-                    b.add_net(weight, pins.iter().copied())
-                        .map_err(|e| bad(id, format!("net {n}: {e}")))?;
-                }
+                let (weight, pins) = net_spec(net, n, num_vertices, id)?;
+                let checked = if removed.get(n) == Some(&true) {
+                    check_pins(&pins.collect::<Vec<_>>(), NetId::from_index(n))
+                } else {
+                    b.add_net(weight, pins)
+                        .map(drop)
+                        .map_err(|e| request_net(e, n))
+                };
+                checked.map_err(|e| bad(id, format!("net {n}: {e}")))?;
             }
         }
         Source::File(hg) if rebuild => {
@@ -618,7 +631,7 @@ fn decode_instance(
                 .into_owned();
             if let Some(delta) = ws.get("delta") {
                 let counts = (num_vertices, num_nets);
-                apply_warm_delta(delta, counts, k, &mut b, &mut fixed, &mut pins, id)?;
+                apply_warm_delta(delta, counts, k, &mut b, &mut fixed, id)?;
             }
             Some(sid)
         }
@@ -765,7 +778,6 @@ fn apply_warm_delta(
     k: usize,
     b: &mut HypergraphBuilder,
     fixed: &mut FixedVertices,
-    pins: &mut Vec<VertexId>,
     id: &Option<String>,
 ) -> Result<(), ProtocolError> {
     if !delta.is_obj() {
@@ -794,9 +806,9 @@ fn apply_warm_delta(
             .as_arr()
             .ok_or_else(|| bad(id, "'delta.added_nets' must be an array of nets"))?;
         for (n, net) in arr.enumerate() {
-            let weight = net_spec(net, n, num_vertices, id, pins)?;
+            let (weight, pins) = net_spec(net, n, num_vertices, id)?;
             if build_error.is_none() {
-                if let Err(e) = b.add_net(weight, pins.iter().copied()) {
+                if let Err(e) = b.add_net(weight, pins) {
                     build_error = Some(bad(id, format!("delta.added_nets[{n}]: {e}")));
                 }
             }
@@ -847,15 +859,14 @@ fn apply_warm_delta(
 }
 
 /// Reads one net spec — a plain pin array (weight 1) or
-/// `{"w":W,"pins":[...]}` — into its weight and `pins`, validated against
-/// `num_vertices`.
-fn net_spec(
-    net: Value<'_>,
+/// `{"w":W,"pins":[...]}` — into its weight and its pins, every one
+/// checked to lie in `0..num_vertices`.
+fn net_spec<'d>(
+    net: Value<'d>,
     n: usize,
     num_vertices: usize,
     id: &Option<String>,
-    pins: &mut Vec<VertexId>,
-) -> Result<u64, ProtocolError> {
+) -> Result<(u64, impl Iterator<Item = VertexId> + 'd), ProtocolError> {
     let (weight, list) = if let Some(list) = net.as_arr() {
         (1, list)
     } else if net.is_obj() {
@@ -876,22 +887,28 @@ fn net_spec(
             format!("net {n}: must be a pin array or {{\"w\":..,\"pins\":[..]}}"),
         ));
     };
-    pins.clear();
-    for p in list {
-        let p = p
-            .as_u64()
-            .map(|u| u as usize)
-            .filter(|&u| u < num_vertices)
-            .ok_or_else(|| bad(id, format!("net {n}: pin out of range 0..{num_vertices}")))?;
-        pins.push(VertexId::from_index(p));
-    }
-    Ok(weight)
+    let pins = list
+        .indices_below(num_vertices)
+        .ok_or_else(|| bad(id, format!("net {n}: pin out of range 0..{num_vertices}")))?;
+    Ok((weight, pins.map(VertexId::from_index)))
 }
 
-/// Checks range-checked `pins` the way [`HypergraphBuilder::add_net`]
-/// does, naming the net `net`, its index in the request. The builder
-/// would name a net by its position in the build, which falls behind once
-/// a delta drops nets, and a dropped net never reaches the builder.
+/// Names the net of [`HypergraphBuilder::add_net`]'s error by `n`, its
+/// index in the request: the builder numbers nets by their place in the
+/// build, which falls behind once a delta drops nets.
+fn request_net(e: BuildError, n: usize) -> BuildError {
+    let net = NetId::from_index(n);
+    match e {
+        BuildError::DuplicatePin { vertex, .. } => BuildError::DuplicatePin { net, vertex },
+        BuildError::EmptyNet { .. } => BuildError::EmptyNet { net },
+        e => e,
+    }
+}
+
+/// Checks the range-checked `pins` of a net the delta removes, which
+/// never reaches the builder, the way [`HypergraphBuilder::add_net`] does:
+/// the first repeated pin, then an empty net, named by `net`, its index in
+/// the request.
 fn check_pins(pins: &[VertexId], net: NetId) -> Result<(), BuildError> {
     for (i, &vertex) in pins.iter().enumerate() {
         if pins[..i].contains(&vertex) {
@@ -1141,6 +1158,34 @@ mod tests {
         assert_eq!(parsed.get("parts").unwrap().as_arr().unwrap().len(), 3);
         assert!(parsed.get("solution_id").is_none());
         assert!(parsed.get("warm").is_none());
+    }
+
+    #[test]
+    fn parts_render_as_their_decimal_digits() {
+        let resp = JobResponse {
+            id: "a\"b\\c\n".into(),
+            cut: 7,
+            km1: 9,
+            // Every part a k <= 64 job can return, then wider ones.
+            parts: (0..64).chain([100, 4096, u32::MAX]).collect(),
+            cache_hit: false,
+            deadline_expired: true,
+            starts_run: 3,
+            micros: 42,
+            solution_id: Some("s00000000deadbeef".into()),
+            warm: Some("miss"),
+        };
+        // The rendering of one `to_string()` per part.
+        let parts: Vec<String> = resp.parts.iter().map(|p| p.to_string()).collect();
+        let expected = format!(
+            concat!(
+                r#"{{"id":"a\"b\\c\n","status":"ok","cut":7,"km1":9,"parts":[{}],"#,
+                r#""cache_hit":false,"deadline_expired":true,"starts_run":3,"micros":42,"#,
+                r#""solution_id":"s00000000deadbeef","warm":"miss"}}"#
+            ),
+            parts.join(",")
+        );
+        assert_eq!(resp.to_line(), expected);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! `JobRequest` or the same `ProtocolError` (id, code and message) from
 //! both, and the same tree or error from both JSON parsers. The mutations
 //! drop, swap and duplicate fields, escape keys, respell numbers (`2.0`,
-//! `1e2`, `-0`, `-1`, 2^63, 2^64), nest values around the depth bound,
-//! truncate the text at structural bytes, and plant out-of-range pins,
+//! `1e2`, `-0`, `-1`, 2^63, 2^64, leading zeros, a lone `-`, runs of 17
+//! to 20 digits), nest values around the depth bound, truncate the text
+//! at structural bytes or right after a digit, put a space or a `}` right
+//! after a digit, and plant out-of-range pins,
 //! removals and re-pins and duplicate pins in the inline and the added
 //! nets, often several at once.
 //!
@@ -1101,8 +1103,10 @@ impl Tree {
 }
 
 /// Number spellings the grammar types differently or the decoder must
-/// refuse: floats that equal integers, `-0` (an integer), negatives, and
-/// integers just past `i64` and `u64`.
+/// refuse: floats that equal integers, `-0` (an integer), negatives,
+/// integers just past `i64` and `u64`, and the edges of the scanner's
+/// integer loop: leading zeros, a lone minus, and runs of 17 digits (the
+/// loop's longest) to 20.
 const NUMBER_FORMS: &[&str] = &[
     "2.0",
     "1e2",
@@ -1117,6 +1121,15 @@ const NUMBER_FORMS: &[&str] = &[
     "0.5",
     "3",
     "64",
+    "01",
+    "-01",
+    "-",
+    "12345678901234567",
+    "-99999999999999999",
+    "123456789012345678",
+    "-576460752303423488",
+    "1234567890123456789",
+    "99999999999999999999",
 ];
 
 /// `"key"` with its first character written as a `\u` escape.
@@ -1432,8 +1445,27 @@ fn truncate_at_structure(text: &mut String, rng: &mut TestRng) {
     }
 }
 
+/// Ends the text right after the last digit of one of its numbers, or
+/// puts a space or a `}` between that digit and what follows.
+fn break_after_a_digit(text: &mut String, rng: &mut TestRng) {
+    let ends: Vec<usize> = text
+        .as_bytes()
+        .windows(2)
+        .enumerate()
+        .filter(|(_, w)| w[0].is_ascii_digit() && !w[1].is_ascii_digit())
+        .map(|(i, _)| i + 1)
+        .collect();
+    if let Some(&at) = ends.choose(rng) {
+        match rng.gen_range(0..3) {
+            0 => text.truncate(at),
+            1 => text.insert(at, ' '),
+            _ => text.insert(at, '}'),
+        }
+    }
+}
+
 /// A request line: a valid base request, up to four mutations, and now
-/// and then a truncation or extra whitespace.
+/// and then a truncation, extra whitespace or a number broken off.
 fn request_lines() -> impl Fn(&mut TestRng) -> String {
     |rng: &mut TestRng| {
         let mut tree = base_request(rng);
@@ -1445,6 +1477,7 @@ fn request_lines() -> impl Fn(&mut TestRng) -> String {
         match rng.gen_range(0..10) {
             0 => truncate_at_structure(&mut text, rng),
             1 => text = text.replace(',', " ,\t").replace(':', ": "),
+            2 => break_after_a_digit(&mut text, rng),
             _ => {}
         }
         text
@@ -1515,6 +1548,13 @@ fn token_soup() -> impl Fn(&mut TestRng) -> String {
         "-9223372036854775808",
         "9223372036854775808",
         "1e400",
+        "7",
+        "-01",
+        "12345678901234567",
+        "-12345678901234567",
+        "123456789012345678",
+        "1234567890123456789",
+        "12345678901234567890",
     ];
     |rng: &mut TestRng| {
         (0..rng.gen_range(0..24))
@@ -1586,6 +1626,38 @@ fn decoders_agree_on_the_protocol_test_lines() {
         ));
     }
     lines.push(format!(r#"{{"id":"w","warm_start":{{}},{hg}}}"#));
+    // The scanner's integer loop: each edge as a pin, a weight and a
+    // fixity, in a run, and followed by a space, a `}` or the end of the
+    // line.
+    let long = |digits: usize| "1234567890".repeat(2)[..digits].to_string();
+    let ints = ["0", "01", "-0", "-01", "-", "-1", "7", "63"]
+        .map(String::from)
+        .into_iter()
+        .chain((17..=20).flat_map(|d| [long(d), format!("-{}", long(d))]));
+    for int in ints {
+        lines.push(format!(
+            r#"{{"id":"n","hypergraph":{{"vertices":[{int},1],"nets":[[{int},1],[1,{int}]]}},"fixed":[{int},-1]}}"#
+        ));
+        for text in [
+            "[{int}",
+            "[{int} ]",
+            "[{int}}",
+            "[{int},{int}]",
+            "[0,{int}]}",
+        ] {
+            lines.push(text.replace("{int}", &int));
+        }
+    }
+    // An integer in an array at the depth bound, and one level past it.
+    for depth in [63, 64] {
+        for int in ["1", "-1", "01"] {
+            lines.push("[".repeat(depth) + int + &"]".repeat(depth));
+        }
+        let nested = "[".repeat(depth - 1) + "0" + &"]".repeat(depth - 1);
+        lines.push(format!(
+            r#"{{"id":"d","hypergraph":{{"vertices":[1,1],"nets":[[0,1]]}},"x":{nested}}}"#
+        ));
+    }
     lines.push("[".repeat(70) + &"]".repeat(70));
     lines.push(format!(r#"{{"\u0069d":"x",{hg},"id":"y"}}"#));
     for line in &lines {

@@ -248,6 +248,28 @@ else
     echo "==> service soak smoke skipped (SOAK_SMOKE=0)"
 fi
 
+# Service replay smoke: the end-to-end benchmark's serve-eco workload (the
+# BENCHMARK.json command) for 5 s, traced. perfbench reads the service's
+# response lines with its own string matching, and its traced run replays
+# every answered request through parse_request, cache_key, the solve and
+# JobResponse::to_line, counting each one whose replay disagrees with the
+# service as failed; the step fails unless the last line reports
+# "correct":true and "failed":0, so a wire-format change the benchmark
+# depends on fails here instead of in the benchmark (about 15 s on a
+# 2-vCPU machine once perfbench is built). Skip with REPLAY_SMOKE=0.
+if [ "${REPLAY_SMOKE:-1}" = "1" ]; then
+    echo "==> serve-eco replay smoke (perfbench --workload serve-eco --trace 1)"
+    replay_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload serve-eco --seed 1 --seconds 5 --trace 1 | tail -n 1)"
+    echo "$replay_out"
+    case "$replay_out" in
+        *'"correct":true,'*'"failed":0,'*) ;;
+        *) echo "ci.sh: serve-eco replay smoke reported failures" >&2; exit 1 ;;
+    esac
+else
+    echo "==> serve-eco replay smoke skipped (REPLAY_SMOKE=0)"
+fi
+
 # Heterogeneous resource smoke: a scaled netgen instance with three
 # resource dimensions per vertex, ~5% fixed vertices, explicit asymmetric
 # per-part capacity vectors and the connectivity (km1) objective at k=4.
