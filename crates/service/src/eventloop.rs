@@ -1,13 +1,15 @@
 //! Nonblocking epoll front end for the TCP transport.
 //!
 //! One thread runs every connection: a level-triggered [`Epoll`] instance
-//! watches the listener, a wake pipe, and each client socket. The loop
-//! does its own line framing (bytes in `rbuf` until `\n`), parses and
-//! answers control requests inline, applies admission control (per-client
-//! token bucket, then queue high-water mark), and submits jobs to the
-//! worker pool with a reply closure that posts the finished response line
-//! on a completion channel and pokes the wake pipe so the loop picks it
-//! up immediately.
+//! watches the listener, a wake pipe, and each client socket. Each read
+//! goes through the connection's [`LineFramer`] and each line it completes
+//! through [`Service::accept_line`], the front door the stdio transport
+//! shares, so the loop adds only its own queueing and reply routing: an
+//! admitted job is submitted without blocking, with a reply closure that
+//! posts the finished response line on a completion channel and pokes the
+//! wake pipe so the loop picks it up immediately. A line past the framing
+//! cap stops the connection's reading, and the connection closes once its
+//! jobs have answered.
 //!
 //! Nothing on the loop ever blocks: responses accumulate in per-client
 //! write buffers flushed on writability, a full job queue sheds with
@@ -22,28 +24,25 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use crate::admission::TokenBucket;
-use crate::protocol::{parse_request, ProtocolError, Request};
-use crate::server::{Service, SubmitError};
+use crate::frame::LineFramer;
+use crate::server::{Accepted, Service, SHUTDOWN_REPLY};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 const LISTENER: u64 = u64::MAX;
 const WAKE: u64 = u64::MAX - 1;
 /// Epoll wait timeout — the cadence of idle sweeps and drain checks.
 const TICK_MS: i32 = 100;
-/// Hard per-connection cap on one request line (a line this long is a
-/// protocol violation, not a big instance — .hgr files go via
-/// `hypergraph_path`).
-const MAX_LINE: usize = 64 << 20;
 
 struct Conn {
     stream: TcpStream,
-    rbuf: Vec<u8>,
+    framer: LineFramer,
     wbuf: Vec<u8>,
     wpos: usize,
     last_active: Instant,
@@ -166,9 +165,12 @@ pub(crate) fn run(service: &Service, listener: TcpListener) -> io::Result<()> {
                 dead.push(token);
                 continue;
             }
-            let mut want = EPOLLRDHUP;
+            // A closed read side asks for no read events: a peer's
+            // half-close stays pending, and a level-triggered EPOLLRDHUP
+            // would wake every wait until the connection's jobs answer.
+            let mut want = 0;
             if !conn.read_closed {
-                want |= EPOLLIN;
+                want |= EPOLLIN | EPOLLRDHUP;
             }
             if conn.write_pending() {
                 want |= EPOLLOUT;
@@ -227,11 +229,11 @@ fn accept_all(
                     token,
                     Conn {
                         stream,
-                        rbuf: Vec::new(),
+                        framer: LineFramer::default(),
                         wbuf: Vec::new(),
                         wpos: 0,
                         last_active: Instant::now(),
-                        bucket: TokenBucket::new(&service.admission(), Instant::now()),
+                        bucket: service.token_bucket(),
                         inflight: 0,
                         read_closed: false,
                         interest,
@@ -245,13 +247,13 @@ fn accept_all(
     }
 }
 
-/// Reads everything the socket has, then processes every complete line
-/// in the buffer. An `Err` means the connection is unusable and must be
-/// dropped.
+/// Reads everything the socket has and hands each line it completes to
+/// [`Service::accept_line`]. An `Err` means the connection is unusable
+/// and must be dropped.
 ///
-/// Between calls `rbuf` holds only the start of a line (no `\n`), so the
-/// newline search starts at the bytes this call read: a line that
-/// arrives over many reads has each byte examined once.
+/// A line longer than the framing cap stops the reading without a reply
+/// to it: the connection closes once the jobs it already submitted have
+/// answered, as a stdio session ends.
 fn handle_readable(
     conn: &mut Conn,
     token: u64,
@@ -260,110 +262,56 @@ fn handle_readable(
     wake_tx: &Arc<UnixStream>,
     draining: &mut bool,
 ) -> io::Result<()> {
+    let mut on_line = |conn: &mut Conn, line: &[u8]| {
+        match service.accept_line(line, &mut conn.bucket, *draining) {
+            Accepted::Blank => {}
+            Accepted::Reply(reply) => conn.queue_line(&reply),
+            Accepted::Shutdown => {
+                conn.queue_line(SHUTDOWN_REPLY);
+                *draining = true;
+            }
+            Accepted::Job(request) => {
+                let tx = done_tx.clone();
+                let wake = Arc::clone(wake_tx);
+                let reply = Box::new(move |line: String| {
+                    let _ = tx.send((token, line));
+                    // One pending byte is enough to wake the loop; a full
+                    // pipe means it is already awake.
+                    let _ = (&*wake).write(&[1u8]);
+                });
+                // The loop never blocks: a full queue sheds the job.
+                match service.submit(request, reply, false) {
+                    Ok(()) => conn.inflight += 1,
+                    Err(refusal) => conn.queue_line(&refusal),
+                }
+            }
+        }
+        ControlFlow::<()>::Continue(())
+    };
+    // The framer is taken out so that each line can borrow the connection.
+    let mut framer = std::mem::take(&mut conn.framer);
     let mut buf = [0u8; 16 * 1024];
-    let mut scanned = conn.rbuf.len();
-    loop {
+    let read = loop {
         match conn.stream.read(&mut buf) {
             Ok(0) => {
                 conn.read_closed = true;
-                break;
+                let _ = framer.finish(|line| on_line(conn, line));
+                break Ok(());
             }
             Ok(n) => {
                 conn.last_active = Instant::now();
-                conn.rbuf.extend_from_slice(&buf[..n]);
-                if conn.rbuf.len() > MAX_LINE {
-                    return Err(io::ErrorKind::InvalidData.into());
+                if framer.feed(&buf[..n], |line| on_line(conn, line)).is_err() {
+                    conn.read_closed = true;
+                    // The long line is never answered: free its bytes.
+                    framer = LineFramer::default();
+                    break Ok(());
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+            Err(e) => break Err(e),
         }
-    }
-
-    // Lines are read out of a taken buffer so that `process_line` can
-    // borrow the connection; the unfinished tail goes back afterwards.
-    let rbuf = std::mem::take(&mut conn.rbuf);
-    let mut start = 0;
-    while let Some(pos) = rbuf[scanned..].iter().position(|&b| b == b'\n') {
-        let end = scanned + pos;
-        let line = String::from_utf8_lossy(&rbuf[start..end]);
-        start = end + 1;
-        scanned = start;
-        let line = line.trim();
-        if !line.is_empty() {
-            process_line(line, conn, token, service, done_tx, wake_tx, draining);
-        }
-    }
-    conn.rbuf = rbuf;
-    conn.rbuf.drain(..start);
-    Ok(())
-}
-
-fn process_line(
-    line: &str,
-    conn: &mut Conn,
-    token: u64,
-    service: &Service,
-    done_tx: &mpsc::Sender<(u64, String)>,
-    wake_tx: &Arc<UnixStream>,
-    draining: &mut bool,
-) {
-    match parse_request(line) {
-        Err(e) => {
-            service.note_protocol_error();
-            conn.queue_line(&e.to_line());
-        }
-        Ok(Request::Metrics) => {
-            conn.queue_line(&service.metrics_line());
-        }
-        Ok(Request::Shutdown) => {
-            conn.queue_line("{\"status\":\"ok\",\"op\":\"shutdown\"}");
-            *draining = true;
-        }
-        Ok(Request::Job(request)) => {
-            let id = request.id.clone();
-            let refuse = |conn: &mut Conn, code: &'static str, message: &str| {
-                conn.queue_line(
-                    &ProtocolError {
-                        id: Some(id.clone()),
-                        code,
-                        message: message.to_string(),
-                    }
-                    .to_line(),
-                );
-            };
-            if *draining {
-                refuse(conn, "queue_closed", "service is shutting down");
-                return;
-            }
-            if let Err(e) = service.admit(
-                &mut conn.bucket,
-                &request.id,
-                request.hg.num_pins(),
-                Instant::now(),
-            ) {
-                conn.queue_line(&e.to_line());
-                return;
-            }
-            let tx = done_tx.clone();
-            let wake = Arc::clone(wake_tx);
-            let reply = Box::new(move |line: String| {
-                let _ = tx.send((token, line));
-                // One pending byte is enough to wake the loop; a full
-                // pipe means it is already awake.
-                let _ = (&*wake).write(&[1u8]);
-            });
-            match service.try_submit(request, reply) {
-                Ok(()) => conn.inflight += 1,
-                Err(SubmitError::Full) => {
-                    service.note_shed();
-                    refuse(conn, "overloaded", "job queue is full; retry later");
-                }
-                Err(SubmitError::Closed) => {
-                    refuse(conn, "queue_closed", "service is shutting down");
-                }
-            }
-        }
-    }
+    };
+    conn.framer = framer;
+    read
 }

@@ -60,6 +60,7 @@ pub mod cache;
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod eventloop;
+mod frame;
 pub mod json;
 pub mod metrics;
 pub mod protocol;

@@ -493,9 +493,15 @@ fn decode_instance(
         }
         (None, None) => return Err(bad(id, "missing 'hypergraph' or 'hypergraph_path'")),
     };
-    let (num_vertices, num_nets) = match &source {
-        Source::Inline { vertices, nets } => (vertices.len(), nets.len()),
-        Source::File(hg) => (hg.num_vertices(), hg.num_nets()),
+    let num_vertices = match &source {
+        Source::Inline { vertices, .. } => vertices.len(),
+        Source::File(hg) => hg.num_vertices(),
+    };
+    // The walk into the builder counts the inline nets; until then their
+    // index nodes bound them.
+    let net_bound = match &source {
+        Source::Inline { nets, .. } => nets.nodes(),
+        Source::File(hg) => hg.num_nets(),
     };
 
     let resources = root
@@ -515,7 +521,7 @@ fn decode_instance(
         .and_then(|d| d.get("removed_nets"))
         .and_then(Value::as_arr)
     {
-        removed = vec![false; num_nets];
+        removed = vec![false; net_bound];
         for n in list.filter_map(Value::as_u64) {
             if let Some(r) = removed.get_mut(n as usize) {
                 *r = true;
@@ -526,10 +532,10 @@ fn decode_instance(
     // A file instance is rebuilt only when resources or a delta edit it.
     let rebuild = matches!(source, Source::Inline { .. }) || resources.is_some() || delta.is_some();
     let mut b = if rebuild {
-        // Each inline net spans one node plus one per pin (more for the
-        // `{"w":..}` form), so the node counts bound the pins from above.
+        // A net that is not refused spans one node plus at least one per
+        // pin, so the node count bounds the pins and half of it the nets.
         let (nets, pins) = match &source {
-            Source::Inline { nets, .. } => (num_nets, nets.nodes() - num_nets),
+            Source::Inline { .. } => (net_bound / 2, net_bound),
             Source::File(hg) => (hg.num_nets(), hg.num_pins()),
         };
         let added_nodes = added.as_ref().map_or(0, Elems::nodes);
@@ -573,9 +579,11 @@ fn decode_instance(
         }
     }
 
-    match &source {
+    let num_nets = match &source {
         Source::Inline { nets, .. } => {
+            let mut count = 0;
             for (n, net) in nets.clone().enumerate() {
+                count = n + 1;
                 let (weight, pins) = net_spec(net, n, num_vertices, id)?;
                 let checked = if removed.get(n) == Some(&true) {
                     check_pins(&pins.collect::<Vec<_>>(), NetId::from_index(n))
@@ -586,15 +594,18 @@ fn decode_instance(
                 };
                 checked.map_err(|e| bad(id, format!("net {n}: {e}")))?;
             }
+            count
         }
-        Source::File(hg) if rebuild => {
-            for net in hg.nets().filter(|n| removed.get(n.index()) != Some(&true)) {
-                b.add_net(hg.net_weight(net), hg.net_pins(net).iter().copied())
-                    .map_err(|e| bad(id, format!("delta: {e}")))?;
+        Source::File(hg) => {
+            if rebuild {
+                for net in hg.nets().filter(|n| removed.get(n.index()) != Some(&true)) {
+                    b.add_net(hg.net_weight(net), hg.net_pins(net).iter().copied())
+                        .map_err(|e| bad(id, format!("delta: {e}")))?;
+                }
             }
+            hg.num_nets()
         }
-        Source::File(_) => {}
-    }
+    };
 
     let rows = resources.transpose()?;
     // The per-resource totals the capacities are checked against. A sum

@@ -2,13 +2,18 @@
 //!
 //! A [`Service`] owns the shared state (solution cache, metrics, optional
 //! JSONL trace sink) and a [`WorkerPool`] draining a bounded two-lane job
-//! queue. Transports are thin: the stdio loop feeds request lines into
-//! [`Service::serve`], and the TCP front end (`docs/OPERATIONS.md`) is a
-//! nonblocking epoll event loop in the `eventloop` module that frames lines
-//! itself and submits through the same admission and execution path.
-//! Responses travel back through a per-job reply closure so a slow job
-//! never blocks a reader, and the bounded queue pushes back on clients
-//! that submit faster than the workers drain.
+//! queue. Every transport enters through one front door: the `frame`
+//! module's line framer splits a session's bytes into request lines (the
+//! 64 MiB line cap lives there), and `Service::accept_line` turns each
+//! line into a reply, a shutdown or an admitted job (the UTF-8 check, the
+//! parse, control requests and admission live there). [`Service::serve`]
+//! (stdio, and TCP off Linux) and the epoll event loop in the `eventloop`
+//! module (TCP on Linux, `docs/OPERATIONS.md`) differ only in how bytes
+//! arrive, how an admitted job is queued (a blocking push on stdio, a
+//! shed with `overloaded` when the queue is full on the loop) and where
+//! replies go. Responses travel back through a per-job reply closure so a
+//! slow job never blocks a reader, and the bounded queue pushes back on
+//! clients that submit faster than the workers drain.
 //!
 //! Admission control ([`AdmissionConfig`]) sits in front of the queue:
 //! per-client token buckets answer `rate_limited` to floods, and once the
@@ -31,6 +36,7 @@
 
 use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
@@ -45,6 +51,8 @@ use vlsi_trace::{Event, JsonlSink, Sink, Tee};
 
 use crate::admission::{AdmissionConfig, TokenBucket};
 use crate::cache::{cache_key, CacheStats, Solution, SolutionCache};
+use crate::frame::LineFramer;
+use crate::json::JsonError;
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::protocol::{parse_request, JobRequest, JobResponse, ProtocolError, Request};
 use crate::queue::{BoundedQueue, WorkerPool};
@@ -96,16 +104,6 @@ struct ServiceCtx {
     trace: Option<JsonlSink>,
 }
 
-impl ServiceCtx {
-    /// Records one admission refusal (rate limit or load shed) at the
-    /// given queue depth in the engine counters and the trace stream.
-    fn record_shed(&self, depth: usize) {
-        Tee::new(&self.metrics.engine, &self.trace).record(&Event::Shed {
-            queue_depth: depth as u64,
-        });
-    }
-}
-
 /// A queued job: the validated request plus the reply path back to its
 /// connection (an mpsc sender on stdio, an event-loop completion on TCP).
 pub(crate) struct Job {
@@ -113,13 +111,21 @@ pub(crate) struct Job {
     reply: Box<dyn FnOnce(String) + Send>,
 }
 
-/// Why [`Service::try_submit`] refused a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SubmitError {
-    /// The queue is at capacity right now.
-    Full,
-    /// The service is shutting down.
-    Closed,
+/// The answer to `{"op":"shutdown"}`.
+pub(crate) const SHUTDOWN_REPLY: &str = "{\"status\":\"ok\",\"op\":\"shutdown\"}";
+
+/// What [`Service::accept_line`] made of one request line.
+pub(crate) enum Accepted {
+    /// A line of JSON whitespace only: nothing to answer.
+    Blank,
+    /// The line is answered at once: an error, a refusal or the metrics.
+    Reply(String),
+    /// `{"op":"shutdown"}`: the transport answers [`SHUTDOWN_REPLY`] and
+    /// takes no more jobs.
+    Shutdown,
+    /// A job that passed admission, for the transport to
+    /// [`Service::submit`].
+    Job(Box<JobRequest>),
 }
 
 /// How a connection's request loop ended.
@@ -184,11 +190,15 @@ impl Service {
     /// job accepted from *this* connection has been answered and flushed.
     /// The connection gets its own admission token bucket; below the
     /// high-water mark a full queue blocks the reader (backpressure), at
-    /// or above it jobs are shed with `overloaded`.
+    /// or above it jobs are shed with `overloaded`. Lines are framed and
+    /// answered as on every transport (`docs/PROTOCOL.md`, "Framing").
     ///
     /// # Errors
-    /// Propagates read errors; write errors end the response pump.
-    pub fn serve<R, W>(&self, reader: R, writer: W) -> io::Result<ServeOutcome>
+    /// Propagates read errors, `InvalidData` for a line longer than
+    /// 64 MiB (which ends the session unanswered), and write errors, which
+    /// end the response pump. Jobs accepted before a read error still
+    /// answer first.
+    pub fn serve<R, W>(&self, mut reader: R, writer: W) -> io::Result<ServeOutcome>
     where
         R: BufRead,
         W: Write + Send,
@@ -204,118 +214,159 @@ impl Service {
                 writer.flush()
             });
 
-            let mut bucket = TokenBucket::new(&self.admission, Instant::now());
-            let mut outcome = ServeOutcome::Eof;
-            for line in reader.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_request(&line) {
-                    Err(e) => {
-                        self.note_protocol_error();
-                        let _ = tx.send(e.to_line());
+            let mut bucket = self.token_bucket();
+            let mut on_line = |line: &[u8]| {
+                match self.accept_line(line, &mut bucket, false) {
+                    Accepted::Blank => {}
+                    Accepted::Reply(reply) => {
+                        let _ = tx.send(reply);
                     }
-                    Ok(Request::Metrics) => {
-                        let _ = tx.send(self.metrics_line());
+                    Accepted::Shutdown => {
+                        let _ = tx.send(SHUTDOWN_REPLY.to_string());
+                        return ControlFlow::Break(());
                     }
-                    Ok(Request::Shutdown) => {
-                        let _ = tx.send("{\"status\":\"ok\",\"op\":\"shutdown\"}".to_string());
-                        outcome = ServeOutcome::ShutdownRequested;
-                        break;
-                    }
-                    Ok(Request::Job(request)) => {
-                        let id = request.id.clone();
-                        let pins = request.hg.num_pins();
-                        if let Err(e) = self.admit(&mut bucket, &id, pins, Instant::now()) {
-                            let _ = tx.send(e.to_line());
-                            continue;
-                        }
-                        let lane = request.priority;
+                    Accepted::Job(request) => {
                         let reply_tx = tx.clone();
-                        let job = Job {
-                            request,
-                            reply: Box::new(move |line| {
-                                let _ = reply_tx.send(line);
-                            }),
-                        };
-                        if self.pool.queue().push(job, lane).is_err() {
-                            let _ = tx.send(
-                                ProtocolError {
-                                    id: Some(id),
-                                    code: "queue_closed",
-                                    message: "service is shutting down".to_string(),
-                                }
-                                .to_line(),
-                            );
+                        let reply = Box::new(move |line| {
+                            let _ = reply_tx.send(line);
+                        });
+                        // Backpressure: a full queue blocks this reader.
+                        if let Err(refusal) = self.submit(request, reply, true) {
+                            let _ = tx.send(refusal);
                         }
                     }
                 }
-            }
+                ControlFlow::Continue(())
+            };
+            let mut framer = LineFramer::default();
+            let read = loop {
+                let chunk = match reader.fill_buf() {
+                    Ok(chunk) => chunk,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => break Err(e),
+                };
+                if chunk.is_empty() {
+                    break Ok(framer.finish(&mut on_line));
+                }
+                let len = chunk.len();
+                match framer.feed(chunk, &mut on_line) {
+                    Ok(ControlFlow::Continue(())) => reader.consume(len),
+                    ended => break ended,
+                }
+            };
             // Dropping our sender leaves only in-flight jobs holding clones;
             // the pump drains their answers and exits when the last one is
             // done — so returning from here implies all responses are out.
             drop(tx);
-            pump.join().expect("response pump never panics")?;
-            Ok(outcome)
+            let pumped = pump.join().expect("response pump never panics");
+            let outcome = match read? {
+                ControlFlow::Break(()) => ServeOutcome::ShutdownRequested,
+                ControlFlow::Continue(()) => ServeOutcome::Eof,
+            };
+            pumped.map(|()| outcome)
         })
     }
 
-    /// Applies admission control for one job: the instance-size cap
-    /// first (a property of the request, refused without spending a
-    /// token), then the client's token bucket, then the queue high-water
-    /// mark. A refusal is recorded as a shed and returned as the
-    /// structured error to send.
-    pub(crate) fn admit(
+    /// The one dispatcher behind every transport: turns one request line
+    /// into a reply, a shutdown or an admitted job.
+    ///
+    /// A line of JSON whitespace only is skipped, and every other line
+    /// goes to [`parse_request`] as received; a line that is not UTF-8 is
+    /// a `bad_json` error at its first invalid byte. Parse errors are
+    /// counted. A job is refused with `queue_closed` while the transport
+    /// is `draining`, and otherwise goes through admission control: the
+    /// instance-size cap first (a property of the request, refused without
+    /// spending a token), then the client's token bucket, then the queue
+    /// high-water mark. An admission refusal is recorded as a shed.
+    pub(crate) fn accept_line(
         &self,
+        line: &[u8],
         bucket: &mut TokenBucket,
-        id: &str,
-        num_pins: usize,
-        now: Instant,
-    ) -> Result<(), ProtocolError> {
-        if num_pins > self.admission.max_pins {
-            self.note_shed();
-            return Err(ProtocolError {
-                id: Some(id.to_string()),
-                code: "too_large",
-                message: format!(
-                    "instance has {num_pins} pins, above the admission limit of {}",
-                    self.admission.max_pins
-                ),
-            });
+        draining: bool,
+    ) -> Accepted {
+        if line.iter().all(|b| matches!(b, b' ' | b'\t' | b'\r')) {
+            return Accepted::Blank;
         }
-        if !bucket.try_take(now) {
-            self.note_shed();
-            return Err(ProtocolError {
-                id: Some(id.to_string()),
-                code: "rate_limited",
-                message: "client exceeded its admission rate; retry later".to_string(),
-            });
+        let request = std::str::from_utf8(line)
+            .map_err(|e| ProtocolError {
+                id: None,
+                code: "bad_json",
+                message: JsonError {
+                    offset: e.valid_up_to(),
+                    message: "invalid UTF-8".to_string(),
+                }
+                .to_string(),
+            })
+            .and_then(parse_request);
+        let request = match request {
+            Err(e) => {
+                self.ctx
+                    .metrics
+                    .protocol_errors
+                    .fetch_add(1, Ordering::Relaxed);
+                return Accepted::Reply(e.to_line());
+            }
+            Ok(Request::Metrics) => return Accepted::Reply(self.metrics().to_line()),
+            Ok(Request::Shutdown) => return Accepted::Shutdown,
+            Ok(Request::Job(request)) if draining => {
+                return Accepted::Reply(queue_closed(request.id))
+            }
+            Ok(Request::Job(request)) => request,
+        };
+        let num_pins = request.hg.num_pins();
+        if num_pins > self.admission.max_pins {
+            let message = format!(
+                "instance has {num_pins} pins, above the admission limit of {}",
+                self.admission.max_pins
+            );
+            return Accepted::Reply(self.shed(&request.id, "too_large", message));
+        }
+        if !bucket.try_take(Instant::now()) {
+            let message = "client exceeded its admission rate; retry later".to_string();
+            return Accepted::Reply(self.shed(&request.id, "rate_limited", message));
         }
         let depth = self.pool.queue().len();
         if depth >= self.admission.high_water {
-            self.note_shed();
-            return Err(ProtocolError {
-                id: Some(id.to_string()),
-                code: "overloaded",
-                message: format!("job queue depth {depth} is at the high-water mark; retry later"),
-            });
+            let message = format!("job queue depth {depth} is at the high-water mark; retry later");
+            return Accepted::Reply(self.shed(&request.id, "overloaded", message));
         }
-        Ok(())
+        Accepted::Job(request)
     }
 
-    /// Submits a job without blocking (the event-loop path).
-    pub(crate) fn try_submit(
+    /// Queues an admitted job with the path its answer takes. With `wait`
+    /// a full queue blocks the caller (stdio backpressure); without it the
+    /// job is shed with `overloaded`, since the event loop never blocks.
+    /// A refused job comes back as the error line to send.
+    pub(crate) fn submit(
         &self,
         request: Box<JobRequest>,
         reply: Box<dyn FnOnce(String) + Send>,
-    ) -> Result<(), SubmitError> {
+        wait: bool,
+    ) -> Result<(), String> {
+        let id = request.id.clone();
         let lane = request.priority;
         let job = Job { request, reply };
-        self.pool.queue().try_push(job, lane).map_err(|e| match e {
-            Some(_) => SubmitError::Full,
-            None => SubmitError::Closed,
-        })
+        let queue = self.pool.queue();
+        // `Err(None)`: the queue is closed. `Err(Some(job))`: it is full,
+        // which only `try_push` gives up on.
+        let pushed = if wait {
+            queue.push(job, lane).map_err(|_closed| None)
+        } else {
+            queue.try_push(job, lane)
+        };
+        match pushed {
+            Ok(()) => Ok(()),
+            Err(Some(_full)) => {
+                let message = "job queue is full; retry later".to_string();
+                Err(self.shed(&id, "overloaded", message))
+            }
+            Err(None) => Err(queue_closed(id)),
+        }
+    }
+
+    /// A full admission token bucket for a new connection.
+    pub(crate) fn token_bucket(&self) -> TokenBucket {
+        TokenBucket::new(&self.admission, Instant::now())
     }
 
     /// The current metrics snapshot (engine + service counters).
@@ -328,27 +379,23 @@ impl Service {
         self.ctx.cache.lock().expect("cache mutex").stats()
     }
 
-    pub(crate) fn metrics_line(&self) -> String {
-        self.ctx.metrics.snapshot().to_line()
-    }
-
-    pub(crate) fn admission(&self) -> AdmissionConfig {
-        self.admission
-    }
-
     pub(crate) fn idle_timeout(&self) -> Duration {
         self.idle_timeout
     }
 
-    pub(crate) fn note_protocol_error(&self) {
-        self.ctx
-            .metrics
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_shed(&self) {
-        self.ctx.record_shed(self.pool.queue().len());
+    /// Refuses job `id` at admission: records a shed at the current queue
+    /// depth in the engine counters and the trace stream, and returns the
+    /// error line to send.
+    fn shed(&self, id: &str, code: &'static str, message: String) -> String {
+        Tee::new(&self.ctx.metrics.engine, &self.ctx.trace).record(&Event::Shed {
+            queue_depth: self.pool.queue().len() as u64,
+        });
+        ProtocolError {
+            id: Some(id.to_string()),
+            code,
+            message,
+        }
+        .to_line()
     }
 
     /// Drains the queue, joins every worker, flushes the trace sink, and
@@ -358,6 +405,16 @@ impl Service {
         self.ctx.trace.flush();
         self.ctx.metrics.snapshot()
     }
+}
+
+/// The `queue_closed` refusal of job `id`.
+fn queue_closed(id: String) -> String {
+    ProtocolError {
+        id: Some(id),
+        code: "queue_closed",
+        message: "service is shutting down".to_string(),
+    }
+    .to_line()
 }
 
 /// Executes one job end to end and answers through the job's reply path.
@@ -640,7 +697,9 @@ pub fn serve_stdio(config: ServiceConfig) -> io::Result<MetricsSnapshot> {
 /// event loop handling every connection: line framing, per-client
 /// admission token buckets, idle timeouts ([`ServiceConfig::idle_timeout`])
 /// and load shedding all happen on the loop while the worker pool runs
-/// jobs. Elsewhere it falls back to one thread per connection.
+/// jobs. Elsewhere it falls back to one thread per connection, each a
+/// [`Service::serve`] session. Either way a line is framed and answered
+/// as on stdio.
 ///
 /// # Errors
 /// Propagates bind and trace-file errors; per-connection I/O errors only
@@ -671,7 +730,8 @@ fn serve_listener(service: &Service, listener: TcpListener) -> io::Result<()> {
 }
 
 /// Fallback accept loop for targets without the epoll front end: one
-/// thread per connection, polling accept.
+/// thread per connection, polling accept, each connection a
+/// [`Service::serve`] session.
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")

@@ -196,6 +196,18 @@ cargo test -q --offline -p fixed-vertices-repro --test determinism \
 echo "==> service golden session"
 cargo test -q --offline -p vlsi-service --test golden_session
 
+# Transport parity: one byte stream (a JSON-whitespace-only line, a job
+# line holding a 0xFF byte, one starting with U+00A0, a metrics query,
+# valid jobs and an unterminated last job line) sent through
+# Service::serve (stdio) and serve_tcp must get the same response lines,
+# compared as sorted sets with the wall-clock fields masked; a line past
+# the 64 MiB cap must end a stdio session with InvalidData after at most
+# the cap plus one read, and a TCP connection, each once the job before
+# it has answered and without a reply to the long line (about 1 s in a
+# debug build).
+echo "==> transport parity"
+cargo test -q --offline -p vlsi-service --test transport_parity
+
 # Cache key identity: the service's cache key against the fixed-width
 # encoding it replaced, over the testkit instance corpus widened with
 # edge values (weights 0, 2^56 and u64::MAX, multi-resource rows,
